@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .auxprecond import FactorizationError, build_aux
+from .auxprecond import KINDS, FactorizationError, build_aux
 from .inner import (InnerConfig, active_bound_mask, project_box, spg_solve,
                     truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
@@ -57,6 +57,12 @@ class AlmConfig:
             raise ValueError("unknown hessian mode %r" % self.hessian_mode)
         if self.precond_policy not in PRECOND_POLICIES:
             raise ValueError("unknown policy %r" % self.precond_policy)
+        if self.aux_kind not in KINDS:
+            raise ValueError("unknown auxiliary preconditioner kind %r"
+                             % self.aux_kind)
+        if not self.drop_tol >= 0.0:
+            raise ValueError("drop tolerance must be nonnegative, got %r"
+                             % self.drop_tol)
 
     @property
     def effective_inner_tol(self):
@@ -603,8 +609,9 @@ def alm_solve(p, cfg=None):
         in_idx = [i for i, k in enumerate(p.kinds) if k == "inequality"]
         lam_eq, mu_in = update_multipliers(
             lam_bar[eq_idx], lam_bar[in_idx], rho, h_vals, g_vals)
-        rho, prev_measure = _step4(rho, prev_measure, h_vals, g_vals,
-                                   lam_bar[in_idx], cfg)
+        rho, prev_measure = update_penalty(rho, prev_measure, h_vals,
+                                           g_vals, lam_bar[in_idx], cfg.tau,
+                                           cfg.gamma)
         lam_eq, mu_in = safeguard(lam_eq, mu_in, cfg)
         lam_bar = lam_bar.copy()
         lam_bar[eq_idx] = lam_eq
@@ -619,8 +626,3 @@ def alm_solve(p, cfg=None):
         krylov_plain=totals.krylov_plain,
         ac_m=manager.ac_m, ac_v=manager.ac_v,
         kkt_opt=opt, kkt_compl=compl, kkt_feas=feas, history=history)
-
-
-def _step4(rho, prev_measure, h_vals, g_vals, mu_bar, cfg):
-    return update_penalty(rho, prev_measure, h_vals, g_vals, mu_bar,
-                          cfg.tau, cfg.gamma)

@@ -15,7 +15,8 @@ individual rows report "n/c"; configuration or input errors exit nonzero.
 
 import argparse
 import sys
-from dataclasses import fields, replace
+import typing
+from dataclasses import replace
 
 from .alm import AlmConfig
 from .bench import (ExperimentConfig, csv_to_table, rows_to_csv,
@@ -26,7 +27,10 @@ _FLOAT_KEYS = {"density", "tol"}
 _STR_KEYS = {"matrix", "aux_kind"}
 _TUPLE_FLOAT_KEYS = {"rho_list", "drop_tol_list"}
 _TUPLE_STR_KEYS = {"problems", "solvers", "hessian_modes", "policies"}
-_ALM_FIELDS = {f.name: f.type for f in fields(AlmConfig)}
+_ALM_FIELDS = typing.get_type_hints(AlmConfig)
+# Field type -> parser for the AlmConfig fields a config line can set.
+_ALM_SCALARS = {int: int, float: float, typing.Optional[float]: float,
+                str: str}
 
 
 class ConfigError(ValueError):
@@ -62,12 +66,11 @@ def _convert(key, raw):
 
 
 def _convert_alm(key, raw):
-    kind = _ALM_FIELDS[key]
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float):
-        return float(raw)
-    return raw
+    parse = _ALM_SCALARS.get(_ALM_FIELDS[key])
+    if parse is None:
+        raise ConfigError("alm.%s is not a scalar setting and cannot be set "
+                          "from a config file" % key)
+    return parse(raw)
 
 
 def build_experiment_config(kind, pairs):

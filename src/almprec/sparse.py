@@ -103,10 +103,6 @@ class SparseSymmetricMatrix:
                 for i, j, v in zip(self.rows, self.cols, self.vals)}
 
 
-def matvec(a, x):
-    return a.matvec(x)
-
-
 def norm1_diff(a, b):
     """Induced 1-norm (max absolute column sum) of A - B."""
     if a.n != b.n:

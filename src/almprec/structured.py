@@ -9,7 +9,7 @@ augmentation) and the update-decision policy.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,25 @@ class ColumnSet:
     Ordered dense columns with per-column signs and provenance labels.
     Columns are stored pre-scaled (sqrt(rho), sqrt(nu), sqrt(psi)), so the
     recursions use unit coefficients with a sign only.
+
+    Immutable: `columns` and `signs` are read-only copies of what the
+    caller passed, so a preconditioner built on a ColumnSet can check its
+    staleness once, when it is constructed.
     """
 
     def __init__(self, n, columns, signs, labels, notes=()):
-        columns = np.asarray(columns, dtype=np.float64)
+        columns = np.array(columns, dtype=np.float64)
         columns = (columns.reshape(n, 0) if columns.size == 0
                    else columns.reshape(n, -1))
-        signs = np.asarray(signs, dtype=np.float64).ravel()
+        signs = np.array(signs, dtype=np.float64).ravel()
         if columns.shape[1] != signs.size or len(labels) != signs.size:
             raise ValueError("columns, signs and labels must agree in count")
         if signs.size and not np.all(np.isin(signs, (-1.0, 1.0))):
             raise ValueError("signs must be +1 or -1")
         if not np.all(np.isfinite(columns)):
             raise ValueError("columns must be finite")
+        columns.flags.writeable = False
+        signs.flags.writeable = False
         self.n = n
         self.columns = columns
         self.signs = signs
@@ -142,7 +148,7 @@ def assemble_B(aux, cols, prev=None, prev_cols=None):
     """
     First pass of the double recursion: column i is frozen at
     P_{i-1}^-1 v_i, denominators d_i = 1 + s_i v_i' B_i are cached.
-    Cost O(m^2 n) plus m auxiliary applies.
+    Cost O(m^2 n) plus one block auxiliary apply to the new columns.
 
     When `prev`/`prev_cols` share a leading run of identical columns under
     the same auxiliary, assembly restarts from the first differing
@@ -155,9 +161,13 @@ def assemble_B(aux, cols, prev=None, prev_cols=None):
     if start:
         b[:, :start] = prev.b[:, :start]
         denoms[:start] = prev.denoms[:start]
+    if start < m:
+        b[:, start:] = aux.apply(cols.columns[:, start:])
     for j in range(start, m):
-        col = aux.apply(cols.columns[:, j])
-        # Replay the updates of the already-frozen prefix.
+        # Replay the updates of the already-frozen prefix.  `col` is a
+        # contiguous copy: BLAS may sum a strided dot product in another
+        # order, and B should not depend on the layout the apply returns.
+        col = b[:, j].copy()
         for i in range(start):
             vi = cols.columns[:, i]
             col -= cols.signs[i] * (vi @ col) / denoms[i] * b[:, i]
@@ -184,9 +194,22 @@ def apply_structured(bs, aux, cols, r):
     its relative residual grows with the column scale, which is why
     `StructuredPrecond.apply` adds a refinement step when the auxiliary
     is exact.  This function never refines.
+
+    Each call hashes aux and cols and raises StaleBError when `bs` was
+    assembled for others; `StructuredPrecond` checks once, when it is
+    constructed, and then applies without hashing.
     """
+    _check_fresh(bs, aux, cols)
+    return _recursion(bs, aux, cols, r)
+
+
+def _check_fresh(bs, aux, cols):
     if bs.source_fingerprint != fingerprint(aux, cols):
-        raise StaleBError("stale B: columns or auxiliary changed since assembly")
+        raise StaleBError(
+            "stale B: columns or auxiliary changed since assembly")
+
+
+def _recursion(bs, aux, cols, r):
     h = aux.apply(r)
     for i in range(bs.m):
         vi = cols.columns[:, i]
@@ -197,6 +220,10 @@ def apply_structured(bs, aux, cols, r):
 class StructuredPrecond:
     """
     An (aux, cols, B) bundle exposed as a single apply contract.
+
+    A given `bs` is checked against aux and cols once, here: construction
+    raises StaleBError when it was assembled for other columns or another
+    auxiliary.  Both are immutable, so `apply` does not check again.
 
     With an inexact auxiliary (`aux.inverts is None`) the apply is
     `apply_structured`, bit for bit.  With an exact one it is followed by
@@ -219,19 +246,23 @@ class StructuredPrecond:
     """
 
     def __init__(self, aux, cols, bs=None):
+        if bs is None:
+            bs = assemble_B(aux, cols)
+        else:
+            _check_fresh(bs, aux, cols)
         self.aux = aux
         self.cols = cols
-        self.bs = bs if bs is not None else assemble_B(aux, cols)
+        self.bs = bs
         self.n = aux.n
 
     def apply(self, r):
-        h = apply_structured(self.bs, self.aux, self.cols, r)
+        h = _recursion(self.bs, self.aux, self.cols, r)
         m = self.aux.inverts
         if m is None:
             return h
         v = self.cols.columns
         resid = r - m.matvec(h) - v @ (self.cols.signs * (v.T @ h))
-        return h + apply_structured(self.bs, self.aux, self.cols, resid)
+        return h + _recursion(self.bs, self.aux, self.cols, resid)
 
 
 def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,

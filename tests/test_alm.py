@@ -263,6 +263,15 @@ class TestAlmSolve:
         with pytest.raises(ValueError):
             AlmConfig(gamma=1.0)
 
+    @pytest.mark.parametrize("drop_tol", [-1.0, float("nan")])
+    def test_config_rejects_bad_drop_tol(self, drop_tol):
+        with pytest.raises(ValueError, match="drop tolerance"):
+            AlmConfig(drop_tol=drop_tol)
+
+    def test_config_rejects_unknown_aux_kind(self):
+        with pytest.raises(ValueError, match="auxiliary"):
+            AlmConfig(aux_kind="nope")
+
     def test_inner_tol_defaults_to_tenth_of_eps_opt(self):
         cfg = AlmConfig(eps_opt=1e-4)
         assert cfg.effective_inner_tol == pytest.approx(1e-5)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from almprec.auxprecond import (KINDS, FactorizationError, apply_aux,
-                                build_aux)
+from almprec.auxprecond import (KINDS, FactorizationError,
+                                _incomplete_cholesky, build_aux)
 from almprec.sparse import SparseSymmetricMatrix
 
 
@@ -125,8 +126,48 @@ class TestRetryAndFailure:
         assert a1.token == build_aux(m1, "jacobi").token
 
 
-def test_apply_aux_helper():
-    m = spd_matrix(np.random.default_rng(8), 4)
-    aux = build_aux(m, "identity")
-    r = np.ones(4)
-    np.testing.assert_allclose(apply_aux(aux, r), r)
+class TestSparseIncompleteCholesky:
+    """The sparse IC apply against dense triangular solves with the factor
+    that `_incomplete_cholesky` forms."""
+
+    @staticmethod
+    def matrix(n, shifted):
+        # A singular PSD matrix has a zero pivot, so only the shifted
+        # retry factors it; a 1x1 matrix cannot take that route.
+        if shifted:
+            return SparseSymmetricMatrix.from_dense(np.ones((n, n)))
+        return spd_matrix(np.random.default_rng(n), n)
+
+    @pytest.mark.parametrize("drop_tol", [0.0, 1e-2])
+    @pytest.mark.parametrize("n, shifted", [(1, False), (2, False), (2, True),
+                                            (50, False), (50, True)])
+    def test_apply_matches_dense_triangular_solves(self, n, shifted,
+                                                   drop_tol):
+        m = self.matrix(n, shifted)
+        aux = build_aux(m, "incomplete-cholesky", drop_tol=drop_tol)
+        assert (aux.shift > 0.0) == shifted
+        lower = _incomplete_cholesky(m.to_dense() + aux.shift * np.eye(n),
+                                     drop_tol)
+        assert aux.nnz == np.count_nonzero(lower)
+        rhs = np.random.default_rng(0).standard_normal((n, 3))
+        for r in [rhs[:, 0], rhs]:
+            want = scipy.linalg.solve_triangular(
+                lower, scipy.linalg.solve_triangular(lower, r, lower=True),
+                lower=True, trans="T")
+            got = aux.apply(r)
+            assert got.shape == r.shape
+            assert (np.linalg.norm(got - want)
+                    <= 1e-14 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_apply_equals_columnwise_apply(kind):
+    rng = np.random.default_rng(10)
+    m = spd_matrix(rng, 12)
+    aux = build_aux(m, kind, 0.1 if kind == "incomplete-cholesky" else None)
+    block = rng.standard_normal((12, 4))
+    want = np.column_stack([aux.apply(col) for col in block.T])
+    np.testing.assert_allclose(aux.apply(block), want, rtol=1e-15, atol=0.0)
+    for bad in (np.ones(11), np.ones((11, 2)), np.ones((12, 2, 2))):
+        with pytest.raises(ValueError, match="dimension"):
+            aux.apply(bad)

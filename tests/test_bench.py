@@ -179,6 +179,24 @@ class TestCli:
         rc = main(["spectral", "--config", str(conf)])
         assert rc == 2
 
+    def test_alm_inner_tol_parsed_as_float(self, tmp_path):
+        out = tmp_path / "out.csv"
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = EQ-QP\nsolvers = truncated-newton\n"
+                        "alm.inner_tol = 1e-7\n")
+        rc = main(["solve", "--config", str(conf), "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert "converged" in text and "error" not in text
+
+    @pytest.mark.parametrize("key", ["alm.thresholds", "alm.inner"])
+    def test_non_scalar_alm_key_exits_nonzero(self, tmp_path, capsys, key):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = EQ-QP\n%s = 0.1\n" % key)
+        rc = main(["solve", "--config", str(conf)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path):
         conf = tmp_path / "bench.conf"
         conf.write_text("n = 10\nm = 2\nrho_list = 1.0,10.0\n")

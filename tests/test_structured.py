@@ -140,6 +140,20 @@ class TestStorageRecursion:
         with pytest.raises(StaleBError):
             apply_structured(bs, aux, other, np.ones(n))
 
+    def test_stale_b_rejected_at_construction(self):
+        rng = np.random.default_rng(8)
+        n = 6
+        m = spd_matrix(rng, n)
+        aux = build_aux(m, "exact-dense")
+        cols = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
+        bs = assemble_B(aux, cols)
+        other = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
+        with pytest.raises(StaleBError):
+            StructuredPrecond(aux, other, bs)
+        with pytest.raises(StaleBError):
+            StructuredPrecond(build_aux(m, "jacobi"), cols, bs)
+        StructuredPrecond(aux, cols, bs)
+
     def test_breakdown_names_column(self):
         # M = I, subtractive unit column -> denominator 1 - v'v = 0.
         n = 4
@@ -292,6 +306,29 @@ class TestColumnSet:
         kept = cols.without_labels(("a",))
         assert kept.labels == ("b",)
         assert kept.m == 1
+
+    def test_columns_and_signs_are_read_only(self):
+        cols = ColumnSet(2, np.eye(2), [1.0, -1.0], ["a", "b"])
+        with pytest.raises(ValueError, match="read-only"):
+            cols.columns[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            cols.signs[0] = -1.0
+
+    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact-dense"])
+    def test_caller_mutation_leaves_preconditioner_unchanged(self, kind):
+        rng = np.random.default_rng(15)
+        n = 8
+        m = spd_matrix(rng, n)
+        aux = build_aux(m, kind, 0.0 if kind == "incomplete-cholesky"
+                        else None)
+        v = rng.standard_normal((n, 3))
+        signs = np.ones(3)
+        sp = StructuredPrecond(aux, ColumnSet(n, v, signs, [0, 1, 2]))
+        r = rng.standard_normal(n)
+        before = sp.apply(r)
+        v *= 10.0
+        signs[0] = -1.0
+        np.testing.assert_array_equal(sp.apply(r), before)
 
 
 class TestBuildColumnSet:
