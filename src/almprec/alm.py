@@ -316,8 +316,8 @@ class PrecondManager:
         self.ac_v = 0
         self._aux = None
         self._m = None
-        self._cols = None
-        self._bs = None
+        self._precond = None
+        self._free = None
         self._outer_boundary = True
         self.aux_fallbacks = 0
         self.column_drops = 0
@@ -341,13 +341,13 @@ class PrecondManager:
         except FactorizationError:
             return build_aux(m_part, "identity")
 
-    def _assemble_with_recovery(self, cols, prev_bs, prev_cols):
-        """Assemble B, dropping any column whose recursion denominator is
-        near-singular (both secant columns go together) and retrying."""
+    def _assemble_with_recovery(self, cols):
+        """The preconditioner for `cols`, dropping any column with a
+        near-singular pivot (both secant columns go together) and retrying."""
         while True:
             try:
-                return assemble_B(self._aux, cols, prev=prev_bs,
-                                  prev_cols=prev_cols), cols
+                return StructuredPrecond(self._aux, cols,
+                                         assemble_B(self._aux, cols))
             except DenominatorBreakdownError as exc:
                 self.column_drops += 1
                 if exc.label in (LABEL_BFGS_Y, LABEL_BFGS_W):
@@ -355,37 +355,33 @@ class PrecondManager:
                 else:
                     cols = cols.without_labels((exc.label,))
 
-    def get(self, model):
+    def get(self, model, free=None):
+        """The preconditioner for `model`.  `free` names the variables a
+        restricted model keeps (None: all of them); the cache holds for
+        one free set only, so any other set rebuilds from scratch."""
         m_part, cols = model.m_part, model.cols
-        if self._m is not None and self._m.n != m_part.n:
-            # Dimension changed (free-subspace restriction): full rebuild.
-            self._aux = self._bs = self._cols = None
-        if self._aux is None:
-            refresh_aux, refresh_b = True, True
+        if self._aux is None or free != self._free:
+            refresh_aux = refresh_b = True
         elif self.cfg.precond_policy == "once":
             refresh_aux = refresh_b = False
         elif self.cfg.precond_policy == "every-outer":
             refresh_aux = refresh_b = self._outer_boundary
         else:
-            decision = decide_update(self._m, m_part, self._cols, cols,
-                                     self.cfg.thresholds)
+            decision = decide_update(self._m, m_part, self._precond.cols,
+                                     cols, self.cfg.thresholds)
             refresh_aux, refresh_b = decision.refresh_aux, decision.refresh_b
         self._outer_boundary = False
+        self._free = free
 
         if refresh_aux:
             self._aux = self._build_aux(m_part)
             self._m = m_part
             self.ac_m += 1
-        if refresh_b or (refresh_aux and self._bs is None):
-            prev_bs, prev_cols = ((self._bs, self._cols)
-                                  if not refresh_aux else (None, None))
-            self._bs, self._cols = self._assemble_with_recovery(
-                cols, prev_bs, prev_cols)
+        if refresh_b:
+            self._precond = self._assemble_with_recovery(cols)
             if not refresh_aux:
                 self.ac_v += 1
-        if self._bs is None:
-            return None
-        return StructuredPrecond(self._aux, self._cols, self._bs)
+        return self._precond
 
 
 def _restrict_model(model, free):
@@ -428,9 +424,7 @@ class _SpgPrecondProvider:
         if not np.any(act):
             return self.manager.get(model)
         reduced, idx = _restrict_model(model, ~act)
-        inner_op = self.manager.get(reduced)
-        if inner_op is None:
-            return None
+        inner_op = self.manager.get(reduced, free=tuple(idx.tolist()))
         n = self.p.n
 
         def apply(r):
@@ -483,11 +477,10 @@ def _solve_truncated_newton(p, x, lam_bar, rho, cfg, manager):
                 return np.where(_free, model.apply(np.where(_free, vec,
                                                             0.0)), 0.0)
 
-            masked_precond = None
-            if precond is not None:
-                def masked_precond(r, _free=free, _p=precond):
-                    return np.where(_free, _p.apply(np.where(_free, r,
-                                                             0.0)), 0.0)
+            def masked_precond(r, _free=free, _p=precond):
+                return np.where(_free, _p.apply(np.where(_free, r, 0.0)),
+                                0.0)
+
             step = truncated_newton_step(masked_model,
                                          np.where(free, g, 0.0),
                                          masked_precond, icfg)

@@ -37,9 +37,17 @@ class ConfigError(ValueError):
     pass
 
 
+class ConfigPairs(dict):
+    """{key: raw value}; `where[key]` is the "source:line" that set it."""
+
+    def __init__(self):
+        super().__init__()
+        self.where = {}
+
+
 def parse_config_text(text, source="<config>"):
     """Parse key=value lines into a {key: raw-string} dict."""
-    out = {}
+    out = ConfigPairs()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,6 +56,7 @@ def parse_config_text(text, source="<config>"):
             raise ConfigError("%s:%d: expected key = value" % (source, lineno))
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+        out.where[key.strip()] = "%s:%d" % (source, lineno)
     return out
 
 
@@ -73,7 +82,36 @@ def _convert_alm(key, raw):
     return parse(raw)
 
 
+def _alm_blame(base, over):
+    """(key, error) for alm.* values `over` that AlmConfig rejects as a
+    set: the first key whose default lets the others pass, else the first
+    key rejected on its own (AlmConfig has one check across fields)."""
+    def error(changes):
+        try:
+            replace(base, **changes)
+        except ValueError as exc:
+            return exc
+        return None
+
+    for key in over:
+        if error({k: v for k, v in over.items() if k != key}) is None:
+            return key, error(over)
+    for key, value in over.items():
+        if error({key: value}) is not None:
+            return key, error({key: value})
+    raise AssertionError("no single alm.* value to blame")
+
+
 def build_experiment_config(kind, pairs):
+    """ExperimentConfig from {key: raw value} pairs.  A ConfigError names
+    the key and, for `parse_config_text` pairs, its line.  The alm.* values
+    are applied together, so checks across fields see all of them."""
+    where = getattr(pairs, "where", {})
+
+    def error_at(key, message):
+        return ConfigError(where[key] + ": " + message if key in where
+                           else message)
+
     cfg = ExperimentConfig(kind=kind)
     alm_over = {}
     for key, raw in pairs.items():
@@ -85,13 +123,16 @@ def build_experiment_config(kind, pairs):
                 alm_over[sub] = _convert_alm(sub, raw)
             else:
                 cfg = replace(cfg, **{key: _convert(key, raw)})
-        except ConfigError:
-            raise
+        except ConfigError as exc:
+            raise error_at(key, str(exc))
         except (TypeError, ValueError) as exc:
-            raise ConfigError("bad value for %r: %s" % (key, exc))
-    if alm_over:
-        cfg = replace(cfg, alm=replace(cfg.alm, **alm_over))
-    return cfg
+            raise error_at(key, "bad value for %r: %s" % (key, exc))
+    try:
+        return replace(cfg, alm=replace(cfg.alm, **alm_over))
+    except ValueError:
+        key, exc = _alm_blame(cfg.alm, alm_over)
+        raise error_at("alm." + key, "bad value for 'alm.%s': %s"
+                       % (key, exc)) from None
 
 
 def _parser():

@@ -48,11 +48,6 @@ class NlpProblem:
     def m(self):
         return len(self.kinds)
 
-    @property
-    def has_bounds(self):
-        return bool(np.any(np.isfinite(self.lower))
-                    or np.any(np.isfinite(self.upper)))
-
 
 def _no_cons(_x):
     return np.zeros(0)

@@ -1,17 +1,18 @@
 """
 structured.py
 
-The structured preconditioner: applies [M + sum_i s_i v_i v_i']^-1
-without ever assembling it, through a rank-1 Sherman-Morrison path for a
-single column and a storage-matrix double recursion in general.  Also
-hosts the column administration (activity, relaxation, ordering, secant
-augmentation) and the update-decision policy.
+The structured preconditioner: [M + sum_i s_i v_i v_i']^-1 with the
+auxiliary Q ~ M^-1 corrected by rank m, P^-1 = Q - W K^-1 W' (Woodbury),
+W = QV, capacitance matrix K = S + V'W factored once per column set.
+Also hosts the column administration (activity, relaxation, ordering,
+secant augmentation) and the update-decision policy.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from .sparse import norm1_diff
 
@@ -38,7 +39,7 @@ class ColumnSet:
     """
     Ordered dense columns with per-column signs and provenance labels.
     Columns are stored pre-scaled (sqrt(rho), sqrt(nu), sqrt(psi)), so the
-    recursions use unit coefficients with a sign only.
+    correction uses unit coefficients with a sign only.
 
     Immutable: `columns` and `signs` are read-only copies of what the
     caller passed, so a preconditioner built on a ColumnSet can check its
@@ -103,17 +104,20 @@ class UpdateDecision:
 
 @dataclass
 class BStore:
-    """Assembled recursion state: column i holds P_{i-1}^-1 v_i."""
+    """Capacitance factor K = L D L': b = W L^-T (column i is P_{i-1}^-1
+    v_i), c = V L^-T and the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii."""
     n: int
     m: int
     b: np.ndarray
+    c: np.ndarray
     denoms: np.ndarray
     signs: np.ndarray
     source_fingerprint: str
 
 
 def _denom_floor(v):
-    return 1e-12 * (1.0 + float(v @ v))
+    """Breakdown floor of the denominator of v, or of each column of v."""
+    return 1e-12 * (1.0 + (v * v).sum(axis=0))
 
 
 def fingerprint(aux, cols):
@@ -144,63 +148,47 @@ def apply_rank1(aux, v, rho, r):
     return a - (rho * float(v @ a) / denom) * b
 
 
-def assemble_B(aux, cols, prev=None, prev_cols=None):
+def assemble_B(aux, cols):
     """
-    First pass of the double recursion: column i is frozen at
-    P_{i-1}^-1 v_i, denominators d_i = 1 + s_i v_i' B_i are cached.
-    Cost O(m^2 n) plus one block auxiliary apply to the new columns.
-
-    When `prev`/`prev_cols` share a leading run of identical columns under
-    the same auxiliary, assembly restarts from the first differing
-    position instead of from scratch.
+    Factor the capacitance matrix K = S + V'W, W = aux(V), symmetrised, as
+    an unpivoted L D L' (Hager 1989).  Pivot i is s_i d_i, d_i the
+    Sherman-Morrison denominator of column i after the columns before it,
+    so a pivot below the floor raises DenominatorBreakdownError with that
+    column's label.  Cost: one block auxiliary apply, O(m^2 n) in BLAS,
+    and an m-step loop on m x m arrays.
     """
     n, m = cols.n, cols.m
-    start = _common_prefix(aux, cols, prev, prev_cols)
-    b = np.empty((n, m))
-    denoms = np.empty(m)
-    if start:
-        b[:, :start] = prev.b[:, :start]
-        denoms[:start] = prev.denoms[:start]
-    if start < m:
-        b[:, start:] = aux.apply(cols.columns[:, start:])
-    for j in range(start, m):
-        # Replay the updates of the already-frozen prefix.  `col` is a
-        # contiguous copy: BLAS may sum a strided dot product in another
-        # order, and B should not depend on the layout the apply returns.
-        col = b[:, j].copy()
-        for i in range(start):
-            vi = cols.columns[:, i]
-            col -= cols.signs[i] * (vi @ col) / denoms[i] * b[:, i]
-        b[:, j] = col
-    for i in range(start, m):
-        vi = cols.columns[:, i]
-        si = cols.signs[i]
-        di = 1.0 + si * float(vi @ b[:, i])
-        if abs(di) < _denom_floor(vi):
+    v, signs = cols.columns, cols.signs
+    w = aux.apply(v)
+    k = v.T @ w
+    k = 0.5 * (k + k.T) + np.diag(signs)
+    floors = _denom_floor(v)
+    lower = np.eye(m)
+    for i in range(m):
+        if abs(k[i, i]) < floors[i]:
             raise DenominatorBreakdownError(
-                "near-singular recursion step at column %r"
-                % (cols.labels[i],), label=cols.labels[i])
-        denoms[i] = di
-        for j in range(i + 1, m):
-            b[:, j] -= si * (vi @ b[:, j]) / di * b[:, i]
-    return BStore(n, m, b, denoms, cols.signs.copy(), fingerprint(aux, cols))
+                "near-singular correction at column %r" % (cols.labels[i],),
+                label=cols.labels[i])
+        lower[i + 1:, i] = k[i + 1:, i] / k[i, i]
+        k[i + 1:, i + 1:] -= lower[i + 1:, i, None] * k[i, i + 1:]
+    # Step i leaves k[i, i] alone from then on: the diagonal is D.
+    b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1)
+            for x in (w, v))
+    return BStore(n, m, b, c, signs * k.diagonal(), signs.copy(),
+                  fingerprint(aux, cols))
 
 
 def apply_structured(bs, aux, cols, r):
     """
-    Second pass: h_0 = aux(r), h_i = h_{i-1} - s_i (v_i' h_{i-1}) / d_i B_i.
-    With an exact auxiliary this equals [M + sum s_i v_i v_i']^-1 r in
-    exact arithmetic.  The recursion is not backward stable (Yip 1986):
-    its relative residual grows with the column scale, which is why
-    `StructuredPrecond.apply` adds a refinement step when the auxiliary
-    is exact.  This function never refines.
-
+    h = a - b D^-1 (c'a) with a = aux(r): [M + sum s_i v_i v_i']^-1 r in
+    exact arithmetic when the auxiliary is exact.  The Woodbury form is not
+    backward stable (Yip 1986), so `StructuredPrecond.apply` adds a
+    refinement step for an exact auxiliary; this function never refines.
     Each call hashes aux and cols and raises StaleBError when `bs` was
-    assembled for others; `StructuredPrecond` checks once, when it is
-    constructed, and then applies without hashing.
+    assembled for others; `StructuredPrecond` checks once, when built.
     """
     _check_fresh(bs, aux, cols)
-    return _recursion(bs, aux, cols, r)
+    return _apply(bs, aux, r)
 
 
 def _check_fresh(bs, aux, cols):
@@ -209,12 +197,9 @@ def _check_fresh(bs, aux, cols):
             "stale B: columns or auxiliary changed since assembly")
 
 
-def _recursion(bs, aux, cols, r):
-    h = aux.apply(r)
-    for i in range(bs.m):
-        vi = cols.columns[:, i]
-        h -= bs.signs[i] * float(vi @ h) / bs.denoms[i] * bs.b[:, i]
-    return h
+def _apply(bs, aux, r):
+    a = aux.apply(r)
+    return a - bs.b @ (bs.signs / bs.denoms * (bs.c.T @ a))
 
 
 class StructuredPrecond:
@@ -238,10 +223,10 @@ class StructuredPrecond:
     on a dense SPD M, seeds 0-99):
 
         rho          <=1e6   1e7     1e8     1e9     1e10
-        refined      7e-15   2e-14   2e-12   2e-10   2e-8
-        unrefined    2e-8    1e-7    1e-6    2e-5    2e-4
+        refined      3e-15   6e-14   1e-11   5e-10   4e-8
+        unrefined    3e-8    2e-7    4e-6    3e-5    3e-4
 
-    The unrefined residual grows about linearly in rho from 1e-14 at
+    The unrefined residual grows about linearly in rho from 2e-14 at
     rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
     """
 
@@ -256,13 +241,13 @@ class StructuredPrecond:
         self.n = aux.n
 
     def apply(self, r):
-        h = _recursion(self.bs, self.aux, self.cols, r)
+        h = _apply(self.bs, self.aux, r)
         m = self.aux.inverts
         if m is None:
             return h
         v = self.cols.columns
         resid = r - m.matvec(h) - v @ (self.cols.signs * (v.T @ h))
-        return h + _recursion(self.bs, self.aux, self.cols, resid)
+        return h + _apply(self.bs, self.aux, resid)
 
 
 def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,
@@ -371,19 +356,3 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
 def _bfgs_labels(cols):
     return tuple(l for l in cols.labels if l in (LABEL_BFGS_Y, LABEL_BFGS_W))
 
-
-def _common_prefix(aux, cols, prev, prev_cols):
-    if prev is None or prev_cols is None:
-        return 0
-    if prev.n != cols.n:
-        return 0
-    if prev.source_fingerprint != fingerprint(aux, prev_cols):
-        return 0
-    k = 0
-    limit = min(prev_cols.m, cols.m)
-    while (k < limit
-           and prev_cols.labels[k] == cols.labels[k]
-           and prev_cols.signs[k] == cols.signs[k]
-           and np.array_equal(prev_cols.columns[:, k], cols.columns[:, k])):
-        k += 1
-    return k

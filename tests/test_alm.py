@@ -4,10 +4,10 @@ the solver driver."""
 import numpy as np
 import pytest
 
-from almprec.alm import (AlmConfig, PrecondManager, alm_solve, eval_al,
-                         eval_al_grad, hessian_model, kkt_multipliers,
-                         kkt_residuals, progress_measure, safeguard,
-                         shifted_multipliers, update_multipliers,
+from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
+                         alm_solve, eval_al, eval_al_grad, hessian_model,
+                         kkt_multipliers, kkt_residuals, progress_measure,
+                         safeguard, shifted_multipliers, update_multipliers,
                          update_penalty)
 from almprec.problems import get_problem, problem_names
 from almprec.structured import UpdateThresholds
@@ -167,6 +167,18 @@ class TestPrecondManager:
         mgr.notify_outer()
         mgr.get(self._model(rho=400.0))
         assert mgr.ac_m == 1 and mgr.ac_v == 0
+
+    def test_once_policy_rebuilds_for_another_free_set_of_same_size(self):
+        p = get_problem("HS41")
+        model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "NW")
+        mgr = PrecondManager(AlmConfig(precond_policy="once"))
+        for free in ((0, 1), (0, 1), (2, 3), (2, 3), None):
+            mask = np.zeros(p.n, dtype=bool)
+            mask[list(free if free is not None else range(p.n))] = True
+            reduced, _ = _restrict_model(model, mask)
+            mgr.get(reduced, free=free)
+        # One build per change of the free set, none for a repeat.
+        assert mgr.ac_m == 3 and mgr.ac_v == 0
 
     def test_every_outer_policy(self):
         mgr = PrecondManager(AlmConfig(precond_policy="every-outer"))

@@ -137,6 +137,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             build_experiment_config("linsys", {"n": "many"})
 
+    def test_bad_value_reports_key_and_line(self):
+        pairs = parse_config_text("n = 10\nn = many\n", source="f")
+        with pytest.raises(ConfigError, match="^f:2: bad value for 'n'"):
+            build_experiment_config("linsys", pairs)
+
+    def test_alm_overrides_checked_together(self):
+        # lam_min = 1e21 alone fails against the default lam_max = 1e20.
+        pairs = parse_config_text("alm.lam_min = 1e21\nalm.lam_max = 1e22\n")
+        cfg = build_experiment_config("solve", pairs)
+        assert (cfg.alm.lam_min, cfg.alm.lam_max) == (1e21, 1e22)
+
+    def test_rejected_alm_set_blames_the_key_at_fault(self):
+        pairs = parse_config_text("alm.lam_min = 1e21\nalm.lam_max = 1e22\n"
+                                  "alm.drop_tol = -1\n", source="f")
+        with pytest.raises(ConfigError,
+                           match="^f:3: bad value for 'alm.drop_tol': "
+                                 "drop tolerance"):
+            build_experiment_config("solve", pairs)
+
 
 class TestCli:
     def test_solve_csv_to_file(self, tmp_path):
@@ -196,6 +215,15 @@ class TestCli:
         rc = main(["solve", "--config", str(conf)])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_rejected_alm_value_names_key_and_line(self, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = EQ-QP\nalm.drop_tol = -1\n")
+        rc = main(["solve", "--config", str(conf)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert ("%s:2: bad value for 'alm.drop_tol': drop tolerance must be "
+                "nonnegative" % conf) in err
 
     def test_same_seed_byte_identical(self, tmp_path):
         conf = tmp_path / "bench.conf"
