@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .auxprecond import KINDS, FactorizationError, build_aux
 from .inner import (InnerConfig, active_bound_mask, project_box, spg_solve,
@@ -17,8 +18,10 @@ from .inner import (InnerConfig, active_bound_mask, project_box, spg_solve,
 from .sparse import SparseSymmetricMatrix
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
-                         UpdateThresholds, assemble_B, build_column_set,
-                         decide_update)
+                         UpdateThresholds, build_column_set, decide_update)
+# Re-exported: callers look the assembly up here.  StructuredPrecond
+# assembles through structured.assemble_B itself.
+from .structured import assemble_B  # noqa: F401
 
 INNER_SOLVERS = ("truncated-newton", "spg", "pspg")
 HESSIAN_MODES = ("NW", "QN")
@@ -161,13 +164,37 @@ class HessianModel:
         return dense
 
 
+def _positive_definite(a):
+    """Whether a Cholesky factorization of a - tau I succeeds, with the
+    margin tau = 10 n eps ||a||_1.  Reads the lower triangle of `a`."""
+    n = a.shape[0]
+    probe = np.array(a, dtype=np.float64)
+    probe[np.diag_indices(n)] -= (10.0 * n * np.finfo(np.float64).eps
+                                  * np.linalg.norm(probe, 1))
+    # probe.T is Fortran-ordered, so LAPACK factors it in place; its upper
+    # triangle is the lower triangle of `a`.
+    _, info = dpotrf(probe.T, lower=0, clean=0, overwrite_a=1)
+    return info == 0
+
+
 def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
                   sigma_min=1e-8):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
-    active constraint gradients.  QN: M = hess f + sigma I with the
-    secant-based spectral shift, columns augmented with the two BFGS
-    correction vectors when the curvature test passes.
+    active constraint gradients; constraint Hessians that are zero are
+    skipped.  QN: M = hess f + sigma I with the secant-based spectral
+    shift, columns augmented with the two BFGS correction vectors when the
+    curvature test passes.
+
+    QN keeps M positive definite by raising sigma to a floor set by the
+    smallest eigenvalue of hess f.  When hess f is positive definite the
+    floor never raises sigma, so the eigenvalue is only computed when a
+    Cholesky probe of hess f - tau I fails, tau = 10 n eps ||hess f||_1.
+    The probe succeeds only on a positive definite matrix, up to its
+    backward error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 10.1); the margin tau keeps it failing on a singular
+    positive semidefinite hess f, whose computed smallest eigenvalue may
+    be exactly zero and then sets the floor.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -179,9 +206,11 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 
     if mode == "NW":
         dense_m = p.hess(x).copy()
-        for i, kind in enumerate(p.kinds):
+        for i in range(p.m):
             if lam_hat[i] != 0.0:
-                dense_m += lam_hat[i] * p.cons_hess(i, x)
+                h = p.cons_hess(i, x)
+                if h.any():
+                    dense_m += lam_hat[i] * h
         m_part = SparseSymmetricMatrix.from_dense(dense_m)
         cols = build_column_set(jac_list, p.kinds, c, lam, rho, th, n=p.n)
         return HessianModel(p.n, m_part, 0.0, cols, lam_hat)
@@ -210,10 +239,11 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
     # curvature so the factored block stays well conditioned.
-    lam_min_f = float(np.linalg.eigvalsh(hess_f).min())
-    floor = (sigma_min if lam_min_f > 0.0
-             else 1e-1 * (1.0 + abs(lam_min_f)))
-    sigma = max(sigma, floor - lam_min_f)
+    if not _positive_definite(hess_f):
+        lam_min_f = float(np.linalg.eigvalsh(hess_f).min())
+        floor = (sigma_min if lam_min_f > 0.0
+                 else 1e-1 * (1.0 + abs(lam_min_f)))
+        sigma = max(sigma, floor - lam_min_f)
     m_part = SparseSymmetricMatrix.from_dense(hess_f + sigma * np.eye(p.n))
 
     def hplus_apply(vec):
@@ -333,10 +363,10 @@ class PrecondManager:
         # The block is indefinite beyond the factorizer's built-in retry:
         # factor a spectrally shifted SPD copy, or fail over to identity.
         try:
-            lam_min = float(np.linalg.eigvalsh(m_part.to_dense()).min())
+            dense = m_part.to_dense()
+            lam_min = float(np.linalg.eigvalsh(dense).min())
             shifted = SparseSymmetricMatrix.from_dense(
-                m_part.to_dense()
-                + (abs(lam_min) + 1e-1) * np.eye(m_part.n))
+                dense + (abs(lam_min) + 1e-1) * np.eye(m_part.n))
             return build_aux(shifted, self.cfg.aux_kind, self.cfg.drop_tol)
         except FactorizationError:
             return build_aux(m_part, "identity")
@@ -346,8 +376,7 @@ class PrecondManager:
         near-singular pivot (both secant columns go together) and retrying."""
         while True:
             try:
-                return StructuredPrecond(self._aux, cols,
-                                         assemble_B(self._aux, cols))
+                return StructuredPrecond(self._aux, cols)
             except DenominatorBreakdownError as exc:
                 self.column_drops += 1
                 if exc.label in (LABEL_BFGS_Y, LABEL_BFGS_W):
@@ -388,17 +417,14 @@ def _restrict_model(model, free):
     """Principal-submatrix restriction of a Hessian model to the free
     variables; near-null restricted columns are dropped."""
     idx = np.flatnonzero(free)
-    dense = model.m_part.to_dense()[np.ix_(idx, idx)]
-    m_red = SparseSymmetricMatrix.from_dense(dense)
     cols_mat = model.cols.columns[idx, :]
-    keep = [j for j in range(model.cols.m)
-            if np.linalg.norm(cols_mat[:, j]) > 1e-12]
+    keep = np.flatnonzero(np.linalg.norm(cols_mat, axis=0) > 1e-12)
     cols_red = ColumnSet(idx.size, cols_mat[:, keep],
                          model.cols.signs[keep],
                          [model.cols.labels[j] for j in keep],
                          model.cols.notes)
-    return HessianModel(idx.size, m_red, model.sigma, cols_red,
-                        model.lam_hat), idx
+    return HessianModel(idx.size, model.m_part.submatrix(idx), model.sigma,
+                        cols_red, model.lam_hat), idx
 
 
 class _SpgPrecondProvider:

@@ -56,7 +56,6 @@ class SparseSymmetricMatrix:
         self.rows = rows
         self.cols = cols
         self.vals = vals
-        self.row_ptr = np.searchsorted(rows, np.arange(n + 1))
 
     @property
     def nnz(self):
@@ -65,14 +64,18 @@ class SparseSymmetricMatrix:
 
     @classmethod
     def from_dense(cls, dense, tol=0.0):
-        """Build from a dense symmetric array, keeping |a_ij| > tol."""
+        """Build from a dense symmetric array, keeping the lower-triangle
+        entries with |a_ij| > tol, in row-major order."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense input must be square")
-        rows, cols = np.tril_indices(dense.shape[0])
-        vals = dense[rows, cols]
-        keep = np.abs(vals) > tol
-        return cls(dense.shape[0], rows[keep], cols[keep], vals[keep])
+        n = dense.shape[0]
+        # Scanning the whole array and then dropping the upper triangle is
+        # cheaper than masking the triangle first when the input is sparse.
+        rows, cols = np.divmod(np.flatnonzero(np.abs(dense) > tol), n)
+        lower = rows >= cols
+        rows, cols = rows[lower], cols[lower]
+        return cls(n, rows, cols, dense[rows, cols])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
@@ -97,24 +100,41 @@ class SparseSymmetricMatrix:
         np.add.at(y, self.cols[off], self.vals[off] * x[self.rows[off]])
         return y
 
-    def entry_dict(self):
-        """Stored lower-triangle entries as {(row, col): value}."""
-        return {(int(i), int(j)): float(v)
-                for i, j, v in zip(self.rows, self.cols, self.vals)}
+    def submatrix(self, idx):
+        """Principal submatrix A[idx, idx] for distinct indices `idx`, in
+        their order, built by remapping the stored entries."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.ndim != 1 or (idx.size and (idx.min() < 0
+                                           or idx.max() >= self.n)):
+            raise ValueError("indices must be a 1-D array within range")
+        pos = np.full(self.n, -1, dtype=np.intp)
+        pos[idx] = np.arange(idx.size)
+        if np.count_nonzero(pos >= 0) != idx.size:
+            raise ValueError("indices must be distinct")
+        rows, cols = pos[self.rows], pos[self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        return SparseSymmetricMatrix(idx.size, np.maximum(rows, cols),
+                                     np.minimum(rows, cols), self.vals[keep])
 
 
 def norm1_diff(a, b):
-    """Induced 1-norm (max absolute column sum) of A - B."""
+    """Induced 1-norm (max absolute column sum) of A - B.  The stored
+    entries of both are merged by position; column j of the full matrix is
+    column j of the lower triangle plus, mirrored, row j without its
+    diagonal entry."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    diff = a.entry_dict()
-    for key, val in b.entry_dict().items():
-        diff[key] = diff.get(key, 0.0) - val
-    colsum = np.zeros(a.n)
-    for (i, j), val in diff.items():
-        colsum[j] += abs(val)
-        if i != j:
-            colsum[i] += abs(val)
+    n = a.n
+    keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
+                                           b.rows * n + b.cols)),
+                           return_inverse=True)
+    diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
+                              minlength=keys.size))
+    rows, cols = np.divmod(keys, n)
+    colsum = (np.bincount(cols, diff, minlength=n)
+              + np.bincount(rows, np.where(rows != cols, diff, 0.0),
+                            minlength=n))
     return float(colsum.max(initial=0.0))
 
 

@@ -1,15 +1,21 @@
 """Augmented Lagrangian outer loop: merit functions, updates, models and
 the solver driver."""
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from almprec import alm
 from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
                          alm_solve, eval_al, eval_al_grad, hessian_model,
                          kkt_multipliers, kkt_residuals, progress_measure,
                          safeguard, shifted_multipliers, update_multipliers,
                          update_penalty)
-from almprec.problems import get_problem, problem_names
+from almprec.bench import ExperimentConfig, run_alm_experiment
+from almprec.problems import PROBLEM_BUILDERS, get_problem, problem_names
+from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import UpdateThresholds
 
 
@@ -95,6 +101,133 @@ class TestHessianModel:
         model = hessian_model(p, x, np.zeros(1), 1.0, "QN", secant=(s, y))
         # Gauss-Newton apply: hess f + rho jac jac' -> (2 + 1) on s.
         assert model.sigma == pytest.approx((5.0 - 3.0) / 1.0)
+
+
+def _same_matrix(a, b):
+    return (a.n == b.n and np.array_equal(a.rows, b.rows)
+            and np.array_equal(a.cols, b.cols)
+            and a.vals.tobytes() == b.vals.tobytes())
+
+
+class TestQnShift:
+    """The Cholesky probe must leave sigma exactly where the eigenvalue
+    floor puts it: EQ-QP has a positive definite hess f, HS63 an
+    indefinite one and HS48 a singular positive semidefinite one."""
+
+    CASES = (("EQ-QP", True), ("C4-SYN", True), ("HS63", False),
+             ("HS41", False), ("HS48", False))
+
+    @pytest.mark.parametrize("name,pd", CASES)
+    def test_probe_accepts_only_positive_definite(self, name, pd):
+        p = get_problem(name)
+        assert alm._positive_definite(p.hess(p.x0)) is pd
+
+    def test_probe_rejects_exactly_singular_hs48(self):
+        hess = get_problem("HS48").hess(np.zeros(5))
+        assert np.linalg.eigvalsh(hess).min() == 0.0
+        assert not alm._positive_definite(hess)
+
+    @pytest.mark.parametrize("name", [c[0] for c in CASES])
+    def test_sigma_equals_eigenvalue_formula(self, name, monkeypatch):
+        rng = np.random.default_rng(8)
+        p = get_problem(name)
+        args = []
+        for _ in range(5):
+            x = rng.standard_normal(p.n)
+            lam = rng.standard_normal(p.m)
+            s = rng.standard_normal(p.n)
+            secant = (s, rng.standard_normal(p.n) * 3.0)
+            for sec in (None, secant):
+                args.append((x, lam, sec))
+        models = [hessian_model(p, x, lam, 10.0, "QN", secant=sec)
+                  for x, lam, sec in args]
+        # Without the probe every call takes the eigenvalue floor.
+        monkeypatch.setattr(alm, "_positive_definite", lambda a: False)
+        for (x, lam, sec), got in zip(args, models):
+            want = hessian_model(p, x, lam, 10.0, "QN", secant=sec)
+            assert got.sigma == want.sigma
+            assert _same_matrix(got.m_part, want.m_part)
+
+    def test_hs48_sigma_is_raised_by_the_floor(self):
+        p = get_problem("HS48")
+        model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "QN")
+        # lam_min(hess f) = 0, so the floor is 0.1 (1 + 0) - 0.
+        assert model.sigma == 0.1
+
+    @pytest.mark.parametrize("name", ["EQ-QP", "BOX-QP", "C4-SYN"])
+    def test_positive_definite_hess_f_needs_no_eigenvalues(self, name,
+                                                           monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(alm.np.linalg, "eigvalsh", forbidden)
+        p = get_problem(name)
+        s = np.ones(p.n)
+        for secant in (None, (s, 4.0 * s)):
+            model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "QN",
+                                  secant=secant)
+            assert model.sigma >= 1e-8
+
+
+class TestNwZeroConstraintHessians:
+    @pytest.mark.parametrize("name", ["EQ-QP", "INEQ-QP", "HS48", "HS63",
+                                      "C4-SYN"])
+    def test_model_equals_full_accumulation(self, name):
+        rng = np.random.default_rng(9)
+        p = get_problem(name)
+        for _ in range(5):
+            x = rng.standard_normal(p.n)
+            lam = rng.standard_normal(p.m)
+            model = hessian_model(p, x, lam, 5.0, "NW")
+            lam_hat = shifted_multipliers(p, x, lam, 5.0)
+            dense = p.hess(x).copy()
+            for i in range(p.m):
+                if lam_hat[i] != 0.0:
+                    dense += lam_hat[i] * p.cons_hess(i, x)
+            want = SparseSymmetricMatrix.from_dense(dense)
+            assert _same_matrix(model.m_part, want)
+
+    def test_zero_constraint_hessians_are_not_accumulated(self):
+        class ZeroHessian(np.ndarray):
+            """A zero array that fails any multiply or add on it."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc in (np.multiply, np.add):
+                    raise AssertionError("zero Hessian accumulated")
+                return getattr(ufunc, method)(
+                    *(np.asarray(v) for v in inputs), **kwargs)
+
+        p = get_problem("C4-SYN")
+        calls = []
+
+        def cons_hess(i, x):
+            calls.append(i)
+            return np.zeros((p.n, p.n)).view(ZeroHessian)
+        p.cons_hess = cons_hess
+        x = np.full(p.n, 3.0)
+        model = hessian_model(p, x, np.ones(p.m), 5.0, "NW")
+        assert calls
+        assert _same_matrix(model.m_part,
+                            SparseSymmetricMatrix.from_dense(p.hess(x)))
+
+
+GRID_FIXTURE = Path(__file__).parent / "data" / "solve_grid.csv"
+GRID_KEYS = ("problem", "solver", "mode", "policy")
+GRID_COUNTS = ("status", "ItL", "Itin", "Itpd", "Itd", "AcM", "AcV")
+
+
+def test_solve_grid_counts_unchanged():
+    """Every problem x solver x mode x policy run keeps its status,
+    iteration and refresh counts (fixture: tests/data/solve_grid.csv)."""
+    with open(GRID_FIXTURE, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    cfg = ExperimentConfig(kind="solve", problems=tuple(PROBLEM_BUILDERS),
+                           solvers=alm.INNER_SOLVERS,
+                           hessian_modes=alm.HESSIAN_MODES,
+                           policies=alm.PRECOND_POLICIES)
+    rows = run_alm_experiment(cfg)
+    assert len(rows) == len(want) == 126
+    for row, ref in zip(rows, want):
+        assert {k: str(row[k]) for k in GRID_KEYS + GRID_COUNTS} == ref
 
 
 class TestOuterUpdates:

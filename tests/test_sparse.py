@@ -69,6 +69,78 @@ class TestSparseSymmetricMatrix:
         with pytest.raises(ValueError, match="dimension"):
             a.matvec(np.ones(4))
 
+    def test_from_dense_tol_drops_entries_in_row_major_order(self):
+        dense = np.array([[4.0, 0.5, 1e-3, 0.0],
+                          [0.5, -2.0, 0.1, 3.0],
+                          [1e-3, 0.1, 0.0, -0.1],
+                          [0.0, 3.0, -0.1, -1e-4]])
+        a = SparseSymmetricMatrix.from_dense(dense, tol=0.1)
+        # Entries with |a_ij| <= tol are dropped, the upper triangle is
+        # never read, and the kept ones come row by row, columns ascending.
+        np.testing.assert_array_equal(a.rows, [0, 1, 1, 3])
+        np.testing.assert_array_equal(a.cols, [0, 0, 1, 1])
+        np.testing.assert_array_equal(a.vals, [4.0, 0.5, -2.0, 3.0])
+        kept = SparseSymmetricMatrix.from_dense(dense, tol=0.0)
+        np.testing.assert_array_equal(kept.rows, [0, 1, 1, 2, 2, 3, 3, 3])
+        np.testing.assert_array_equal(kept.cols, [0, 0, 1, 0, 1, 1, 2, 3])
+
+    def test_from_dense_keeps_lower_triangle_only_for_negative_tol(self):
+        a = SparseSymmetricMatrix.from_dense(np.zeros((3, 3)), tol=-1.0)
+        assert a.nnz == 6
+        assert np.all(a.rows >= a.cols)
+
+
+class TestSubmatrix:
+    def test_matches_dense_restriction(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n = int(rng.integers(1, 12))
+            dense = random_symmetric(rng, n)
+            a = SparseSymmetricMatrix.from_dense(dense)
+            k = int(rng.integers(1, n + 1))
+            for idx in (np.sort(rng.choice(n, k, replace=False)),
+                        rng.choice(n, k, replace=False), np.arange(n)):
+                sub = a.submatrix(idx)
+                assert sub.n == idx.size
+                np.testing.assert_array_equal(
+                    sub.to_dense(), a.to_dense()[np.ix_(idx, idx)])
+                assert np.all(sub.rows >= sub.cols)
+
+    def test_sorted_indices_match_dense_round_trip_exactly(self):
+        rng = np.random.default_rng(5)
+        dense = random_symmetric(rng, 9)
+        a = SparseSymmetricMatrix.from_dense(dense)
+        idx = np.array([0, 2, 3, 7, 8])
+        want = SparseSymmetricMatrix.from_dense(
+            a.to_dense()[np.ix_(idx, idx)])
+        got = a.submatrix(idx)
+        for field in ("rows", "cols", "vals"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field))
+
+    def test_full_index_set_is_the_matrix(self):
+        rng = np.random.default_rng(6)
+        a = SparseSymmetricMatrix.from_dense(random_symmetric(rng, 6))
+        full = a.submatrix(np.arange(6))
+        np.testing.assert_array_equal(full.rows, a.rows)
+        np.testing.assert_array_equal(full.cols, a.cols)
+        np.testing.assert_array_equal(full.vals, a.vals)
+
+    def test_empty_index_set_rejected_as_by_dense_route(self):
+        a = SparseSymmetricMatrix.from_dense(np.eye(3))
+        empty = np.array([], dtype=int)
+        with pytest.raises(ValueError):
+            SparseSymmetricMatrix.from_dense(a.to_dense()[np.ix_(empty,
+                                                                 empty)])
+        with pytest.raises(ValueError):
+            a.submatrix(empty)
+
+    @pytest.mark.parametrize("idx", [[0, 0], [3], [-1], [[0, 1]]])
+    def test_bad_indices_rejected(self, idx):
+        a = SparseSymmetricMatrix.from_dense(np.eye(3))
+        with pytest.raises(ValueError):
+            a.submatrix(idx)
+
 
 class TestNorm1Diff:
     def test_matches_dense_norm(self):
@@ -81,6 +153,35 @@ class TestNorm1Diff:
             b = SparseSymmetricMatrix.from_dense(db)
             expected = np.abs(da - db).sum(axis=0).max()
             assert norm1_diff(a, b) == pytest.approx(expected, rel=1e-13)
+
+    def test_disjoint_patterns_match_dense_oracle(self):
+        # Entries stored in only one of the two matrices, diagonal ones
+        # included, entries in both, and entries that cancel exactly.
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            da = random_symmetric(rng, n, density=0.3)
+            db = random_symmetric(rng, n, density=0.3)
+            pattern = np.tril(rng.random((n, n)) < 0.5)
+            pattern = pattern | pattern.T
+            da = np.where(pattern, da, 0.0)
+            db = np.where(pattern, 0.0, db)
+            shared = np.tril(rng.random((n, n)) < 0.2)
+            shared = shared | shared.T
+            common = random_symmetric(rng, n, density=1.0)
+            da = np.where(shared, common, da)
+            db = np.where(shared, common + rng.integers(0, 2) * 0.5, db)
+            a = SparseSymmetricMatrix.from_dense(da)
+            b = SparseSymmetricMatrix.from_dense(db)
+            expected = np.abs(da - db).sum(axis=0).max()
+            assert norm1_diff(a, b) == pytest.approx(expected, rel=1e-13)
+            assert norm1_diff(b, a) == pytest.approx(expected, rel=1e-13)
+
+    def test_one_sided_entries(self):
+        a = SparseSymmetricMatrix(3, [0, 2], [0, 1], [1.0, -2.0])
+        b = SparseSymmetricMatrix(3, [1, 2], [1, 0], [5.0, 3.0])
+        dense = a.to_dense() - b.to_dense()
+        assert norm1_diff(a, b) == np.abs(dense).sum(axis=0).max() == 7.0
 
     def test_zero_for_identical(self):
         a = SparseSymmetricMatrix.from_dense(np.eye(4))
