@@ -13,8 +13,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .auxprecond import KINDS, FactorizationError, build_aux
-from .inner import (InnerConfig, active_bound_mask, project_box, spg_solve,
-                    truncated_newton_step)
+from .inner import (InnerConfig, active_bound_mask, project_box,
+                    projected_search, spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
@@ -427,11 +427,23 @@ def _restrict_model(model, free):
                         cols_red, model.lam_hat), idx
 
 
+def _free_system(manager, model, act):
+    """(model, preconditioner, idx) on the variables that the mask `act`
+    leaves free: the model restricted to them and a preconditioner built
+    on that reduced system, so it inverts the reduced matrix rather than
+    restricting the full-space inverse.  idx is None when nothing is
+    pinned; then the model is the full one."""
+    if not np.any(act):
+        return model, manager.get(model), None
+    reduced, idx = _restrict_model(model, ~act)
+    return reduced, manager.get(reduced, free=tuple(idx.tolist())), idx
+
+
 class _SpgPrecondProvider:
-    """Adapts the manager to the spg_solve provider contract.  When bound
-    components are pinned, the preconditioner is rebuilt on the free
-    subspace so it inverts the reduced system, not a restriction of the
-    full inverse."""
+    """Adapts the manager to the spg_solve provider contract.  The
+    preconditioner comes from `_free_system` for the bounds that the
+    gradient spg_solve passes in pins, and is scattered back to the full
+    space with zeros on the pinned components."""
 
     def __init__(self, p, lam_bar, rho, cfg, manager):
         self.p = p
@@ -440,22 +452,20 @@ class _SpgPrecondProvider:
         self.cfg = cfg
         self.manager = manager
 
-    def get(self, z, s, y):
+    def get(self, z, g, s, y):
         secant = (s, y) if s is not None else None
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
                               secant=secant, sigma_min=self.cfg.sigma_min)
-        g = eval_al_grad(self.p, z, self.lam_bar, self.rho)
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
-        if not np.any(act):
-            return self.manager.get(model)
-        reduced, idx = _restrict_model(model, ~act)
-        inner_op = self.manager.get(reduced, free=tuple(idx.tolist()))
+        _, precond, idx = _free_system(self.manager, model, act)
+        if idx is None:
+            return precond
         n = self.p.n
 
         def apply(r):
             out = np.zeros(n)
-            out[idx] = inner_op.apply(np.asarray(r, dtype=np.float64)[idx])
+            out[idx] = precond.apply(np.asarray(r, dtype=np.float64)[idx])
             return out
         return apply
 
@@ -477,8 +487,10 @@ def _solve_truncated_newton(p, x, lam_bar, rho, cfg, manager):
     stats = _SubStats()
     z = project_box(x, p.lower, p.upper)
     g = eval_al_grad(p, z, lam_bar, rho)
-    fz = eval_al(p, z, lam_bar, rho)
-    f_memory = [fz]
+
+    def merit(v):
+        return eval_al(p, v, lam_bar, rho)
+    f_memory = [merit(z)]
     s_prev = y_prev = None
 
     for _ in range(icfg.max_iterations):
@@ -491,71 +503,35 @@ def _solve_truncated_newton(p, x, lam_bar, rho, cfg, manager):
         model = hessian_model(p, z, lam_bar, rho, cfg.hessian_mode,
                               cfg.thresholds, secant=secant,
                               sigma_min=cfg.sigma_min)
-        precond = manager.get(model)
-
+        # Bound-pinned components take the raw gradient (clipped by the
+        # projection); the model is solved on the free variables only.
         act = active_bound_mask(z, g, p.lower, p.upper)
-        if np.any(act):
-            # Solve the model on the free variables only; bound-pinned
-            # components take the raw gradient (clipped by the projection).
-            free = ~act
-
-            def masked_model(vec, _free=free):
-                return np.where(_free, model.apply(np.where(_free, vec,
-                                                            0.0)), 0.0)
-
-            def masked_precond(r, _free=free, _p=precond):
-                return np.where(_free, _p.apply(np.where(_free, r, 0.0)),
-                                0.0)
-
-            step = truncated_newton_step(masked_model,
-                                         np.where(free, g, 0.0),
-                                         masked_precond, icfg)
-            d = np.where(free, step.direction, -g)
-        else:
-            step = truncated_newton_step(model, g, precond, icfg)
-            d = step.direction
+        sub_model, precond, idx = _free_system(manager, model, act)
+        free = slice(None) if idx is None else idx
+        step = truncated_newton_step(sub_model, g[free], precond, icfg)
+        d = -g
+        d[free] = step.direction
         if step.preconditioned:
             stats.krylov_precond += step.krylov_iterations
         else:
             stats.krylov_plain += step.krylov_iterations
         f_ref = max(f_memory)
-        t = 1.0
-        accepted = False
-        trial = z
-        f_trial = fz
-        for _bt in range(icfg.max_backtracks + 1):
-            trial = project_box(z + t * d, p.lower, p.upper)
-            slope = float(g @ (trial - z))
-            if slope >= 0.0:
-                break
-            f_trial = eval_al(p, trial, lam_bar, rho)
-            if f_trial <= f_ref + icfg.sufficient_decrease * slope:
-                accepted = True
-                break
-            t *= icfg.backtrack
-        if not accepted:
+        found = projected_search(merit, z, d, g, f_ref, p.lower, p.upper,
+                                 icfg)
+        if found is None:
             # Retry once along the projected gradient.
-            d = pg
-            t = 1.0
-            for _bt in range(icfg.max_backtracks + 1):
-                trial = project_box(z + t * d, p.lower, p.upper)
-                slope = float(g @ (trial - z))
-                f_trial = eval_al(p, trial, lam_bar, rho)
-                if slope < 0.0 and (f_trial
-                                    <= f_ref
-                                    + icfg.sufficient_decrease * slope):
-                    accepted = True
-                    break
-                t *= icfg.backtrack
-        if not accepted:
+            found = projected_search(merit, z, pg, g, f_ref, p.lower,
+                                     p.upper, icfg)
+        if found is None:
             stats.status = "line-search-failure"
             break
+        trial, f_trial = found
 
         g_trial = eval_al_grad(p, trial, lam_bar, rho)
         s_prev = trial - z
         y_prev = g_trial - g
-        z, g, fz = trial, g_trial, f_trial
-        f_memory.append(fz)
+        z, g = trial, g_trial
+        f_memory.append(f_trial)
         if len(f_memory) > icfg.memory:
             f_memory.pop(0)
     return z, stats

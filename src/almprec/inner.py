@@ -2,8 +2,8 @@
 inner.py
 
 Sub-problem solvers: a Truncated Newton step built on the Krylov solvers,
-and the (preconditioned) spectral projected gradient method for
-box-constrained sub-problems.
+the (preconditioned) spectral projected gradient method for
+box-constrained sub-problems, and the projected line search both use.
 """
 
 from dataclasses import dataclass, field
@@ -81,12 +81,11 @@ def truncated_newton_step(model, grad, precond, cfg):
     when CG detects an indefinite operator.  A non-descent result is
     replaced by the steepest-descent direction.
     """
-    apply_model = model.apply if hasattr(model, "apply") else model
     rhs = -np.asarray(grad, dtype=np.float64)
     used_precond = precond is not None
 
     def _run(solver, with_precond):
-        return solver(apply_model, precond if with_precond else None, rhs,
+        return solver(model, precond if with_precond else None, rhs,
                       tol=cfg.krylov_tol, maxit=cfg.krylov_maxit)
 
     try:
@@ -110,36 +109,45 @@ def truncated_newton_step(model, grad, precond, cfg):
                   used_precond, fallback)
 
 
-def _resolve_precond(precond, z, s, y):
-    """A provider exposes .get(z, s, y); anything else is a static
-    operator (object with .apply, or a bare callable)."""
+def _resolve_precond(precond, z, g, s, y):
+    """A provider exposes .get(z, g, s, y), with g the gradient at z;
+    anything else is a static operator (object with .apply, or a bare
+    callable)."""
     if precond is None:
         return None
-    if hasattr(precond, "get"):
-        op = precond.get(z, s, y)
-    else:
-        op = precond
-    if op is None:
-        return None
+    op = precond.get(z, g, s, y) if hasattr(precond, "get") else precond
     return op.apply if hasattr(op, "apply") else op
 
 
-def _backtrack(f_eval, x, d, slope, f_ref, cfg):
+def projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg):
+    """
+    Nonmonotone projected backtracking along d: trial points
+    P_box(x + t d), t = 1, cfg.backtrack, ..., accepted when
+    f(trial) <= f_ref + cfg.sufficient_decrease * g'(trial - x).  Stops
+    without a point when that slope is not negative.  Returns
+    (trial, f(trial)), or None when no trial point is accepted.
+    """
     t = 1.0
     for _bt in range(cfg.max_backtracks + 1):
-        trial = x + t * d
+        trial = project_box(x + t * d, lower, upper)
+        slope = float(g @ (trial - x))
+        if slope >= 0.0:
+            return None
         f_trial = f_eval(trial)
-        if f_trial <= f_ref + cfg.sufficient_decrease * t * slope:
-            return t, True, trial, f_trial
+        if f_trial <= f_ref + cfg.sufficient_decrease * slope:
+            return trial, f_trial
         t *= cfg.backtrack
-    return t, False, trial, f_trial
+    return None
 
 
 def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
     """
-    Spectral projected gradient with nonmonotone line search along
-    d = P_box(x - alpha D grad) - x, D = identity or the preconditioner.
-    Terminates when ||P_box(x - grad) - x||_inf <= cfg.grad_tol.
+    Spectral projected gradient with nonmonotone line search
+    (`projected_search`) along d = P_box(x - alpha D grad) - x,
+    D = identity or the preconditioner, retried along the projected
+    gradient.  `precond` is a static operator or a provider whose
+    .get(x, g, s, y) receives the current gradient g.  Terminates when
+    ||P_box(x - grad) - x||_inf <= cfg.grad_tol.
     """
     x = project_box(np.asarray(x0, dtype=np.float64), lower, upper)
     fx = f_eval(x)
@@ -161,7 +169,7 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
             alpha_bb = min(cfg.alpha_max,
                            max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
 
-        apply_p = _resolve_precond(precond, x, s_prev, y_prev)
+        apply_p = _resolve_precond(precond, x, g, s_prev, y_prev)
         d = None
         if apply_p is not None:
             # Two-metric safeguard: precondition only the free variables;
@@ -175,23 +183,17 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
                 d = None
         if d is None:
             d = project_box(x - alpha_bb * g, lower, upper) - x
-        slope = float(d @ g)
-        if slope >= 0.0:
-            d = pg
-            slope = float(d @ g)
 
         f_ref = max(f_memory)
-        t, accepted, trial, f_trial = _backtrack(f_eval, x, d, slope,
-                                                 f_ref, cfg)
-        if not accepted and d is not pg:
+        found = projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg)
+        if found is None:
             # Retry along the projected gradient with a fresh line search.
-            d = pg
-            slope = float(d @ g)
-            t, accepted, trial, f_trial = _backtrack(f_eval, x, d, slope,
-                                                     f_ref, cfg)
-        if not accepted:
+            found = projected_search(f_eval, x, pg, g, f_ref, lower, upper,
+                                     cfg)
+        if found is None:
             status = "line-search-failure"
             break
+        trial, f_trial = found
 
         g_trial = grad_eval(trial)
         s_prev = trial - x

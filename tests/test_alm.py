@@ -217,7 +217,14 @@ GRID_COUNTS = ("status", "ItL", "Itin", "Itpd", "Itd", "AcM", "AcV")
 
 def test_solve_grid_counts_unchanged():
     """Every problem x solver x mode x policy run keeps its status,
-    iteration and refresh counts (fixture: tests/data/solve_grid.csv)."""
+    iteration and refresh counts.  The fixture tests/data/solve_grid.csv
+    is the output of
+
+        almprec-bench solve --config tests/data/solve_grid.cfg \\
+            | cut -d, -f1,4-13
+
+    (`python -m almprec.cli` without an installed entry point).  One
+    assert compares every row, so a failure lists all moved rows."""
     with open(GRID_FIXTURE, newline="") as fh:
         want = list(csv.DictReader(fh))
     cfg = ExperimentConfig(kind="solve", problems=tuple(PROBLEM_BUILDERS),
@@ -225,9 +232,11 @@ def test_solve_grid_counts_unchanged():
                            hessian_modes=alm.HESSIAN_MODES,
                            policies=alm.PRECOND_POLICIES)
     rows = run_alm_experiment(cfg)
-    assert len(rows) == len(want) == 126
-    for row, ref in zip(rows, want):
-        assert {k: str(row[k]) for k in GRID_KEYS + GRID_COUNTS} == ref
+    got = [{k: str(row[k]) for k in GRID_KEYS + GRID_COUNTS} for row in rows]
+    assert len(got) == len(want) == 126
+    moved = [",".join(ref.values()) + "  ->  " + ",".join(now.values())
+             for ref, now in zip(want, got) if now != ref]
+    assert not moved, "rows moved (fixture -> now):\n" + "\n".join(moved)
 
 
 class TestOuterUpdates:
@@ -384,6 +393,63 @@ class TestAlmSolve:
         rep = alm_solve(get_problem("EQ-QP"), AlmConfig(max_outer=1))
         assert rep.status == "no convergence"
         assert rep.outer_iterations == 1
+
+    def test_pspg_provider_reuses_the_solver_gradient(self, monkeypatch):
+        """The PSPG provider restricts with the gradient spg_solve holds
+        and evaluates none itself."""
+        in_provider = False
+        provider_gets = grads_in_provider = 0
+        get = alm._SpgPrecondProvider.get
+        eval_grad = alm.eval_al_grad
+
+        def tracked_get(self, *args):
+            nonlocal in_provider, provider_gets
+            provider_gets += 1
+            in_provider = True
+            try:
+                return get(self, *args)
+            finally:
+                in_provider = False
+
+        def tracked_grad(*args):
+            nonlocal grads_in_provider
+            grads_in_provider += in_provider
+            return eval_grad(*args)
+        monkeypatch.setattr(alm._SpgPrecondProvider, "get", tracked_get)
+        monkeypatch.setattr(alm, "eval_al_grad", tracked_grad)
+        rep = alm_solve(get_problem("HS41"), AlmConfig(inner_solver="pspg"))
+        assert rep.converged
+        assert provider_gets > 0
+        assert grads_in_provider == 0
+
+    def test_truncated_newton_preconditions_the_reduced_system(
+            self, monkeypatch):
+        """With an exact auxiliary, the preconditioner TN gets on a step
+        with a pinned bound inverts the model on the free variables, so
+        PCG needs one iteration.  A masked full-space inverse needs more."""
+        masks = []
+        steps = []
+        mask = alm.active_bound_mask
+        tn_step = alm.truncated_newton_step
+
+        def tracked_mask(*args, **kwargs):
+            masks.append(mask(*args, **kwargs))
+            return masks[-1]
+
+        def tracked_step(*args, **kwargs):
+            step = tn_step(*args, **kwargs)
+            steps.append((bool(np.any(masks[-1])), step))
+            return step
+        monkeypatch.setattr(alm, "active_bound_mask", tracked_mask)
+        monkeypatch.setattr(alm, "truncated_newton_step", tracked_step)
+        rep = alm_solve(get_problem("HS63"),
+                        AlmConfig(hessian_mode="QN", aux_kind="exact-dense",
+                                  precond_policy="auto"))
+        assert rep.converged
+        pinned = [step for active, step in steps if active]
+        assert pinned
+        assert [(s.solver, s.preconditioned, s.krylov_iterations)
+                for s in pinned] == [("pcg", True, 1)] * len(pinned)
 
     def test_policies_agree_on_solution(self):
         results = []

@@ -133,7 +133,7 @@ class TestSpg:
         plain = spg_solve(f, g, lower, upper, np.zeros(4), cfg)
 
         class Prov:
-            def get(self, z, s, y):
+            def get(self, z, g, s, y):
                 return lambda r: r / diag
         prec = spg_solve(f, g, lower, upper, np.zeros(4), cfg,
                          precond=Prov())
@@ -152,6 +152,23 @@ class TestSpg:
                         np.zeros(2), InnerConfig(grad_tol=1e-9),
                         precond=Op())
         assert res.status == "converged" and res.iterations <= 3
+
+    def test_merit_evaluated_inside_the_box_only(self):
+        # From x = 1 the first spectral step lands on the bound 0.1, and
+        # 1.0 + (0.1 - 1.0) rounds to 0.09999999999999998, below it.
+        lower = np.array([0.1])
+        upper = np.array([2.0])
+        f, g = quad(np.eye(1), np.zeros(1))
+
+        def f_inside(x):
+            if np.any(x < lower) or np.any(x > upper):
+                raise AssertionError("merit evaluated outside the box: %r"
+                                     % x.tolist())
+            return f(x)
+        res = spg_solve(f_inside, g, lower, upper, np.array([1.0]),
+                        InnerConfig(grad_tol=1e-9))
+        assert res.status == "converged"
+        np.testing.assert_array_equal(res.x, lower)
 
     def test_starts_from_projected_point(self):
         a = np.eye(1)
