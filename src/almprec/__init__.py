@@ -11,9 +11,9 @@ from .problems import NlpProblem, get_problem, problem_names
 from .sparse import (MatrixMarketError, SparseSymmetricMatrix,
                      read_matrix_market, write_matrix_market)
 from .structured import (BStore, ColumnSet, DenominatorBreakdownError,
-                         StaleBError, StructuredPrecond, UpdateDecision,
-                         UpdateThresholds, apply_rank1, apply_structured,
-                         assemble_B, build_column_set, decide_update)
+                         StructuredPrecond, UpdateDecision, UpdateThresholds,
+                         apply_rank1, assemble_B, build_column_set,
+                         decide_update)
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,7 @@ __all__ = [
     "NlpProblem", "get_problem", "problem_names",
     "MatrixMarketError", "SparseSymmetricMatrix",
     "read_matrix_market", "write_matrix_market",
-    "BStore", "ColumnSet", "DenominatorBreakdownError", "StaleBError",
-    "StructuredPrecond", "UpdateDecision", "UpdateThresholds",
-    "apply_rank1", "apply_structured", "assemble_B", "build_column_set",
-    "decide_update",
+    "BStore", "ColumnSet", "DenominatorBreakdownError", "StructuredPrecond",
+    "UpdateDecision", "UpdateThresholds", "apply_rank1", "assemble_B",
+    "build_column_set", "decide_update",
 ]

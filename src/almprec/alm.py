@@ -19,8 +19,10 @@ from .sparse import SparseSymmetricMatrix
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
                          UpdateThresholds, build_column_set, decide_update)
-# Re-exported: callers look the assembly up here.  StructuredPrecond
-# assembles through structured.assemble_B itself.
+# Re-exported, not used here: perfbench's layer tracer wraps the target
+# `almprec.alm:assemble_B`, and test_traced_counts_match_untraced checks
+# that it resolves.  StructuredPrecond assembles through
+# structured.assemble_B itself.
 from .structured import assemble_B  # noqa: F401
 
 INNER_SOLVERS = ("truncated-newton", "spg", "pspg")
@@ -156,13 +158,6 @@ class HessianModel:
             y = y + self.cols.columns @ coeffs
         return y
 
-    def to_dense(self):
-        dense = self.m_part.to_dense()
-        for i in range(self.cols.m):
-            v = self.cols.columns[:, i]
-            dense = dense + self.cols.signs[i] * np.outer(v, v)
-        return dense
-
 
 def _positive_definite(a):
     """Whether a Cholesky factorization of a - tau I succeeds, with the
@@ -217,24 +212,19 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 
     # QN mode
     hess_f = p.hess(x)
-    active = [i for i, kind in enumerate(p.kinds)
-              if kind == "equality" or lam_hat[i] > 0.0]
-
-    def gauss_newton_apply(vec):
-        out = hess_f @ vec
-        for i in active:
-            out = out + rho * jac_list[i] * float(jac_list[i] @ vec)
-        return out
-
     sigma = sigma_min
-    secant_cols = None
+    gn_s = None
     if secant is not None:
         s, y = (np.asarray(v, dtype=np.float64) for v in secant)
         ss = float(s @ s)
         if ss > 0.0:
-            sigma = max(float((y - gauss_newton_apply(s)) @ s) / ss,
-                        sigma_min)
-            secant_cols = (s, y)
+            # Gauss-Newton product (hess f + rho J_A J_A') s over the
+            # equalities and active inequalities.
+            gn_s = hess_f @ s
+            for i, kind in enumerate(p.kinds):
+                if kind == "equality" or lam_hat[i] > 0.0:
+                    gn_s = gn_s + rho * jac_list[i] * float(jac_list[i] @ s)
+            sigma = max(float((y - gn_s) @ s) / ss, sigma_min)
 
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
@@ -246,11 +236,8 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         sigma = max(sigma, floor - lam_min_f)
     m_part = SparseSymmetricMatrix.from_dense(hess_f + sigma * np.eye(p.n))
 
-    def hplus_apply(vec):
-        return gauss_newton_apply(vec) + sigma * vec
-
-    secant_arg = ((secant_cols[0], secant_cols[1], hplus_apply)
-                  if secant_cols is not None else None)
+    # w = H+ s takes the final sigma, after the floor above.
+    secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac_list, p.kinds, c, lam, rho, th,
                             secant=secant_arg, n=p.n)
     return HessianModel(p.n, m_part, sigma, cols, lam_hat)

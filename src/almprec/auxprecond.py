@@ -7,8 +7,6 @@ Cholesky factor.  The structured preconditioner is agnostic to which of
 these is plugged in.
 """
 
-import hashlib
-
 import numpy as np
 import scipy.linalg
 import scipy.sparse
@@ -24,12 +22,11 @@ class FactorizationError(RuntimeError):
 
 class AuxPrecond:
     """
-    Built factors for approximating M^-1 r.  Immutable; `token` is a
-    content hash used by the structured preconditioner for staleness
-    checks.  `inverts` is the matrix M that was factored when the apply
-    is its exact inverse (unshifted `exact-dense`, unshifted
-    `incomplete-cholesky` with drop_tol 0, `jacobi` on a diagonal M),
-    and None otherwise.
+    Built factors for approximating M^-1 r.  Immutable, so a structured
+    preconditioner assembled on it stays valid.  `inverts` is the matrix
+    M that was factored when the apply is its exact inverse (unshifted
+    `exact-dense`, unshifted `incomplete-cholesky` with drop_tol 0,
+    `jacobi` on a diagonal M), and None otherwise.
 
     The incomplete-Cholesky factor L is stored sparse (`nnz` entries,
     handed over in CSC form to a SuperLU handle built once) and applied
@@ -38,12 +35,11 @@ class AuxPrecond:
     gives the same result as applying each of its columns.
     """
 
-    def __init__(self, kind, n, nnz, token, inv_diag=None, lu=None,
-                 cho=None, shift=0.0, inverts=None):
+    def __init__(self, kind, n, nnz, inv_diag=None, lu=None, cho=None,
+                 shift=0.0, inverts=None):
         self.kind = kind
         self.n = n
         self.nnz = nnz
-        self.token = token
         self._inv_diag = inv_diag
         self._lu = lu
         self._cho = cho
@@ -77,15 +73,14 @@ def build_aux(m, kind, drop_tol=None):
     """
     if kind not in KINDS:
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
-    token = _token(m, kind, drop_tol)
     if kind == "identity":
-        return AuxPrecond(kind, m.n, 0, token)
+        return AuxPrecond(kind, m.n, 0)
     if kind == "jacobi":
         diag = m.diagonal()
         if np.any(diag <= 0.0):
             raise FactorizationError("nonpositive diagonal entry")
         diagonal_m = not np.any(m.vals[m.rows != m.cols])
-        return AuxPrecond(kind, m.n, m.n, token, inv_diag=1.0 / diag,
+        return AuxPrecond(kind, m.n, m.n, inv_diag=1.0 / diag,
                           inverts=m if diagonal_m else None)
 
     dense = m.to_dense()
@@ -98,7 +93,7 @@ def build_aux(m, kind, drop_tol=None):
             except scipy.linalg.LinAlgError:
                 continue
             nnz = m.n * (m.n + 1) // 2
-            return AuxPrecond(kind, m.n, nnz, token, cho=cho, shift=beta,
+            return AuxPrecond(kind, m.n, nnz, cho=cho, shift=beta,
                               inverts=m if beta == 0.0 else None)
         raise FactorizationError("not factorizable")
 
@@ -116,7 +111,7 @@ def build_aux(m, kind, drop_tol=None):
             lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
                                           diag_pivot_thresh=0.0)
             exact = beta == 0.0 and drop_tol == 0.0
-            return AuxPrecond(kind, m.n, lower.nnz, token, lu=lu, shift=beta,
+            return AuxPrecond(kind, m.n, lower.nnz, lu=lu, shift=beta,
                               inverts=m if exact else None)
     raise FactorizationError("not factorizable")
 
@@ -140,14 +135,3 @@ def _incomplete_cholesky(a, drop_tol):
             col[np.abs(col) < drop_tol * col_norms[j]] = 0.0
             lower[j + 1:, j] = col
     return lower
-
-
-def _token(m, kind, drop_tol):
-    h = hashlib.sha256()
-    h.update(kind.encode())
-    h.update(repr(drop_tol).encode())
-    h.update(np.int64(m.n).tobytes())
-    h.update(m.rows.astype(np.int64).tobytes())
-    h.update(m.cols.astype(np.int64).tobytes())
-    h.update(m.vals.tobytes())
-    return h.hexdigest()

@@ -99,11 +99,12 @@ def _load_matrix(cfg):
 
 def _force_spd(m):
     """Diagonal shift making the matrix SPD; returns (matrix, shift)."""
-    lam_min = float(np.linalg.eigvalsh(m.to_dense()).min())
+    dense = m.to_dense()
+    lam_min = float(np.linalg.eigvalsh(dense).min())
     if lam_min > 0.0:
         return m, 0.0
     shift = abs(lam_min) + 1e-6
-    dense = m.to_dense() + shift * np.eye(m.n)
+    dense[np.diag_indices(m.n)] += shift
     return SparseSymmetricMatrix.from_dense(dense, tol=0.0), shift
 
 

@@ -8,7 +8,6 @@ Also hosts the column administration (activity, relaxation, ordering,
 secant augmentation) and the update-decision policy.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,6 @@ class DenominatorBreakdownError(RuntimeError):
         self.label = label
 
 
-class StaleBError(RuntimeError):
-    """The storage matrix was built for different columns or auxiliary."""
-
-
 LABEL_BFGS_Y = "bfgs-y"
 LABEL_BFGS_W = "bfgs-w"
 
@@ -42,8 +37,8 @@ class ColumnSet:
     correction uses unit coefficients with a sign only.
 
     Immutable: `columns` and `signs` are read-only copies of what the
-    caller passed, so a preconditioner built on a ColumnSet can check its
-    staleness once, when it is constructed.
+    caller passed, so a preconditioner built on a ColumnSet stays valid
+    for as long as it is used.
     """
 
     def __init__(self, n, columns, signs, labels, notes=()):
@@ -106,28 +101,15 @@ class UpdateDecision:
 class BStore:
     """Capacitance factor K = L D L': b = W L^-T (column i is P_{i-1}^-1
     v_i), c = V L^-T and the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii."""
-    n: int
-    m: int
     b: np.ndarray
     c: np.ndarray
     denoms: np.ndarray
     signs: np.ndarray
-    source_fingerprint: str
 
 
 def _denom_floor(v):
     """Breakdown floor of the denominator of v, or of each column of v."""
     return 1e-12 * (1.0 + (v * v).sum(axis=0))
-
-
-def fingerprint(aux, cols):
-    h = hashlib.sha256()
-    h.update(aux.token.encode())
-    h.update(np.int64(cols.m).tobytes())
-    h.update(cols.columns.tobytes())
-    h.update(cols.signs.tobytes())
-    h.update(repr(cols.labels).encode())
-    return h.hexdigest()
 
 
 def apply_rank1(aux, v, rho, r):
@@ -157,7 +139,7 @@ def assemble_B(aux, cols):
     column's label.  Cost: one block auxiliary apply, O(m^2 n) in BLAS,
     and an m-step loop on m x m arrays.
     """
-    n, m = cols.n, cols.m
+    m = cols.m
     v, signs = cols.columns, cols.signs
     w = aux.apply(v)
     k = v.T @ w
@@ -174,27 +156,7 @@ def assemble_B(aux, cols):
     # Step i leaves k[i, i] alone from then on: the diagonal is D.
     b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1)
             for x in (w, v))
-    return BStore(n, m, b, c, signs * k.diagonal(), signs.copy(),
-                  fingerprint(aux, cols))
-
-
-def apply_structured(bs, aux, cols, r):
-    """
-    h = a - b D^-1 (c'a) with a = aux(r): [M + sum s_i v_i v_i']^-1 r in
-    exact arithmetic when the auxiliary is exact.  The Woodbury form is not
-    backward stable (Yip 1986), so `StructuredPrecond.apply` adds a
-    refinement step for an exact auxiliary; this function never refines.
-    Each call hashes aux and cols and raises StaleBError when `bs` was
-    assembled for others; `StructuredPrecond` checks once, when built.
-    """
-    _check_fresh(bs, aux, cols)
-    return _apply(bs, aux, r)
-
-
-def _check_fresh(bs, aux, cols):
-    if bs.source_fingerprint != fingerprint(aux, cols):
-        raise StaleBError(
-            "stale B: columns or auxiliary changed since assembly")
+    return BStore(b, c, signs * k.diagonal(), signs.copy())
 
 
 def _apply(bs, aux, r):
@@ -204,15 +166,16 @@ def _apply(bs, aux, r):
 
 class StructuredPrecond:
     """
-    An (aux, cols, B) bundle exposed as a single apply contract.
+    An (aux, cols, B) bundle exposed as a single apply contract.  It
+    assembles its own B from aux and cols, both immutable, so B always
+    belongs to them.
 
-    A given `bs` is checked against aux and cols once, here: construction
-    raises StaleBError when it was assembled for other columns or another
-    auxiliary.  Both are immutable, so `apply` does not check again.
-
-    With an inexact auxiliary (`aux.inverts is None`) the apply is
-    `apply_structured`, bit for bit.  With an exact one it is followed by
-    one step of iterative refinement (Skeel 1980),
+    With an inexact auxiliary (`aux.inverts is None`) the apply is the
+    Woodbury form h = a - b D^-1 (c'a), a = aux(r), which is
+    [M + sum s_i v_i v_i']^-1 r in exact arithmetic when the auxiliary is
+    exact.  That form is not
+    backward stable (Yip 1986), so with an exact auxiliary it is followed
+    by one step of iterative refinement (Skeel 1980),
     h <- h + P^-1 (r - (M + sum s_i v_i v_i') h), against the M that the
     auxiliary factored; with an inexact auxiliary 2P^-1 - P^-1 H P^-1 can
     be indefinite, so that case is left alone.
@@ -230,14 +193,10 @@ class StructuredPrecond:
     rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
     """
 
-    def __init__(self, aux, cols, bs=None):
-        if bs is None:
-            bs = assemble_B(aux, cols)
-        else:
-            _check_fresh(bs, aux, cols)
+    def __init__(self, aux, cols):
         self.aux = aux
         self.cols = cols
-        self.bs = bs
+        self.bs = assemble_B(aux, cols)
         self.n = aux.n
 
     def apply(self, r):
@@ -260,7 +219,8 @@ def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,
     gradient norm and infeasibility; scales survivors by sqrt(rho); orders
     by descending infeasibility, then descending norm, then index; and
     appends the two secant-correction columns last when the curvature
-    condition holds.
+    condition holds.  `secant` is (s, y, w) with w = H+ s, the model's
+    Hessian without the secant correction applied to the step s.
     """
     jacobian_cols = [np.asarray(c, dtype=np.float64) for c in jacobian_cols]
     c_vals = np.asarray(c_vals, dtype=np.float64)
@@ -300,13 +260,10 @@ def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,
     notes = []
 
     if secant is not None:
-        s, y, hplus_apply = secant
-        s = np.asarray(s, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        s, y, w = (np.asarray(a, dtype=np.float64) for a in secant)
         n = s.size
         sy = float(s @ y)
         if sy >= 1e-8 * np.linalg.norm(s) * np.linalg.norm(y) and sy > 0.0:
-            w = np.asarray(hplus_apply(s), dtype=np.float64)
             sw = float(s @ w)
             if sw <= 0.0:
                 notes.append("correction skipped")

@@ -21,8 +21,7 @@ from almprec.bench import ExperimentConfig, rows_to_csv, \
 from almprec.krylov import pcg
 from almprec.problems import get_problem, problem_names
 from almprec.sparse import SparseSymmetricMatrix
-from almprec.structured import (ColumnSet, StructuredPrecond, apply_rank1,
-                                apply_structured, assemble_B)
+from almprec.structured import ColumnSet, StructuredPrecond, apply_rank1
 
 
 def _report(number, ok, detail):
@@ -37,7 +36,7 @@ def _spd(rng, n):
 
 
 def test_criterion_01_oracle_equivalence():
-    """Rank-1 and storage-recursion applies match the dense inverse of
+    """Rank-1 and structured applies match the dense inverse of
     M + V diag(signs) V' to 1e-9 relative, exact auxiliary."""
     rng = np.random.default_rng(42)
     start = time.perf_counter()
@@ -63,8 +62,7 @@ def test_criterion_01_oracle_equivalence():
         signs = np.where(rng.random(k) < 0.8, 1.0, -1.0)
         mat[:, signs < 0] *= 0.1
         cols = ColumnSet(n, mat, signs, list(range(k)))
-        bs = assemble_B(aux, cols)
-        got = apply_structured(bs, aux, cols, r)
+        got = StructuredPrecond(aux, cols).apply(r)
         dense = m.to_dense()
         for i in range(k):
             dense = dense + signs[i] * np.outer(mat[:, i], mat[:, i])

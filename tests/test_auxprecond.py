@@ -114,17 +114,6 @@ class TestRetryAndFailure:
         with pytest.raises(FactorizationError, match="not factorizable"):
             build_aux(m, "incomplete-cholesky", drop_tol=0.1)
 
-    def test_tokens_distinguish_content(self):
-        rng = np.random.default_rng(7)
-        m1 = spd_matrix(rng, 5)
-        m2 = spd_matrix(rng, 5)
-        a1 = build_aux(m1, "jacobi")
-        a2 = build_aux(m2, "jacobi")
-        a3 = build_aux(m1, "identity")
-        assert a1.token != a2.token
-        assert a1.token != a3.token
-        assert a1.token == build_aux(m1, "jacobi").token
-
 
 class TestSparseIncompleteCholesky:
     """The sparse IC apply against dense triangular solves with the factor

@@ -8,9 +8,8 @@ from almprec.auxprecond import build_aux
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, BStore,
                                 ColumnSet, DenominatorBreakdownError,
-                                StaleBError, StructuredPrecond,
-                                UpdateDecision, UpdateThresholds,
-                                apply_rank1, apply_structured, assemble_B,
+                                StructuredPrecond, UpdateDecision,
+                                UpdateThresholds, apply_rank1, assemble_B,
                                 build_column_set, decide_update)
 
 
@@ -65,9 +64,8 @@ class TestStorageRecursion:
             aux = build_aux(m, "exact-dense")
             cols = ColumnSet(n, rng.standard_normal((n, k)), np.ones(k),
                              list(range(k)))
-            bs = assemble_B(aux, cols)
             r = rng.standard_normal(n)
-            got = apply_structured(bs, aux, cols, r)
+            got = StructuredPrecond(aux, cols).apply(r)
             want = np.linalg.solve(dense_target(m, cols), r)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
@@ -82,10 +80,9 @@ class TestStorageRecursion:
             cols_mat[:, 3] *= 0.1
             signs = np.array([1.0, 1.0, 1.0, -1.0])
             cols = ColumnSet(n, cols_mat, signs, list(range(4)))
-            bs = assemble_B(aux, cols)
             r = rng.standard_normal(n)
             want = np.linalg.solve(dense_target(m, cols), r)
-            np.testing.assert_allclose(apply_structured(bs, aux, cols, r),
+            np.testing.assert_allclose(StructuredPrecond(aux, cols).apply(r),
                                        want, rtol=1e-8, atol=1e-10)
 
     def test_single_column_agrees_with_rank1(self):
@@ -97,8 +94,7 @@ class TestStorageRecursion:
         rho = 7.5
         r = rng.standard_normal(n)
         cols = ColumnSet(n, (np.sqrt(rho) * v).reshape(n, 1), [1.0], [0])
-        bs = assemble_B(aux, cols)
-        np.testing.assert_allclose(apply_structured(bs, aux, cols, r),
+        np.testing.assert_allclose(StructuredPrecond(aux, cols).apply(r),
                                    apply_rank1(aux, v, rho, r),
                                    rtol=1e-12)
 
@@ -110,12 +106,10 @@ class TestStorageRecursion:
         cols = ColumnSet(n, rng.standard_normal((n, k)), np.ones(k),
                          list(range(k)))
         perm = [2, 0, 3, 1]
-        bs_a = assemble_B(aux, cols)
-        bs_b = assemble_B(aux, cols.permuted(perm))
         r = rng.standard_normal(n)
         np.testing.assert_allclose(
-            apply_structured(bs_a, aux, cols, r),
-            apply_structured(bs_b, aux, cols.permuted(perm), r),
+            StructuredPrecond(aux, cols).apply(r),
+            StructuredPrecond(aux, cols.permuted(perm)).apply(r),
             rtol=1e-10)
 
     def test_empty_column_set(self):
@@ -124,35 +118,9 @@ class TestStorageRecursion:
         m = spd_matrix(rng, n)
         aux = build_aux(m, "exact-dense")
         cols = ColumnSet(n, np.zeros((n, 0)), np.zeros(0), [])
-        bs = assemble_B(aux, cols)
         r = rng.standard_normal(n)
-        np.testing.assert_allclose(apply_structured(bs, aux, cols, r),
+        np.testing.assert_allclose(StructuredPrecond(aux, cols).apply(r),
                                    aux.apply(r))
-
-    def test_stale_b_detected(self):
-        rng = np.random.default_rng(8)
-        n = 6
-        m = spd_matrix(rng, n)
-        aux = build_aux(m, "exact-dense")
-        cols = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
-        bs = assemble_B(aux, cols)
-        other = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
-        with pytest.raises(StaleBError):
-            apply_structured(bs, aux, other, np.ones(n))
-
-    def test_stale_b_rejected_at_construction(self):
-        rng = np.random.default_rng(8)
-        n = 6
-        m = spd_matrix(rng, n)
-        aux = build_aux(m, "exact-dense")
-        cols = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
-        bs = assemble_B(aux, cols)
-        other = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
-        with pytest.raises(StaleBError):
-            StructuredPrecond(aux, other, bs)
-        with pytest.raises(StaleBError):
-            StructuredPrecond(build_aux(m, "jacobi"), cols, bs)
-        StructuredPrecond(aux, cols, bs)
 
     def test_breakdown_names_column(self):
         # M = I, subtractive unit column -> denominator 1 - v'v = 0.
@@ -288,23 +256,33 @@ class TestExactRefinement:
         assert not over, over
 
     def test_inexact_auxiliary_apply_is_unrefined(self):
+        # One auxiliary apply per structured apply; an exact auxiliary
+        # adds a second for its refinement step.
         rng = np.random.default_rng(14)
         n = 12
         m = spd_matrix(rng, n)
         singular = SparseSymmetricMatrix.from_dense(np.ones((n, n)))
-        auxes = [build_aux(m, "jacobi"),
-                 build_aux(m, "incomplete-cholesky", drop_tol=0.1),
-                 build_aux(singular, "exact-dense"),
-                 build_aux(singular, "incomplete-cholesky", drop_tol=0.0)]
-        assert [aux.inverts for aux in auxes] == [None] * 4
-        assert auxes[2].shift > 0.0 and auxes[3].shift > 0.0
-        for aux in auxes:
+        diagonal = SparseSymmetricMatrix.from_dense(
+            np.diag(rng.uniform(1.0, 5.0, n)))
+        inexact = [build_aux(m, "jacobi"),
+                   build_aux(m, "incomplete-cholesky", drop_tol=0.1),
+                   build_aux(singular, "exact-dense"),
+                   build_aux(singular, "incomplete-cholesky", drop_tol=0.0)]
+        exact = [build_aux(diagonal, "jacobi"),
+                 build_aux(m, "exact-dense"),
+                 build_aux(m, "incomplete-cholesky", drop_tol=0.0)]
+        assert [aux.inverts for aux in inexact] == [None] * 4
+        assert all(aux.inverts is not None for aux in exact)
+        assert inexact[2].shift > 0.0 and inexact[3].shift > 0.0
+        for aux in inexact + exact:
             cols = ColumnSet(n, 1e3 * rng.standard_normal((n, 3)),
                              np.ones(3), [0, 1, 2])
             sp = StructuredPrecond(aux, cols)
-            r = rng.standard_normal(n)
-            assert (sp.apply(r).tobytes()
-                    == apply_structured(sp.bs, aux, cols, r).tobytes())
+            calls = []
+            apply = aux.apply
+            aux.apply = lambda r: calls.append(1) or apply(r)
+            sp.apply(rng.standard_normal(n))
+            assert len(calls) == (1 if aux.inverts is None else 2)
 
 
 class TestColumnSet:
@@ -390,15 +368,14 @@ class TestBuildColumnSet:
     def test_secant_columns_appended_with_signs(self):
         s = np.array([1.0, 0.0])
         y = np.array([2.0, 0.0])
+        w = 3.0 * s
         cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th,
-                                secant=(s, y, lambda v: 3.0 * v))
+                                1.0, self.th, secant=(s, y, w))
         assert cols.labels[-2:] == (LABEL_BFGS_Y, LABEL_BFGS_W)
         assert cols.signs[-2] == 1.0 and cols.signs[-1] == -1.0
         # y column scaled by sqrt(1/s'y), w column by sqrt(1/s'w).
         np.testing.assert_allclose(cols.columns[:, -2],
                                    y / np.sqrt(float(s @ y)))
-        w = 3.0 * s
         np.testing.assert_allclose(cols.columns[:, -1],
                                    w / np.sqrt(float(s @ w)))
 
@@ -406,16 +383,14 @@ class TestBuildColumnSet:
         s = np.array([1.0, 0.0])
         y = -s
         cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th,
-                                secant=(s, y, lambda v: v))
+                                1.0, self.th, secant=(s, y, s))
         assert cols.m == 1
 
     def test_secant_correction_skipped_note(self):
         s = np.array([1.0, 0.0])
         y = s.copy()
         cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th,
-                                secant=(s, y, lambda v: -v))
+                                1.0, self.th, secant=(s, y, -s))
         assert "correction skipped" in cols.notes
         assert cols.m == 1
 
@@ -430,11 +405,11 @@ class TestBuildColumnSet:
         y = h_dense @ s + 0.3 * rng.standard_normal(n)
         if float(s @ y) <= 0:
             y = h_dense @ s
+        w = h_dense @ s
         cols = build_column_set([], (), [], [], 1.0, self.th,
-                                secant=(s, y, lambda v: h_dense @ v), n=n)
+                                secant=(s, y, w), n=n)
         aux = build_aux(m, "exact-dense")
         sp = StructuredPrecond(aux, cols)
-        w = h_dense @ s
         target = (h_dense + np.outer(y, y) / float(s @ y)
                   - np.outer(w, w) / float(s @ w))
         r = rng.standard_normal(n)
@@ -509,4 +484,3 @@ def test_bstore_fields():
     bs = assemble_B(aux, cols)
     assert isinstance(bs, BStore)
     assert bs.b.shape == (4, 2) and bs.denoms.shape == (2,)
-    assert bs.source_fingerprint
