@@ -4,8 +4,12 @@ auxprecond.py
 Auxiliary preconditioner for the Lagrangian-Hessian block M: identity,
 Jacobi, incomplete Cholesky with drop tolerance, or an exact dense
 Cholesky factor.  The structured preconditioner is agnostic to which of
-these is plugged in.
+these is plugged in.  The incomplete Cholesky factor is built from M's
+stored lower triangle straight into sparse storage, in O(n + nnz(L))
+memory; only `exact-dense` forms an n x n array.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -28,11 +32,12 @@ class AuxPrecond:
     `exact-dense`, unshifted `incomplete-cholesky` with drop_tol 0,
     `jacobi` on a diagonal M), and None otherwise.
 
-    The incomplete-Cholesky factor L is stored sparse (`nnz` entries,
-    handed over in CSC form to a SuperLU handle built once) and applied
-    as L^-T (L^-1 r) by two compiled sparse triangular solves, O(nnz)
-    each.  `apply` takes a vector of length n or an (n, k) block; a block
-    gives the same result as applying each of its columns.
+    The incomplete-Cholesky factor L is built and stored sparse, with no
+    n x n array (`nnz` entries, handed over in CSC form to a SuperLU
+    handle built once), and applied as L^-T (L^-1 r) by two compiled
+    sparse triangular solves, O(nnz) each.  `apply` takes a vector of
+    length n or an (n, k) block; a block gives the same result as
+    applying each of its columns.
     """
 
     def __init__(self, kind, n, nnz, inv_diag=None, lu=None, cho=None,
@@ -70,6 +75,10 @@ def build_aux(m, kind, drop_tol=None):
     diagonal shift 1e-3 * ||diag(M)||_inf; a second failure raises
     FactorizationError("not factorizable").  A build whose apply is the
     exact inverse of m keeps a reference to m as `inverts`.
+
+    `incomplete-cholesky` reads m's stored entries directly and keeps
+    O(n + nnz(L)) memory, with time proportional to the multiply-adds
+    its columns take; `exact-dense` factors a dense copy of m.
     """
     if kind not in KINDS:
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
@@ -83,10 +92,10 @@ def build_aux(m, kind, drop_tol=None):
         return AuxPrecond(kind, m.n, m.n, inv_diag=1.0 / diag,
                           inverts=m if diagonal_m else None)
 
-    dense = m.to_dense()
-    shift = 1e-3 * np.max(np.abs(np.diag(dense))) if m.n else 0.0
+    shift = 1e-3 * np.max(np.abs(m.diagonal()))
     if kind == "exact-dense":
-        for attempt, beta in enumerate((0.0, shift)):
+        dense = m.to_dense()
+        for beta in (0.0, shift):
             try:
                 cho = scipy.linalg.cho_factor(
                     dense + beta * np.eye(m.n), lower=True)
@@ -102,9 +111,9 @@ def build_aux(m, kind, drop_tol=None):
     if not drop_tol >= 0.0:
         raise ValueError("drop tolerance must be nonnegative")
     for beta in (0.0, shift):
-        lower = _incomplete_cholesky(dense + beta * np.eye(m.n), drop_tol)
-        if lower is not None:
-            lower = scipy.sparse.csc_matrix(lower)
+        factor = _incomplete_cholesky(m, beta, drop_tol)
+        if factor is not None:
+            lower = scipy.sparse.csc_matrix(factor, shape=(m.n, m.n))
             # SuperLU with the natural ordering and no pivoting factors
             # the triangular L as (L D^-1) D with D = diag(L): no fill, and
             # its solves are the triangular solves with L.
@@ -116,22 +125,95 @@ def build_aux(m, kind, drop_tol=None):
     raise FactorizationError("not factorizable")
 
 
-def _incomplete_cholesky(a, drop_tol):
+def _column_norms(m, diag):
+    """2-norms of the columns of the full symmetric matrix with stored
+    off-diagonal entries of m and diagonal `diag`.  Each column is summed
+    in increasing row order, as a dense column norm is."""
+    off = m.rows != m.cols
+    rows, cols, vals = m.rows[off], m.cols[off], m.vals[off]
+    every = np.arange(m.n)
+    col = np.concatenate((rows, cols, every))
+    row = np.concatenate((cols, rows, every))
+    sq = np.concatenate((vals * vals, vals * vals, diag * diag))
+    order = np.lexsort((row, col))
+    return np.sqrt(np.bincount(col[order], sq[order], minlength=m.n))
+
+
+def _incomplete_cholesky(m, shift, drop_tol):
     """
-    Left-looking incomplete Cholesky.  Sub-diagonal entries smaller than
-    drop_tol times the norm of the corresponding column of A are dropped
-    as the factor is formed.  Returns None on a nonpositive pivot.
+    Left-looking, column-oriented incomplete Cholesky of A = m + shift*I
+    (as in ICFS, Lin & More, SIAM J. Sci. Comput. 21, 1999).  Column j
+    of the factor is l_j = (a_j - sum_k l_jk l_k) / l_jj over the earlier
+    columns k with l_jk != 0.  A sub-diagonal entry is dropped as its
+    column is formed when |l_ij| < drop_tol * ||A[:, j]||_2, and exact
+    zeros are never stored.  Each earlier column waits in a linked list
+    on the row of its next stored entry, so finding the k for column j
+    takes no search, and beside the factor only O(n) work vectors are
+    kept.  Returns the CSC arrays (data, indices, indptr) of the lower
+    triangular factor, diagonal first in each column, or None on a
+    nonpositive pivot.
     """
-    n = a.shape[0]
-    lower = np.zeros((n, n))
-    col_norms = np.linalg.norm(a, axis=0)
+    n = m.n
+    diag = m.diagonal() + shift
+    thresholds = (drop_tol * _column_norms(m, diag)).tolist()
+    diag = diag.tolist()
+    # The strict lower triangle of A in column order.
+    off = np.flatnonzero(m.rows != m.cols)
+    off = off[np.lexsort((m.rows[off], m.cols[off]))]
+    a_rows, a_vals = m.rows[off].tolist(), m.vals[off].tolist()
+    a_ptr = np.searchsorted(m.cols[off], np.arange(n + 1)).tolist()
+
+    data, indices, indptr = [], [], [0]
+    head = [-1] * n     # head[i]: first column whose next entry is in row i
+    link = [-1] * n     # link[k]: the column after k in the same row list
+    pos = [0] * n       # pos[k]: position in `indices` of that next entry
+    work = [0.0] * n    # column j's sums sum_k l_ik l_jk, then its l_ij
+    mark = [-1] * n     # mark[i] == j: row i is in column j's pattern
     for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
+        lo, hi = a_ptr[j], a_ptr[j + 1]
+        pattern = a_rows[lo:hi]
+        for i in pattern:
+            work[i] = 0.0
+            mark[i] = j
+        squares = 0.0
+        k = head[j]
+        while k >= 0:
+            after, p, end = link[k], pos[k], indptr[k + 1]
+            ljk = data[p]
+            squares += ljk * ljk
+            for q in range(p + 1, end):
+                i = indices[q]
+                if mark[i] != j:
+                    mark[i] = j
+                    work[i] = 0.0
+                    pattern.append(i)
+                work[i] += data[q] * ljk
+            if p + 1 < end:
+                pos[k] = p + 1
+                row = indices[p + 1]
+                link[k], head[row] = head[row], k
+            k = after
+        pivot = diag[j] - squares
         if pivot <= 0.0:
             return None
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            col = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-            col[np.abs(col) < drop_tol * col_norms[j]] = 0.0
-            lower[j + 1:, j] = col
-    return lower
+        ljj = math.sqrt(pivot)
+        # l_ij = (a_ij - sum) / l_jj, formed as -(sum - a_ij) / l_jj: the
+        # same number, and a fill entry's a_ij = 0 needs no lookup.
+        for i, a in zip(a_rows[lo:hi], a_vals[lo:hi]):
+            work[i] -= a
+        kept, tol = [], thresholds[j]
+        for i in pattern:
+            lij = -work[i] / ljj
+            if lij != 0.0 and abs(lij) >= tol:
+                work[i] = lij
+                kept.append(i)
+        kept.sort()
+        indices.append(j)
+        data.append(ljj)
+        if kept:
+            pos[j] = len(indices)
+            link[j], head[kept[0]] = head[kept[0]], j
+        indices.extend(kept)
+        data.extend([work[i] for i in kept])
+        indptr.append(len(indices))
+    return data, indices, indptr

@@ -197,7 +197,6 @@ class StructuredPrecond:
         self.aux = aux
         self.cols = cols
         self.bs = assemble_B(aux, cols)
-        self.n = aux.n
 
     def apply(self, r):
         h = _apply(self.bs, self.aux, r)
