@@ -68,6 +68,9 @@ class AlmConfig:
         if not self.drop_tol >= 0.0:
             raise ValueError("drop tolerance must be nonnegative, got %r"
                              % self.drop_tol)
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be at least 1, got %r"
+                             % self.max_outer)
 
     @property
     def effective_inner_tol(self):
@@ -108,14 +111,10 @@ def eval_al(p, x, lam, rho):
     + rho/2 sum_I [max(0, c + lam/rho)]^2."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    c = p.cons(x)
-    total = p.f(x)
-    for i, kind in enumerate(p.kinds):
-        shifted = c[i] + lam[i] / rho
-        if kind == "inequality":
-            shifted = max(0.0, shifted)
-        total += 0.5 * rho * shifted ** 2
-    return float(total)
+    shifted = p.cons(x) + lam / rho
+    shifted = np.where(p.equality, shifted, np.maximum(0.0, shifted))
+    # Left to right from f, the order the tests pin; np.sum is pairwise.
+    return float(sum((0.5 * rho * shifted ** 2).tolist(), p.f(x)))
 
 
 def shifted_multipliers(p, x, lam, rho, c=None):
@@ -123,10 +122,7 @@ def shifted_multipliers(p, x, lam, rho, c=None):
     if c is None:
         c = p.cons(x)
     lam_hat = lam + rho * c
-    for i, kind in enumerate(p.kinds):
-        if kind == "inequality":
-            lam_hat[i] = max(0.0, lam_hat[i])
-    return lam_hat
+    return np.where(p.equality, lam_hat, np.maximum(0.0, lam_hat))
 
 
 def eval_al_grad(p, x, lam, rho):
@@ -145,11 +141,9 @@ def eval_al_grad(p, x, lam, rho):
 
 @dataclass
 class HessianModel:
-    n: int
     m_part: SparseSymmetricMatrix
     sigma: float
     cols: ColumnSet
-    lam_hat: np.ndarray
 
     def apply(self, x):
         y = self.m_part.matvec(x)
@@ -197,18 +191,16 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     c = p.cons(x)
     lam_hat = shifted_multipliers(p, x, lam, rho, c)
     jac = p.jac_cols(x)
-    jac_list = [jac[:, i] for i in range(p.m)]
 
     if mode == "NW":
         dense_m = p.hess(x).copy()
-        for i in range(p.m):
-            if lam_hat[i] != 0.0:
-                h = p.cons_hess(i, x)
-                if h.any():
-                    dense_m += lam_hat[i] * h
+        for i in np.flatnonzero(lam_hat).tolist():
+            h = p.cons_hess(i, x)
+            if h.any():
+                dense_m += lam_hat[i] * h
         m_part = SparseSymmetricMatrix.from_dense(dense_m)
-        cols = build_column_set(jac_list, p.kinds, c, lam, rho, th, n=p.n)
-        return HessianModel(p.n, m_part, 0.0, cols, lam_hat)
+        cols = build_column_set(jac, p.equality, c, lam, rho, th)
+        return HessianModel(m_part, 0.0, cols)
 
     # QN mode
     hess_f = p.hess(x)
@@ -219,11 +211,11 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         ss = float(s @ s)
         if ss > 0.0:
             # Gauss-Newton product (hess f + rho J_A J_A') s over the
-            # equalities and active inequalities.
+            # equalities and active inequalities, accumulated column by
+            # column: one GEMV J_A (J_A' s) would round differently.
             gn_s = hess_f @ s
-            for i, kind in enumerate(p.kinds):
-                if kind == "equality" or lam_hat[i] > 0.0:
-                    gn_s = gn_s + rho * jac_list[i] * float(jac_list[i] @ s)
+            for i in np.flatnonzero(p.equality | (lam_hat > 0.0)):
+                gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
             sigma = max(float((y - gn_s) @ s) / ss, sigma_min)
 
     # The shift must leave M positive definite for the auxiliary factor;
@@ -238,9 +230,9 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
-    cols = build_column_set(jac_list, p.kinds, c, lam, rho, th,
-                            secant=secant_arg, n=p.n)
-    return HessianModel(p.n, m_part, sigma, cols, lam_hat)
+    cols = build_column_set(jac, p.equality, c, lam, rho, th,
+                            secant=secant_arg)
+    return HessianModel(m_part, sigma, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +276,8 @@ def kkt_multipliers(p, x, lam_bar, rho, c=None):
     active inequalities, zero otherwise."""
     if c is None:
         c = p.cons(x)
-    lam = np.zeros(p.m)
-    for i, kind in enumerate(p.kinds):
-        shifted = lam_bar[i] + rho * c[i]
-        if kind == "equality" or shifted > 0.0:
-            lam[i] = shifted
-    return lam
+    shifted = lam_bar + rho * c
+    return np.where(p.equality | (shifted > 0.0), shifted, 0.0)
 
 
 def kkt_residuals(p, x, lam):
@@ -304,16 +292,11 @@ def kkt_residuals(p, x, lam):
         grad_l += p.jac_cols(x) @ lam
     opt = float(np.max(
         np.abs(project_box(x - grad_l, p.lower, p.upper) - x), initial=0.0))
-    compl = 0.0
-    feas = 0.0
-    for i, kind in enumerate(p.kinds):
-        if kind == "equality":
-            compl = max(compl, abs(c[i]))
-            feas = max(feas, abs(c[i]))
-        else:
-            compl = max(compl, abs(min(-c[i], lam[i])))
-            feas = max(feas, max(0.0, c[i]))
-    return opt, float(compl), float(feas)
+    eq = p.equality
+    compl = np.where(eq, c, np.minimum(-c, lam))
+    feas = np.where(eq, np.abs(c), np.maximum(0.0, c))
+    return (opt, float(np.max(np.abs(compl), initial=0.0)),
+            float(np.max(feas, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +393,8 @@ def _restrict_model(model, free):
                          model.cols.signs[keep],
                          [model.cols.labels[j] for j in keep],
                          model.cols.notes)
-    return HessianModel(idx.size, model.m_part.submatrix(idx), model.sigma,
-                        cols_red, model.lam_hat), idx
+    return HessianModel(model.m_part.submatrix(idx), model.sigma,
+                        cols_red), idx
 
 
 def _free_system(manager, model, act):
@@ -545,6 +528,7 @@ def alm_solve(p, cfg=None):
     """Run the outer loop until the KKT tolerances hold or max_outer is
     reached."""
     cfg = cfg if cfg is not None else AlmConfig()
+    eq = p.equality
     manager = PrecondManager(cfg)
     x = project_box(p.x0.copy(), p.lower, p.upper)
     lam_bar = np.zeros(p.m)
@@ -553,8 +537,6 @@ def alm_solve(p, cfg=None):
     history = []
     totals = _SubStats()
     status = "no convergence"
-    lam_kkt = np.zeros(p.m)
-    outer = 0
 
     for outer in range(1, cfg.max_outer + 1):
         manager.notify_outer()
@@ -583,23 +565,15 @@ def alm_solve(p, cfg=None):
             status = "inner solver failure: line search"
             break
 
-        h_vals = np.array([c[i] for i, k in enumerate(p.kinds)
-                           if k == "equality"])
-        g_vals = np.array([c[i] for i, k in enumerate(p.kinds)
-                           if k == "inequality"])
-        eq_idx = [i for i, k in enumerate(p.kinds) if k == "equality"]
-        in_idx = [i for i, k in enumerate(p.kinds) if k == "inequality"]
-        lam_eq, mu_in = update_multipliers(
-            lam_bar[eq_idx], lam_bar[in_idx], rho, h_vals, g_vals)
-        rho, prev_measure = update_penalty(rho, prev_measure, h_vals,
-                                           g_vals, lam_bar[in_idx], cfg.tau,
-                                           cfg.gamma)
+        lam_eq, mu_in = update_multipliers(lam_bar[eq], lam_bar[~eq], rho,
+                                           c[eq], c[~eq])
+        rho, prev_measure = update_penalty(rho, prev_measure, c[eq], c[~eq],
+                                           lam_bar[~eq], cfg.tau, cfg.gamma)
         lam_eq, mu_in = safeguard(lam_eq, mu_in, cfg)
         lam_bar = lam_bar.copy()
-        lam_bar[eq_idx] = lam_eq
-        lam_bar[in_idx] = mu_in
+        lam_bar[eq] = lam_eq
+        lam_bar[~eq] = mu_in
 
-    opt, compl, feas = kkt_residuals(p, x, lam_kkt)
     return AlmReport(
         problem=p.name, status=status, x=x, multipliers=lam_kkt,
         f_value=p.f(x), rho_final=rho, outer_iterations=outer,

@@ -80,7 +80,12 @@ def condition_estimate(apply_op, n):
     singular to working precision."""
     if n > DENSE_LIMIT:
         raise ValueError("operator too large for dense estimation")
-    dense = materialize(apply_op, n)
+    return _kappa1(materialize(apply_op, n))
+
+
+def _kappa1(dense):
+    """||A||_1 ||A^-1||_1 of a dense matrix; +inf when singular to working
+    precision."""
     norm = float(np.abs(dense).sum(axis=0).max())
     try:
         inv = np.linalg.inv(dense)
@@ -153,22 +158,14 @@ def run_spectral_experiment(cfg):
     v_cols = random_constraints(m.n, cfg.m, cfg.seed)
     rows = []
     for drop_tol in cfg.drop_tol_list:
-        aux = build_aux(m, cfg.aux_kind,
-                        drop_tol if cfg.aux_kind == "incomplete-cholesky"
-                        else None)
+        aux = build_aux(m, cfg.aux_kind, drop_tol)
         for rho in cfg.rho_list:
             h_apply = _h_apply(m, v_cols, rho)
             sp = _structured(aux, v_cols, rho)
             kappa_h = condition_estimate(h_apply, m.n)
             pinv_h = materialize(
                 lambda x: sp.apply(h_apply(x)), m.n)
-            norm = float(np.abs(pinv_h).sum(axis=0).max())
-            try:
-                inv_norm = float(
-                    np.abs(np.linalg.inv(pinv_h)).sum(axis=0).max())
-                kappa_ph = norm * inv_norm
-            except np.linalg.LinAlgError:
-                kappa_ph = float("inf")
+            kappa_ph = _kappa1(pinv_h)
             eig_h = np.sort(np.linalg.eigvalsh(
                 materialize(h_apply, m.n)))
             eig_ph = np.sort(np.linalg.eigvals(pinv_h).real)
@@ -192,9 +189,7 @@ def run_linsys_experiment(cfg):
     maxit = 10 * m.n
     rows = []
     for drop_tol in cfg.drop_tol_list:
-        aux = build_aux(m, cfg.aux_kind,
-                        drop_tol if cfg.aux_kind == "incomplete-cholesky"
-                        else None)
+        aux = build_aux(m, cfg.aux_kind, drop_tol)
         for rho in cfg.rho_list:
             h_apply = _h_apply(m, v_cols, rho)
             sp = _structured(aux, v_cols, rho)

@@ -6,8 +6,7 @@ the (preconditioned) spectral projected gradient method for
 box-constrained sub-problems, and the projected line search both use.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,6 @@ class InnerConfig:
     grad_tol: float = 1e-7
     max_iterations: int = 500
     krylov_tol: float = 1e-8
-    krylov_maxit: Optional[int] = None
     memory: int = 10
     alpha_min: float = 1e-10
     alpha_max: float = 1e10
@@ -78,15 +76,16 @@ def spectral_steplength(s, y, bounds):
 def truncated_newton_step(model, grad, precond, cfg):
     """
     Solve the quadratic model H d = -grad inexactly: PCG first, MINRES
-    when CG detects an indefinite operator.  A non-descent result is
-    replaced by the steepest-descent direction.
+    when CG detects an indefinite operator, each with the Krylov default
+    of at most 10 n iterations.  A non-descent result is replaced by the
+    steepest-descent direction.
     """
     rhs = -np.asarray(grad, dtype=np.float64)
     used_precond = precond is not None
 
     def _run(solver, with_precond):
         return solver(model, precond if with_precond else None, rhs,
-                      tol=cfg.krylov_tol, maxit=cfg.krylov_maxit)
+                      tol=cfg.krylov_tol)
 
     try:
         report = _run(pcg, used_precond)

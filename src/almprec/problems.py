@@ -16,7 +16,9 @@ import numpy as np
 class NlpProblem:
     """
     Evaluation contract for minimize f(x) s.t. c_i(x) (= 0 | <= 0),
-    l <= x <= u.  All callables are pure.
+    l <= x <= u.  All callables are pure.  The kinds are checked once, at
+    construction, into the boolean mask `equality`; the solver reads only
+    the mask.
     """
     name: str
     n: int
@@ -32,8 +34,10 @@ class NlpProblem:
     upper: Optional[np.ndarray] = None
     solution: Optional[np.ndarray] = None
     f_star: Optional[float] = None
+    equality: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.equality = equality_mask(self.kinds)
         self.x0 = np.asarray(self.x0, dtype=np.float64)
         if self.lower is None:
             self.lower = np.full(self.n, -np.inf)
@@ -47,6 +51,19 @@ class NlpProblem:
     @property
     def m(self):
         return len(self.kinds)
+
+
+def equality_mask(kinds):
+    """Read-only boolean mask, True where kinds[i] is "equality".  Any kind
+    other than "equality" or "inequality" raises ValueError naming it."""
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in ("equality", "inequality"):
+            raise ValueError("unknown constraint kind %r; expected "
+                             "'equality' or 'inequality'" % (kind,))
+    mask = np.array([kind == "equality" for kind in kinds], dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _no_cons(_x):

@@ -208,10 +208,12 @@ class StructuredPrecond:
         return h + _apply(self.bs, self.aux, resid)
 
 
-def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,
-                     secant=None, n=None):
+def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
+                     secant=None):
     """
-    Assemble the preconditioner columns from constraint data.
+    Assemble the preconditioner columns from constraint data: `jacobian`
+    is n x m with column i the gradient of c_i, and `equality` is the
+    problem's boolean mask of equality constraints.
 
     Keeps equality columns always and inequality columns only while their
     shifted multiplier is positive; relaxes columns that are small in both
@@ -221,46 +223,31 @@ def build_column_set(jacobian_cols, kinds, c_vals, multipliers, rho, th,
     condition holds.  `secant` is (s, y, w) with w = H+ s, the model's
     Hessian without the secant correction applied to the step s.
     """
-    jacobian_cols = [np.asarray(c, dtype=np.float64) for c in jacobian_cols]
+    jacobian = np.asarray(jacobian, dtype=np.float64)
+    equality = np.asarray(equality, dtype=bool)
     c_vals = np.asarray(c_vals, dtype=np.float64)
     multipliers = np.asarray(multipliers, dtype=np.float64)
-    if not (len(jacobian_cols) == len(kinds) == c_vals.size
-            == multipliers.size):
+    if not (jacobian.ndim == 2 and jacobian.shape[1] == equality.size
+            == c_vals.size == multipliers.size):
         raise ValueError("constraint data lengths disagree")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if n is None:
-        if jacobian_cols:
-            n = jacobian_cols[0].size
-        elif secant is not None:
-            n = np.asarray(secant[0]).size
-        else:
-            raise ValueError("cannot infer dimension without columns")
+    n = jacobian.shape[0]
 
-    kept = []
-    for i, kind in enumerate(kinds):
-        if kind == "equality":
-            infeas = abs(float(c_vals[i]))
-        elif kind == "inequality":
-            if multipliers[i] + rho * c_vals[i] <= 0.0:
-                continue
-            infeas = max(0.0, float(c_vals[i]))
-        else:
-            raise ValueError("unknown constraint kind %r" % (kind,))
-        norm = float(np.linalg.norm(jacobian_cols[i]))
-        if norm <= th.eps_v and infeas <= th.eps_c:
-            continue
-        kept.append((i, infeas, norm))
-    kept.sort(key=lambda t: (-t[1], -t[2], t[0]))
+    idx = np.flatnonzero(equality | (multipliers + rho * c_vals > 0.0))
+    infeas = np.where(equality, np.abs(c_vals),
+                      np.maximum(0.0, c_vals))[idx]
+    norm = np.array([np.linalg.norm(jacobian[:, i]) for i in idx])
+    keep = (norm > th.eps_v) | (infeas > th.eps_c)
+    idx, infeas, norm = idx[keep], infeas[keep], norm[keep]
+    labels = idx[np.lexsort((idx, -norm, -infeas))].tolist()
 
-    columns = [np.sqrt(rho) * jacobian_cols[i] for i, _, _ in kept]
+    columns = [np.sqrt(rho) * jacobian[:, i] for i in labels]
     signs = [1.0] * len(columns)
-    labels = [i for i, _, _ in kept]
     notes = []
 
     if secant is not None:
         s, y, w = (np.asarray(a, dtype=np.float64) for a in secant)
-        n = s.size
         sy = float(s @ y)
         if sy >= 1e-8 * np.linalg.norm(s) * np.linalg.norm(y) and sy > 0.0:
             sw = float(s @ w)

@@ -69,6 +69,80 @@ class TestMerit:
         assert lam_hat[0] == 0.0
 
 
+# The per-constraint loops that the vectorised functions replaced, kept
+# as the reference they must match bit for bit.
+
+def _loop_eval_al(p, x, lam, rho):
+    c = p.cons(x)
+    total = p.f(x)
+    for i, kind in enumerate(p.kinds):
+        shifted = c[i] + lam[i] / rho
+        if kind == "inequality":
+            shifted = max(0.0, shifted)
+        total += 0.5 * rho * shifted ** 2
+    return float(total)
+
+
+def _loop_shifted_multipliers(p, x, lam, rho):
+    lam_hat = lam + rho * p.cons(x)
+    for i, kind in enumerate(p.kinds):
+        if kind == "inequality":
+            lam_hat[i] = max(0.0, lam_hat[i])
+    return lam_hat
+
+
+def _loop_kkt_multipliers(p, x, lam_bar, rho):
+    c = p.cons(x)
+    lam = np.zeros(p.m)
+    for i, kind in enumerate(p.kinds):
+        shifted = lam_bar[i] + rho * c[i]
+        if kind == "equality" or shifted > 0.0:
+            lam[i] = shifted
+    return lam
+
+
+def _loop_kkt_residuals(p, x, lam):
+    c = p.cons(x)
+    grad_l = p.grad(x).copy()
+    if p.m:
+        grad_l += p.jac_cols(x) @ lam
+    opt = float(np.max(
+        np.abs(alm.project_box(x - grad_l, p.lower, p.upper) - x),
+        initial=0.0))
+    compl = 0.0
+    feas = 0.0
+    for i, kind in enumerate(p.kinds):
+        if kind == "equality":
+            compl = max(compl, abs(c[i]))
+            feas = max(feas, abs(c[i]))
+        else:
+            compl = max(compl, abs(min(-c[i], lam[i])))
+            feas = max(feas, max(0.0, c[i]))
+    return opt, float(compl), float(feas)
+
+
+@pytest.mark.parametrize("name", ["C4-SYN", "HS63"])
+def test_vectorised_constraint_terms_match_the_loops(name):
+    """C4-SYN mixes both kinds and has m = 10, past the length where a
+    pairwise sum would round differently; HS63 has a nonlinear equality."""
+    rng = np.random.default_rng(10)
+    p = get_problem(name)
+    for _ in range(20):
+        x = rng.standard_normal(p.n) * 2.0
+        lam = rng.standard_normal(p.m) * 3.0
+        rho = float(10.0 ** rng.uniform(-1, 3))
+        assert eval_al(p, x, lam, rho) == _loop_eval_al(p, x, lam, rho)
+        for got, want in (
+                (shifted_multipliers(p, x, lam, rho),
+                 _loop_shifted_multipliers(p, x, lam, rho)),
+                (kkt_multipliers(p, x, lam, rho),
+                 _loop_kkt_multipliers(p, x, lam, rho))):
+            assert got.tobytes() == want.tobytes()
+        lam_kkt = kkt_multipliers(p, x, lam, rho)
+        assert kkt_residuals(p, x, lam_kkt) \
+            == _loop_kkt_residuals(p, x, lam_kkt)
+
+
 class TestHessianModel:
     def test_nw_matvec_matches_merit_hessian(self):
         rng = np.random.default_rng(1)
@@ -471,6 +545,10 @@ class TestAlmSolve:
         rep = alm_solve(get_problem("EQ-QP"), AlmConfig(rho1=1e-3,
                                                         max_outer=30))
         assert rep.rho_final > 1e-3
+
+    def test_config_rejects_max_outer_below_one(self):
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            AlmConfig(max_outer=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

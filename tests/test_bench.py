@@ -225,6 +225,14 @@ class TestCli:
         assert ("%s:2: bad value for 'alm.drop_tol': drop tolerance must be "
                 "nonnegative" % conf) in err
 
+    def test_zero_max_outer_names_key_and_line(self, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = EQ-QP\nalm.max_outer = 0\n")
+        rc = main(["solve", "--config", str(conf)])
+        assert rc == 2
+        assert ("%s:2: bad value for 'alm.max_outer': max_outer must be at "
+                "least 1" % conf) in capsys.readouterr().err
+
     def test_same_seed_byte_identical(self, tmp_path):
         conf = tmp_path / "bench.conf"
         conf.write_text("n = 10\nm = 2\nrho_list = 1.0,10.0\n")

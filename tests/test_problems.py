@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from almprec.problems import get_problem, problem_names
+from almprec.problems import (NlpProblem, equality_mask, get_problem,
+                              problem_names)
 
 
 def central_diff(fun, x, h=1e-6):
@@ -79,6 +80,21 @@ def test_known_solution_is_feasible_and_matches_f_star(name):
         else:
             assert c[i] < 1e-6
     assert p.f(x) == pytest.approx(p.f_star, abs=1e-6)
+
+
+def test_equality_mask_marks_equalities():
+    mask = equality_mask(("equality", "inequality", "equality"))
+    assert mask.dtype == bool and mask.tolist() == [True, False, True]
+    assert equality_mask(()).shape == (0,)
+    assert not mask.flags.writeable
+
+
+def test_unknown_constraint_kind_rejected_at_construction():
+    p = get_problem("EQ-QP")
+    with pytest.raises(ValueError, match="unknown constraint kind 'equalty'"):
+        NlpProblem(name=p.name, n=p.n, x0=p.x0, kinds=("equalty",), f=p.f,
+                   grad=p.grad, hess=p.hess, cons=p.cons,
+                   jac_cols=p.jac_cols, cons_hess=p.cons_hess)
 
 
 def test_unknown_problem_lists_available():

@@ -324,53 +324,102 @@ class TestColumnSet:
         np.testing.assert_array_equal(sp.apply(r), before)
 
 
+EQ = (True,)
+IN = (False,)
+
+
+def _loop_column_set(jacobian, equality, c_vals, multipliers, rho, th):
+    """Labels and columns of the per-constraint loop that build_column_set
+    replaced, kept as its reference."""
+    kept = []
+    for i in range(jacobian.shape[1]):
+        if equality[i]:
+            infeas = abs(float(c_vals[i]))
+        else:
+            if multipliers[i] + rho * c_vals[i] <= 0.0:
+                continue
+            infeas = max(0.0, float(c_vals[i]))
+        norm = float(np.linalg.norm(jacobian[:, i]))
+        if norm <= th.eps_v and infeas <= th.eps_c:
+            continue
+        kept.append((i, infeas, norm))
+    kept.sort(key=lambda t: (-t[1], -t[2], t[0]))
+    labels = [i for i, _, _ in kept]
+    columns = [np.sqrt(rho) * jacobian[:, i] for i in labels]
+    return (tuple(labels), np.column_stack(columns) if columns
+            else np.zeros((jacobian.shape[0], 0)))
+
+
 class TestBuildColumnSet:
     th = UpdateThresholds()
 
     def test_equality_always_kept(self):
-        cols = build_column_set([np.array([1.0, 0.0])], ("equality",),
-                                [0.0], [0.0], 2.0, self.th)
+        cols = build_column_set([[1.0], [0.0]], EQ, [0.0], [0.0], 2.0,
+                                self.th)
         assert cols.m == 1
         np.testing.assert_allclose(cols.columns[:, 0],
                                    np.sqrt(2.0) * np.array([1.0, 0.0]))
 
     def test_inactive_inequality_dropped(self):
         # mu + rho c <= 0 -> inactive.
-        cols = build_column_set([np.array([1.0, 0.0])], ("inequality",),
-                                [-1.0], [0.0], 2.0, self.th)
+        cols = build_column_set([[1.0], [0.0]], IN, [-1.0], [0.0], 2.0,
+                                self.th)
         assert cols.m == 0
 
     def test_active_inequality_kept(self):
-        cols = build_column_set([np.array([1.0, 0.0])], ("inequality",),
-                                [0.5], [0.0], 2.0, self.th)
+        cols = build_column_set([[1.0], [0.0]], IN, [0.5], [0.0], 2.0,
+                                self.th)
         assert cols.m == 1
 
     def test_relaxation_needs_both_small(self):
-        tiny_grad = np.array([1e-4, 0.0])
+        tiny_grad = [[1e-4], [0.0]]
         # Small gradient but large infeasibility: kept.
-        cols = build_column_set([tiny_grad], ("equality",), [1.0], [0.0],
-                                1.0, self.th)
+        cols = build_column_set(tiny_grad, EQ, [1.0], [0.0], 1.0, self.th)
         assert cols.m == 1
         # Small gradient and small infeasibility: relaxed away.
-        cols = build_column_set([tiny_grad], ("equality",), [1e-4], [0.0],
-                                1.0, self.th)
+        cols = build_column_set(tiny_grad, EQ, [1e-4], [0.0], 1.0, self.th)
         assert cols.m == 0
 
     def test_ordering_by_infeasibility_then_norm(self):
-        jac = [np.array([1.0, 0.0]), np.array([0.0, 2.0]),
-               np.array([1.0, 1.0])]
-        kinds = ("equality", "equality", "equality")
-        cols = build_column_set(jac, kinds, [0.5, 2.0, 0.5], [0.0] * 3,
+        jac = np.column_stack([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        cols = build_column_set(jac, EQ * 3, [0.5, 2.0, 0.5], [0.0] * 3,
                                 1.0, self.th)
         # Highest infeasibility first, then larger norm among ties.
         assert cols.labels == (1, 2, 0)
+
+    def test_matches_the_per_constraint_loop(self):
+        """Mixed kinds, tied infeasibilities and norms, relaxed columns:
+        the same labels, in the same order, and the same column bytes."""
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            n, m = 6, 12
+            jac = rng.integers(-1, 2, (n, m)) * rng.choice([1.0, 1e-4], m)
+            equality = rng.random(m) < 0.4
+            c_vals = rng.choice([-1.0, -1e-4, 0.0, 1e-4, 0.5, 1.0], m)
+            multipliers = rng.choice([0.0, 0.2, 1.0], m)
+            rho = float(rng.choice([0.5, 1.0, 10.0]))
+            cols = build_column_set(jac, equality, c_vals, multipliers, rho,
+                                    self.th)
+            labels, columns = _loop_column_set(jac, equality, c_vals,
+                                               multipliers, rho, self.th)
+            assert cols.labels == labels
+            assert cols.columns.tobytes() == columns.tobytes()
+
+    def test_dimension_from_jacobian_rows(self):
+        cols = build_column_set(np.zeros((3, 0)), (), [], [], 1.0, self.th)
+        assert cols.n == 3 and cols.columns.shape == (3, 0)
+
+    def test_jacobian_must_be_n_by_m(self):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            build_column_set(np.ones((1, 2)), EQ, [0.0], [0.0], 1.0,
+                             self.th)
 
     def test_secant_columns_appended_with_signs(self):
         s = np.array([1.0, 0.0])
         y = np.array([2.0, 0.0])
         w = 3.0 * s
-        cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th, secant=(s, y, w))
+        cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
+                                self.th, secant=(s, y, w))
         assert cols.labels[-2:] == (LABEL_BFGS_Y, LABEL_BFGS_W)
         assert cols.signs[-2] == 1.0 and cols.signs[-1] == -1.0
         # y column scaled by sqrt(1/s'y), w column by sqrt(1/s'w).
@@ -382,15 +431,15 @@ class TestBuildColumnSet:
     def test_secant_skipped_on_negative_curvature(self):
         s = np.array([1.0, 0.0])
         y = -s
-        cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th, secant=(s, y, s))
+        cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
+                                self.th, secant=(s, y, s))
         assert cols.m == 1
 
     def test_secant_correction_skipped_note(self):
         s = np.array([1.0, 0.0])
         y = s.copy()
-        cols = build_column_set([np.ones(2)], ("equality",), [0.1], [0.0],
-                                1.0, self.th, secant=(s, y, -s))
+        cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
+                                self.th, secant=(s, y, -s))
         assert "correction skipped" in cols.notes
         assert cols.m == 1
 
@@ -406,8 +455,8 @@ class TestBuildColumnSet:
         if float(s @ y) <= 0:
             y = h_dense @ s
         w = h_dense @ s
-        cols = build_column_set([], (), [], [], 1.0, self.th,
-                                secant=(s, y, w), n=n)
+        cols = build_column_set(np.zeros((n, 0)), (), [], [], 1.0, self.th,
+                                secant=(s, y, w))
         aux = build_aux(m, "exact-dense")
         sp = StructuredPrecond(aux, cols)
         target = (h_dense + np.outer(y, y) / float(s @ y)
@@ -415,10 +464,6 @@ class TestBuildColumnSet:
         r = rng.standard_normal(n)
         np.testing.assert_allclose(sp.apply(r),
                                    np.linalg.solve(target, r), rtol=1e-8)
-
-    def test_empty_problem_requires_dimension(self):
-        with pytest.raises(ValueError, match="dimension"):
-            build_column_set([], (), [], [], 1.0, self.th)
 
 
 class TestDecideUpdate:
