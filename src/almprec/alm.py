@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .auxprecond import KINDS, FactorizationError, build_aux
 from .inner import (InnerConfig, active_bound_mask, project_box,
-                    projected_search, spg_solve, truncated_newton_step)
+                    projected_descent, spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
@@ -239,45 +239,23 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 # Outer-iteration updates
 # ---------------------------------------------------------------------------
 
-def update_multipliers(lam_bar, mu_bar, rho, h_vals, g_vals):
-    """Step 3: lam = lam_bar + rho h; mu = (mu_bar + rho g)_+ ."""
-    lam = lam_bar + rho * np.asarray(h_vals, dtype=np.float64)
-    mu = np.maximum(0.0, mu_bar + rho * np.asarray(g_vals, dtype=np.float64))
-    return lam, mu
-
-
-def progress_measure(h_vals, g_vals, mu_bar, rho):
-    """max of ||h||_inf and ||min(-g, mu_bar/rho)||_inf."""
-    parts = [np.max(np.abs(h_vals), initial=0.0)]
-    if len(g_vals):
-        v = np.minimum(-np.asarray(g_vals), np.asarray(mu_bar) / rho)
-        parts.append(np.max(np.abs(v), initial=0.0))
-    return float(max(parts))
-
-
-def update_penalty(rho, prev_measure, h_vals, g_vals, mu_bar, tau, gamma):
+def update_penalty(rho, prev_measure, c, lam_bar, equality, tau, gamma):
     """Step 4: keep rho on sufficient progress, else multiply by gamma.
-    Returns (rho_new, measure)."""
-    measure = progress_measure(h_vals, g_vals, mu_bar, rho)
+    The progress measure is the largest of |c| over the equalities and
+    |min(-c, lam_bar/rho)| over the inequalities.  Returns
+    (rho_new, measure)."""
+    measure = float(np.max(np.abs(
+        np.where(equality, c, np.minimum(-c, lam_bar / rho))), initial=0.0))
     if prev_measure is None or measure <= tau * prev_measure:
         return rho, measure
     return rho * gamma, measure
 
 
-def safeguard(lam, mu, cfg):
-    """Step 5: clamp lam into [lam_min, lam_max] and mu into [0, mu_max]."""
-    lam_bar = np.clip(lam, cfg.lam_min, cfg.lam_max)
-    mu_bar = np.clip(mu, 0.0, cfg.mu_max)
-    return lam_bar, mu_bar
-
-
-def kkt_multipliers(p, x, lam_bar, rho, c=None):
-    """Piecewise multiplier estimate: shifted value for equalities and
-    active inequalities, zero otherwise."""
-    if c is None:
-        c = p.cons(x)
-    shifted = lam_bar + rho * c
-    return np.where(p.equality | (shifted > 0.0), shifted, 0.0)
+def safeguard(lam_hat, equality, cfg):
+    """Step 5: clamp the shifted multipliers into [lam_min, lam_max] on
+    the equalities and into [0, mu_max] on the inequalities."""
+    return np.clip(lam_hat, np.where(equality, cfg.lam_min, 0.0),
+                   np.where(equality, cfg.lam_max, cfg.mu_max))
 
 
 def kkt_residuals(p, x, lam):
@@ -397,23 +375,14 @@ def _restrict_model(model, free):
                         cols_red), idx
 
 
-def _free_system(manager, model, act):
-    """(model, preconditioner, idx) on the variables that the mask `act`
-    leaves free: the model restricted to them and a preconditioner built
-    on that reduced system, so it inverts the reduced matrix rather than
-    restricting the full-space inverse.  idx is None when nothing is
-    pinned; then the model is the full one."""
-    if not np.any(act):
-        return model, manager.get(model), None
-    reduced, idx = _restrict_model(model, ~act)
-    return reduced, manager.get(reduced, free=tuple(idx.tolist())), idx
+# ---------------------------------------------------------------------------
+# Sub-problems
+# ---------------------------------------------------------------------------
 
-
-class _SpgPrecondProvider:
-    """Adapts the manager to the spg_solve provider contract.  The
-    preconditioner comes from `_free_system` for the bounds that the
-    gradient spg_solve passes in pins, and is scattered back to the full
-    space with zeros on the pinned components."""
+class _Subproblem:
+    """One ALM sub-problem: the merit, its gradient, and the Hessian model
+    with its preconditioner on the free variables.  Its .get is the
+    spg_solve provider contract."""
 
     def __init__(self, p, lam_bar, rho, cfg, manager):
         self.p = p
@@ -422,13 +391,34 @@ class _SpgPrecondProvider:
         self.cfg = cfg
         self.manager = manager
 
-    def get(self, z, g, s, y):
+    def merit(self, z):
+        return eval_al(self.p, z, self.lam_bar, self.rho)
+
+    def grad(self, z):
+        return eval_al_grad(self.p, z, self.lam_bar, self.rho)
+
+    def free_system(self, z, g, s, y):
+        """(model, preconditioner, idx): the Hessian model at z with the
+        secant pair (s, y), restricted to the variables idx that the
+        gradient g leaves free, and a preconditioner that inverts that
+        reduced matrix rather than restricting the full-space inverse.
+        idx is None when nothing is pinned; then the model is the full
+        one."""
         secant = (s, y) if s is not None else None
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
                               secant=secant, sigma_min=self.cfg.sigma_min)
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
-        _, precond, idx = _free_system(self.manager, model, act)
+        if not np.any(act):
+            return model, self.manager.get(model), None
+        reduced, idx = _restrict_model(model, ~act)
+        return (reduced,
+                self.manager.get(reduced, free=tuple(idx.tolist())), idx)
+
+    def get(self, z, g, s, y):
+        """The free-system preconditioner, scattered back to the full
+        space with zeros on the pinned components."""
+        _, precond, idx = self.free_system(z, g, s, y)
         if idx is None:
             return precond
         n = self.p.n
@@ -440,83 +430,43 @@ class _SpgPrecondProvider:
         return apply
 
 
-# ---------------------------------------------------------------------------
-# Sub-problem drivers
-# ---------------------------------------------------------------------------
-
 @dataclass
 class _SubStats:
     iterations: int = 0
     krylov_precond: int = 0
     krylov_plain: int = 0
-    status: str = "ok"
+    status: str = ""  # the inner solver's SpgResult status
 
 
-def _solve_truncated_newton(p, x, lam_bar, rho, cfg, manager):
+def _solve_subproblem(p, x, lam_bar, rho, cfg, manager):
+    """Minimise the merit over the box from x with the configured inner
+    solver.  Returns (x, stats)."""
     icfg = replace(cfg.inner, grad_tol=cfg.effective_inner_tol)
+    sub = _Subproblem(p, lam_bar, rho, cfg, manager)
     stats = _SubStats()
-    z = project_box(x, p.lower, p.upper)
-    g = eval_al_grad(p, z, lam_bar, rho)
 
-    def merit(v):
-        return eval_al(p, v, lam_bar, rho)
-    f_memory = [merit(z)]
-    s_prev = y_prev = None
-
-    for _ in range(icfg.max_iterations):
-        pg = project_box(z - g, p.lower, p.upper) - z
-        if np.max(np.abs(pg), initial=0.0) <= icfg.grad_tol:
-            break
-        stats.iterations += 1
-
-        secant = (s_prev, y_prev) if s_prev is not None else None
-        model = hessian_model(p, z, lam_bar, rho, cfg.hessian_mode,
-                              cfg.thresholds, secant=secant,
-                              sigma_min=cfg.sigma_min)
+    def tn_direction(z, g, pg, s, y):
         # Bound-pinned components take the raw gradient (clipped by the
         # projection); the model is solved on the free variables only.
-        act = active_bound_mask(z, g, p.lower, p.upper)
-        sub_model, precond, idx = _free_system(manager, model, act)
+        model, precond, idx = sub.free_system(z, g, s, y)
         free = slice(None) if idx is None else idx
-        step = truncated_newton_step(sub_model, g[free], precond, icfg)
-        d = -g
-        d[free] = step.direction
+        step = truncated_newton_step(model, g[free], precond, icfg)
         if step.preconditioned:
             stats.krylov_precond += step.krylov_iterations
         else:
             stats.krylov_plain += step.krylov_iterations
-        f_ref = max(f_memory)
-        found = projected_search(merit, z, d, g, f_ref, p.lower, p.upper,
-                                 icfg)
-        if found is None:
-            # Retry once along the projected gradient.
-            found = projected_search(merit, z, pg, g, f_ref, p.lower,
-                                     p.upper, icfg)
-        if found is None:
-            stats.status = "line-search-failure"
-            break
-        trial, f_trial = found
+        d = -g
+        d[free] = step.direction
+        return d
 
-        g_trial = eval_al_grad(p, trial, lam_bar, rho)
-        s_prev = trial - z
-        y_prev = g_trial - g
-        z, g = trial, g_trial
-        f_memory.append(f_trial)
-        if len(f_memory) > icfg.memory:
-            f_memory.pop(0)
-    return z, stats
-
-
-def _solve_spg(p, x, lam_bar, rho, cfg, manager, preconditioned):
-    icfg = replace(cfg.inner, grad_tol=cfg.effective_inner_tol)
-    provider = (_SpgPrecondProvider(p, lam_bar, rho, cfg, manager)
-                if preconditioned else None)
-    result = spg_solve(lambda z: eval_al(p, z, lam_bar, rho),
-                       lambda z: eval_al_grad(p, z, lam_bar, rho),
-                       p.lower, p.upper, x, icfg, precond=provider)
-    stats = _SubStats(iterations=result.iterations)
-    if result.status == "line-search-failure":
-        stats.status = result.status
+    if cfg.inner_solver == "truncated-newton":
+        result = projected_descent(sub.merit, sub.grad, p.lower, p.upper, x,
+                                   icfg, tn_direction)
+    else:
+        result = spg_solve(sub.merit, sub.grad, p.lower, p.upper, x, icfg,
+                           precond=sub if cfg.inner_solver == "pspg"
+                           else None)
+    stats.iterations, stats.status = result.iterations, result.status
     return result.x, stats
 
 
@@ -528,7 +478,6 @@ def alm_solve(p, cfg=None):
     """Run the outer loop until the KKT tolerances hold or max_outer is
     reached."""
     cfg = cfg if cfg is not None else AlmConfig()
-    eq = p.equality
     manager = PrecondManager(cfg)
     x = project_box(p.x0.copy(), p.lower, p.upper)
     lam_bar = np.zeros(p.m)
@@ -540,20 +489,16 @@ def alm_solve(p, cfg=None):
 
     for outer in range(1, cfg.max_outer + 1):
         manager.notify_outer()
-        if cfg.inner_solver == "truncated-newton":
-            x, stats = _solve_truncated_newton(p, x, lam_bar, rho, cfg,
-                                               manager)
-        else:
-            x, stats = _solve_spg(p, x, lam_bar, rho, cfg, manager,
-                                  preconditioned=(cfg.inner_solver
-                                                  == "pspg"))
+        x, stats = _solve_subproblem(p, x, lam_bar, rho, cfg, manager)
         totals.iterations += stats.iterations
         totals.krylov_precond += stats.krylov_precond
         totals.krylov_plain += stats.krylov_plain
 
+        # Step 3's shifted multipliers serve the KKT test, the report and
+        # the safeguarded update alike.
         c = p.cons(x)
-        lam_kkt = kkt_multipliers(p, x, lam_bar, rho, c)
-        opt, compl, feas = kkt_residuals(p, x, lam_kkt)
+        lam_hat = shifted_multipliers(p, x, lam_bar, rho, c)
+        opt, compl, feas = kkt_residuals(p, x, lam_hat)
         history.append({"outer": outer, "rho": rho, "f": p.f(x),
                         "opt": opt, "compl": compl, "feas": feas,
                         "inner": stats.iterations})
@@ -565,17 +510,12 @@ def alm_solve(p, cfg=None):
             status = "inner solver failure: line search"
             break
 
-        lam_eq, mu_in = update_multipliers(lam_bar[eq], lam_bar[~eq], rho,
-                                           c[eq], c[~eq])
-        rho, prev_measure = update_penalty(rho, prev_measure, c[eq], c[~eq],
-                                           lam_bar[~eq], cfg.tau, cfg.gamma)
-        lam_eq, mu_in = safeguard(lam_eq, mu_in, cfg)
-        lam_bar = lam_bar.copy()
-        lam_bar[eq] = lam_eq
-        lam_bar[~eq] = mu_in
+        rho, prev_measure = update_penalty(rho, prev_measure, c, lam_bar,
+                                           p.equality, cfg.tau, cfg.gamma)
+        lam_bar = safeguard(lam_hat, p.equality, cfg)
 
     return AlmReport(
-        problem=p.name, status=status, x=x, multipliers=lam_kkt,
+        problem=p.name, status=status, x=x, multipliers=lam_hat,
         f_value=p.f(x), rho_final=rho, outer_iterations=outer,
         inner_iterations=totals.iterations,
         krylov_precond=totals.krylov_precond,

@@ -1,9 +1,12 @@
 """
 inner.py
 
-Sub-problem solvers: a Truncated Newton step built on the Krylov solvers,
-the (preconditioned) spectral projected gradient method for
-box-constrained sub-problems, and the projected line search both use.
+Solvers for box-constrained sub-problems.  `projected_descent` is the
+one nonmonotone projected iteration, with the projected line search
+`projected_search`; a solver supplies only its search direction.
+`spg_solve` supplies the (preconditioned) spectral projected gradient
+direction, and the ALM's truncated Newton direction comes from
+`truncated_newton_step`, built on the Krylov solvers.
 """
 
 from dataclasses import dataclass
@@ -139,22 +142,21 @@ def projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg):
     return None
 
 
-def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
+def projected_descent(f_eval, grad_eval, lower, upper, x0, cfg, direction):
     """
-    Spectral projected gradient with nonmonotone line search
-    (`projected_search`) along d = P_box(x - alpha D grad) - x,
-    D = identity or the preconditioner, retried along the projected
-    gradient.  `precond` is a static operator or a provider whose
-    .get(x, g, s, y) receives the current gradient g.  Terminates when
-    ||P_box(x - grad) - x||_inf <= cfg.grad_tol.
+    The nonmonotone projected descent loop both inner solvers share.
+    Each iteration asks `direction(x, g, pg, s, y)` for a step d, with g
+    the gradient at x, pg = P_box(x - g) - x and (s, y) the previous
+    step and gradient change (None on the first call), then runs
+    `projected_search` along d against the largest of the last
+    cfg.memory merit values, retried along pg.  Terminates when
+    ||pg||_inf <= cfg.grad_tol.
     """
     x = project_box(np.asarray(x0, dtype=np.float64), lower, upper)
     fx = f_eval(x)
     g = grad_eval(x)
     f_memory = [fx]
-    s_prev = y_prev = None
-    alpha_bb = None      # plain spectral coefficient
-    alpha_p = 1.0        # coefficient in the preconditioned metric
+    s = y = None
     status = "max-iterations"
     iterations = 0
 
@@ -164,11 +166,64 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
             status = "converged"
             break
         iterations += 1
-        if alpha_bb is None:
+        d = direction(x, g, pg, s, y)
+        f_ref = max(f_memory)
+        found = projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg)
+        if found is None:
+            # Retry along the projected gradient with a fresh line search.
+            found = projected_search(f_eval, x, pg, g, f_ref, lower, upper,
+                                     cfg)
+        if found is None:
+            status = "line-search-failure"
+            break
+        trial, fx = found
+        g_trial = grad_eval(trial)
+        s = trial - x
+        y = g_trial - g
+        x, g = trial, g_trial
+        f_memory.append(fx)
+        if len(f_memory) > cfg.memory:
+            f_memory.pop(0)
+
+    return SpgResult(x, iterations, status, fx)
+
+
+def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
+    """
+    Spectral projected gradient: `projected_descent` along
+    d = P_box(x - alpha D grad) - x, D = identity or the preconditioner.
+    `precond` is a static operator or a provider whose .get(x, g, s, y)
+    receives the current gradient g.  Each direction first updates the
+    spectral coefficients from the previous step (s, y): alpha_bb =
+    s's / s'y, and alpha_p = s'y / y'Dy with the previous step's D.
+    """
+    alpha_bb = None      # plain spectral coefficient
+    alpha_p = 1.0        # coefficient in the preconditioned metric
+    apply_p = None       # the previous step's preconditioner
+
+    def direction(x, g, pg, s, y):
+        nonlocal alpha_bb, alpha_p, apply_p
+        if s is None:
             alpha_bb = min(cfg.alpha_max,
                            max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
+        else:
+            sy = float(s @ y)
+            ss = float(s @ s)
+            if sy > 1e-14 * max(ss, 1e-300):
+                alpha_bb = float(np.clip(ss / sy, cfg.alpha_min,
+                                         cfg.alpha_max))
+                if apply_p is not None:
+                    # alpha_p is 1 when D inverts the local Hessian
+                    # exactly, so it is trusted only within a moderate
+                    # band around 1.
+                    ypy = float(y @ apply_p(y))
+                    if ypy > 0.0:
+                        alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
+            elif sy <= 0.0 and ss > 0.0:
+                alpha_bb = cfg.alpha_max
+            # On degenerate (near-zero) steps both coefficients are kept.
 
-        apply_p = _resolve_precond(precond, x, g, s_prev, y_prev)
+        apply_p = _resolve_precond(precond, x, g, s, y)
         d = None
         if apply_p is not None:
             # Two-metric safeguard: precondition only the free variables;
@@ -182,40 +237,7 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
                 d = None
         if d is None:
             d = project_box(x - alpha_bb * g, lower, upper) - x
+        return d
 
-        f_ref = max(f_memory)
-        found = projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg)
-        if found is None:
-            # Retry along the projected gradient with a fresh line search.
-            found = projected_search(f_eval, x, pg, g, f_ref, lower, upper,
-                                     cfg)
-        if found is None:
-            status = "line-search-failure"
-            break
-        trial, f_trial = found
-
-        g_trial = grad_eval(trial)
-        s_prev = trial - x
-        y_prev = g_trial - g
-        sy = float(s_prev @ y_prev)
-        ss = float(s_prev @ s_prev)
-        if sy > 1e-14 * max(ss, 1e-300):
-            alpha_bb = float(np.clip(ss / sy, cfg.alpha_min, cfg.alpha_max))
-            if apply_p is not None:
-                # Spectral coefficient in the preconditioned metric:
-                # equals 1 when D inverts the local Hessian exactly, so it
-                # is trusted only within a moderate band around 1.
-                ypy = float(y_prev @ apply_p(y_prev))
-                if ypy > 0.0:
-                    alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
-        elif sy <= 0.0 and ss > 0.0:
-            alpha_bb = cfg.alpha_max
-        # On degenerate (near-zero) steps both coefficients are kept.
-        x = trial
-        fx = f_trial
-        g = g_trial
-        f_memory.append(fx)
-        if len(f_memory) > cfg.memory:
-            f_memory.pop(0)
-
-    return SpgResult(x, iterations, status, fx)
+    return projected_descent(f_eval, grad_eval, lower, upper, x0, cfg,
+                             direction)

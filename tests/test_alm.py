@@ -3,6 +3,7 @@ the solver driver."""
 
 import csv
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ import pytest
 from almprec import alm
 from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
                          alm_solve, eval_al, eval_al_grad, hessian_model,
-                         kkt_multipliers, kkt_residuals, progress_measure,
-                         safeguard, shifted_multipliers, update_multipliers,
+                         kkt_residuals, safeguard, shifted_multipliers,
                          update_penalty)
 from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import PROBLEM_BUILDERS, get_problem, problem_names
@@ -92,6 +92,8 @@ def _loop_shifted_multipliers(p, x, lam, rho):
 
 
 def _loop_kkt_multipliers(p, x, lam_bar, rho):
+    """The piecewise estimate the report once carried: shifted value for
+    equalities and active inequalities, zero otherwise."""
     c = p.cons(x)
     lam = np.zeros(p.m)
     for i, kind in enumerate(p.kinds):
@@ -124,7 +126,8 @@ def _loop_kkt_residuals(p, x, lam):
 @pytest.mark.parametrize("name", ["C4-SYN", "HS63"])
 def test_vectorised_constraint_terms_match_the_loops(name):
     """C4-SYN mixes both kinds and has m = 10, past the length where a
-    pairwise sum would round differently; HS63 has a nonlinear equality."""
+    pairwise sum would round differently; HS63 has a nonlinear equality.
+    The shifted multipliers also equal the piecewise KKT estimate."""
     rng = np.random.default_rng(10)
     p = get_problem(name)
     for _ in range(20):
@@ -135,10 +138,10 @@ def test_vectorised_constraint_terms_match_the_loops(name):
         for got, want in (
                 (shifted_multipliers(p, x, lam, rho),
                  _loop_shifted_multipliers(p, x, lam, rho)),
-                (kkt_multipliers(p, x, lam, rho),
+                (shifted_multipliers(p, x, lam, rho),
                  _loop_kkt_multipliers(p, x, lam, rho))):
             assert got.tobytes() == want.tobytes()
-        lam_kkt = kkt_multipliers(p, x, lam, rho)
+        lam_kkt = shifted_multipliers(p, x, lam, rho)
         assert kkt_residuals(p, x, lam_kkt) \
             == _loop_kkt_residuals(p, x, lam_kkt)
 
@@ -319,48 +322,59 @@ def test_solve_grid_counts_unchanged():
     assert not moved, "rows moved (fixture -> now):\n" + "\n".join(moved)
 
 
+def _stub_problem(equality):
+    """A stand-in problem: the mask is all the outer updates read."""
+    return SimpleNamespace(equality=np.asarray(equality, dtype=bool))
+
+
 class TestOuterUpdates:
     def test_multiplier_update(self):
-        lam, mu = update_multipliers(np.array([1.0]), np.array([2.0]),
-                                     10.0, np.array([0.5]),
-                                     np.array([-0.5]))
+        eq = np.array([True, False])
+        lam_hat = shifted_multipliers(_stub_problem(eq), None,
+                                      np.array([1.0, 2.0]), 10.0,
+                                      np.array([0.5, -0.5]))
+        lam = safeguard(lam_hat, eq, AlmConfig())
         assert lam[0] == 6.0
-        assert mu[0] == 0.0  # 2 - 5 clipped
+        assert lam[1] == 0.0  # 2 - 5 clipped
 
     def test_progress_measure_combines_blocks(self):
-        v = progress_measure(np.array([0.2]), np.array([-0.05]),
-                             np.array([10.0]), 10.0)
+        _, v = update_penalty(10.0, None, np.array([0.2, -0.05]),
+                              np.array([0.0, 10.0]), np.array([True, False]),
+                              0.5, 10.0)
         # min(-g, mu/rho) = min(0.05, 1.0) = 0.05 -> equality part wins.
         assert v == pytest.approx(0.2)
 
     def test_penalty_kept_on_progress(self):
         rho, measure = update_penalty(10.0, 1.0, np.array([0.4]),
-                                      np.zeros(0), np.zeros(0), 0.5, 10.0)
+                                      np.zeros(1), np.array([True]),
+                                      0.5, 10.0)
         assert rho == 10.0 and measure == pytest.approx(0.4)
 
     def test_penalty_increased_on_stall(self):
-        rho, _ = update_penalty(10.0, 1.0, np.array([0.9]), np.zeros(0),
-                                np.zeros(0), 0.5, 10.0)
+        rho, _ = update_penalty(10.0, 1.0, np.array([0.9]), np.zeros(1),
+                                np.array([True]), 0.5, 10.0)
         assert rho == 100.0
 
     def test_first_iteration_never_increases(self):
-        rho, _ = update_penalty(10.0, None, np.array([100.0]), np.zeros(0),
-                                np.zeros(0), 0.5, 10.0)
+        rho, _ = update_penalty(10.0, None, np.array([100.0]), np.zeros(1),
+                                np.array([True]), 0.5, 10.0)
         assert rho == 10.0
 
     def test_safeguard_clamps(self):
         cfg = AlmConfig(lam_min=-5.0, lam_max=5.0, mu_max=3.0)
-        lam, mu = safeguard(np.array([-10.0, 10.0]), np.array([7.0]), cfg)
-        np.testing.assert_allclose(lam, [-5.0, 5.0])
-        np.testing.assert_allclose(mu, [3.0])
+        lam = safeguard(np.array([-10.0, 10.0, 7.0]),
+                        np.array([True, True, False]), cfg)
+        np.testing.assert_allclose(lam, [-5.0, 5.0, 3.0])
 
     def test_kkt_multipliers_piecewise(self):
+        """The reported multipliers are the shifted ones: zero on an
+        inactive inequality, lam + rho c on an active one."""
         p = get_problem("INEQ-QP")
         x = np.array([5.0, 0.0])  # c = -4 inactive
-        lam = kkt_multipliers(p, x, np.array([1.0]), 1.0)
+        lam = shifted_multipliers(p, x, np.array([1.0]), 1.0)
         assert lam[0] == 0.0
         x = np.zeros(2)  # c = 1 active
-        lam = kkt_multipliers(p, x, np.array([1.0]), 1.0)
+        lam = shifted_multipliers(p, x, np.array([1.0]), 1.0)
         assert lam[0] == 2.0
 
     def test_kkt_residuals_at_solution(self):
@@ -370,6 +384,95 @@ class TestOuterUpdates:
         assert opt == pytest.approx(0.0, abs=1e-12)
         assert compl == pytest.approx(0.0, abs=1e-12)
         assert feas == pytest.approx(0.0, abs=1e-12)
+
+
+# The outer step as alm_solve once took it, on the [eq] / [~eq] slices,
+# kept as the reference the mask form must match bit for bit.
+
+def _split_update_multipliers(lam_bar, mu_bar, rho, h_vals, g_vals):
+    lam = lam_bar + rho * np.asarray(h_vals, dtype=np.float64)
+    mu = np.maximum(0.0, mu_bar + rho * np.asarray(g_vals, dtype=np.float64))
+    return lam, mu
+
+
+def _split_update_penalty(rho, prev_measure, h_vals, g_vals, mu_bar, tau,
+                          gamma):
+    parts = [np.max(np.abs(h_vals), initial=0.0)]
+    if len(g_vals):
+        v = np.minimum(-np.asarray(g_vals), np.asarray(mu_bar) / rho)
+        parts.append(np.max(np.abs(v), initial=0.0))
+    measure = float(max(parts))
+    if prev_measure is None or measure <= tau * prev_measure:
+        return rho, measure
+    return rho * gamma, measure
+
+
+def _split_safeguard(lam, mu, cfg):
+    lam_bar = np.clip(lam, cfg.lam_min, cfg.lam_max)
+    return lam_bar, np.clip(mu, 0.0, cfg.mu_max)
+
+
+def _split_outer_step(c, lam_bar, rho, eq, prev_measure, cfg):
+    lam_eq, mu_in = _split_update_multipliers(lam_bar[eq], lam_bar[~eq], rho,
+                                              c[eq], c[~eq])
+    rho, measure = _split_update_penalty(rho, prev_measure, c[eq], c[~eq],
+                                         lam_bar[~eq], cfg.tau, cfg.gamma)
+    lam_eq, mu_in = _split_safeguard(lam_eq, mu_in, cfg)
+    lam_bar = lam_bar.copy()
+    lam_bar[eq] = lam_eq
+    lam_bar[~eq] = mu_in
+    return lam_bar, rho, measure
+
+
+def _mask_outer_step(c, lam_bar, rho, eq, prev_measure, cfg):
+    lam_hat = shifted_multipliers(_stub_problem(eq), None, lam_bar, rho, c)
+    rho, measure = update_penalty(rho, prev_measure, c, lam_bar, eq,
+                                  cfg.tau, cfg.gamma)
+    return safeguard(lam_hat, eq, cfg), rho, measure
+
+
+def _outer_step_cases():
+    """Seeded (c, lam_bar, rho, eq, prev_measure): signed zeros, shifts
+    that cancel exactly, measures that tie tau * prev_measure, and values
+    beyond every safeguard bound."""
+    rng = np.random.default_rng(11)
+    for m in (0, 1, 2, 5, 12):
+        for trial in range(40):
+            # Mixed kinds, except every third case: all of one kind.
+            eq = rng.random(m) < (0.5 if trial % 3 else (trial % 2))
+            rho = float(2.0 ** rng.integers(-3, 8))
+            c = rng.standard_normal(m) * 10.0 ** rng.uniform(-3, 1, m)
+            lam_bar = rng.standard_normal(m) * 10.0
+            lam_bar[~eq] = np.abs(lam_bar[~eq])
+            pick = rng.random((4, m))
+            c[pick[0] < 0.2] = 0.0
+            c[pick[1] < 0.1] = -0.0
+            lam_bar[pick[2] < 0.2] = 0.0
+            # c = k/8 and a power-of-two rho make lam_bar + rho c exact.
+            tie = pick[3] < 0.3
+            c[tie] = rng.integers(-16, 17, int(tie.sum())) / 8.0
+            lam_bar[tie] = np.where(eq[tie], -rho * c[tie],
+                                    np.abs(rho * c[tie]))
+            for prev in (None, "tie", float(rng.uniform(0.0, 2.0))):
+                yield c, lam_bar, rho, eq, prev
+
+
+def test_mask_outer_step_matches_the_split_form():
+    cfgs = (AlmConfig(), AlmConfig(lam_min=-5.0, lam_max=5.0, mu_max=3.0))
+    ties = 0
+    for c, lam_bar, rho, eq, prev in _outer_step_cases():
+        for cfg in cfgs:
+            if prev == "tie":
+                # measure == tau * prev exactly: rho must stay.
+                _, _, measure = _split_outer_step(c, lam_bar, rho, eq, None,
+                                                  cfg)
+                prev = measure / cfg.tau
+                ties += measure > 0.0
+            want = _split_outer_step(c, lam_bar, rho, eq, prev, cfg)
+            got = _mask_outer_step(c, lam_bar, rho, eq, prev, cfg)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1:] == want[1:]  # (rho, measure)
+    assert ties > 0
 
 
 class TestPrecondManager:
@@ -479,7 +582,7 @@ class TestAlmSolve:
         and evaluates none itself."""
         in_provider = False
         provider_gets = grads_in_provider = 0
-        get = alm._SpgPrecondProvider.get
+        get = alm._Subproblem.get
         eval_grad = alm.eval_al_grad
 
         def tracked_get(self, *args):
@@ -495,7 +598,7 @@ class TestAlmSolve:
             nonlocal grads_in_provider
             grads_in_provider += in_provider
             return eval_grad(*args)
-        monkeypatch.setattr(alm._SpgPrecondProvider, "get", tracked_get)
+        monkeypatch.setattr(alm._Subproblem, "get", tracked_get)
         monkeypatch.setattr(alm, "eval_al_grad", tracked_grad)
         rep = alm_solve(get_problem("HS41"), AlmConfig(inner_solver="pspg"))
         assert rep.converged

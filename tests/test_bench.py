@@ -192,6 +192,17 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["spectral", "linsys"])
+    def test_failed_factorization_exits_2(self, kind, tmp_path, capsys):
+        """An incomplete-Cholesky build that fails even after its shift
+        ends in an error line and exit 2, not a traceback."""
+        conf = tmp_path / "bench.conf"
+        conf.write_text("n = 40\nm = 3\ndrop_tol_list = 0.1\n")
+        rc = main([kind, "--config", str(conf), "--seed", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: not factorizable")
+
     def test_bad_config_key_exits_nonzero(self, tmp_path, capsys):
         conf = tmp_path / "bench.conf"
         conf.write_text("nonsense = 1\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almprec.inner import (InnerConfig, active_bound_mask, project_box,
-                           spectral_steplength, spg_solve,
+                           projected_descent, spectral_steplength, spg_solve,
                            truncated_newton_step)
 
 
@@ -184,6 +184,85 @@ class TestSpg:
         res = spg_solve(f, g, np.full(2, -np.inf), np.full(2, np.inf),
                         np.ones(2), InnerConfig(grad_tol=1e-10))
         assert res.f_value == pytest.approx(0.0, abs=1e-12)
+
+
+def _steepest(x, g, pg, s, y):
+    return pg
+
+
+class TestProjectedDescent:
+    def test_direction_gets_the_previous_step(self):
+        a = np.diag([1.0, 0.5, 0.8])
+        f, g = quad(a, np.ones(3))
+        calls = []
+
+        def direction(x, grad, pg, s, y):
+            calls.append((x.copy(), grad.copy(), s, y))
+            return pg
+        res = projected_descent(f, g, np.full(3, -np.inf), np.full(3, np.inf),
+                                np.zeros(3), InnerConfig(grad_tol=1e-8),
+                                direction)
+        assert res.status == "converged" and len(calls) == res.iterations
+        assert len(calls) > 2
+        assert calls[0][2] is None and calls[0][3] is None
+        for (x0, g0, _, _), (x1, g1, s, y) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(s, x1 - x0)
+            np.testing.assert_array_equal(y, g1 - g0)
+
+    def test_converged_status(self):
+        f, g = quad(np.eye(2), np.array([0.5, 2.0]))
+        res = projected_descent(f, g, np.zeros(2), np.ones(2), np.zeros(2),
+                                InnerConfig(grad_tol=1e-9), _steepest)
+        assert res.status == "converged"
+        np.testing.assert_allclose(res.x, [0.5, 1.0], atol=1e-9)
+        assert res.f_value == f(res.x)
+
+    def test_max_iterations_status(self):
+        f, g = quad(np.diag([1.0, 1e6]), np.ones(2))
+        res = projected_descent(f, g, np.full(2, -np.inf), np.full(2, np.inf),
+                                np.zeros(2),
+                                InnerConfig(grad_tol=1e-14, max_iterations=2),
+                                _steepest)
+        assert res.status == "max-iterations" and res.iterations == 2
+
+    def test_line_search_failure_status(self):
+        x0 = np.array([1.0, -1.0])
+        g = lambda x: np.array([1.0, 2.0])
+
+        def f(x):
+            # Lowest at the start point, higher everywhere else.
+            return 0.0 if np.array_equal(x, x0) else 1.0
+        res = projected_descent(f, g, np.full(2, -np.inf), np.full(2, np.inf),
+                                x0, InnerConfig(max_backtracks=5), _steepest)
+        assert res.status == "line-search-failure"
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.x, x0)
+        assert res.f_value == 0.0
+
+    def test_ascent_direction_is_retried_along_projected_gradient(self):
+        """An ascent direction fails its search at once, without a merit
+        evaluation, and the retry along pg then takes every step."""
+        a = np.diag([1.0, 4.0])
+        f, g = quad(a, np.array([1.0, -3.0]))
+        lower, upper = np.array([0.0, -0.5]), np.full(2, np.inf)
+        cfg = InnerConfig(grad_tol=1e-9)
+        runs = []
+        for direction in (_steepest, lambda x, grad, pg, s, y: grad):
+            evaluated = []
+
+            def f_logged(x):
+                evaluated.append(x.copy())
+                return f(x)
+            res = projected_descent(f_logged, g, lower, upper, np.ones(2),
+                                    cfg, direction)
+            runs.append((res, evaluated))
+        (want, want_evals), (got, got_evals) = runs
+        assert got.status == want.status == "converged"
+        assert got.iterations == want.iterations
+        np.testing.assert_array_equal(got.x, want.x)
+        assert len(got_evals) == len(want_evals)
+        for u, v in zip(got_evals, want_evals):
+            np.testing.assert_array_equal(u, v)
 
 
 class TestInnerConfig:
