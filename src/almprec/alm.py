@@ -6,6 +6,7 @@ evaluations, Hessian models, multiplier/penalty/safeguard updates, KKT
 residuals, preconditioner administration and the solver driver.
 """
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -166,8 +167,70 @@ def _positive_definite(a):
     return info == 0
 
 
+class _SolveMemo:
+    """
+    Values derived from problem arrays, computed once per solve.  Only an
+    array the problem declares constant is memoised: a read-only ndarray
+    that owns its data (`not a.flags.writeable and a.base is None`),
+    returned again as the same object.  Writeable arrays and views are
+    derived afresh on every call.  Entries hold a weak reference to their
+    array and are dropped when it dies, so a fresh read-only array per
+    call is not kept alive and a reused id never finds stale values.
+    """
+
+    def __init__(self, enabled=True):
+        self._entries = {} if enabled else None
+
+    def value(self, a, key, compute):
+        """compute(a), from the memo when `a` is a memoised constant."""
+        if (self._entries is None or not isinstance(a, np.ndarray)
+                or a.flags.writeable or a.base is not None):
+            return compute(a)
+        entries, ident = self._entries, id(a)
+        ref, values = entries.get(ident, (None, None))
+        if ref is None or ref() is not a:
+            def forget(dead):
+                if entries.get(ident, (None,))[0] is dead:
+                    del entries[ident]
+            ref, values = weakref.ref(a, forget), {}
+            entries[ident] = ref, values
+        if key not in values:
+            values[key] = compute(a)
+        return values[key]
+
+
+_NO_MEMO = _SolveMemo(enabled=False)
+
+
+def _is_zero(a):
+    return not a.any()
+
+
+def _min_eigenvalue(a):
+    return float(np.linalg.eigvalsh(a).min())
+
+
+def _shift_pattern(a):
+    """(rows, cols, vals, on_diag) of the lower triangle of `a` at its
+    nonzero entries and on the whole diagonal, in row-major order."""
+    n = a.shape[0]
+    mask = np.abs(a) > 0.0
+    mask[np.diag_indices(n)] = True
+    rows, cols = np.divmod(np.flatnonzero(np.tril(mask)), n)
+    return rows, cols, a[rows, cols], (rows == cols).astype(np.float64)
+
+
+def _shifted(pattern, n, sigma):
+    """from_dense(a + sigma I) from the shift pattern of `a`: the same
+    entries and values, exact zeros dropped alike."""
+    rows, cols, vals, on_diag = pattern
+    vals = vals + sigma * on_diag
+    keep = np.abs(vals) > 0.0
+    return SparseSymmetricMatrix(n, rows[keep], cols[keep], vals[keep])
+
+
 def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
-                  sigma_min=1e-8):
+                  sigma_min=1e-8, _memo=_NO_MEMO):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
@@ -184,6 +247,13 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     Algorithms, 10.1); the margin tau keeps it failing on a singular
     positive semidefinite hess f, whose computed smallest eigenvalue may
     be exactly zero and then sets the floor.
+
+    `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
+    the model derives from arrays the problem declares constant (see
+    NlpProblem): whether each constraint Hessian is zero, the sparse NW
+    block when no constraint Hessian contributes, and for QN the probe
+    verdict, the smallest eigenvalue and the sparsity pattern of
+    hess f + sigma I.  The model is bit for bit the one built without it.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -191,19 +261,25 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     c = p.cons(x)
     lam_hat = shifted_multipliers(p, x, lam, rho, c)
     jac = p.jac_cols(x)
+    hess_f = p.hess(x)
 
     if mode == "NW":
-        dense_m = p.hess(x).copy()
+        dense_m = None
         for i in np.flatnonzero(lam_hat).tolist():
             h = p.cons_hess(i, x)
-            if h.any():
+            if not _memo.value(h, "zero", _is_zero):
+                if dense_m is None:
+                    dense_m = hess_f.copy()
                 dense_m += lam_hat[i] * h
-        m_part = SparseSymmetricMatrix.from_dense(dense_m)
+        if dense_m is None:
+            m_part = _memo.value(hess_f, "sparse",
+                                 SparseSymmetricMatrix.from_dense)
+        else:
+            m_part = SparseSymmetricMatrix.from_dense(dense_m)
         cols = build_column_set(jac, p.equality, c, lam, rho, th)
         return HessianModel(m_part, 0.0, cols)
 
     # QN mode
-    hess_f = p.hess(x)
     sigma = sigma_min
     gn_s = None
     if secant is not None:
@@ -221,12 +297,13 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
     # curvature so the factored block stays well conditioned.
-    if not _positive_definite(hess_f):
-        lam_min_f = float(np.linalg.eigvalsh(hess_f).min())
+    if not _memo.value(hess_f, "positive definite", _positive_definite):
+        lam_min_f = _memo.value(hess_f, "min eigenvalue", _min_eigenvalue)
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
-    m_part = SparseSymmetricMatrix.from_dense(hess_f + sigma * np.eye(p.n))
+    m_part = _shifted(_memo.value(hess_f, "shift pattern", _shift_pattern),
+                      p.n, sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
@@ -258,13 +335,15 @@ def safeguard(lam_hat, equality, cfg):
                    np.where(equality, cfg.lam_max, cfg.mu_max))
 
 
-def kkt_residuals(p, x, lam):
+def kkt_residuals(p, x, lam, c=None):
     """
     opt  = ||P_box(x - grad Lagrangian) - x||_inf
     compl = max over E of |c|, over I of |min(-c, lam)|
     feas  = max over E of |c|, over I of (c)_+
+    `c` is p.cons(x) when the caller has it already.
     """
-    c = p.cons(x)
+    if c is None:
+        c = p.cons(x)
     grad_l = p.grad(x).copy()
     if p.m:
         grad_l += p.jac_cols(x) @ lam
@@ -384,12 +463,13 @@ class _Subproblem:
     with its preconditioner on the free variables.  Its .get is the
     spg_solve provider contract."""
 
-    def __init__(self, p, lam_bar, rho, cfg, manager):
+    def __init__(self, p, lam_bar, rho, cfg, manager, memo):
         self.p = p
         self.lam_bar = lam_bar
         self.rho = rho
         self.cfg = cfg
         self.manager = manager
+        self.memo = memo
 
     def merit(self, z):
         return eval_al(self.p, z, self.lam_bar, self.rho)
@@ -407,7 +487,8 @@ class _Subproblem:
         secant = (s, y) if s is not None else None
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
-                              secant=secant, sigma_min=self.cfg.sigma_min)
+                              secant=secant, sigma_min=self.cfg.sigma_min,
+                              _memo=self.memo)
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         if not np.any(act):
             return model, self.manager.get(model), None
@@ -438,11 +519,11 @@ class _SubStats:
     status: str = ""  # the inner solver's SpgResult status
 
 
-def _solve_subproblem(p, x, lam_bar, rho, cfg, manager):
+def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo):
     """Minimise the merit over the box from x with the configured inner
     solver.  Returns (x, stats)."""
     icfg = replace(cfg.inner, grad_tol=cfg.effective_inner_tol)
-    sub = _Subproblem(p, lam_bar, rho, cfg, manager)
+    sub = _Subproblem(p, lam_bar, rho, cfg, manager, memo)
     stats = _SubStats()
 
     def tn_direction(z, g, pg, s, y):
@@ -479,6 +560,7 @@ def alm_solve(p, cfg=None):
     reached."""
     cfg = cfg if cfg is not None else AlmConfig()
     manager = PrecondManager(cfg)
+    memo = _SolveMemo()
     x = project_box(p.x0.copy(), p.lower, p.upper)
     lam_bar = np.zeros(p.m)
     rho = cfg.rho1
@@ -489,7 +571,8 @@ def alm_solve(p, cfg=None):
 
     for outer in range(1, cfg.max_outer + 1):
         manager.notify_outer()
-        x, stats = _solve_subproblem(p, x, lam_bar, rho, cfg, manager)
+        x, stats = _solve_subproblem(p, x, lam_bar, rho, cfg, manager,
+                                     memo)
         totals.iterations += stats.iterations
         totals.krylov_precond += stats.krylov_precond
         totals.krylov_plain += stats.krylov_plain
@@ -498,7 +581,7 @@ def alm_solve(p, cfg=None):
         # the safeguarded update alike.
         c = p.cons(x)
         lam_hat = shifted_multipliers(p, x, lam_bar, rho, c)
-        opt, compl, feas = kkt_residuals(p, x, lam_hat)
+        opt, compl, feas = kkt_residuals(p, x, lam_hat, c)
         history.append({"outer": outer, "rho": rho, "f": p.f(x),
                         "opt": opt, "compl": compl, "feas": feas,
                         "inner": stats.iterations})
@@ -516,7 +599,7 @@ def alm_solve(p, cfg=None):
 
     return AlmReport(
         problem=p.name, status=status, x=x, multipliers=lam_hat,
-        f_value=p.f(x), rho_final=rho, outer_iterations=outer,
+        f_value=history[-1]["f"], rho_final=rho, outer_iterations=outer,
         inner_iterations=totals.iterations,
         krylov_precond=totals.krylov_precond,
         krylov_plain=totals.krylov_plain,

@@ -65,17 +65,6 @@ def active_bound_mask(x, g, lower, upper, tol=1e-10):
             | ((x >= upper - tol) & (g < 0.0)))
 
 
-def spectral_steplength(s, y, bounds):
-    """Barzilai-Borwein step s's / s'y clamped to bounds; upper bound on
-    nonpositive curvature."""
-    alpha_min, alpha_max = bounds
-    sy = float(np.asarray(s) @ np.asarray(y))
-    if sy <= 0.0:
-        return alpha_max
-    return float(np.clip(float(np.asarray(s) @ np.asarray(s)) / sy,
-                         alpha_min, alpha_max))
-
-
 def truncated_newton_step(model, grad, precond, cfg):
     """
     Solve the quadratic model H d = -grad inexactly: PCG first, MINRES

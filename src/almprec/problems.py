@@ -19,6 +19,14 @@ class NlpProblem:
     l <= x <= u.  All callables are pure.  The kinds are checked once, at
     construction, into the boolean mask `equality`; the solver reads only
     the mask.
+
+    A callable that returns the same read-only array on every call (one
+    that owns its data: `not a.flags.writeable and a.base is None`)
+    declares it constant for the solve, and the solver may reuse what it
+    derived from it; `hess` and `cons_hess` of a quadratic program with
+    linear constraints can do so.  An array must not be changed while a
+    solve can still see it.  Writeable arrays and views are read afresh
+    on every call.
     """
     name: str
     n: int

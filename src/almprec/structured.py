@@ -271,7 +271,7 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
     on any auxiliary refresh, on a column-count change, or when the
     largest per-column 1-norm change over shared labels exceeds delta_v.
     """
-    m_change = norm1_diff(prev_m, new_m)
+    m_change = 0.0 if prev_m is new_m else norm1_diff(prev_m, new_m)
     refresh_aux = m_change > th.delta_m
 
     count_changed = prev_v.m != new_v.m

@@ -3,6 +3,7 @@ Bitwise fingerprint of almprec's results, for changes that must leave
 them identical.
 
     python tests/fingerprint.py [CHECKOUT]
+    python tests/fingerprint.py --against PARENT [CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is a source tree
 with `src/almprec`, `perfbench` and `tests/data/solve_grid.cfg`; almprec
@@ -17,12 +18,15 @@ An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh
 counts and the status; a run that raises hashes its exception.  The linsys
 workload hashes its solutions, counts and status.  BLAS runs on one
-thread, as in perfbench.  To compare a change with its parent:
+thread, as in perfbench.
+
+With `--against PARENT`, fingerprints PARENT and CHECKOUT, each in its
+own Python process, prints only the lines that differ (`-` from PARENT,
+`+` from CHECKOUT) and a one-line summary on stderr, and exits 1 if any
+line differs.  To compare a change with its parent:
 
     git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
-    python tests/fingerprint.py /tmp/parent > parent.txt
-    python tests/fingerprint.py > change.txt
-    diff parent.txt change.txt && echo identical
+    python tests/fingerprint.py --against /tmp/parent
 
 pytest does not collect this file.
 """
@@ -34,7 +38,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import subprocess  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -102,9 +108,8 @@ def workload_runs():
             yield "workload %s %d" % (name, seed), _digest(parts)
 
 
-def main(argv):
-    root = Path(argv[1] if len(argv) > 1
-                else Path(__file__).resolve().parent.parent).resolve()
+def fingerprint(root):
+    """Print the fingerprint of the checkout at `root`."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import almprec
     if not Path(almprec.__file__).resolve().is_relative_to(root / "src"):
@@ -117,6 +122,49 @@ def main(argv):
         total.update(digest.encode())
     print("total", total.hexdigest())
     return 0
+
+
+def _lines(root):
+    """The fingerprint of `root`, from a fresh interpreter, by label;
+    None, after passing on its stderr, when that run fails."""
+    run = subprocess.run([sys.executable, __file__, str(root)],
+                         capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr)
+        return None
+    return dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+
+
+def against(parent, root):
+    """Print the fingerprint lines that differ between `parent` and
+    `root`; 1 if any do, 2 if either run fails."""
+    old, new = _lines(parent), _lines(root)
+    if old is None or new is None:
+        return 2
+    differ = 0
+    for label in [*old, *(label for label in new if label not in old)]:
+        if old.get(label) != new.get(label):
+            differ += 1
+            for sign, lines in (("-", old), ("+", new)):
+                if label in lines:
+                    print(sign, label, lines[label])
+    print("%d of %d lines differ" % (differ, len(old.keys() | new.keys())),
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        description="Bitwise fingerprint of almprec's results.")
+    parser.add_argument("checkout", nargs="?",
+                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--against", metavar="PARENT",
+                        help="print only the lines that differ from PARENT")
+    args = parser.parse_args(argv[1:])
+    root = Path(args.checkout).resolve()
+    if args.against is not None:
+        return against(Path(args.against).resolve(), root)
+    return fingerprint(root)
 
 
 if __name__ == "__main__":

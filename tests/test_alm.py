@@ -14,7 +14,8 @@ from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
                          kkt_residuals, safeguard, shifted_multipliers,
                          update_penalty)
 from almprec.bench import ExperimentConfig, run_alm_experiment
-from almprec.problems import PROBLEM_BUILDERS, get_problem, problem_names
+from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
+                              problem_names)
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import UpdateThresholds
 
@@ -291,6 +292,208 @@ class TestNwZeroConstraintHessians:
         assert calls
         assert _same_matrix(model.m_part,
                             SparseSymmetricMatrix.from_dense(p.hess(x)))
+
+
+def _frozen(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def _laplacian(k):
+    """Dense 5-point Laplacian on the interior of a k x k grid."""
+    t = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    return np.kron(t, np.eye(k)) + np.kron(np.eye(k), t)
+
+
+def _quadrant_means(k):
+    """n x 4 columns averaging each quadrant of a k x k grid."""
+    idx = np.arange(k * k).reshape(k, k)
+    half = k // 2
+    cols = np.zeros((k * k, 4))
+    for q, (rs, cs) in enumerate([(slice(0, half), slice(0, half)),
+                                  (slice(0, half), slice(half, k)),
+                                  (slice(half, k), slice(0, half)),
+                                  (slice(half, k), slice(half, k))]):
+        support = idx[rs, cs].ravel()
+        cols[support, q] = 1.0 / support.size
+    return cols
+
+
+def _memo_problem(hess, cons_hess):
+    """Four linear inequality rows with the given Hessian callables, for
+    hessian_model alone: f and grad are placeholders."""
+    n = 6
+    rng = np.random.default_rng(12)
+    jac = rng.standard_normal((n, 4))
+    return NlpProblem(
+        name="MEMO", n=n, x0=np.zeros(n), kinds=("inequality",) * 4,
+        f=lambda x: 0.0, grad=lambda x: np.zeros(n), hess=hess,
+        cons=lambda x: jac.T @ x - 0.1, jac_cols=lambda x: jac,
+        cons_hess=cons_hess)
+
+
+def _memo_hessians():
+    """A frozen hess f with a zero and a nonzero diagonal entry (so the
+    QN probe fails and the eigenvalue floor applies), and constraint
+    Hessians of which two are zero and two are not."""
+    hess = np.diag([2.0, 0.0, 3.0, 1.0, 0.0, 4.0])
+    hess[3, 0] = hess[0, 3] = 0.5
+    hess[5, 1] = hess[1, 5] = -1.0
+    zero = _frozen(np.zeros((6, 6)))
+    cons = [zero, _frozen(np.eye(6)), zero,
+            _frozen(np.diag([1.0, 0.0, 0.0, 0.0, 2.0, 0.0]))]
+    return _frozen(hess), cons
+
+
+def _same_model(a, b):
+    return (_same_matrix(a.m_part, b.m_part) and a.sigma == b.sigma
+            and a.cols.labels == b.cols.labels
+            and a.cols.columns.tobytes() == b.cols.columns.tobytes()
+            and a.cols.signs.tobytes() == b.cols.signs.tobytes())
+
+
+def _model_args(n, m):
+    rng = np.random.default_rng(13)
+    for k in range(6):
+        s = rng.standard_normal(n)
+        x = rng.standard_normal(n)
+        # Every other point keeps only the rows with zero Hessians active.
+        lam = (2.0 * rng.standard_normal(m) if k % 2
+               else np.array([100.0, -100.0, 100.0, -100.0]))
+        for mode, secant in (("NW", None), ("QN", None),
+                             ("QN", (s, 3.0 * s + rng.standard_normal(n)))):
+            yield x, lam, mode, secant
+
+
+class TestSolveMemo:
+    def test_memoised_models_are_bitwise_equal(self):
+        hess, cons = _memo_hessians()
+        p = _memo_problem(lambda x: hess, lambda i, x: cons[i])
+        memo = alm._SolveMemo()
+        for x, lam, mode, secant in _model_args(p.n, p.m):
+            got = hessian_model(p, x, lam, 10.0, mode, secant=secant,
+                                _memo=memo)
+            want = hessian_model(p, x, lam, 10.0, mode, secant=secant)
+            assert _same_model(got, want)
+
+    def test_shifted_pattern_matches_dense_shift(self):
+        hess, _ = _memo_hessians()
+        pattern = alm._shift_pattern(hess)
+        # -3 cancels the diagonal entry 3.0 exactly; that entry is dropped
+        # as from_dense drops it.
+        for sigma in (1e-8, 0.5, 2.0, -3.0):
+            want = SparseSymmetricMatrix.from_dense(hess + sigma * np.eye(6))
+            assert _same_matrix(alm._shifted(pattern, 6, sigma), want)
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_arrays_updated_in_place_are_read_afresh(self, view):
+        hess_buf = np.array(_memo_hessians()[0])
+        cons_buf = np.zeros((6, 6))
+
+        def expose(buf):
+            """The buffer itself, or one read-only view of it, returned
+            as the same object on every call."""
+            if not view:
+                return buf
+            out = buf.view()
+            out.flags.writeable = False
+            return out
+
+        hess_out, cons_out = expose(hess_buf), expose(cons_buf)
+        p = _memo_problem(lambda x: hess_out, lambda i, x: cons_out)
+        memo = alm._SolveMemo()
+        for k, (x, lam, mode, secant) in enumerate(_model_args(p.n, p.m)):
+            # Alternate between a zero and a nonzero constraint Hessian,
+            # and between a singular and a positive definite hess f.
+            cons_buf[:] = (k % 2) * np.eye(6)
+            hess_buf[1, 1] = hess_buf[4, 4] = 5.0 * (k % 3)
+            got = hessian_model(p, x, lam, 10.0, mode, secant=secant,
+                                _memo=memo)
+            want = hessian_model(p, x, lam, 10.0, mode, secant=secant)
+            assert _same_model(got, want)
+
+    def test_fresh_read_only_arrays_are_not_kept(self):
+        hess, cons = _memo_hessians()
+        p = _memo_problem(lambda x: _frozen(hess),
+                          lambda i, x: _frozen(cons[i]))
+        memo = alm._SolveMemo()
+        for x, lam, mode, secant in _model_args(p.n, p.m):
+            hessian_model(p, x, lam, 10.0, mode, secant=secant, _memo=memo)
+            assert not memo._entries
+
+    def test_eq_tn_solve_builds_the_sparse_block_once(self, monkeypatch):
+        k = 5
+        n = k * k
+        rng = np.random.default_rng(14)
+        q, a = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
+        c, d = _frozen(rng.uniform(0.5, 1.5, n) / 36.0), 0.1 * np.ones(4)
+        zero = _frozen(np.zeros((n, n)))
+        p = NlpProblem(
+            name="EQ-TN", n=n, x0=np.zeros(n), kinds=("equality",) * 4,
+            f=lambda x: float(0.5 * x @ (q @ x) - c @ x),
+            grad=lambda x: q @ x - c, hess=lambda x: q,
+            cons=lambda x: a.T @ x - d, jac_cols=lambda x: a,
+            cons_hess=lambda i, x: zero)
+        calls = {"from_dense": 0, "models": 0}
+        from_dense = SparseSymmetricMatrix.from_dense.__func__
+        model = alm.hessian_model
+
+        def counted_from_dense(cls, dense, tol=0.0):
+            calls["from_dense"] += 1
+            return from_dense(cls, dense, tol)
+
+        def counted_model(*args, **kwargs):
+            calls["models"] += 1
+            return model(*args, **kwargs)
+        monkeypatch.setattr(SparseSymmetricMatrix, "from_dense",
+                            classmethod(counted_from_dense))
+        monkeypatch.setattr(alm, "hessian_model", counted_model)
+        rep = alm_solve(p, AlmConfig(inner_solver="truncated-newton",
+                                     hessian_mode="NW",
+                                     aux_kind="incomplete-cholesky",
+                                     drop_tol=1e-2))
+        assert rep.converged
+        assert calls["models"] > 1
+        assert calls["from_dense"] == 1
+        assert rep.f_value == p.f(rep.x)
+
+    def test_obstacle_pspg_solve_probes_hess_f_once(self, monkeypatch):
+        k = 8
+        n = k * k
+        h = 1.0 / (k + 1)
+        grid = h * np.arange(1, k + 1)
+        xx, yy = np.meshgrid(grid, grid, indexing="ij")
+        s = np.sin(9.2 * xx) * np.sin(9.3 * yy)
+        lower, upper = (s ** 3).ravel(), (s ** 2 + 0.02).ravel()
+        lap, quads = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
+        f_src = _frozen(np.full(n, 6.0 * h * h))
+        caps = 0.8 * (0.02 + quads.T @ np.maximum(lower, 0.0))
+        p = NlpProblem(
+            name="OBSTACLE", n=n, x0=np.clip(np.zeros(n), lower, upper),
+            kinds=("inequality",) * 4,
+            f=lambda v: float(0.5 * v @ (lap @ v) - f_src @ v),
+            grad=lambda v: lap @ v - f_src, hess=lambda v: lap,
+            cons=lambda v: quads.T @ v - caps, jac_cols=lambda v: quads,
+            cons_hess=lambda i, v: None,  # QN reads no constraint Hessian
+            lower=lower, upper=upper)
+        calls = {"probes": 0, "models": 0}
+        probe, model = alm._positive_definite, alm.hessian_model
+
+        def counted_probe(a):
+            calls["probes"] += 1
+            return probe(a)
+
+        def counted_model(*args, **kwargs):
+            calls["models"] += 1
+            return model(*args, **kwargs)
+        monkeypatch.setattr(alm, "_positive_definite", counted_probe)
+        monkeypatch.setattr(alm, "hessian_model", counted_model)
+        rep = alm_solve(p, AlmConfig(inner_solver="pspg",
+                                     hessian_mode="QN"))
+        assert rep.converged
+        assert calls["models"] > 1
+        assert calls["probes"] == 1
 
 
 GRID_FIXTURE = Path(__file__).parent / "data" / "solve_grid.csv"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from almprec.inner import (InnerConfig, active_bound_mask, project_box,
-                           projected_descent, spectral_steplength, spg_solve,
-                           truncated_newton_step)
+                           projected_descent, spg_solve, truncated_newton_step)
 
 
 def quad(a, b):
@@ -34,23 +33,6 @@ class TestProjection:
         g2 = np.array([-1.0, 1.0, 1.0])
         np.testing.assert_array_equal(
             active_bound_mask(x, g2, lower, upper), [False, False, False])
-
-
-class TestSpectralSteplength:
-    def test_bb_formula(self):
-        s = np.array([1.0, 0.0])
-        y = np.array([4.0, 0.0])
-        assert spectral_steplength(s, y, (1e-10, 1e10)) == 0.25
-
-    def test_nonpositive_curvature_returns_max(self):
-        s = np.array([1.0])
-        y = np.array([-1.0])
-        assert spectral_steplength(s, y, (1e-10, 1e10)) == 1e10
-
-    def test_clamped(self):
-        s = np.array([1.0])
-        y = np.array([1e-15])
-        assert spectral_steplength(s, y, (1e-10, 10.0)) == 10.0
 
 
 class TestTruncatedNewtonStep:

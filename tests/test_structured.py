@@ -4,6 +4,7 @@ and update decisions."""
 import numpy as np
 import pytest
 
+from almprec import structured
 from almprec.auxprecond import build_aux
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, BStore,
@@ -515,6 +516,15 @@ class TestDecideUpdate:
                        [0, LABEL_BFGS_Y, LABEL_BFGS_W])
         d = decide_update(m1, m1, c1, c2, self.th)
         assert d.reason == "forced-bfgs" and d.refresh_b
+
+    def test_same_m_object_skips_the_norm(self, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("norm1_diff called")
+        monkeypatch.setattr(structured, "norm1_diff", forbidden)
+        m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
+        c = self._cols(np.eye(3)[:, :1], [0])
+        d = decide_update(m1, m1, c, c, self.th)
+        assert not d.refresh_aux and d.reason == "none"
 
     def test_decision_invariant(self):
         with pytest.raises(ValueError):
