@@ -3,11 +3,14 @@ sparse.py
 
 Sparse symmetric matrices stored as their lower triangle, Matrix Market
 coordinate I/O and the induced 1-norm of a difference of two matrices.
+Products with a matrix go through a compiled CSR copy of the full
+symmetric matrix, built on the first product and kept.
 """
 
 import io
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 class MatrixMarketError(ValueError):
@@ -20,20 +23,32 @@ class MatrixMarketError(ValueError):
         self.line_number = line_number
 
 
+def _strictly_row_major(rows, cols):
+    """True when the (row, col) pairs strictly increase in row-major
+    order: sorted, and no pair repeats."""
+    step = np.diff(rows)
+    return bool(np.all((step > 0) | ((step == 0) & (np.diff(cols) > 0))))
+
+
 class SparseSymmetricMatrix:
     """
     Symmetric sparse matrix of order n.  Only the lower triangle is stored
-    (row >= col), once per symmetric pair; the upper triangle is implied.
-    Instances are immutable after construction.
+    (row >= col), once per symmetric pair, in row-major order; the upper
+    triangle is implied.
+
+    Immutable: `rows`, `cols` and `vals` are read-only copies of what the
+    caller passed, sorted only when they were out of order.  So the CSR
+    copy of the full matrix that `matvec` builds on its first call and
+    keeps cannot go stale.  Matrices that are never multiplied build none.
     """
 
     def __init__(self, n, rows, cols, vals):
         n = int(n)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=np.float64)
+        rows = np.array(rows, dtype=np.intp)
+        cols = np.array(cols, dtype=np.intp)
+        vals = np.array(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols and vals must have equal length")
         if rows.size:
@@ -45,17 +60,20 @@ class SparseSymmetricMatrix:
                 raise ValueError("entries must satisfy row >= col")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("matrix entries must be finite")
-        # Sort into compressed-row order and reject duplicates.
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(same):
+        # Sort into row-major order only when needed; sorted input that
+        # still fails the strict check repeats a position.
+        if not _strictly_row_major(rows, cols):
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            if not _strictly_row_major(rows, cols):
                 raise ValueError("duplicate (row, col) entry")
+        for a in (rows, cols, vals):
+            a.flags.writeable = False
         self.n = n
         self.rows = rows
         self.cols = cols
         self.vals = vals
+        self._csr = None
 
     @property
     def nnz(self):
@@ -90,15 +108,31 @@ class SparseSymmetricMatrix:
         return d
 
     def matvec(self, x):
-        """Product Ax using symmetric expansion of the stored triangle."""
+        """Product Ax with a vector of length n or an (n, k) block; a
+        block gives the same result as multiplying each of its columns."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError("dimension mismatch: expected length %d" % self.n)
-        y = np.zeros(self.n)
-        np.add.at(y, self.rows, self.vals * x[self.cols])
-        off = self.rows != self.cols
-        np.add.at(y, self.cols[off], self.vals[off] * x[self.rows[off]])
-        return y
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError("dimension mismatch: expected length %d or "
+                             "an (%d, k) block" % (self.n, self.n))
+        if self._csr is None:
+            self._csr = self._full_csr()
+        return self._csr @ x
+
+    def _full_csr(self):
+        """The full symmetric matrix in CSR.  Row i holds its stored
+        entries, then the mirrored entries (j, i) with j > i, both in
+        ascending column order, so its columns ascend and the product sums
+        each row in that order."""
+        off = np.flatnonzero(self.rows != self.cols)
+        # A stable sort by column keeps the rows of each column ascending.
+        upper = off[np.argsort(self.cols[off], kind="stable")]
+        rows = np.concatenate((self.rows, self.cols[upper]))
+        order = np.argsort(rows, kind="stable")
+        indices = np.concatenate((self.cols, self.rows[upper]))[order]
+        data = np.concatenate((self.vals, self.vals[upper]))[order]
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows, minlength=self.n))))
+        return csr_array((data, indices, indptr), shape=(self.n, self.n))
 
     def submatrix(self, idx):
         """Principal submatrix A[idx, idx] for distinct indices `idx`, in
@@ -120,18 +154,24 @@ class SparseSymmetricMatrix:
 
 def norm1_diff(a, b):
     """Induced 1-norm (max absolute column sum) of A - B.  The stored
-    entries of both are merged by position; column j of the full matrix is
+    entries of both are merged by position, or subtracted entry by entry
+    when both store the same positions; column j of the full matrix is
     column j of the lower triangle plus, mirrored, row j without its
     diagonal entry."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
-    keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
-                                           b.rows * n + b.cols)),
-                           return_inverse=True)
-    diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
-                              minlength=keys.size))
-    rows, cols = np.divmod(keys, n)
+    if np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols):
+        # Equal patterns: the merge would pair entry k with entry k.
+        diff = np.abs(a.vals - b.vals)
+        rows, cols = a.rows, a.cols
+    else:
+        keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
+                                               b.rows * n + b.cols)),
+                               return_inverse=True)
+        diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
+                                  minlength=keys.size))
+        rows, cols = np.divmod(keys, n)
     colsum = (np.bincount(cols, diff, minlength=n)
               + np.bincount(rows, np.where(rows != cols, diff, 0.0),
                             minlength=n))

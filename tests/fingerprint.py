@@ -12,13 +12,19 @@ total over all of them:
 
 - `grid`: the 126 runs of the `solve` grid in tests/data/solve_grid.cfg
   (every problem x inner solver x Hessian mode x refresh policy);
-- `workload`: the three perfbench workloads at seeds 0-3.
+- `workload`: the three perfbench workloads at seeds 0-3;
+- `experiment`: the seeded `spectral` and `linsys` experiments at seeds
+  0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
+  incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
+  `M`, IC(0) and `exact-dense` invert `M` exactly, so their structured
+  applies take the refinement step and its product with `M`.
 
 An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh
 counts and the status; a run that raises hashes its exception.  The linsys
-workload hashes its solutions, counts and status.  BLAS runs on one
-thread, as in perfbench.
+workload hashes its solutions, counts and status.  An experiment hashes
+its CSV rows, with time columns zeroed.  BLAS runs on one thread, as in
+perfbench.
 
 With `--against PARENT`, fingerprints PARENT and CHECKOUT, each in its
 own Python process, prints only the lines that differ (`-` from PARENT,
@@ -46,6 +52,15 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 
 SEEDS = range(4)
+EXPERIMENT_SEEDS = range(3)
+# (aux_kind, density of M, drop tolerances): density 0 gives a diagonal M.
+EXPERIMENTS = (
+    ("identity", 0.1, (0.1,)),
+    ("jacobi", 0.1, (0.1,)),
+    ("jacobi", 0.0, (0.1,)),
+    ("incomplete-cholesky", 0.1, (0.0, 1e-2)),
+    ("exact-dense", 0.1, (0.1,)),
+)
 
 
 def _report_bytes(rep):
@@ -108,6 +123,26 @@ def workload_runs():
             yield "workload %s %d" % (name, seed), _digest(parts)
 
 
+def experiment_runs():
+    """(label, digest) for every seeded spectral and linsys experiment."""
+    from almprec.bench import ExperimentConfig, rows_to_csv, run_experiment
+
+    for kind in ("spectral", "linsys"):
+        for aux_kind, density, drop_tols in EXPERIMENTS:
+            for seed in EXPERIMENT_SEEDS:
+                cfg = ExperimentConfig(kind=kind, n=30, density=density,
+                                       m=3, seed=seed,
+                                       drop_tol_list=drop_tols,
+                                       aux_kind=aux_kind)
+                try:
+                    parts = [rows_to_csv(run_experiment(cfg),
+                                         time_column_stable=True).encode()]
+                except Exception as exc:
+                    parts = [repr(exc).encode()]
+                yield ("experiment %s %s %g %d"
+                       % (kind, aux_kind, density, seed), _digest(parts))
+
+
 def fingerprint(root):
     """Print the fingerprint of the checkout at `root`."""
     sys.path[:0] = [str(root / "src"), str(root)]
@@ -117,7 +152,8 @@ def fingerprint(root):
               % (almprec.__file__, root / "src"), file=sys.stderr)
         return 2
     total = hashlib.sha256()
-    for label, digest in (*grid_runs(root), *workload_runs()):
+    for label, digest in (*grid_runs(root), *workload_runs(),
+                          *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())
     print("total", total.hexdigest())

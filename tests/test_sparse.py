@@ -5,6 +5,8 @@ import io
 import numpy as np
 import pytest
 
+from almprec import sparse
+from almprec.auxprecond import KINDS, build_aux
 from almprec.sparse import (MatrixMarketError, SparseSymmetricMatrix,
                             norm1_diff, read_matrix_market,
                             write_matrix_market)
@@ -17,6 +19,138 @@ def random_symmetric(rng, n, density=0.4):
     dense = np.where(np.tril(mask), dense, 0.0)
     np.fill_diagonal(dense, rng.standard_normal(n))
     return dense + np.tril(dense, -1).T
+
+
+def two_pass_matvec(a, x):
+    """Reference product: the stored triangle, then its mirror without
+    the diagonal, each added entry by entry in storage order."""
+    y = np.zeros(a.n)
+    np.add.at(y, a.rows, a.vals * x[a.cols])
+    off = a.rows != a.cols
+    np.add.at(y, a.cols[off], a.vals[off] * x[a.rows[off]])
+    return y
+
+
+def merge_norm1_diff(a, b):
+    """Reference 1-norm of A - B that merges the entries by position."""
+    n = a.n
+    keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
+                                           b.rows * n + b.cols)),
+                           return_inverse=True)
+    diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
+                              minlength=keys.size))
+    rows, cols = np.divmod(keys, n)
+    colsum = (np.bincount(cols, diff, minlength=n)
+              + np.bincount(rows, np.where(rows != cols, diff, 0.0),
+                            minlength=n))
+    return float(colsum.max(initial=0.0))
+
+
+def oracle_matrices():
+    """Seeded matrices: n = 1, diagonal only, dense, stored signed zeros,
+    and random sparse ones."""
+    rng = np.random.default_rng(8)
+    yield SparseSymmetricMatrix(1, [0], [0], [2.5])
+    yield SparseSymmetricMatrix.from_dense(np.diag(rng.standard_normal(9)))
+    yield SparseSymmetricMatrix.from_dense(random_symmetric(rng, 12, 1.0))
+    dense = random_symmetric(rng, 8, 0.5)
+    dense[np.abs(dense) < 0.5] = -0.0
+    yield SparseSymmetricMatrix.from_dense(dense, tol=-1.0)
+    for _ in range(20):
+        yield SparseSymmetricMatrix.from_dense(
+            random_symmetric(rng, int(rng.integers(1, 30)), rng.random()))
+
+
+class TestCsrMatvec:
+    def test_bitwise_equal_to_two_pass_oracle(self):
+        rng = np.random.default_rng(9)
+        for a in oracle_matrices():
+            for x in (rng.standard_normal(a.n)
+                      * 10.0 ** rng.integers(-8, 8, a.n),
+                      np.where(rng.random(a.n) < 0.5, -0.0, 0.0)):
+                assert a.matvec(x).tobytes() == two_pass_matvec(a, x).tobytes()
+
+    def test_block_matches_columns(self):
+        rng = np.random.default_rng(10)
+        for a in oracle_matrices():
+            for k in (0, 1, 4):
+                block = rng.standard_normal((a.n, k))
+                for x in (block, np.asfortranarray(block)):
+                    y = a.matvec(x)
+                    assert y.shape == (a.n, k)
+                    for j in range(k):
+                        assert (y[:, j].tobytes()
+                                == two_pass_matvec(a, x[:, j]).tobytes())
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4, 2), (2, 3),
+                                       (3, 2, 1), (1, 3)])
+    def test_bad_shapes_raise(self, shape):
+        a = SparseSymmetricMatrix.from_dense(np.eye(3))
+        with pytest.raises(ValueError, match="dimension"):
+            a.matvec(np.ones(shape))
+
+    def test_unsorted_input_is_sorted(self):
+        rng = np.random.default_rng(11)
+        a = SparseSymmetricMatrix.from_dense(random_symmetric(rng, 10))
+        order = rng.permutation(a.nnz)
+        b = SparseSymmetricMatrix(a.n, a.rows[order], a.cols[order],
+                                  a.vals[order])
+        for field in ("rows", "cols", "vals"):
+            np.testing.assert_array_equal(getattr(b, field),
+                                          getattr(a, field))
+        x = rng.standard_normal(a.n)
+        assert b.matvec(x).tobytes() == two_pass_matvec(a, x).tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 1, 1, 2], [0, 0, 0, 1]),   # sorted, repeats (1, 0)
+        ([2, 1, 0, 1], [1, 0, 0, 0]),   # unsorted, repeats (1, 0)
+        ([1, 1], [1, 1]),
+    ])
+    def test_duplicates_rejected_sorted_or_not(self, rows, cols):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseSymmetricMatrix(3, rows, cols, np.ones(len(rows)))
+
+    def test_entries_are_read_only_copies(self):
+        rows = np.array([0, 1, 1])
+        cols = np.array([0, 0, 1])
+        vals = np.array([2.0, 1.0, 3.0])
+        a = SparseSymmetricMatrix(2, rows, cols, vals)
+        for field in (a.rows, a.cols, a.vals):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+        x = np.array([1.0, -2.0])
+        before = a.matvec(x)
+        # The caller's arrays stay writeable, and writing them changes
+        # neither the stored entries nor the cached product.
+        vals[:] = 7.0
+        rows[:] = 1
+        np.testing.assert_array_equal(a.vals, [2.0, 1.0, 3.0])
+        assert a.matvec(x).tobytes() == before.tobytes()
+        fresh = SparseSymmetricMatrix(2, [0, 1, 1], [0, 0, 1], [2.0, 1.0, 3.0])
+        assert fresh.matvec(x).tobytes() == before.tobytes()
+
+    def test_csr_is_built_lazily_and_once(self, monkeypatch):
+        built = []
+        csr_array = sparse.csr_array
+
+        def counting_csr_array(*args, **kwargs):
+            built.append(1)
+            return csr_array(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "csr_array", counting_csr_array)
+        rng = np.random.default_rng(12)
+        dense = random_symmetric(rng, 8, 1.0) + 8.0 * np.eye(8)
+        a = SparseSymmetricMatrix.from_dense(dense)
+        sub = a.submatrix(np.array([0, 2, 5]))
+        norm1_diff(a, SparseSymmetricMatrix.from_dense(2.0 * dense))
+        norm1_diff(sub, sub)
+        for kind in KINDS:
+            build_aux(a, kind, 0.0)
+        assert built == []
+        x = rng.standard_normal(8)
+        first = a.matvec(x)
+        assert a.matvec(x).tobytes() == first.tobytes()
+        assert built == [1]
 
 
 class TestSparseSymmetricMatrix:
@@ -182,6 +316,23 @@ class TestNorm1Diff:
         b = SparseSymmetricMatrix(3, [1, 2], [1, 0], [5.0, 3.0])
         dense = a.to_dense() - b.to_dense()
         assert norm1_diff(a, b) == np.abs(dense).sum(axis=0).max() == 7.0
+
+    def test_equal_patterns_match_the_merge_bitwise(self):
+        rng = np.random.default_rng(13)
+        for a in oracle_matrices():
+            b = SparseSymmetricMatrix(a.n, a.rows.copy(), a.cols.copy(),
+                                      rng.standard_normal(a.nnz))
+            assert b.rows is not a.rows
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert norm1_diff(x, y) == merge_norm1_diff(x, y)
+
+    def test_differing_patterns_of_equal_size_take_the_merge(self):
+        # Same entry count, different positions: no entrywise pairing.
+        a = SparseSymmetricMatrix(3, [0, 2], [0, 1], [1.0, -2.0])
+        b = SparseSymmetricMatrix(3, [0, 2], [0, 0], [4.0, 3.0])
+        dense = a.to_dense() - b.to_dense()
+        assert norm1_diff(a, b) == merge_norm1_diff(a, b) \
+            == np.abs(dense).sum(axis=0).max() == 6.0
 
     def test_zero_for_identical(self):
         a = SparseSymmetricMatrix.from_dense(np.eye(4))
