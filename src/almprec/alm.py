@@ -460,8 +460,9 @@ def _restrict_model(model, free):
 
 class _Subproblem:
     """One ALM sub-problem: the merit, its gradient, and the Hessian model
-    with its preconditioner on the free variables.  Its .get is the
-    spg_solve provider contract."""
+    with its preconditioner on the free variables.  Both inner solvers
+    read `free_system`; its .get is the spg_solve provider, returning
+    the reduced apply and the index `free` that truncated Newton uses."""
 
     def __init__(self, p, lam_bar, rho, cfg, manager, memo):
         self.p = p
@@ -478,12 +479,12 @@ class _Subproblem:
         return eval_al_grad(self.p, z, self.lam_bar, self.rho)
 
     def free_system(self, z, g, s, y):
-        """(model, preconditioner, idx): the Hessian model at z with the
-        secant pair (s, y), restricted to the variables idx that the
+        """(model, preconditioner, free): the Hessian model at z with the
+        secant pair (s, y), restricted to the variables `free` that the
         gradient g leaves free, and a preconditioner that inverts that
         reduced matrix rather than restricting the full-space inverse.
-        idx is None when nothing is pinned; then the model is the full
-        one."""
+        `free` is an index array, or slice(None) when nothing is pinned;
+        then the model is the full one."""
         secant = (s, y) if s is not None else None
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
@@ -491,24 +492,16 @@ class _Subproblem:
                               _memo=self.memo)
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         if not np.any(act):
-            return model, self.manager.get(model), None
+            return model, self.manager.get(model), slice(None)
         reduced, idx = _restrict_model(model, ~act)
         return (reduced,
                 self.manager.get(reduced, free=tuple(idx.tolist())), idx)
 
     def get(self, z, g, s, y):
-        """The free-system preconditioner, scattered back to the full
-        space with zeros on the pinned components."""
-        _, precond, idx = self.free_system(z, g, s, y)
-        if idx is None:
-            return precond
-        n = self.p.n
-
-        def apply(r):
-            out = np.zeros(n)
-            out[idx] = precond.apply(np.asarray(r, dtype=np.float64)[idx])
-            return out
-        return apply
+        """(apply, free): the free-system preconditioner's apply, which
+        acts on vectors restricted to `free`."""
+        _, precond, free = self.free_system(z, g, s, y)
+        return precond.apply, free
 
 
 @dataclass
@@ -529,8 +522,7 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo):
     def tn_direction(z, g, pg, s, y):
         # Bound-pinned components take the raw gradient (clipped by the
         # projection); the model is solved on the free variables only.
-        model, precond, idx = sub.free_system(z, g, s, y)
-        free = slice(None) if idx is None else idx
+        model, precond, free = sub.free_system(z, g, s, y)
         step = truncated_newton_step(model, g[free], precond, icfg)
         if step.preconditioned:
             stats.krylov_precond += step.krylov_iterations

@@ -8,13 +8,15 @@ an aligned text table derived from the CSV.
 """
 
 import io
+import itertools
 import time
 from dataclasses import dataclass, field, replace
+from typing import Tuple
 
 import numpy as np
 
 from .alm import AlmConfig, alm_solve
-from .auxprecond import build_aux
+from .auxprecond import KINDS, build_aux
 from .krylov import pcg
 from .problems import get_problem
 from .sparse import SparseSymmetricMatrix, read_matrix_market
@@ -31,15 +33,39 @@ class ExperimentConfig:
     density: float = 0.05
     m: int = 10
     seed: int = 0
-    rho_list: tuple = (1.5, 15.5, 154.8, 1548.3, 15483.0)
-    drop_tol_list: tuple = (0.1,)
+    rho_list: Tuple[float, ...] = (1.5, 15.5, 154.8, 1548.3, 15483.0)
+    drop_tol_list: Tuple[float, ...] = (0.1,)
     aux_kind: str = "incomplete-cholesky"
     tol: float = 1e-8
-    problems: tuple = ("EQ-QP",)
-    solvers: tuple = ("truncated-newton",)
-    hessian_modes: tuple = ("NW",)
-    policies: tuple = ("auto",)
+    problems: Tuple[str, ...] = ("EQ-QP",)
+    solvers: Tuple[str, ...] = ("truncated-newton",)
+    hessian_modes: Tuple[str, ...] = ("NW",)
+    policies: Tuple[str, ...] = ("auto",)
     alm: AlmConfig = field(default_factory=AlmConfig)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1, got %r" % self.n)
+        if self.m < 0:
+            raise ValueError("m must be nonnegative, got %r" % self.m)
+        if not 0.0 <= self.density <= 1.0:
+            raise ValueError("density must lie in [0, 1], got %r"
+                             % self.density)
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive, got %r" % self.tol)
+        for name in ("rho_list", "drop_tol_list", "problems", "solvers",
+                     "hessian_modes", "policies"):
+            if not getattr(self, name):
+                raise ValueError("%s must not be empty" % name)
+        if not all(rho > 0.0 for rho in self.rho_list):
+            raise ValueError("rho must be positive, got %r"
+                             % (self.rho_list,))
+        if not all(tol >= 0.0 for tol in self.drop_tol_list):
+            raise ValueError("drop tolerance must be nonnegative, got %r"
+                             % (self.drop_tol_list,))
+        if self.aux_kind not in KINDS:
+            raise ValueError("unknown auxiliary preconditioner kind %r"
+                             % self.aux_kind)
 
 
 def random_spd_matrix(n, density, seed):
@@ -75,12 +101,17 @@ def materialize(apply_op, n):
     return out
 
 
+def _dense_operator(apply_op, n):
+    """materialize, refusing operators above DENSE_LIMIT."""
+    if n > DENSE_LIMIT:
+        raise ValueError("operator too large for dense estimation")
+    return materialize(apply_op, n)
+
+
 def condition_estimate(apply_op, n):
     """kappa_1 = ||A||_1 ||A^-1||_1 via dense materialization; +inf when
     singular to working precision."""
-    if n > DENSE_LIMIT:
-        raise ValueError("operator too large for dense estimation")
-    return _kappa1(materialize(apply_op, n))
+    return _kappa1(_dense_operator(apply_op, n))
 
 
 def _kappa1(dense):
@@ -152,107 +183,87 @@ def spectrum_identity_residual(m, aux, v, rho):
     return float(np.max(np.abs(lam_lhs - lam_rhs)))
 
 
-def run_spectral_experiment(cfg):
+def _rho_sweep(cfg):
+    """(row head, M, V, aux, H apply, structured preconditioner) for
+    every drop tolerance and rho of cfg, one auxiliary per drop
+    tolerance."""
     m, name = _load_matrix(cfg)
     m, shift = _force_spd(m)
     v_cols = random_constraints(m.n, cfg.m, cfg.seed)
-    rows = []
     for drop_tol in cfg.drop_tol_list:
         aux = build_aux(m, cfg.aux_kind, drop_tol)
         for rho in cfg.rho_list:
-            h_apply = _h_apply(m, v_cols, rho)
-            sp = _structured(aux, v_cols, rho)
-            kappa_h = condition_estimate(h_apply, m.n)
-            pinv_h = materialize(
-                lambda x: sp.apply(h_apply(x)), m.n)
-            kappa_ph = _kappa1(pinv_h)
-            eig_h = np.sort(np.linalg.eigvalsh(
-                materialize(h_apply, m.n)))
-            eig_ph = np.sort(np.linalg.eigvals(pinv_h).real)
-            row = {
-                "name": name, "n": m.n, "m": cfg.m, "seed": cfg.seed,
-                "drop_tol": drop_tol, "rho": rho, "spd_shift": shift,
-                "kappa_H": kappa_h, "kappa_PH": kappa_ph,
-                "eig_H": _pack(eig_h), "eig_PH": _pack(eig_ph),
-            }
-            if cfg.m == 1:
-                row["spectrum_identity_residual"] = \
-                    spectrum_identity_residual(m, aux, v_cols[:, 0], rho)
-            rows.append(row)
+            head = {"name": name, "n": m.n, "m": cfg.m, "seed": cfg.seed,
+                    "drop_tol": drop_tol, "rho": rho, "spd_shift": shift}
+            yield (head, m, v_cols, aux, _h_apply(m, v_cols, rho),
+                   _structured(aux, v_cols, rho))
+
+
+def run_spectral_experiment(cfg):
+    rows = []
+    for row, m, v_cols, aux, h_apply, sp in _rho_sweep(cfg):
+        h = _dense_operator(h_apply, m.n)
+        pinv_h = materialize(lambda x: sp.apply(h_apply(x)), m.n)
+        row.update({
+            "kappa_H": _kappa1(h), "kappa_PH": _kappa1(pinv_h),
+            "eig_H": _pack(np.sort(np.linalg.eigvalsh(h))),
+            "eig_PH": _pack(np.sort(np.linalg.eigvals(pinv_h).real)),
+        })
+        if cfg.m == 1:
+            row["spectrum_identity_residual"] = spectrum_identity_residual(
+                m, aux, v_cols[:, 0], row["rho"])
+        rows.append(row)
     return rows
 
 
 def run_linsys_experiment(cfg):
-    m, name = _load_matrix(cfg)
-    m, shift = _force_spd(m)
-    v_cols = random_constraints(m.n, cfg.m, cfg.seed)
-    maxit = 10 * m.n
     rows = []
-    for drop_tol in cfg.drop_tol_list:
-        aux = build_aux(m, cfg.aux_kind, drop_tol)
-        for rho in cfg.rho_list:
-            h_apply = _h_apply(m, v_cols, rho)
-            sp = _structured(aux, v_cols, rho)
-            y = h_apply(np.ones(m.n))
-            plain = pcg(h_apply, None, y, tol=cfg.tol, maxit=maxit)
-            prec = pcg(h_apply, sp.apply, y, tol=cfg.tol, maxit=maxit)
-            kappa_h = condition_estimate(h_apply, m.n)
-            kappa_ph = condition_estimate(
-                lambda x: sp.apply(h_apply(x)), m.n)
-            rows.append({
-                "name": name, "n": m.n, "m": cfg.m, "seed": cfg.seed,
-                "drop_tol": drop_tol, "rho": rho, "spd_shift": shift,
-                "nnz_Z": aux.nnz,
-                "nnz_Z/n^2": aux.nnz / m.n ** 2,
-                "nnz_Z/nnz_M": aux.nnz / max(m.nnz, 1),
-                "kappa_H": kappa_h, "kappa_PH": kappa_ph,
-                "CG": plain.iterations if plain.converged else "n/c",
-                "PCG": prec.iterations if prec.converged else "n/c",
-            })
+    for row, m, _, aux, h_apply, sp in _rho_sweep(cfg):
+        y = h_apply(np.ones(m.n))
+        plain = pcg(h_apply, None, y, tol=cfg.tol)
+        prec = pcg(h_apply, sp.apply, y, tol=cfg.tol)
+        row.update({
+            "nnz_Z": aux.nnz,
+            "nnz_Z/n^2": aux.nnz / m.n ** 2,
+            "nnz_Z/nnz_M": aux.nnz / max(m.nnz, 1),
+            "kappa_H": condition_estimate(h_apply, m.n),
+            "kappa_PH": condition_estimate(
+                lambda x: sp.apply(h_apply(x)), m.n),
+            "CG": plain.iterations if plain.converged else "n/c",
+            "PCG": prec.iterations if prec.converged else "n/c",
+        })
+        rows.append(row)
     return rows
+
+
+# The result columns of a `solve` row, after its head; a run that raises
+# reports "error: ..." as its status and leaves the others empty.
+_SOLVE_COLUMNS = ("status", "ItL", "Itin", "Itpd", "Itd", "AcM", "AcV",
+                  "f", "kkt_opt", "kkt_feas")
 
 
 def run_alm_experiment(cfg):
     rows = []
-    for problem_name in cfg.problems:
-        for solver in cfg.solvers:
-            for mode in cfg.hessian_modes:
-                for policy in cfg.policies:
-                    p = get_problem(problem_name)
-                    alm_cfg = replace(
-                        cfg.alm, inner_solver=solver, hessian_mode=mode,
-                        precond_policy=policy, aux_kind=cfg.aux_kind)
-                    start = time.perf_counter()
-                    try:
-                        rep = alm_solve(p, alm_cfg)
-                        row = {
-                            "problem": problem_name, "n": p.n, "m": p.m,
-                            "solver": solver, "mode": mode,
-                            "policy": policy,
-                            "status": ("n/c" if rep.status
-                                       == "no convergence"
-                                       else rep.status),
-                            "ItL": rep.outer_iterations,
-                            "Itin": rep.inner_iterations,
-                            "Itpd": rep.krylov_precond,
-                            "Itd": rep.krylov_plain,
-                            "AcM": rep.ac_m, "AcV": rep.ac_v,
-                            "f": rep.f_value,
-                            "kkt_opt": rep.kkt_opt,
-                            "kkt_feas": rep.kkt_feas,
-                        }
-                    except Exception as exc:  # per-run failures stay in-row
-                        row = {
-                            "problem": problem_name, "n": p.n, "m": p.m,
-                            "solver": solver, "mode": mode,
-                            "policy": policy,
-                            "status": "error: %s" % exc,
-                            "ItL": "", "Itin": "", "Itpd": "", "Itd": "",
-                            "AcM": "", "AcV": "", "f": "",
-                            "kkt_opt": "", "kkt_feas": "",
-                        }
-                    row["time_s"] = time.perf_counter() - start
-                    rows.append(row)
+    for problem_name, solver, mode, policy in itertools.product(
+            cfg.problems, cfg.solvers, cfg.hessian_modes, cfg.policies):
+        p = get_problem(problem_name)
+        alm_cfg = replace(cfg.alm, inner_solver=solver, hessian_mode=mode,
+                          precond_policy=policy, aux_kind=cfg.aux_kind)
+        row = {"problem": problem_name, "n": p.n, "m": p.m,
+               "solver": solver, "mode": mode, "policy": policy}
+        start = time.perf_counter()
+        try:
+            rep = alm_solve(p, alm_cfg)
+            values = ("n/c" if rep.status == "no convergence"
+                      else rep.status,
+                      rep.outer_iterations, rep.inner_iterations,
+                      rep.krylov_precond, rep.krylov_plain, rep.ac_m,
+                      rep.ac_v, rep.f_value, rep.kkt_opt, rep.kkt_feas)
+        except Exception as exc:  # per-run failures stay in-row
+            values = ("error: %s" % exc,) + ("",) * (len(_SOLVE_COLUMNS) - 1)
+        row.update(zip(_SOLVE_COLUMNS, values))
+        row["time_s"] = time.perf_counter() - start
+        rows.append(row)
     return rows
 
 

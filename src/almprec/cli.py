@@ -23,15 +23,19 @@ from .auxprecond import FactorizationError
 from .bench import (ExperimentConfig, csv_to_table, rows_to_csv,
                     run_experiment)
 
-_INT_KEYS = {"n", "m", "seed"}
-_FLOAT_KEYS = {"density", "tol"}
-_STR_KEYS = {"matrix", "aux_kind"}
-_TUPLE_FLOAT_KEYS = {"rho_list", "drop_tol_list"}
-_TUPLE_STR_KEYS = {"problems", "solvers", "hessian_modes", "policies"}
+def _tuple_of(parse):
+    return lambda raw: tuple(parse(v.strip()) for v in raw.split(",")
+                             if v.strip())
+
+
+_FIELDS = {key: hint for key, hint
+           in typing.get_type_hints(ExperimentConfig).items()
+           if key not in ("kind", "alm")}
 _ALM_FIELDS = typing.get_type_hints(AlmConfig)
-# Field type -> parser for the AlmConfig fields a config line can set.
-_ALM_SCALARS = {int: int, float: float, typing.Optional[float]: float,
-                str: str}
+# Field type -> parser for the fields a config line can set.
+_PARSERS = {int: int, float: float, typing.Optional[float]: float, str: str,
+            typing.Tuple[float, ...]: _tuple_of(float),
+            typing.Tuple[str, ...]: _tuple_of(str)}
 
 
 class ConfigError(ValueError):
@@ -62,21 +66,13 @@ def parse_config_text(text, source="<config>"):
 
 
 def _convert(key, raw):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _STR_KEYS:
-        return raw
-    if key in _TUPLE_FLOAT_KEYS:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    if key in _TUPLE_STR_KEYS:
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    raise ConfigError("unknown config key %r" % key)
+    if key not in _FIELDS:
+        raise ConfigError("unknown config key %r" % key)
+    return _PARSERS[_FIELDS[key]](raw)
 
 
 def _convert_alm(key, raw):
-    parse = _ALM_SCALARS.get(_ALM_FIELDS[key])
+    parse = _PARSERS.get(_ALM_FIELDS[key])
     if parse is None:
         raise ConfigError("alm.%s is not a scalar setting and cannot be set "
                           "from a config file" % key)

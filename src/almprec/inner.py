@@ -100,16 +100,6 @@ def truncated_newton_step(model, grad, precond, cfg):
                   used_precond, fallback)
 
 
-def _resolve_precond(precond, z, g, s, y):
-    """A provider exposes .get(z, g, s, y), with g the gradient at z;
-    anything else is a static operator (object with .apply, or a bare
-    callable)."""
-    if precond is None:
-        return None
-    op = precond.get(z, g, s, y) if hasattr(precond, "get") else precond
-    return op.apply if hasattr(op, "apply") else op
-
-
 def projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg):
     """
     Nonmonotone projected backtracking along d: trial points
@@ -181,17 +171,23 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
     """
     Spectral projected gradient: `projected_descent` along
     d = P_box(x - alpha D grad) - x, D = identity or the preconditioner.
-    `precond` is a static operator or a provider whose .get(x, g, s, y)
-    receives the current gradient g.  Each direction first updates the
-    spectral coefficients from the previous step (s, y): alpha_bb =
-    s's / s'y, and alpha_p = s'y / y'Dy with the previous step's D.
+    `precond` is None or a provider whose .get(x, g, s, y), with g the
+    gradient at x, returns (apply, free): `free` indexes the variables
+    left free (an index array, or slice(None) when nothing is pinned)
+    and `apply` acts on the gradient restricted to them.  The step takes
+    pgrad = g with pgrad[free] = apply(g[free]), the two-metric
+    safeguard: bound-pinned components keep their raw gradient, clipped
+    by the projection.  Each direction first updates the spectral
+    coefficients from the previous step (s, y): alpha_bb = s's / s'y,
+    and alpha_p = s'y / y'Dy with the previous step's D, zero on the
+    components it left pinned.
     """
     alpha_bb = None      # plain spectral coefficient
     alpha_p = 1.0        # coefficient in the preconditioned metric
-    apply_p = None       # the previous step's preconditioner
+    prev = None          # the previous step's (apply, free)
 
     def direction(x, g, pg, s, y):
-        nonlocal alpha_bb, alpha_p, apply_p
+        nonlocal alpha_bb, alpha_p, prev
         if s is None:
             alpha_bb = min(cfg.alpha_max,
                            max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
@@ -201,26 +197,27 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
             if sy > 1e-14 * max(ss, 1e-300):
                 alpha_bb = float(np.clip(ss / sy, cfg.alpha_min,
                                          cfg.alpha_max))
-                if apply_p is not None:
+                if prev is not None:
                     # alpha_p is 1 when D inverts the local Hessian
                     # exactly, so it is trusted only within a moderate
                     # band around 1.
-                    ypy = float(y @ apply_p(y))
+                    # y'Dy is an n-length product, zero on the pinned
+                    # components; y[free] @ apply(y[free]) rounds apart.
+                    apply, free = prev
+                    dy = np.zeros_like(y)
+                    dy[free] = apply(y[free])
+                    ypy = float(y @ dy)
                     if ypy > 0.0:
                         alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
             elif sy <= 0.0 and ss > 0.0:
                 alpha_bb = cfg.alpha_max
             # On degenerate (near-zero) steps both coefficients are kept.
 
-        apply_p = _resolve_precond(precond, x, g, s, y)
         d = None
-        if apply_p is not None:
-            # Two-metric safeguard: precondition only the free variables;
-            # bound-pinned components keep their raw gradient (clipped by
-            # the projection anyway).
-            act = active_bound_mask(x, g, lower, upper)
-            pgrad = apply_p(np.where(act, 0.0, g))
-            pgrad = np.where(act, g, pgrad)
+        if precond is not None:
+            prev = apply, free = precond.get(x, g, s, y)
+            pgrad = g.copy()
+            pgrad[free] = apply(g[free])
             d = project_box(x - alpha_p * pgrad, lower, upper) - x
             if float(d @ g) >= 0.0:
                 d = None

@@ -99,6 +99,8 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         raise ValueError("tol must be positive")
     if maxit is None:
         maxit = 10 * n
+    if maxit < 1:
+        raise ValueError("maxit must be >= 1")
 
     x = np.zeros(n)
     normb = np.linalg.norm(b)

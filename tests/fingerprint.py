@@ -12,6 +12,8 @@ total over all of them:
 
 - `grid`: the 126 runs of the `solve` grid in tests/data/solve_grid.cfg
   (every problem x inner solver x Hessian mode x refresh policy);
+- `solve-csv`: the `solve` experiment's CSV of that grid, with time
+  zeroed, so its row builder is checked too;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
@@ -82,15 +84,21 @@ def _digest(parts):
     return h.hexdigest()
 
 
+def _grid_config(root):
+    """The ExperimentConfig of tests/data/solve_grid.cfg."""
+    from almprec.cli import build_experiment_config, parse_config_text
+
+    path = root / "tests" / "data" / "solve_grid.cfg"
+    return build_experiment_config(
+        "solve", parse_config_text(path.read_text(), source=str(path)))
+
+
 def grid_runs(root):
     """(label, digest) for every run of the solve grid."""
     from almprec.alm import alm_solve
-    from almprec.cli import build_experiment_config, parse_config_text
     from almprec.problems import get_problem
 
-    path = root / "tests" / "data" / "solve_grid.cfg"
-    cfg = build_experiment_config(
-        "solve", parse_config_text(path.read_text(), source=str(path)))
+    cfg = _grid_config(root)
     for name in cfg.problems:
         for solver in cfg.solvers:
             for mode in cfg.hessian_modes:
@@ -106,6 +114,15 @@ def grid_runs(root):
                         parts = [repr(exc).encode()]
                     yield ("grid %s %s %s %s" % (name, solver, mode, policy),
                            _digest(parts))
+
+
+def solve_csv_run(root):
+    """(label, digest) of the solve grid's CSV, time zeroed."""
+    from almprec.bench import rows_to_csv, run_experiment
+
+    csv = rows_to_csv(run_experiment(_grid_config(root)),
+                      time_column_stable=True)
+    yield "solve-csv", _digest([csv.encode()])
 
 
 def workload_runs():
@@ -152,8 +169,8 @@ def fingerprint(root):
               % (almprec.__file__, root / "src"), file=sys.stderr)
         return 2
     total = hashlib.sha256()
-    for label, digest in (*grid_runs(root), *workload_runs(),
-                          *experiment_runs()):
+    for label, digest in (*grid_runs(root), *solve_csv_run(root),
+                          *workload_runs(), *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())
     print("total", total.hexdigest())

@@ -808,6 +808,23 @@ class TestAlmSolve:
         assert provider_gets > 0
         assert grads_in_provider == 0
 
+    def test_pspg_provider_gives_the_reduced_apply_and_its_index(self):
+        """get(z, g, s, y) returns (apply, free) as free_system indexes
+        for truncated Newton: free indices when a bound is pinned, else
+        slice(None), and an apply on the free variables only."""
+        p = get_problem("BOX-QP")  # f = |x - (2, 2)|^2 on [0, 1]^2
+        cfg = AlmConfig(inner_solver="pspg")
+        sub = alm._Subproblem(p, np.zeros(0), cfg.rho1, cfg,
+                              PrecondManager(cfg), alm._SolveMemo())
+        z = np.array([1.0, 0.5])
+        apply, free = sub.get(z, sub.grad(z), None, None)
+        np.testing.assert_array_equal(free, [1])
+        np.testing.assert_allclose(apply(np.array([4.0])), [2.0])
+        z = np.array([0.5, 0.5])
+        apply, free = sub.get(z, sub.grad(z), None, None)
+        assert free == slice(None)
+        np.testing.assert_allclose(apply(np.array([4.0, 2.0])), [2.0, 1.0])
+
     def test_truncated_newton_preconditions_the_reduced_system(
             self, monkeypatch):
         """With an exact auxiliary, the preconditioner TN gets on a step

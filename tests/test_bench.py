@@ -156,6 +156,36 @@ class TestConfigParsing:
                                  "drop tolerance"):
             build_experiment_config("solve", pairs)
 
+    @pytest.mark.parametrize("line, message", [
+        ("n = 0", "n must be at least 1"),
+        ("m = -1", "m must be nonnegative"),
+        ("density = 1.5", "density must lie in \\[0, 1\\]"),
+        ("density = -0.1", "density must lie in \\[0, 1\\]"),
+        ("tol = 0", "tol must be positive"),
+        ("rho_list =", "rho_list must not be empty"),
+        ("drop_tol_list = ,", "drop_tol_list must not be empty"),
+        ("problems =", "problems must not be empty"),
+        ("solvers =", "solvers must not be empty"),
+        ("hessian_modes =", "hessian_modes must not be empty"),
+        ("policies =", "policies must not be empty"),
+        ("rho_list = 1.0, 0.0", "rho must be positive"),
+        ("drop_tol_list = 0.1, -1e-3", "drop tolerance must be nonnegative"),
+        ("aux_kind = cholesky", "unknown auxiliary preconditioner kind"),
+    ])
+    def test_experiment_value_rejected_at_its_line(self, line, message):
+        key = line.split("=")[0].strip()
+        pairs = parse_config_text("seed = 1\n%s\n" % line, source="f")
+        with pytest.raises(ConfigError,
+                           match="^f:2: bad value for '%s': %s"
+                                 % (key, message)):
+            build_experiment_config("linsys", pairs)
+
+    @pytest.mark.parametrize("key", ["kind", "alm"])
+    def test_kind_and_alm_are_not_config_keys(self, key):
+        with pytest.raises(ConfigError, match="unknown config key '%s'"
+                                              % key):
+            build_experiment_config("linsys", {key: "solve"})
+
 
 class TestCli:
     def test_solve_csv_to_file(self, tmp_path):
@@ -243,6 +273,19 @@ class TestCli:
         assert rc == 2
         assert ("%s:2: bad value for 'alm.max_outer': max_outer must be at "
                 "least 1" % conf) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, line", [("linsys", "m = -1"),
+                                            ("solve", "rho_list =")])
+    def test_rejected_experiment_value_exits_2(self, tmp_path, capsys,
+                                               kind, line):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("n = 10\n%s\n" % line)
+        rc = main([kind, "--config", str(conf), "--out",
+                   str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert ("%s:2: bad value for '%s'" % (conf, line.split()[0])
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.csv").exists()
 
     def test_same_seed_byte_identical(self, tmp_path):
         conf = tmp_path / "bench.conf"

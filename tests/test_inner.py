@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from almprec import inner
 from almprec.inner import (InnerConfig, active_bound_mask, project_box,
                            projected_descent, spg_solve, truncated_newton_step)
 
@@ -116,24 +117,68 @@ class TestSpg:
 
         class Prov:
             def get(self, z, g, s, y):
-                return lambda r: r / diag
+                return (lambda r: r / diag), slice(None)
         prec = spg_solve(f, g, lower, upper, np.zeros(4), cfg,
                          precond=Prov())
         assert prec.status == "converged"
         assert prec.iterations <= plain.iterations
         assert prec.iterations <= 3
 
-    def test_static_precondition_operator_accepted(self):
-        a = np.diag([1.0, 50.0])
-        f, g = quad(a, np.ones(2))
+    def test_provider_preconditions_only_free_variables(self):
+        # x1 is pinned at its lower bound 0 from the start; the reduced
+        # apply sees only the free x0 and must never be handed x1.
+        diag = np.array([50.0, 1.0])
+        f, g = quad(np.diag(diag), np.array([50.0, -1.0]))
+        seen = []
 
-        class Op:
-            def apply(self, r):
-                return r / np.array([1.0, 50.0])
-        res = spg_solve(f, g, np.full(2, -np.inf), np.full(2, np.inf),
-                        np.zeros(2), InnerConfig(grad_tol=1e-9),
-                        precond=Op())
-        assert res.status == "converged" and res.iterations <= 3
+        class Prov:
+            def get(self, z, g, s, y):
+                free = np.flatnonzero(~active_bound_mask(z, g, lower,
+                                                         upper))
+                seen.append(free.tolist())
+                return (lambda r: r / diag[free]), free
+        lower, upper = np.zeros(2), np.full(2, np.inf)
+        res = spg_solve(f, g, lower, upper, np.array([3.0, 0.0]),
+                        InnerConfig(grad_tol=1e-9), precond=Prov())
+        assert res.status == "converged" and res.iterations == 1
+        assert seen == [[0]]
+        np.testing.assert_array_equal(res.x, [1.0, 0.0])
+
+    def test_no_mask_recomputed_with_a_provider(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(inner, "active_bound_mask",
+                            lambda *args, **kwargs: calls.append(args))
+        f, g, lower, upper, x0, a = _pinning_problem(0)
+        res = spg_solve(f, g, lower, upper, x0, InnerConfig(grad_tol=1e-9),
+                        precond=_ReducedInverse(a, lower, upper))
+        assert res.iterations > 1
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_matches_the_masked_closure_bit_for_bit(self, seed):
+        f, g, lower, upper, x0, a = _pinning_problem(seed)
+        cfg = InnerConfig(grad_tol=1e-10, max_iterations=200)
+        new_trials, old_trials = [], []
+
+        def recording(trials):
+            def f_eval(x):
+                trials.append(x.tobytes())
+                return f(x)
+            return f_eval
+        prov = _ReducedInverse(a, lower, upper)
+        new = spg_solve(recording(new_trials), g, lower, upper, x0, cfg,
+                        precond=prov)
+        old = _masked_closure_spg(
+            recording(old_trials), g, lower, upper, x0, cfg,
+            _ReducedInverse(a, lower, upper))
+        # The pinned set changes between steps that update alpha_p.
+        changes = [i for i in range(1, len(prov.frees))
+                   if prov.secant[i] and prov.frees[i] != prov.frees[i - 1]]
+        assert changes
+        assert new.status == old.status
+        assert new.iterations == old.iterations
+        assert new_trials == old_trials
+        assert new.x.tobytes() == old.x.tobytes()
 
     def test_merit_evaluated_inside_the_box_only(self):
         # From x = 1 the first spectral step lands on the bound 0.1, and
@@ -166,6 +211,85 @@ class TestSpg:
         res = spg_solve(f, g, np.full(2, -np.inf), np.full(2, np.inf),
                         np.ones(2), InnerConfig(grad_tol=1e-10))
         assert res.f_value == pytest.approx(0.0, abs=1e-12)
+
+
+def _pinning_problem(seed):
+    """(f, g, lower, upper, x0, A): a seeded convex quadratic on a box
+    whose pinned set changes as the iteration proceeds."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    q = rng.standard_normal((n, n))
+    a = q @ q.T / n + np.diag(rng.uniform(0.1, 10.0, n))
+    b = 3.0 * rng.standard_normal(n)
+    lower = np.full(n, -0.5)
+    upper = np.full(n, 0.5)
+    f, g = quad(a, b)
+    return f, g, lower, upper, rng.uniform(-0.5, 0.5, n), a
+
+
+class _ReducedInverse:
+    """A provider: the inverse of diag(A) + 0.1 A on the free variables,
+    an inexact metric so that alpha_p moves off 1."""
+
+    def __init__(self, a, lower, upper):
+        self.a = a
+        self.lower, self.upper = lower, upper
+        self.frees, self.secant = [], []
+
+    def get(self, z, g, s, y):
+        act = active_bound_mask(z, g, self.lower, self.upper)
+        free = np.flatnonzero(~act) if act.any() else slice(None)
+        self.frees.append(np.flatnonzero(~act).tolist())
+        self.secant.append(s is not None)
+        a = self.a[free][:, free]
+        m = np.diag(np.diag(a)) + 0.1 * a
+        return (lambda r: np.linalg.solve(m, r)), free
+
+
+def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, cfg, provider):
+    """The PSPG step as spg_solve took it through a full-space apply: the
+    provider's reduced apply scattered back with zeros on the pinned
+    components, the active-bound mask recomputed, and the gradient masked
+    before and after the apply.  alpha_p's y'Dy is an n-length product
+    with the previous step's scatter."""
+    alpha_bb, alpha_p, apply_p = None, 1.0, None
+
+    def scatter(apply, free, n):
+        def full(r):
+            out = np.zeros(n)
+            out[free] = apply(np.asarray(r, dtype=np.float64)[free])
+            return out
+        return full
+
+    def direction(x, g, pg, s, y):
+        nonlocal alpha_bb, alpha_p, apply_p
+        if s is None:
+            alpha_bb = min(cfg.alpha_max,
+                           max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
+        else:
+            sy, ss = float(s @ y), float(s @ s)
+            if sy > 1e-14 * max(ss, 1e-300):
+                alpha_bb = float(np.clip(ss / sy, cfg.alpha_min,
+                                         cfg.alpha_max))
+                if apply_p is not None:
+                    ypy = float(y @ apply_p(y))
+                    if ypy > 0.0:
+                        alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
+            elif sy <= 0.0 and ss > 0.0:
+                alpha_bb = cfg.alpha_max
+        apply, free = provider.get(x, g, s, y)
+        apply_p = apply if isinstance(free, slice) \
+            else scatter(apply, free, x.size)
+        act = active_bound_mask(x, g, lower, upper)
+        pgrad = apply_p(np.where(act, 0.0, g))
+        pgrad = np.where(act, g, pgrad)
+        d = project_box(x - alpha_p * pgrad, lower, upper) - x
+        if float(d @ g) >= 0.0:
+            d = project_box(x - alpha_bb * g, lower, upper) - x
+        return d
+
+    return projected_descent(f_eval, grad_eval, lower, upper, x0, cfg,
+                             direction)
 
 
 def _steepest(x, g, pg, s, y):

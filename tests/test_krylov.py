@@ -124,3 +124,8 @@ class TestPminres:
         rep = pminres(lambda v: a @ v, None, b, tol=1e-9)
         assert np.linalg.norm(b - a @ rep.solution) \
             <= 1e-9 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("maxit", [0, -1])
+    def test_rejects_maxit_below_one(self, maxit):
+        with pytest.raises(ValueError, match="maxit must be >= 1"):
+            pminres(lambda v: v, None, np.ones(2), maxit=maxit)
