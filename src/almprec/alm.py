@@ -11,12 +11,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
+from scipy.sparse.linalg import splu
 
 from .auxprecond import KINDS, FactorizationError, build_aux
 from .inner import (InnerConfig, active_bound_mask, project_box,
                     projected_descent, spg_solve, truncated_newton_step)
-from .sparse import SparseSymmetricMatrix
+from .sparse import SparseSymmetricMatrix, _lower_nonzeros, _row_blocks
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
                          UpdateThresholds, build_column_set, decide_update)
@@ -155,16 +155,30 @@ class HessianModel:
 
 
 def _positive_definite(a):
-    """Whether a Cholesky factorization of a - tau I succeeds, with the
-    margin tau = 10 n eps ||a||_1.  Reads the lower triangle of `a`."""
-    n = a.shape[0]
-    probe = np.array(a, dtype=np.float64)
-    probe[np.diag_indices(n)] -= (10.0 * n * np.finfo(np.float64).eps
-                                  * np.linalg.norm(probe, 1))
-    # probe.T is Fortran-ordered, so LAPACK factors it in place; its upper
-    # triangle is the lower triangle of `a`.
-    _, info = dpotrf(probe.T, lower=0, clean=0, overwrite_a=1)
-    return info == 0
+    """Whether the SparseSymmetricMatrix a - tau I is positive definite,
+    with the margin tau = 10 n eps ||a||_1, by the signs of the pivots of
+    an unpivoted sparse LDL' (Sylvester's law of inertia).  SuperLU
+    factors it in a symmetric fill-reducing order with diagonal pivots
+    only; it takes an off-diagonal pivot where a diagonal one is zero,
+    and that, or an exactly singular factor, means not positive definite.
+    A diagonal entry that `a` does not store stays zero instead of -tau;
+    either way the matrix is not positive definite, and no pivot there
+    can be positive."""
+    n = a.n
+    full = a.to_csr()
+    # Column sums of |a| in row order, the order of a dense axis-0 sum.
+    tau = (10.0 * n * np.finfo(np.float64).eps
+           * np.bincount(full.indices, np.abs(full.data), minlength=n).max())
+    full.data[full.indices
+              == np.repeat(np.arange(n), np.diff(full.indptr))] -= tau
+    # The matrix is symmetric, so the CSC transpose is the matrix itself.
+    try:
+        lu = splu(full.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0))
 
 
 class _SolveMemo:
@@ -211,22 +225,23 @@ def _min_eigenvalue(a):
 
 
 def _shift_pattern(a):
-    """(rows, cols, vals, on_diag) of the lower triangle of `a` at its
-    nonzero entries and on the whole diagonal, in row-major order."""
+    """The lower triangle of `a` at its nonzero entries and on its whole
+    diagonal, zeros included, as a SparseSymmetricMatrix: the entries of
+    a + sigma I, whatever sigma."""
     n = a.shape[0]
-    mask = np.abs(a) > 0.0
-    mask[np.diag_indices(n)] = True
-    rows, cols = np.divmod(np.flatnonzero(np.tril(mask)), n)
-    return rows, cols, a[rows, cols], (rows == cols).astype(np.float64)
+    rows, cols = _lower_nonzeros(a, 0.0)
+    rows, cols = np.divmod(
+        np.union1d(rows * n + cols, np.arange(n) * (n + 1)), n)
+    return SparseSymmetricMatrix(n, rows, cols, a[rows, cols])
 
 
-def _shifted(pattern, n, sigma):
-    """from_dense(a + sigma I) from the shift pattern of `a`: the same
+def _shifted(base, sigma):
+    """from_dense(a + sigma I) from base = _shift_pattern(a): the same
     entries and values, exact zeros dropped alike."""
-    rows, cols, vals, on_diag = pattern
-    vals = vals + sigma * on_diag
+    vals = base.vals + sigma * (base.rows == base.cols)
     keep = np.abs(vals) > 0.0
-    return SparseSymmetricMatrix(n, rows[keep], cols[keep], vals[keep])
+    return SparseSymmetricMatrix(base.n, base.rows[keep], base.cols[keep],
+                                 vals[keep])
 
 
 def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
@@ -241,19 +256,25 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     QN keeps M positive definite by raising sigma to a floor set by the
     smallest eigenvalue of hess f.  When hess f is positive definite the
     floor never raises sigma, so the eigenvalue is only computed when a
-    Cholesky probe of hess f - tau I fails, tau = 10 n eps ||hess f||_1.
-    The probe succeeds only on a positive definite matrix, up to its
-    backward error (Higham, Accuracy and Stability of Numerical
-    Algorithms, 10.1); the margin tau keeps it failing on a singular
-    positive semidefinite hess f, whose computed smallest eigenvalue may
-    be exactly zero and then sets the floor.
+    probe of hess f - tau I fails, tau = 10 n eps ||hess f||_1: the
+    pivots of its unpivoted sparse LDL' must all be positive (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10-11).  The
+    margin tau keeps the probe failing on a singular positive
+    semidefinite hess f, whose computed smallest eigenvalue may be
+    exactly zero and then sets the floor.
+
+    The dense hess f and constraint Hessians are read a block of rows at
+    a time, so besides them the model needs O(nnz) memory, except for
+    the n x n sum of NW when a constraint Hessian contributes and the
+    eigenvalues of QN when the probe fails.
 
     `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
     the model derives from arrays the problem declares constant (see
     NlpProblem): whether each constraint Hessian is zero, the sparse NW
-    block when no constraint Hessian contributes, and for QN the probe
-    verdict, the smallest eigenvalue and the sparsity pattern of
-    hess f + sigma I.  The model is bit for bit the one built without it.
+    block when no constraint Hessian contributes, and for QN the entries
+    of hess f + sigma I, the probe verdict and the smallest eigenvalue;
+    each such array is scanned once.  The model is bit for bit the one
+    built without it.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -270,7 +291,9 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
             if not _memo.value(h, "zero", _is_zero):
                 if dense_m is None:
                     dense_m = hess_f.copy()
-                dense_m += lam_hat[i] * h
+                # By row blocks: lam_hat[i] * h whole is n x n.
+                for blk in _row_blocks(p.n):
+                    dense_m[blk] += lam_hat[i] * h[blk]
         if dense_m is None:
             m_part = _memo.value(hess_f, "sparse",
                                  SparseSymmetricMatrix.from_dense)
@@ -297,13 +320,14 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
     # curvature so the factored block stays well conditioned.
-    if not _memo.value(hess_f, "positive definite", _positive_definite):
+    base = _memo.value(hess_f, "shift pattern", _shift_pattern)
+    if not _memo.value(hess_f, "positive definite",
+                       lambda _: _positive_definite(base)):
         lam_min_f = _memo.value(hess_f, "min eigenvalue", _min_eigenvalue)
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
-    m_part = _shifted(_memo.value(hess_f, "shift pattern", _shift_pattern),
-                      p.n, sigma)
+    m_part = _shifted(base, sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None

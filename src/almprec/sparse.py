@@ -30,6 +30,37 @@ def _strictly_row_major(rows, cols):
     return bool(np.all((step > 0) | ((step == 0) & (np.diff(cols) > 0))))
 
 
+# Entries of a dense array that `_lower_nonzeros` reads per block of
+# rows; its temporaries stay this small whatever the order of the array.
+_SCAN_ENTRIES = 1 << 16
+
+
+def _row_blocks(n):
+    """Slices of consecutive rows that cover range(n), each of at most
+    _SCAN_ENTRIES entries of an n-column array, and at least one row."""
+    step = max(1, _SCAN_ENTRIES // max(n, 1))
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
+
+
+def _lower_nonzeros(dense, tol):
+    """(rows, cols) of the lower-triangle entries of the square array
+    `dense` with |a_ij| > tol, or NaN, in row-major order: the entries
+    that `np.abs(dense) > tol` selects, NaN aside.  The rows are read in
+    the blocks of `_row_blocks`, so no temporary outgrows a block; whole
+    rows, because a contiguous block scans faster than its triangle."""
+    n = dense.shape[0]
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for blk in _row_blocks(n):
+        part = dense[blk]
+        keep = part != 0.0 if tol == 0.0 else ~(np.abs(part) <= tol)
+        r, c = np.divmod(np.flatnonzero(keep), n)
+        r += blk.start
+        lower = r >= c
+        rows.append(r[lower])
+        cols.append(c[lower])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 class SparseSymmetricMatrix:
     """
     Symmetric sparse matrix of order n.  Only the lower triangle is stored
@@ -83,17 +114,17 @@ class SparseSymmetricMatrix:
     @classmethod
     def from_dense(cls, dense, tol=0.0):
         """Build from a dense symmetric array, keeping the lower-triangle
-        entries with |a_ij| > tol, in row-major order."""
+        entries with |a_ij| > tol, in row-major order; tol must be
+        nonnegative.  The array is scanned a block of rows at a time
+        (`_lower_nonzeros`), so no n x n temporary is made.  A NaN entry
+        is kept, so the finiteness check rejects it."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense input must be square")
-        n = dense.shape[0]
-        # Scanning the whole array and then dropping the upper triangle is
-        # cheaper than masking the triangle first when the input is sparse.
-        rows, cols = np.divmod(np.flatnonzero(np.abs(dense) > tol), n)
-        lower = rows >= cols
-        rows, cols = rows[lower], cols[lower]
-        return cls(n, rows, cols, dense[rows, cols])
+        if not tol >= 0.0:
+            raise ValueError("tol must be nonnegative, got %r" % (tol,))
+        rows, cols = _lower_nonzeros(dense, tol)
+        return cls(dense.shape[0], rows, cols, dense[rows, cols])
 
     def to_dense(self):
         dense = np.zeros((self.n, self.n))
@@ -115,14 +146,14 @@ class SparseSymmetricMatrix:
             raise ValueError("dimension mismatch: expected length %d or "
                              "an (%d, k) block" % (self.n, self.n))
         if self._csr is None:
-            self._csr = self._full_csr()
+            self._csr = self.to_csr()
         return self._csr @ x
 
-    def _full_csr(self):
-        """The full symmetric matrix in CSR.  Row i holds its stored
-        entries, then the mirrored entries (j, i) with j > i, both in
-        ascending column order, so its columns ascend and the product sums
-        each row in that order."""
+    def to_csr(self):
+        """A new scipy CSR array of the full symmetric matrix.  Row i
+        holds its stored entries, then the mirrored entries (j, i) with
+        j > i, both in ascending column order, so its columns ascend and
+        the product sums each row in that order."""
         off = np.flatnonzero(self.rows != self.cols)
         # A stable sort by column keeps the rows of each column ascending.
         upper = off[np.argsort(self.cols[off], kind="stable")]

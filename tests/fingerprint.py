@@ -14,6 +14,10 @@ total over all of them:
   (every problem x inner solver x Hessian mode x refresh policy);
 - `solve-csv`: the `solve` experiment's CSV of that grid, with time
   zeroed, so its row builder is checked too;
+- `probe`: the verdict of the QN Hessian model's positive-definiteness
+  probe on each grid problem's `hess f` at `x0`, on a singular positive
+  semidefinite (Neumann) Laplacian and on a shifted indefinite one, so a
+  changed verdict shows even where no run depends on it;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
@@ -125,6 +129,48 @@ def solve_csv_run(root):
     yield "solve-csv", _digest([csv.encode()])
 
 
+def _laplacian(k, neumann):
+    """Dense 5-point Laplacian on a k x k grid; with `neumann`, its rows
+    sum to zero, so it is singular positive semidefinite."""
+    t = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+    if neumann:
+        t[0, 0] = t[-1, -1] = 1.0
+    return np.kron(t, np.eye(k)) + np.kron(np.eye(k), t)
+
+
+def probe_runs(root):
+    """(label, digest) of each probe verdict, as hessian_model receives
+    it: the probe is wrapped only to record what it returns, so this runs
+    on any checkout whatever the probe's signature."""
+    from almprec import alm
+    from almprec.problems import NlpProblem, get_problem
+
+    problems = [get_problem(name) for name in _grid_config(root).problems]
+    matrices = [(p.name, p.hess(p.x0)) for p in problems]
+    matrices += [("laplacian-neumann-8", _laplacian(8, True)),
+                 ("laplacian-minus-3-8", _laplacian(8, False)
+                  - 3.0 * np.eye(64))]
+    probe, verdicts = alm._positive_definite, []
+
+    def recorded(a):
+        verdicts.append(probe(a))
+        return verdicts[-1]
+    alm._positive_definite = recorded
+    try:
+        for name, hess in matrices:
+            n = hess.shape[0]
+            p = NlpProblem(name=name, n=n, x0=np.zeros(n), kinds=(),
+                           f=None, grad=None, hess=lambda x, h=hess: h,
+                           cons=lambda x: np.zeros(0),
+                           jac_cols=lambda x, n=n: np.zeros((n, 0)),
+                           cons_hess=None)
+            alm.hessian_model(p, p.x0, np.zeros(0), 10.0, "QN")
+    finally:
+        alm._positive_definite = probe
+    for (name, _), verdict in zip(matrices, verdicts, strict=True):
+        yield "probe %s" % name, _digest([repr(verdict).encode()])
+
+
 def workload_runs():
     """(label, digest) for every perfbench workload and seed."""
     from perfbench.workloads import WORKLOADS
@@ -170,7 +216,8 @@ def fingerprint(root):
         return 2
     total = hashlib.sha256()
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
-                          *workload_runs(), *experiment_runs()):
+                          *probe_runs(root), *workload_runs(),
+                          *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())
     print("total", total.hexdigest())

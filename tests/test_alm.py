@@ -2,13 +2,15 @@
 the solver driver."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
-from almprec import alm
+from almprec import alm, sparse
 from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
                          alm_solve, eval_al, eval_al_grad, hessian_model,
                          kkt_residuals, safeguard, shifted_multipliers,
@@ -204,12 +206,12 @@ class TestQnShift:
     @pytest.mark.parametrize("name,pd", CASES)
     def test_probe_accepts_only_positive_definite(self, name, pd):
         p = get_problem(name)
-        assert alm._positive_definite(p.hess(p.x0)) is pd
+        assert alm._positive_definite(alm._shift_pattern(p.hess(p.x0))) is pd
 
     def test_probe_rejects_exactly_singular_hs48(self):
         hess = get_problem("HS48").hess(np.zeros(5))
         assert np.linalg.eigvalsh(hess).min() == 0.0
-        assert not alm._positive_definite(hess)
+        assert not alm._positive_definite(alm._shift_pattern(hess))
 
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
     def test_sigma_equals_eigenvalue_formula(self, name, monkeypatch):
@@ -269,6 +271,20 @@ class TestNwZeroConstraintHessians:
                     dense += lam_hat[i] * p.cons_hess(i, x)
             want = SparseSymmetricMatrix.from_dense(dense)
             assert _same_matrix(model.m_part, want)
+
+    @pytest.mark.parametrize("budget", [4, 7])
+    def test_row_blocks_sum_as_the_whole_array(self, budget, monkeypatch):
+        # HS63 (n = 3) in blocks of one row, then of two rows and one.
+        p = get_problem("HS63")
+        rng = np.random.default_rng(10)
+        points = [(rng.standard_normal(p.n), rng.standard_normal(p.m))
+                  for _ in range(5)]
+        want = [hessian_model(p, x, lam, 5.0, "NW") for x, lam in points]
+        monkeypatch.setattr(sparse, "_SCAN_ENTRIES", budget)
+        assert len(sparse._row_blocks(p.n)) > 1
+        for (x, lam), model in zip(points, want):
+            assert _same_matrix(hessian_model(p, x, lam, 5.0, "NW").m_part,
+                                model.m_part)
 
     def test_zero_constraint_hessians_are_not_accumulated(self):
         class ZeroHessian(np.ndarray):
@@ -384,7 +400,7 @@ class TestSolveMemo:
         # as from_dense drops it.
         for sigma in (1e-8, 0.5, 2.0, -3.0):
             want = SparseSymmetricMatrix.from_dense(hess + sigma * np.eye(6))
-            assert _same_matrix(alm._shifted(pattern, 6, sigma), want)
+            assert _same_matrix(alm._shifted(pattern, sigma), want)
 
     @pytest.mark.parametrize("view", [False, True])
     def test_arrays_updated_in_place_are_read_afresh(self, view):
@@ -494,6 +510,89 @@ class TestSolveMemo:
         assert rep.converged
         assert calls["models"] > 1
         assert calls["probes"] == 1
+
+
+def _dense_problem(hess):
+    """A problem without constraints whose hess f is the array `hess`,
+    for hessian_model alone: f and grad are placeholders."""
+    n = hess.shape[0]
+    return NlpProblem(name="DENSE", n=n, x0=np.zeros(n), kinds=(),
+                      f=lambda x: 0.0, grad=lambda x: np.zeros(n),
+                      hess=lambda x: hess, cons=lambda x: np.zeros(0),
+                      jac_cols=lambda x: np.zeros((n, 0)), cons_hess=None)
+
+
+def _dpotrf_probe(dense):
+    """The dense probe that the sparse one replaced: whether LAPACK's
+    Cholesky factorization of a - tau I succeeds, tau = 10 n eps ||a||_1."""
+    n = dense.shape[0]
+    shifted = np.array(dense, dtype=np.float64)
+    shifted[np.diag_indices(n)] -= (10.0 * n * np.finfo(np.float64).eps
+                                    * np.linalg.norm(shifted, 1))
+    return dpotrf(shifted, lower=1, clean=0)[1] == 0
+
+
+def _probe_cases():
+    """(label, matrix, positive definite)."""
+    eps = np.finfo(np.float64).eps
+    # tau equals both diagonal entries, so a - tau I has a zero diagonal:
+    # SuperLU pivots off it, and the pivots it finds are both positive.
+    d = 20.0 * eps * (1.0 + 20.0 * eps)
+    yield "spd", np.array([[2.0, 1.0], [1.0, 2.0]]), True
+    yield "laplacian", _laplacian(6), True
+    yield "singular psd", get_problem("HS48").hess(np.zeros(5)), False
+    yield "indefinite", np.array([[1.0, 2.0], [2.0, 1.0]]), False
+    yield "zero diagonal", np.array([[d, 1.0], [1.0, d]]), False
+    yield "1x1 positive", np.array([[3.0]]), True
+    yield "1x1 negative", np.array([[-3.0]]), False
+    rng = np.random.default_rng(15)
+    for n in (2, 50, 300):
+        b = np.where(rng.random((n, n)) < 3.0 / n,
+                     rng.standard_normal((n, n)), 0.0)
+        spd = b @ b.T + 0.1 * np.eye(n)
+        mid = np.median(np.linalg.eigvalsh(spd))
+        yield "random spd %d" % n, spd, True
+        yield "random indefinite %d" % n, spd - mid * np.eye(n), False
+        # Rank n - 1: without the margin tau, rounding often leaves every
+        # pivot positive.
+        low_rank = rng.standard_normal((n, n - 1))
+        yield "random singular psd %d" % n, low_rank @ low_rank.T, False
+
+
+class TestSparseProbe:
+    @pytest.mark.parametrize("dense, pd", [
+        pytest.param(dense, pd, id=label)
+        for label, dense, pd in _probe_cases()])
+    def test_verdict_matches_dense_cholesky(self, dense, pd):
+        assert _dpotrf_probe(dense) is pd
+        # With the whole diagonal stored, as hessian_model passes it, or
+        # with zeros dropped.
+        assert alm._positive_definite(alm._shift_pattern(dense)) is pd
+        assert alm._positive_definite(
+            SparseSymmetricMatrix.from_dense(dense)) is pd
+
+    @pytest.mark.parametrize("mode", ["NW", "QN"])
+    def test_nan_in_hess_f_raises(self, mode):
+        p = _dense_problem(np.array([[2.0, np.nan], [np.nan, 2.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            hessian_model(p, p.x0, np.zeros(0), 10.0, mode)
+
+    def test_qn_model_needs_no_dense_temporary(self):
+        # The first model scans and probes the frozen hess f; one n x n
+        # float array is 8 MB.
+        n = 1000
+        p = _dense_problem(_frozen(4.0 * np.eye(n) - np.eye(n, k=1)
+                                   - np.eye(n, k=-1)))
+        memo = alm._SolveMemo()
+        tracemalloc.start()
+        try:
+            model = hessian_model(p, p.x0, np.zeros(0), 10.0, "QN",
+                                  _memo=memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.sigma == 1e-8 and model.m_part.nnz == 2 * n - 1
+        assert peak < 8 * n * n
 
 
 GRID_FIXTURE = Path(__file__).parent / "data" / "solve_grid.csv"

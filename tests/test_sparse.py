@@ -1,6 +1,7 @@
 """Sparse symmetric storage and Matrix Market round trips."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def oracle_matrices():
     yield SparseSymmetricMatrix.from_dense(random_symmetric(rng, 12, 1.0))
     dense = random_symmetric(rng, 8, 0.5)
     dense[np.abs(dense) < 0.5] = -0.0
-    yield SparseSymmetricMatrix.from_dense(dense, tol=-1.0)
+    rows, cols = np.tril_indices(8)
+    yield SparseSymmetricMatrix(8, rows, cols, dense[rows, cols])
     for _ in range(20):
         yield SparseSymmetricMatrix.from_dense(
             random_symmetric(rng, int(rng.integers(1, 30)), rng.random()))
@@ -210,7 +212,7 @@ class TestSparseSymmetricMatrix:
                           [0.0, 3.0, -0.1, -1e-4]])
         a = SparseSymmetricMatrix.from_dense(dense, tol=0.1)
         # Entries with |a_ij| <= tol are dropped, the upper triangle is
-        # never read, and the kept ones come row by row, columns ascending.
+        # ignored, and the kept ones come row by row, columns ascending.
         np.testing.assert_array_equal(a.rows, [0, 1, 1, 3])
         np.testing.assert_array_equal(a.cols, [0, 0, 1, 1])
         np.testing.assert_array_equal(a.vals, [4.0, 0.5, -2.0, 3.0])
@@ -218,10 +220,100 @@ class TestSparseSymmetricMatrix:
         np.testing.assert_array_equal(kept.rows, [0, 1, 1, 2, 2, 3, 3, 3])
         np.testing.assert_array_equal(kept.cols, [0, 0, 1, 0, 1, 1, 2, 3])
 
-    def test_from_dense_keeps_lower_triangle_only_for_negative_tol(self):
-        a = SparseSymmetricMatrix.from_dense(np.zeros((3, 3)), tol=-1.0)
-        assert a.nnz == 6
-        assert np.all(a.rows >= a.cols)
+    def test_from_dense_rejects_negative_or_nan_tol(self):
+        for tol in (-1.0, -1e-300, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                SparseSymmetricMatrix.from_dense(np.eye(3), tol=tol)
+
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_from_dense_rejects_nan(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            SparseSymmetricMatrix.from_dense([[2.0, np.nan], [np.nan, 2.0]],
+                                             tol=tol)
+
+    def test_from_dense_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SparseSymmetricMatrix.from_dense(np.zeros((0, 0)))
+
+    def test_from_dense_needs_no_dense_temporary(self):
+        # A tridiagonal matrix of order 1000: the scan reads it in blocks
+        # of 2^16 entries; one n x n float array is 8 MB.
+        n = 1000
+        dense = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        tracemalloc.start()
+        try:
+            a = SparseSymmetricMatrix.from_dense(dense)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.nnz == 2 * n - 1
+        assert peak < 8 * n * n
+
+
+class TestLowerNonzeros:
+    """The block scan against a mask of the whole array."""
+
+    @staticmethod
+    def check(dense, tol):
+        rows, cols = sparse._lower_nonzeros(dense, tol)
+        want = np.divmod(np.flatnonzero(np.tril(np.abs(dense) > tol)),
+                         dense.shape[0])
+        assert rows.dtype == cols.dtype == np.intp
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(cols, want[1])
+
+    @pytest.mark.parametrize("budget", [1 << 16, 30, 5])
+    def test_matches_dense_mask_on_random_sparse_input(self, budget,
+                                                       monkeypatch):
+        monkeypatch.setattr(sparse, "_SCAN_ENTRIES", budget)
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            dense = random_symmetric(rng, int(rng.integers(1, 60)),
+                                     rng.random())
+            for tol in (0.0, 0.5):
+                self.check(dense, tol)
+
+    @pytest.mark.parametrize("budget, n, heights", [
+        (30, 7, [4, 3]),        # 7 rows in blocks of 30 // 7 = 4
+        (5, 9, [1] * 9),        # n above the budget: one row per block
+        (1 << 16, 1, [1]),
+    ])
+    def test_blocks_cover_the_rows(self, budget, n, heights, monkeypatch):
+        monkeypatch.setattr(sparse, "_SCAN_ENTRIES", budget)
+        blocks = sparse._row_blocks(n)
+        assert [b.stop - b.start for b in blocks] == heights
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        dense = random_symmetric(np.random.default_rng(n), n, 0.5)
+        self.check(dense, 0.0)
+        self.check(dense, 0.5)
+
+    def test_one_by_one(self):
+        for value, want in ((2.0, [0]), (-0.0, []), (0.0, [])):
+            rows, cols = sparse._lower_nonzeros(np.array([[value]]), 0.0)
+            np.testing.assert_array_equal(rows, want)
+            np.testing.assert_array_equal(cols, want)
+
+    def test_all_zero(self):
+        for tol in (0.0, 0.5):
+            rows, cols = sparse._lower_nonzeros(np.zeros((9, 9)), tol)
+            assert rows.size == cols.size == 0
+            assert rows.dtype == cols.dtype == np.intp
+
+    def test_tol_keeps_entries_strictly_above_it(self):
+        dense = np.array([[0.5, 0.5000001], [0.5000001, -0.6]])
+        rows, cols = sparse._lower_nonzeros(dense, 0.5)
+        np.testing.assert_array_equal(rows, [1, 1])
+        np.testing.assert_array_equal(cols, [0, 1])
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_nan_is_kept(self, tol):
+        dense = np.array([[1.0, np.nan, 0.0], [np.nan, 0.0, 0.0],
+                          [0.0, 0.0, np.nan]])
+        rows, cols = sparse._lower_nonzeros(dense, tol)
+        np.testing.assert_array_equal(rows, [0, 1, 2])
+        np.testing.assert_array_equal(cols, [0, 0, 2])
 
 
 class TestSubmatrix:
