@@ -47,7 +47,7 @@ class AlmConfig:
     thresholds: UpdateThresholds = field(default_factory=UpdateThresholds)
     aux_kind: str = "incomplete-cholesky"
     drop_tol: float = 1e-2
-    precond_policy: str = "auto"
+    precond_policy: str = "auto"  # see PrecondManager
     sigma_min: float = 1e-8
     inner_tol: Optional[float] = None  # defaults to eps_opt / 10
     inner: InnerConfig = field(default_factory=InnerConfig)
@@ -245,13 +245,23 @@ def _shifted(base, sigma):
 
 
 def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
-                  sigma_min=1e-8, _memo=_NO_MEMO):
+                  sigma_min=1e-8, free=None, _memo=_NO_MEMO):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
     skipped.  QN: M = hess f + sigma I with the secant-based spectral
     shift, columns augmented with the two BFGS correction vectors when the
     curvature test passes.
+
+    `free`, an increasing index array, builds the model on those
+    variables only: the principal submatrix of M and the rows `free` of
+    the columns, without a column whose restricted 2-norm is at most
+    1e-12.  Everything else (lam_hat, sigma, which columns are kept and
+    their order, the secant test) is computed on the whole space, so the
+    model is bit for bit the full one cut down afterwards.  NW cuts its
+    block with `submatrix`; QN cuts the pattern of hess f + sigma I
+    before adding sigma, so it builds no matrix of the full order beyond
+    the memoised pattern.
 
     QN keeps M positive definite by raising sigma to a floor set by the
     smallest eigenvalue of hess f.  When hess f is positive definite the
@@ -299,7 +309,9 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
                                  SparseSymmetricMatrix.from_dense)
         else:
             m_part = SparseSymmetricMatrix.from_dense(dense_m)
-        cols = build_column_set(jac, p.equality, c, lam, rho, th)
+        if free is not None:
+            m_part = m_part.submatrix(free)
+        cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free)
         return HessianModel(m_part, 0.0, cols)
 
     # QN mode
@@ -327,12 +339,12 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
-    m_part = _shifted(base, sigma)
+    m_part = _shifted(base if free is None else base.submatrix(free), sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac, p.equality, c, lam, rho, th,
-                            secant=secant_arg)
+                            secant=secant_arg, free=free)
     return HessianModel(m_part, sigma, cols)
 
 
@@ -387,8 +399,16 @@ def kkt_residuals(p, x, lam, c=None):
 class PrecondManager:
     """
     Owns the (aux, cols, B) bundle across inner iterations and applies
-    the configured refresh policy.  AcM counts refreshes that rebuilt the
-    auxiliary block, AcV those that rebuilt only the storage matrix.
+    the configured refresh policy (`AlmConfig.precond_policy`): `auto`
+    refreshes what `decide_update` asks for, `every-outer` rebuilds both
+    blocks on the first get of each outer iteration, and `once` keeps
+    the first bundle.  Under every policy a change of the free set
+    rebuilds both blocks: the reduced system is then another matrix,
+    of another order or on other variables, that neither the auxiliary
+    nor B was built for.  So with bounds `once` builds once per free
+    set, not once per solve, and `every-outer` also rebuilds within an
+    outer iteration.  AcM counts refreshes that rebuilt the auxiliary
+    block, AcV those that rebuilt only the storage matrix.
     """
 
     def __init__(self, cfg):
@@ -464,20 +484,6 @@ class PrecondManager:
         return self._precond
 
 
-def _restrict_model(model, free):
-    """Principal-submatrix restriction of a Hessian model to the free
-    variables; near-null restricted columns are dropped."""
-    idx = np.flatnonzero(free)
-    cols_mat = model.cols.columns[idx, :]
-    keep = np.flatnonzero(np.linalg.norm(cols_mat, axis=0) > 1e-12)
-    cols_red = ColumnSet(idx.size, cols_mat[:, keep],
-                         model.cols.signs[keep],
-                         [model.cols.labels[j] for j in keep],
-                         model.cols.notes)
-    return HessianModel(model.m_part.submatrix(idx), model.sigma,
-                        cols_red), idx
-
-
 # ---------------------------------------------------------------------------
 # Sub-problems
 # ---------------------------------------------------------------------------
@@ -504,22 +510,23 @@ class _Subproblem:
 
     def free_system(self, z, g, s, y):
         """(model, preconditioner, free): the Hessian model at z with the
-        secant pair (s, y), restricted to the variables `free` that the
-        gradient g leaves free, and a preconditioner that inverts that
-        reduced matrix rather than restricting the full-space inverse.
-        `free` is an index array, or slice(None) when nothing is pinned;
-        then the model is the full one."""
-        secant = (s, y) if s is not None else None
+        secant pair (s, y), built on the variables `free` that the
+        gradient g leaves free (hessian_model's `free`), and a
+        preconditioner that inverts that reduced matrix rather than
+        restricting the full-space inverse.  `free` is an index array, or
+        slice(None) when nothing is pinned; then the model is the full
+        one."""
+        act = active_bound_mask(z, g, self.p.lower, self.p.upper)
+        free = np.flatnonzero(~act) if np.any(act) else None
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
-                              secant=secant, sigma_min=self.cfg.sigma_min,
+                              secant=(s, y) if s is not None else None,
+                              sigma_min=self.cfg.sigma_min, free=free,
                               _memo=self.memo)
-        act = active_bound_mask(z, g, self.p.lower, self.p.upper)
-        if not np.any(act):
+        if free is None:
             return model, self.manager.get(model), slice(None)
-        reduced, idx = _restrict_model(model, ~act)
-        return (reduced,
-                self.manager.get(reduced, free=tuple(idx.tolist())), idx)
+        return (model, self.manager.get(model, free=tuple(free.tolist())),
+                free)
 
     def get(self, z, g, s, y):
         """(apply, free): the free-system preconditioner's apply, which

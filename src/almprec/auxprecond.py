@@ -113,7 +113,11 @@ def build_aux(m, kind, drop_tol=None):
     for beta in (0.0, shift):
         factor = _incomplete_cholesky(m, beta, drop_tol)
         if factor is not None:
-            lower = scipy.sparse.csc_matrix(factor, shape=(m.n, m.n))
+            data, indices, indptr = factor
+            # Arrays, not lists: scipy converts a list item by item.
+            lower = scipy.sparse.csc_matrix(
+                (np.array(data), np.array(indices, dtype=np.int32),
+                 np.array(indptr, dtype=np.int32)), shape=(m.n, m.n))
             # SuperLU with the natural ordering and no pivoting factors
             # the triangular L as (L D^-1) D with D = diag(L): no fill, and
             # its solves are the triangular solves with L.

@@ -38,7 +38,8 @@ class ColumnSet:
 
     Immutable: `columns` and `signs` are read-only copies of what the
     caller passed, so a preconditioner built on a ColumnSet stays valid
-    for as long as it is used.
+    for as long as it is used.  Labels must be distinct: dropping a
+    column by label and pairing the columns of two sets go by label.
     """
 
     def __init__(self, n, columns, signs, labels, notes=()):
@@ -48,8 +49,13 @@ class ColumnSet:
         signs = np.array(signs, dtype=np.float64).ravel()
         if columns.shape[1] != signs.size or len(labels) != signs.size:
             raise ValueError("columns, signs and labels must agree in count")
-        if signs.size and not np.all(np.isin(signs, (-1.0, 1.0))):
+        if not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs must be +1 or -1")
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            repeated = next(lab for lab in labels if labels.count(lab) > 1)
+            raise ValueError("labels must be distinct; %r repeats"
+                             % (repeated,))
         if not np.all(np.isfinite(columns)):
             raise ValueError("columns must be finite")
         columns.flags.writeable = False
@@ -57,7 +63,7 @@ class ColumnSet:
         self.n = n
         self.columns = columns
         self.signs = signs
-        self.labels = tuple(labels)
+        self.labels = labels
         self.notes = tuple(notes)
 
     @property
@@ -209,7 +215,7 @@ class StructuredPrecond:
 
 
 def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
-                     secant=None):
+                     secant=None, free=None):
     """
     Assemble the preconditioner columns from constraint data: `jacobian`
     is n x m with column i the gradient of c_i, and `equality` is the
@@ -222,6 +228,16 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     appends the two secant-correction columns last when the curvature
     condition holds.  `secant` is (s, y, w) with w = H+ s, the model's
     Hessian without the secant correction applied to the step s.
+
+    With `free`, an index array of variables, the set holds only the rows
+    `free` of those columns, and a column whose restricted 2-norm is at
+    most 1e-12 is dropped.  Which columns are kept, their order and the
+    secant test still go by the whole columns and vectors.
+
+    The kept constraint columns are gathered in one step and scaled in
+    place, so beside the input no more than two n x m arrays are alive
+    at a time: the gathered one and the ColumnSet's copy, or, with
+    `free`, the gathered one and its column-major copy.
     """
     jacobian = np.asarray(jacobian, dtype=np.float64)
     equality = np.asarray(equality, dtype=bool)
@@ -232,18 +248,22 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
         raise ValueError("constraint data lengths disagree")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    n = jacobian.shape[0]
 
     idx = np.flatnonzero(equality | (multipliers + rho * c_vals > 0.0))
     infeas = np.where(equality, np.abs(c_vals),
                       np.maximum(0.0, c_vals))[idx]
+    # One norm per column, summed as the per-column loop did: the order
+    # of tied columns depends on the last bit.
     norm = np.array([np.linalg.norm(jacobian[:, i]) for i in idx])
     keep = (norm > th.eps_v) | (infeas > th.eps_c)
     idx, infeas, norm = idx[keep], infeas[keep], norm[keep]
-    labels = idx[np.lexsort((idx, -norm, -infeas))].tolist()
+    order = idx[np.lexsort((idx, -norm, -infeas))]
 
-    columns = [np.sqrt(rho) * jacobian[:, i] for i in labels]
-    signs = [1.0] * len(columns)
+    columns = (np.take(jacobian, order, axis=1) if free is None
+               else jacobian[np.ix_(free, order)])
+    columns *= np.sqrt(rho)
+    signs = [1.0] * order.size
+    labels = order.tolist()
     notes = []
 
     if secant is not None:
@@ -254,15 +274,22 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
             if sw <= 0.0:
                 notes.append("correction skipped")
             else:
-                columns.append(np.sqrt(1.0 / sy) * y)
-                signs.append(1.0)
-                labels.append(LABEL_BFGS_Y)
-                columns.append(np.sqrt(1.0 / sw) * w)
-                signs.append(-1.0)
-                labels.append(LABEL_BFGS_W)
-    matrix = (np.column_stack(columns) if columns
-              else np.zeros((n, 0)))
-    return ColumnSet(n, matrix, signs, labels, notes)
+                rows = slice(None) if free is None else free
+                columns = np.column_stack((columns,
+                                           np.sqrt(1.0 / sy) * y[rows],
+                                           np.sqrt(1.0 / sw) * w[rows]))
+                signs += [1.0, -1.0]
+                labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
+
+    if free is not None:
+        kept = np.flatnonzero(np.linalg.norm(columns, axis=0) > 1e-12)
+        # Always gathered, also when every column is kept: this gather
+        # stores the set column-major, and BLAS products with it round
+        # differently than with a row-major one.
+        columns = columns[:, kept]
+        signs = [signs[j] for j in kept]
+        labels = [labels[j] for j in kept]
+    return ColumnSet(columns.shape[0], columns, signs, labels, notes)
 
 
 def decide_update(prev_m, new_m, prev_v, new_v, th):
@@ -276,12 +303,13 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
 
     count_changed = prev_v.m != new_v.m
     bfgs_changed = (_bfgs_labels(prev_v) != _bfgs_labels(new_v))
-    shared = set(prev_v.labels) & set(new_v.labels)
+    prev_position = {label: i for i, label in enumerate(prev_v.labels)}
     v_change = 0.0
-    for label in shared:
-        a = prev_v.columns[:, prev_v.labels.index(label)]
-        b = new_v.columns[:, new_v.labels.index(label)]
-        v_change = max(v_change, float(np.abs(a - b).sum()))
+    for j, label in enumerate(new_v.labels):
+        i = prev_position.get(label)
+        if i is not None:
+            a, b = prev_v.columns[:, i], new_v.columns[:, j]
+            v_change = max(v_change, float(np.abs(a - b).sum()))
     v_moved = v_change > th.delta_v
 
     refresh_b = refresh_aux or count_changed or v_moved

@@ -18,6 +18,13 @@ total over all of them:
   probe on each grid problem's `hess f` at `x0`, on a singular positive
   semidefinite (Neumann) Laplacian and on a shifted indefinite one, so a
   changed verdict shows even where no run depends on it;
+- `restricted`: the Hessian model that `hessian_model(..., free=idx)`
+  builds at `x0` on a fixed free set (every third variable, from the
+  first, pinned) for each grid problem: NW, QN, and QN with a fixed
+  secant pair.  A checkout whose `hessian_model` takes no `free` cuts
+  its full model with its `_restrict_model` instead, so against such a
+  parent the lines compare the two ways of building the reduced model,
+  even where no grid run pins a bound;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
@@ -52,6 +59,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import subprocess  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
@@ -171,6 +179,42 @@ def probe_runs(root):
         yield "probe %s" % name, _digest([repr(verdict).encode()])
 
 
+def _model_bytes(model):
+    """The bytes of everything a HessianModel holds."""
+    m, cols = model.m_part, model.cols
+    return [repr((m.n, model.sigma, cols.n, cols.labels,
+                  cols.notes)).encode(),
+            m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes(),
+            cols.columns.tobytes(), cols.signs.tobytes()]
+
+
+def restricted_runs(root):
+    """(label, digest) of each reduced Hessian model at x0."""
+    from almprec import alm
+    from almprec.problems import get_problem
+
+    direct = "free" in inspect.signature(alm.hessian_model).parameters
+    for name in _grid_config(root).problems:
+        p = get_problem(name)
+        pinned = np.arange(p.n) % 3 == 0
+        s = np.linspace(1.0, 2.0, p.n)
+        secant = (s, p.hess(p.x0) @ s + s)
+        for label, mode, pair in (("NW", "NW", None), ("QN", "QN", None),
+                                  ("QN-secant", "QN", secant)):
+            args = (p, p.x0, np.ones(p.m), 10.0, mode)
+            try:
+                if direct:
+                    model = alm.hessian_model(
+                        *args, secant=pair, free=np.flatnonzero(~pinned))
+                else:
+                    model, _ = alm._restrict_model(
+                        alm.hessian_model(*args, secant=pair), ~pinned)
+                parts = _model_bytes(model)
+            except Exception as exc:
+                parts = [repr(exc).encode()]
+            yield "restricted %s %s" % (name, label), _digest(parts)
+
+
 def workload_runs():
     """(label, digest) for every perfbench workload and seed."""
     from perfbench.workloads import WORKLOADS
@@ -216,7 +260,8 @@ def fingerprint(root):
         return 2
     total = hashlib.sha256()
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
-                          *probe_runs(root), *workload_runs(),
+                          *probe_runs(root), *restricted_runs(root),
+                          *workload_runs(),
                           *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())

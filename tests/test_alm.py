@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg.lapack import dpotrf
 
 from almprec import alm, sparse
-from almprec.alm import (AlmConfig, PrecondManager, _restrict_model,
+from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          alm_solve, eval_al, eval_al_grad, hessian_model,
                          kkt_residuals, safeguard, shifted_multipliers,
                          update_penalty)
@@ -19,7 +19,7 @@ from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
 from almprec.sparse import SparseSymmetricMatrix
-from almprec.structured import UpdateThresholds
+from almprec.structured import LABEL_BFGS_Y, ColumnSet, UpdateThresholds
 
 
 def dense_model(model):
@@ -595,6 +595,142 @@ class TestSparseProbe:
         assert peak < 8 * n * n
 
 
+def _restrict_model(model, free):
+    """Principal-submatrix restriction of a full Hessian model to the
+    variables the boolean mask `free` keeps, near-null restricted columns
+    dropped: the restrict-after-build path that hessian_model's `free`
+    replaced, kept as its oracle."""
+    idx = np.flatnonzero(free)
+    cols_mat = model.cols.columns[idx, :]
+    keep = np.flatnonzero(np.linalg.norm(cols_mat, axis=0) > 1e-12)
+    cols_red = ColumnSet(idx.size, cols_mat[:, keep],
+                         model.cols.signs[keep],
+                         [model.cols.labels[j] for j in keep],
+                         model.cols.notes)
+    return HessianModel(model.m_part.submatrix(idx), model.sigma,
+                        cols_red)
+
+
+def _same_bytes(a, b):
+    """Models equal byte for byte, the layout of the columns included:
+    BLAS products round differently on another layout."""
+    return (_same_model(a, b) and a.cols.n == b.cols.n
+            and a.cols.notes == b.cols.notes
+            and a.cols.columns.strides == b.cols.columns.strides)
+
+
+def _free_masks(n, rng):
+    """Every single free variable, then random free sets."""
+    for i in range(n):
+        yield np.arange(n) == i
+    for _ in range(4):
+        mask = rng.random(n) < 0.6
+        if mask.any():
+            yield mask
+
+
+class TestFreeModel:
+    """hessian_model(..., free=idx) is the full model cut down to the
+    free variables afterwards, byte for byte."""
+
+    @staticmethod
+    def _check(p, x, lam, mode, secant, mask, memo=alm._NO_MEMO):
+        got = hessian_model(p, x, lam, 10.0, mode, secant=secant,
+                            free=np.flatnonzero(mask), _memo=memo)
+        want = _restrict_model(
+            hessian_model(p, x, lam, 10.0, mode, secant=secant), mask)
+        assert _same_bytes(got, want)
+        return got
+
+    @pytest.mark.parametrize("mode, with_secant", [
+        ("NW", False), ("QN", False), ("QN", True)])
+    def test_grid_problems_match_the_oracle(self, mode, with_secant):
+        rng = np.random.default_rng(17)
+        labels = set()
+        for name in ("EQ-QP", "INEQ-QP", "BOX-QP", "HS41", "HS48", "HS63",
+                     "C4-SYN"):
+            p = get_problem(name)
+            for _ in range(3):
+                x = rng.uniform(0.1, 1.0, p.n)
+                lam = rng.standard_normal(p.m)
+                s = rng.standard_normal(p.n)
+                secant = ((s, s + 0.1 * rng.standard_normal(p.n))
+                          if with_secant else None)
+                for mask in _free_masks(p.n, rng):
+                    model = self._check(p, x, lam, mode, secant, mask)
+                    labels.update(model.cols.labels)
+        assert (LABEL_BFGS_Y in labels) is with_secant
+
+    def test_memoised_models_with_constraint_hessians_match(self):
+        hess, cons = _memo_hessians()
+        p = _memo_problem(lambda x: hess, lambda i, x: cons[i])
+        memo = alm._SolveMemo()
+        rng = np.random.default_rng(18)
+        for x, lam, mode, secant in _model_args(p.n, p.m):
+            for mask in _free_masks(p.n, rng):
+                self._check(p, x, lam, mode, secant, mask, memo)
+
+    @pytest.mark.parametrize("mode", ["NW", "QN"])
+    def test_column_near_null_on_the_free_rows_is_dropped(self, mode):
+        # Columns 0 and 1 live on the pinned variable 0 (column 1 up to
+        # 1e-13 on a free row); only column 2 reaches the free rows.
+        jac = np.zeros((4, 3))
+        jac[0, :2] = 1.0
+        jac[2, 1] = 1e-13
+        jac[:, 2] = 1.0
+        p = NlpProblem(
+            name="NEAR-NULL", n=4, x0=np.zeros(4), kinds=("equality",) * 3,
+            f=lambda x: 0.0, grad=lambda x: np.zeros(4),
+            hess=lambda x: np.eye(4), cons=lambda x: jac.T @ x - 1.0,
+            jac_cols=lambda x: jac, cons_hess=lambda i, x: np.zeros((4, 4)))
+        mask = np.array([False, True, True, True])
+        full = hessian_model(p, p.x0, np.zeros(3), 10.0, mode)
+        assert sorted(full.cols.labels) == [0, 1, 2]
+        model = self._check(p, p.x0, np.zeros(3), mode, None, mask)
+        assert model.cols.labels == (2,)
+        assert model.cols.n == model.m_part.n == 3
+
+    def test_a_single_free_variable(self):
+        p = get_problem("HS41")
+        for mode in ("NW", "QN"):
+            model = self._check(p, p.x0, np.ones(p.m), mode, None,
+                                np.arange(p.n) == 2)
+            assert model.m_part.n == model.cols.n == 1
+            assert model.cols.columns.shape == (1, model.cols.m)
+
+    def test_qn_model_builds_no_matrix_of_the_full_order(self, monkeypatch):
+        """Beyond the pattern of hess f that the memo keeps, every
+        SparseSymmetricMatrix a QN model on a free set builds has the
+        order of that set."""
+        k = 8
+        n = k * k
+        rng = np.random.default_rng(19)
+        jac = _quadrant_means(k)
+        p = NlpProblem(
+            name="QN-FREE", n=n, x0=np.zeros(n), kinds=("equality",) * 4,
+            f=lambda x: 0.0, grad=lambda x: np.zeros(n),
+            hess=lambda x, h=_frozen(_laplacian(k)): h,
+            cons=lambda x: jac.T @ x - 1.0, jac_cols=lambda x: jac,
+            cons_hess=None)
+        orders = []
+        init = SparseSymmetricMatrix.__init__
+
+        def counted(self, order, *args):
+            orders.append(int(order))
+            init(self, order, *args)
+        monkeypatch.setattr(SparseSymmetricMatrix, "__init__", counted)
+        memo = alm._SolveMemo()
+        sizes = []
+        for _ in range(5):
+            free = np.flatnonzero(rng.random(n) < 0.7)
+            s = rng.standard_normal(n)
+            hessian_model(p, rng.standard_normal(n), np.zeros(4), 10.0,
+                          "QN", secant=(s, 4.0 * s), free=free, _memo=memo)
+            sizes.append(free.size)
+        assert orders.count(n) == 1
+        assert set(orders) - {n} == set(sizes)
+
+
 GRID_FIXTURE = Path(__file__).parent / "data" / "solve_grid.csv"
 GRID_KEYS = ("problem", "solver", "mode", "policy")
 GRID_COUNTS = ("status", "ItL", "Itin", "Itpd", "Itd", "AcM", "AcV")
@@ -797,12 +933,11 @@ class TestPrecondManager:
 
     def test_once_policy_rebuilds_for_another_free_set_of_same_size(self):
         p = get_problem("HS41")
-        model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "NW")
         mgr = PrecondManager(AlmConfig(precond_policy="once"))
         for free in ((0, 1), (0, 1), (2, 3), (2, 3), None):
-            mask = np.zeros(p.n, dtype=bool)
-            mask[list(free if free is not None else range(p.n))] = True
-            reduced, _ = _restrict_model(model, mask)
+            reduced = hessian_model(
+                p, p.x0, np.zeros(p.m), 10.0, "NW",
+                free=None if free is None else np.array(free))
             mgr.get(reduced, free=free)
         # One build per change of the free set, none for a repeat.
         assert mgr.ac_m == 3 and mgr.ac_v == 0

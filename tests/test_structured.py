@@ -1,6 +1,8 @@
 """Structured low-rank preconditioner: recursions, column administration
 and update decisions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,13 @@ class TestColumnSet:
         with pytest.raises(ValueError, match="signs"):
             ColumnSet(2, np.ones((2, 1)), [0.5], [0])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValueError, match="distinct; 'a' repeats"):
+            ColumnSet(2, np.eye(2), [1.0, 1.0], ["a", "a"])
+        with pytest.raises(ValueError, match="distinct"):
+            ColumnSet(2, np.ones((2, 3)), [1.0, -1.0, 1.0],
+                      [0, LABEL_BFGS_Y, 0])
+
     def test_without_labels(self):
         cols = ColumnSet(2, np.eye(2), [1.0, 1.0], ["a", "b"])
         kept = cols.without_labels(("a",))
@@ -467,6 +476,48 @@ class TestBuildColumnSet:
                                    np.linalg.solve(target, r), rtol=1e-8)
 
 
+def _peak_bytes(fn, *args, **kwargs):
+    """Peak of the memory that fn(*args, **kwargs) allocates, result
+    included."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestColumnMemory:
+    """The column administration makes at most the copies it needs:
+    n = 576, m = 20, one n x m float array is 92 kB."""
+    n, m = 576, 20
+    nm_bytes = 8 * n * m
+
+    def test_build_column_set_peaks_below_two_and_a_half_arrays(self):
+        rng = np.random.default_rng(20)
+        jac = rng.standard_normal((self.n, self.m))
+        equality = np.ones(self.m, dtype=bool)
+        c_vals = rng.standard_normal(self.m)
+        s = rng.standard_normal(self.n)
+        for secant in (None, (s, 2.0 * s, 3.0 * s)):
+            peak = _peak_bytes(build_column_set, jac, equality, c_vals,
+                               np.zeros(self.m), 10.0, UpdateThresholds(),
+                               secant=secant)
+            assert peak < 2.5 * self.nm_bytes
+
+    def test_decide_update_peaks_below_one_array(self):
+        rng = np.random.default_rng(21)
+        cols = [ColumnSet(self.n, rng.standard_normal((self.n, self.m)),
+                          np.ones(self.m), range(self.m)) for _ in range(2)]
+        m1 = SparseSymmetricMatrix(self.n, np.arange(self.n),
+                                   np.arange(self.n), np.ones(self.n))
+        m2 = SparseSymmetricMatrix(self.n, np.arange(self.n),
+                                   np.arange(self.n), np.full(self.n, 2.0))
+        peak = _peak_bytes(decide_update, m1, m2, cols[0], cols[1],
+                           UpdateThresholds())
+        assert peak < self.nm_bytes
+
+
 class TestDecideUpdate:
     th = UpdateThresholds(delta_m=0.1, delta_v=0.01)
 
@@ -516,6 +567,14 @@ class TestDecideUpdate:
                        [0, LABEL_BFGS_Y, LABEL_BFGS_W])
         d = decide_update(m1, m1, c1, c2, self.th)
         assert d.reason == "forced-bfgs" and d.refresh_b
+
+    def test_shared_labels_pair_by_label_not_position(self):
+        m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
+        c1 = self._cols(np.eye(3), ["a", "b", "c"])
+        c2 = self._cols(np.eye(3)[:, [2, 0, 1]], ["c", "a", "b"])
+        assert decide_update(m1, m1, c1, c2, self.th).reason == "none"
+        c3 = self._cols(np.eye(3), ["c", "a", "b"])
+        assert decide_update(m1, m1, c1, c3, self.th).reason == "V-changed"
 
     def test_same_m_object_skips_the_norm(self, monkeypatch):
         def forbidden(*_args):
