@@ -10,7 +10,7 @@ from .krylov import IndefiniteOperatorError, KrylovReport, pcg, pminres
 from .problems import NlpProblem, get_problem, problem_names
 from .sparse import (MatrixMarketError, SparseSymmetricMatrix,
                      read_matrix_market, write_matrix_market)
-from .structured import (BStore, ColumnSet, DenominatorBreakdownError,
+from .structured import (ColumnSet, DenominatorBreakdownError,
                          StructuredPrecond, UpdateDecision, UpdateThresholds,
                          apply_rank1, assemble_B, build_column_set,
                          decide_update)
@@ -25,7 +25,7 @@ __all__ = [
     "NlpProblem", "get_problem", "problem_names",
     "MatrixMarketError", "SparseSymmetricMatrix",
     "read_matrix_market", "write_matrix_market",
-    "BStore", "ColumnSet", "DenominatorBreakdownError", "StructuredPrecond",
+    "ColumnSet", "DenominatorBreakdownError", "StructuredPrecond",
     "UpdateDecision", "UpdateThresholds", "apply_rank1", "assemble_B",
     "build_column_set", "decide_update",
 ]

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
-from .auxprecond import KINDS, FactorizationError, build_aux
+from .auxprecond import KINDS, FactorizationError, build_aux, ldlt
 from .inner import (InnerConfig, active_bound_mask, project_box,
                     projected_descent, spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix, _lower_nonzeros, _row_blocks
@@ -156,29 +155,13 @@ class HessianModel:
 
 def _positive_definite(a):
     """Whether the SparseSymmetricMatrix a - tau I is positive definite,
-    with the margin tau = 10 n eps ||a||_1, by the signs of the pivots of
-    an unpivoted sparse LDL' (Sylvester's law of inertia).  SuperLU
-    factors it in a symmetric fill-reducing order with diagonal pivots
-    only; it takes an off-diagonal pivot where a diagonal one is zero,
-    and that, or an exactly singular factor, means not positive definite.
-    A diagonal entry that `a` does not store stays zero instead of -tau;
-    either way the matrix is not positive definite, and no pivot there
-    can be positive."""
-    n = a.n
+    with the margin tau = 10 n eps ||a||_1, by the pivot signs of its
+    sparse LDL' (`ldlt`)."""
     full = a.to_csr()
     # Column sums of |a| in row order, the order of a dense axis-0 sum.
-    tau = (10.0 * n * np.finfo(np.float64).eps
-           * np.bincount(full.indices, np.abs(full.data), minlength=n).max())
-    full.data[full.indices
-              == np.repeat(np.arange(n), np.diff(full.indptr))] -= tau
-    # The matrix is symmetric, so the CSC transpose is the matrix itself.
-    try:
-        lu = splu(full.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                and np.all(lu.U.diagonal() > 0.0))
+    tau = (10.0 * a.n * np.finfo(np.float64).eps
+           * np.bincount(full.indices, np.abs(full.data), minlength=a.n).max())
+    return ldlt(full, -tau) is not None
 
 
 class _SolveMemo:

@@ -2,22 +2,22 @@
 auxprecond.py
 
 Auxiliary preconditioner for the Lagrangian-Hessian block M: identity,
-Jacobi, incomplete Cholesky with drop tolerance, or an exact dense
-Cholesky factor.  The structured preconditioner is agnostic to which of
-these is plugged in.  The incomplete Cholesky factor is built from M's
-stored lower triangle straight into sparse storage, in O(n + nnz(L))
-memory; only `exact-dense` forms an n x n array.
+Jacobi, incomplete Cholesky with drop tolerance, or an exact sparse LDL'
+factor.  The structured preconditioner is agnostic to which of these is
+plugged in.  Every kind keeps sparse storage and forms no n x n array:
+the incomplete Cholesky factor is built from M's stored lower triangle
+in O(n + nnz(L)) memory, and `exact` is SuperLU's factor of M in a
+fill-reducing order (`ldlt`), whose memory is its fill.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 
-KINDS = ("identity", "jacobi", "incomplete-cholesky", "exact-dense")
+KINDS = ("identity", "jacobi", "incomplete-cholesky", "exact")
 
 
 class FactorizationError(RuntimeError):
@@ -29,25 +29,23 @@ class AuxPrecond:
     Built factors for approximating M^-1 r.  Immutable, so a structured
     preconditioner assembled on it stays valid.  `inverts` is the matrix
     M that was factored when the apply is its exact inverse (unshifted
-    `exact-dense`, unshifted `incomplete-cholesky` with drop_tol 0,
-    `jacobi` on a diagonal M), and None otherwise.
+    `exact`, unshifted `incomplete-cholesky` with drop_tol 0, `jacobi` on
+    a diagonal M), and None otherwise.
 
-    The incomplete-Cholesky factor L is built and stored sparse, with no
-    n x n array (`nnz` entries, handed over in CSC form to a SuperLU
-    handle built once), and applied as L^-T (L^-1 r) by two compiled
-    sparse triangular solves, O(nnz) each.  `apply` takes a vector of
-    length n or an (n, k) block; a block gives the same result as
-    applying each of its columns.
+    The factored kinds hold a SuperLU handle built once: IC's sparse L
+    (`nnz` entries), applied as L^-T (L^-1 r) by two compiled triangular
+    solves, or the LDL' of `exact` (`nnz` counts its lower triangle),
+    applied by one solve.  `apply` takes a vector of length n or an
+    (n, k) block; a block gives the same result as applying each column.
     """
 
-    def __init__(self, kind, n, nnz, inv_diag=None, lu=None, cho=None,
-                 shift=0.0, inverts=None):
+    def __init__(self, kind, n, nnz, inv_diag=None, lu=None, shift=0.0,
+                 inverts=None):
         self.kind = kind
         self.n = n
         self.nnz = nnz
         self._inv_diag = inv_diag
         self._lu = lu
-        self._cho = cho
         self.shift = shift
         self.inverts = inverts
 
@@ -63,7 +61,7 @@ class AuxPrecond:
                     else self._inv_diag[:, None]) * r
         if self.kind == "incomplete-cholesky":
             return self._lu.solve(self._lu.solve(r), trans="T")
-        return scipy.linalg.cho_solve(self._cho, r)
+        return self._lu.solve(r)
 
 
 def build_aux(m, kind, drop_tol=None):
@@ -78,7 +76,7 @@ def build_aux(m, kind, drop_tol=None):
 
     `incomplete-cholesky` reads m's stored entries directly and keeps
     O(n + nnz(L)) memory, with time proportional to the multiply-adds
-    its columns take; `exact-dense` factors a dense copy of m.
+    its columns take; `exact` factors m with `ldlt`, in O(fill) memory.
     """
     if kind not in KINDS:
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
@@ -93,17 +91,12 @@ def build_aux(m, kind, drop_tol=None):
                           inverts=m if diagonal_m else None)
 
     shift = 1e-3 * np.max(np.abs(m.diagonal()))
-    if kind == "exact-dense":
-        dense = m.to_dense()
+    if kind == "exact":
         for beta in (0.0, shift):
-            try:
-                cho = scipy.linalg.cho_factor(
-                    dense + beta * np.eye(m.n), lower=True)
-            except scipy.linalg.LinAlgError:
-                continue
-            nnz = m.n * (m.n + 1) // 2
-            return AuxPrecond(kind, m.n, nnz, cho=cho, shift=beta,
-                              inverts=m if beta == 0.0 else None)
+            lu = ldlt(m.to_csr(), beta)
+            if lu is not None:
+                return AuxPrecond(kind, m.n, lu.L.nnz, lu=lu, shift=beta,
+                                  inverts=m if beta == 0.0 else None)
         raise FactorizationError("not factorizable")
 
     if drop_tol is None:
@@ -127,6 +120,31 @@ def build_aux(m, kind, drop_tol=None):
             return AuxPrecond(kind, m.n, lower.nnz, lu=lu, shift=beta,
                               inverts=m if exact else None)
     raise FactorizationError("not factorizable")
+
+
+def ldlt(full, shift):
+    """SuperLU's LDL' factor of full + shift*I, or None unless that
+    matrix is positive definite.  `full`, a new CSR array of a whole
+    symmetric matrix (`SparseSymmetricMatrix.to_csr`), takes the shift in
+    place on its whole diagonal, stored or not.  Symmetric mode, the MMD
+    order of A' + A and diagonal pivots only make U's diagonal the pivots
+    D, all positive exactly when the matrix is positive definite
+    (Sylvester's law of inertia).  An off-diagonal pivot, which SuperLU
+    takes where a diagonal one is zero, or a singular factor gives None."""
+    n = full.shape[0]
+    on_diag = full.indices == np.repeat(np.arange(n), np.diff(full.indptr))
+    if shift != 0.0 and np.count_nonzero(on_diag) < n:
+        full = full + shift * scipy.sparse.eye_array(n, format="csr")
+    else:
+        full.data[on_diag] += shift
+    try:  # full is symmetric, so its CSC transpose is itself
+        lu = scipy.sparse.linalg.splu(
+            full.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    pd = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)
+    return lu if pd else None
 
 
 def _column_norms(m, diag):

@@ -69,8 +69,8 @@ def truncated_newton_step(model, grad, precond, cfg):
     """
     Solve the quadratic model H d = -grad inexactly: PCG first, MINRES
     when CG detects an indefinite operator, each with the Krylov default
-    of at most 10 n iterations.  A non-descent result is replaced by the
-    steepest-descent direction.
+    of at most 10 n iterations.  A non-descent or NaN result is replaced
+    by the steepest-descent direction.
     """
     rhs = -np.asarray(grad, dtype=np.float64)
     used_precond = precond is not None
@@ -93,7 +93,7 @@ def truncated_newton_step(model, grad, precond, cfg):
 
     d = report.solution
     fallback = False
-    if float(d @ grad) >= 0.0:
+    if not float(d @ grad) < 0.0:  # also a NaN direction
         d = rhs.copy()
         fallback = True
     return TnStep(d, report.iterations, solver, report.converged,

@@ -89,7 +89,8 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
 def pminres(op, precond, b, tol=1e-8, maxit=None):
     """
     MINRES on symmetric (possibly indefinite) Ax = b, with optional SPD
-    preconditioner.  Stops on the true residual ||b - Ax|| / ||b|| <= tol.
+    preconditioner.  Stops on the true residual ||b - Ax|| / ||b|| <= tol,
+    or where the Lanczos process ends exactly (beta = 0).
     """
     apply_op = _as_apply(op)
     apply_prec = _as_apply(precond)
@@ -126,9 +127,7 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
     w2 = np.zeros(n)
     r2 = r1.copy()
 
-    iterations = 0
-    converged = False
-    for itn in range(1, maxit + 1):
+    for itn in range(1, maxit + 1):  # maxit >= 1: at least one pass
         v = y / beta
         y = apply_op(v)
         if itn >= 2:
@@ -160,10 +159,9 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         w = (v - oldeps * w1 - delta * w2) / gamma
         x += phi * w
 
-        iterations = itn
         res = float(np.linalg.norm(b - apply_op(x)))
         history.append(res)
-        if res <= tol * normb:
-            converged = True
+        converged = bool(res <= tol * normb)
+        if converged or beta == 0.0:  # beta 0: the Lanczos process ended
             break
-    return KrylovReport(x, iterations, history, converged)
+    return KrylovReport(x, itn, history, converged)

@@ -188,14 +188,14 @@ class StructuredPrecond:
 
     Where the exact case loses accuracy, as the worst relative residual
     ||r - H P^-1 r|| / ||r|| for r = H x (n = 50, three standard-normal
-    columns scaled by sqrt(rho), Jacobi on a diagonal M and exact-dense
-    on a dense SPD M, seeds 0-99):
+    columns scaled by sqrt(rho), Jacobi on a diagonal M and `exact` on a
+    dense SPD M, seeds 0-99):
 
         rho          <=1e6   1e7     1e8     1e9     1e10
-        refined      3e-15   6e-14   1e-11   5e-10   4e-8
-        unrefined    3e-8    2e-7    4e-6    3e-5    3e-4
+        refined      3e-15   8e-14   1e-11   7e-10   4e-8
+        unrefined    3e-8    3e-7    3e-6    2e-5    2e-4
 
-    The unrefined residual grows about linearly in rho from 2e-14 at
+    The unrefined residual grows about linearly in rho from 3e-14 at
     rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
     """
 

@@ -29,8 +29,11 @@ total over all of them:
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
   incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
-  `M`, IC(0) and `exact-dense` invert `M` exactly, so their structured
-  applies take the refinement step and its product with `M`.
+  `M`, IC(0) and `exact` invert `M` exactly, so their structured
+  applies take the refinement step and its product with `M`.  A
+  checkout whose `KINDS` names its exact factorization `exact-dense`
+  runs that kind instead, under the label `exact`, so against such a
+  parent the `exact` lines compare the two factorizations.
 
 An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh
@@ -73,7 +76,7 @@ EXPERIMENTS = (
     ("jacobi", 0.1, (0.1,)),
     ("jacobi", 0.0, (0.1,)),
     ("incomplete-cholesky", 0.1, (0.0, 1e-2)),
-    ("exact-dense", 0.1, (0.1,)),
+    ("exact", 0.1, (0.1,)),
 )
 
 
@@ -232,15 +235,18 @@ def workload_runs():
 
 def experiment_runs():
     """(label, digest) for every seeded spectral and linsys experiment."""
+    from almprec.auxprecond import KINDS
     from almprec.bench import ExperimentConfig, rows_to_csv, run_experiment
 
     for kind in ("spectral", "linsys"):
         for aux_kind, density, drop_tols in EXPERIMENTS:
             for seed in EXPERIMENT_SEEDS:
+                run_kind = (aux_kind if aux_kind in KINDS
+                            else {"exact": "exact-dense"}[aux_kind])
                 cfg = ExperimentConfig(kind=kind, n=30, density=density,
                                        m=3, seed=seed,
                                        drop_tol_list=drop_tols,
-                                       aux_kind=aux_kind)
+                                       aux_kind=run_kind)
                 try:
                     parts = [rows_to_csv(run_experiment(cfg),
                                          time_column_stable=True).encode()]

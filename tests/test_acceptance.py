@@ -45,7 +45,7 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(2, 31))
         k = int(rng.integers(1, 9))
         m = _spd(rng, n)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         r = rng.standard_normal(n)
 
         # Rank-1 path.

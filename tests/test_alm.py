@@ -961,7 +961,7 @@ class TestPrecondManager:
         assert mgr.ac_m == 1 and mgr.ac_v == 1
 
     def test_apply_matches_dense_inverse(self):
-        mgr = PrecondManager(AlmConfig(aux_kind="exact-dense"))
+        mgr = PrecondManager(AlmConfig(aux_kind="exact"))
         model = self._model()
         op = mgr.get(model)
         r = np.array([1.0, -2.0])
@@ -1080,7 +1080,7 @@ class TestAlmSolve:
         monkeypatch.setattr(alm, "active_bound_mask", tracked_mask)
         monkeypatch.setattr(alm, "truncated_newton_step", tracked_step)
         rep = alm_solve(get_problem("HS63"),
-                        AlmConfig(hessian_mode="QN", aux_kind="exact-dense",
+                        AlmConfig(hessian_mode="QN", aux_kind="exact",
                                   precond_policy="auto"))
         assert rep.converged
         pinned = [step for active, step in steps if active]
@@ -1121,8 +1121,9 @@ class TestAlmSolve:
             AlmConfig(drop_tol=drop_tol)
 
     def test_config_rejects_unknown_aux_kind(self):
-        with pytest.raises(ValueError, match="auxiliary"):
-            AlmConfig(aux_kind="nope")
+        for kind in ("nope", "exact-dense"):
+            with pytest.raises(ValueError, match="auxiliary"):
+                AlmConfig(aux_kind=kind)
 
     def test_inner_tol_defaults_to_tenth_of_eps_opt(self):
         cfg = AlmConfig(eps_opt=1e-4)

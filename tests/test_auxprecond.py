@@ -81,7 +81,7 @@ class TestKinds:
     def test_exact_dense_is_exact(self):
         rng = np.random.default_rng(1)
         m = spd_matrix(rng, 9)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         r = rng.standard_normal(9)
         np.testing.assert_allclose(aux.apply(r),
                                    np.linalg.solve(m.to_dense(), r),
@@ -115,8 +115,9 @@ class TestKinds:
 
     def test_unknown_kind(self):
         m = spd_matrix(np.random.default_rng(5), 3)
-        with pytest.raises(ValueError, match="unknown"):
-            build_aux(m, "nope")
+        for kind in ("nope", "exact-dense"):
+            with pytest.raises(ValueError, match="unknown"):
+                build_aux(m, kind)
 
     def test_inverts_only_when_apply_is_exact(self):
         rng = np.random.default_rng(9)
@@ -125,7 +126,7 @@ class TestKinds:
         assert build_aux(m, "identity").inverts is None
         assert build_aux(m, "jacobi").inverts is None
         assert build_aux(diag, "jacobi").inverts is diag
-        assert build_aux(m, "exact-dense").inverts is m
+        assert build_aux(m, "exact").inverts is m
         assert build_aux(m, "incomplete-cholesky", 0.0).inverts is m
         assert build_aux(m, "incomplete-cholesky", 0.1).inverts is None
 
@@ -142,20 +143,31 @@ class TestKinds:
 
 class TestRetryAndFailure:
     def test_shift_retry_recovers_semidefinite(self):
-        # Singular PSD matrix: plain factorization hits a zero pivot, the
-        # shifted retry succeeds.
-        dense = np.ones((3, 3))
-        m = SparseSymmetricMatrix.from_dense(dense)
-        aux = build_aux(m, "exact-dense")
-        assert aux.shift > 0.0
-        r = np.ones(3)
-        assert np.all(np.isfinite(aux.apply(r)))
+        # Singular PSD matrices: plain factorization hits a zero pivot, the
+        # shifted retry succeeds.  A dense Cholesky of the second one
+        # rounds its zero pivot to 4.4e-16 and accepts it.
+        for dense in (np.ones((3, 3)), np.array([[2.0, -2.0], [-2.0, 2.0]])):
+            m = SparseSymmetricMatrix.from_dense(dense)
+            aux = build_aux(m, "exact")
+            assert aux.shift > 0.0 and aux.inverts is None
+            r = np.ones(m.n)
+            assert np.all(np.isfinite(aux.apply(r)))
+
+    def test_shift_reaches_an_unstored_diagonal_entry(self):
+        # PSD with a zero diagonal entry that m does not store: only a
+        # shift on the whole diagonal makes it definite.
+        m = SparseSymmetricMatrix(2, [0], [0], [1.0])
+        aux = build_aux(m, "exact")
+        assert aux.shift > 0.0 and aux.inverts is None
+        np.testing.assert_allclose(
+            aux.apply(np.ones(2)),
+            [1.0 / (1.0 + aux.shift), 1.0 / aux.shift], rtol=1e-15)
 
     def test_indefinite_raises_after_retry(self):
         dense = np.diag([1.0, -100.0])
         m = SparseSymmetricMatrix.from_dense(dense)
         with pytest.raises(FactorizationError, match="not factorizable"):
-            build_aux(m, "exact-dense")
+            build_aux(m, "exact")
         with pytest.raises(FactorizationError, match="not factorizable"):
             build_aux(m, "incomplete-cholesky", drop_tol=0.1)
 
@@ -260,6 +272,23 @@ class TestIncompleteCholeskyFactor:
             tracemalloc.stop()
         assert aux.shift == 0.0 and aux.nnz < 5 * m.n
         assert peak <= bound
+
+
+def test_exact_builds_without_an_n_by_n_array():
+    # The traced peak of the exact build on a 5-point Laplacian was
+    # 0.4 MiB at n = 1024, against 24 MiB for a dense factor of a dense
+    # copy; one dense n x n array is 8 MiB.  SuperLU's own memory is not
+    # traced; its fill is the factor's `nnz`.
+    m = laplacian_5pt(32)
+    tracemalloc.start()
+    try:
+        aux = build_aux(m, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aux.shift == 0.0 and aux.inverts is m
+    assert aux.nnz < 12 * m.n
+    assert peak <= 8 * m.n * m.n / 8
 
 
 class TestSparseIncompleteCholesky:

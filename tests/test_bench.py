@@ -52,7 +52,7 @@ class TestSpectralExperiment:
     def test_exact_aux_keeps_preconditioned_kappa_one(self):
         cfg = ExperimentConfig(kind="spectral", n=12, m=3, seed=0,
                                rho_list=(1.0, 1e4),
-                               aux_kind="exact-dense")
+                               aux_kind="exact")
         rows = run_spectral_experiment(cfg)
         for row in rows:
             assert row["kappa_PH"] == pytest.approx(1.0, rel=1e-6)
@@ -274,8 +274,10 @@ class TestCli:
         assert ("%s:2: bad value for 'alm.max_outer': max_outer must be at "
                 "least 1" % conf) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind, line", [("linsys", "m = -1"),
-                                            ("solve", "rho_list =")])
+    @pytest.mark.parametrize("kind, line", [
+        ("linsys", "m = -1"), ("solve", "rho_list ="),
+        ("linsys", "aux_kind = exact-dense"),
+        ("solve", "alm.aux_kind = exact-dense")])
     def test_rejected_experiment_value_exits_2(self, tmp_path, capsys,
                                                kind, line):
         conf = tmp_path / "bench.conf"

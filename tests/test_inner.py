@@ -64,6 +64,13 @@ class TestTruncatedNewtonStep:
         assert step.fallback_gradient
         np.testing.assert_allclose(step.direction, -g)
 
+    def test_nan_direction_falls_back_to_gradient(self):
+        g = np.array([1.0, -2.0, 0.5])
+        step = truncated_newton_step(lambda v: np.full_like(v, np.nan), g,
+                                     None, InnerConfig())
+        assert step.fallback_gradient
+        np.testing.assert_array_equal(step.direction, -g)
+
     def test_spd_preconditioner_kept(self):
         a = np.diag([1.0, 100.0])
         g = np.array([1.0, 1.0])

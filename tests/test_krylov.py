@@ -129,3 +129,15 @@ class TestPminres:
     def test_rejects_maxit_below_one(self, maxit):
         with pytest.raises(ValueError, match="maxit must be >= 1"):
             pminres(lambda v: v, None, np.ones(2), maxit=maxit)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_lanczos_breakdown_stops_with_the_solution(self):
+        # Two distinct eigenvalues: the Lanczos process ends exactly
+        # (beta = 0) after two steps, before a tol of 1e-300 is met.
+        a = np.diag([2.0, 2.0, 4.0, 4.0])
+        b = np.ones(4)
+        rep = pminres(lambda v: a @ v, None, b, tol=1e-300, maxit=5)
+        assert rep.iterations == 2 and not rep.converged
+        np.testing.assert_allclose(rep.solution, [0.5, 0.5, 0.25, 0.25],
+                                   rtol=1e-15)
+        assert np.linalg.norm(b - a @ rep.solution) <= 1e-15

@@ -146,13 +146,18 @@ class TestCsrMatvec:
         sub = a.submatrix(np.array([0, 2, 5]))
         norm1_diff(a, SparseSymmetricMatrix.from_dense(2.0 * dense))
         norm1_diff(sub, sub)
-        for kind in KINDS:
-            build_aux(a, kind, 0.0)
         assert built == []
+        # `exact` factors one new CSR of its own; no build caches one.
+        for kind in KINDS:
+            before = len(built)
+            build_aux(a, kind, 0.0)
+            assert a._csr is None, kind
+            assert len(built) - before == (kind == "exact"), kind
+        before = len(built)
         x = rng.standard_normal(8)
         first = a.matvec(x)
         assert a.matvec(x).tobytes() == first.tobytes()
-        assert built == [1]
+        assert len(built) == before + 1
 
 
 class TestSparseSymmetricMatrix:

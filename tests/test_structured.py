@@ -36,7 +36,7 @@ class TestRank1:
         for _ in range(50):
             n = int(rng.integers(2, 20))
             m = spd_matrix(rng, n)
-            aux = build_aux(m, "exact-dense")
+            aux = build_aux(m, "exact")
             v = rng.standard_normal(n)
             rho = float(10.0 ** rng.uniform(-2, 4))
             r = rng.standard_normal(n)
@@ -46,13 +46,13 @@ class TestRank1:
 
     def test_rejects_null_column(self):
         m = spd_matrix(np.random.default_rng(1), 3)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         with pytest.raises(ValueError, match="non-null"):
             apply_rank1(aux, np.zeros(3), 1.0, np.ones(3))
 
     def test_rejects_nonpositive_rho(self):
         m = spd_matrix(np.random.default_rng(2), 3)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         with pytest.raises(ValueError, match="rho"):
             apply_rank1(aux, np.ones(3), 0.0, np.ones(3))
 
@@ -64,7 +64,7 @@ class TestStorageRecursion:
             n = int(rng.integers(2, 20))
             k = int(rng.integers(1, min(n, 6) + 1))
             m = spd_matrix(rng, n)
-            aux = build_aux(m, "exact-dense")
+            aux = build_aux(m, "exact")
             cols = ColumnSet(n, rng.standard_normal((n, k)), np.ones(k),
                              list(range(k)))
             r = rng.standard_normal(n)
@@ -77,7 +77,7 @@ class TestStorageRecursion:
         for _ in range(20):
             n = 10
             m = spd_matrix(rng, n)
-            aux = build_aux(m, "exact-dense")
+            aux = build_aux(m, "exact")
             # Keep the subtractive terms small enough to stay SPD.
             cols_mat = rng.standard_normal((n, 4))
             cols_mat[:, 3] *= 0.1
@@ -105,7 +105,7 @@ class TestStorageRecursion:
         rng = np.random.default_rng(6)
         n, k = 9, 4
         m = spd_matrix(rng, n)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         cols = ColumnSet(n, rng.standard_normal((n, k)), np.ones(k),
                          list(range(k)))
         perm = [2, 0, 3, 1]
@@ -119,7 +119,7 @@ class TestStorageRecursion:
         rng = np.random.default_rng(7)
         n = 5
         m = spd_matrix(rng, n)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         cols = ColumnSet(n, np.zeros((n, 0)), np.zeros(0), [])
         r = rng.standard_normal(n)
         np.testing.assert_allclose(StructuredPrecond(aux, cols).apply(r),
@@ -129,7 +129,7 @@ class TestStorageRecursion:
         # M = I, subtractive unit column -> denominator 1 - v'v = 0.
         n = 4
         m = SparseSymmetricMatrix.from_dense(np.eye(n))
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         v = np.zeros(n)
         v[0] = 1.0
         cols = ColumnSet(n, v.reshape(n, 1), [-1.0], ["culprit"])
@@ -141,7 +141,7 @@ class TestStorageRecursion:
         # M = I: pivots 1 + 1, 1 + 1, then 1 - 1 = 0 on the third column.
         n = 4
         m = SparseSymmetricMatrix.from_dense(np.eye(n))
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         cols = ColumnSet(n, np.eye(n)[:, :3], [1.0, 1.0, -1.0],
                          ["e1", "e2", "e3"])
         with pytest.raises(DenominatorBreakdownError) as exc:
@@ -174,7 +174,7 @@ class TestStorageRecursion:
         rng = np.random.default_rng(10)
         n = 7
         m = spd_matrix(rng, n)
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         cols = ColumnSet(n, rng.standard_normal((n, 2)), np.ones(2), [0, 1])
         sp = StructuredPrecond(aux, cols)
         r = rng.standard_normal(n)
@@ -222,14 +222,14 @@ class TestExactRefinement:
     # column Sherman-Morrison recursion (6.5e-15 up to rho=1e6, then
     # 2.3e-14, 1.5e-12, 1.6e-10, 1.9e-8).  The capacitance form is less
     # accurate: over seeds 0-99 it reads 3.0e-15 up to rho=1e6, then
-    # 5.6e-14, 1.2e-11, 5.4e-10, 3.7e-8; on this test's seeds 0-4 it stays
-    # at least 5x below each bound.  Unrefined it reaches 2e-12 at
+    # 7.8e-14, 9.7e-12, 6.5e-10, 4.4e-8; on this test's seeds 0-4 it stays
+    # at least 4x below each bound.  Unrefined it reaches 2e-12 at
     # rho=1e2, so from rho=1e2 on these bounds fail without refinement.
     FLOOR = {1e0: 1e-13, 1e1: 1e-13, 1e2: 1e-13, 1e3: 1e-13, 1e4: 1e-13,
              1e5: 1e-13, 1e6: 1e-13, 1e7: 3e-13, 1e8: 2e-11, 1e9: 2e-9,
              1e10: 2e-7}
 
-    @pytest.mark.parametrize("kind", ["jacobi", "exact-dense"])
+    @pytest.mark.parametrize("kind", ["jacobi", "exact"])
     def test_residual_floor_over_rho_sweep(self, kind):
         n, k = 50, 3
         worst = {}
@@ -269,10 +269,10 @@ class TestExactRefinement:
             np.diag(rng.uniform(1.0, 5.0, n)))
         inexact = [build_aux(m, "jacobi"),
                    build_aux(m, "incomplete-cholesky", drop_tol=0.1),
-                   build_aux(singular, "exact-dense"),
+                   build_aux(singular, "exact"),
                    build_aux(singular, "incomplete-cholesky", drop_tol=0.0)]
         exact = [build_aux(diagonal, "jacobi"),
-                 build_aux(m, "exact-dense"),
+                 build_aux(m, "exact"),
                  build_aux(m, "incomplete-cholesky", drop_tol=0.0)]
         assert [aux.inverts for aux in inexact] == [None] * 4
         assert all(aux.inverts is not None for aux in exact)
@@ -317,7 +317,7 @@ class TestColumnSet:
         with pytest.raises(ValueError, match="read-only"):
             cols.signs[0] = -1.0
 
-    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact-dense"])
+    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact"])
     def test_caller_mutation_leaves_preconditioner_unchanged(self, kind):
         rng = np.random.default_rng(15)
         n = 8
@@ -467,7 +467,7 @@ class TestBuildColumnSet:
         w = h_dense @ s
         cols = build_column_set(np.zeros((n, 0)), (), [], [], 1.0, self.th,
                                 secant=(s, y, w))
-        aux = build_aux(m, "exact-dense")
+        aux = build_aux(m, "exact")
         sp = StructuredPrecond(aux, cols)
         target = (h_dense + np.outer(y, y) / float(s @ y)
                   - np.outer(w, w) / float(s @ w))
@@ -593,7 +593,7 @@ class TestDecideUpdate:
 def test_bstore_fields():
     rng = np.random.default_rng(13)
     m = spd_matrix(rng, 4)
-    aux = build_aux(m, "exact-dense")
+    aux = build_aux(m, "exact")
     cols = ColumnSet(4, rng.standard_normal((4, 2)), np.ones(2), [0, 1])
     bs = assemble_B(aux, cols)
     assert isinstance(bs, BStore)
