@@ -18,7 +18,8 @@ from .inner import (InnerConfig, active_bound_mask, project_box,
 from .sparse import SparseSymmetricMatrix, _lower_nonzeros, _row_blocks
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
-                         UpdateThresholds, build_column_set, decide_update)
+                         UpdateThresholds, build_column_set, column_norms,
+                         decide_update)
 # Re-exported, not used here: perfbench's layer tracer wraps the target
 # `almprec.alm:assemble_B`, and test_traced_counts_match_untraced checks
 # that it resolves.  StructuredPrecond assembles through
@@ -164,6 +165,9 @@ def _positive_definite(a):
     return ldlt(full, -tau) is not None
 
 
+_RESTRICTION = "restriction"  # where a _SolveMemo keeps its restriction
+
+
 class _SolveMemo:
     """
     Values derived from problem arrays, computed once per solve.  Only an
@@ -173,16 +177,20 @@ class _SolveMemo:
     derived afresh on every call.  Entries hold a weak reference to their
     array and are dropped when it dies, so a fresh read-only array per
     call is not kept alive and a reused id never finds stale values.
+
+    Beside those values the memo keeps at most one restriction: a
+    memoised matrix cut down to a free set (`restricted`).
     """
 
     def __init__(self, enabled=True):
         self._entries = {} if enabled else None
 
-    def value(self, a, key, compute):
-        """compute(a), from the memo when `a` is a memoised constant."""
+    def _values(self, a):
+        """The dict of values memoised for `a`; None unless `a` is a
+        memoised constant."""
         if (self._entries is None or not isinstance(a, np.ndarray)
                 or a.flags.writeable or a.base is not None):
-            return compute(a)
+            return None
         entries, ident = self._entries, id(a)
         ref, values = entries.get(ident, (None, None))
         if ref is None or ref() is not a:
@@ -191,9 +199,33 @@ class _SolveMemo:
                     del entries[ident]
             ref, values = weakref.ref(a, forget), {}
             entries[ident] = ref, values
+        return values
+
+    def value(self, a, key, compute):
+        """compute(a), from the memo when `a` is a memoised constant."""
+        values = self._values(a)
+        if values is None:
+            return compute(a)
         if key not in values:
             values[key] = compute(a)
         return values[key]
+
+    def restricted(self, a, key, whole, free):
+        """whole.submatrix(free), where `whole` is value(a, key, ...) and
+        `free` an index array.  While `a` is a memoised constant the
+        memo keeps this restriction, keyed on (a, key) and on `free`
+        itself, compared by value; it releases it before it builds the
+        next, for another set or another key."""
+        values = self._values(a)
+        if values is None:
+            return whole.submatrix(free)
+        held = values.get(_RESTRICTION)
+        if (held is None or held[0] != key
+                or not np.array_equal(held[1], free)):
+            for _, other in list(self._entries.values()):
+                other.pop(_RESTRICTION, None)
+            held = values[_RESTRICTION] = key, free, whole.submatrix(free)
+        return held[2]
 
 
 _NO_MEMO = _SolveMemo(enabled=False)
@@ -219,10 +251,14 @@ def _shift_pattern(a):
 
 
 def _shifted(base, sigma):
-    """from_dense(a + sigma I) from base = _shift_pattern(a): the same
-    entries and values, exact zeros dropped alike."""
+    """from_dense(a + sigma I) from base = _shift_pattern(a), or from a
+    principal submatrix of it: the same entries and values, exact zeros
+    dropped alike.  When none is dropped, the result shares base's
+    index arrays."""
     vals = base.vals + sigma * (base.rows == base.cols)
     keep = np.abs(vals) > 0.0
+    if keep.all():
+        return base._revalued(vals)
     return SparseSymmetricMatrix(base.n, base.rows[keep], base.cols[keep],
                                  vals[keep])
 
@@ -263,11 +299,16 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 
     `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
     the model derives from arrays the problem declares constant (see
-    NlpProblem): whether each constraint Hessian is zero, the sparse NW
-    block when no constraint Hessian contributes, and for QN the entries
-    of hess f + sigma I, the probe verdict and the smallest eigenvalue;
-    each such array is scanned once.  The model is bit for bit the one
-    built without it.
+    NlpProblem), keyed on the array object: whether each constraint
+    Hessian is zero, the 2-norms of the Jacobian's columns, the sparse
+    NW block when no constraint Hessian contributes, and for QN the
+    entries of hess f + sigma I, the probe verdict and the smallest
+    eigenvalue; each such array is scanned once.  With `free` it also
+    keeps the NW block or the QN entries cut down to `free`, keyed on
+    hess f and on the index array's values, and rebuilds that cut only
+    when the free set changes: NW then returns the same block while the
+    set holds, and QN adds sigma to the kept cut's values.  The model is
+    bit for bit the one built without it.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -275,6 +316,7 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     c = p.cons(x)
     lam_hat = shifted_multipliers(p, x, lam, rho, c)
     jac = p.jac_cols(x)
+    norms = _memo.value(jac, "column norms", column_norms)
     hess_f = p.hess(x)
 
     if mode == "NW":
@@ -290,11 +332,14 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         if dense_m is None:
             m_part = _memo.value(hess_f, "sparse",
                                  SparseSymmetricMatrix.from_dense)
+            if free is not None:
+                m_part = _memo.restricted(hess_f, "sparse", m_part, free)
         else:
             m_part = SparseSymmetricMatrix.from_dense(dense_m)
-        if free is not None:
-            m_part = m_part.submatrix(free)
-        cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free)
+            if free is not None:
+                m_part = m_part.submatrix(free)
+        cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free,
+                                norms=norms)
         return HessianModel(m_part, 0.0, cols)
 
     # QN mode
@@ -322,12 +367,14 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
-    m_part = _shifted(base if free is None else base.submatrix(free), sigma)
+    if free is not None:
+        base = _memo.restricted(hess_f, "shift pattern", base, free)
+    m_part = _shifted(base, sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac, p.equality, c, lam, rho, th,
-                            secant=secant_arg, free=free)
+                            secant=secant_arg, free=free, norms=norms)
     return HessianModel(m_part, sigma, cols)
 
 
@@ -440,10 +487,16 @@ class PrecondManager:
 
     def get(self, model, free=None):
         """The preconditioner for `model`.  `free` names the variables a
-        restricted model keeps (None: all of them); the cache holds for
-        one free set only, so any other set rebuilds from scratch."""
+        restricted model keeps, as an index array or a sequence of
+        indices (None: all of them).  The cache holds for one free set
+        only, so any other set rebuilds from scratch.  Its key is `free`
+        as given when the set first came, compared by value with later
+        ones, so an array and a tuple of the same indices are one set."""
         m_part, cols = model.m_part, model.cols
-        if self._aux is None or free != self._free:
+        new_set = not (free is self._free or (
+            free is not None and self._free is not None
+            and np.array_equal(free, self._free)))
+        if self._aux is None or new_set:
             refresh_aux = refresh_b = True
         elif self.cfg.precond_policy == "once":
             refresh_aux = refresh_b = False
@@ -454,7 +507,8 @@ class PrecondManager:
                                      cols, self.cfg.thresholds)
             refresh_aux, refresh_b = decision.refresh_aux, decision.refresh_b
         self._outer_boundary = False
-        self._free = free
+        if new_set:
+            self._free = free
 
         if refresh_aux:
             self._aux = self._build_aux(m_part)
@@ -506,10 +560,8 @@ class _Subproblem:
                               secant=(s, y) if s is not None else None,
                               sigma_min=self.cfg.sigma_min, free=free,
                               _memo=self.memo)
-        if free is None:
-            return model, self.manager.get(model), slice(None)
-        return (model, self.manager.get(model, free=tuple(free.tolist())),
-                free)
+        return (model, self.manager.get(model, free),
+                slice(None) if free is None else free)
 
     def get(self, z, g, s, y):
         """(apply, free): the free-system preconditioner's apply, which

@@ -177,8 +177,11 @@ def _incomplete_cholesky(m, shift, drop_tol):
     """
     n = m.n
     diag = m.diagonal() + shift
-    thresholds = (drop_tol * _column_norms(m, diag)).tolist()
-    diag = diag.tolist()
+    # Per-column values are read through memoryviews, which hand out
+    # Python floats from the arrays' 8-byte entries; lists would keep a
+    # 32-byte float object per column alive while the factor grows.
+    thresholds = memoryview(drop_tol * _column_norms(m, diag))
+    diag = memoryview(diag)
     # The strict lower triangle of A in column order.
     off = np.flatnonzero(m.rows != m.cols)
     off = off[np.lexsort((m.rows[off], m.cols[off]))]

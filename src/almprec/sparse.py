@@ -182,6 +182,23 @@ class SparseSymmetricMatrix:
         return SparseSymmetricMatrix(idx.size, np.maximum(rows, cols),
                                      np.minimum(rows, cols), self.vals[keep])
 
+    def _revalued(self, vals):
+        """This matrix's pattern with the values `vals`, one per stored
+        entry.  The new matrix shares `rows` and `cols`, which the
+        constructor checked already, so only the values are checked; a
+        zero value stays stored."""
+        vals = np.array(vals, dtype=np.float64)
+        if vals.shape != self.vals.shape:
+            raise ValueError("expected %d values, got shape %s"
+                             % (self.nnz, vals.shape))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite")
+        vals.flags.writeable = False
+        out = object.__new__(SparseSymmetricMatrix)
+        out.n, out.rows, out.cols = self.n, self.rows, self.cols
+        out.vals, out._csr = vals, None
+        return out
+
 
 def norm1_diff(a, b):
     """Induced 1-norm (max absolute column sum) of A - B.  The stored
@@ -192,7 +209,9 @@ def norm1_diff(a, b):
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
-    if np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols):
+    if ((a.rows is b.rows and a.cols is b.cols)
+            or (np.array_equal(a.rows, b.rows)
+                and np.array_equal(a.cols, b.cols))):
         # Equal patterns: the merge would pair entry k with entry k.
         diff = np.abs(a.vals - b.vals)
         rows, cols = a.rows, a.cols

@@ -106,11 +106,12 @@ class UpdateDecision:
 @dataclass
 class BStore:
     """Capacitance factor K = L D L': b = W L^-T (column i is P_{i-1}^-1
-    v_i), c = V L^-T and the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii."""
+    v_i), c = V L^-T, the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii
+    and the weights s_i / d_i that every apply takes."""
     b: np.ndarray
     c: np.ndarray
     denoms: np.ndarray
-    signs: np.ndarray
+    weights: np.ndarray
 
 
 def _denom_floor(v):
@@ -162,12 +163,13 @@ def assemble_B(aux, cols):
     # Step i leaves k[i, i] alone from then on: the diagonal is D.
     b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1)
             for x in (w, v))
-    return BStore(b, c, signs * k.diagonal(), signs.copy())
+    denoms = signs * k.diagonal()
+    return BStore(b, c, denoms, signs / denoms)
 
 
 def _apply(bs, aux, r):
     a = aux.apply(r)
-    return a - bs.b @ (bs.signs / bs.denoms * (bs.c.T @ a))
+    return a - bs.b @ (bs.weights * (bs.c.T @ a))
 
 
 class StructuredPrecond:
@@ -214,8 +216,15 @@ class StructuredPrecond:
         return h + _apply(self.bs, self.aux, resid)
 
 
+def column_norms(jacobian):
+    """The 2-norm of each column of `jacobian`, one column at a time."""
+    jacobian = np.asarray(jacobian, dtype=np.float64)
+    return np.array([np.linalg.norm(jacobian[:, i])
+                     for i in range(jacobian.shape[1])])
+
+
 def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
-                     secant=None, free=None):
+                     secant=None, free=None, norms=None):
     """
     Assemble the preconditioner columns from constraint data: `jacobian`
     is n x m with column i the gradient of c_i, and `equality` is the
@@ -233,6 +242,9 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     `free` of those columns, and a column whose restricted 2-norm is at
     most 1e-12 is dropped.  Which columns are kept, their order and the
     secant test still go by the whole columns and vectors.
+
+    `norms` are `column_norms(jacobian)`, computed here when the caller
+    does not have them.
 
     The kept constraint columns are gathered in one step and scaled in
     place, so beside the input no more than two n x m arrays are alive
@@ -252,9 +264,9 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     idx = np.flatnonzero(equality | (multipliers + rho * c_vals > 0.0))
     infeas = np.where(equality, np.abs(c_vals),
                       np.maximum(0.0, c_vals))[idx]
-    # One norm per column, summed as the per-column loop did: the order
-    # of tied columns depends on the last bit.
-    norm = np.array([np.linalg.norm(jacobian[:, i]) for i in idx])
+    # One norm per column, as column_norms sums it: the order of tied
+    # columns depends on the last bit.
+    norm = (column_norms(jacobian) if norms is None else norms)[idx]
     keep = (norm > th.eps_v) | (infeas > th.eps_c)
     idx, infeas, norm = idx[keep], infeas[keep], norm[keep]
     order = idx[np.lexsort((idx, -norm, -infeas))]

@@ -25,6 +25,11 @@ total over all of them:
   its full model with its `_restrict_model` instead, so against such a
   parent the lines compare the two ways of building the reduced model,
   even where no grid run pins a bound;
+- `restricted-memo`: per grid problem, with `hess f`, the Jacobian and
+  the constraint Hessians frozen at `x0` as read-only constants, the
+  same three models built through one per-solve memo (`_SolveMemo`)
+  over the free sets A, A, B, A, none (B another set of A's size), so
+  the memo's cached restriction is built, reused and replaced;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
@@ -218,6 +223,44 @@ def restricted_runs(root):
             yield "restricted %s %s" % (name, label), _digest(parts)
 
 
+def _frozen_at_x0(p):
+    """A copy of `p` whose hess, jac_cols and cons_hess return their
+    value at x0 as the same read-only array on every call: constants
+    that a _SolveMemo keeps."""
+    def frozen(a):
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+        return a
+    hess, jac = frozen(p.hess(p.x0)), frozen(p.jac_cols(p.x0))
+    cons_hess = [frozen(p.cons_hess(i, p.x0)) for i in range(p.m)]
+    return replace(p, hess=lambda x: hess, jac_cols=lambda x: jac,
+                   cons_hess=lambda i, x: cons_hess[i])
+
+
+def restricted_memo_runs(root):
+    """(label, digest) of the reduced models at x0 built through one
+    memo over a sequence of free sets."""
+    from almprec import alm
+    from almprec.problems import get_problem
+
+    for name in _grid_config(root).problems:
+        p = _frozen_at_x0(get_problem(name))
+        free = np.arange(p.n) % 3 != 0
+        first, other = np.flatnonzero(free), np.flatnonzero(np.roll(free, 1))
+        s = np.linspace(1.0, 2.0, p.n)
+        secant = (s, p.hess(p.x0) @ s + s)
+        memo, parts = alm._SolveMemo(), []
+        for mode, pair in (("NW", None), ("QN", None), ("QN", secant)):
+            for free in (first, first.copy(), other, first.copy(), None):
+                try:
+                    parts += _model_bytes(alm.hessian_model(
+                        p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
+                        free=free, _memo=memo))
+                except Exception as exc:
+                    parts.append(repr(exc).encode())
+        yield "restricted-memo %s" % name, _digest(parts)
+
+
 def workload_runs():
     """(label, digest) for every perfbench workload and seed."""
     from perfbench.workloads import WORKLOADS
@@ -267,7 +310,7 @@ def fingerprint(root):
     total = hashlib.sha256()
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
                           *probe_runs(root), *restricted_runs(root),
-                          *workload_runs(),
+                          *restricted_memo_runs(root), *workload_runs(),
                           *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())

@@ -336,16 +336,21 @@ def _quadrant_means(k):
     return cols
 
 
-def _memo_problem(hess, cons_hess):
-    """Four linear inequality rows with the given Hessian callables, for
+def _memo_jac():
+    return np.random.default_rng(12).standard_normal((6, 4))
+
+
+def _memo_problem(hess, cons_hess, jac_cols=None):
+    """Four linear inequality rows with the given Hessian callables (and
+    Jacobian callable, by default a fixed writeable array), for
     hessian_model alone: f and grad are placeholders."""
     n = 6
-    rng = np.random.default_rng(12)
-    jac = rng.standard_normal((n, 4))
+    jac = _memo_jac()
     return NlpProblem(
         name="MEMO", n=n, x0=np.zeros(n), kinds=("inequality",) * 4,
         f=lambda x: 0.0, grad=lambda x: np.zeros(n), hess=hess,
-        cons=lambda x: jac.T @ x - 0.1, jac_cols=lambda x: jac,
+        cons=lambda x: jac.T @ x - 0.1,
+        jac_cols=jac_cols if jac_cols is not None else lambda x: jac,
         cons_hess=cons_hess)
 
 
@@ -430,13 +435,19 @@ class TestSolveMemo:
             assert _same_model(got, want)
 
     def test_fresh_read_only_arrays_are_not_kept(self):
+        # Nor is a restriction to a free set built from them.
         hess, cons = _memo_hessians()
+        jac = _memo_jac()
         p = _memo_problem(lambda x: _frozen(hess),
-                          lambda i, x: _frozen(cons[i]))
+                          lambda i, x: _frozen(cons[i]),
+                          lambda x: _frozen(jac))
         memo = alm._SolveMemo()
+        free = np.array([0, 2, 3, 5])
         for x, lam, mode, secant in _model_args(p.n, p.m):
-            hessian_model(p, x, lam, 10.0, mode, secant=secant, _memo=memo)
-            assert not memo._entries
+            for f in (None, free, free.copy(), np.array([1, 2, 4, 5])):
+                hessian_model(p, x, lam, 10.0, mode, secant=secant, free=f,
+                              _memo=memo)
+                assert not memo._entries
 
     def test_eq_tn_solve_builds_the_sparse_block_once(self, monkeypatch):
         k = 5
@@ -451,9 +462,9 @@ class TestSolveMemo:
             grad=lambda x: q @ x - c, hess=lambda x: q,
             cons=lambda x: a.T @ x - d, jac_cols=lambda x: a,
             cons_hess=lambda i, x: zero)
-        calls = {"from_dense": 0, "models": 0}
+        calls = {"from_dense": 0, "models": 0, "norms": 0}
         from_dense = SparseSymmetricMatrix.from_dense.__func__
-        model = alm.hessian_model
+        model, norms = alm.hessian_model, alm.column_norms
 
         def counted_from_dense(cls, dense, tol=0.0):
             calls["from_dense"] += 1
@@ -462,16 +473,21 @@ class TestSolveMemo:
         def counted_model(*args, **kwargs):
             calls["models"] += 1
             return model(*args, **kwargs)
+
+        def counted_norms(jac):
+            calls["norms"] += 1
+            return norms(jac)
         monkeypatch.setattr(SparseSymmetricMatrix, "from_dense",
                             classmethod(counted_from_dense))
         monkeypatch.setattr(alm, "hessian_model", counted_model)
+        monkeypatch.setattr(alm, "column_norms", counted_norms)
         rep = alm_solve(p, AlmConfig(inner_solver="truncated-newton",
                                      hessian_mode="NW",
                                      aux_kind="incomplete-cholesky",
                                      drop_tol=1e-2))
         assert rep.converged
         assert calls["models"] > 1
-        assert calls["from_dense"] == 1
+        assert calls["from_dense"] == calls["norms"] == 1
         assert rep.f_value == p.f(rep.x)
 
     def test_obstacle_pspg_solve_probes_hess_f_once(self, monkeypatch):
@@ -493,8 +509,9 @@ class TestSolveMemo:
             cons=lambda v: quads.T @ v - caps, jac_cols=lambda v: quads,
             cons_hess=lambda i, v: None,  # QN reads no constraint Hessian
             lower=lower, upper=upper)
-        calls = {"probes": 0, "models": 0}
+        calls = {"probes": 0, "models": 0, "restrictions": 0}
         probe, model = alm._positive_definite, alm.hessian_model
+        submatrix = SparseSymmetricMatrix.submatrix
 
         def counted_probe(a):
             calls["probes"] += 1
@@ -503,13 +520,117 @@ class TestSolveMemo:
         def counted_model(*args, **kwargs):
             calls["models"] += 1
             return model(*args, **kwargs)
+
+        def counted_submatrix(self, idx):
+            calls["restrictions"] += 1
+            return submatrix(self, idx)
         monkeypatch.setattr(alm, "_positive_definite", counted_probe)
         monkeypatch.setattr(alm, "hessian_model", counted_model)
+        monkeypatch.setattr(SparseSymmetricMatrix, "submatrix",
+                            counted_submatrix)
         rep = alm_solve(p, AlmConfig(inner_solver="pspg",
                                      hessian_mode="QN"))
         assert rep.converged
         assert calls["models"] > 1
         assert calls["probes"] == 1
+        # One restriction per new free set, each of which also rebuilt
+        # the auxiliary.
+        assert 0 < calls["restrictions"] <= rep.ac_m < calls["models"]
+
+
+def _hess_with_threes():
+    """A frozen positive definite hess f with 3.0 at (1, 1) and (4, 4):
+    sigma = -3 cancels both entries exactly."""
+    hess = np.diag([2.0, 3.0, 4.0, 5.0, 3.0, 6.0])
+    hess[3, 0] = hess[0, 3] = 0.5
+    hess[5, 1] = hess[1, 5] = -1.0
+    return _frozen(hess)
+
+
+def _free_sequence():
+    """The free sets A, A, B, A, None, with B of A's size; each set is
+    a new array."""
+    a, b = np.array([0, 1, 3, 4]), np.array([1, 2, 4, 5])
+    return [a, a.copy(), b, a.copy(), None]
+
+
+class TestRestrictionMemo:
+    """hessian_model through one _SolveMemo over a sequence of free sets:
+    the restriction it keeps is built, reused and replaced, and every
+    model equals the one built without a memo, byte for byte."""
+
+    @staticmethod
+    def _restrictions(memo):
+        return sum(alm._RESTRICTION in values
+                   for _, values in memo._entries.values())
+
+    # (mode, secant, sigma_min): sigma_min = -3 with a curvature pair
+    # that asks for less makes sigma = -3, which cancels two diagonal
+    # entries of hess f.
+    @pytest.mark.parametrize("mode, secant_scale, sigma_min", [
+        ("NW", None, 1e-8), ("QN", None, 1e-8), ("QN", 3.0, 1e-8),
+        ("QN", None, -3.0), ("QN", -10.0, -3.0)])
+    def test_models_match_the_memo_less_ones(self, mode, secant_scale,
+                                             sigma_min):
+        hess, jac = _hess_with_threes(), _frozen(_memo_jac())
+        zero = _frozen(np.zeros((6, 6)))
+        p = _memo_problem(lambda x: hess, lambda i, x: zero, lambda x: jac)
+        rng = np.random.default_rng(22)
+        x, lam, s = (rng.standard_normal(6), 5.0 * rng.standard_normal(4),
+                     rng.standard_normal(6))
+        secant = (None if secant_scale is None
+                  else (s, secant_scale * s + 0.01 * rng.standard_normal(6)))
+        memo, models = alm._SolveMemo(), []
+        for free in _free_sequence():
+            kwargs = dict(secant=secant, sigma_min=sigma_min, free=free)
+            got = hessian_model(p, x, lam, 10.0, mode, _memo=memo, **kwargs)
+            want = hessian_model(p, x, lam, 10.0, mode, **kwargs)
+            assert _same_bytes(got, want)
+            assert self._restrictions(memo) == 1
+            models.append(got.m_part)
+        cancels = sigma_min == -3.0
+        if cancels:
+            assert all(np.count_nonzero(m.rows == m.cols) == m.n - 2
+                       for m in models[:4])
+        # The repeated set reuses the restriction, the set after B builds
+        # a new one.
+        if mode == "NW":
+            assert models[1] is models[0] and models[3] is not models[0]
+        elif not cancels:
+            assert models[1].rows is models[0].rows
+            assert models[3].rows is not models[0].rows
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_arrays_changed_in_place_are_read_again(self, view):
+        hess_buf, jac_buf = np.array(_hess_with_threes()), _memo_jac()
+
+        def expose(buf):
+            """The buffer itself, or one read-only view of it, returned
+            as the same object on every call."""
+            if not view:
+                return buf
+            out = buf.view()
+            out.flags.writeable = False
+            return out
+
+        hess_out, jac_out = expose(hess_buf), expose(jac_buf)
+        zero = _frozen(np.zeros((6, 6)))
+        p = _memo_problem(lambda x: hess_out, lambda i, x: zero,
+                          lambda x: jac_out)
+        # At x = 0 every row is feasible and, with these multipliers,
+        # active, so the columns are ordered by their norms alone.
+        x, lam = np.zeros(6), np.full(4, 100.0)
+        memo, labels = alm._SolveMemo(), set()
+        for k, free in enumerate(_free_sequence() * 2):
+            jac_buf[:, k % 4] *= 4.0
+            hess_buf[2, 2] = 4.0 + k
+            for mode in ("NW", "QN"):
+                got = hessian_model(p, x, lam, 10.0, mode, free=free,
+                                    _memo=memo)
+                want = hessian_model(p, x, lam, 10.0, mode, free=free)
+                assert _same_bytes(got, want)
+                labels.add(got.cols.labels)
+        assert len(labels) > 1
 
 
 def _dense_problem(hess):
@@ -941,6 +1062,19 @@ class TestPrecondManager:
             mgr.get(reduced, free=free)
         # One build per change of the free set, none for a repeat.
         assert mgr.ac_m == 3 and mgr.ac_v == 0
+
+    def test_array_and_tuple_free_sets_are_one_set(self):
+        p = get_problem("HS41")
+        mgr = PrecondManager(AlmConfig(precond_policy="once"))
+        got = []
+        for free in ((0, 1), np.array([0, 1]), [0, 1], np.array([2, 3]),
+                     (2, 3), np.array([0, 1, 2]), (0, 1, 2)):
+            reduced = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "NW",
+                                    free=np.array(free))
+            got.append(mgr.get(reduced, free=free))
+        assert mgr.ac_m == 3 and mgr.ac_v == 0
+        assert got[0] is got[1] is got[2] and got[3] is got[4]
+        assert got[5] is got[6] and got[2] is not got[3]
 
     def test_every_outer_policy(self):
         mgr = PrecondManager(AlmConfig(precond_policy="every-outer"))

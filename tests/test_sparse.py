@@ -373,6 +373,41 @@ class TestSubmatrix:
             a.submatrix(idx)
 
 
+class TestRevalued:
+    """`_revalued`, the private value swap: the same pattern with other
+    values, checked for length and finiteness only."""
+
+    @staticmethod
+    def _matrix():
+        return SparseSymmetricMatrix(3, [0, 1, 2, 2], [0, 0, 1, 2],
+                                     [1.0, 2.0, 3.0, 4.0])
+
+    def test_shares_the_pattern_and_freezes_a_copy_of_the_values(self):
+        a = self._matrix()
+        a.matvec(np.ones(3))
+        vals = np.array([5.0, -6.0, 0.0, 8.0])
+        b = a._revalued(vals)
+        assert b.n == a.n and b.rows is a.rows and b.cols is a.cols
+        assert b.vals.tobytes() == vals.tobytes()
+        assert not b.vals.flags.writeable and b.vals is not vals
+        vals[0] = 7.0
+        assert b.vals[0] == 5.0
+        want = SparseSymmetricMatrix(3, a.rows, a.cols, b.vals)
+        np.testing.assert_array_equal(b.to_dense(), want.to_dense())
+        x = np.arange(3.0)
+        assert b.matvec(x).tobytes() == want.matvec(x).tobytes()
+        # The original keeps its values and its product.
+        assert a.vals.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert a.matvec(x).tobytes() == self._matrix().matvec(x).tobytes()
+
+    @pytest.mark.parametrize("vals", [
+        np.ones(3), np.ones(5), np.ones((2, 2)), [1.0, np.nan, 1.0, 1.0],
+        [1.0, 1.0, np.inf, 1.0], [-np.inf, 1.0, 1.0, 1.0]])
+    def test_rejects_a_wrong_length_and_nonfinite_values(self, vals):
+        with pytest.raises(ValueError):
+            self._matrix()._revalued(vals)
+
+
 class TestNorm1Diff:
     def test_matches_dense_norm(self):
         rng = np.random.default_rng(2)
@@ -421,6 +456,15 @@ class TestNorm1Diff:
                                       rng.standard_normal(a.nnz))
             assert b.rows is not a.rows
             for x, y in ((a, b), (b, a), (a, a)):
+                assert norm1_diff(x, y) == merge_norm1_diff(x, y)
+
+    def test_shared_patterns_match_the_merge_bitwise(self):
+        # A re-valued matrix shares its pattern's index arrays.
+        rng = np.random.default_rng(14)
+        for a in oracle_matrices():
+            b = a._revalued(rng.standard_normal(a.nnz))
+            assert b.rows is a.rows and b.cols is a.cols
+            for x, y in ((a, b), (b, a)):
                 assert norm1_diff(x, y) == merge_norm1_diff(x, y)
 
     def test_differing_patterns_of_equal_size_take_the_merge(self):

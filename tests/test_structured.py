@@ -598,3 +598,19 @@ def test_bstore_fields():
     bs = assemble_B(aux, cols)
     assert isinstance(bs, BStore)
     assert bs.b.shape == (4, 2) and bs.denoms.shape == (2,)
+
+
+def test_bstore_weights_are_the_signs_over_the_denominators():
+    rng = np.random.default_rng(14)
+    m = spd_matrix(rng, 6)
+    aux = build_aux(m, "incomplete-cholesky", drop_tol=0.1)
+    cols = ColumnSet(6, rng.standard_normal((6, 3)), [1.0, -1.0, 1.0],
+                     [0, 1, 2])
+    sp = StructuredPrecond(aux, cols)
+    bs = sp.bs
+    assert bs.weights.tobytes() == (cols.signs / bs.denoms).tobytes()
+    # The apply is the Woodbury form with the signs divided per apply.
+    r = rng.standard_normal(6)
+    a = aux.apply(r)
+    want = a - bs.b @ (cols.signs / bs.denoms * (bs.c.T @ a))
+    assert sp.apply(r).tobytes() == want.tobytes()
