@@ -6,11 +6,13 @@ Jacobi, incomplete Cholesky with drop tolerance, or an exact sparse LDL'
 factor.  The structured preconditioner is agnostic to which of these is
 plugged in.  Every kind keeps sparse storage and forms no n x n array:
 the incomplete Cholesky factor is built from M's stored lower triangle
-in O(n + nnz(L)) memory, and `exact` is SuperLU's factor of M in a
+in O(n + nnz(L)) memory, with its values unboxed in an array('d') that
+scipy reads in place, and `exact` is SuperLU's factor of M in a
 fill-reducing order (`ldlt`), whose memory is its fill.
 """
 
 import math
+from array import array
 
 import numpy as np
 import scipy.sparse
@@ -37,6 +39,8 @@ class AuxPrecond:
     solves, or the LDL' of `exact` (`nnz` counts its lower triangle),
     applied by one solve.  `apply` takes a vector of length n or an
     (n, k) block; a block gives the same result as applying each column.
+    It returns a new array, which the caller may overwrite; the factored
+    kinds return a block column-major.
     """
 
     def __init__(self, kind, n, nnz, inv_diag=None, lu=None, shift=0.0,
@@ -107,9 +111,10 @@ def build_aux(m, kind, drop_tol=None):
         factor = _incomplete_cholesky(m, beta, drop_tol)
         if factor is not None:
             data, indices, indptr = factor
-            # Arrays, not lists: scipy converts a list item by item.
+            # Arrays, not lists: scipy converts a list item by item.  The
+            # values are read in place from their array('d').
             lower = scipy.sparse.csc_matrix(
-                (np.array(data), np.array(indices, dtype=np.int32),
+                (np.frombuffer(data), np.array(indices, dtype=np.int32),
                  np.array(indptr, dtype=np.int32)), shape=(m.n, m.n))
             # SuperLU with the natural ordering and no pivoting factors
             # the triangular L as (L D^-1) D with D = diag(L): no fill, and
@@ -147,18 +152,19 @@ def ldlt(full, shift):
     return lu if pd else None
 
 
-def _column_norms(m, diag):
+def _column_norms(m, diag, by_col):
     """2-norms of the columns of the full symmetric matrix with stored
-    off-diagonal entries of m and diagonal `diag`.  Each column is summed
-    in increasing row order, as a dense column norm is."""
-    off = m.rows != m.cols
-    rows, cols, vals = m.rows[off], m.cols[off], m.vals[off]
-    every = np.arange(m.n)
-    col = np.concatenate((rows, cols, every))
-    row = np.concatenate((cols, rows, every))
-    sq = np.concatenate((vals * vals, vals * vals, diag * diag))
-    order = np.lexsort((row, col))
-    return np.sqrt(np.bincount(col[order], sq[order], minlength=m.n))
+    off-diagonal entries of m and diagonal `diag`; `by_col` indexes those
+    entries in column order.  Each column is summed in increasing row
+    order, as a dense column norm is: bincount adds in input order, and
+    column j takes row j's stored entries (the rows above the diagonal),
+    its diagonal, then column j's stored entries (the rows below)."""
+    off = np.flatnonzero(m.rows != m.cols)
+    sq = m.vals[off] ** 2
+    col = np.concatenate((m.rows[off], np.arange(m.n), m.cols[by_col]))
+    return np.sqrt(np.bincount(
+        col, np.concatenate((sq, diag * diag, m.vals[by_col] ** 2)),
+        minlength=m.n))
 
 
 def _incomplete_cholesky(m, shift, drop_tol):
@@ -173,22 +179,23 @@ def _incomplete_cholesky(m, shift, drop_tol):
     takes no search, and beside the factor only O(n) work vectors are
     kept.  Returns the CSC arrays (data, indices, indptr) of the lower
     triangular factor, diagonal first in each column, or None on a
-    nonpositive pivot.
+    nonpositive pivot: the values in an array('d'), the indices in lists.
     """
     n = m.n
     diag = m.diagonal() + shift
-    # Per-column values are read through memoryviews, which hand out
-    # Python floats from the arrays' 8-byte entries; lists would keep a
-    # 32-byte float object per column alive while the factor grows.
-    thresholds = memoryview(drop_tol * _column_norms(m, diag))
-    diag = memoryview(diag)
-    # The strict lower triangle of A in column order.
+    # The strict lower triangle of A in column order: m is row-major, so a
+    # stable sort by column keeps each column's rows ascending.
     off = np.flatnonzero(m.rows != m.cols)
-    off = off[np.lexsort((m.rows[off], m.cols[off]))]
-    a_rows, a_vals = m.rows[off].tolist(), m.vals[off].tolist()
+    off = off[np.argsort(m.cols[off], kind="stable")]
+    # Values are read through memoryviews and the factor's values are
+    # kept in an array('d'): 8 bytes each, where a list holds a 24-byte
+    # Python float and its 8-byte slot.
+    thresholds = memoryview(drop_tol * _column_norms(m, diag, off))
+    diag = memoryview(diag)
+    a_rows, a_vals = m.rows[off].tolist(), memoryview(m.vals[off])
     a_ptr = np.searchsorted(m.cols[off], np.arange(n + 1)).tolist()
 
-    data, indices, indptr = [], [], [0]
+    data, indices, indptr = array("d"), [], [0]
     head = [-1] * n     # head[i]: first column whose next entry is in row i
     link = [-1] * n     # link[k]: the column after k in the same row list
     pos = [0] * n       # pos[k]: position in `indices` of that next entry

@@ -38,14 +38,36 @@ class ColumnSet:
 
     Immutable: `columns` and `signs` are read-only copies of what the
     caller passed, so a preconditioner built on a ColumnSet stays valid
-    for as long as it is used.  Labels must be distinct: dropping a
-    column by label and pairing the columns of two sets go by label.
+    for as long as it is used.  `columns` must be an (n, k) array, k
+    columns of length n, k = 0 included.  Sets built inside this module
+    (`build_column_set`, `permuted`) hand over the array they have just
+    gathered, which is frozen instead of copied.  Labels must be
+    distinct: dropping a column by label and pairing the columns of two
+    sets go by label.
     """
 
     def __init__(self, n, columns, signs, labels, notes=()):
-        columns = np.array(columns, dtype=np.float64)
-        columns = (columns.reshape(n, 0) if columns.size == 0
-                   else columns.reshape(n, -1))
+        self._hold(n, np.array(columns, dtype=np.float64), signs, labels,
+                   notes)
+
+    @classmethod
+    def _owning(cls, n, columns, signs, labels, notes=()):
+        """A set on `columns`, a new contiguous float64 array that nothing
+        else holds: it is frozen, not copied.  It takes the strides that
+        the constructor's copy would give it, C strides where it is also
+        C-contiguous (one column or one row), since products follow them."""
+        if columns.size == 0:
+            columns = np.array(columns)
+        elif columns.flags.c_contiguous:
+            columns = columns.reshape(-1).reshape(columns.shape)
+        cols = cls.__new__(cls)
+        cols._hold(n, columns, signs, labels, notes)
+        return cols
+
+    def _hold(self, n, columns, signs, labels, notes):
+        if columns.ndim != 2 or columns.shape[0] != n:
+            raise ValueError("columns must be an (n, k) array with n = %d, "
+                             "got shape %s" % (n, columns.shape))
         signs = np.array(signs, dtype=np.float64).ravel()
         if columns.shape[1] != signs.size or len(labels) != signs.size:
             raise ValueError("columns, signs and labels must agree in count")
@@ -72,8 +94,9 @@ class ColumnSet:
 
     def permuted(self, order):
         order = list(order)
-        return ColumnSet(self.n, self.columns[:, order], self.signs[order],
-                         [self.labels[i] for i in order], self.notes)
+        return ColumnSet._owning(self.n, self.columns[:, order],
+                                 self.signs[order],
+                                 [self.labels[i] for i in order], self.notes)
 
     def without_labels(self, labels):
         keep = [i for i, lab in enumerate(self.labels) if lab not in labels]
@@ -107,7 +130,9 @@ class UpdateDecision:
 class BStore:
     """Capacitance factor K = L D L': b = W L^-T (column i is P_{i-1}^-1
     v_i), c = V L^-T, the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii
-    and the weights s_i / d_i that every apply takes."""
+    and the weights s_i / d_i that every apply takes.  b and c are
+    column-major n x m arrays of their own, sharing no memory with the
+    column set."""
     b: np.ndarray
     c: np.ndarray
     denoms: np.ndarray
@@ -144,7 +169,8 @@ def assemble_B(aux, cols):
     Sherman-Morrison denominator of column i after the columns before it,
     so a pivot below the floor raises DenominatorBreakdownError with that
     column's label.  Cost: one block auxiliary apply, O(m^2 n) in BLAS,
-    and an m-step loop on m x m arrays.
+    and an m-step loop on m x m arrays.  Beside `cols`, it holds two
+    n x m arrays, b and c: b is formed in place of W.
     """
     m = cols.m
     v, signs = cols.columns, cols.signs
@@ -161,8 +187,11 @@ def assemble_B(aux, cols):
         lower[i + 1:, i] = k[i + 1:, i] / k[i, i]
         k[i + 1:, i + 1:] -= lower[i + 1:, i, None] * k[i, i + 1:]
     # Step i leaves k[i, i] alone from then on: the diagonal is D.
-    b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1)
-            for x in (w, v))
+    # b = W L^-T overwrites W, which the apply made for this call and
+    # which, from a factored kind, is already column-major as dtrsm needs
+    # it; c = V L^-T is formed in one column-major copy of V.
+    b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1,
+                  overwrite_b=1) for x in (w, np.array(v, order="F")))
     denoms = signs * k.diagonal()
     return BStore(b, c, denoms, signs / denoms)
 
@@ -246,10 +275,13 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     `norms` are `column_norms(jacobian)`, computed here when the caller
     does not have them.
 
-    The kept constraint columns are gathered in one step and scaled in
-    place, so beside the input no more than two n x m arrays are alive
-    at a time: the gathered one and the ColumnSet's copy, or, with
-    `free`, the gathered one and its column-major copy.
+    A full set is stored row-major and a restricted one column-major;
+    BLAS products round differently in the two layouts.  The kept
+    constraint columns are gathered once, straight into the set's array,
+    and scaled in place; with the secant pair they go into one
+    preallocated block that also takes the pair.  The ColumnSet keeps that
+    array, so beside the input the build holds no more than two n x m
+    arrays at a time, and one unless a restricted column is dropped.
     """
     jacobian = np.asarray(jacobian, dtype=np.float64)
     equality = np.asarray(equality, dtype=bool)
@@ -270,14 +302,11 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     keep = (norm > th.eps_v) | (infeas > th.eps_c)
     idx, infeas, norm = idx[keep], infeas[keep], norm[keep]
     order = idx[np.lexsort((idx, -norm, -infeas))]
-
-    columns = (np.take(jacobian, order, axis=1) if free is None
-               else jacobian[np.ix_(free, order)])
-    columns *= np.sqrt(rho)
     signs = [1.0] * order.size
     labels = order.tolist()
     notes = []
 
+    pair = []
     if secant is not None:
         s, y, w = (np.asarray(a, dtype=np.float64) for a in secant)
         sy = float(s @ y)
@@ -286,22 +315,36 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
             if sw <= 0.0:
                 notes.append("correction skipped")
             else:
-                rows = slice(None) if free is None else free
-                columns = np.column_stack((columns,
-                                           np.sqrt(1.0 / sy) * y[rows],
-                                           np.sqrt(1.0 / sw) * w[rows]))
+                pair = [(y, np.sqrt(1.0 / sy)), (w, np.sqrt(1.0 / sw))]
                 signs += [1.0, -1.0]
                 labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
 
+    if free is None and not pair:
+        columns = np.take(jacobian, order, axis=1)
+        columns *= np.sqrt(rho)
+    else:
+        # One scaled column at a time: a strided whole-block product would
+        # go through numpy's buffers.  A restricted set's block is
+        # allocated transposed, so it is column-major.
+        if free is None:
+            rows = slice(None)
+            columns = np.empty((jacobian.shape[0], len(signs)))
+        else:
+            rows = np.asarray(free)
+            if rows.dtype == bool:  # a mask selects rows, as np.ix_ does
+                rows = np.flatnonzero(rows)
+            columns = np.empty((len(signs), rows.size)).T
+        sources = [(jacobian[:, i], np.sqrt(rho)) for i in order.tolist()]
+        for j, (u, scale) in enumerate(sources + pair):
+            np.multiply(u[rows], scale, out=columns[:, j])
+
     if free is not None:
-        kept = np.flatnonzero(np.linalg.norm(columns, axis=0) > 1e-12)
-        # Always gathered, also when every column is kept: this gather
-        # stores the set column-major, and BLAS products with it round
-        # differently than with a row-major one.
-        columns = columns[:, kept]
-        signs = [signs[j] for j in kept]
-        labels = [labels[j] for j in kept]
-    return ColumnSet(columns.shape[0], columns, signs, labels, notes)
+        kept = np.flatnonzero(column_norms(columns) > 1e-12)
+        if kept.size < columns.shape[1]:
+            columns = columns[:, kept]
+            signs = [signs[j] for j in kept]
+            labels = [labels[j] for j in kept]
+    return ColumnSet._owning(columns.shape[0], columns, signs, labels, notes)
 
 
 def decide_update(prev_m, new_m, prev_v, new_v, th):

@@ -1,5 +1,6 @@
 """Auxiliary preconditioner kinds and the factorization retry."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,68 @@ ORACLE_CASES = (
     + [("arrow-%g" % t, arrow_matrix(12), t) for t in (0.0, 1e-2)])
 
 
+def seeded_laplacian(k, seed, neumann=False):
+    """The 5-point Laplacian of -div(a grad u) on a k x k grid, each edge
+    coefficient log-uniform in [0.1, 10] from `seed`: Dirichlet boundary,
+    or with `neumann` no boundary edges, which makes it singular."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(k * k).reshape(k, k)
+    ah = 10.0 ** rng.uniform(-1.0, 1.0, size=(k, k + 1))
+    av = 10.0 ** rng.uniform(-1.0, 1.0, size=(k + 1, k))
+    if neumann:
+        ah[:, [0, -1]] = 0.0
+        av[[0, -1], :] = 0.0
+    diag = (ah[:, :-1] + ah[:, 1:] + av[:-1, :] + av[1:, :]).ravel()
+    rows = np.concatenate((idx.ravel(), idx[:, 1:].ravel(),
+                           idx[1:, :].ravel()))
+    cols = np.concatenate((idx.ravel(), idx[:, :-1].ravel(),
+                           idx[:-1, :].ravel()))
+    vals = np.concatenate((diag, -ah[:, 1:-1].ravel(), -av[1:-1, :].ravel()))
+    return SparseSymmetricMatrix(k * k, rows, cols, vals)
+
+
+def factor_digest(factor):
+    """SHA-256 prefix of the factor's values, row indices and column
+    pointers, as float64, int64 and int64 bytes."""
+    h = hashlib.sha256()
+    for part, dtype in zip(factor, (np.float64, np.int64, np.int64)):
+        h.update(np.asarray(part, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+PINNED_FACTORS = [
+    ("laplacian-0.01", seeded_laplacian(16, 7), 1e-2, 855,
+     "87121ac9857142f6"),
+    ("laplacian-0", seeded_laplacian(16, 7), 0.0, 4111, "4dc0cded163de08c"),
+    ("arrow-0", arrow_matrix(12), 0.0, 78, "4e67d2154655449e"),
+    ("arrow-0.2", arrow_matrix(12), 0.2, 12, "a41c9fe3b4a64ff8"),
+]
+
+
+class TestFactorBytes:
+    """The IC factor byte for byte as the list-based build formed it:
+    the digests were recorded with that build."""
+
+    @pytest.mark.parametrize("name, m, drop_tol, nnz, digest",
+                             PINNED_FACTORS,
+                             ids=[c[0] for c in PINNED_FACTORS])
+    def test_unshifted(self, name, m, drop_tol, nnz, digest):
+        factor = _incomplete_cholesky(m, 0.0, drop_tol)
+        assert len(factor[0]) == nnz
+        assert factor_digest(factor) == digest
+
+    def test_shifted_retry(self):
+        # The singular Neumann Laplacian has no complete Cholesky factor;
+        # the retry factors it with the shift 1e-3 * max diag.
+        m = seeded_laplacian(12, 8, neumann=True)
+        assert _incomplete_cholesky(m, 0.0, 0.0) is None
+        aux = build_aux(m, "incomplete-cholesky", 0.0)
+        assert aux.shift == 1e-3 * np.max(m.diagonal()) == 0.02945196344087693
+        factor = _incomplete_cholesky(m, aux.shift, 0.0)
+        assert len(factor[0]) == aux.nnz == 1739
+        assert factor_digest(factor) == "ce51e697c4b9da2c"
+
+
 class TestIncompleteCholeskyFactor:
     """The sparse factor against the dense reference loop: the same
     pattern and nnz, and the same entries up to summation order."""
@@ -258,11 +321,12 @@ class TestIncompleteCholeskyFactor:
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_builds_in_memory_linear_in_n(self, k):
-        # The traced peak of a whole IC build on a 5-point Laplacian was
-        # 1.4 MiB at n = 2500 and 5.8 MiB at n = 10^4; one dense n x n
-        # array is 48 MiB and 763 MiB.
+        # The traced peak of a whole IC build on a 5-point Laplacian is
+        # 400 B per variable at n = 2500 and 412 B at n = 10^4 (544 and
+        # 558 B while the factor's values were Python floats in a list);
+        # one dense n x n array is 48 MiB and 763 MiB.
         m = laplacian_5pt(k)
-        bound = 3072 * m.n
+        bound = 512 * m.n
         assert 4 * bound <= 8 * m.n * m.n
         tracemalloc.start()
         try:
