@@ -39,8 +39,9 @@ class AuxPrecond:
     solves, or the LDL' of `exact` (`nnz` counts its lower triangle),
     applied by one solve.  `apply` takes a vector of length n or an
     (n, k) block; a block gives the same result as applying each column.
-    It returns a new array, which the caller may overwrite; the factored
-    kinds return a block column-major.
+    It returns a new array, which the caller may overwrite: `identity`
+    and `jacobi` keep the layout of r, and the factored kinds return a
+    block column-major.
     """
 
     def __init__(self, kind, n, nnz, inv_diag=None, lu=None, shift=0.0,
@@ -59,13 +60,26 @@ class AuxPrecond:
             raise ValueError("dimension mismatch: expected length %d or "
                              "an (%d, k) block" % (self.n, self.n))
         if self.kind == "identity":
-            return r.copy()
+            return r.copy(order="K")
         if self.kind == "jacobi":
-            return (self._inv_diag if r.ndim == 1
-                    else self._inv_diag[:, None]) * r
-        if self.kind == "incomplete-cholesky":
-            return self._lu.solve(self._lu.solve(r), trans="T")
-        return self._lu.solve(r)
+            if r.ndim == 1:
+                return self._inv_diag * r
+            # einsum scales the rows of a block without the buffer that a
+            # broadcast product allocates.
+            return np.einsum("i,ij->ij", self._inv_diag, r)
+        if self.kind == "exact":
+            return self._lu.solve(r)
+        x = self._lu.solve(r)
+        if r.ndim == 1:
+            return self._lu.solve(x, trans="T")
+        # L^-T overwrites L^-1 r in slices of a quarter of the columns, so
+        # a large block holds one n x k array and a quarter of another.  A
+        # slice takes at least eight columns: each solve call has a fixed
+        # cost, which dominates on small blocks.
+        step = max(8, -(-x.shape[1] // 4))
+        for j in range(0, x.shape[1], step):
+            x[:, j:j + step] = self._lu.solve(x[:, j:j + step], trans="T")
+        return x
 
 
 def build_aux(m, kind, drop_tol=None):

@@ -94,11 +94,9 @@ def random_constraints(n, m, seed):
 
 
 def materialize(apply_op, n):
-    out = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        out[:, j] = apply_op(eye[:, j])
-    return out
+    """The n x n matrix of a linear operator that takes an (n, k) block:
+    its apply to the identity, as one block."""
+    return apply_op(np.eye(n))
 
 
 def _dense_operator(apply_op, n):

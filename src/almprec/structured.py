@@ -39,7 +39,9 @@ class ColumnSet:
     Immutable: `columns` and `signs` are read-only copies of what the
     caller passed, so a preconditioner built on a ColumnSet stays valid
     for as long as it is used.  `columns` must be an (n, k) array, k
-    columns of length n, k = 0 included.  Sets built inside this module
+    columns of length n, k = 0 included; every set stores it column-major,
+    so each column is contiguous and BLAS products round the same way
+    whichever way the set was made.  Sets built inside this module
     (`build_column_set`, `permuted`) hand over the array they have just
     gathered, which is frozen instead of copied.  Labels must be
     distinct: dropping a column by label and pairing the columns of two
@@ -47,19 +49,13 @@ class ColumnSet:
     """
 
     def __init__(self, n, columns, signs, labels, notes=()):
-        self._hold(n, np.array(columns, dtype=np.float64), signs, labels,
-                   notes)
+        self._hold(n, np.array(columns, dtype=np.float64, order="F"),
+                   signs, labels, notes)
 
     @classmethod
     def _owning(cls, n, columns, signs, labels, notes=()):
-        """A set on `columns`, a new contiguous float64 array that nothing
-        else holds: it is frozen, not copied.  It takes the strides that
-        the constructor's copy would give it, C strides where it is also
-        C-contiguous (one column or one row), since products follow them."""
-        if columns.size == 0:
-            columns = np.array(columns)
-        elif columns.flags.c_contiguous:
-            columns = columns.reshape(-1).reshape(columns.shape)
+        """A set on `columns`, a new column-major float64 array that
+        nothing else holds: it is frozen, not copied."""
         cols = cls.__new__(cls)
         cols._hold(n, columns, signs, labels, notes)
         return cols
@@ -94,7 +90,8 @@ class ColumnSet:
 
     def permuted(self, order):
         order = list(order)
-        return ColumnSet._owning(self.n, self.columns[:, order],
+        return ColumnSet._owning(self.n,
+                                 np.asfortranarray(self.columns[:, order]),
                                  self.signs[order],
                                  [self.labels[i] for i in order], self.notes)
 
@@ -128,20 +125,23 @@ class UpdateDecision:
 
 @dataclass
 class BStore:
-    """Capacitance factor K = L D L': b = W L^-T (column i is P_{i-1}^-1
-    v_i), c = V L^-T, the denominators d_i = 1 + s_i v_i' b_i = s_i D_ii
-    and the weights s_i / d_i that every apply takes.  b and c are
-    column-major n x m arrays of their own, sharing no memory with the
-    column set."""
+    """Capacitance factor K = L D L' of a column set V: b = W L^-T
+    (column i is P_{i-1}^-1 v_i), the unit lower triangular L, the
+    denominators d_i = 1 + s_i v_i' b_i = s_i D_ii and the weights
+    s_i / d_i that every apply takes.  b is a column-major n x m array of
+    its own, sharing no memory with the column set, and L a column-major
+    m x m array; the apply forms c'a = L^-1 (V'a) from the set's own
+    columns, so no second n x m array is kept."""
     b: np.ndarray
-    c: np.ndarray
+    lower: np.ndarray
     denoms: np.ndarray
     weights: np.ndarray
 
 
 def _denom_floor(v):
-    """Breakdown floor of the denominator of v, or of each column of v."""
-    return 1e-12 * (1.0 + (v * v).sum(axis=0))
+    """Breakdown floor of the denominator of v, or of each column of v,
+    from its squared norm, taken without a temporary the size of v."""
+    return 1e-12 * (1.0 + np.vecdot(v, v, axis=0))
 
 
 def apply_rank1(aux, v, rho, r):
@@ -169,8 +169,8 @@ def assemble_B(aux, cols):
     Sherman-Morrison denominator of column i after the columns before it,
     so a pivot below the floor raises DenominatorBreakdownError with that
     column's label.  Cost: one block auxiliary apply, O(m^2 n) in BLAS,
-    and an m-step loop on m x m arrays.  Beside `cols`, it holds two
-    n x m arrays, b and c: b is formed in place of W.
+    and an m-step loop on m x m arrays.  Beside `cols`, it holds one
+    n x m array, b, formed in place of W.
     """
     m = cols.m
     v, signs = cols.columns, cols.signs
@@ -178,7 +178,7 @@ def assemble_B(aux, cols):
     k = v.T @ w
     k = 0.5 * (k + k.T) + np.diag(signs)
     floors = _denom_floor(v)
-    lower = np.eye(m)
+    lower = np.eye(m, order="F")
     for i in range(m):
         if abs(k[i, i]) < floors[i]:
             raise DenominatorBreakdownError(
@@ -187,32 +187,40 @@ def assemble_B(aux, cols):
         lower[i + 1:, i] = k[i + 1:, i] / k[i, i]
         k[i + 1:, i + 1:] -= lower[i + 1:, i, None] * k[i, i + 1:]
     # Step i leaves k[i, i] alone from then on: the diagonal is D.
-    # b = W L^-T overwrites W, which the apply made for this call and
-    # which, from a factored kind, is already column-major as dtrsm needs
-    # it; c = V L^-T is formed in one column-major copy of V.
-    b, c = (dtrsm(1.0, lower, x, side=1, lower=1, trans_a=1, diag=1,
-                  overwrite_b=1) for x in (w, np.array(v, order="F")))
+    # b = W L^-T overwrites W, which the apply made for this call in the
+    # set's column-major layout, as dtrsm needs it.
+    b = dtrsm(1.0, lower, w, side=1, lower=1, trans_a=1, diag=1,
+              overwrite_b=1)
     denoms = signs * k.diagonal()
-    return BStore(b, c, denoms, signs / denoms)
+    return BStore(b, lower, denoms, signs / denoms)
 
 
-def _apply(bs, aux, r):
+def _apply(bs, aux, v, r):
+    """h = a - b (weights * c'a), a = aux(r), for a vector r or an (n, j)
+    block, with c'a = L^-1 (V'a) by one unit lower triangular solve."""
     a = aux.apply(r)
-    return a - bs.b @ (bs.weights * (bs.c.T @ a))
+    block = a.ndim == 2
+    va = v.T @ a
+    ca = dtrsm(1.0, bs.lower, va if block else va[:, None], lower=1, diag=1,
+               overwrite_b=1)
+    ca *= bs.weights[:, None]
+    return a - bs.b @ (ca if block else ca[:, 0])
 
 
 class StructuredPrecond:
     """
     An (aux, cols, B) bundle exposed as a single apply contract.  It
     assembles its own B from aux and cols, both immutable, so B always
-    belongs to them.
+    belongs to them.  `apply` takes a vector of length n or an (n, j)
+    block; a block gives the same result as applying each column.
 
     With an inexact auxiliary (`aux.inverts is None`) the apply is the
-    Woodbury form h = a - b D^-1 (c'a), a = aux(r), which is
+    Woodbury form h = a - b D^-1 (c'a), a = aux(r), c = V L^-T, which is
     [M + sum s_i v_i v_i']^-1 r in exact arithmetic when the auxiliary is
-    exact.  That form is not
-    backward stable (Yip 1986), so with an exact auxiliary it is followed
-    by one step of iterative refinement (Skeel 1980),
+    exact.  c'a is formed as L^-1 (V'a), so an apply costs one auxiliary
+    apply, two n x m products and an m x m triangular solve.  That form
+    is not backward stable (Yip 1986), so with an exact auxiliary it is
+    followed by one step of iterative refinement (Skeel 1980),
     h <- h + P^-1 (r - (M + sum s_i v_i v_i') h), against the M that the
     auxiliary factored; with an inexact auxiliary 2P^-1 - P^-1 H P^-1 can
     be indefinite, so that case is left alone.
@@ -223,10 +231,10 @@ class StructuredPrecond:
     dense SPD M, seeds 0-99):
 
         rho          <=1e6   1e7     1e8     1e9     1e10
-        refined      3e-15   8e-14   1e-11   7e-10   4e-8
-        unrefined    3e-8    3e-7    3e-6    2e-5    2e-4
+        refined      3e-15   2e-14   2e-12   2e-10   2e-8
+        unrefined    2e-8    2e-7    2e-6    2e-5    2e-4
 
-    The unrefined residual grows about linearly in rho from 3e-14 at
+    The unrefined residual grows about linearly in rho from 2e-14 at
     rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
     """
 
@@ -236,13 +244,14 @@ class StructuredPrecond:
         self.bs = assemble_B(aux, cols)
 
     def apply(self, r):
-        h = _apply(self.bs, self.aux, r)
+        v = self.cols.columns
+        h = _apply(self.bs, self.aux, v, r)
         m = self.aux.inverts
         if m is None:
             return h
-        v = self.cols.columns
-        resid = r - m.matvec(h) - v @ (self.cols.signs * (v.T @ h))
-        return h + _apply(self.bs, self.aux, resid)
+        signs = self.cols.signs if h.ndim == 1 else self.cols.signs[:, None]
+        resid = r - m.matvec(h) - v @ (signs * (v.T @ h))
+        return h + _apply(self.bs, self.aux, v, resid)
 
 
 def column_norms(jacobian):
@@ -275,13 +284,11 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     `norms` are `column_norms(jacobian)`, computed here when the caller
     does not have them.
 
-    A full set is stored row-major and a restricted one column-major;
-    BLAS products round differently in the two layouts.  The kept
-    constraint columns are gathered once, straight into the set's array,
-    and scaled in place; with the secant pair they go into one
-    preallocated block that also takes the pair.  The ColumnSet keeps that
-    array, so beside the input the build holds no more than two n x m
-    arrays at a time, and one unless a restricted column is dropped.
+    Every set is column-major.  The kept constraint columns and the
+    secant pair are gathered and scaled one column at a time, straight
+    into one preallocated column-major block that the ColumnSet keeps, so
+    beside the input the build holds one n x m array and one column, and
+    a second n x m array only while a restricted column is dropped.
     """
     jacobian = np.asarray(jacobian, dtype=np.float64)
     equality = np.asarray(equality, dtype=bool)
@@ -319,32 +326,25 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
                 signs += [1.0, -1.0]
                 labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
 
-    if free is None and not pair:
-        columns = np.take(jacobian, order, axis=1)
-        columns *= np.sqrt(rho)
+    if free is None:
+        rows, size = slice(None), jacobian.shape[0]
     else:
-        # One scaled column at a time: a strided whole-block product would
-        # go through numpy's buffers.  A restricted set's block is
-        # allocated transposed, so it is column-major.
-        if free is None:
-            rows = slice(None)
-            columns = np.empty((jacobian.shape[0], len(signs)))
-        else:
-            rows = np.asarray(free)
-            if rows.dtype == bool:  # a mask selects rows, as np.ix_ does
-                rows = np.flatnonzero(rows)
-            columns = np.empty((len(signs), rows.size)).T
-        sources = [(jacobian[:, i], np.sqrt(rho)) for i in order.tolist()]
-        for j, (u, scale) in enumerate(sources + pair):
-            np.multiply(u[rows], scale, out=columns[:, j])
-
+        rows = np.asarray(free)
+        if rows.dtype == bool:  # a mask selects rows, as np.ix_ does
+            rows = np.flatnonzero(rows)
+        size = rows.size
+    # One scaled column at a time, straight into a block allocated
+    # transposed, so it is column-major.
+    columns = np.empty((len(signs), size)).T
+    sources = [(jacobian[:, i], np.sqrt(rho)) for i in order.tolist()]
+    for j, (u, scale) in enumerate(sources + pair):
+        np.multiply(u[rows], scale, out=columns[:, j])
+    cols = ColumnSet._owning(columns.shape[0], columns, signs, labels, notes)
     if free is not None:
         kept = np.flatnonzero(column_norms(columns) > 1e-12)
-        if kept.size < columns.shape[1]:
-            columns = columns[:, kept]
-            signs = [signs[j] for j in kept]
-            labels = [labels[j] for j in kept]
-    return ColumnSet._owning(columns.shape[0], columns, signs, labels, notes)
+        if kept.size < cols.m:
+            cols = cols.permuted(kept)
+    return cols
 
 
 def decide_update(prev_m, new_m, prev_v, new_v, th):

@@ -31,6 +31,11 @@ total over all of them:
   over the free sets A, A, B, A, none (B another set of A's size), so
   the memo's cached restriction is built, reused and replaced;
 - `workload`: the three perfbench workloads at seeds 0-3;
+- `counts`: one line for the whole grid and one for each workload,
+  hashing only the status and the iteration and refresh counts of the
+  runs above, so that `--against` tells a change that moves results at
+  rounding level (its `grid` or `workload` lines differ, its `counts`
+  lines do not) from one that moves a count;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
   incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
@@ -85,15 +90,20 @@ EXPERIMENTS = (
 )
 
 
+def _counts_bytes(rep):
+    """The bytes of an AlmReport's status and counts."""
+    return repr((rep.status, rep.outer_iterations, rep.inner_iterations,
+                 rep.krylov_precond, rep.krylov_plain, rep.ac_m,
+                 rep.ac_v)).encode()
+
+
 def _report_bytes(rep):
     """The bytes of everything an AlmReport says about a solve."""
     scalars = np.array([rep.f_value, rep.rho_final, rep.kkt_opt,
                         rep.kkt_compl, rep.kkt_feas], dtype=np.float64)
-    counts = (rep.status, rep.outer_iterations, rep.inner_iterations,
-              rep.krylov_precond, rep.krylov_plain, rep.ac_m, rep.ac_v)
     return [np.asarray(rep.x).tobytes(), np.asarray(rep.multipliers).tobytes(),
             scalars.tobytes(), repr(rep.history).encode(),
-            repr(counts).encode()]
+            _counts_bytes(rep)]
 
 
 def _digest(parts):
@@ -114,11 +124,13 @@ def _grid_config(root):
 
 
 def grid_runs(root):
-    """(label, digest) for every run of the solve grid."""
+    """(label, digest) for every run of the solve grid, then the `counts`
+    line of the whole grid."""
     from almprec.alm import alm_solve
     from almprec.problems import get_problem
 
     cfg = _grid_config(root)
+    counts = []
     for name in cfg.problems:
         for solver in cfg.solvers:
             for mode in cfg.hessian_modes:
@@ -128,12 +140,15 @@ def grid_runs(root):
                                       precond_policy=policy,
                                       aux_kind=cfg.aux_kind)
                     try:
-                        parts = _report_bytes(
-                            alm_solve(get_problem(name), alm_cfg))
+                        rep = alm_solve(get_problem(name), alm_cfg)
+                        parts = _report_bytes(rep)
+                        counts.append(_counts_bytes(rep))
                     except Exception as exc:
                         parts = [repr(exc).encode()]
+                        counts.append(parts[0])
                     yield ("grid %s %s %s %s" % (name, solver, mode, policy),
                            _digest(parts))
+    yield "counts grid", _digest(counts)
 
 
 def solve_csv_run(root):
@@ -262,18 +277,22 @@ def restricted_memo_runs(root):
 
 
 def workload_runs():
-    """(label, digest) for every perfbench workload and seed."""
+    """(label, digest) for every perfbench workload and seed, and after
+    each workload's seeds its `counts` line."""
     from perfbench.workloads import WORKLOADS
 
     for name, workload in WORKLOADS.items():
+        counts = []
         for seed in SEEDS:
             outcome = workload.solve(workload.setup(seed))
             parts = [repr((outcome.status, outcome.counts)).encode()]
+            counts.append(parts[0])
             if isinstance(outcome.payload, list):
                 parts += [np.asarray(v).tobytes() for v in outcome.payload]
             else:
                 parts += _report_bytes(outcome.payload)
             yield "workload %s %d" % (name, seed), _digest(parts)
+        yield "counts workload %s" % name, _digest(counts)
 
 
 def experiment_runs():

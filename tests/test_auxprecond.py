@@ -394,9 +394,12 @@ def test_block_apply_equals_columnwise_apply(kind):
     rng = np.random.default_rng(10)
     m = spd_matrix(rng, 12)
     aux = build_aux(m, kind, 0.1 if kind == "incomplete-cholesky" else None)
-    block = rng.standard_normal((12, 4))
-    want = np.column_stack([aux.apply(col) for col in block.T])
-    np.testing.assert_allclose(aux.apply(block), want, rtol=1e-15, atol=0.0)
+    # 20 columns: IC's transposed solve runs in slices of 8, 8 and 4.
+    for block in (rng.standard_normal((12, 4)),
+                  np.asfortranarray(rng.standard_normal((12, 20)))):
+        want = np.column_stack([aux.apply(col) for col in block.T])
+        np.testing.assert_allclose(aux.apply(block), want, rtol=1e-15,
+                                   atol=0.0)
     for bad in (np.ones(11), np.ones((11, 2)), np.ones((12, 2, 2))):
         with pytest.raises(ValueError, match="dimension"):
             aux.apply(bad)

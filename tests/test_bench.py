@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from almprec.bench import (ExperimentConfig, condition_estimate,
-                           csv_to_table, random_spd_matrix, rows_to_csv,
-                           run_alm_experiment, run_linsys_experiment,
-                           run_spectral_experiment)
+                           csv_to_table, materialize, random_spd_matrix,
+                           rows_to_csv, run_alm_experiment,
+                           run_linsys_experiment, run_spectral_experiment)
 from almprec.cli import ConfigError, build_experiment_config, main, \
     parse_config_text
 
@@ -23,6 +23,17 @@ class TestConditionEstimate:
     def test_singular_reports_inf(self):
         d = np.array([1.0, 0.0])
         assert condition_estimate(lambda x: d * x, 2) == np.inf
+
+
+def test_materialize_applies_the_identity_as_one_block():
+    a = np.random.default_rng(4).standard_normal((5, 5))
+    shapes = []
+
+    def op(x):
+        shapes.append(x.shape)
+        return a @ x
+    np.testing.assert_array_equal(materialize(op, 5), a)
+    assert shapes == [(5, 5)]
 
 
 class TestRandomInstance:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from almprec import structured
 from almprec.auxprecond import KINDS, build_aux
@@ -220,10 +221,11 @@ class TestExactRefinement:
     # Bounds on ||r - H P^-1 r|| / ||r|| with r = H x, set at 10x the worst
     # value over seeds 0-99 of this set-up, both kinds, for the column-by-
     # column Sherman-Morrison recursion (6.5e-15 up to rho=1e6, then
-    # 2.3e-14, 1.5e-12, 1.6e-10, 1.9e-8).  The capacitance form is less
-    # accurate: over seeds 0-99 it reads 3.0e-15 up to rho=1e6, then
-    # 7.8e-14, 9.7e-12, 6.5e-10, 4.4e-8; on this test's seeds 0-4 it stays
-    # at least 4x below each bound.  Unrefined it reaches 2e-12 at
+    # 2.3e-14, 1.5e-12, 1.6e-10, 1.9e-8).  The capacitance form, with c'a
+    # formed as L^-1 (V'a), reads over seeds 0-99 3.2e-15 up to rho=1e6,
+    # then 2.3e-14, 2.0e-12, 1.7e-10, 1.9e-8 (7.8e-14, 9.7e-12, 6.5e-10,
+    # 4.4e-8 with c = V L^-T formed whole); on this test's seeds 0-4 it
+    # stays at least 10x below each bound.  Unrefined it reaches 1e-12 at
     # rho=1e2, so from rho=1e2 on these bounds fail without refinement.
     FLOOR = {1e0: 1e-13, 1e1: 1e-13, 1e2: 1e-13, 1e3: 1e-13, 1e4: 1e-13,
              1e5: 1e-13, 1e6: 1e-13, 1e7: 3e-13, 1e8: 2e-11, 1e9: 2e-9,
@@ -393,9 +395,8 @@ class TestBuiltColumnOwnership:
             cols.columns[0, 0] = 1.0
         for given in (jac, *(secant or ())):
             assert not np.shares_memory(cols.columns, given)
-        # A full set is row-major, a restricted one column-major.
-        assert (cols.columns.flags.c_contiguous if free is None
-                else cols.columns.flags.f_contiguous)
+        # Full and restricted sets alike are column-major.
+        assert cols.columns.flags.f_contiguous
 
     def test_dropped_restricted_column_keeps_the_layout(self):
         jac = np.zeros((5, 3))
@@ -410,11 +411,59 @@ class TestBuiltColumnOwnership:
         assert not cols.columns.flags.writeable
 
 
+class TestOneLayout:
+    """Every set stores its columns column-major, however it was made, so
+    a set's products do not depend on how it was made."""
+
+    @pytest.mark.parametrize("given", [
+        np.arange(12.0).reshape(4, 3),
+        np.asfortranarray(np.arange(12.0).reshape(4, 3)),
+        np.arange(12.0).reshape(4, 3).tolist(),
+        np.arange(24.0).reshape(4, 6)[:, ::2]], ids=["C", "F", "list",
+                                                      "strided"])
+    def test_constructor_stores_column_major(self, given):
+        cols = ColumnSet(4, given, [1.0, -1.0, 1.0], ["a", "b", "c"])
+        assert cols.columns.flags.f_contiguous
+        np.testing.assert_array_equal(cols.columns, np.asarray(given))
+
+    def test_dropping_a_label_stays_column_major(self):
+        cols = ColumnSet(5, np.arange(15.0).reshape(5, 3),
+                         [1.0, -1.0, 1.0], ["a", "b", "c"])
+        kept = cols.without_labels(("b",))
+        assert kept.columns.flags.f_contiguous
+        assert kept.columns.strides == (8, 40)
+
+    @pytest.mark.parametrize("drop", [0, 3, 6])
+    def test_dropped_label_products_match_a_set_built_without_it(self,
+                                                                 drop):
+        # BLAS products round by layout: a set left after a drop must
+        # multiply bit for bit as one built without the column, here an
+        # inequality that is inactive.
+        rng = np.random.default_rng(32)
+        n, k = 300, 7
+        jac = rng.standard_normal((n, k))
+        c_vals = np.arange(1.0, k + 1.0)
+        equality = np.ones(k, dtype=bool)
+        dropped = build_column_set(jac, equality, c_vals, np.zeros(k), 10.0,
+                                   UpdateThresholds()).without_labels((drop,))
+        equality[drop], c_vals[drop] = False, -1.0
+        built = build_column_set(jac, equality, c_vals, np.zeros(k), 10.0,
+                                 UpdateThresholds())
+        assert dropped.labels == built.labels and drop not in built.labels
+        x, y = rng.standard_normal(n), rng.standard_normal(k - 1)
+        xs, ys = rng.standard_normal((n, 4)), rng.standard_normal((k - 1, 4))
+        for a, b in ((dropped.columns.T @ x, built.columns.T @ x),
+                     (dropped.columns @ y, built.columns @ y),
+                     (dropped.columns.T @ xs, built.columns.T @ xs),
+                     (dropped.columns @ ys, built.columns @ ys)):
+            assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_assemble_b_leaves_the_columns_alone(kind, order):
-    # b is formed in place of the auxiliary's W and c in a copy of V, so
-    # neither may reach the set's own array, in either layout.
+    # b is formed in place of the auxiliary's W, which must not be the
+    # set's own array, whatever the layout the caller passed.
     rng = np.random.default_rng(31)
     n, k = 8, 3
     cols = ColumnSet(n, np.array(rng.standard_normal((n, k)), order=order),
@@ -423,7 +472,7 @@ def test_assemble_b_leaves_the_columns_alone(kind, order):
     bs = assemble_B(build_aux(spd_matrix(rng, n), kind, 0.1), cols)
     assert cols.columns.tobytes(order="A") == before.tobytes(order="A")
     assert cols.columns.strides == before.strides
-    for x in (bs.b, bs.c):
+    for x in (bs.b, bs.lower):
         assert not np.shares_memory(x, cols.columns)
 
 EQ = (True,)
@@ -600,11 +649,7 @@ class TestColumnMemory:
                                secant=secant)
             assert peak <= 1.5 * self.nm_bytes
 
-    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact"])
-    def test_assemble_b_peaks_below_two_and_a_half_arrays(self, kind):
-        # W and b share one array and c is one copy of V; the factored
-        # kinds return W column-major, so dtrsm needs no copy of it.  With
-        # dtrsm copying both, the peak was 3.1 arrays.
+    def _assembly_inputs(self, kind):
         n = self.n
         m = SparseSymmetricMatrix(
             n, np.concatenate((np.arange(n), np.arange(1, n))),
@@ -614,7 +659,33 @@ class TestColumnMemory:
         rng = np.random.default_rng(23)
         cols = ColumnSet(n, rng.standard_normal((n, self.m)),
                          np.ones(self.m), range(self.m))
+        return aux, cols
+
+    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact"])
+    def test_assemble_b_peaks_below_two_and_a_half_arrays(self, kind):
+        # W and b share one array; the factored kinds return W
+        # column-major, so dtrsm needs no copy of it.  With dtrsm copying
+        # W and V, the peak was 3.1 arrays.
+        aux, cols = self._assembly_inputs(kind)
         assert _peak_bytes(assemble_B, aux, cols) <= 2.5 * self.nm_bytes
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_assemble_b_keeps_one_array(self, kind):
+        # B keeps b, formed in place of W, and an m x m factor; every
+        # kind returns W in the set's column-major layout, so dtrsm copies
+        # nothing, and the floor takes the column norms without a
+        # temporary.  With c = V L^-T kept beside b, B kept 2.0 arrays and
+        # peaked at 2.1 to 3.1.
+        aux, cols = self._assembly_inputs(kind)
+        tracemalloc.start()
+        try:
+            bs = assemble_B(aux, cols)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bs.b.shape == (self.n, self.m)
+        assert self.nm_bytes <= kept <= 1.1 * self.nm_bytes
+        assert peak <= 1.5 * self.nm_bytes
 
     def test_decide_update_peaks_below_one_array(self):
         rng = np.random.default_rng(21)
@@ -627,6 +698,24 @@ class TestColumnMemory:
         peak = _peak_bytes(decide_update, m1, m2, cols[0], cols[1],
                            UpdateThresholds())
         assert peak < self.nm_bytes
+
+    @pytest.mark.parametrize("free", [None, np.arange(0, 576, 2)],
+                             ids=["full", "free"])
+    def test_decide_update_on_built_sets_holds_a_few_columns(self, free):
+        # Each shared column pair is read as two contiguous columns, and
+        # the temporaries are per column.
+        rng = np.random.default_rng(22)
+        jac = rng.standard_normal((self.n, self.m))
+        cols = [build_column_set(jac + shift, np.ones(self.m, dtype=bool),
+                                 np.ones(self.m), np.zeros(self.m), 10.0,
+                                 UpdateThresholds(), free=free)
+                for shift in (0.0, 1e-3)]
+        assert cols[0].m == self.m and cols[0].columns.flags.f_contiguous
+        m1 = SparseSymmetricMatrix(self.n, np.arange(self.n),
+                                   np.arange(self.n), np.ones(self.n))
+        peak = _peak_bytes(decide_update, m1, m1, cols[0], cols[1],
+                           UpdateThresholds())
+        assert peak <= 3 * 8 * self.n
 
 
 class TestDecideUpdate:
@@ -720,8 +809,75 @@ def test_bstore_weights_are_the_signs_over_the_denominators():
     sp = StructuredPrecond(aux, cols)
     bs = sp.bs
     assert bs.weights.tobytes() == (cols.signs / bs.denoms).tobytes()
-    # The apply is the Woodbury form with the signs divided per apply.
+    # The apply is the Woodbury form with the signs divided per apply,
+    # c = V L^-T formed here from the set's columns and B's factor.
+    c = solve_triangular(bs.lower, cols.columns.T, lower=True,
+                         unit_diagonal=True).T
     r = rng.standard_normal(6)
     a = aux.apply(r)
-    want = a - bs.b @ (cols.signs / bs.denoms * (bs.c.T @ a))
-    assert sp.apply(r).tobytes() == want.tobytes()
+    want = a - bs.b @ (cols.signs / bs.denoms * (c.T @ a))
+    h = sp.apply(r)
+    assert np.linalg.norm(h - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _woodbury_with_c(sp, r):
+    """The apply with c = V L^-T formed as a whole n x m array, as the
+    apply was written before it formed c'a from the columns, refined once
+    when the auxiliary inverts M."""
+    v, bs, aux = sp.cols.columns, sp.bs, sp.aux
+    c = solve_triangular(bs.lower, v.T, lower=True, unit_diagonal=True).T
+
+    def once(x):
+        a = aux.apply(x)
+        return a - bs.b @ (bs.weights * (c.T @ a))
+    h = once(r)
+    if aux.inverts is not None:
+        h = h + once(r - aux.inverts.matvec(h)
+                     - v @ (sp.cols.signs * (v.T @ h)))
+    return h
+
+
+# (kind, drop tolerance, diagonal M): the last three invert M exactly, so
+# their apply takes the refinement step.
+APPLY_CASES = [(kind, 0.1, False) for kind in KINDS] + [
+    ("jacobi", None, True), ("incomplete-cholesky", 0.0, False)]
+
+
+def _structured_case(kind, drop_tol, diagonal, seed, n=40, k=4):
+    rng = np.random.default_rng(seed)
+    m = (SparseSymmetricMatrix.from_dense(np.diag(rng.uniform(1.0, 9.0, n)))
+         if diagonal else spd_matrix(rng, n))
+    aux = build_aux(m, kind, drop_tol)
+    cols = ColumnSet(n, 3.0 * rng.standard_normal((n, k)),
+                     np.where(np.arange(k) == 1, -1.0, 1.0), range(k))
+    return StructuredPrecond(aux, cols), rng
+
+
+@pytest.mark.parametrize("kind, drop_tol, diagonal", APPLY_CASES)
+def test_apply_matches_the_woodbury_form_with_c(kind, drop_tol, diagonal):
+    for seed in range(5):
+        sp, rng = _structured_case(kind, drop_tol, diagonal, 40 + seed)
+        assert (sp.aux.inverts is not None) == (
+            kind == "exact" or diagonal or drop_tol == 0.0)
+        r = rng.standard_normal(sp.cols.n)
+        want = _woodbury_with_c(sp, r)
+        assert (np.linalg.norm(sp.apply(r) - want)
+                <= 1e-12 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("kind, drop_tol, diagonal", APPLY_CASES)
+@pytest.mark.parametrize("k", [0, 4])
+def test_block_apply_matches_the_columnwise_apply(kind, drop_tol, diagonal,
+                                                  k):
+    sp, rng = _structured_case(kind, drop_tol, diagonal, 50, k=k)
+    n = sp.cols.n
+    for block in (rng.standard_normal((n, 6)),
+                  np.asfortranarray(rng.standard_normal((n, 6))),
+                  rng.standard_normal((n, 1)), np.eye(n)):
+        got = sp.apply(block)
+        assert got.shape == block.shape
+        want = np.column_stack([sp.apply(block[:, j])
+                                for j in range(block.shape[1])])
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-14 * np.abs(want).max())
+
