@@ -15,7 +15,7 @@ import numpy as np
 from .auxprecond import KINDS, FactorizationError, build_aux, ldlt
 from .inner import (InnerConfig, active_bound_mask, project_box,
                     projected_descent, spg_solve, truncated_newton_step)
-from .sparse import SparseSymmetricMatrix, _lower_nonzeros, _row_blocks
+from .sparse import SparseSymmetricMatrix
 from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
                          DenominatorBreakdownError, StructuredPrecond,
                          UpdateThresholds, build_column_set, column_norms,
@@ -210,57 +210,24 @@ class _SolveMemo:
             values[key] = compute(a)
         return values[key]
 
-    def restricted(self, a, key, whole, free):
-        """whole.submatrix(free), where `whole` is value(a, key, ...) and
-        `free` an index array.  While `a` is a memoised constant the
-        memo keeps this restriction, keyed on (a, key) and on `free`
+    def restricted(self, a, whole, free):
+        """whole.submatrix(free), where `whole` is derived from `a` alone
+        and `free` is an index array.  While `a` is a memoised constant
+        the memo keeps this restriction, keyed on `a` and on `free`
         itself, compared by value; it releases it before it builds the
-        next, for another set or another key."""
+        next."""
         values = self._values(a)
         if values is None:
             return whole.submatrix(free)
         held = values.get(_RESTRICTION)
-        if (held is None or held[0] != key
-                or not np.array_equal(held[1], free)):
+        if held is None or not np.array_equal(held[0], free):
             for _, other in list(self._entries.values()):
                 other.pop(_RESTRICTION, None)
-            held = values[_RESTRICTION] = key, free, whole.submatrix(free)
-        return held[2]
+            held = values[_RESTRICTION] = free, whole.submatrix(free)
+        return held[1]
 
 
 _NO_MEMO = _SolveMemo(enabled=False)
-
-
-def _is_zero(a):
-    return not a.any()
-
-
-def _min_eigenvalue(a):
-    return float(np.linalg.eigvalsh(a).min())
-
-
-def _shift_pattern(a):
-    """The lower triangle of `a` at its nonzero entries and on its whole
-    diagonal, zeros included, as a SparseSymmetricMatrix: the entries of
-    a + sigma I, whatever sigma."""
-    n = a.shape[0]
-    rows, cols = _lower_nonzeros(a, 0.0)
-    rows, cols = np.divmod(
-        np.union1d(rows * n + cols, np.arange(n) * (n + 1)), n)
-    return SparseSymmetricMatrix(n, rows, cols, a[rows, cols])
-
-
-def _shifted(base, sigma):
-    """from_dense(a + sigma I) from base = _shift_pattern(a), or from a
-    principal submatrix of it: the same entries and values, exact zeros
-    dropped alike.  When none is dropped, the result shares base's
-    index arrays."""
-    vals = base.vals + sigma * (base.rows == base.cols)
-    keep = np.abs(vals) > 0.0
-    if keep.all():
-        return base._revalued(vals)
-    return SparseSymmetricMatrix(base.n, base.rows[keep], base.cols[keep],
-                                 vals[keep])
 
 
 def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
@@ -268,9 +235,10 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
-    skipped.  QN: M = hess f + sigma I with the secant-based spectral
-    shift, columns augmented with the two BFGS correction vectors when the
-    curvature test passes.
+    skipped, and the others are added sparsely (`plus`).  QN:
+    M = hess f + sigma I with the secant-based spectral shift, columns
+    augmented with the two BFGS correction vectors when the curvature
+    test passes.
 
     `free`, an increasing index array, builds the model on those
     variables only: the principal submatrix of M and the rows `free` of
@@ -278,37 +246,31 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     1e-12.  Everything else (lam_hat, sigma, which columns are kept and
     their order, the secant test) is computed on the whole space, so the
     model is bit for bit the full one cut down afterwards.  NW cuts its
-    block with `submatrix`; QN cuts the pattern of hess f + sigma I
-    before adding sigma, so it builds no matrix of the full order beyond
-    the memoised pattern.
+    block with `submatrix`; QN cuts sparse hess f before adding sigma
+    (`shifted`), so it builds no matrix of the full order beyond the
+    memoised one.
 
     QN keeps M positive definite by raising sigma to a floor set by the
-    smallest eigenvalue of hess f.  When hess f is positive definite the
-    floor never raises sigma, so the eigenvalue is only computed when a
-    probe of hess f - tau I fails, tau = 10 n eps ||hess f||_1: the
-    pivots of its unpivoted sparse LDL' must all be positive (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10-11).  The
-    margin tau keeps the probe failing on a singular positive
-    semidefinite hess f, whose computed smallest eigenvalue may be
-    exactly zero and then sets the floor.
+    smallest eigenvalue of hess f (`min_eigenvalue`).  When hess f is
+    positive definite the floor never raises sigma, so the eigenvalue is
+    only computed when a probe of hess f - tau I fails,
+    tau = 10 n eps ||hess f||_1: the pivots of its unpivoted sparse LDL'
+    must all be positive (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 10-11).  The margin tau keeps the probe failing on a
+    singular positive semidefinite hess f, whose computed smallest
+    eigenvalue may be exactly zero and then sets the floor.
 
     The dense hess f and constraint Hessians are read a block of rows at
-    a time, so besides them the model needs O(nnz) memory, except for
-    the n x n sum of NW when a constraint Hessian contributes and the
-    eigenvalues of QN when the probe fails.
+    a time (`from_dense`), so besides them the model needs O(nnz)
+    memory, except for the eigenvalues of QN when the probe fails.
 
     `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
     the model derives from arrays the problem declares constant (see
-    NlpProblem), keyed on the array object: whether each constraint
-    Hessian is zero, the 2-norms of the Jacobian's columns, the sparse
-    NW block when no constraint Hessian contributes, and for QN the
-    entries of hess f + sigma I, the probe verdict and the smallest
-    eigenvalue; each such array is scanned once.  With `free` it also
-    keeps the NW block or the QN entries cut down to `free`, keyed on
-    hess f and on the index array's values, and rebuilds that cut only
-    when the free set changes: NW then returns the same block while the
-    set holds, and QN adds sigma to the kept cut's values.  The model is
-    bit for bit the one built without it.
+    NlpProblem): sparse hess f, whether each constraint Hessian is zero
+    and the sparse form of the others, the 2-norms of the Jacobian's
+    columns, and QN's probe verdict and smallest eigenvalue.  With
+    `free` it also keeps sparse hess f cut down to `free` until the free
+    set changes.  The model is bit for bit the one built without it.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -318,26 +280,24 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     jac = p.jac_cols(x)
     norms = _memo.value(jac, "column norms", column_norms)
     hess_f = p.hess(x)
+    sparse_f = _memo.value(hess_f, "sparse",
+                           SparseSymmetricMatrix.from_dense)
 
     if mode == "NW":
-        dense_m = None
+        terms = []
         for i in np.flatnonzero(lam_hat).tolist():
             h = p.cons_hess(i, x)
-            if not _memo.value(h, "zero", _is_zero):
-                if dense_m is None:
-                    dense_m = hess_f.copy()
-                # By row blocks: lam_hat[i] * h whole is n x n.
-                for blk in _row_blocks(p.n):
-                    dense_m[blk] += lam_hat[i] * h[blk]
-        if dense_m is None:
-            m_part = _memo.value(hess_f, "sparse",
-                                 SparseSymmetricMatrix.from_dense)
-            if free is not None:
-                m_part = _memo.restricted(hess_f, "sparse", m_part, free)
-        else:
-            m_part = SparseSymmetricMatrix.from_dense(dense_m)
+            if _memo.value(h, "nonzero", np.any):
+                terms.append((lam_hat[i], _memo.value(
+                    h, "sparse", SparseSymmetricMatrix.from_dense)))
+        if terms:
+            m_part = sparse_f.plus(terms)
             if free is not None:
                 m_part = m_part.submatrix(free)
+        elif free is not None:
+            m_part = _memo.restricted(hess_f, sparse_f, free)
+        else:
+            m_part = sparse_f
         cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free,
                                 norms=norms)
         return HessianModel(m_part, 0.0, cols)
@@ -360,16 +320,16 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
     # curvature so the factored block stays well conditioned.
-    base = _memo.value(hess_f, "shift pattern", _shift_pattern)
     if not _memo.value(hess_f, "positive definite",
-                       lambda _: _positive_definite(base)):
-        lam_min_f = _memo.value(hess_f, "min eigenvalue", _min_eigenvalue)
+                       lambda _: _positive_definite(sparse_f)):
+        lam_min_f = _memo.value(hess_f, "min eigenvalue",
+                                lambda _: sparse_f.min_eigenvalue())
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
     if free is not None:
-        base = _memo.restricted(hess_f, "shift pattern", base, free)
-    m_part = _shifted(base, sigma)
+        sparse_f = _memo.restricted(hess_f, sparse_f, free)
+    m_part = sparse_f.shifted(sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
@@ -463,11 +423,8 @@ class PrecondManager:
             self.aux_fallbacks += 1
         # The block is indefinite beyond the factorizer's built-in retry:
         # factor a spectrally shifted SPD copy, or fail over to identity.
+        shifted = m_part.shifted(abs(m_part.min_eigenvalue()) + 1e-1)
         try:
-            dense = m_part.to_dense()
-            lam_min = float(np.linalg.eigvalsh(dense).min())
-            shifted = SparseSymmetricMatrix.from_dense(
-                dense + (abs(lam_min) + 1e-1) * np.eye(m_part.n))
             return build_aux(shifted, self.cfg.aux_kind, self.cfg.drop_tol)
         except FactorizationError:
             return build_aux(m_part, "identity")

@@ -75,16 +75,14 @@ def random_spd_matrix(n, density, seed):
     eigenvalue at 1e-3.
     """
     rng = np.random.default_rng(seed)
-    dense = np.zeros((n, n))
     rows, cols = np.tril_indices(n, k=-1)
     mask = rng.random(rows.size) < density
     vals = rng.standard_normal(int(mask.sum()))
-    dense[rows[mask], cols[mask]] = vals
-    dense = dense + dense.T
-    dense[np.diag_indices(n)] = rng.random(n)
-    lam_min = float(np.linalg.eigvalsh(dense).min())
-    dense += (1e-3 - lam_min) * np.eye(n)
-    return SparseSymmetricMatrix.from_dense(dense, tol=0.0)
+    diag = np.arange(n)
+    m = SparseSymmetricMatrix(n, np.r_[rows[mask], diag],
+                              np.r_[cols[mask], diag],
+                              np.r_[vals, rng.random(n)])
+    return m.shifted(1e-3 - m.min_eigenvalue())
 
 
 def random_constraints(n, m, seed):
@@ -133,13 +131,11 @@ def _load_matrix(cfg):
 
 def _force_spd(m):
     """Diagonal shift making the matrix SPD; returns (matrix, shift)."""
-    dense = m.to_dense()
-    lam_min = float(np.linalg.eigvalsh(dense).min())
+    lam_min = m.min_eigenvalue()
     if lam_min > 0.0:
         return m, 0.0
     shift = abs(lam_min) + 1e-6
-    dense[np.diag_indices(m.n)] += shift
-    return SparseSymmetricMatrix.from_dense(dense, tol=0.0), shift
+    return m.shifted(shift), shift
 
 
 def _h_apply(m, v_cols, rho):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import IndefiniteOperatorError, pcg, pminres
+from .krylov import (IndefiniteOperatorError, PreconditionerBreakdownError,
+                     pcg, pminres)
 
 
 @dataclass
@@ -68,34 +69,33 @@ def active_bound_mask(x, g, lower, upper, tol=1e-10):
 def truncated_newton_step(model, grad, precond, cfg):
     """
     Solve the quadratic model H d = -grad inexactly: PCG first, MINRES
-    when CG detects an indefinite operator, each with the Krylov default
-    of at most 10 n iterations.  A non-descent or NaN result is replaced
-    by the steepest-descent direction.
+    when CG detects an indefinite operator (IndefiniteOperatorError),
+    and the same solver again without the preconditioner when it breaks
+    down (PreconditionerBreakdownError), each with the Krylov default of
+    at most 10 n iterations.  Any other error propagates.  A non-descent
+    or NaN result is replaced by the steepest-descent direction.
     """
     rhs = -np.asarray(grad, dtype=np.float64)
-    used_precond = precond is not None
-
-    def _run(solver, with_precond):
-        return solver(model, precond if with_precond else None, rhs,
-                      tol=cfg.krylov_tol)
-
-    try:
-        report = _run(pcg, used_precond)
-        solver = "pcg"
-    except IndefiniteOperatorError:
+    used_precond, solver = precond is not None, "pcg"
+    while True:
         try:
-            report = _run(pminres, used_precond)
-        except ValueError:
-            # Preconditioner unsuitable for MINRES; drop it.
+            report = (pcg if solver == "pcg" else pminres)(
+                model, precond if used_precond else None, rhs,
+                tol=cfg.krylov_tol)
+            break
+        except IndefiniteOperatorError:
+            if solver != "pcg":
+                raise
+            solver = "pminres"
+        except PreconditionerBreakdownError:
+            if not used_precond:
+                raise
             used_precond = False
-            report = _run(pminres, False)
-        solver = "pminres"
 
     d = report.solution
-    fallback = False
-    if not float(d @ grad) < 0.0:  # also a NaN direction
+    fallback = not float(d @ grad) < 0.0  # also a NaN direction
+    if fallback:
         d = rhs.copy()
-        fallback = True
     return TnStep(d, report.iterations, solver, report.converged,
                   used_precond, fallback)
 

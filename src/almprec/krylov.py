@@ -6,6 +6,11 @@ operator contracts.  Both stop on the unpreconditioned relative residual
 ||r|| / ||b|| <= tol: `pcg` reads ||r|| from its recurrence residual,
 which can drift from the true b - Ax in finite precision, and `pminres`
 forms the true residual b - Ax on every iteration.
+
+A breakdown raises, never returns: IndefiniteOperatorError when CG
+meets p'Ap <= 0, and PreconditionerBreakdownError when a preconditioner
+gives r'P^-1 r <= 0, or NaN, for a nonzero r.  MINRES's exact Lanczos
+end (a zero residual vector, so beta = 0) is a normal stop.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +22,11 @@ class IndefiniteOperatorError(RuntimeError):
     """CG breakdown: the operator is not positive definite."""
 
 
+class PreconditionerBreakdownError(ValueError):
+    """r'P^-1 r is zero, negative or NaN for a nonzero r: the
+    preconditioner argument is not positive definite."""
+
+
 @dataclass
 class KrylovReport:
     solution: np.ndarray
@@ -25,12 +35,33 @@ class KrylovReport:
     converged: bool = False
 
 
-def _as_apply(op):
-    if op is None:
-        return None
-    if callable(op):
-        return op
-    return op.apply
+def _arguments(op, precond, b, tol, maxit):
+    """(apply_op, apply_prec or None, b as a float array, maxit), checked;
+    maxit is 10 n by default, and an operator a callable or its `apply`."""
+    b = np.asarray(b, dtype=np.float64)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if maxit is None:
+        maxit = 10 * b.size
+    if maxit < 1:
+        raise ValueError("maxit must be >= 1")
+    op, precond = (a if a is None or callable(a) else a.apply
+                   for a in (op, precond))
+    return op, precond, b, maxit
+
+
+def _precondition(apply_prec, r):
+    """(z, r'z) with z = P^-1 r, or z = r itself without a
+    preconditioner.  Raises PreconditionerBreakdownError when a
+    preconditioner gives r'z <= 0 or NaN for a nonzero r."""
+    if apply_prec is None:
+        return r, float(r @ r)
+    z = apply_prec(r)
+    rz = float(r @ z)
+    if not rz > 0.0 and r.any():
+        raise PreconditionerBreakdownError(
+            "preconditioner is not positive definite: r'P^-1 r = %g" % rz)
+    return z, rz
 
 
 def pcg(op, precond, b, tol=1e-8, maxit=None):
@@ -38,32 +69,21 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
     Conjugate Gradients on Ax = b with optional SPD preconditioner.
 
     The iteration count excludes the iteration-0 residual check.  A
-    non-positive curvature p'Ap raises IndefiniteOperatorError; hitting
-    maxit returns converged=False without error.
+    non-positive curvature p'Ap raises IndefiniteOperatorError, and a
+    preconditioner breakdown PreconditionerBreakdownError; hitting maxit
+    returns converged=False without error.
     """
-    apply_op = _as_apply(op)
-    apply_prec = _as_apply(precond)
-    b = np.asarray(b, dtype=np.float64)
-    n = b.size
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if maxit is None:
-        maxit = 10 * n
-    if maxit < 1:
-        raise ValueError("maxit must be >= 1")
-
-    x = np.zeros(n)
+    apply_op, apply_prec, b, maxit = _arguments(op, precond, b, tol, maxit)
+    x = np.zeros(b.size)
     r = b.copy()
     normb = np.linalg.norm(b)
     history = [float(np.linalg.norm(r))]
     if normb == 0.0 or history[0] <= tol * normb:
         return KrylovReport(x, 0, history, True)
 
-    z = apply_prec(r) if apply_prec is not None else r
+    z, gamma = _precondition(apply_prec, r)
     p = z.copy()
-    gamma = float(r @ z)
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
     for _ in range(maxit):
         ap = apply_op(p)
         pap = float(p @ ap)
@@ -79,8 +99,7 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
         if res <= tol * normb:
             converged = True
             break
-        z = apply_prec(r) if apply_prec is not None else r
-        gamma_new = float(r @ z)
+        z, gamma_new = _precondition(apply_prec, r)
         p = z + (gamma_new / gamma) * p
         gamma = gamma_new
     return KrylovReport(x, iterations, history, converged)
@@ -90,19 +109,11 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
     """
     MINRES on symmetric (possibly indefinite) Ax = b, with optional SPD
     preconditioner.  Stops on the true residual ||b - Ax|| / ||b|| <= tol,
-    or where the Lanczos process ends exactly (beta = 0).
+    or where the Lanczos process ends exactly (beta = 0).  A
+    preconditioner breakdown raises PreconditionerBreakdownError.
     """
-    apply_op = _as_apply(op)
-    apply_prec = _as_apply(precond)
-    b = np.asarray(b, dtype=np.float64)
+    apply_op, apply_prec, b, maxit = _arguments(op, precond, b, tol, maxit)
     n = b.size
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if maxit is None:
-        maxit = 10 * n
-    if maxit < 1:
-        raise ValueError("maxit must be >= 1")
-
     x = np.zeros(n)
     normb = np.linalg.norm(b)
     history = [float(normb)]
@@ -110,21 +121,13 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         return KrylovReport(x, 0, history, True)
 
     r1 = b.copy()
-    y = apply_prec(r1) if apply_prec is not None else r1.copy()
-    beta1 = float(r1 @ y)
-    if beta1 < 0.0:
-        raise ValueError("preconditioner is not positive definite")
-    if beta1 == 0.0:
-        return KrylovReport(x, 0, history, True)
+    y, beta1 = _precondition(apply_prec, r1)
     beta1 = np.sqrt(beta1)
 
-    oldb = 0.0
-    beta = beta1
+    oldb, beta, phibar = 0.0, beta1, beta1
     dbar = epsln = 0.0
-    phibar = beta1
     cs, sn = -1.0, 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
+    w, w2 = np.zeros(n), np.zeros(n)
     r2 = r1.copy()
 
     for itn in range(1, maxit + 1):  # maxit >= 1: at least one pass
@@ -136,11 +139,8 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = apply_prec(r2) if apply_prec is not None else r2.copy()
         oldb = beta
-        beta = float(r2 @ y)
-        if beta < 0.0:
-            raise ValueError("preconditioner is not positive definite")
+        y, beta = _precondition(apply_prec, r2)
         beta = np.sqrt(beta)
 
         oldeps = epsln

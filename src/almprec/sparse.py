@@ -105,6 +105,7 @@ class SparseSymmetricMatrix:
         self.cols = cols
         self.vals = vals
         self._csr = None
+        self._padded = None
 
     @property
     def nnz(self):
@@ -137,6 +138,51 @@ class SparseSymmetricMatrix:
         on_diag = self.rows == self.cols
         d[self.rows[on_diag]] = self.vals[on_diag]
         return d
+
+    def min_eigenvalue(self):
+        """The smallest eigenvalue, by LAPACK on a dense copy: O(n^2)
+        memory, so only fallbacks call it."""
+        return float(np.linalg.eigvalsh(self.to_dense()).min())
+
+    def shifted(self, sigma):
+        """A + sigma I, exactly as from_dense(to_dense() + sigma I) gives
+        it: the pattern and the whole diagonal, exact zeros dropped.  A
+        matrix without its whole diagonal pads its pattern with zeros on
+        the first shift and keeps it, so each shift re-values a pattern
+        in O(nnz); when none is dropped, it shares the index arrays."""
+        on_diag = self.rows == self.cols
+        if np.count_nonzero(on_diag) < self.n:
+            if self._padded is None:
+                pad = np.setdiff1d(np.arange(self.n), self.rows[on_diag])
+                self._padded = SparseSymmetricMatrix(
+                    self.n, np.r_[self.rows, pad], np.r_[self.cols, pad],
+                    np.r_[self.vals, np.zeros(pad.size)])
+            return self._padded.shifted(sigma)
+        vals = self.vals + sigma * on_diag
+        keep = vals != 0.0
+        if keep.all():
+            return self._revalued(vals)
+        return SparseSymmetricMatrix(self.n, self.rows[keep], self.cols[keep],
+                                     vals[keep])
+
+    def plus(self, terms):
+        """A + c_1 A_1 + c_2 A_2 + ... for the pairs (c_k, A_k) of
+        `terms`, exactly as from_dense of the dense sum in that order
+        gives it: the entries are merged by position, each summed from
+        a_ij in the order of the terms, and exact zeros are dropped."""
+        n, terms = self.n, [(1.0, self), *terms]
+        if any(a.n != n for _, a in terms):
+            raise ValueError("dimension mismatch")
+        keys, slot = np.unique(np.concatenate(
+            [a.rows * n + a.cols for _, a in terms]), return_inverse=True)
+        vals, start = np.zeros(keys.size), 0
+        for coef, a in terms:
+            # Positions are distinct within one matrix: one add each.
+            vals[slot[start:start + a.nnz]] += coef * a.vals
+            start += a.nnz
+        keep = vals != 0.0
+        rows, cols = np.divmod(keys[keep], n)
+        return SparseSymmetricMatrix(n, rows, cols, vals[keep])
 
     def matvec(self, x):
         """Product Ax with a vector of length n or an (n, k) block; a
@@ -196,16 +242,16 @@ class SparseSymmetricMatrix:
         vals.flags.writeable = False
         out = object.__new__(SparseSymmetricMatrix)
         out.n, out.rows, out.cols = self.n, self.rows, self.cols
-        out.vals, out._csr = vals, None
+        out.vals, out._csr, out._padded = vals, None, None
         return out
 
 
 def norm1_diff(a, b):
     """Induced 1-norm (max absolute column sum) of A - B.  The stored
-    entries of both are merged by position, or subtracted entry by entry
-    when both store the same positions; column j of the full matrix is
-    column j of the lower triangle plus, mirrored, row j without its
-    diagonal entry."""
+    entries of both are merged by position (`plus`), or subtracted entry
+    by entry when both store the same positions; column j of the full
+    matrix is column j of the lower triangle plus, mirrored, row j
+    without its diagonal entry."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
@@ -216,12 +262,8 @@ def norm1_diff(a, b):
         diff = np.abs(a.vals - b.vals)
         rows, cols = a.rows, a.cols
     else:
-        keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
-                                               b.rows * n + b.cols)),
-                               return_inverse=True)
-        diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
-                                  minlength=keys.size))
-        rows, cols = np.divmod(keys, n)
+        d = a.plus([(-1.0, b)])
+        diff, rows, cols = np.abs(d.vals), d.rows, d.cols
     colsum = (np.bincount(cols, diff, minlength=n)
               + np.bincount(rows, np.where(rows != cols, diff, 0.0),
                             minlength=n))

@@ -30,6 +30,23 @@ total over all of them:
   same three models built through one per-solve memo (`_SolveMemo`)
   over the free sets A, A, B, A, none (B another set of A's size), so
   the memo's cached restriction is built, reused and replaced;
+- `fallback`: each numerical fallback, forced on a small input:
+  - `aux-shift KIND`: the preconditioner manager's auxiliary build of
+    an indefinite block (a 5-point Laplacian minus 4 I, whose zero
+    diagonal is not stored, and minus 5 I), past the factorizer's own
+    retry, for each auxiliary kind but `identity`;
+  - `force-spd`: the `bench` shift that makes those two blocks, and an
+    SPD one, positive definite;
+  - `qn-floor`: the QN model of those two blocks as `hess f`, whose
+    probe fails, so the eigenvalue floor sets sigma, on all variables
+    and on every other one;
+  - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
+    preconditioner breaks down: P^-1 = [[0, 1], [1, 0]] with the
+    identity operator (`pcg-repro`) or diag(1, -1) (`minres-repro`) and
+    b = e1, the latter with b = (1, 1), where CG meets the indefinite
+    operator first and MINRES the breakdown mid-run (`minres-midrun`),
+    and a NaN preconditioner on an SPD model (`nan-precond`); a step
+    that raises hashes its exception;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `counts`: one line for the whole grid and one for each workload,
   hashing only the status and the iteration and refresh counts of the
@@ -276,6 +293,76 @@ def restricted_memo_runs(root):
         yield "restricted-memo %s" % name, _digest(parts)
 
 
+def _shifted_laplacians():
+    """(label, dense) of the indefinite 8 x 8 grid blocks the fallback
+    lines force."""
+    return [("laplacian-minus-%d" % shift,
+             _laplacian(8, False) - shift * np.eye(64)) for shift in (4, 5)]
+
+
+def fallback_runs():
+    """(label, digest) of each forced numerical fallback."""
+    from almprec import alm, bench
+    from almprec.auxprecond import KINDS
+    from almprec.inner import InnerConfig, truncated_newton_step
+    from almprec.problems import NlpProblem
+    from almprec.sparse import SparseSymmetricMatrix
+
+    blocks = [(label, SparseSymmetricMatrix.from_dense(dense))
+              for label, dense in _shifted_laplacians()]
+    r = np.linspace(1.0, 2.0, 64)
+    for kind in KINDS:
+        if kind == "identity":
+            continue
+        parts = []
+        for _, m in blocks:
+            manager = alm.PrecondManager(alm.AlmConfig(aux_kind=kind))
+            aux = manager._build_aux(m)
+            parts += [repr((aux.kind, aux.shift, aux.nnz,
+                            manager.aux_fallbacks)).encode(),
+                      aux.apply(r).tobytes()]
+        yield "fallback aux-shift %s" % kind, _digest(parts)
+
+    parts = []
+    for m in [m for _, m in blocks] + [
+            SparseSymmetricMatrix.from_dense(_laplacian(8, False))]:
+        spd, shift = bench._force_spd(m)
+        parts += [repr(shift).encode(), spd.rows.tobytes(),
+                  spd.cols.tobytes(), spd.vals.tobytes()]
+    yield "fallback force-spd", _digest(parts)
+
+    parts = []
+    for _, hess in _shifted_laplacians():
+        p = NlpProblem(name="QN-FLOOR", n=64, x0=np.zeros(64), kinds=(),
+                       f=None, grad=None, hess=lambda x, h=hess: h,
+                       cons=lambda x: np.zeros(0),
+                       jac_cols=lambda x: np.zeros((64, 0)), cons_hess=None)
+        for free in (None, np.arange(0, 64, 2)):
+            parts += _model_bytes(alm.hessian_model(
+                p, p.x0, np.zeros(0), 10.0, "QN", free=free))
+    yield "fallback qn-floor", _digest(parts)
+
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e1 = np.array([1.0, 0.0])
+    cases = (("pcg-repro", np.eye(2), swap, e1),
+             ("minres-repro", np.diag([1.0, -1.0]), swap, e1),
+             ("minres-midrun", np.diag([1.0, -1.0]), swap, np.ones(2)),
+             ("nan-precond", np.diag([1.0, 2.0]), np.full((2, 2), np.nan),
+              e1))
+    for label, op, precond, b in cases:
+        try:
+            step = truncated_newton_step(lambda v, a=op: a @ v, -b,
+                                         lambda v, q=precond: q @ v,
+                                         InnerConfig())
+            parts = [repr((step.solver, step.preconditioned,
+                           step.fallback_gradient, step.converged,
+                           step.krylov_iterations)).encode(),
+                     step.direction.tobytes()]
+        except Exception as exc:
+            parts = [repr(exc).encode()]
+        yield "fallback krylov %s" % label, _digest(parts)
+
+
 def workload_runs():
     """(label, digest) for every perfbench workload and seed, and after
     each workload's seeds its `counts` line."""
@@ -329,7 +416,8 @@ def fingerprint(root):
     total = hashlib.sha256()
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
                           *probe_runs(root), *restricted_runs(root),
-                          *restricted_memo_runs(root), *workload_runs(),
+                          *restricted_memo_runs(root), *fallback_runs(),
+                          *workload_runs(),
                           *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())

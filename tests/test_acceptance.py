@@ -5,7 +5,9 @@ and prints a single PASS/FAIL line.  Criterion 2 checks the advertised
 rank-1 similarity form for the preconditioned spectrum verbatim; that
 form does not hold for approximate auxiliary blocks (the corrected
 identity is exercised in test_structured.py), so the criterion is
-expected to fail and is kept as an honest red.
+expected to fail and is kept as an honest red.  Criterion 2b checks
+the spectral statement that does hold for an inexact SPD auxiliary: an
+enclosure of the spectrum that does not depend on rho.
 """
 
 import time
@@ -25,7 +27,7 @@ from almprec.structured import ColumnSet, StructuredPrecond, apply_rank1
 
 
 def _report(number, ok, detail):
-    print("criterion %d: %s — %s" % (number, "PASS" if ok else "FAIL",
+    print("criterion %s: %s — %s" % (number, "PASS" if ok else "FAIL",
                                      detail))
     assert ok, detail
 
@@ -108,6 +110,45 @@ def test_criterion_02_spectrum_rank1_form_as_stated():
     ok = worst <= 1e-8 and elapsed < 5.0
     _report(2, ok, "worst per-eigenvalue gap %.3g over 20 instances, "
             "%.2f s" % (worst, elapsed))
+
+
+def test_criterion_02b_spectrum_enclosure_uniform_in_rho():
+    """With an SPD auxiliary Q and positive signs, P = Q^-1 + V V' and
+    H = M + V V' (V scaled by sqrt(rho)), so the Rayleigh quotient of
+    (H, P) is a mediant of x'Mx / x'Q^-1x and 1: every eigenvalue of
+    P^-1 H lies in [min(1, lam_min(QM)), max(1, lam_max(QM))] whatever
+    rho, to 1e-6, and at rho >= 1e6 at least m of them lie within 1e-4
+    of 1.  Jacobi, IC(0.2) and IC(1e-2) auxiliaries, n = 40, m = 3,
+    rho from 1e-2 to 1e8."""
+    rng = np.random.default_rng(11)
+    start = time.perf_counter()
+    n, m = 40, 3
+    excursion, cluster_gap = 0.0, 0.0
+    for kind, drop_tol in (("jacobi", None), ("incomplete-cholesky", 0.2),
+                           ("incomplete-cholesky", 1e-2)):
+        for _ in range(10):
+            mat = _spd(rng, n)
+            dense_m = mat.to_dense()
+            aux = build_aux(mat, kind, drop_tol)
+            lam_qm = np.linalg.eigvals(aux.apply(np.eye(n)) @ dense_m).real
+            lower, upper = min(1.0, lam_qm.min()), max(1.0, lam_qm.max())
+            v = rng.standard_normal((n, m))
+            for rho in np.logspace(-2, 8, 11):
+                cols = ColumnSet(n, np.sqrt(rho) * v, np.ones(m),
+                                 list(range(m)))
+                h = dense_m + rho * (v @ v.T)
+                lam = np.linalg.eigvals(
+                    StructuredPrecond(aux, cols).apply(h)).real
+                excursion = max(excursion, lower - lam.min(),
+                                lam.max() - upper)
+                if rho >= 1e6:
+                    cluster_gap = max(cluster_gap,
+                                      np.sort(np.abs(lam - 1.0))[m - 1])
+    elapsed = time.perf_counter() - start
+    ok = excursion <= 1e-6 and cluster_gap <= 1e-4 and elapsed < 5.0
+    _report("2b", ok, "largest excursion %.3g, m-th eigenvalue within "
+            "%.3g of 1 at rho >= 1e6, over 30 instances and 11 rho, "
+            "%.2f s" % (excursion, cluster_gap, elapsed))
 
 
 def test_criterion_03_exact_diagonal_case_pcg_one_iteration():

@@ -206,12 +206,14 @@ class TestQnShift:
     @pytest.mark.parametrize("name,pd", CASES)
     def test_probe_accepts_only_positive_definite(self, name, pd):
         p = get_problem(name)
-        assert alm._positive_definite(alm._shift_pattern(p.hess(p.x0))) is pd
+        assert alm._positive_definite(
+            SparseSymmetricMatrix.from_dense(p.hess(p.x0))) is pd
 
     def test_probe_rejects_exactly_singular_hs48(self):
         hess = get_problem("HS48").hess(np.zeros(5))
         assert np.linalg.eigvalsh(hess).min() == 0.0
-        assert not alm._positive_definite(alm._shift_pattern(hess))
+        assert not alm._positive_definite(
+            SparseSymmetricMatrix.from_dense(hess))
 
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
     def test_sigma_equals_eigenvalue_formula(self, name, monkeypatch):
@@ -310,6 +312,46 @@ class TestNwZeroConstraintHessians:
                             SparseSymmetricMatrix.from_dense(p.hess(x)))
 
 
+def test_nw_model_with_constraint_hessians_builds_in_memory_linear_in_n():
+    # At n = 2500 one dense n x n array is 48 MiB.  hess f (a 5-point
+    # Laplacian) and both constraint Hessians are allocated before
+    # tracing; both constraints contribute, lam_hat != 0, and the model
+    # adds their Hessians sparsely instead of into a dense copy.
+    k = 50
+    n = k * k
+    idx = np.arange(n)
+    hess = np.zeros((n, n))
+    hess[idx, idx] = 4.0
+    row_pairs, col_pairs = idx[idx % k != k - 1], idx[:-k]
+    hess[row_pairs, row_pairs + 1] = hess[row_pairs + 1, row_pairs] = -1.0
+    hess[col_pairs, col_pairs + k] = hess[col_pairs + k, col_pairs] = -1.0
+    # c_0 = x'x - 1 and c_1 = sum x_i x_{i+1} - 1/2.
+    sphere, chain = 2.0 * np.eye(n), np.zeros((n, n))
+    chain[idx[:-1], idx[1:]] = chain[idx[1:], idx[:-1]] = 1.0
+    p = NlpProblem(
+        name="NW-MEMORY", n=n, x0=np.linspace(0.0, 0.1, n),
+        kinds=("equality",) * 2, f=None, grad=None, hess=lambda x: hess,
+        cons=lambda x: np.array([x @ x - 1.0, x[:-1] @ x[1:] - 0.5]),
+        jac_cols=lambda x: np.column_stack(
+            (2.0 * x, np.r_[x[1:], 0.0] + np.r_[0.0, x[:-1]])),
+        cons_hess=lambda i, x: (sphere, chain)[i])
+    lam = np.ones(2)
+    bound = 1024 * n
+    assert 4 * bound <= 8 * n * n
+    tracemalloc.start()
+    try:
+        model = hessian_model(p, p.x0, lam, 10.0, "NW")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lam_hat = shifted_multipliers(p, p.x0, lam, 10.0)
+    assert np.all(lam_hat != 0.0)
+    assert peak <= bound
+    dense = hess + lam_hat[0] * sphere
+    dense += lam_hat[1] * chain
+    assert _same_matrix(model.m_part, SparseSymmetricMatrix.from_dense(dense))
+
+
 def _frozen(a):
     a = np.array(a, dtype=np.float64)
     a.flags.writeable = False
@@ -400,12 +442,12 @@ class TestSolveMemo:
 
     def test_shifted_pattern_matches_dense_shift(self):
         hess, _ = _memo_hessians()
-        pattern = alm._shift_pattern(hess)
+        sparse_hess = SparseSymmetricMatrix.from_dense(hess)
         # -3 cancels the diagonal entry 3.0 exactly; that entry is dropped
         # as from_dense drops it.
         for sigma in (1e-8, 0.5, 2.0, -3.0):
             want = SparseSymmetricMatrix.from_dense(hess + sigma * np.eye(6))
-            assert _same_matrix(alm._shifted(pattern, sigma), want)
+            assert _same_matrix(sparse_hess.shifted(sigma), want)
 
     @pytest.mark.parametrize("view", [False, True])
     def test_arrays_updated_in_place_are_read_afresh(self, view):
@@ -680,15 +722,23 @@ def _probe_cases():
         yield "random singular psd %d" % n, low_rank @ low_rank.T, False
 
 
+def _with_whole_diagonal(dense):
+    """The lower triangle of `dense` at its nonzero entries and on its
+    whole diagonal, zeros included."""
+    n = dense.shape[0]
+    rows, cols = np.nonzero(np.tril(dense != 0.0) | np.eye(n, dtype=bool))
+    return SparseSymmetricMatrix(n, rows, cols, dense[rows, cols])
+
+
 class TestSparseProbe:
     @pytest.mark.parametrize("dense, pd", [
         pytest.param(dense, pd, id=label)
         for label, dense, pd in _probe_cases()])
     def test_verdict_matches_dense_cholesky(self, dense, pd):
         assert _dpotrf_probe(dense) is pd
-        # With the whole diagonal stored, as hessian_model passes it, or
-        # with zeros dropped.
-        assert alm._positive_definite(alm._shift_pattern(dense)) is pd
+        # With the whole diagonal stored, zeros included, or with zeros
+        # dropped, as hessian_model passes it.
+        assert alm._positive_definite(_with_whole_diagonal(dense)) is pd
         assert alm._positive_definite(
             SparseSymmetricMatrix.from_dense(dense)) is pd
 

@@ -80,6 +80,55 @@ class TestTruncatedNewtonStep:
         assert step.preconditioned and step.krylov_iterations == 1
 
 
+class TestTruncatedNewtonBreakdown:
+    """A preconditioner breakdown drops the preconditioner; any other
+    error of a Krylov solve propagates."""
+
+    SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("a", [np.eye(2), np.diag([1.0, -1.0])])
+    def test_breakdown_gives_an_unpreconditioned_step(self, a):
+        # r'P^-1 r = 0 at r = e1: pcg divided 0 by 0 on the identity,
+        # and MINRES reported x = 0 as converged on diag(1, -1).
+        step = truncated_newton_step(lambda v: a @ v, np.array([-1.0, 0.0]),
+                                     lambda r: self.SWAP @ r, InnerConfig())
+        assert step.solver == "pcg" and step.converged
+        assert not step.preconditioned and not step.fallback_gradient
+        np.testing.assert_array_equal(step.direction, [1.0, 0.0])
+
+    def test_minres_breakdown_reruns_minres_unpreconditioned(self):
+        a = np.diag([1.0, -1.0])
+        step = truncated_newton_step(lambda v: a @ v, -np.ones(2),
+                                     lambda r: self.SWAP @ r, InnerConfig())
+        assert step.solver == "pminres" and not step.preconditioned
+
+    def test_nan_preconditioner_is_dropped_at_once(self):
+        a = np.diag([1.0, 2.0])
+        step = truncated_newton_step(
+            lambda v: a @ v, np.array([-1.0, -2.0]),
+            lambda r: np.full_like(r, np.nan), InnerConfig())
+        # Plain CG then takes two iterations, one per distinct eigenvalue.
+        assert step.solver == "pcg" and not step.preconditioned
+        assert step.converged and step.krylov_iterations == 2
+        np.testing.assert_allclose(step.direction, [1.0, 1.0], rtol=1e-15)
+
+    def test_value_error_of_the_preconditioner_in_minres_propagates(self):
+        # CG meets p'Ap = -2 before its second preconditioner call, so
+        # the second call is MINRES's.
+        a = np.diag([1.0, -2.0])
+        calls = []
+
+        def precond(r):
+            calls.append(r)
+            if len(calls) > 1:
+                raise ValueError("preconditioner failed")
+            return r.copy()
+        with pytest.raises(ValueError, match="preconditioner failed"):
+            truncated_newton_step(lambda v: a @ v, np.array([0.0, 1.0]),
+                                  precond, InnerConfig())
+        assert len(calls) == 2
+
+
 class TestSpg:
     def test_unconstrained_quadratic(self):
         rng = np.random.default_rng(1)

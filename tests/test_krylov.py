@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from almprec.krylov import IndefiniteOperatorError, pcg, pminres
+from almprec.krylov import (IndefiniteOperatorError,
+                            PreconditionerBreakdownError, pcg, pminres)
+
+# P^-1 = [[0, 1], [1, 0]]: r'P^-1 r = 0 at r = e1, and -2 at r = (1, -1).
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def random_spd(rng, n):
@@ -141,3 +145,48 @@ class TestPminres:
         np.testing.assert_allclose(rep.solution, [0.5, 0.5, 0.25, 0.25],
                                    rtol=1e-15)
         assert np.linalg.norm(b - a @ rep.solution) <= 1e-15
+
+
+class TestPreconditionerBreakdown:
+    """Both solvers raise PreconditionerBreakdownError when r'P^-1 r is
+    not positive for a nonzero r, and only then."""
+
+    @pytest.mark.parametrize("solver", [pcg, pminres])
+    def test_zero_preconditioned_norm_raises(self, solver):
+        # pcg divided 0 by 0; pminres reported convergence at x = 0.
+        with pytest.raises(PreconditionerBreakdownError, match="r'P"):
+            solver(lambda v: v, lambda r: SWAP @ r, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("solver", [pcg, pminres])
+    def test_nan_preconditioner_stops_at_once(self, solver):
+        calls = []
+
+        def nan_precond(r):
+            calls.append(r)
+            return np.full_like(r, np.nan)
+        with pytest.raises(PreconditionerBreakdownError):
+            solver(lambda v: 2.0 * v, nan_precond, np.ones(5))
+        assert len(calls) == 1
+
+    def test_minres_breakdown_mid_run_raises(self):
+        # r'P^-1 r = 2 at b = (1, 1), then -1 at the next Lanczos vector.
+        a = np.diag([1.0, -1.0])
+        with pytest.raises(PreconditionerBreakdownError):
+            pminres(lambda v: a @ v, lambda r: SWAP @ r, np.ones(2))
+
+    @pytest.mark.filterwarnings("error")
+    def test_preconditioned_lanczos_end_is_a_normal_stop(self):
+        # The exact Lanczos end of TestPminres with an SPD preconditioner:
+        # its residual vector is zero, so beta = 0 is no breakdown.
+        a = np.diag([2.0, 2.0, 4.0, 4.0])
+        rep = pminres(lambda v: a @ v, lambda r: r.copy(), np.ones(4),
+                      tol=1e-300, maxit=5)
+        assert rep.iterations == 2 and not rep.converged
+        np.testing.assert_allclose(rep.solution, [0.5, 0.5, 0.25, 0.25],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("solver", [pcg, pminres])
+    def test_unpreconditioned_nan_operator_does_not_raise(self, solver):
+        rep = solver(lambda v: np.full_like(v, np.nan), None, np.ones(3),
+                     maxit=4)
+        assert not rep.converged

@@ -408,6 +408,116 @@ class TestRevalued:
             self._matrix()._revalued(vals)
 
 
+def _same_matrix(a, b):
+    return (a.n == b.n and a.rows.tobytes() == b.rows.tobytes()
+            and a.cols.tobytes() == b.cols.tobytes()
+            and a.vals.tobytes() == b.vals.tobytes())
+
+
+def _shift_cases(rng):
+    """(dense, matrix) pairs: random patterns with some diagonal entries
+    missing, each stored as from_dense stores it and with every
+    lower-triangle position stored, zeros included."""
+    for n in (1, 2, 7, 30):
+        dense = random_symmetric(rng, n, density=0.3)
+        dense[np.diag_indices(n)] = np.where(rng.random(n) < 0.6,
+                                             dense.diagonal(), 0.0)
+        yield dense, SparseSymmetricMatrix.from_dense(dense)
+        rows, cols = np.tril_indices(n)
+        yield dense, SparseSymmetricMatrix(n, rows, cols, dense[rows, cols])
+
+
+class TestShifted:
+    """`shifted(sigma)` is from_dense(to_dense() + sigma I), bit for bit,
+    and `min_eigenvalue()` the smallest eigenvalue of the dense array."""
+
+    def test_matches_the_dense_shift_bitwise(self):
+        rng = np.random.default_rng(21)
+        for dense, a in _shift_cases(rng):
+            diag = dense.diagonal()
+            # 0 drops stored zeros; -a_ii cancels a stored diagonal entry.
+            sigmas = [0.0, 1e-8, -2.5, float(rng.standard_normal())]
+            for sigma in sigmas + [-float(v) for v in diag[diag != 0][:1]]:
+                want = SparseSymmetricMatrix.from_dense(
+                    dense + sigma * np.eye(a.n))
+                assert _same_matrix(a.shifted(sigma), want)
+
+    def test_zero_shift_drops_stored_zeros(self):
+        a = SparseSymmetricMatrix(3, [0, 1, 1, 2], [0, 0, 1, 2],
+                                  [0.0, 2.0, 0.0, 3.0])
+        b = a.shifted(0.0)
+        assert b.rows.tolist() == [1, 2] and b.cols.tolist() == [0, 2]
+        assert b.vals.tolist() == [2.0, 3.0]
+
+    def test_cancelled_diagonal_entry_is_dropped(self):
+        a = SparseSymmetricMatrix.from_dense(np.array([[2.0, 1.0],
+                                                       [1.0, 5.0]]))
+        b = a.shifted(-2.0)
+        assert b.rows.tolist() == [1, 1] and b.cols.tolist() == [0, 1]
+        assert b.vals.tolist() == [1.0, 3.0]
+
+    def test_shares_index_arrays_when_nothing_is_dropped(self):
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.5],
+                          [0.0, 0.5, 3.0]])
+        full = SparseSymmetricMatrix.from_dense(dense + np.eye(3))
+        b = full.shifted(0.5)
+        assert b.rows is full.rows and b.cols is full.cols
+        # A missing diagonal entry: the padded pattern is built once and
+        # kept, so every shift shares its index arrays.
+        a = SparseSymmetricMatrix.from_dense(dense)
+        b, c = a.shifted(0.5), a.shifted(2.0)
+        assert b.nnz == c.nnz == a.nnz + 1
+        assert b.rows is c.rows and b.cols is c.cols
+        assert norm1_diff(b, c) == 1.5
+        # A dropped entry gives arrays of its own.
+        d = a.shifted(-2.0)
+        assert d.nnz == a.nnz and d.rows is not b.rows
+
+    def test_min_eigenvalue_is_the_dense_one_bitwise(self):
+        rng = np.random.default_rng(22)
+        for dense, a in _shift_cases(rng):
+            assert a.min_eigenvalue() == float(
+                np.linalg.eigvalsh(dense).min())
+
+
+class TestPlus:
+    """`plus` is from_dense of the dense sum, taken in the order of the
+    terms, bit for bit."""
+
+    def test_matches_the_dense_sum_bitwise(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 4, 25):
+            base = random_symmetric(rng, n, density=0.3)
+            others = [random_symmetric(rng, n, density=0.2)
+                      for _ in range(3)]
+            coefs = rng.standard_normal(3)
+            dense = base.copy()
+            for coef, h in zip(coefs, others):
+                dense += coef * h
+            got = SparseSymmetricMatrix.from_dense(base).plus(
+                [(coef, SparseSymmetricMatrix.from_dense(h))
+                 for coef, h in zip(coefs, others)])
+            assert _same_matrix(got, SparseSymmetricMatrix.from_dense(dense))
+
+    def test_exact_cancellation_is_dropped(self):
+        dense = np.array([[1.0, 2.0], [2.0, 0.0]])
+        a = SparseSymmetricMatrix.from_dense(dense)
+        b = SparseSymmetricMatrix.from_dense(np.eye(2))
+        got = a.plus([(-1.0, a), (3.0, b)])
+        assert got.rows.tolist() == [0, 1] and got.cols.tolist() == [0, 1]
+        assert got.vals.tolist() == [3.0, 3.0]
+
+    def test_no_terms_gives_the_same_entries(self):
+        a = SparseSymmetricMatrix.from_dense(random_symmetric(
+            np.random.default_rng(24), 6))
+        assert _same_matrix(a.plus([]), a)
+
+    def test_dimension_mismatch(self):
+        a = SparseSymmetricMatrix.from_dense(np.eye(2))
+        with pytest.raises(ValueError, match="dimension"):
+            a.plus([(1.0, SparseSymmetricMatrix.from_dense(np.eye(3)))])
+
+
 class TestNorm1Diff:
     def test_matches_dense_norm(self):
         rng = np.random.default_rng(2)
