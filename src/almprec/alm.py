@@ -16,14 +16,11 @@ from .auxprecond import KINDS, FactorizationError, build_aux, ldlt
 from .inner import (InnerConfig, active_bound_mask, project_box,
                     projected_descent, spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
-from .structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
-                         DenominatorBreakdownError, StructuredPrecond,
-                         UpdateThresholds, build_column_set, column_norms,
-                         decide_update)
+from .structured import (ColumnSet, DenominatorBreakdownError,
+                         StructuredPrecond, UpdateThresholds,
+                         build_column_set, column_norms, decide_update)
 # Re-exported, not used here: perfbench's layer tracer wraps the target
-# `almprec.alm:assemble_B`, and test_traced_counts_match_untraced checks
-# that it resolves.  StructuredPrecond assembles through
-# structured.assemble_B itself.
+# `almprec.alm:assemble_B` (test_traced_counts_match_untraced).
 from .structured import assemble_B  # noqa: F401
 
 INNER_SOLVERS = ("truncated-newton", "spg", "pspg")
@@ -177,9 +174,6 @@ class _SolveMemo:
     derived afresh on every call.  Entries hold a weak reference to their
     array and are dropped when it dies, so a fresh read-only array per
     call is not kept alive and a reused id never finds stale values.
-
-    Beside those values the memo keeps at most one restriction: a
-    memoised matrix cut down to a free set (`restricted`).
     """
 
     def __init__(self, enabled=True):
@@ -211,20 +205,19 @@ class _SolveMemo:
         return values[key]
 
     def restricted(self, a, whole, free):
-        """whole.submatrix(free), where `whole` is derived from `a` alone
-        and `free` is an index array.  While `a` is a memoised constant
-        the memo keeps this restriction, keyed on `a` and on `free`
-        itself, compared by value; it releases it before it builds the
-        next."""
+        """whole.submatrix(free), or whole when `free` is None; `whole` is
+        derived from `a` alone.  While `a` is a memoised constant the memo
+        keeps its latest restriction, reused while the caller passes the
+        same `free` object: sets are told apart by identity."""
+        if free is None:
+            return whole
         values = self._values(a)
         if values is None:
             return whole.submatrix(free)
-        held = values.get(_RESTRICTION)
-        if held is None or not np.array_equal(held[0], free):
-            for _, other in list(self._entries.values()):
-                other.pop(_RESTRICTION, None)
-            held = values[_RESTRICTION] = free, whole.submatrix(free)
-        return held[1]
+        if values.get(_RESTRICTION, (None,))[0] is not free:
+            values.pop(_RESTRICTION, None)  # released before the next
+            values[_RESTRICTION] = free, whole.submatrix(free)
+        return values[_RESTRICTION][1]
 
 
 _NO_MEMO = _SolveMemo(enabled=False)
@@ -245,10 +238,9 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     the columns, without a column whose restricted 2-norm is at most
     1e-12.  Everything else (lam_hat, sigma, which columns are kept and
     their order, the secant test) is computed on the whole space, so the
-    model is bit for bit the full one cut down afterwards.  NW cuts its
-    block with `submatrix`; QN cuts sparse hess f before adding sigma
-    (`shifted`), so it builds no matrix of the full order beyond the
-    memoised one.
+    model is bit for bit the full one cut down afterwards: sparse hess f
+    and each constraint Hessian NW adds are cut before `plus` sums them
+    in the term order, and QN adds sigma to the cut hess f (`shifted`).
 
     QN keeps M positive definite by raising sigma to a floor set by the
     smallest eigenvalue of hess f (`min_eigenvalue`).  When hess f is
@@ -268,9 +260,9 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     the model derives from arrays the problem declares constant (see
     NlpProblem): sparse hess f, whether each constraint Hessian is zero
     and the sparse form of the others, the 2-norms of the Jacobian's
-    columns, and QN's probe verdict and smallest eigenvalue.  With
-    `free` it also keeps sparse hess f cut down to `free` until the free
-    set changes.  The model is bit for bit the one built without it.
+    columns, QN's probe verdict and smallest eigenvalue, and those sparse
+    matrices cut down to `free` (`restricted`).  The model is bit for bit
+    the one built without it.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -288,16 +280,11 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         for i in np.flatnonzero(lam_hat).tolist():
             h = p.cons_hess(i, x)
             if _memo.value(h, "nonzero", np.any):
-                terms.append((lam_hat[i], _memo.value(
-                    h, "sparse", SparseSymmetricMatrix.from_dense)))
-        if terms:
-            m_part = sparse_f.plus(terms)
-            if free is not None:
-                m_part = m_part.submatrix(free)
-        elif free is not None:
-            m_part = _memo.restricted(hess_f, sparse_f, free)
-        else:
-            m_part = sparse_f
+                term = _memo.value(h, "sparse",
+                                   SparseSymmetricMatrix.from_dense)
+                terms.append((lam_hat[i], _memo.restricted(h, term, free)))
+        m_part = _memo.restricted(hess_f, sparse_f, free)
+        m_part = m_part.plus(terms) if terms else m_part
         cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free,
                                 norms=norms)
         return HessianModel(m_part, 0.0, cols)
@@ -327,9 +314,7 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
         floor = (sigma_min if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
-    if free is not None:
-        sparse_f = _memo.restricted(hess_f, sparse_f, free)
-    m_part = sparse_f.shifted(sigma)
+    m_part = _memo.restricted(hess_f, sparse_f, free).shifted(sigma)
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
@@ -408,7 +393,7 @@ class PrecondManager:
         self._aux = None
         self._m = None
         self._precond = None
-        self._free = None
+        self.free = None
         self._outer_boundary = True
         self.aux_fallbacks = 0
         self.column_drops = 0
@@ -431,29 +416,21 @@ class PrecondManager:
 
     def _assemble_with_recovery(self, cols):
         """The preconditioner for `cols`, dropping any column with a
-        near-singular pivot (both secant columns go together) and retrying."""
+        near-singular pivot (`without_labels`) and retrying."""
         while True:
             try:
                 return StructuredPrecond(self._aux, cols)
             except DenominatorBreakdownError as exc:
                 self.column_drops += 1
-                if exc.label in (LABEL_BFGS_Y, LABEL_BFGS_W):
-                    cols = cols.without_labels((LABEL_BFGS_Y, LABEL_BFGS_W))
-                else:
-                    cols = cols.without_labels((exc.label,))
+                cols = cols.without_labels((exc.label,))
 
     def get(self, model, free=None):
-        """The preconditioner for `model`.  `free` names the variables a
-        restricted model keeps, as an index array or a sequence of
-        indices (None: all of them).  The cache holds for one free set
-        only, so any other set rebuilds from scratch.  Its key is `free`
-        as given when the set first came, compared by value with later
-        ones, so an array and a tuple of the same indices are one set."""
+        """The preconditioner for `model`.  `free` is the index array of
+        the variables a restricted model keeps (None: all of them).  The
+        cache holds for one free set, the object last passed
+        (`self.free`); any other object rebuilds from scratch."""
         m_part, cols = model.m_part, model.cols
-        new_set = not (free is self._free or (
-            free is not None and self._free is not None
-            and np.array_equal(free, self._free)))
-        if self._aux is None or new_set:
+        if self._aux is None or free is not self.free:
             refresh_aux = refresh_b = True
         elif self.cfg.precond_policy == "once":
             refresh_aux = refresh_b = False
@@ -464,8 +441,7 @@ class PrecondManager:
                                      cols, self.cfg.thresholds)
             refresh_aux, refresh_b = decision.refresh_aux, decision.refresh_b
         self._outer_boundary = False
-        if new_set:
-            self._free = free
+        self.free = free
 
         if refresh_aux:
             self._aux = self._build_aux(m_part)
@@ -482,19 +458,17 @@ class PrecondManager:
 # Sub-problems
 # ---------------------------------------------------------------------------
 
+@dataclass
 class _Subproblem:
     """One ALM sub-problem: the merit, its gradient, and the Hessian model
-    with its preconditioner on the free variables.  Both inner solvers
-    read `free_system`; its .get is the spg_solve provider, returning
-    the reduced apply and the index `free` that truncated Newton uses."""
-
-    def __init__(self, p, lam_bar, rho, cfg, manager, memo):
-        self.p = p
-        self.lam_bar = lam_bar
-        self.rho = rho
-        self.cfg = cfg
-        self.manager = manager
-        self.memo = memo
+    with its preconditioner on the free variables (`free_system`), which
+    both inner solvers read."""
+    p: object
+    lam_bar: np.ndarray
+    rho: float
+    cfg: AlmConfig
+    manager: PrecondManager
+    memo: _SolveMemo
 
     def merit(self, z):
         return eval_al(self.p, z, self.lam_bar, self.rho)
@@ -506,12 +480,17 @@ class _Subproblem:
         """(model, preconditioner, free): the Hessian model at z with the
         secant pair (s, y), built on the variables `free` that the
         gradient g leaves free (hessian_model's `free`), and a
-        preconditioner that inverts that reduced matrix rather than
-        restricting the full-space inverse.  `free` is an index array, or
-        slice(None) when nothing is pinned; then the model is the full
-        one."""
+        preconditioner that inverts that reduced matrix.  `free` is an
+        index array, or slice(None) when nothing is pinned; then the model
+        is the full one.  This is the one owner of the free set: a set
+        equal to the one the manager holds (`PrecondManager.free`) is
+        passed on as that same array, so the memo and the manager tell
+        sets apart by identity."""
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         free = np.flatnonzero(~act) if np.any(act) else None
+        last = self.manager.free  # None: nothing pinned, or no set yet
+        if free is not None and np.array_equal(free, last):
+            free = last
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode, self.cfg.thresholds,
                               secant=(s, y) if s is not None else None,
@@ -519,12 +498,6 @@ class _Subproblem:
                               _memo=self.memo)
         return (model, self.manager.get(model, free),
                 slice(None) if free is None else free)
-
-    def get(self, z, g, s, y):
-        """(apply, free): the free-system preconditioner's apply, which
-        acts on vectors restricted to `free`."""
-        _, precond, free = self.free_system(z, g, s, y)
-        return precond.apply, free
 
 
 @dataclass
@@ -547,20 +520,22 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo):
         # projection); the model is solved on the free variables only.
         model, precond, free = sub.free_system(z, g, s, y)
         step = truncated_newton_step(model, g[free], precond, icfg)
-        if step.preconditioned:
-            stats.krylov_precond += step.krylov_iterations
-        else:
-            stats.krylov_plain += step.krylov_iterations
+        stats.krylov_precond += step.krylov_precond
+        stats.krylov_plain += step.krylov_plain
         d = -g
         d[free] = step.direction
         return d
+
+    def pspg_metric(z, g, s, y):
+        _, precond, free = sub.free_system(z, g, s, y)
+        return precond.apply, free
 
     if cfg.inner_solver == "truncated-newton":
         result = projected_descent(sub.merit, sub.grad, p.lower, p.upper, x,
                                    icfg, tn_direction)
     else:
         result = spg_solve(sub.merit, sub.grad, p.lower, p.upper, x, icfg,
-                           precond=sub if cfg.inner_solver == "pspg"
+                           precond=pspg_metric if cfg.inner_solver == "pspg"
                            else None)
     stats.iterations, stats.status = result.iterations, result.status
     return result.x, stats

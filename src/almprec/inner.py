@@ -39,11 +39,16 @@ class InnerConfig:
 @dataclass
 class TnStep:
     direction: np.ndarray
-    krylov_iterations: int
+    krylov_precond: int  # raised attempts' iterations included
+    krylov_plain: int
     solver: str  # "pcg" | "pminres"
     converged: bool
     preconditioned: bool
     fallback_gradient: bool = False
+
+    @property
+    def krylov_iterations(self):
+        return self.krylov_precond + self.krylov_plain
 
 
 @dataclass
@@ -73,30 +78,36 @@ def truncated_newton_step(model, grad, precond, cfg):
     and the same solver again without the preconditioner when it breaks
     down (PreconditionerBreakdownError), each with the Krylov default of
     at most 10 n iterations.  Any other error propagates.  A non-descent
-    or NaN result is replaced by the steepest-descent direction.
+    or NaN result is replaced by the steepest-descent direction.  The
+    iterations an attempt made before it raised count with the
+    preconditioned or the plain ones, as that attempt ran.
     """
     rhs = -np.asarray(grad, dtype=np.float64)
     used_precond, solver = precond is not None, "pcg"
+    done = {True: 0, False: 0}  # iterations by whether preconditioned
     while True:
         try:
             report = (pcg if solver == "pcg" else pminres)(
                 model, precond if used_precond else None, rhs,
                 tol=cfg.krylov_tol)
             break
-        except IndefiniteOperatorError:
+        except IndefiniteOperatorError as exc:
             if solver != "pcg":
                 raise
+            done[used_precond] += exc.applies
             solver = "pminres"
-        except PreconditionerBreakdownError:
+        except PreconditionerBreakdownError as exc:
             if not used_precond:
                 raise
+            done[True] += exc.applies
             used_precond = False
+    done[used_precond] += report.iterations
 
     d = report.solution
     fallback = not float(d @ grad) < 0.0  # also a NaN direction
     if fallback:
         d = rhs.copy()
-    return TnStep(d, report.iterations, solver, report.converged,
+    return TnStep(d, done[True], done[False], solver, report.converged,
                   used_precond, fallback)
 
 
@@ -171,11 +182,11 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
     """
     Spectral projected gradient: `projected_descent` along
     d = P_box(x - alpha D grad) - x, D = identity or the preconditioner.
-    `precond` is None or a provider whose .get(x, g, s, y), with g the
-    gradient at x, returns (apply, free): `free` indexes the variables
-    left free (an index array, or slice(None) when nothing is pinned)
-    and `apply` acts on the gradient restricted to them.  The step takes
-    pgrad = g with pgrad[free] = apply(g[free]), the two-metric
+    `precond` is None or a callable precond(x, g, s, y), with g the
+    gradient at x, that returns (apply, free): `free` indexes the
+    variables left free (an index array, or slice(None) when nothing is
+    pinned) and `apply` acts on the gradient restricted to them.  The
+    step takes pgrad = g with pgrad[free] = apply(g[free]), the two-metric
     safeguard: bound-pinned components keep their raw gradient, clipped
     by the projection.  Each direction first updates the spectral
     coefficients from the previous step (s, y): alpha_bb = s's / s'y,
@@ -215,7 +226,7 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
 
         d = None
         if precond is not None:
-            prev = apply, free = precond.get(x, g, s, y)
+            prev = apply, free = precond(x, g, s, y)
             pgrad = g.copy()
             pgrad[free] = apply(g[free])
             d = project_box(x - alpha_p * pgrad, lower, upper) - x

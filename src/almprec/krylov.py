@@ -10,7 +10,10 @@ forms the true residual b - Ax on every iteration.
 A breakdown raises, never returns: IndefiniteOperatorError when CG
 meets p'Ap <= 0, and PreconditionerBreakdownError when a preconditioner
 gives r'P^-1 r <= 0, or NaN, for a nonzero r.  MINRES's exact Lanczos
-end (a zero residual vector, so beta = 0) is a normal stop.
+end (a zero residual vector, so beta = 0) is a normal stop.  Either
+error carries in `applies` the iterations begun before it, the failing
+one included: one operator apply each, as `KrylovReport.iterations`
+counts them (MINRES's true-residual products are not counted).
 """
 
 from dataclasses import dataclass, field
@@ -21,10 +24,18 @@ import numpy as np
 class IndefiniteOperatorError(RuntimeError):
     """CG breakdown: the operator is not positive definite."""
 
+    def __init__(self, message, applies=0):
+        super().__init__(message)
+        self.applies = applies
+
 
 class PreconditionerBreakdownError(ValueError):
     """r'P^-1 r is zero, negative or NaN for a nonzero r: the
     preconditioner argument is not positive definite."""
+
+    def __init__(self, message, applies=0):
+        super().__init__(message)
+        self.applies = applies
 
 
 @dataclass
@@ -50,17 +61,19 @@ def _arguments(op, precond, b, tol, maxit):
     return op, precond, b, maxit
 
 
-def _precondition(apply_prec, r):
+def _precondition(apply_prec, r, applies):
     """(z, r'z) with z = P^-1 r, or z = r itself without a
-    preconditioner.  Raises PreconditionerBreakdownError when a
-    preconditioner gives r'z <= 0 or NaN for a nonzero r."""
+    preconditioner.  Raises PreconditionerBreakdownError, carrying the
+    solver's `applies` so far, when a preconditioner gives r'z <= 0 or
+    NaN for a nonzero r."""
     if apply_prec is None:
         return r, float(r @ r)
     z = apply_prec(r)
     rz = float(r @ z)
     if not rz > 0.0 and r.any():
         raise PreconditionerBreakdownError(
-            "preconditioner is not positive definite: r'P^-1 r = %g" % rz)
+            "preconditioner is not positive definite: r'P^-1 r = %g" % rz,
+            applies)
     return z, rz
 
 
@@ -81,7 +94,7 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
     if normb == 0.0 or history[0] <= tol * normb:
         return KrylovReport(x, 0, history, True)
 
-    z, gamma = _precondition(apply_prec, r)
+    z, gamma = _precondition(apply_prec, r, 0)
     p = z.copy()
     iterations, converged = 0, False
     for _ in range(maxit):
@@ -89,7 +102,7 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteOperatorError(
-                "indefinite operator: p'Ap = %g" % pap)
+                "indefinite operator: p'Ap = %g" % pap, iterations + 1)
         alpha = gamma / pap
         x += alpha * p
         r -= alpha * ap
@@ -99,7 +112,7 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
         if res <= tol * normb:
             converged = True
             break
-        z, gamma_new = _precondition(apply_prec, r)
+        z, gamma_new = _precondition(apply_prec, r, iterations)
         p = z + (gamma_new / gamma) * p
         gamma = gamma_new
     return KrylovReport(x, iterations, history, converged)
@@ -121,7 +134,7 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         return KrylovReport(x, 0, history, True)
 
     r1 = b.copy()
-    y, beta1 = _precondition(apply_prec, r1)
+    y, beta1 = _precondition(apply_prec, r1, 0)
     beta1 = np.sqrt(beta1)
 
     oldb, beta, phibar = 0.0, beta1, beta1
@@ -140,7 +153,7 @@ def pminres(op, precond, b, tol=1e-8, maxit=None):
         r1 = r2
         r2 = y
         oldb = beta
-        y, beta = _precondition(apply_prec, r2)
+        y, beta = _precondition(apply_prec, r2, itn)
         beta = np.sqrt(beta)
 
         oldeps = epsln

@@ -28,6 +28,7 @@ class DenominatorBreakdownError(RuntimeError):
 
 LABEL_BFGS_Y = "bfgs-y"
 LABEL_BFGS_W = "bfgs-w"
+_SECANT_PAIR = frozenset((LABEL_BFGS_Y, LABEL_BFGS_W))
 
 
 class ColumnSet:
@@ -96,6 +97,11 @@ class ColumnSet:
                                  [self.labels[i] for i in order], self.notes)
 
     def without_labels(self, labels):
+        """The set without the columns `labels` names.  The secant pair
+        goes together: naming either of its columns drops both."""
+        labels = set(labels)
+        if labels & _SECANT_PAIR:
+            labels |= _SECANT_PAIR
         keep = [i for i, lab in enumerate(self.labels) if lab not in labels]
         return self.permuted(keep)
 
@@ -326,13 +332,8 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
                 signs += [1.0, -1.0]
                 labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
 
-    if free is None:
-        rows, size = slice(None), jacobian.shape[0]
-    else:
-        rows = np.asarray(free)
-        if rows.dtype == bool:  # a mask selects rows, as np.ix_ does
-            rows = np.flatnonzero(rows)
-        size = rows.size
+    rows, size = ((slice(None), jacobian.shape[0]) if free is None
+                  else (free, len(free)))
     # One scaled column at a time, straight into a block allocated
     # transposed, so it is column-major.
     columns = np.empty((len(signs), size)).T
@@ -357,7 +358,8 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
     refresh_aux = m_change > th.delta_m
 
     count_changed = prev_v.m != new_v.m
-    bfgs_changed = (_bfgs_labels(prev_v) != _bfgs_labels(new_v))
+    bfgs_changed = (_SECANT_PAIR.intersection(prev_v.labels)
+                    != _SECANT_PAIR.intersection(new_v.labels))
     prev_position = {label: i for i, label in enumerate(prev_v.labels)}
     v_change = 0.0
     for j, label in enumerate(new_v.labels):
@@ -377,8 +379,4 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
     else:
         reason = "none"
     return UpdateDecision(refresh_aux, refresh_b, reason)
-
-
-def _bfgs_labels(cols):
-    return tuple(l for l in cols.labels if l in (LABEL_BFGS_Y, LABEL_BFGS_W))
 

@@ -21,15 +21,13 @@ total over all of them:
 - `restricted`: the Hessian model that `hessian_model(..., free=idx)`
   builds at `x0` on a fixed free set (every third variable, from the
   first, pinned) for each grid problem: NW, QN, and QN with a fixed
-  secant pair.  A checkout whose `hessian_model` takes no `free` cuts
-  its full model with its `_restrict_model` instead, so against such a
-  parent the lines compare the two ways of building the reduced model,
-  even where no grid run pins a bound;
+  secant pair;
 - `restricted-memo`: per grid problem, with `hess f`, the Jacobian and
   the constraint Hessians frozen at `x0` as read-only constants, the
   same three models built through one per-solve memo (`_SolveMemo`)
-  over the free sets A, A, B, A, none (B another set of A's size), so
-  the memo's cached restriction is built, reused and replaced;
+  over the free sets A, A (the same array), B, A (a new array), none
+  (B another set of A's size), so the memo's cached restriction is
+  built, reused and replaced;
 - `fallback`: each numerical fallback, forced on a small input:
   - `aux-shift KIND`: the preconditioner manager's auxiliary build of
     an indefinite block (a 5-point Laplacian minus 4 I, whose zero
@@ -57,10 +55,7 @@ total over all of them:
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
   incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
   `M`, IC(0) and `exact` invert `M` exactly, so their structured
-  applies take the refinement step and its product with `M`.  A
-  checkout whose `KINDS` names its exact factorization `exact-dense`
-  runs that kind instead, under the label `exact`, so against such a
-  parent the `exact` lines compare the two factorizations.
+  applies take the refinement step and its product with `M`.
 
 An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh
@@ -89,7 +84,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import inspect  # noqa: E402
 import subprocess  # noqa: E402
 from dataclasses import replace  # noqa: E402
 
@@ -233,7 +227,6 @@ def restricted_runs(root):
     from almprec import alm
     from almprec.problems import get_problem
 
-    direct = "free" in inspect.signature(alm.hessian_model).parameters
     for name in _grid_config(root).problems:
         p = get_problem(name)
         pinned = np.arange(p.n) % 3 == 0
@@ -241,15 +234,10 @@ def restricted_runs(root):
         secant = (s, p.hess(p.x0) @ s + s)
         for label, mode, pair in (("NW", "NW", None), ("QN", "QN", None),
                                   ("QN-secant", "QN", secant)):
-            args = (p, p.x0, np.ones(p.m), 10.0, mode)
             try:
-                if direct:
-                    model = alm.hessian_model(
-                        *args, secant=pair, free=np.flatnonzero(~pinned))
-                else:
-                    model, _ = alm._restrict_model(
-                        alm.hessian_model(*args, secant=pair), ~pinned)
-                parts = _model_bytes(model)
+                parts = _model_bytes(alm.hessian_model(
+                    p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
+                    free=np.flatnonzero(~pinned)))
             except Exception as exc:
                 parts = [repr(exc).encode()]
             yield "restricted %s %s" % (name, label), _digest(parts)
@@ -283,7 +271,7 @@ def restricted_memo_runs(root):
         secant = (s, p.hess(p.x0) @ s + s)
         memo, parts = alm._SolveMemo(), []
         for mode, pair in (("NW", None), ("QN", None), ("QN", secant)):
-            for free in (first, first.copy(), other, first.copy(), None):
+            for free in (first, first, other, first.copy(), None):
                 try:
                     parts += _model_bytes(alm.hessian_model(
                         p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
@@ -384,18 +372,15 @@ def workload_runs():
 
 def experiment_runs():
     """(label, digest) for every seeded spectral and linsys experiment."""
-    from almprec.auxprecond import KINDS
     from almprec.bench import ExperimentConfig, rows_to_csv, run_experiment
 
     for kind in ("spectral", "linsys"):
         for aux_kind, density, drop_tols in EXPERIMENTS:
             for seed in EXPERIMENT_SEEDS:
-                run_kind = (aux_kind if aux_kind in KINDS
-                            else {"exact": "exact-dense"}[aux_kind])
                 cfg = ExperimentConfig(kind=kind, n=30, density=density,
                                        m=3, seed=seed,
                                        drop_tol_list=drop_tols,
-                                       aux_kind=run_kind)
+                                       aux_kind=aux_kind)
                 try:
                     parts = [rows_to_csv(run_experiment(cfg),
                                          time_column_stable=True).encode()]

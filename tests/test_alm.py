@@ -19,7 +19,8 @@ from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
 from almprec.sparse import SparseSymmetricMatrix
-from almprec.structured import LABEL_BFGS_Y, ColumnSet, UpdateThresholds
+from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
+                                DenominatorBreakdownError, UpdateThresholds)
 
 
 def dense_model(model):
@@ -590,10 +591,11 @@ def _hess_with_threes():
 
 
 def _free_sequence():
-    """The free sets A, A, B, A, None, with B of A's size; each set is
-    a new array."""
+    """The free sets A, A, B, A, None, with B of A's size.  The repeat
+    is the same array, as `_Subproblem.free_system` passes it on; the
+    return to A is a new one."""
     a, b = np.array([0, 1, 3, 4]), np.array([1, 2, 4, 5])
-    return [a, a.copy(), b, a.copy(), None]
+    return [a, a, b, a.copy(), None]
 
 
 class TestRestrictionMemo:
@@ -634,8 +636,8 @@ class TestRestrictionMemo:
         if cancels:
             assert all(np.count_nonzero(m.rows == m.cols) == m.n - 2
                        for m in models[:4])
-        # The repeated set reuses the restriction, the set after B builds
-        # a new one.
+        # The repeated set reuses the restriction; the new array after B
+        # builds a new one.
         if mode == "NW":
             assert models[1] is models[0] and models[3] is not models[0]
         elif not cancels:
@@ -673,6 +675,58 @@ class TestRestrictionMemo:
                 assert _same_bytes(got, want)
                 labels.add(got.cols.labels)
         assert len(labels) > 1
+
+
+class TestFreeSetOwner:
+    """_Subproblem.free_system is the one place that tells one free set
+    from another: it compares each set by value with the one the caches
+    hold and, while the two are equal, passes that same array on.  So
+    the memo restricts hess f once per change, and the manager builds
+    the auxiliary once per change."""
+
+    @pytest.mark.parametrize("mode", ["NW", "QN"])
+    def test_one_restriction_and_one_build_per_change(self, monkeypatch,
+                                                      mode):
+        hess, jac = _hess_with_threes(), _frozen(_memo_jac())
+        zero = _frozen(np.zeros((6, 6)))
+        p = _memo_problem(lambda x: hess, lambda i, x: zero, lambda x: jac)
+        a = np.array([True, False, False, True, False, False])
+        none = np.zeros(6, dtype=bool)
+        # (active mask, whether it changes the free set): the first set,
+        # a repeat, a fresh but equal mask, another set, nothing pinned
+        # twice, then a fresh mask equal to the first.
+        script = [(a, True), (a, False), (a.copy(), False),
+                  (np.roll(a, 1), True), (none, True), (none.copy(), False),
+                  (a.copy(), True)]
+        masks = iter([mask for mask, _ in script])
+        monkeypatch.setattr(alm, "active_bound_mask",
+                            lambda *args, **kwargs: next(masks))
+        restrictions = []
+        submatrix = SparseSymmetricMatrix.submatrix
+
+        def counted_submatrix(self, idx):
+            restrictions.append(idx)
+            return submatrix(self, idx)
+        monkeypatch.setattr(SparseSymmetricMatrix, "submatrix",
+                            counted_submatrix)
+        cfg = AlmConfig(hessian_mode=mode, precond_policy="once")
+        manager = PrecondManager(cfg)
+        sub = alm._Subproblem(p, np.zeros(p.m), cfg.rho1, cfg, manager,
+                              alm._SolveMemo())
+        z, g = np.zeros(6), np.ones(6)
+        frees = []
+        for mask, changes in script:
+            before = len(restrictions), manager.ac_m
+            _, _, free = sub.free_system(z, g, None, None)
+            frees.append(free)
+            assert manager.ac_m - before[1] == changes
+            assert len(restrictions) - before[0] == (changes
+                                                     and mask.any())
+        assert manager.ac_v == 0
+        assert frees[1] is frees[0] and frees[2] is frees[0]
+        assert frees[4] == frees[5] == slice(None)
+        assert frees[6] is not frees[0]
+        np.testing.assert_array_equal(frees[6], frees[0])
 
 
 def _dense_problem(hess):
@@ -860,6 +914,28 @@ class TestFreeModel:
         model = self._check(p, p.x0, np.zeros(3), mode, None, mask)
         assert model.cols.labels == (2,)
         assert model.cols.n == model.m_part.n == 3
+
+    def test_hs63_nw_sum_cut_first_equals_the_full_sum_cut_down(self):
+        # HS63's second constraint Hessian, 2 I, enters the Newton sum.
+        # Cut to the free set before `plus`, each entry is summed as in
+        # the full sum, so the model is that sum cut down, bit for bit;
+        # lam_hat_2 = 1 at x0 cancels hess f's diagonal entries -2
+        # exactly, and both ways drop them.
+        p = get_problem("HS63")
+        rng = np.random.default_rng(23)
+        points = [(p.x0, np.array([0.0, 131.0]))]
+        points += [(rng.uniform(0.5, 3.0, 3), 10.0 * rng.standard_normal(2))
+                   for _ in range(4)]
+        for x, lam in points:
+            for pinned in range(3):
+                mask = np.arange(3) != pinned
+                model = self._check(p, x, lam, "NW", None, mask)
+                cut_f = SparseSymmetricMatrix.from_dense(
+                    p.hess(x)).submatrix(np.flatnonzero(mask))
+                assert not _same_matrix(model.m_part, cut_f)
+        cancelled = self._check(p, p.x0, points[0][1], "NW", None,
+                                np.array([True, False, True]))
+        assert cancelled.m_part.nnz == 1  # only the off-diagonal -1
 
     def test_a_single_free_variable(self):
         p = get_problem("HS41")
@@ -1105,26 +1181,35 @@ class TestPrecondManager:
     def test_once_policy_rebuilds_for_another_free_set_of_same_size(self):
         p = get_problem("HS41")
         mgr = PrecondManager(AlmConfig(precond_policy="once"))
-        for free in ((0, 1), (0, 1), (2, 3), (2, 3), None):
-            reduced = hessian_model(
-                p, p.x0, np.zeros(p.m), 10.0, "NW",
-                free=None if free is None else np.array(free))
+        a, b = np.array([0, 1]), np.array([2, 3])
+        for free in (a, a, b, b, None):
+            reduced = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "NW",
+                                    free=free)
             mgr.get(reduced, free=free)
         # One build per change of the free set, none for a repeat.
         assert mgr.ac_m == 3 and mgr.ac_v == 0
 
-    def test_array_and_tuple_free_sets_are_one_set(self):
-        p = get_problem("HS41")
-        mgr = PrecondManager(AlmConfig(precond_policy="once"))
-        got = []
-        for free in ((0, 1), np.array([0, 1]), [0, 1], np.array([2, 3]),
-                     (2, 3), np.array([0, 1, 2]), (0, 1, 2)):
-            reduced = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "NW",
-                                    free=np.array(free))
-            got.append(mgr.get(reduced, free=free))
-        assert mgr.ac_m == 3 and mgr.ac_v == 0
-        assert got[0] is got[1] is got[2] and got[3] is got[4]
-        assert got[5] is got[6] and got[2] is not got[3]
+    @pytest.mark.parametrize("label", [LABEL_BFGS_Y, LABEL_BFGS_W])
+    def test_a_secant_breakdown_drops_the_pair_once(self, monkeypatch,
+                                                    label):
+        p = get_problem("EQ-QP")
+        s = np.array([1.0, 0.5])
+        model = hessian_model(p, np.ones(2), np.zeros(1), 4.0, "QN",
+                              secant=(s, 3.0 * s))
+        assert model.cols.labels[-2:] == (LABEL_BFGS_Y, LABEL_BFGS_W)
+        built = []
+        precond = alm.StructuredPrecond
+
+        def breaking(aux, cols):
+            built.append(cols.labels)
+            if label in cols.labels:
+                raise DenominatorBreakdownError("forced", label=label)
+            return precond(aux, cols)
+        monkeypatch.setattr(alm, "StructuredPrecond", breaking)
+        mgr = PrecondManager(AlmConfig())
+        mgr.get(model)
+        assert built == [model.cols.labels, model.cols.labels[:-2]]
+        assert mgr.column_drops == 1
 
     def test_every_outer_policy(self):
         mgr = PrecondManager(AlmConfig(precond_policy="every-outer"))
@@ -1203,7 +1288,7 @@ class TestAlmSolve:
         and evaluates none itself."""
         in_provider = False
         provider_gets = grads_in_provider = 0
-        get = alm._Subproblem.get
+        get = alm._Subproblem.free_system
         eval_grad = alm.eval_al_grad
 
         def tracked_get(self, *args):
@@ -1219,7 +1304,7 @@ class TestAlmSolve:
             nonlocal grads_in_provider
             grads_in_provider += in_provider
             return eval_grad(*args)
-        monkeypatch.setattr(alm._Subproblem, "get", tracked_get)
+        monkeypatch.setattr(alm._Subproblem, "free_system", tracked_get)
         monkeypatch.setattr(alm, "eval_al_grad", tracked_grad)
         rep = alm_solve(get_problem("HS41"), AlmConfig(inner_solver="pspg"))
         assert rep.converged
@@ -1227,21 +1312,23 @@ class TestAlmSolve:
         assert grads_in_provider == 0
 
     def test_pspg_provider_gives_the_reduced_apply_and_its_index(self):
-        """get(z, g, s, y) returns (apply, free) as free_system indexes
-        for truncated Newton: free indices when a bound is pinned, else
-        slice(None), and an apply on the free variables only."""
+        """free_system(z, g, s, y) gives the preconditioner and the index
+        `free` that both solvers scatter with: free indices when a bound
+        is pinned, else slice(None), and an apply on the free variables
+        only."""
         p = get_problem("BOX-QP")  # f = |x - (2, 2)|^2 on [0, 1]^2
         cfg = AlmConfig(inner_solver="pspg")
         sub = alm._Subproblem(p, np.zeros(0), cfg.rho1, cfg,
                               PrecondManager(cfg), alm._SolveMemo())
         z = np.array([1.0, 0.5])
-        apply, free = sub.get(z, sub.grad(z), None, None)
+        _, precond, free = sub.free_system(z, sub.grad(z), None, None)
         np.testing.assert_array_equal(free, [1])
-        np.testing.assert_allclose(apply(np.array([4.0])), [2.0])
+        np.testing.assert_allclose(precond.apply(np.array([4.0])), [2.0])
         z = np.array([0.5, 0.5])
-        apply, free = sub.get(z, sub.grad(z), None, None)
+        _, precond, free = sub.free_system(z, sub.grad(z), None, None)
         assert free == slice(None)
-        np.testing.assert_allclose(apply(np.array([4.0, 2.0])), [2.0, 1.0])
+        np.testing.assert_allclose(precond.apply(np.array([4.0, 2.0])),
+                                   [2.0, 1.0])
 
     def test_truncated_newton_preconditions_the_reduced_system(
             self, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from almprec import inner
+from almprec.krylov import IndefiniteOperatorError, pcg, pminres
 from almprec.inner import (InnerConfig, active_bound_mask, project_box,
                            projected_descent, spg_solve, truncated_newton_step)
 
@@ -129,6 +130,48 @@ class TestTruncatedNewtonBreakdown:
         assert len(calls) == 2
 
 
+class TestKrylovWorkBeforeAFallback:
+    """The iterations a Krylov attempt made before it raised count in
+    the step, with the preconditioned or the plain ones as that attempt
+    ran."""
+
+    # CG from b = (1, 0.1) on diag(1, -1) meets p'Ap < 0 at its second
+    # apply: the second direction is A-conjugate to the first.
+    A = np.diag([1.0, -1.0])
+    GRAD = -np.array([1.0, 0.1])
+
+    @pytest.mark.parametrize("precond", [None, lambda r: r.copy()],
+                             ids=["plain", "preconditioned"])
+    def test_cg_applies_count_with_the_minres_iterations(self, monkeypatch,
+                                                         precond):
+        with pytest.raises(IndefiniteOperatorError) as raised:
+            pcg(lambda v: self.A @ v, precond, -self.GRAD)
+        k = raised.value.applies
+        assert k == 2
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(pminres(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(inner, "pminres", recorded)
+        step = truncated_newton_step(lambda v: self.A @ v, self.GRAD,
+                                     precond, InnerConfig())
+        assert step.solver == "pminres" and len(runs) == 1
+        assert step.krylov_iterations == k + runs[0].iterations
+        assert (step.krylov_precond if precond else step.krylov_plain) \
+            == step.krylov_iterations
+
+    def test_preconditioned_applies_count_apart_from_the_rerun(self):
+        # The preconditioner turns indefinite on its second call, after
+        # one preconditioned CG iteration; plain CG then takes two.
+        sign = iter([1.0, -1.0])
+        a = np.diag([1.0, 2.0])
+        step = truncated_newton_step(lambda v: a @ v, -np.ones(2),
+                                     lambda r: next(sign) * r, InnerConfig())
+        assert step.solver == "pcg" and not step.preconditioned
+        assert (step.krylov_precond, step.krylov_plain) == (1, 2)
+
+
 class TestSpg:
     def test_unconstrained_quadratic(self):
         rng = np.random.default_rng(1)
@@ -171,11 +214,10 @@ class TestSpg:
         cfg = InnerConfig(grad_tol=1e-8, max_iterations=500)
         plain = spg_solve(f, g, lower, upper, np.zeros(4), cfg)
 
-        class Prov:
-            def get(self, z, g, s, y):
-                return (lambda r: r / diag), slice(None)
+        def prov(z, g, s, y):
+            return (lambda r: r / diag), slice(None)
         prec = spg_solve(f, g, lower, upper, np.zeros(4), cfg,
-                         precond=Prov())
+                         precond=prov)
         assert prec.status == "converged"
         assert prec.iterations <= plain.iterations
         assert prec.iterations <= 3
@@ -187,15 +229,13 @@ class TestSpg:
         f, g = quad(np.diag(diag), np.array([50.0, -1.0]))
         seen = []
 
-        class Prov:
-            def get(self, z, g, s, y):
-                free = np.flatnonzero(~active_bound_mask(z, g, lower,
-                                                         upper))
-                seen.append(free.tolist())
-                return (lambda r: r / diag[free]), free
+        def prov(z, g, s, y):
+            free = np.flatnonzero(~active_bound_mask(z, g, lower, upper))
+            seen.append(free.tolist())
+            return (lambda r: r / diag[free]), free
         lower, upper = np.zeros(2), np.full(2, np.inf)
         res = spg_solve(f, g, lower, upper, np.array([3.0, 0.0]),
-                        InnerConfig(grad_tol=1e-9), precond=Prov())
+                        InnerConfig(grad_tol=1e-9), precond=prov)
         assert res.status == "converged" and res.iterations == 1
         assert seen == [[0]]
         np.testing.assert_array_equal(res.x, [1.0, 0.0])
@@ -292,7 +332,7 @@ class _ReducedInverse:
         self.lower, self.upper = lower, upper
         self.frees, self.secant = [], []
 
-    def get(self, z, g, s, y):
+    def __call__(self, z, g, s, y):
         act = active_bound_mask(z, g, self.lower, self.upper)
         free = np.flatnonzero(~act) if act.any() else slice(None)
         self.frees.append(np.flatnonzero(~act).tolist())
@@ -333,7 +373,7 @@ def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, cfg, provider):
                         alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
             elif sy <= 0.0 and ss > 0.0:
                 alpha_bb = cfg.alpha_max
-        apply, free = provider.get(x, g, s, y)
+        apply, free = provider(x, g, s, y)
         apply_p = apply if isinstance(free, slice) \
             else scatter(apply, free, x.size)
         act = active_bound_mask(x, g, lower, upper)

@@ -190,3 +190,50 @@ class TestPreconditionerBreakdown:
         rep = solver(lambda v: np.full_like(v, np.nan), None, np.ones(3),
                      maxit=4)
         assert not rep.converged
+
+
+def _counted(a, calls):
+    """The operator v -> a v, recording each call in `calls`."""
+    def apply(v):
+        calls.append(v)
+        return a @ v
+    return apply
+
+
+class TestAppliesBeforeARaise:
+    """A breakdown error carries the operator applies of the recurrence
+    made before it: one per iteration begun, the failing one included."""
+
+    def test_cg_counts_the_apply_that_met_negative_curvature(self):
+        # The first direction has p'Ap > 0; the second, A-conjugate to
+        # it, has p'Ap < 0, since diag(1, -1) has one negative eigenvalue.
+        calls = []
+        with pytest.raises(IndefiniteOperatorError) as raised:
+            pcg(_counted(np.diag([1.0, -1.0]), calls), None,
+                np.array([1.0, 0.1]))
+        assert raised.value.applies == len(calls) == 2
+
+    def test_cg_breakdown_counts_the_iterations_before_it(self):
+        # A preconditioner that turns indefinite on its second call.
+        calls, sign = [], iter([1.0, -1.0])
+        with pytest.raises(PreconditionerBreakdownError) as raised:
+            pcg(_counted(np.diag([1.0, 2.0]), calls),
+                lambda r: next(sign) * r, np.ones(2))
+        assert raised.value.applies == len(calls) == 1
+
+    def test_breakdown_before_any_apply_counts_none(self):
+        for solver in (pcg, pminres):
+            calls = []
+            with pytest.raises(PreconditionerBreakdownError) as raised:
+                solver(_counted(np.eye(2), calls), lambda r: SWAP @ r,
+                       np.array([1.0, 0.0]))
+            assert raised.value.applies == len(calls) == 0
+
+    def test_minres_counts_its_lanczos_steps(self):
+        # The breakdown of test_minres_breakdown_mid_run_raises, in the
+        # first Lanczos step, after its one apply.
+        calls = []
+        with pytest.raises(PreconditionerBreakdownError) as raised:
+            pminres(_counted(np.diag([1.0, -1.0]), calls),
+                    lambda r: SWAP @ r, np.ones(2))
+        assert raised.value.applies == len(calls) == 1

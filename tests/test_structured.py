@@ -312,6 +312,18 @@ class TestColumnSet:
         assert kept.labels == ("b",)
         assert kept.m == 1
 
+    @pytest.mark.parametrize("named", [LABEL_BFGS_Y, LABEL_BFGS_W])
+    def test_naming_either_secant_column_drops_both(self, named):
+        given = np.arange(12.0).reshape(3, 4)
+        cols = ColumnSet(3, given, [1.0, 1.0, 1.0, -1.0],
+                         [0, 1, LABEL_BFGS_Y, LABEL_BFGS_W])
+        kept = cols.without_labels((named,))
+        assert kept.labels == (0, 1)
+        assert kept.columns.tobytes() == np.asfortranarray(
+            given[:, :2]).tobytes()
+        assert cols.without_labels((0,)).labels == (1, LABEL_BFGS_Y,
+                                                    LABEL_BFGS_W)
+
     def test_columns_and_signs_are_read_only(self):
         cols = ColumnSet(2, np.eye(2), [1.0, -1.0], ["a", "b"])
         with pytest.raises(ValueError, match="read-only"):
