@@ -26,6 +26,12 @@ from .structured import assemble_B  # noqa: F401
 INNER_SOLVERS = ("truncated-newton", "spg", "pspg")
 HESSIAN_MODES = ("NW", "QN")
 PRECOND_POLICIES = ("auto", "every-outer", "once")
+# Each subproblem after the first is solved to the projected-gradient
+# tolerance max(effective_inner_tol, INNER_TOL_PER_MEASURE * measure),
+# measure being update_penalty's progress measure after the outer
+# iteration before it (LANCELOT, Conn, Gould & Toint 1991; ALGENCAN,
+# Birgin & Martinez 2014).
+INNER_TOL_PER_MEASURE = 5e-4
 
 
 @dataclass
@@ -46,7 +52,9 @@ class AlmConfig:
     drop_tol: float = 1e-2
     precond_policy: str = "auto"  # see PrecondManager
     sigma_min: float = 1e-8
-    inner_tol: Optional[float] = None  # defaults to eps_opt / 10
+    # The first subproblem's projected-gradient tolerance and the floor
+    # of every later one's (INNER_TOL_PER_MEASURE); None: eps_opt / 10.
+    inner_tol: Optional[float] = None
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
@@ -69,6 +77,12 @@ class AlmConfig:
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1, got %r"
                              % self.max_outer)
+        for name, value in (("eps_opt", self.eps_opt),
+                            ("eps_feas", self.eps_feas),
+                            ("inner_tol", self.effective_inner_tol)):
+            if not value > 0.0:  # NaN fails too
+                raise ValueError("%s must be positive, got %r"
+                                 % (name, value))
 
     @property
     def effective_inner_tol(self):
@@ -508,10 +522,11 @@ class _SubStats:
     status: str = ""  # the inner solver's SpgResult status
 
 
-def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo):
+def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
     """Minimise the merit over the box from x with the configured inner
-    solver.  Returns (x, stats)."""
-    icfg = replace(cfg.inner, grad_tol=cfg.effective_inner_tol)
+    solver, to the projected-gradient tolerance `grad_tol`.  Returns
+    (x, stats)."""
+    icfg = replace(cfg.inner, grad_tol=grad_tol)
     sub = _Subproblem(p, lam_bar, rho, cfg, manager, memo)
     stats = _SubStats()
 
@@ -555,6 +570,7 @@ def alm_solve(p, cfg=None):
     lam_bar = np.zeros(p.m)
     rho = cfg.rho1
     prev_measure = None
+    grad_tol = cfg.effective_inner_tol  # the first subproblem's
     history = []
     totals = _SubStats()
     status = "no convergence"
@@ -562,7 +578,7 @@ def alm_solve(p, cfg=None):
     for outer in range(1, cfg.max_outer + 1):
         manager.notify_outer()
         x, stats = _solve_subproblem(p, x, lam_bar, rho, cfg, manager,
-                                     memo)
+                                     memo, grad_tol)
         totals.iterations += stats.iterations
         totals.krylov_precond += stats.krylov_precond
         totals.krylov_plain += stats.krylov_plain
@@ -585,6 +601,8 @@ def alm_solve(p, cfg=None):
 
         rho, prev_measure = update_penalty(rho, prev_measure, c, lam_bar,
                                            p.equality, cfg.tau, cfg.gamma)
+        grad_tol = max(cfg.effective_inner_tol,
+                       INNER_TOL_PER_MEASURE * prev_measure)
         lam_bar = safeguard(lam_hat, p.equality, cfg)
 
     return AlmReport(

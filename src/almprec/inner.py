@@ -19,7 +19,7 @@ from .krylov import (IndefiniteOperatorError, PreconditionerBreakdownError,
 
 @dataclass
 class InnerConfig:
-    grad_tol: float = 1e-7
+    grad_tol: float = 1e-7  # alm_solve sets it per subproblem
     max_iterations: int = 500
     krylov_tol: float = 1e-8
     memory: int = 10

@@ -31,6 +31,17 @@ LABEL_BFGS_W = "bfgs-w"
 _SECANT_PAIR = frozenset((LABEL_BFGS_Y, LABEL_BFGS_W))
 
 
+def _check_finite(a):
+    """Raise ValueError unless every entry of `a` is finite.  A finite
+    sum proves it without a temporary the size of `a` (a NaN or an
+    infinity makes the sum NaN or infinite); only a sum that is not
+    finite, which an overflow can also give, reads the entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not (np.isfinite(total) or np.isfinite(a).all()):
+        raise ValueError("columns must be finite")
+
+
 class ColumnSet:
     """
     Ordered dense columns with per-column signs and provenance labels.
@@ -52,11 +63,14 @@ class ColumnSet:
     def __init__(self, n, columns, signs, labels, notes=()):
         self._hold(n, np.array(columns, dtype=np.float64, order="F"),
                    signs, labels, notes)
+        _check_finite(self.columns)
 
     @classmethod
     def _owning(cls, n, columns, signs, labels, notes=()):
         """A set on `columns`, a new column-major float64 array that
-        nothing else holds: it is frozen, not copied."""
+        nothing else holds: it is frozen, not copied.  Its entries are
+        not checked: the caller has checked them, or taken them from a
+        set that was checked."""
         cols = cls.__new__(cls)
         cols._hold(n, columns, signs, labels, notes)
         return cols
@@ -75,8 +89,6 @@ class ColumnSet:
             repeated = next(lab for lab in labels if labels.count(lab) > 1)
             raise ValueError("labels must be distinct; %r repeats"
                              % (repeated,))
-        if not np.all(np.isfinite(columns)):
-            raise ValueError("columns must be finite")
         columns.flags.writeable = False
         signs.flags.writeable = False
         self.n = n
@@ -340,6 +352,7 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     sources = [(jacobian[:, i], np.sqrt(rho)) for i in order.tolist()]
     for j, (u, scale) in enumerate(sources + pair):
         np.multiply(u[rows], scale, out=columns[:, j])
+    _check_finite(columns)
     cols = ColumnSet._owning(columns.shape[0], columns, signs, labels, notes)
     if free is not None:
         kept = np.flatnonzero(column_norms(columns) > 1e-12)

@@ -3,6 +3,7 @@ the solver driver."""
 
 import csv
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          kkt_residuals, safeguard, shifted_multipliers,
                          update_penalty)
 from almprec.bench import ExperimentConfig, run_alm_experiment
+from almprec.inner import InnerConfig
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
 from almprec.sparse import SparseSymmetricMatrix
@@ -1401,6 +1403,66 @@ class TestAlmSolve:
         assert cfg.effective_inner_tol == pytest.approx(1e-5)
         cfg = AlmConfig(inner_tol=1e-3)
         assert cfg.effective_inner_tol == 1e-3
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("name", ["eps_opt", "eps_feas", "inner_tol"])
+    def test_config_rejects_a_tolerance_not_positive(self, name, value):
+        with pytest.raises(ValueError, match="^%s must be positive" % name):
+            AlmConfig(**{name: value})
+
+
+def _subproblem_tolerances(monkeypatch, p, cfg):
+    """Solve p and return (report, the projected-gradient tolerance each
+    subproblem's inner solver received, the progress measure
+    update_penalty returned after each outer iteration)."""
+    tols, measures = [], []
+    for name in ("projected_descent", "spg_solve"):
+        def recording(*args, _solver=getattr(alm, name), **kwargs):
+            tols.append(args[5].grad_tol)  # the InnerConfig
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(alm, name, recording)
+    penalty = alm.update_penalty
+
+    def recording_penalty(*args):
+        rho, measure = penalty(*args)
+        measures.append(measure)
+        return rho, measure
+    monkeypatch.setattr(alm, "update_penalty", recording_penalty)
+    return alm_solve(p, cfg), tols, measures
+
+
+class TestSubproblemTolerance:
+    """The first subproblem is solved to effective_inner_tol, each later
+    one to max(effective_inner_tol, INNER_TOL_PER_MEASURE * measure) with
+    the measure of the outer iteration before it."""
+
+    @pytest.mark.parametrize("solver", alm.INNER_SOLVERS)
+    @pytest.mark.parametrize("name", ["HS41", "C4-SYN"])
+    def test_tolerance_follows_the_progress_measure(self, monkeypatch,
+                                                    name, solver):
+        cfg = AlmConfig(inner_solver=solver, hessian_mode="QN")
+        rep, tols, measures = _subproblem_tolerances(
+            monkeypatch, get_problem(name), cfg)
+        assert rep.converged
+        floor = cfg.effective_inner_tol
+        assert len(tols) == rep.outer_iterations == len(measures) + 1
+        assert tols == [floor] + [
+            max(floor, alm.INNER_TOL_PER_MEASURE * v) for v in measures]
+        assert max(tols) > floor  # the rule loosened some subproblem
+
+    def test_unconstrained_problem_stays_at_the_floor(self, monkeypatch):
+        """BOX-QP has no constraints, so its measure is 0.  With a quartic
+        objective and one SPG iteration per subproblem it takes every
+        outer iteration it is given."""
+        p = replace(get_problem("BOX-QP"),
+                    f=lambda x: float(np.sum((x - 0.5) ** 4)),
+                    grad=lambda x: 4.0 * (x - 0.5) ** 3)
+        cfg = AlmConfig(inner_solver="spg", inner_tol=1e-9, max_outer=4,
+                        inner=InnerConfig(max_iterations=1))
+        rep, tols, measures = _subproblem_tolerances(monkeypatch, p, cfg)
+        assert rep.outer_iterations == 4
+        assert measures == [0.0] * 4
+        assert tols == [1e-9] * 4
 
 
 def test_thresholds_default_values():

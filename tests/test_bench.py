@@ -285,6 +285,17 @@ class TestCli:
         assert ("%s:2: bad value for 'alm.max_outer': max_outer must be at "
                 "least 1" % conf) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("eps_opt", "nan"), ("eps_feas", "-1"), ("inner_tol", "0")])
+    def test_bad_tolerance_names_key_and_line(self, tmp_path, capsys, key,
+                                              value):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = HS48\nalm.%s = %s\n" % (key, value))
+        rc = main(["solve", "--config", str(conf)])
+        assert rc == 2
+        assert ("%s:2: bad value for 'alm.%s': %s must be positive"
+                % (conf, key, key)) in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, line", [
         ("linsys", "m = -1"), ("solve", "rho_list ="),
         ("linsys", "aux_kind = exact-dense"),

@@ -306,6 +306,17 @@ class TestColumnSet:
             ColumnSet(2, np.ones((2, 3)), [1.0, -1.0, 1.0],
                       [0, LABEL_BFGS_Y, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_columns_must_be_finite(self, bad):
+        given = np.ones((3, 2))
+        given[1, 1] = bad
+        with pytest.raises(ValueError, match="columns must be finite"):
+            ColumnSet(3, given, [1.0, 1.0], [0, 1])
+
+    def test_finite_columns_whose_sum_overflows_are_accepted(self):
+        given = np.full((3, 2), 1e308)
+        assert ColumnSet(3, given, [1.0, 1.0], [0, 1]).m == 2
+
     def test_without_labels(self):
         cols = ColumnSet(2, np.eye(2), [1.0, 1.0], ["a", "b"])
         kept = cols.without_labels(("a",))
@@ -533,6 +544,52 @@ class TestBuildColumnSet:
         cols = build_column_set([[1.0], [0.0]], IN, [0.5], [0.0], 2.0,
                                 self.th)
         assert cols.m == 1
+
+    @pytest.mark.parametrize("free", [None, np.array([0, 2])],
+                             ids=["full", "free"])
+    def test_a_kept_column_must_be_finite(self, free):
+        jac = np.ones((3, 2))
+        jac[2, 1] = np.nan
+        with pytest.raises(ValueError, match="columns must be finite"):
+            build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0,
+                             self.th, free=free)
+
+    def test_only_the_rows_kept_are_checked(self):
+        jac = np.ones((3, 2))
+        jac[1, 1] = np.nan
+        cols = build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0,
+                                self.th, free=np.array([0, 2]))
+        assert np.isfinite(cols.columns).all()
+
+    def test_scaled_columns_must_be_finite(self):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="columns must be finite"):
+            build_column_set([[1e300], [0.0]], EQ, [1.0], [0.0], 1e20,
+                             self.th, norms=np.array([1e300]))
+
+    def test_secant_columns_must_be_finite(self):
+        s = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="columns must be finite"):
+            build_column_set([[1.0], [0.0]], EQ, [1.0], [0.0], 2.0,
+                             self.th, secant=(s, s, np.array([1.0, np.nan])))
+
+    def test_finiteness_is_checked_once_per_build(self, monkeypatch):
+        """One check of the gathered block; a set derived from a checked
+        set (the restricted drop, `permuted`) is not checked again."""
+        checked = []
+        check = structured._check_finite
+        monkeypatch.setattr(structured, "_check_finite",
+                            lambda a: checked.append(a.shape) or check(a))
+        jac = np.zeros((4, 3))
+        jac[0, 1] = 1.0
+        jac[:, [0, 2]] = 1.0
+        cols = build_column_set(jac, EQ * 3, [1.0] * 3, [0.0] * 3, 2.0,
+                                self.th, free=np.arange(1, 4))
+        assert sorted(cols.labels) == [0, 2]  # column 1 dropped
+        assert checked == [(3, 3)]
+        cols.permuted([1, 0])
+        cols.without_labels((0,))
+        assert checked == [(3, 3)]
 
     def test_relaxation_needs_both_small(self):
         tiny_grad = [[1e-4], [0.0]]
