@@ -58,6 +58,11 @@ class AlmConfig:
     inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
+        for name in ("rho1", "gamma", "lam_min", "lam_max", "mu_max",
+                     "sigma_min"):
+            value = getattr(self, name)
+            if value != value:
+                raise ValueError("%s must not be NaN" % name)
         if self.rho1 <= 0 or self.gamma <= 1 or not 0 < self.tau < 1:
             raise ValueError("require rho1 > 0, gamma > 1, 0 < tau < 1")
         if self.lam_min >= self.lam_max or self.mu_max <= 0:

@@ -42,6 +42,10 @@ class AuxPrecond:
     It returns a new array, which the caller may overwrite: `identity`
     and `jacobi` keep the layout of r, and the factored kinds return a
     block column-major.
+
+    IC is `split`: M^-1 ~ L^-T L^-1, and `apply(r, half="forward")` gives
+    L^-1 r, `apply(r, half="backward")` L^-T r, the two solves of a whole
+    apply.  The other kinds have no halves.
     """
 
     def __init__(self, kind, n, nnz, inv_diag=None, lu=None, shift=0.0,
@@ -54,11 +58,18 @@ class AuxPrecond:
         self.shift = shift
         self.inverts = inverts
 
-    def apply(self, r):
+    @property
+    def split(self):
+        return self.kind == "incomplete-cholesky"
+
+    def apply(self, r, half=None):
         r = np.asarray(r, dtype=np.float64)
         if r.ndim not in (1, 2) or r.shape[0] != self.n:
             raise ValueError("dimension mismatch: expected length %d or "
                              "an (%d, k) block" % (self.n, self.n))
+        if half is not None and not (self.split
+                                     and half in ("forward", "backward")):
+            raise ValueError("%s has no half %r" % (self.kind, half))
         if self.kind == "identity":
             return r.copy(order="K")
         if self.kind == "jacobi":
@@ -69,17 +80,25 @@ class AuxPrecond:
             return np.einsum("i,ij->ij", self._inv_diag, r)
         if self.kind == "exact":
             return self._lu.solve(r)
+        if half == "backward":
+            return self._backward(r)
         x = self._lu.solve(r)
-        if r.ndim == 1:
+        return x if half == "forward" else self._backward(x, out=x)
+
+    def _backward(self, x, out=None):
+        """L^-T x, into `out` (a new array by default) for a block."""
+        if x.ndim == 1:
             return self._lu.solve(x, trans="T")
-        # L^-T overwrites L^-1 r in slices of a quarter of the columns, so
-        # a large block holds one n x k array and a quarter of another.  A
-        # slice takes at least eight columns: each solve call has a fixed
-        # cost, which dominates on small blocks.
+        if out is None:
+            out = np.empty(x.shape, order="F")
+        # L^-T is written into `out` in slices of a quarter of the
+        # columns, so beside x and `out` a large block holds a quarter of
+        # an n x k array.  A slice takes at least eight columns: each
+        # solve call has a fixed cost, which dominates on small blocks.
         step = max(8, -(-x.shape[1] // 4))
         for j in range(0, x.shape[1], step):
-            x[:, j:j + step] = self._lu.solve(x[:, j:j + step], trans="T")
-        return x
+            out[:, j:j + step] = self._lu.solve(x[:, j:j + step], trans="T")
+        return out
 
 
 def build_aux(m, kind, drop_tol=None):

@@ -2,8 +2,12 @@
 structured.py
 
 The structured preconditioner: [M + sum_i s_i v_i v_i']^-1 with the
-auxiliary Q ~ M^-1 corrected by rank m, P^-1 = Q - W K^-1 W' (Woodbury),
-W = QV, capacitance matrix K = S + V'W factored once per column set.
+auxiliary Q ~ M^-1 corrected by rank m, with the capacitance matrix
+K = S + V'QV factored once per column set.  A split auxiliary,
+Q = L_Q^-T L_Q^-1, is corrected between its halves,
+P^-1 = L_Q^-T (I - Y K^-1 Y') L_Q^-1 with Y = L_Q^-1 V (split
+preconditioning, Saad 2003, sec. 9.2); any other one by Woodbury,
+P^-1 = Q - W K^-1 W' with W = QV.
 Also hosts the column administration (activity, relaxation, ordering,
 secant augmentation) and the update-decision policy.
 """
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from .sparse import norm1_diff
 
@@ -126,8 +131,11 @@ class UpdateThresholds:
     eps_c: float = 1e-3
 
     def __post_init__(self):
-        if min(self.delta_m, self.delta_v, self.eps_v, self.eps_c) < 0:
-            raise ValueError("thresholds must be nonnegative")
+        for name in ("delta_m", "delta_v", "eps_v", "eps_c"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN fails too; infinity is legal
+                raise ValueError("%s must be nonnegative, got %r"
+                                 % (name, value))
 
 
 @dataclass
@@ -143,13 +151,15 @@ class UpdateDecision:
 
 @dataclass
 class BStore:
-    """Capacitance factor K = L D L' of a column set V: b = W L^-T
-    (column i is P_{i-1}^-1 v_i), the unit lower triangular L, the
-    denominators d_i = 1 + s_i v_i' b_i = s_i D_ii and the weights
-    s_i / d_i that every apply takes.  b is a column-major n x m array of
-    its own, sharing no memory with the column set, and L a column-major
-    m x m array; the apply forms c'a = L^-1 (V'a) from the set's own
-    columns, so no second n x m array is kept."""
+    """Capacitance factor K = L D L' of a column set V: the n x m array
+    b, the unit lower triangular L, the denominators d_i = s_i D_ii and
+    the weights s_i / d_i = 1 / D_ii that every apply takes.  In the
+    Woodbury form b = W L^-T, W = QV, so column i is P_{i-1}^-1 v_i and
+    d_i = 1 + s_i v_i' b_i.  In the split form b = Y L^-T, Y = L_Q^-1 V,
+    so L_Q^-T b is the Woodbury form's b.  b is a column-major n x m
+    array of its own, sharing no memory with the column set, and L a
+    column-major m x m array; the Woodbury apply forms c'a = L^-1 (V'a)
+    from the set's own columns, so no second n x m array is kept."""
     b: np.ndarray
     lower: np.ndarray
     denoms: np.ndarray
@@ -180,42 +190,95 @@ def apply_rank1(aux, v, rho, r):
     return a - (rho * float(v @ a) / denom) * b
 
 
-def assemble_B(aux, cols):
-    """
-    Factor the capacitance matrix K = S + V'W, W = aux(V), symmetrised, as
-    an unpivoted L D L' (Hager 1989).  Pivot i is s_i d_i, d_i the
-    Sherman-Morrison denominator of column i after the columns before it,
-    so a pivot below the floor raises DenominatorBreakdownError with that
-    column's label.  Cost: one block auxiliary apply, O(m^2 n) in BLAS,
-    and an m-step loop on m x m arrays.  Beside `cols`, it holds one
-    n x m array, b, formed in place of W.
-    """
-    m = cols.m
-    v, signs = cols.columns, cols.signs
-    w = aux.apply(v)
-    k = v.T @ w
-    k = 0.5 * (k + k.T) + np.diag(signs)
-    floors = _denom_floor(v)
+def _breakdown(label):
+    return DenominatorBreakdownError(
+        "near-singular correction at column %r" % (label,), label=label)
+
+
+def _factor(k, cols):
+    """The unit lower triangular L and the pivots D of the unpivoted
+    K = L D L', K the symmetric m x m `k` (overwritten) of the set
+    `cols`.  Pivot i is s_i d_i, d_i the Sherman-Morrison denominator of
+    column i after the columns before it.  K's leading block over the run
+    of +1 signs is I plus a Gram matrix, so positive definite: one LAPACK
+    Cholesky R R' factors it, with L = R diag(R)^-1 and D = diag(R)^2.
+    The columns from the first -1 sign on (in the solver, the secant w)
+    are eliminated one at a time.  Pivots are checked against their floor
+    in column order, so a breakdown raises DenominatorBreakdownError with
+    the label of the first column whose pivot is below it."""
+    m, labels = cols.m, cols.labels
+    floors = _denom_floor(cols.columns)
+    negative = np.flatnonzero(cols.signs < 0.0)
+    p = negative[0] if negative.size else m
     lower = np.eye(m, order="F")
-    for i in range(m):
+    pivots = np.empty(m)
+    if p:
+        r, info = dpotrf(k[:p, :p], lower=1)
+        d = np.square(r.diagonal())
+        # A failed Cholesky formed the pivots before column info - 1 only.
+        done = info - 1 if info else p
+        below = np.flatnonzero(d[:done] < floors[:done])
+        first = below[0] if below.size else done
+        if first < p:
+            raise _breakdown(labels[first])
+        lower[:p, :p] = r / r.diagonal()
+        pivots[:p] = d
+        if p < m:
+            x = dtrsm(1.0, r, k[p:, :p], side=1, lower=1, trans_a=1)
+            lower[p:, :p] = x / r.diagonal()
+            k[p:, p:] -= x @ x.T
+    for i in range(p, m):
         if abs(k[i, i]) < floors[i]:
-            raise DenominatorBreakdownError(
-                "near-singular correction at column %r" % (cols.labels[i],),
-                label=cols.labels[i])
+            raise _breakdown(labels[i])
         lower[i + 1:, i] = k[i + 1:, i] / k[i, i]
         k[i + 1:, i + 1:] -= lower[i + 1:, i, None] * k[i, i + 1:]
     # Step i leaves k[i, i] alone from then on: the diagonal is D.
-    # b = W L^-T overwrites W, which the apply made for this call in the
+    pivots[p:] = k.diagonal()[p:]
+    return lower, pivots
+
+
+def assemble_B(aux, cols):
+    """
+    Factor the capacitance matrix K = S + V'QV as an unpivoted L D L'
+    (Hager 1989; `_factor`) and form b (see BStore).  With a split
+    auxiliary (`aux.split`), Y = L_Q^-1 V by one forward block solve,
+    K = S + Y'Y, exactly symmetric, and b = Y L^-T; otherwise W = QV by
+    one block apply, K = S + V'W, symmetrised, and b = W L^-T.  Cost:
+    that block solve or apply, O(m^2 n) in BLAS, one m x m LAPACK
+    Cholesky, and a loop over the columns from the first -1 sign on.  A
+    pivot below its floor raises DenominatorBreakdownError with its
+    column's label.  Beside `cols`, it holds one n x m array, b, formed
+    in place of Y or W.
+    """
+    v, signs = cols.columns, cols.signs
+    if aux.split:
+        y = aux.apply(v, half="forward")
+        k = y.T @ y + np.diag(signs)
+    else:
+        y = aux.apply(v)
+        k = v.T @ y
+        k = 0.5 * (k + k.T) + np.diag(signs)
+    lower, pivots = _factor(k, cols)
+    # b overwrites Y or W, which the auxiliary made for this call in the
     # set's column-major layout, as dtrsm needs it.
-    b = dtrsm(1.0, lower, w, side=1, lower=1, trans_a=1, diag=1,
+    b = dtrsm(1.0, lower, y, side=1, lower=1, trans_a=1, diag=1,
               overwrite_b=1)
-    denoms = signs * k.diagonal()
+    denoms = signs * pivots
     return BStore(b, lower, denoms, signs / denoms)
 
 
 def _apply(bs, aux, v, r):
-    """h = a - b (weights * c'a), a = aux(r), for a vector r or an (n, j)
-    block, with c'a = L^-1 (V'a) by one unit lower triangular solve."""
+    """P^-1 r, unrefined, for a vector r or an (n, j) block.  Split form:
+    z = L_Q^-1 r, z -= b (weights * b'z), h = L_Q^-T z, so two triangular
+    solves and two n x m products.  Woodbury form: h = a - b (weights *
+    c'a), a = aux(r), with c'a = L^-1 (V'a), so one auxiliary apply, two
+    n x m products and an m x m triangular solve."""
+    if aux.split:
+        z = aux.apply(r, half="forward")
+        t = bs.b.T @ z
+        t *= bs.weights if t.ndim == 1 else bs.weights[:, None]
+        z -= bs.b @ t
+        return aux.apply(z, half="backward")
     a = aux.apply(r)
     block = a.ndim == 2
     va = v.T @ a
@@ -232,13 +295,15 @@ class StructuredPrecond:
     belongs to them.  `apply` takes a vector of length n or an (n, j)
     block; a block gives the same result as applying each column.
 
-    With an inexact auxiliary (`aux.inverts is None`) the apply is the
-    Woodbury form h = a - b D^-1 (c'a), a = aux(r), c = V L^-T, which is
-    [M + sum s_i v_i v_i']^-1 r in exact arithmetic when the auxiliary is
-    exact.  c'a is formed as L^-1 (V'a), so an apply costs one auxiliary
-    apply, two n x m products and an m x m triangular solve.  That form
-    is not backward stable (Yip 1986), so with an exact auxiliary it is
-    followed by one step of iterative refinement (Skeel 1980),
+    The apply is [M + sum s_i v_i v_i']^-1 r in exact arithmetic when
+    the auxiliary is exact.  With a split auxiliary (IC) it is the split
+    form z = L_Q^-1 r, z -= b D^-1 (b'z), h = L_Q^-T z: the auxiliary's
+    two triangular solves and two n x m products.  Otherwise it is the
+    Woodbury form h = a - b D^-1 (c'a), a = aux(r), c = V L^-T, with c'a
+    formed as L^-1 (V'a): one auxiliary apply, two n x m products and an
+    m x m triangular solve.  The Woodbury form is not backward stable
+    (Yip 1986), so with an exact auxiliary (`aux.inverts` set) the apply
+    is followed by one step of iterative refinement (Skeel 1980),
     h <- h + P^-1 (r - (M + sum s_i v_i v_i') h), against the M that the
     auxiliary factored; with an inexact auxiliary 2P^-1 - P^-1 H P^-1 can
     be indefinite, so that case is left alone.
@@ -246,11 +311,11 @@ class StructuredPrecond:
     Where the exact case loses accuracy, as the worst relative residual
     ||r - H P^-1 r|| / ||r|| for r = H x (n = 50, three standard-normal
     columns scaled by sqrt(rho), Jacobi on a diagonal M and `exact` on a
-    dense SPD M, seeds 0-99):
+    dense SPD M, seeds 0-99, five x each):
 
         rho          <=1e6   1e7     1e8     1e9     1e10
-        refined      3e-15   2e-14   2e-12   2e-10   2e-8
-        unrefined    2e-8    2e-7    2e-6    2e-5    2e-4
+        refined      4e-15   1e-13   7e-12   3e-10   2e-8
+        unrefined    2e-8    3e-7    3e-6    2e-5    2e-4
 
     The unrefined residual grows about linearly in rho from 2e-14 at
     rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
@@ -325,6 +390,10 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     # columns depends on the last bit.
     norm = (column_norms(jacobian) if norms is None else norms)[idx]
     keep = (norm > th.eps_v) | (infeas > th.eps_c)
+    # A NaN norm compares False: its column would be relaxed away unseen.
+    # A kept column is checked below, on the rows the set holds.
+    if np.isnan(norm[~keep]).any():
+        raise ValueError("columns must be finite")
     idx, infeas, norm = idx[keep], infeas[keep], norm[keep]
     order = idx[np.lexsort((idx, -norm, -infeas))]
     signs = [1.0] * order.size

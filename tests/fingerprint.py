@@ -45,6 +45,11 @@ total over all of them:
     operator first and MINRES the breakdown mid-run (`minres-midrun`),
     and a NaN preconditioner on an SPD model (`nan-precond`); a step
     that raises hashes its exception;
+- `structured`: for each auxiliary kind, on a 6 x 6 grid Laplacian,
+  `assemble_B`'s whole BStore and one structured apply on three seeded
+  column sets with the sign patterns [+...+], [+...+, +, -] and
+  [+, -, +], so a change to the capacitance factor or to either form of
+  the correction shows bitwise;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `counts`: one line for the whole grid and one for each workload,
   hashing only the status and the iteration and refresh counts of the
@@ -351,6 +356,34 @@ def fallback_runs():
         yield "fallback krylov %s" % label, _digest(parts)
 
 
+def structured_runs():
+    """(label, digest) of the structured preconditioner per auxiliary
+    kind: its BStore and one apply on each seeded column set."""
+    from almprec.auxprecond import KINDS, build_aux
+    from almprec.sparse import SparseSymmetricMatrix
+    from almprec.structured import ColumnSet, StructuredPrecond
+
+    n = 36
+    m = SparseSymmetricMatrix.from_dense(_laplacian(6, False))
+    rng = np.random.default_rng(0)
+    sets = []
+    for signs in ([1.0] * 5, [1.0] * 6 + [-1.0], [1.0, -1.0, 1.0]):
+        v = rng.standard_normal((n, len(signs)))
+        v[:, np.asarray(signs) < 0] *= 0.1
+        sets.append(ColumnSet(n, v, signs, range(len(signs))))
+    r = rng.standard_normal(n)
+    for kind in KINDS:
+        aux = build_aux(m, kind, 1e-2)
+        parts = []
+        for cols in sets:
+            sp = StructuredPrecond(aux, cols)
+            bs = sp.bs
+            parts += [bs.b.tobytes(), bs.lower.tobytes(),
+                      bs.denoms.tobytes(), bs.weights.tobytes(),
+                      sp.apply(r).tobytes()]
+        yield "structured %s" % kind, _digest(parts)
+
+
 def workload_runs():
     """(label, digest) for every perfbench workload and seed, and after
     each workload's seeds its `counts` line."""
@@ -402,7 +435,7 @@ def fingerprint(root):
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
                           *probe_runs(root), *restricted_runs(root),
                           *restricted_memo_runs(root), *fallback_runs(),
-                          *workload_runs(),
+                          *structured_runs(), *workload_runs(),
                           *experiment_runs()):
         print(label, digest)
         total.update(digest.encode())

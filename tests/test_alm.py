@@ -1410,6 +1410,12 @@ class TestAlmSolve:
         with pytest.raises(ValueError, match="^%s must be positive" % name):
             AlmConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["rho1", "gamma", "lam_min", "lam_max",
+                                      "mu_max", "sigma_min"])
+    def test_config_rejects_nan(self, name):
+        with pytest.raises(ValueError, match="^%s must not be NaN$" % name):
+            AlmConfig(**{name: float("nan")})
+
 
 def _subproblem_tolerances(monkeypatch, p, cfg):
     """Solve p and return (report, the projected-gradient tolerance each

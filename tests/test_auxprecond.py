@@ -388,6 +388,30 @@ class TestSparseIncompleteCholesky:
             assert (np.linalg.norm(got - want)
                     <= 1e-14 * np.linalg.norm(want))
 
+    @pytest.mark.parametrize("n, shifted", [(1, False), (50, False),
+                                            (50, True)])
+    def test_halves_are_the_triangular_solves_of_the_apply(self, n,
+                                                           shifted):
+        m = self.matrix(n, shifted)
+        aux = build_aux(m, "incomplete-cholesky", drop_tol=1e-2)
+        assert aux.split
+        lower = ic_factor(m, aux.shift, 1e-2).toarray()
+        rng = np.random.default_rng(1)
+        # 20 columns: the backward half runs in slices of 8, 8 and 4.
+        for r in [rng.standard_normal(n), rng.standard_normal((n, 20))]:
+            before = r.copy()
+            forward = aux.apply(r, half="forward")
+            backward = aux.apply(r, half="backward")
+            assert r.tobytes() == before.tobytes()
+            for got, trans in ((forward, "N"), (backward, "T")):
+                want = scipy.linalg.solve_triangular(lower, r, lower=True,
+                                                     trans=trans)
+                assert got.shape == r.shape
+                assert (np.linalg.norm(got - want)
+                        <= 1e-14 * np.linalg.norm(want))
+            whole = aux.apply(forward, half="backward")
+            assert whole.tobytes() == aux.apply(r).tobytes()
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_apply_equals_columnwise_apply(kind):
@@ -403,3 +427,17 @@ def test_block_apply_equals_columnwise_apply(kind):
     for bad in (np.ones(11), np.ones((11, 2)), np.ones((12, 2, 2))):
         with pytest.raises(ValueError, match="dimension"):
             aux.apply(bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_a_split_auxiliary_has_halves(kind):
+    m = spd_matrix(np.random.default_rng(11), 6)
+    aux = build_aux(m, kind, 0.1 if kind == "incomplete-cholesky" else None)
+    assert aux.split == (kind == "incomplete-cholesky")
+    halves = ("forward", "backward") if aux.split else ()
+    for half in ("forward", "backward", "both"):
+        if half in halves:
+            assert aux.apply(np.ones(6), half=half).shape == (6,)
+        else:
+            with pytest.raises(ValueError, match="has no half"):
+                aux.apply(np.ones(6), half=half)

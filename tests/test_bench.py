@@ -296,6 +296,14 @@ class TestCli:
         assert ("%s:2: bad value for 'alm.%s': %s must be positive"
                 % (conf, key, key)) in capsys.readouterr().err
 
+    def test_nan_setting_names_key_and_line(self, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = HS48\nalm.rho1 = nan\n")
+        rc = main(["solve", "--config", str(conf)])
+        assert rc == 2
+        assert ("%s:2: bad value for 'alm.rho1': rho1 must not be NaN"
+                % conf) in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind, line", [
         ("linsys", "m = -1"), ("solve", "rho_list ="),
         ("linsys", "aux_kind = exact-dense"),

@@ -150,8 +150,9 @@ class TestStorageRecursion:
         assert exc.value.label == "e3"
 
     def test_factor_columns_match_dense_oracle(self):
-        # Column i of b is P_{i-1}^-1 v_i, with P_{i-1} the inverse of the
-        # materialised auxiliary Q plus the columns before i.
+        # IC is split, so b = L_Q^-1 W L^-T, and column i of L_Q^-T b is
+        # P_{i-1}^-1 v_i, with P_{i-1} the inverse of the materialised
+        # auxiliary Q plus the columns before i.
         rng = np.random.default_rng(16)
         n = 10
         m = spd_matrix(rng, n)
@@ -162,12 +163,13 @@ class TestStorageRecursion:
         signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
         cols = ColumnSet(n, v, signs, list(range(5)))
         bs = assemble_B(aux, cols)
+        b = aux.apply(bs.b, half="backward")
         p_prev = np.linalg.inv(q)
         for i in range(5):
             np.testing.assert_allclose(
-                bs.b[:, i], np.linalg.solve(p_prev, v[:, i]), rtol=1e-10)
+                b[:, i], np.linalg.solve(p_prev, v[:, i]), rtol=1e-10)
             np.testing.assert_allclose(
-                bs.denoms[i], 1.0 + signs[i] * (v[:, i] @ bs.b[:, i]),
+                bs.denoms[i], 1.0 + signs[i] * (v[:, i] @ b[:, i]),
                 rtol=1e-10)
             p_prev = p_prev + signs[i] * np.outer(v[:, i], v[:, i])
 
@@ -222,11 +224,14 @@ class TestExactRefinement:
     # value over seeds 0-99 of this set-up, both kinds, for the column-by-
     # column Sherman-Morrison recursion (6.5e-15 up to rho=1e6, then
     # 2.3e-14, 1.5e-12, 1.6e-10, 1.9e-8).  The capacitance form, with c'a
-    # formed as L^-1 (V'a), reads over seeds 0-99 3.2e-15 up to rho=1e6,
+    # formed as L^-1 (V'a), read over seeds 0-99 3.2e-15 up to rho=1e6,
     # then 2.3e-14, 2.0e-12, 1.7e-10, 1.9e-8 (7.8e-14, 9.7e-12, 6.5e-10,
-    # 4.4e-8 with c = V L^-T formed whole); on this test's seeds 0-4 it
-    # stays at least 10x below each bound.  Unrefined it reaches 1e-12 at
-    # rho=1e2, so from rho=1e2 on these bounds fail without refinement.
+    # 4.4e-8 with c = V L^-T formed whole) with K factored by an m-step
+    # loop.  With K's Cholesky from LAPACK it reads 3.8e-15, 1.3e-13,
+    # 7.1e-12, 2.5e-10, 2.3e-8; on this test's seeds 0-4 it stays 15x or
+    # more below each bound up to rho=1e9 and 9.5x at rho=1e10 (2.1e-8).
+    # Unrefined it reaches 1e-12 at rho=1e2, so from rho=1e2 on these
+    # bounds fail without refinement.
     FLOOR = {1e0: 1e-13, 1e1: 1e-13, 1e2: 1e-13, 1e3: 1e-13, 1e4: 1e-13,
              1e5: 1e-13, 1e6: 1e-13, 1e7: 3e-13, 1e8: 2e-11, 1e9: 2e-9,
              1e10: 2e-7}
@@ -261,8 +266,9 @@ class TestExactRefinement:
         assert not over, over
 
     def test_inexact_auxiliary_apply_is_unrefined(self):
-        # One auxiliary apply per structured apply; an exact auxiliary
-        # adds a second for its refinement step.
+        # One auxiliary pass per structured apply, a whole apply or, for a
+        # split auxiliary, its forward and its backward half; an exact
+        # auxiliary adds a second pass for its refinement step.
         rng = np.random.default_rng(14)
         n = 12
         m = spd_matrix(rng, n)
@@ -285,9 +291,11 @@ class TestExactRefinement:
             sp = StructuredPrecond(aux, cols)
             calls = []
             apply = aux.apply
-            aux.apply = lambda r: calls.append(1) or apply(r)
+            aux.apply = (lambda r, half=None:
+                         calls.append(half) or apply(r, half=half))
             sp.apply(rng.standard_normal(n))
-            assert len(calls) == (1 if aux.inverts is None else 2)
+            one_pass = ["forward", "backward"] if aux.split else [None]
+            assert calls == one_pass * (1 if aux.inverts is None else 2)
 
 
 class TestColumnSet:
@@ -554,6 +562,13 @@ class TestBuildColumnSet:
             build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0,
                              self.th, free=free)
 
+    def test_a_relaxable_column_must_be_finite(self):
+        # Column 1 is active (1 + rho * 0 > 0) and feasible, so the
+        # relaxation test would drop it for its norm if NaN passed it.
+        with pytest.raises(ValueError, match="columns must be finite"):
+            build_column_set([[1.0, np.nan], [0.0, 1.0]], IN * 2,
+                             [0.5, 0.0], [1.0, 1.0], 2.0, self.th)
+
     def test_only_the_rows_kept_are_checked(self):
         jac = np.ones((3, 2))
         jac[1, 1] = np.nan
@@ -790,6 +805,15 @@ class TestColumnMemory:
 class TestDecideUpdate:
     th = UpdateThresholds(delta_m=0.1, delta_v=0.01)
 
+    @pytest.mark.parametrize("name", ["delta_m", "delta_v", "eps_v",
+                                      "eps_c"])
+    def test_thresholds_reject_nan_and_negatives(self, name):
+        for value in (float("nan"), -1.0):
+            with pytest.raises(ValueError,
+                               match="^%s must be nonnegative" % name):
+                UpdateThresholds(**{name: value})
+        assert getattr(UpdateThresholds(**{name: np.inf}), name) == np.inf
+
     def _cols(self, mat, labels):
         mat = np.asarray(mat, dtype=np.float64)
         return ColumnSet(mat.shape[0], mat, np.ones(mat.shape[1]), labels)
@@ -878,13 +902,15 @@ def test_bstore_weights_are_the_signs_over_the_denominators():
     sp = StructuredPrecond(aux, cols)
     bs = sp.bs
     assert bs.weights.tobytes() == (cols.signs / bs.denoms).tobytes()
-    # The apply is the Woodbury form with the signs divided per apply,
-    # c = V L^-T formed here from the set's columns and B's factor.
+    # The split apply is the Woodbury form with the signs divided per
+    # apply, c = V L^-T formed here from the set's columns and B's factor
+    # and the Woodbury b from B's split one, L_Q^-T b.
     c = solve_triangular(bs.lower, cols.columns.T, lower=True,
                          unit_diagonal=True).T
+    b = aux.apply(bs.b, half="backward")
     r = rng.standard_normal(6)
     a = aux.apply(r)
-    want = a - bs.b @ (cols.signs / bs.denoms * (c.T @ a))
+    want = a - b @ (cols.signs / bs.denoms * (c.T @ a))
     h = sp.apply(r)
     assert np.linalg.norm(h - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -892,13 +918,15 @@ def test_bstore_weights_are_the_signs_over_the_denominators():
 def _woodbury_with_c(sp, r):
     """The apply with c = V L^-T formed as a whole n x m array, as the
     apply was written before it formed c'a from the columns, refined once
-    when the auxiliary inverts M."""
+    when the auxiliary inverts M.  A split auxiliary's b is taken back to
+    the Woodbury b, L_Q^-T b."""
     v, bs, aux = sp.cols.columns, sp.bs, sp.aux
     c = solve_triangular(bs.lower, v.T, lower=True, unit_diagonal=True).T
+    b = aux.apply(bs.b, half="backward") if aux.split else bs.b
 
     def once(x):
         a = aux.apply(x)
-        return a - bs.b @ (bs.weights * (c.T @ a))
+        return a - b @ (bs.weights * (c.T @ a))
     h = once(r)
     if aux.inverts is not None:
         h = h + once(r - aux.inverts.matvec(h)
@@ -950,3 +978,120 @@ def test_block_apply_matches_the_columnwise_apply(kind, drop_tol, diagonal,
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-14 * np.abs(want).max())
 
+
+
+def _dense_ldlt(k, floors):
+    """The textbook unpivoted L D L' of the symmetric k as (L, D), or the
+    index of the first pivot below its floor."""
+    k = np.array(k, dtype=np.float64)
+    lower = np.eye(k.shape[0])
+    for i in range(k.shape[0]):
+        if abs(k[i, i]) < floors[i]:
+            return i
+        lower[i + 1:, i] = k[i + 1:, i] / k[i, i]
+        k[i + 1:, i + 1:] -= np.outer(lower[i + 1:, i], k[i, i + 1:])
+    return lower, k.diagonal().copy()
+
+
+# [+...+], [+...+, +, -] (a secant pair after the constraints), [+, -, +].
+SIGN_PATTERNS = ([1.0] * 6, [1.0] * 6 + [-1.0], [1.0, -1.0, 1.0])
+
+
+class TestCapacitanceFactor:
+    """The LAPACK Cholesky of the leading +1 run, with the loop after it,
+    is the unpivoted L D L' of K, and breaks down where the loop does."""
+
+    @staticmethod
+    def _cols(rng, n, signs):
+        v = rng.standard_normal((n, len(signs)))
+        # Small subtractive columns keep their pivots away from zero.
+        v[:, np.asarray(signs) < 0] *= 0.1
+        return ColumnSet(n, v, signs, range(len(signs)))
+
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_factor_matches_the_dense_ldlt(self, signs):
+        rng = np.random.default_rng(60)
+        for _ in range(5):
+            cols = self._cols(rng, 30, signs)
+            k = cols.columns.T @ cols.columns + np.diag(cols.signs)
+            lower, pivots = structured._factor(k.copy(), cols)
+            want_lower, want_pivots = _dense_ldlt(
+                k, structured._denom_floor(cols.columns))
+            assert (np.linalg.norm(lower - want_lower)
+                    <= 1e-12 * np.linalg.norm(want_lower))
+            np.testing.assert_allclose(pivots, want_pivots, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("signs", SIGN_PATTERNS)
+    def test_assembly_factors_the_dense_capacitance(self, kind, signs):
+        rng = np.random.default_rng(61)
+        n = 20
+        aux = build_aux(spd_matrix(rng, n), kind, 0.1)
+        cols = self._cols(rng, n, signs)
+        v = cols.columns
+        k = v.T @ aux.apply(np.eye(n)) @ v + np.diag(cols.signs)
+        want_lower, want_pivots = _dense_ldlt(
+            0.5 * (k + k.T), structured._denom_floor(v))
+        bs = assemble_B(aux, cols)
+        assert (np.linalg.norm(bs.lower - want_lower)
+                <= 1e-12 * np.linalg.norm(want_lower))
+        np.testing.assert_allclose(cols.signs * bs.denoms, want_pivots,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["incomplete-cholesky", "exact"])
+    @pytest.mark.parametrize("scale", [1e7, 1e9])
+    def test_breakdown_in_the_positive_run_names_the_loops_column(
+            self, kind, scale):
+        # M = I and two equal columns of norm `scale`: the second pivot,
+        # about 2, is below its floor 1e-12 (1 + scale^2), and at 1e9 the
+        # rounded K is singular, so LAPACK's Cholesky itself fails there.
+        n = 4
+        aux = build_aux(SparseSymmetricMatrix.from_dense(np.eye(n)), kind,
+                        0.0)
+        v = np.zeros((n, 3))
+        v[0, :2] = scale
+        v[1, 2] = 1.0
+        cols = ColumnSet(n, v, np.ones(3), ["a", "twin", "b"])
+        first = _dense_ldlt(v.T @ v + np.eye(3),
+                            structured._denom_floor(v))
+        assert first == 1
+        with pytest.raises(DenominatorBreakdownError) as exc:
+            assemble_B(aux, cols)
+        assert exc.value.label == "twin"
+
+    def test_breakdown_after_the_positive_run_names_the_loops_column(self):
+        # TestStorageRecursion's e3 case on the split form: M = I, pivots
+        # 1 + 1, 1 + 1, then 1 - 1 = 0 on the third column.
+        n = 4
+        aux = build_aux(SparseSymmetricMatrix.from_dense(np.eye(n)),
+                        "incomplete-cholesky", 0.0)
+        v = np.eye(n)[:, :3]
+        cols = ColumnSet(n, v, [1.0, 1.0, -1.0], ["e1", "e2", "e3"])
+        assert _dense_ldlt(v.T @ v + np.diag(cols.signs),
+                           structured._denom_floor(v)) == 2
+        with pytest.raises(DenominatorBreakdownError) as exc:
+            assemble_B(aux, cols)
+        assert exc.value.label == "e3"
+
+
+class _SolveSpy:
+    """A SuperLU handle's stand-in that records each solve's `trans` and
+    its column count."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = []
+
+    def solve(self, r, trans="N"):
+        self.calls.append((trans, 1 if r.ndim == 1 else r.shape[1]))
+        return self.lu.solve(r, trans=trans)
+
+
+def test_split_assembly_makes_one_forward_block_solve():
+    rng = np.random.default_rng(62)
+    aux = build_aux(spd_matrix(rng, 30), "incomplete-cholesky", 0.1)
+    cols = ColumnSet(30, rng.standard_normal((30, 5)), [1.0] * 4 + [-1.0],
+                     range(5))
+    aux._lu = spy = _SolveSpy(aux._lu)
+    assemble_B(aux, cols)
+    assert spy.calls == [("N", 5)]
