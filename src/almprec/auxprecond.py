@@ -81,24 +81,9 @@ class AuxPrecond:
         if self.kind == "exact":
             return self._lu.solve(r)
         if half == "backward":
-            return self._backward(r)
+            return self._lu.solve(r, trans="T")
         x = self._lu.solve(r)
-        return x if half == "forward" else self._backward(x, out=x)
-
-    def _backward(self, x, out=None):
-        """L^-T x, into `out` (a new array by default) for a block."""
-        if x.ndim == 1:
-            return self._lu.solve(x, trans="T")
-        if out is None:
-            out = np.empty(x.shape, order="F")
-        # L^-T is written into `out` in slices of a quarter of the
-        # columns, so beside x and `out` a large block holds a quarter of
-        # an n x k array.  A slice takes at least eight columns: each
-        # solve call has a fixed cost, which dominates on small blocks.
-        step = max(8, -(-x.shape[1] // 4))
-        for j in range(0, x.shape[1], step):
-            out[:, j:j + step] = self._lu.solve(x[:, j:j + step], trans="T")
-        return out
+        return x if half == "forward" else self._lu.solve(x, trans="T")
 
 
 def build_aux(m, kind, drop_tol=None):

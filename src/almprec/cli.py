@@ -32,6 +32,10 @@ _FIELDS = {key: hint for key, hint
            in typing.get_type_hints(ExperimentConfig).items()
            if key not in ("kind", "alm")}
 _ALM_FIELDS = typing.get_type_hints(AlmConfig)
+# alm.* settings that every experiment overrides, and the key that sets
+# each: the grid axes of `solve`, and `aux_kind` for every kind.
+_ALM_SET_BY = {"inner_solver": "solvers", "hessian_mode": "hessian_modes",
+               "precond_policy": "policies", "aux_kind": "aux_kind"}
 # Field type -> parser for the fields a config line can set.
 _PARSERS = {int: int, float: float, typing.Optional[float]: float, str: str,
             typing.Tuple[float, ...]: _tuple_of(float),
@@ -117,6 +121,9 @@ def build_experiment_config(kind, pairs):
                 sub = key[len("alm."):]
                 if sub not in _ALM_FIELDS:
                     raise ConfigError("unknown config key %r" % key)
+                if sub in _ALM_SET_BY:
+                    raise ValueError("the experiment overrides it; set %r "
+                                     "instead" % _ALM_SET_BY[sub])
                 alm_over[sub] = _convert_alm(sub, raw)
             else:
                 cfg = replace(cfg, **{key: _convert(key, raw)})

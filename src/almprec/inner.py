@@ -6,15 +6,17 @@ one nonmonotone projected iteration, with the projected line search
 `projected_search`; a solver supplies only its search direction.
 `spg_solve` supplies the (preconditioned) spectral projected gradient
 direction, and the ALM's truncated Newton direction comes from
-`truncated_newton_step`, built on the Krylov solvers.
+`truncated_newton_step`, built on CG.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .krylov import (IndefiniteOperatorError, PreconditionerBreakdownError,
-                     pcg, pminres)
+# pminres is not used here: perfbench's layer tracer wraps the target
+# `almprec.inner:pminres` (test_traced_counts_match_untraced).
+from .krylov import (IndefiniteOperatorError, KrylovReport,  # noqa: F401
+                     PreconditionerBreakdownError, pcg, pminres)
 
 
 @dataclass
@@ -41,7 +43,7 @@ class TnStep:
     direction: np.ndarray
     krylov_precond: int  # raised attempts' iterations included
     krylov_plain: int
-    solver: str  # "pcg" | "pminres"
+    negative_curvature: bool  # CG stopped at p'Hp <= 0
     converged: bool
     preconditioned: bool
     fallback_gradient: bool = False
@@ -73,29 +75,27 @@ def active_bound_mask(x, g, lower, upper, tol=1e-10):
 
 def truncated_newton_step(model, grad, precond, cfg):
     """
-    Solve the quadratic model H d = -grad inexactly: PCG first, MINRES
-    when CG detects an indefinite operator (IndefiniteOperatorError),
-    and the same solver again without the preconditioner when it breaks
-    down (PreconditionerBreakdownError), each with the Krylov default of
-    at most 10 n iterations.  Any other error propagates.  A non-descent
-    or NaN result is replaced by the steepest-descent direction.  The
-    iterations an attempt made before it raised count with the
-    preconditioned or the plain ones, as that attempt ran.
+    Solve the quadratic model H d = -grad inexactly by PCG, with the
+    Krylov default of at most 10 n iterations.  At p'Hp <= 0 the step is
+    the Newton-CG exit, IndefiniteOperatorError's `direction`, and
+    `negative_curvature` is set; when the preconditioner breaks down
+    (PreconditionerBreakdownError) CG runs again without it.  Any other
+    error propagates.  A non-descent or NaN result is replaced by the
+    steepest-descent direction.  The iterations an attempt made before
+    it raised count with the preconditioned or the plain ones, as that
+    attempt ran.
     """
     rhs = -np.asarray(grad, dtype=np.float64)
-    used_precond, solver = precond is not None, "pcg"
+    used_precond, negative = precond is not None, False
     done = {True: 0, False: 0}  # iterations by whether preconditioned
     while True:
         try:
-            report = (pcg if solver == "pcg" else pminres)(
-                model, precond if used_precond else None, rhs,
-                tol=cfg.krylov_tol)
+            report = pcg(model, precond if used_precond else None, rhs,
+                         tol=cfg.krylov_tol)
             break
         except IndefiniteOperatorError as exc:
-            if solver != "pcg":
-                raise
-            done[used_precond] += exc.applies
-            solver = "pminres"
+            report, negative = KrylovReport(exc.direction, exc.applies), True
+            break
         except PreconditionerBreakdownError as exc:
             if not used_precond:
                 raise
@@ -107,7 +107,7 @@ def truncated_newton_step(model, grad, precond, cfg):
     fallback = not float(d @ grad) < 0.0  # also a NaN direction
     if fallback:
         d = rhs.copy()
-    return TnStep(d, done[True], done[False], solver, report.converged,
+    return TnStep(d, done[True], done[False], negative, report.converged,
                   used_precond, fallback)
 
 

@@ -13,7 +13,8 @@ gives r'P^-1 r <= 0, or NaN, for a nonzero r.  MINRES's exact Lanczos
 end (a zero residual vector, so beta = 0) is a normal stop.  Either
 error carries in `applies` the iterations begun before it, the failing
 one included: one operator apply each, as `KrylovReport.iterations`
-counts them (MINRES's true-residual products are not counted).
+counts them (MINRES's true-residual products are not counted).  CG's
+error also carries a descent `direction`; no solver path calls `pminres`.
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +23,15 @@ import numpy as np
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """CG breakdown: the operator is not positive definite."""
+    """CG breakdown: the operator is not positive definite.  `direction`
+    is the Newton-CG exit at negative curvature (Dembo & Steihaug 1983;
+    Nocedal & Wright, Alg. 7.1): the iterate x, or P^-1 b when the first
+    iteration fails, both descent directions for 1/2 x'Ax - b'x."""
 
-    def __init__(self, message, applies=0):
+    def __init__(self, message, applies=0, direction=None):
         super().__init__(message)
         self.applies = applies
+        self.direction = direction
 
 
 class PreconditionerBreakdownError(ValueError):
@@ -102,7 +107,8 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteOperatorError(
-                "indefinite operator: p'Ap = %g" % pap, iterations + 1)
+                "indefinite operator: p'Ap = %g" % pap, iterations + 1,
+                x if iterations else z)
         alpha = gamma / pap
         x += alpha * p
         r -= alpha * ap

@@ -40,11 +40,11 @@ total over all of them:
     and on every other one;
   - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
     preconditioner breaks down: P^-1 = [[0, 1], [1, 0]] with the
-    identity operator (`pcg-repro`) or diag(1, -1) (`minres-repro`) and
-    b = e1, the latter with b = (1, 1), where CG meets the indefinite
-    operator first and MINRES the breakdown mid-run (`minres-midrun`),
-    and a NaN preconditioner on an SPD model (`nan-precond`); a step
-    that raises hashes its exception;
+    identity operator (`pcg-repro`) or diag(1, -1) (`indefinite-repro`)
+    and b = e1, the latter with b = (1, 1), where CG meets negative
+    curvature on its first iteration (`indefinite-first`), and a NaN
+    preconditioner on an SPD model (`nan-precond`); a step that raises
+    hashes its exception;
 - `structured`: for each auxiliary kind, on a 6 x 6 grid Laplacian,
   `assemble_B`'s whole BStore and one structured apply on three seeded
   column sets with the sign patterns [+...+], [+...+, +, -] and
@@ -338,8 +338,8 @@ def fallback_runs():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     e1 = np.array([1.0, 0.0])
     cases = (("pcg-repro", np.eye(2), swap, e1),
-             ("minres-repro", np.diag([1.0, -1.0]), swap, e1),
-             ("minres-midrun", np.diag([1.0, -1.0]), swap, np.ones(2)),
+             ("indefinite-repro", np.diag([1.0, -1.0]), swap, e1),
+             ("indefinite-first", np.diag([1.0, -1.0]), swap, np.ones(2)),
              ("nan-precond", np.diag([1.0, 2.0]), np.full((2, 2), np.nan),
               e1))
     for label, op, precond, b in cases:
@@ -347,7 +347,7 @@ def fallback_runs():
             step = truncated_newton_step(lambda v, a=op: a @ v, -b,
                                          lambda v, q=precond: q @ v,
                                          InnerConfig())
-            parts = [repr((step.solver, step.preconditioned,
+            parts = [repr((step.negative_curvature, step.preconditioned,
                            step.fallback_gradient, step.converged,
                            step.krylov_iterations)).encode(),
                      step.direction.tobytes()]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
-from almprec import alm, sparse
+from almprec import alm, inner, sparse
 from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          alm_solve, eval_al, eval_al_grad, hessian_model,
                          kkt_residuals, safeguard, shifted_multipliers,
@@ -994,7 +994,10 @@ def test_solve_grid_counts_unchanged():
             | cut -d, -f1,4-13
 
     (`python -m almprec.cli` without an installed entry point).  One
-    assert compares every row, so a failure lists all moved rows."""
+    assert compares every row, so a failure lists all moved rows.  Every
+    converged row must also reach its problem's documented f_star, to
+    1e-4 relative (absolute below |f_star| = 1), so that a saddle point
+    pinned in the fixture cannot pass."""
     with open(GRID_FIXTURE, newline="") as fh:
         want = list(csv.DictReader(fh))
     cfg = ExperimentConfig(kind="solve", problems=tuple(PROBLEM_BUILDERS),
@@ -1007,6 +1010,14 @@ def test_solve_grid_counts_unchanged():
     moved = [",".join(ref.values()) + "  ->  " + ",".join(now.values())
              for ref, now in zip(want, got) if now != ref]
     assert not moved, "rows moved (fixture -> now):\n" + "\n".join(moved)
+    missed = []
+    for row in rows:
+        f_star = get_problem(row["problem"]).f_star
+        if (row["status"] == "converged" and not abs(row["f"] - f_star)
+                <= 1e-4 * max(1.0, abs(f_star))):
+            missed.append(",".join(row[k] for k in GRID_KEYS)
+                          + ": f = %r, f_star = %r" % (row["f"], f_star))
+    assert not missed, "converged away from f_star:\n" + "\n".join(missed)
 
 
 def _stub_problem(equality):
@@ -1275,6 +1286,37 @@ class TestAlmSolve:
         assert rep.kkt_feas <= 1e-6
         assert rep.kkt_opt <= 1e-6
 
+    def test_hs41_reaches_its_minimiser_with_the_default_config(self):
+        # HS41's NW models are indefinite; steps toward their stationary
+        # points (MINRES's) end at the saddle x ~ 0 of 2 - x1 x2 x3, f = 2.
+        p = get_problem("HS41")
+        rep = alm_solve(p, AlmConfig())
+        assert rep.converged
+        np.testing.assert_allclose(rep.x, p.solution, atol=1e-6)
+        assert rep.f_value == pytest.approx(p.f_star, rel=1e-8)
+
+    @pytest.mark.parametrize("name", ["HS41", "HS63"])
+    @pytest.mark.parametrize("mode", alm.HESSIAN_MODES)
+    @pytest.mark.parametrize("policy", alm.PRECOND_POLICIES)
+    def test_truncated_newton_never_reaches_minres(self, monkeypatch, name,
+                                                   mode, policy):
+        # HS41's and HS63's NW models meet negative curvature, the only
+        # ones on the grid; truncated Newton stops CG there.
+        def no_minres(*args, **kwargs):
+            raise AssertionError("truncated Newton reached MINRES")
+        steps = []
+        tn_step = alm.truncated_newton_step
+
+        def tracked_step(*args, **kwargs):
+            steps.append(tn_step(*args, **kwargs))
+            return steps[-1]
+        monkeypatch.setattr(inner, "pminres", no_minres)
+        monkeypatch.setattr(alm, "truncated_newton_step", tracked_step)
+        rep = alm_solve(get_problem(name),
+                        AlmConfig(hessian_mode=mode, precond_policy=policy))
+        assert rep.converged
+        assert any(s.negative_curvature for s in steps) == (mode == "NW")
+
     def test_history_records_outer_iterations(self):
         rep = alm_solve(get_problem("EQ-QP"), AlmConfig())
         assert len(rep.history) == rep.outer_iterations
@@ -1358,8 +1400,8 @@ class TestAlmSolve:
         assert rep.converged
         pinned = [step for active, step in steps if active]
         assert pinned
-        assert [(s.solver, s.preconditioned, s.krylov_iterations)
-                for s in pinned] == [("pcg", True, 1)] * len(pinned)
+        assert [(s.negative_curvature, s.preconditioned, s.krylov_iterations)
+                for s in pinned] == [(False, True, 1)] * len(pinned)
 
     def test_policies_agree_on_solution(self):
         results = []

@@ -397,7 +397,6 @@ class TestSparseIncompleteCholesky:
         assert aux.split
         lower = ic_factor(m, aux.shift, 1e-2).toarray()
         rng = np.random.default_rng(1)
-        # 20 columns: the backward half runs in slices of 8, 8 and 4.
         for r in [rng.standard_normal(n), rng.standard_normal((n, 20))]:
             before = r.copy()
             forward = aux.apply(r, half="forward")
@@ -418,7 +417,6 @@ def test_block_apply_equals_columnwise_apply(kind):
     rng = np.random.default_rng(10)
     m = spd_matrix(rng, 12)
     aux = build_aux(m, kind, 0.1 if kind == "incomplete-cholesky" else None)
-    # 20 columns: IC's transposed solve runs in slices of 8, 8 and 4.
     for block in (rng.standard_normal((12, 4)),
                   np.asfortranarray(rng.standard_normal((12, 20)))):
         want = np.column_stack([aux.apply(col) for col in block.T])

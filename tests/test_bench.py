@@ -319,6 +319,25 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("kind, line, by", [
+        ("solve", "alm.inner_solver = spg", "solvers"),
+        ("solve", "alm.hessian_mode = QN", "hessian_modes"),
+        ("solve", "alm.precond_policy = once", "policies"),
+        ("linsys", "alm.aux_kind = jacobi", "aux_kind")])
+    def test_overridden_alm_setting_exits_2(self, tmp_path, capsys, kind,
+                                            line, by):
+        # The experiment's own key would win over a valid value, so the
+        # setting is refused at its line instead of being ignored.
+        conf = tmp_path / "bench.conf"
+        conf.write_text("problems = HS41\n%s\n" % line)
+        rc = main([kind, "--config", str(conf), "--out",
+                   str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert ("%s:2: bad value for '%s': the experiment overrides it; "
+                "set '%s' instead" % (conf, line.split()[0], by)
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out.csv").exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         conf = tmp_path / "bench.conf"
         conf.write_text("n = 10\nm = 2\nrho_list = 1.0,10.0\n")

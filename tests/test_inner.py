@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almprec import inner
-from almprec.krylov import IndefiniteOperatorError, pcg, pminres
+from almprec.krylov import IndefiniteOperatorError, pcg
 from almprec.inner import (InnerConfig, active_bound_mask, project_box,
                            projected_descent, spg_solve, truncated_newton_step)
 
@@ -47,23 +47,27 @@ class TestTruncatedNewtonStep:
         step = truncated_newton_step(lambda v: a @ v, g, None, cfg)
         np.testing.assert_allclose(step.direction,
                                    np.linalg.solve(a, -g), rtol=1e-8)
-        assert step.solver == "pcg" and step.converged
+        assert step.converged and not step.negative_curvature
 
-    def test_indefinite_model_switches_to_minres(self):
+    def test_indefinite_model_stops_at_negative_curvature(self):
+        # CG's second direction on diag(1, -2, 3) from b = -g meets
+        # p'Ap < 0: the step is the CG iterate, a descent direction, and
+        # its work is CG's applies alone.
         a = np.diag([1.0, -2.0, 3.0])
         g = np.array([1.0, 1.0, 1.0])
-        cfg = InnerConfig()
-        step = truncated_newton_step(lambda v: a @ v, g, None, cfg)
-        assert step.solver == "pminres"
+        calls = []
 
-    def test_nondescent_falls_back_to_gradient(self):
-        # Indefinite system whose MINRES solution ascends.
-        a = np.diag([-1.0])
-        g = np.array([2.0])
-        step = truncated_newton_step(lambda v: a @ v, g, None,
-                                     InnerConfig())
-        assert step.fallback_gradient
-        np.testing.assert_allclose(step.direction, -g)
+        def model(v):
+            calls.append(v)
+            return a @ v
+        with pytest.raises(IndefiniteOperatorError) as raised:
+            pcg(lambda v: a @ v, None, -g)
+        step = truncated_newton_step(model, g, None, InnerConfig())
+        assert step.negative_curvature and not step.converged
+        assert not step.fallback_gradient and float(step.direction @ g) < 0
+        assert step.krylov_plain == len(calls) == raised.value.applies == 2
+        np.testing.assert_array_equal(step.direction,
+                                      raised.value.direction)
 
     def test_nan_direction_falls_back_to_gradient(self):
         g = np.array([1.0, -2.0, 0.5])
@@ -89,19 +93,26 @@ class TestTruncatedNewtonBreakdown:
 
     @pytest.mark.parametrize("a", [np.eye(2), np.diag([1.0, -1.0])])
     def test_breakdown_gives_an_unpreconditioned_step(self, a):
-        # r'P^-1 r = 0 at r = e1: pcg divided 0 by 0 on the identity,
-        # and MINRES reported x = 0 as converged on diag(1, -1).
+        # r'P^-1 r = 0 at r = e1, before any apply: pcg divided 0 by 0.
         step = truncated_newton_step(lambda v: a @ v, np.array([-1.0, 0.0]),
                                      lambda r: self.SWAP @ r, InnerConfig())
-        assert step.solver == "pcg" and step.converged
+        assert step.converged and not step.negative_curvature
         assert not step.preconditioned and not step.fallback_gradient
         np.testing.assert_array_equal(step.direction, [1.0, 0.0])
 
-    def test_minres_breakdown_reruns_minres_unpreconditioned(self):
+    def test_breakdown_then_negative_curvature(self):
+        # The preconditioner turns indefinite on its second call, after
+        # one preconditioned CG iteration; plain CG then meets p'Ap < 0
+        # at its second apply and stops at its first iterate.
+        sign = iter([1.0, -1.0])
         a = np.diag([1.0, -1.0])
-        step = truncated_newton_step(lambda v: a @ v, -np.ones(2),
-                                     lambda r: self.SWAP @ r, InnerConfig())
-        assert step.solver == "pminres" and not step.preconditioned
+        b = np.array([1.0, 0.1])
+        step = truncated_newton_step(lambda v: a @ v, -b,
+                                     lambda r: next(sign) * r, InnerConfig())
+        assert step.negative_curvature and not step.preconditioned
+        assert (step.krylov_precond, step.krylov_plain) == (1, 2)
+        np.testing.assert_array_equal(
+            step.direction, pcg(lambda v: a @ v, None, b, maxit=1).solution)
 
     def test_nan_preconditioner_is_dropped_at_once(self):
         a = np.diag([1.0, 2.0])
@@ -109,14 +120,13 @@ class TestTruncatedNewtonBreakdown:
             lambda v: a @ v, np.array([-1.0, -2.0]),
             lambda r: np.full_like(r, np.nan), InnerConfig())
         # Plain CG then takes two iterations, one per distinct eigenvalue.
-        assert step.solver == "pcg" and not step.preconditioned
+        assert not step.negative_curvature and not step.preconditioned
         assert step.converged and step.krylov_iterations == 2
         np.testing.assert_allclose(step.direction, [1.0, 1.0], rtol=1e-15)
 
-    def test_value_error_of_the_preconditioner_in_minres_propagates(self):
-        # CG meets p'Ap = -2 before its second preconditioner call, so
-        # the second call is MINRES's.
-        a = np.diag([1.0, -2.0])
+    def test_value_error_of_the_preconditioner_propagates(self):
+        # The second call, after CG's first iteration, raises.
+        a = np.diag([1.0, 2.0])
         calls = []
 
         def precond(r):
@@ -125,8 +135,8 @@ class TestTruncatedNewtonBreakdown:
                 raise ValueError("preconditioner failed")
             return r.copy()
         with pytest.raises(ValueError, match="preconditioner failed"):
-            truncated_newton_step(lambda v: a @ v, np.array([0.0, 1.0]),
-                                  precond, InnerConfig())
+            truncated_newton_step(lambda v: a @ v, -np.ones(2), precond,
+                                  InnerConfig())
         assert len(calls) == 2
 
 
@@ -142,24 +152,17 @@ class TestKrylovWorkBeforeAFallback:
 
     @pytest.mark.parametrize("precond", [None, lambda r: r.copy()],
                              ids=["plain", "preconditioned"])
-    def test_cg_applies_count_with_the_minres_iterations(self, monkeypatch,
-                                                         precond):
+    def test_cg_applies_count_at_the_exit(self, precond):
         with pytest.raises(IndefiniteOperatorError) as raised:
             pcg(lambda v: self.A @ v, precond, -self.GRAD)
-        k = raised.value.applies
-        assert k == 2
-        runs = []
-
-        def recorded(*args, **kwargs):
-            runs.append(pminres(*args, **kwargs))
-            return runs[-1]
-        monkeypatch.setattr(inner, "pminres", recorded)
+        assert raised.value.applies == 2
         step = truncated_newton_step(lambda v: self.A @ v, self.GRAD,
                                      precond, InnerConfig())
-        assert step.solver == "pminres" and len(runs) == 1
-        assert step.krylov_iterations == k + runs[0].iterations
-        assert (step.krylov_precond if precond else step.krylov_plain) \
-            == step.krylov_iterations
+        assert step.negative_curvature
+        assert step.krylov_iterations == 2
+        assert (step.krylov_precond if precond else step.krylov_plain) == 2
+        np.testing.assert_array_equal(step.direction,
+                                      raised.value.direction)
 
     def test_preconditioned_applies_count_apart_from_the_rerun(self):
         # The preconditioner turns indefinite on its second call, after
@@ -168,7 +171,7 @@ class TestKrylovWorkBeforeAFallback:
         a = np.diag([1.0, 2.0])
         step = truncated_newton_step(lambda v: a @ v, -np.ones(2),
                                      lambda r: next(sign) * r, InnerConfig())
-        assert step.solver == "pcg" and not step.preconditioned
+        assert not step.negative_curvature and not step.preconditioned
         assert (step.krylov_precond, step.krylov_plain) == (1, 2)
 
 

@@ -51,6 +51,32 @@ class TestPcg:
         with pytest.raises(IndefiniteOperatorError, match="indefinite"):
             pcg(lambda v: a @ v, None, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("precond", [None, lambda r: 2.0 * r],
+                             ids=["plain", "preconditioned"])
+    def test_later_negative_curvature_carries_the_iterate(self, precond):
+        # The second direction on diag(1, -1) from b = (1, 0.1) has
+        # p'Ap < 0; the error carries x after the first iteration.
+        a = np.diag([1.0, -1.0])
+        b = np.array([1.0, 0.1])
+        with pytest.raises(IndefiniteOperatorError) as raised:
+            pcg(lambda v: a @ v, precond, b)
+        x1 = pcg(lambda v: a @ v, precond, b, maxit=1).solution
+        assert raised.value.direction.tobytes() == x1.tobytes()
+        assert float(b @ x1) > 0.0  # a descent direction of the model
+
+    @pytest.mark.parametrize("precond, want", [
+        (None, [1.0, 0.5]), (lambda r: np.array([2.0, 4.0]) * r, [2.0, 2.0])],
+        ids=["plain", "preconditioned"])
+    def test_first_negative_curvature_carries_the_preconditioned_rhs(
+            self, precond, want):
+        # p = P^-1 b meets p'Ap < 0 at once, before x leaves zero.
+        a = np.diag([1.0, -8.0])
+        b = np.array([1.0, 0.5])
+        with pytest.raises(IndefiniteOperatorError) as raised:
+            pcg(lambda v: a @ v, precond, b)
+        assert raised.value.applies == 1
+        np.testing.assert_array_equal(raised.value.direction, want)
+
     def test_maxit_returns_unconverged(self):
         rng = np.random.default_rng(2)
         a = random_spd(rng, 30)
