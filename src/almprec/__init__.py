@@ -3,7 +3,7 @@ Augmented Lagrangian solver with a structured Sherman-Morrison
 preconditioner for Hessians of the form M + rho V V'.
 """
 
-from .alm import AlmConfig, AlmReport, alm_solve
+from .alm import AlmConfig, AlmReport, SettingError, alm_solve
 from .auxprecond import KINDS, AuxPrecond, FactorizationError, build_aux
 from .inner import InnerConfig, SpgResult, spg_solve, truncated_newton_step
 from .krylov import IndefiniteOperatorError, KrylovReport, pcg, pminres
@@ -18,7 +18,7 @@ from .structured import (ColumnSet, DenominatorBreakdownError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlmConfig", "AlmReport", "alm_solve",
+    "AlmConfig", "AlmReport", "SettingError", "alm_solve",
     "KINDS", "AuxPrecond", "FactorizationError", "build_aux",
     "InnerConfig", "SpgResult", "spg_solve", "truncated_newton_step",
     "IndefiniteOperatorError", "KrylovReport", "pcg", "pminres",

@@ -34,6 +34,14 @@ PRECOND_POLICIES = ("auto", "every-outer", "once")
 INNER_TOL_PER_MEASURE = 5e-4
 
 
+class SettingError(ValueError):
+    """A config check's rejection; `fields` names the fields it read."""
+
+    def __init__(self, message, *fields):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass
 class AlmConfig:
     rho1: float = 10.0
@@ -62,32 +70,39 @@ class AlmConfig:
                      "sigma_min"):
             value = getattr(self, name)
             if value != value:
-                raise ValueError("%s must not be NaN" % name)
-        if self.rho1 <= 0 or self.gamma <= 1 or not 0 < self.tau < 1:
-            raise ValueError("require rho1 > 0, gamma > 1, 0 < tau < 1")
-        if self.lam_min >= self.lam_max or self.mu_max <= 0:
-            raise ValueError("bad multiplier safeguard bounds")
-        if self.inner_solver not in INNER_SOLVERS:
-            raise ValueError("unknown inner solver %r" % self.inner_solver)
-        if self.hessian_mode not in HESSIAN_MODES:
-            raise ValueError("unknown hessian mode %r" % self.hessian_mode)
-        if self.precond_policy not in PRECOND_POLICIES:
-            raise ValueError("unknown policy %r" % self.precond_policy)
-        if self.aux_kind not in KINDS:
-            raise ValueError("unknown auxiliary preconditioner kind %r"
-                             % self.aux_kind)
+                raise SettingError("%s must not be NaN" % name, name)
+        for name, ok in (("rho1", self.rho1 > 0), ("gamma", self.gamma > 1),
+                         ("tau", 0 < self.tau < 1)):
+            if not ok:
+                raise SettingError("require rho1 > 0, gamma > 1, 0 < tau < 1",
+                                   name)
+        if self.lam_min >= self.lam_max:
+            raise SettingError("bad multiplier safeguard bounds", "lam_min",
+                               "lam_max")
+        if self.mu_max <= 0:
+            raise SettingError("bad multiplier safeguard bounds", "mu_max")
+        for name, what, legal in (
+                ("inner_solver", "inner solver", INNER_SOLVERS),
+                ("hessian_mode", "hessian mode", HESSIAN_MODES),
+                ("precond_policy", "policy", PRECOND_POLICIES),
+                ("aux_kind", "auxiliary preconditioner kind", KINDS)):
+            value = getattr(self, name)
+            if value not in legal:
+                raise SettingError("unknown %s %r" % (what, value), name)
         if not self.drop_tol >= 0.0:
-            raise ValueError("drop tolerance must be nonnegative, got %r"
-                             % self.drop_tol)
+            raise SettingError("drop tolerance must be nonnegative, got %r"
+                               % self.drop_tol, "drop_tol")
         if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1, got %r"
-                             % self.max_outer)
-        for name, value in (("eps_opt", self.eps_opt),
-                            ("eps_feas", self.eps_feas),
-                            ("inner_tol", self.effective_inner_tol)):
+            raise SettingError("max_outer must be at least 1, got %r"
+                               % self.max_outer, "max_outer")
+        # The default inner_tol is read from eps_opt.
+        for fields, value in ((("eps_opt",), self.eps_opt),
+                              (("eps_feas",), self.eps_feas),
+                              (("inner_tol", "eps_opt"),
+                               self.effective_inner_tol)):
             if not value > 0.0:  # NaN fails too
-                raise ValueError("%s must be positive, got %r"
-                                 % (name, value))
+                raise SettingError("%s must be positive, got %r"
+                                   % (fields[0], value), *fields)
 
     @property
     def effective_inner_tol(self):

@@ -18,7 +18,7 @@ import sys
 import typing
 from dataclasses import replace
 
-from .alm import AlmConfig
+from .alm import AlmConfig, SettingError
 from .auxprecond import FactorizationError
 from .bench import (ExperimentConfig, csv_to_table, rows_to_csv,
                     run_experiment)
@@ -83,30 +83,11 @@ def _convert_alm(key, raw):
     return parse(raw)
 
 
-def _alm_blame(base, over):
-    """(key, error) for alm.* values `over` that AlmConfig rejects as a
-    set: the first key whose default lets the others pass, else the first
-    key rejected on its own (AlmConfig has one check across fields)."""
-    def error(changes):
-        try:
-            replace(base, **changes)
-        except ValueError as exc:
-            return exc
-        return None
-
-    for key in over:
-        if error({k: v for k, v in over.items() if k != key}) is None:
-            return key, error(over)
-    for key, value in over.items():
-        if error({key: value}) is not None:
-            return key, error({key: value})
-    raise AssertionError("no single alm.* value to blame")
-
-
 def build_experiment_config(kind, pairs):
     """ExperimentConfig from {key: raw value} pairs.  A ConfigError names
     the key and, for `parse_config_text` pairs, its line.  The alm.* values
-    are applied together, so checks across fields see all of them."""
+    are applied together, so checks across fields see all of them; a
+    rejection blames the first field it names that the pairs set."""
     where = getattr(pairs, "where", {})
 
     def error_at(key, message):
@@ -133,8 +114,9 @@ def build_experiment_config(kind, pairs):
             raise error_at(key, "bad value for %r: %s" % (key, exc))
     try:
         return replace(cfg, alm=replace(cfg.alm, **alm_over))
-    except ValueError:
-        key, exc = _alm_blame(cfg.alm, alm_over)
+    except SettingError as exc:
+        # The defaults pass every check, so the pairs set a field it names.
+        key = next(name for name in exc.fields if name in alm_over)
         raise error_at("alm." + key, "bad value for 'alm.%s': %s"
                        % (key, exc)) from None
 

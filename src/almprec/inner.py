@@ -32,6 +32,22 @@ class InnerConfig:
     max_backtracks: int = 50
 
     def __post_init__(self):
+        for name in ("grad_tol", "krylov_tol"):
+            value = getattr(self, name)
+            if not value > 0.0:  # NaN fails too
+                raise ValueError("%s must be positive, got %r"
+                                 % (name, value))
+        for name in ("sufficient_decrease", "backtrack"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError("%s must lie in (0, 1), got %r"
+                                 % (name, value))
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1, got %r"
+                             % self.max_iterations)
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0, got %r"
+                             % self.max_backtracks)
         if not 0 < self.alpha_min < self.alpha_max:
             raise ValueError("require 0 < alpha_min < alpha_max")
         if self.memory < 1:

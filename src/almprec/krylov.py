@@ -55,7 +55,7 @@ def _arguments(op, precond, b, tol, maxit):
     """(apply_op, apply_prec or None, b as a float array, maxit), checked;
     maxit is 10 n by default, and an operator a callable or its `apply`."""
     b = np.asarray(b, dtype=np.float64)
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if maxit is None:
         maxit = 10 * b.size

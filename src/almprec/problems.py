@@ -18,7 +18,8 @@ class NlpProblem:
     Evaluation contract for minimize f(x) s.t. c_i(x) (= 0 | <= 0),
     l <= x <= u.  All callables are pure.  The kinds are checked once, at
     construction, into the boolean mask `equality`; the solver reads only
-    the mask.
+    the mask.  `x0`, `lower` and `upper` must be of shape (n,) and hold
+    no NaN; a bound may be infinite.
 
     A callable that returns the same read-only array on every call (one
     that owns its data: `not a.flags.writeable and a.base is None`)
@@ -46,13 +47,18 @@ class NlpProblem:
 
     def __post_init__(self):
         self.equality = equality_mask(self.kinds)
-        self.x0 = np.asarray(self.x0, dtype=np.float64)
         if self.lower is None:
             self.lower = np.full(self.n, -np.inf)
         if self.upper is None:
             self.upper = np.full(self.n, np.inf)
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
+        for name in ("x0", "lower", "upper"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if value.shape != (self.n,):
+                raise ValueError("%s must have shape (%d,), got %s"
+                                 % (name, self.n, value.shape))
+            if np.isnan(value).any():
+                raise ValueError("%s must not hold NaN" % name)
+            setattr(self, name, value)
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 

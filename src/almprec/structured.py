@@ -2,12 +2,15 @@
 structured.py
 
 The structured preconditioner: [M + sum_i s_i v_i v_i']^-1 with the
-auxiliary Q ~ M^-1 corrected by rank m, with the capacitance matrix
-K = S + V'QV factored once per column set.  A split auxiliary,
-Q = L_Q^-T L_Q^-1, is corrected between its halves,
-P^-1 = L_Q^-T (I - Y K^-1 Y') L_Q^-1 with Y = L_Q^-1 V (split
-preconditioning, Saad 2003, sec. 9.2); any other one by Woodbury,
-P^-1 = Q - W K^-1 W' with W = QV.
+auxiliary Q ~ M^-1 corrected by rank m.  The capacitance matrix
+K = S + V'QV = L D L' is factored once per column set into the stored
+Sherman-Morrison form (Hager 1989): columns b_i and weights
+s_i / d_i = 1 / D_ii, so that every apply is one correction step
+x - b (weights * b'y).  A split auxiliary, Q = L_Q^-T L_Q^-1, takes the
+step between its halves, P^-1 = L_Q^-T (I - b D^-1 b') L_Q^-1 with
+b = Y L^-T, Y = L_Q^-1 V (split preconditioning, Saad 2003, sec. 9.2);
+any other one after its whole apply, P^-1 = Q - b D^-1 b' with
+b = W L^-T, W = QV (Woodbury).
 Also hosts the column administration (activity, relaxation, ordering,
 secant augmentation) and the update-decision policy.
 """
@@ -151,17 +154,15 @@ class UpdateDecision:
 
 @dataclass
 class BStore:
-    """Capacitance factor K = L D L' of a column set V: the n x m array
-    b, the unit lower triangular L, the denominators d_i = s_i D_ii and
-    the weights s_i / d_i = 1 / D_ii that every apply takes.  In the
-    Woodbury form b = W L^-T, W = QV, so column i is P_{i-1}^-1 v_i and
-    d_i = 1 + s_i v_i' b_i.  In the split form b = Y L^-T, Y = L_Q^-1 V,
-    so L_Q^-T b is the Woodbury form's b.  b is a column-major n x m
-    array of its own, sharing no memory with the column set, and L a
-    column-major m x m array; the Woodbury apply forms c'a = L^-1 (V'a)
-    from the set's own columns, so no second n x m array is kept."""
+    """The Sherman-Morrison form of a column set V, from the factor
+    K = L D L' of its capacitance matrix: the n x m array b, the
+    denominators d_i = s_i D_ii and the weights s_i / d_i = 1 / D_ii
+    that every apply takes.  In the Woodbury form b = W L^-T, W = QV, so
+    column i is P_{i-1}^-1 v_i and d_i = 1 + s_i v_i' b_i.  In the split
+    form b = Y L^-T, Y = L_Q^-1 V, so L_Q^-T b is the Woodbury form's b.
+    b is a column-major n x m array of its own, sharing no memory with
+    the column set; L is not kept, since no apply reads it."""
     b: np.ndarray
-    lower: np.ndarray
     denoms: np.ndarray
     weights: np.ndarray
 
@@ -264,28 +265,24 @@ def assemble_B(aux, cols):
     b = dtrsm(1.0, lower, y, side=1, lower=1, trans_a=1, diag=1,
               overwrite_b=1)
     denoms = signs * pivots
-    return BStore(b, lower, denoms, signs / denoms)
+    return BStore(b, denoms, signs / denoms)
 
 
-def _apply(bs, aux, v, r):
-    """P^-1 r, unrefined, for a vector r or an (n, j) block.  Split form:
-    z = L_Q^-1 r, z -= b (weights * b'z), h = L_Q^-T z, so two triangular
-    solves and two n x m products.  Woodbury form: h = a - b (weights *
-    c'a), a = aux(r), with c'a = L^-1 (V'a), so one auxiliary apply, two
-    n x m products and an m x m triangular solve."""
+def _apply(bs, aux, r):
+    """P^-1 r, unrefined, for a vector r or an (n, j) block: one
+    correction step x - b (weights * b'y).  Split form: x = y = L_Q^-1 r,
+    corrected between the halves, then h = L_Q^-T x, so two triangular
+    solves and two n x m products.  Woodbury form: x = Qr and y = r,
+    corrected after the whole apply, so one auxiliary apply and two
+    n x m products."""
     if aux.split:
-        z = aux.apply(r, half="forward")
-        t = bs.b.T @ z
-        t *= bs.weights if t.ndim == 1 else bs.weights[:, None]
-        z -= bs.b @ t
-        return aux.apply(z, half="backward")
-    a = aux.apply(r)
-    block = a.ndim == 2
-    va = v.T @ a
-    ca = dtrsm(1.0, bs.lower, va if block else va[:, None], lower=1, diag=1,
-               overwrite_b=1)
-    ca *= bs.weights[:, None]
-    return a - bs.b @ (ca if block else ca[:, 0])
+        x = y = aux.apply(r, half="forward")
+    else:
+        x, y = aux.apply(r), r
+    t = bs.b.T @ y
+    t *= bs.weights if t.ndim == 1 else bs.weights[:, None]
+    x -= bs.b @ t
+    return aux.apply(x, half="backward") if aux.split else x
 
 
 class StructuredPrecond:
@@ -296,29 +293,33 @@ class StructuredPrecond:
     block; a block gives the same result as applying each column.
 
     The apply is [M + sum s_i v_i v_i']^-1 r in exact arithmetic when
-    the auxiliary is exact.  With a split auxiliary (IC) it is the split
-    form z = L_Q^-1 r, z -= b D^-1 (b'z), h = L_Q^-T z: the auxiliary's
-    two triangular solves and two n x m products.  Otherwise it is the
-    Woodbury form h = a - b D^-1 (c'a), a = aux(r), c = V L^-T, with c'a
-    formed as L^-1 (V'a): one auxiliary apply, two n x m products and an
-    m x m triangular solve.  The Woodbury form is not backward stable
-    (Yip 1986), so with an exact auxiliary (`aux.inverts` set) the apply
-    is followed by one step of iterative refinement (Skeel 1980),
+    the auxiliary is exact.  Both forms are one correction step
+    x - b D^-1 (b'y) on B's stored b.  With a split auxiliary (IC) it runs
+    between the halves, x = y = L_Q^-1 r, and h = L_Q^-T x: the
+    auxiliary's two triangular solves and two n x m products.  Otherwise
+    it runs after the whole apply, x = Qr and y = r, which is the
+    Woodbury form Qr - W K^-1 W'r: one auxiliary apply and two n x m
+    products.  The Woodbury form is not backward stable (Yip 1986), so
+    with an exact auxiliary (`aux.inverts` set) the apply is followed by
+    one step of iterative refinement (Skeel 1980),
     h <- h + P^-1 (r - (M + sum s_i v_i v_i') h), against the M that the
     auxiliary factored; with an inexact auxiliary 2P^-1 - P^-1 H P^-1 can
     be indefinite, so that case is left alone.
 
     Where the exact case loses accuracy, as the worst relative residual
     ||r - H P^-1 r|| / ||r|| for r = H x (n = 50, three standard-normal
-    columns scaled by sqrt(rho), Jacobi on a diagonal M and `exact` on a
-    dense SPD M, seeds 0-99, five x each):
+    columns scaled by sqrt(rho), rho = 1, 10, ..., 1e10; Jacobi on a
+    diagonal M, uniform on [0.5, 50], and `exact` on the dense SPD
+    M = A A'/n + I, A standard normal; seeds 0-99, five x each, as in
+    TestExactRefinement; one BLAS thread):
 
-        rho          <=1e6   1e7     1e8     1e9     1e10
-        refined      4e-15   1e-13   7e-12   3e-10   2e-8
-        unrefined    2e-8    3e-7    3e-6    2e-5    2e-4
+        rho          <=1e6    1e7      1e8      1e9      1e10
+        refined      4.6e-15  8.1e-14  7.6e-12  4.0e-10  3.4e-8
+        unrefined    2.5e-8   3.0e-7   2.6e-6   2.0e-5   2.1e-4
 
     The unrefined residual grows about linearly in rho from 2e-14 at
-    rho=1; a dense LAPACK solve stays below 1e-14 at every rho.
+    rho=1; a dense LAPACK solve of the same systems stays at or below
+    4e-15 at every rho.
     """
 
     def __init__(self, aux, cols):
@@ -327,14 +328,14 @@ class StructuredPrecond:
         self.bs = assemble_B(aux, cols)
 
     def apply(self, r):
-        v = self.cols.columns
-        h = _apply(self.bs, self.aux, v, r)
+        h = _apply(self.bs, self.aux, r)
         m = self.aux.inverts
         if m is None:
             return h
+        v = self.cols.columns
         signs = self.cols.signs if h.ndim == 1 else self.cols.signs[:, None]
         resid = r - m.matvec(h) - v @ (signs * (v.T @ h))
-        return h + _apply(self.bs, self.aux, v, resid)
+        return h + _apply(self.bs, self.aux, resid)
 
 
 def column_norms(jacobian):

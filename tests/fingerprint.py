@@ -40,11 +40,13 @@ total over all of them:
     and on every other one;
   - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
     preconditioner breaks down: P^-1 = [[0, 1], [1, 0]] with the
-    identity operator (`pcg-repro`) or diag(1, -1) (`indefinite-repro`)
-    and b = e1, the latter with b = (1, 1), where CG meets negative
-    curvature on its first iteration (`indefinite-first`), and a NaN
-    preconditioner on an SPD model (`nan-precond`); a step that raises
-    hashes its exception;
+    identity operator and b = (1, -1), where the plain CG rerun converges
+    (`pcg-repro`), or with diag(1, -1) and b = (2, -1), where the rerun
+    meets negative curvature on its second iteration
+    (`indefinite-repro`), or b = (1, 1), where preconditioned CG meets it
+    on its first (`indefinite-first`), and a NaN preconditioner on
+    diag(1, 2) with b = (1, 1) (`nan-precond`); a step that raises hashes
+    its exception;
 - `structured`: for each auxiliary kind, on a 6 x 6 grid Laplacian,
   `assemble_B`'s whole BStore and one structured apply on three seeded
   column sets with the sign patterns [+...+], [+...+, +, -] and
@@ -336,12 +338,12 @@ def fallback_runs():
     yield "fallback qn-floor", _digest(parts)
 
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e1 = np.array([1.0, 0.0])
-    cases = (("pcg-repro", np.eye(2), swap, e1),
-             ("indefinite-repro", np.diag([1.0, -1.0]), swap, e1),
+    cases = (("pcg-repro", np.eye(2), swap, np.array([1.0, -1.0])),
+             ("indefinite-repro", np.diag([1.0, -1.0]), swap,
+              np.array([2.0, -1.0])),
              ("indefinite-first", np.diag([1.0, -1.0]), swap, np.ones(2)),
              ("nan-precond", np.diag([1.0, 2.0]), np.full((2, 2), np.nan),
-              e1))
+              np.ones(2)))
     for label, op, precond, b in cases:
         try:
             step = truncated_newton_step(lambda v, a=op: a @ v, -b,
@@ -378,9 +380,8 @@ def structured_runs():
         for cols in sets:
             sp = StructuredPrecond(aux, cols)
             bs = sp.bs
-            parts += [bs.b.tobytes(), bs.lower.tobytes(),
-                      bs.denoms.tobytes(), bs.weights.tobytes(),
-                      sp.apply(r).tobytes()]
+            parts += [bs.b.tobytes(), bs.denoms.tobytes(),
+                      bs.weights.tobytes(), sp.apply(r).tobytes()]
         yield "structured %s" % kind, _digest(parts)
 
 

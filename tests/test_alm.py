@@ -13,9 +13,9 @@ from scipy.linalg.lapack import dpotrf
 
 from almprec import alm, inner, sparse
 from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
-                         alm_solve, eval_al, eval_al_grad, hessian_model,
-                         kkt_residuals, safeguard, shifted_multipliers,
-                         update_penalty)
+                         SettingError, alm_solve, eval_al, eval_al_grad,
+                         hessian_model, kkt_residuals, safeguard,
+                         shifted_multipliers, update_penalty)
 from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.inner import InnerConfig
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
@@ -1457,6 +1457,23 @@ class TestAlmSolve:
     def test_config_rejects_nan(self, name):
         with pytest.raises(ValueError, match="^%s must not be NaN$" % name):
             AlmConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("changes, fields", [
+        ({"rho1": 0.0}, ("rho1",)),
+        ({"gamma": 1.0}, ("gamma",)),
+        ({"tau": 1.0}, ("tau",)),
+        ({"lam_max": -1e21}, ("lam_min", "lam_max")),
+        ({"mu_max": 0.0}, ("mu_max",)),
+        ({"aux_kind": "ilu"}, ("aux_kind",)),
+        ({"max_outer": 0}, ("max_outer",)),
+        ({"inner_tol": -1.0}, ("inner_tol", "eps_opt")),
+        # The default inner_tol, eps_opt / 10, underflows to 0.
+        ({"eps_opt": 5e-324}, ("inner_tol", "eps_opt")),
+    ])
+    def test_config_rejection_names_its_fields(self, changes, fields):
+        with pytest.raises(SettingError) as caught:
+            AlmConfig(**changes)
+        assert caught.value.fields == fields
 
 
 def _subproblem_tolerances(monkeypatch, p, cfg):

@@ -167,6 +167,14 @@ class TestConfigParsing:
                                  "drop tolerance"):
             build_experiment_config("solve", pairs)
 
+    def test_rejected_alm_pair_blames_the_key_that_was_set(self):
+        pairs = parse_config_text("alm.max_outer = 3\nalm.lam_max = -1e21\n",
+                                  source="f")
+        with pytest.raises(ConfigError,
+                           match="^f:2: bad value for 'alm.lam_max': "
+                                 "bad multiplier safeguard bounds$"):
+            build_experiment_config("solve", pairs)
+
     @pytest.mark.parametrize("line, message", [
         ("n = 0", "n must be at least 1"),
         ("m = -1", "m must be nonnegative"),

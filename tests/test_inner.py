@@ -478,3 +478,21 @@ class TestInnerConfig:
     def test_memory_validated(self):
         with pytest.raises(ValueError):
             InnerConfig(memory=0)
+
+    ILLEGAL = {"krylov_tol": (0.0, -1.0, float("nan")),
+               "grad_tol": (0.0, -1.0, float("nan")),
+               "backtrack": (0.0, 1.0, float("nan")),
+               "sufficient_decrease": (0.0, 1.0, float("nan")),
+               "max_iterations": (0, -1),
+               "max_backtracks": (-1,)}
+
+    @pytest.mark.parametrize("name", ILLEGAL)
+    def test_field_validated(self, name):
+        for value in self.ILLEGAL[name]:
+            with pytest.raises(ValueError, match="^%s must" % name):
+                InnerConfig(**{name: value})
+
+    def test_field_bounds_are_legal(self):
+        InnerConfig(max_iterations=1, max_backtracks=0, backtrack=0.999,
+                    sufficient_decrease=1e-12, grad_tol=1e-300,
+                    krylov_tol=1e-300)

@@ -105,6 +105,15 @@ class TestPcg:
             pcg(lambda v: v, None, np.ones(2), tol=0.0)
 
 
+@pytest.mark.parametrize("solver", [pcg, pminres])
+def test_nan_tol_is_rejected(solver):
+    # A NaN tol fails every stopping test: CG would run past its exact
+    # solution to p'Ap = 0 on diag(1, 2, 3).
+    a = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solver(lambda v: a @ v, None, np.ones(3), tol=float("nan"))
+
+
 class TestPminres:
     def test_solves_spd_system(self):
         rng = np.random.default_rng(4)

@@ -97,6 +97,37 @@ def test_unknown_constraint_kind_rejected_at_construction():
                    jac_cols=p.jac_cols, cons_hess=p.cons_hess)
 
 
+def _with(p, **changes):
+    """`p` rebuilt from its fields with `changes`."""
+    fields = dict(name=p.name, n=p.n, x0=p.x0, kinds=p.kinds, f=p.f,
+                  grad=p.grad, hess=p.hess, cons=p.cons, jac_cols=p.jac_cols,
+                  cons_hess=p.cons_hess, lower=p.lower, upper=p.upper)
+    return NlpProblem(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("name", ["x0", "lower", "upper"])
+def test_point_and_bounds_of_the_wrong_shape_rejected(name):
+    p = get_problem("HS48")
+    for value in (np.zeros(p.n - 1), np.zeros((p.n, 1)), 0.0):
+        with pytest.raises(ValueError, match="^%s must have shape" % name):
+            _with(p, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["x0", "lower", "upper"])
+def test_nan_in_point_or_bounds_rejected(name):
+    p = get_problem("HS48")
+    value = np.zeros(p.n)
+    value[1] = np.nan
+    with pytest.raises(ValueError, match="^%s must not hold NaN" % name):
+        _with(p, **{name: value})
+
+
+def test_infinite_bounds_stay_legal():
+    p = get_problem("HS48")
+    q = _with(p, lower=np.full(p.n, -np.inf), upper=[np.inf] * p.n)
+    assert q.upper.dtype == np.float64 and np.isinf(q.upper).all()
+
+
 def test_unknown_problem_lists_available():
     with pytest.raises(KeyError, match="available"):
         get_problem("nope")

@@ -1,6 +1,7 @@
 """Structured low-rank preconditioner: recursions, column administration
 and update decisions."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,10 @@ class TestExactRefinement:
     # loop.  With K's Cholesky from LAPACK it reads 3.8e-15, 1.3e-13,
     # 7.1e-12, 2.5e-10, 2.3e-8; on this test's seeds 0-4 it stays 15x or
     # more below each bound up to rho=1e9 and 9.5x at rho=1e10 (2.1e-8).
+    # With the Woodbury apply as one correction step on the stored b,
+    # Qr - b D^-1 (b'r), it reads 4.6e-15, 8.1e-14, 7.6e-12, 4.0e-10,
+    # 3.4e-8; on seeds 0-4 it stays 12x or more below each bound up to
+    # rho=1e9 and 7.4x at rho=1e10 (2.7e-8).
     # Unrefined it reaches 1e-12 at rho=1e2, so from rho=1e2 on these
     # bounds fail without refinement.
     FLOOR = {1e0: 1e-13, 1e1: 1e-13, 1e2: 1e-13, 1e3: 1e-13, 1e4: 1e-13,
@@ -503,8 +508,7 @@ def test_assemble_b_leaves_the_columns_alone(kind, order):
     bs = assemble_B(build_aux(spd_matrix(rng, n), kind, 0.1), cols)
     assert cols.columns.tobytes(order="A") == before.tobytes(order="A")
     assert cols.columns.strides == before.strides
-    for x in (bs.b, bs.lower):
-        assert not np.shares_memory(x, cols.columns)
+    assert not np.shares_memory(bs.b, cols.columns)
 
 EQ = (True,)
 IN = (False,)
@@ -890,6 +894,9 @@ def test_bstore_fields():
     cols = ColumnSet(4, rng.standard_normal((4, 2)), np.ones(2), [0, 1])
     bs = assemble_B(aux, cols)
     assert isinstance(bs, BStore)
+    # The Sherman-Morrison form alone: no apply reads K's factor.
+    assert [f.name for f in dataclasses.fields(bs)] == ["b", "denoms",
+                                                        "weights"]
     assert bs.b.shape == (4, 2) and bs.denoms.shape == (2,)
 
 
@@ -903,11 +910,11 @@ def test_bstore_weights_are_the_signs_over_the_denominators():
     bs = sp.bs
     assert bs.weights.tobytes() == (cols.signs / bs.denoms).tobytes()
     # The split apply is the Woodbury form with the signs divided per
-    # apply, c = V L^-T formed here from the set's columns and B's factor
-    # and the Woodbury b from B's split one, L_Q^-T b.
-    c = solve_triangular(bs.lower, cols.columns.T, lower=True,
-                         unit_diagonal=True).T
-    b = aux.apply(bs.b, half="backward")
+    # apply, c = V L^-T formed here from the set's columns and the oracle's
+    # factor of K, and the Woodbury b from B's split one, L_Q^-T b.
+    c = solve_triangular(_capacitance_lower(aux, cols), cols.columns.T,
+                         lower=True, unit_diagonal=True).T
+    b = _woodbury_b(aux, bs)
     r = rng.standard_normal(6)
     a = aux.apply(r)
     want = a - b @ (cols.signs / bs.denoms * (c.T @ a))
@@ -915,14 +922,36 @@ def test_bstore_weights_are_the_signs_over_the_denominators():
     assert np.linalg.norm(h - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _capacitance_lower(aux, cols):
+    """The unit lower triangular L of the textbook L D L' of the
+    capacitance matrix K = S + V'QV of `cols`, formed densely: K = S + Y'Y,
+    Y = L_Q^-1 V, for a split auxiliary, else S + V'W, W = QV,
+    symmetrised, as `assemble_B` forms it."""
+    v = cols.columns
+    if aux.split:
+        y = aux.apply(v, half="forward")
+        k = y.T @ y
+    else:
+        k = v.T @ aux.apply(v)
+        k = 0.5 * (k + k.T)
+    return _dense_ldlt(k + np.diag(cols.signs),
+                       structured._denom_floor(v))[0]
+
+
+def _woodbury_b(aux, bs):
+    """B's b in the Woodbury form, W L^-T: a split auxiliary's b taken
+    back by L_Q^-T."""
+    return aux.apply(bs.b, half="backward") if aux.split else bs.b
+
+
 def _woodbury_with_c(sp, r):
-    """The apply with c = V L^-T formed as a whole n x m array, as the
-    apply was written before it formed c'a from the columns, refined once
-    when the auxiliary inverts M.  A split auxiliary's b is taken back to
-    the Woodbury b, L_Q^-T b."""
+    """The apply with c = V L^-T formed as a whole n x m array, from the
+    oracle's factor of K, as the apply was written before it formed c'a
+    from the columns, refined once when the auxiliary inverts M."""
     v, bs, aux = sp.cols.columns, sp.bs, sp.aux
-    c = solve_triangular(bs.lower, v.T, lower=True, unit_diagonal=True).T
-    b = aux.apply(bs.b, half="backward") if aux.split else bs.b
+    c = solve_triangular(_capacitance_lower(aux, sp.cols), v.T, lower=True,
+                         unit_diagonal=True).T
+    b = _woodbury_b(aux, bs)
 
     def once(x):
         a = aux.apply(x)
@@ -960,6 +989,21 @@ def test_apply_matches_the_woodbury_form_with_c(kind, drop_tol, diagonal):
         want = _woodbury_with_c(sp, r)
         assert (np.linalg.norm(sp.apply(r) - want)
                 <= 1e-12 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("kind, drop_tol, diagonal", APPLY_CASES)
+def test_apply_makes_no_solve_with_the_capacitance_factor(
+        kind, drop_tol, diagonal, monkeypatch):
+    # Both forms are one correction step on the stored b: L is used only
+    # while B is assembled.
+    sp, rng = _structured_case(kind, drop_tol, diagonal, 45)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("triangular solve in the apply")
+    monkeypatch.setattr(structured, "dtrsm", forbidden)
+    n = sp.cols.n
+    for r in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        assert sp.apply(r).shape == r.shape
 
 
 @pytest.mark.parametrize("kind, drop_tol, diagonal", APPLY_CASES)
@@ -1033,8 +1077,10 @@ class TestCapacitanceFactor:
         want_lower, want_pivots = _dense_ldlt(
             0.5 * (k + k.T), structured._denom_floor(v))
         bs = assemble_B(aux, cols)
-        assert (np.linalg.norm(bs.lower - want_lower)
-                <= 1e-12 * np.linalg.norm(want_lower))
+        want_b = solve_triangular(want_lower, aux.apply(v).T, lower=True,
+                                  unit_diagonal=True).T
+        assert (np.linalg.norm(_woodbury_b(aux, bs) - want_b)
+                <= 1e-12 * np.linalg.norm(want_b))
         np.testing.assert_allclose(cols.signs * bs.denoms, want_pivots,
                                    rtol=1e-12)
 
