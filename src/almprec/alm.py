@@ -76,6 +76,9 @@ class AlmConfig:
             if not ok:
                 raise SettingError("require rho1 > 0, gamma > 1, 0 < tau < 1",
                                    name)
+        if np.isinf(self.rho1):
+            raise SettingError("rho1 must be finite, got %r" % self.rho1,
+                               "rho1")
         if self.lam_min >= self.lam_max:
             raise SettingError("bad multiplier safeguard bounds", "lam_min",
                                "lam_max")
@@ -92,6 +95,9 @@ class AlmConfig:
         if not self.drop_tol >= 0.0:
             raise SettingError("drop tolerance must be nonnegative, got %r"
                                % self.drop_tol, "drop_tol")
+        if not isinstance(self.max_outer, (int, np.integer)):
+            raise SettingError("max_outer must be an integer, got %r"
+                               % self.max_outer, "max_outer")
         if self.max_outer < 1:
             raise SettingError("max_outer must be at least 1, got %r"
                                % self.max_outer, "max_outer")
@@ -265,7 +271,13 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     skipped, and the others are added sparsely (`plus`).  QN:
     M = hess f + sigma I with the secant-based spectral shift, columns
     augmented with the two BFGS correction vectors when the curvature
-    test passes.
+    test passes and the model does not already map s to y: the pair is
+    left out when ||y - w|| <= SECANT_NOOP_RTOL ||y|| = 1e-6 ||y||,
+    w = H+ s the model's own product (`build_column_set`).  On a QP with
+    linear constraints the model hess f + sigma I + rho J_A J_A' is
+    exact, so there the pair, which would force a new B each inner
+    iteration, goes: such pairs measured at most 5.5e-8, and every
+    informative pair at least 2.2e-4.
 
     `free`, an increasing index array, builds the model on those
     variables only: the principal submatrix of M and the rows `free` of

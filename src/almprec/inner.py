@@ -42,6 +42,12 @@ class InnerConfig:
             if not 0.0 < value < 1.0:
                 raise ValueError("%s must lie in (0, 1), got %r"
                                  % (name, value))
+        # range() and the merit memory take integers only.
+        for name in ("max_iterations", "max_backtracks", "memory"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1, got %r"
                              % self.max_iterations)

@@ -74,6 +74,8 @@ class SparseSymmetricMatrix:
     """
 
     def __init__(self, n, rows, cols, vals):
+        if not float(n).is_integer():  # NaN and infinity fail too
+            raise ValueError("dimension must be an integer, got %r" % (n,))
         n = int(n)
         if n < 1:
             raise ValueError("dimension must be >= 1")

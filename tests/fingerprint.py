@@ -20,14 +20,19 @@ total over all of them:
   changed verdict shows even where no run depends on it;
 - `restricted`: the Hessian model that `hessian_model(..., free=idx)`
   builds at `x0` on a fixed free set (every third variable, from the
-  first, pinned) for each grid problem: NW, QN, and QN with a fixed
-  secant pair;
+  first, pinned) for each grid problem: NW, QN, QN with the fixed
+  secant pair y = Hs + s (`QN-secant`), which BOX-QP's model reproduces
+  (no constraints, so sigma = 1 absorbs the +s) and so leaves out, and
+  QN with y = Hs + s + 0.1 s[::-1] (`QN-secant-kept`), which no grid
+  problem's model reproduces (||y - w|| / ||y|| >= 0.019 on each), so
+  every problem whose pair passes the curvature test carries it;
 - `restricted-memo`: per grid problem, with `hess f`, the Jacobian and
   the constraint Hessians frozen at `x0` as read-only constants, the
-  same three models built through one per-solve memo (`_SolveMemo`)
-  over the free sets A, A (the same array), B, A (a new array), none
-  (B another set of A's size), so the memo's cached restriction is
-  built, reused and replaced;
+  NW, QN and `QN-secant` models built through one per-solve memo
+  (`_SolveMemo`) over the free sets A, A (the same array), B, A (a new
+  array), none (B another set of A's size), so the memo's cached
+  restriction is built, reused and replaced; and, under its own label
+  and memo, the `QN-secant-kept` model over the same free sets;
 - `fallback`: each numerical fallback, forced on a small input:
   - `aux-shift KIND`: the preconditioner manager's auxiliary build of
     an indefinite block (a 5-point Laplacian minus 4 I, whose zero
@@ -237,10 +242,8 @@ def restricted_runs(root):
     for name in _grid_config(root).problems:
         p = get_problem(name)
         pinned = np.arange(p.n) % 3 == 0
-        s = np.linspace(1.0, 2.0, p.n)
-        secant = (s, p.hess(p.x0) @ s + s)
         for label, mode, pair in (("NW", "NW", None), ("QN", "QN", None),
-                                  ("QN-secant", "QN", secant)):
+                                  *_secant_pairs(p)):
             try:
                 parts = _model_bytes(alm.hessian_model(
                     p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
@@ -248,6 +251,14 @@ def restricted_runs(root):
             except Exception as exc:
                 parts = [repr(exc).encode()]
             yield "restricted %s %s" % (name, label), _digest(parts)
+
+
+def _secant_pairs(p):
+    """(label, "QN", (s, y)) of the two fixed secant pairs of `p`."""
+    s = np.linspace(1.0, 2.0, p.n)
+    hs = p.hess(p.x0) @ s
+    return [("QN-secant", "QN", (s, hs + s)),
+            ("QN-secant-kept", "QN", (s, hs + s + 0.1 * s[::-1]))]
 
 
 def _frozen_at_x0(p):
@@ -274,18 +285,20 @@ def restricted_memo_runs(root):
         p = _frozen_at_x0(get_problem(name))
         free = np.arange(p.n) % 3 != 0
         first, other = np.flatnonzero(free), np.flatnonzero(np.roll(free, 1))
-        s = np.linspace(1.0, 2.0, p.n)
-        secant = (s, p.hess(p.x0) @ s + s)
-        memo, parts = alm._SolveMemo(), []
-        for mode, pair in (("NW", None), ("QN", None), ("QN", secant)):
-            for free in (first, first, other, first.copy(), None):
-                try:
-                    parts += _model_bytes(alm.hessian_model(
-                        p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
-                        free=free, _memo=memo))
-                except Exception as exc:
-                    parts.append(repr(exc).encode())
-        yield "restricted-memo %s" % name, _digest(parts)
+        secant, kept = _secant_pairs(p)
+        for label, models in (
+                (name, [("NW", None), ("QN", None), secant[1:]]),
+                ("%s %s" % (name, kept[0]), [kept[1:]])):
+            memo, parts = alm._SolveMemo(), []
+            for mode, pair in models:
+                for free in (first, first, other, first.copy(), None):
+                    try:
+                        parts += _model_bytes(alm.hessian_model(
+                            p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
+                            free=free, _memo=memo))
+                    except Exception as exc:
+                        parts.append(repr(exc).encode())
+            yield "restricted-memo %s" % label, _digest(parts)
 
 
 def _shifted_laplacians():

@@ -191,6 +191,18 @@ class TestHessianModel:
         # Gauss-Newton apply: hess f + rho jac jac' -> (2 + 1) on s.
         assert model.sigma == pytest.approx((5.0 - 3.0) / 1.0)
 
+    def test_qn_leaves_out_a_secant_pair_the_model_reproduces(self):
+        # BOX-QP has no constraints: sigma = 1 absorbs the +s, so
+        # w = hess f s + sigma s is y up to rounding.
+        p = get_problem("BOX-QP")
+        s = np.linspace(1.0, 2.0, p.n)
+        y = p.hess(p.x0) @ s + s
+        model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "QN",
+                              secant=(s, y))
+        assert model.sigma == pytest.approx(1.0)
+        assert model.cols.m == 0
+        assert model.cols.notes == ("secant reproduced",)
+
 
 def _same_matrix(a, b):
     return (a.n == b.n and np.array_equal(a.rows, b.rows)
@@ -1466,6 +1478,8 @@ class TestAlmSolve:
         ({"mu_max": 0.0}, ("mu_max",)),
         ({"aux_kind": "ilu"}, ("aux_kind",)),
         ({"max_outer": 0}, ("max_outer",)),
+        ({"max_outer": 2.5}, ("max_outer",)),
+        ({"rho1": float("inf")}, ("rho1",)),
         ({"inner_tol": -1.0}, ("inner_tol", "eps_opt")),
         # The default inner_tol, eps_opt / 10, underflows to 0.
         ({"eps_opt": 5e-324}, ("inner_tol", "eps_opt")),

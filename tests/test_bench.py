@@ -167,6 +167,14 @@ class TestConfigParsing:
                                  "drop tolerance"):
             build_experiment_config("solve", pairs)
 
+    def test_infinite_rho1_blames_its_line(self):
+        pairs = parse_config_text("alm.max_outer = 3\nalm.rho1 = inf\n",
+                                  source="f")
+        with pytest.raises(ConfigError,
+                           match="^f:2: bad value for 'alm.rho1': "
+                                 "rho1 must be finite, got inf$"):
+            build_experiment_config("solve", pairs)
+
     def test_rejected_alm_pair_blames_the_key_that_was_set(self):
         pairs = parse_config_text("alm.max_outer = 3\nalm.lam_max = -1e21\n",
                                   source="f")

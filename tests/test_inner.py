@@ -492,6 +492,13 @@ class TestInnerConfig:
             with pytest.raises(ValueError, match="^%s must" % name):
                 InnerConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["max_iterations", "max_backtracks",
+                                      "memory"])
+    def test_count_must_be_an_integer(self, name):
+        with pytest.raises(ValueError, match="^%s must be an integer" % name):
+            InnerConfig(**{name: 2.5})
+        InnerConfig(**{name: np.int64(2)})
+
     def test_field_bounds_are_legal(self):
         InnerConfig(max_iterations=1, max_backtracks=0, backtrack=0.999,
                     sufficient_decrease=1e-12, grad_tol=1e-300,

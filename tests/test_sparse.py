@@ -178,6 +178,11 @@ class TestSparseSymmetricMatrix:
             np.testing.assert_allclose(a.matvec(x), dense @ x,
                                        rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+    def test_non_integral_order_rejected(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            SparseSymmetricMatrix(n, [0, 1], [0, 1], [1.0, 1.0])
+
     def test_nnz_counts_lower_triangle_only(self):
         a = SparseSymmetricMatrix(3, [0, 1, 2, 2], [0, 0, 1, 2],
                                   [1.0, 2.0, 3.0, 4.0])

@@ -682,6 +682,24 @@ class TestBuildColumnSet:
         assert "correction skipped" in cols.notes
         assert cols.m == 1
 
+    def test_secant_pair_the_model_reproduces_is_left_out(self):
+        # w = y: the BFGS update y y'/s'y - w w'/s'w is zero.
+        s = np.array([1.0, 0.5])
+        y = np.array([2.0, 0.5])
+        cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
+                                self.th, secant=(s, y, y.copy()))
+        assert cols.labels == (0,)
+        assert cols.notes == ("secant reproduced",)
+
+    def test_secant_pair_off_by_more_than_the_tolerance_is_kept(self):
+        s = np.array([1.0, 0.5])
+        y = np.array([2.0, 0.5])
+        cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
+                                self.th, secant=(s, y, y * (1.0 + 1e-3)))
+        assert cols.labels == (0, LABEL_BFGS_Y, LABEL_BFGS_W)
+        assert cols.signs.tolist() == [1.0, 1.0, -1.0]
+        assert cols.notes == ()
+
     def test_secant_columns_reproduce_bfgs_update(self):
         # M + y y'/s'y - w w'/s'w with w = H s is the standard two-term
         # correction; the assembled inverse must match it.
