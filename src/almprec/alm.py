@@ -7,18 +7,18 @@ residuals, preconditioner administration and the solver driver.
 """
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .auxprecond import KINDS, FactorizationError, build_aux, ldlt
-from .inner import (InnerConfig, active_bound_mask, project_box,
-                    projected_descent, spg_solve, truncated_newton_step)
+from .inner import (active_bound_mask, project_box, projected_descent,
+                    spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
 from .structured import (ColumnSet, DenominatorBreakdownError,
-                         StructuredPrecond, UpdateThresholds,
-                         build_column_set, column_norms, decide_update)
+                         StructuredPrecond, build_column_set, column_norms,
+                         decide_update)
 # Re-exported, not used here: perfbench's layer tracer wraps the target
 # `almprec.alm:assemble_B` (test_traced_counts_match_untraced).
 from .structured import assemble_B  # noqa: F401
@@ -55,7 +55,6 @@ class AlmConfig:
     max_outer: int = 50
     inner_solver: str = "truncated-newton"
     hessian_mode: str = "NW"
-    thresholds: UpdateThresholds = field(default_factory=UpdateThresholds)
     aux_kind: str = "incomplete-cholesky"
     drop_tol: float = 1e-2
     precond_policy: str = "auto"  # see PrecondManager
@@ -63,7 +62,6 @@ class AlmConfig:
     # The first subproblem's projected-gradient tolerance and the floor
     # of every later one's (INNER_TOL_PER_MEASURE); None: eps_opt / 10.
     inner_tol: Optional[float] = None
-    inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
         for name in ("rho1", "gamma", "lam_min", "lam_max", "mu_max",
@@ -216,14 +214,14 @@ class _SolveMemo:
     call is not kept alive and a reused id never finds stale values.
     """
 
-    def __init__(self, enabled=True):
-        self._entries = {} if enabled else None
+    def __init__(self):
+        self._entries = {}
 
     def _values(self, a):
         """The dict of values memoised for `a`; None unless `a` is a
         memoised constant."""
-        if (self._entries is None or not isinstance(a, np.ndarray)
-                or a.flags.writeable or a.base is not None):
+        if (not isinstance(a, np.ndarray) or a.flags.writeable
+                or a.base is not None):
             return None
         entries, ident = self._entries, id(a)
         ref, values = entries.get(ident, (None, None))
@@ -260,11 +258,8 @@ class _SolveMemo:
         return values[_RESTRICTION][1]
 
 
-_NO_MEMO = _SolveMemo(enabled=False)
-
-
-def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
-                  sigma_min=1e-8, free=None, _memo=_NO_MEMO):
+def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
+                  free=None, _memo=None):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
@@ -307,12 +302,13 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
     NlpProblem): sparse hess f, whether each constraint Hessian is zero
     and the sparse form of the others, the 2-norms of the Jacobian's
     columns, QN's probe verdict and smallest eigenvalue, and those sparse
-    matrices cut down to `free` (`restricted`).  The model is bit for bit
-    the one built without it.
+    matrices cut down to `free` (`restricted`).  Without one the call
+    takes a fresh memo of its own, and the model is bit for bit the same.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
-    th = thresholds if thresholds is not None else UpdateThresholds()
+    if _memo is None:
+        _memo = _SolveMemo()
     c = p.cons(x)
     lam_hat = shifted_multipliers(p, x, lam, rho, c)
     jac = p.jac_cols(x)
@@ -331,7 +327,7 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
                 terms.append((lam_hat[i], _memo.restricted(h, term, free)))
         m_part = _memo.restricted(hess_f, sparse_f, free)
         m_part = m_part.plus(terms) if terms else m_part
-        cols = build_column_set(jac, p.equality, c, lam, rho, th, free=free,
+        cols = build_column_set(jac, p.equality, c, lam, rho, free=free,
                                 norms=norms)
         return HessianModel(m_part, 0.0, cols)
 
@@ -364,7 +360,7 @@ def hessian_model(p, x, lam, rho, mode, thresholds=None, secant=None,
 
     # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
-    cols = build_column_set(jac, p.equality, c, lam, rho, th,
+    cols = build_column_set(jac, p.equality, c, lam, rho,
                             secant=secant_arg, free=free, norms=norms)
     return HessianModel(m_part, sigma, cols)
 
@@ -484,7 +480,7 @@ class PrecondManager:
             refresh_aux = refresh_b = self._outer_boundary
         else:
             decision = decide_update(self._m, m_part, self._precond.cols,
-                                     cols, self.cfg.thresholds)
+                                     cols)
             refresh_aux, refresh_b = decision.refresh_aux, decision.refresh_b
         self._outer_boundary = False
         self.free = free
@@ -538,7 +534,7 @@ class _Subproblem:
         if free is not None and np.array_equal(free, last):
             free = last
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
-                              self.cfg.hessian_mode, self.cfg.thresholds,
+                              self.cfg.hessian_mode,
                               secant=(s, y) if s is not None else None,
                               sigma_min=self.cfg.sigma_min, free=free,
                               _memo=self.memo)
@@ -558,7 +554,6 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
     """Minimise the merit over the box from x with the configured inner
     solver, to the projected-gradient tolerance `grad_tol`.  Returns
     (x, stats)."""
-    icfg = replace(cfg.inner, grad_tol=grad_tol)
     sub = _Subproblem(p, lam_bar, rho, cfg, manager, memo)
     stats = _SubStats()
 
@@ -566,7 +561,7 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
         # Bound-pinned components take the raw gradient (clipped by the
         # projection); the model is solved on the free variables only.
         model, precond, free = sub.free_system(z, g, s, y)
-        step = truncated_newton_step(model, g[free], precond, icfg)
+        step = truncated_newton_step(model, g[free], precond)
         stats.krylov_precond += step.krylov_precond
         stats.krylov_plain += step.krylov_plain
         d = -g
@@ -579,9 +574,10 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
 
     if cfg.inner_solver == "truncated-newton":
         result = projected_descent(sub.merit, sub.grad, p.lower, p.upper, x,
-                                   icfg, tn_direction)
+                                   grad_tol, tn_direction)
     else:
-        result = spg_solve(sub.merit, sub.grad, p.lower, p.upper, x, icfg,
+        result = spg_solve(sub.merit, sub.grad, p.lower, p.upper, x,
+                           grad_tol,
                            precond=pspg_metric if cfg.inner_solver == "pspg"
                            else None)
     stats.iterations, stats.status = result.iterations, result.status

@@ -75,14 +75,6 @@ def _convert(key, raw):
     return _PARSERS[_FIELDS[key]](raw)
 
 
-def _convert_alm(key, raw):
-    parse = _PARSERS.get(_ALM_FIELDS[key])
-    if parse is None:
-        raise ConfigError("alm.%s is not a scalar setting and cannot be set "
-                          "from a config file" % key)
-    return parse(raw)
-
-
 def build_experiment_config(kind, pairs):
     """ExperimentConfig from {key: raw value} pairs.  A ConfigError names
     the key and, for `parse_config_text` pairs, its line.  The alm.* values
@@ -105,7 +97,7 @@ def build_experiment_config(kind, pairs):
                 if sub in _ALM_SET_BY:
                     raise ValueError("the experiment overrides it; set %r "
                                      "instead" % _ALM_SET_BY[sub])
-                alm_over[sub] = _convert_alm(sub, raw)
+                alm_over[sub] = _PARSERS[_ALM_FIELDS[sub]](raw)
             else:
                 cfg = replace(cfg, **{key: _convert(key, raw)})
         except ConfigError as exc:

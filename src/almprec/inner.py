@@ -19,45 +19,17 @@ from .krylov import (IndefiniteOperatorError, KrylovReport,  # noqa: F401
                      PreconditionerBreakdownError, pcg, pminres)
 
 
-@dataclass
-class InnerConfig:
-    grad_tol: float = 1e-7  # alm_solve sets it per subproblem
-    max_iterations: int = 500
-    krylov_tol: float = 1e-8
-    memory: int = 10
-    alpha_min: float = 1e-10
-    alpha_max: float = 1e10
-    sufficient_decrease: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 50
-
-    def __post_init__(self):
-        for name in ("grad_tol", "krylov_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:  # NaN fails too
-                raise ValueError("%s must be positive, got %r"
-                                 % (name, value))
-        for name in ("sufficient_decrease", "backtrack"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError("%s must lie in (0, 1), got %r"
-                                 % (name, value))
-        # range() and the merit memory take integers only.
-        for name in ("max_iterations", "max_backtracks", "memory"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, value))
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1, got %r"
-                             % self.max_iterations)
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0, got %r"
-                             % self.max_backtracks)
-        if not 0 < self.alpha_min < self.alpha_max:
-            raise ValueError("require 0 < alpha_min < alpha_max")
-        if self.memory < 1:
-            raise ValueError("memory must be >= 1")
+# The inner solvers' parameters.  Each is read when a solver runs, so a
+# test can patch it on this module.
+MAX_ITERATIONS = 500        # projected_descent's iterations per call
+KRYLOV_TOL = 1e-8           # truncated Newton's CG relative residual
+MEMORY = 10                 # merit values the nonmonotone search compares
+ALPHA_MIN = 1e-10           # spg_solve's bounds on the spectral step
+ALPHA_MAX = 1e10
+SUFFICIENT_DECREASE = 1e-4  # projected_search's Armijo constant
+BACKTRACK = 0.5             # its step reduction per trial
+MAX_BACKTRACKS = 50
+ACTIVE_TOL = 1e-10          # distance at which a variable is at its bound
 
 
 @dataclass
@@ -88,19 +60,20 @@ def project_box(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def active_bound_mask(x, g, lower, upper, tol=1e-10):
+def active_bound_mask(x, g, lower, upper):
     """Components pinned at a bound with the gradient pushing outward.
     Scaled directions must not couple these into the free variables."""
-    return (((x <= lower + tol) & (g > 0.0))
-            | ((x >= upper - tol) & (g < 0.0)))
+    return (((x <= lower + ACTIVE_TOL) & (g > 0.0))
+            | ((x >= upper - ACTIVE_TOL) & (g < 0.0)))
 
 
-def truncated_newton_step(model, grad, precond, cfg):
+def truncated_newton_step(model, grad, precond):
     """
-    Solve the quadratic model H d = -grad inexactly by PCG, with the
-    Krylov default of at most 10 n iterations.  At p'Hp <= 0 the step is
-    the Newton-CG exit, IndefiniteOperatorError's `direction`, and
-    `negative_curvature` is set; when the preconditioner breaks down
+    Solve the quadratic model H d = -grad inexactly by PCG to the
+    relative residual KRYLOV_TOL, with the Krylov default of at most
+    10 n iterations.  At p'Hp <= 0 the step is the Newton-CG exit,
+    IndefiniteOperatorError's `direction`, and `negative_curvature` is
+    set; when the preconditioner breaks down
     (PreconditionerBreakdownError) CG runs again without it.  Any other
     error propagates.  A non-descent or NaN result is replaced by the
     steepest-descent direction.  The iterations an attempt made before
@@ -113,7 +86,7 @@ def truncated_newton_step(model, grad, precond, cfg):
     while True:
         try:
             report = pcg(model, precond if used_precond else None, rhs,
-                         tol=cfg.krylov_tol)
+                         tol=KRYLOV_TOL)
             break
         except IndefiniteOperatorError as exc:
             report, negative = KrylovReport(exc.direction, exc.applies), True
@@ -133,37 +106,41 @@ def truncated_newton_step(model, grad, precond, cfg):
                   used_precond, fallback)
 
 
-def projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg):
+def projected_search(f_eval, x, d, g, f_ref, lower, upper):
     """
     Nonmonotone projected backtracking along d: trial points
-    P_box(x + t d), t = 1, cfg.backtrack, ..., accepted when
-    f(trial) <= f_ref + cfg.sufficient_decrease * g'(trial - x).  Stops
-    without a point when that slope is not negative.  Returns
+    P_box(x + t d), t = 1, BACKTRACK, ..., BACKTRACK^MAX_BACKTRACKS,
+    accepted when f(trial) <= f_ref + SUFFICIENT_DECREASE * g'(trial - x).
+    Stops without a point when that slope is not negative.  Returns
     (trial, f(trial)), or None when no trial point is accepted.
     """
     t = 1.0
-    for _bt in range(cfg.max_backtracks + 1):
+    for _bt in range(MAX_BACKTRACKS + 1):
         trial = project_box(x + t * d, lower, upper)
         slope = float(g @ (trial - x))
         if slope >= 0.0:
             return None
         f_trial = f_eval(trial)
-        if f_trial <= f_ref + cfg.sufficient_decrease * slope:
+        if f_trial <= f_ref + SUFFICIENT_DECREASE * slope:
             return trial, f_trial
-        t *= cfg.backtrack
+        t *= BACKTRACK
     return None
 
 
-def projected_descent(f_eval, grad_eval, lower, upper, x0, cfg, direction):
+def projected_descent(f_eval, grad_eval, lower, upper, x0, grad_tol,
+                      direction):
     """
     The nonmonotone projected descent loop both inner solvers share.
     Each iteration asks `direction(x, g, pg, s, y)` for a step d, with g
     the gradient at x, pg = P_box(x - g) - x and (s, y) the previous
     step and gradient change (None on the first call), then runs
-    `projected_search` along d against the largest of the last
-    cfg.memory merit values, retried along pg.  Terminates when
-    ||pg||_inf <= cfg.grad_tol.
+    `projected_search` along d against the largest of the last MEMORY
+    merit values, retried along pg.  Terminates when
+    ||pg||_inf <= grad_tol, which must be positive, or after
+    MAX_ITERATIONS iterations.
     """
+    if not grad_tol > 0.0:  # NaN fails too
+        raise ValueError("grad_tol must be positive, got %r" % (grad_tol,))
     x = project_box(np.asarray(x0, dtype=np.float64), lower, upper)
     fx = f_eval(x)
     g = grad_eval(x)
@@ -172,19 +149,18 @@ def projected_descent(f_eval, grad_eval, lower, upper, x0, cfg, direction):
     status = "max-iterations"
     iterations = 0
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         pg = project_box(x - g, lower, upper) - x
-        if np.max(np.abs(pg), initial=0.0) <= cfg.grad_tol:
+        if np.max(np.abs(pg), initial=0.0) <= grad_tol:
             status = "converged"
             break
         iterations += 1
         d = direction(x, g, pg, s, y)
         f_ref = max(f_memory)
-        found = projected_search(f_eval, x, d, g, f_ref, lower, upper, cfg)
+        found = projected_search(f_eval, x, d, g, f_ref, lower, upper)
         if found is None:
             # Retry along the projected gradient with a fresh line search.
-            found = projected_search(f_eval, x, pg, g, f_ref, lower, upper,
-                                     cfg)
+            found = projected_search(f_eval, x, pg, g, f_ref, lower, upper)
         if found is None:
             status = "line-search-failure"
             break
@@ -194,13 +170,14 @@ def projected_descent(f_eval, grad_eval, lower, upper, x0, cfg, direction):
         y = g_trial - g
         x, g = trial, g_trial
         f_memory.append(fx)
-        if len(f_memory) > cfg.memory:
+        if len(f_memory) > MEMORY:
             f_memory.pop(0)
 
     return SpgResult(x, iterations, status, fx)
 
 
-def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
+def spg_solve(f_eval, grad_eval, lower, upper, x0, grad_tol,
+              precond=None):
     """
     Spectral projected gradient: `projected_descent` along
     d = P_box(x - alpha D grad) - x, D = identity or the preconditioner.
@@ -222,14 +199,13 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
     def direction(x, g, pg, s, y):
         nonlocal alpha_bb, alpha_p, prev
         if s is None:
-            alpha_bb = min(cfg.alpha_max,
-                           max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
+            alpha_bb = min(ALPHA_MAX,
+                           max(ALPHA_MIN, 1.0 / np.max(np.abs(pg))))
         else:
             sy = float(s @ y)
             ss = float(s @ s)
             if sy > 1e-14 * max(ss, 1e-300):
-                alpha_bb = float(np.clip(ss / sy, cfg.alpha_min,
-                                         cfg.alpha_max))
+                alpha_bb = float(np.clip(ss / sy, ALPHA_MIN, ALPHA_MAX))
                 if prev is not None:
                     # alpha_p is 1 when D inverts the local Hessian
                     # exactly, so it is trusted only within a moderate
@@ -243,7 +219,7 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
                     if ypy > 0.0:
                         alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
             elif sy <= 0.0 and ss > 0.0:
-                alpha_bb = cfg.alpha_max
+                alpha_bb = ALPHA_MAX
             # On degenerate (near-zero) steps both coefficients are kept.
 
         d = None
@@ -258,5 +234,5 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, cfg, precond=None):
             d = project_box(x - alpha_bb * g, lower, upper) - x
         return d
 
-    return projected_descent(f_eval, grad_eval, lower, upper, x0, cfg,
+    return projected_descent(f_eval, grad_eval, lower, upper, x0, grad_tol,
                              direction)

@@ -42,18 +42,17 @@ def _row_blocks(n):
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
-def _lower_nonzeros(dense, tol):
-    """(rows, cols) of the lower-triangle entries of the square array
-    `dense` with |a_ij| > tol, or NaN, in row-major order: the entries
-    that `np.abs(dense) > tol` selects, NaN aside.  The rows are read in
-    the blocks of `_row_blocks`, so no temporary outgrows a block; whole
-    rows, because a contiguous block scans faster than its triangle."""
+def _lower_nonzeros(dense):
+    """(rows, cols) of the nonzero lower-triangle entries of the square
+    array `dense`, NaN included, in row-major order.  The rows are read
+    in the blocks of `_row_blocks`, so no temporary outgrows a block;
+    whole rows, because a contiguous block scans faster than its
+    triangle."""
     n = dense.shape[0]
     rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
     for blk in _row_blocks(n):
-        part = dense[blk]
-        keep = part != 0.0 if tol == 0.0 else ~(np.abs(part) <= tol)
-        r, c = np.divmod(np.flatnonzero(keep), n)
+        # flatnonzero scans a boolean mask faster than the floats.
+        r, c = np.divmod(np.flatnonzero(dense[blk] != 0.0), n)
         r += blk.start
         lower = r >= c
         rows.append(r[lower])
@@ -115,18 +114,16 @@ class SparseSymmetricMatrix:
         return self.vals.size
 
     @classmethod
-    def from_dense(cls, dense, tol=0.0):
-        """Build from a dense symmetric array, keeping the lower-triangle
-        entries with |a_ij| > tol, in row-major order; tol must be
-        nonnegative.  The array is scanned a block of rows at a time
-        (`_lower_nonzeros`), so no n x n temporary is made.  A NaN entry
-        is kept, so the finiteness check rejects it."""
+    def from_dense(cls, dense):
+        """Build from a dense symmetric array, keeping the nonzero
+        lower-triangle entries in row-major order.  The array is scanned
+        a block of rows at a time (`_lower_nonzeros`), so no n x n
+        temporary is made.  A NaN entry is kept, so the finiteness check
+        rejects it."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("dense input must be square")
-        if not tol >= 0.0:
-            raise ValueError("tol must be nonnegative, got %r" % (tol,))
-        rows, cols = _lower_nonzeros(dense, tol)
+        rows, cols = _lower_nonzeros(dense)
         return cls(dense.shape[0], rows, cols, dense[rows, cols])
 
     def to_dense(self):
@@ -331,6 +328,8 @@ def read_matrix_market(source):
             val = float(fields[2])
         except ValueError:
             raise MatrixMarketError("non-real value field", lineno)
+        if not np.isfinite(val):
+            raise MatrixMarketError("non-finite value", lineno)
         if not (1 <= i <= nrows and 1 <= j <= ncols):
             raise MatrixMarketError(
                 "index (%d, %d) out of declared range" % (i, j), lineno)

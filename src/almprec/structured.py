@@ -52,6 +52,16 @@ _SECANT_PAIR = frozenset((LABEL_BFGS_Y, LABEL_BFGS_W))
 # 5.5e-8.
 SECANT_NOOP_RTOL = 1e-6
 
+# The updating strategy's thresholds, read when a decision is made, so a
+# test can patch them on this module.  decide_update refreshes the
+# auxiliary Q ~ M^-1 only past DELTA_M, and B only on that refresh, on a
+# change of the column count, or past DELTA_V; build_column_set relaxes
+# small constraint columns away.
+DELTA_M = 0.1   # bound on ||M - M_prev||_1 that keeps the auxiliary
+DELTA_V = 0.01  # bound on a shared column's 1-norm change that keeps B
+EPS_V = 1e-3    # a column of 2-norm at most EPS_V is relaxed away ...
+EPS_C = 1e-3    # ... when its constraint's infeasibility is at most EPS_C
+
 
 def _check_finite(a):
     """Raise ValueError unless every entry of `a` is finite.  A finite
@@ -138,21 +148,6 @@ class ColumnSet:
             labels |= _SECANT_PAIR
         keep = [i for i, lab in enumerate(self.labels) if lab not in labels]
         return self.permuted(keep)
-
-
-@dataclass
-class UpdateThresholds:
-    delta_m: float = 0.1
-    delta_v: float = 0.01
-    eps_v: float = 1e-3
-    eps_c: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("delta_m", "delta_v", "eps_v", "eps_c"):
-            value = getattr(self, name)
-            if not value >= 0.0:  # NaN fails too; infinity is legal
-                raise ValueError("%s must be nonnegative, got %r"
-                                 % (name, value))
 
 
 @dataclass
@@ -359,7 +354,7 @@ def column_norms(jacobian):
                      for i in range(jacobian.shape[1])])
 
 
-def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
+def build_column_set(jacobian, equality, c_vals, multipliers, rho,
                      secant=None, free=None, norms=None):
     """
     Assemble the preconditioner columns from constraint data: `jacobian`
@@ -368,18 +363,18 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
 
     Keeps equality columns always and inequality columns only while their
     shifted multiplier is positive; relaxes columns that are small in both
-    gradient norm and infeasibility; scales survivors by sqrt(rho); orders
-    by descending infeasibility, then descending norm, then index; and
-    appends the two secant-correction columns last when the curvature
-    condition holds.  `secant` is (s, y, w) with w = H+ s, the model's
-    Hessian without the secant correction applied to the step s.  The
-    pair is left out, with the note "correction skipped", when s'w <= 0,
-    and, with the note "secant reproduced", when the model already maps
-    s to y, ||y - w|| <= SECANT_NOOP_RTOL ||y|| = 1e-6 ||y||: its BFGS
-    update is then zero, and leaving it out keeps the set, and so B,
-    unchanged between iterations that differ only in the pair.  No-op
-    pairs measured at most 5.5e-8 and informative ones at least 2.2e-4
-    (see SECANT_NOOP_RTOL).
+    gradient norm and infeasibility (at most EPS_V and EPS_C); scales
+    survivors by sqrt(rho); orders by descending infeasibility, then
+    descending norm, then index; and appends the two secant-correction
+    columns last when the curvature condition holds.  `secant` is (s, y,
+    w) with w = H+ s, the model's Hessian without the secant correction
+    applied to the step s.  The pair is left out, with the note
+    "correction skipped", when s'w <= 0, and, with the note "secant
+    reproduced", when the model already maps s to y, ||y - w|| <=
+    SECANT_NOOP_RTOL ||y|| = 1e-6 ||y||: its BFGS update is then zero, and
+    leaving it out keeps the set, and so B, unchanged between iterations
+    that differ only in the pair.  No-op pairs measured at most 5.5e-8 and
+    informative ones at least 2.2e-4 (see SECANT_NOOP_RTOL).
 
     With `free`, an index array of variables, the set holds only the rows
     `free` of those columns, and a column whose restricted 2-norm is at
@@ -411,7 +406,7 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     # One norm per column, as column_norms sums it: the order of tied
     # columns depends on the last bit.
     norm = (column_norms(jacobian) if norms is None else norms)[idx]
-    keep = (norm > th.eps_v) | (infeas > th.eps_c)
+    keep = (norm > EPS_V) | (infeas > EPS_C)
     # A NaN norm compares False: its column would be relaxed away unseen.
     # A kept column is checked below, on the rows the set holds.
     if np.isnan(norm[~keep]).any():
@@ -455,14 +450,14 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho, th,
     return cols
 
 
-def decide_update(prev_m, new_m, prev_v, new_v, th):
+def decide_update(prev_m, new_m, prev_v, new_v):
     """
-    Refresh the auxiliary when ||M - M_prev||_1 exceeds delta_m; refresh B
+    Refresh the auxiliary when ||M - M_prev||_1 exceeds DELTA_M; refresh B
     on any auxiliary refresh, on a column-count change, or when the
-    largest per-column 1-norm change over shared labels exceeds delta_v.
+    largest per-column 1-norm change over shared labels exceeds DELTA_V.
     """
     m_change = 0.0 if prev_m is new_m else norm1_diff(prev_m, new_m)
-    refresh_aux = m_change > th.delta_m
+    refresh_aux = m_change > DELTA_M
 
     count_changed = prev_v.m != new_v.m
     bfgs_changed = (_SECANT_PAIR.intersection(prev_v.labels)
@@ -474,7 +469,7 @@ def decide_update(prev_m, new_m, prev_v, new_v, th):
         if i is not None:
             a, b = prev_v.columns[:, i], new_v.columns[:, j]
             v_change = max(v_change, float(np.abs(a - b).sum()))
-    v_moved = v_change > th.delta_v
+    v_moved = v_change > DELTA_V
 
     refresh_b = refresh_aux or count_changed or v_moved
     if refresh_aux:

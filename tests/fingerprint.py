@@ -25,7 +25,10 @@ total over all of them:
   (no constraints, so sigma = 1 absorbs the +s) and so leaves out, and
   QN with y = Hs + s + 0.1 s[::-1] (`QN-secant-kept`), which no grid
   problem's model reproduces (||y - w|| / ||y|| >= 0.019 on each), so
-  every problem whose pair passes the curvature test carries it;
+  every problem whose pair passes the curvature test carries it; and,
+  on the problems where both pairs fail that test, s'y <= 0 (HS41 and
+  HS63, whose `hess f` has s'Hs = -2.19 s's and -3.59 s's), QN with
+  y = Hs + 5 s (`QN-secant-curved`), which both models carry;
 - `restricted-memo`: per grid problem, with `hess f`, the Jacobian and
   the constraint Hessians frozen at `x0` as read-only constants, the
   NW, QN and `QN-secant` models built through one per-solve memo
@@ -243,7 +246,7 @@ def restricted_runs(root):
         p = get_problem(name)
         pinned = np.arange(p.n) % 3 == 0
         for label, mode, pair in (("NW", "NW", None), ("QN", "QN", None),
-                                  *_secant_pairs(p)):
+                                  *_secant_pairs(p), *_curved_pair(p)):
             try:
                 parts = _model_bytes(alm.hessian_model(
                     p, p.x0, np.ones(p.m), 10.0, mode, secant=pair,
@@ -259,6 +262,16 @@ def _secant_pairs(p):
     hs = p.hess(p.x0) @ s
     return [("QN-secant", "QN", (s, hs + s)),
             ("QN-secant-kept", "QN", (s, hs + s + 0.1 * s[::-1]))]
+
+
+def _curved_pair(p):
+    """[("QN-secant-curved", "QN", (s, Hs + 5 s))] when the fixed pairs
+    of `p` fail the curvature test s'y > 0, else []."""
+    s = np.linspace(1.0, 2.0, p.n)
+    hs = p.hess(p.x0) @ s
+    if float(s @ (hs + s)) > 0.0:
+        return []
+    return [("QN-secant-curved", "QN", (s, hs + 5.0 * s))]
 
 
 def _frozen_at_x0(p):
@@ -310,9 +323,8 @@ def _shifted_laplacians():
 
 def fallback_runs():
     """(label, digest) of each forced numerical fallback."""
-    from almprec import alm, bench
+    from almprec import alm, bench, inner
     from almprec.auxprecond import KINDS
-    from almprec.inner import InnerConfig, truncated_newton_step
     from almprec.problems import NlpProblem
     from almprec.sparse import SparseSymmetricMatrix
 
@@ -357,11 +369,14 @@ def fallback_runs():
              ("indefinite-first", np.diag([1.0, -1.0]), swap, np.ones(2)),
              ("nan-precond", np.diag([1.0, 2.0]), np.full((2, 2), np.nan),
               np.ones(2)))
+    # A checkout with inner.InnerConfig takes it as a fourth argument.
+    config = ((inner.InnerConfig(),) if hasattr(inner, "InnerConfig")
+              else ())
     for label, op, precond, b in cases:
         try:
-            step = truncated_newton_step(lambda v, a=op: a @ v, -b,
-                                         lambda v, q=precond: q @ v,
-                                         InnerConfig())
+            step = inner.truncated_newton_step(lambda v, a=op: a @ v, -b,
+                                               lambda v, q=precond: q @ v,
+                                               *config)
             parts = [repr((step.negative_curvature, step.preconditioned,
                            step.fallback_gradient, step.converged,
                            step.krylov_iterations)).encode(),

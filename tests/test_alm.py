@@ -11,18 +11,17 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
 
-from almprec import alm, inner, sparse
+from almprec import alm, inner, sparse, structured
 from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          SettingError, alm_solve, eval_al, eval_al_grad,
                          hessian_model, kkt_residuals, safeguard,
                          shifted_multipliers, update_penalty)
 from almprec.bench import ExperimentConfig, run_alm_experiment
-from almprec.inner import InnerConfig
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
-                                DenominatorBreakdownError, UpdateThresholds)
+                                DenominatorBreakdownError)
 
 
 def dense_model(model):
@@ -523,9 +522,9 @@ class TestSolveMemo:
         from_dense = SparseSymmetricMatrix.from_dense.__func__
         model, norms = alm.hessian_model, alm.column_norms
 
-        def counted_from_dense(cls, dense, tol=0.0):
+        def counted_from_dense(cls, dense):
             calls["from_dense"] += 1
-            return from_dense(cls, dense, tol)
+            return from_dense(cls, dense)
 
         def counted_model(*args, **kwargs):
             calls["models"] += 1
@@ -873,7 +872,7 @@ class TestFreeModel:
     free variables afterwards, byte for byte."""
 
     @staticmethod
-    def _check(p, x, lam, mode, secant, mask, memo=alm._NO_MEMO):
+    def _check(p, x, lam, mode, secant, mask, memo=None):
         got = hessian_model(p, x, lam, 10.0, mode, secant=secant,
                             free=np.flatnonzero(mask), _memo=memo)
         want = _restrict_model(
@@ -1497,7 +1496,7 @@ def _subproblem_tolerances(monkeypatch, p, cfg):
     tols, measures = [], []
     for name in ("projected_descent", "spg_solve"):
         def recording(*args, _solver=getattr(alm, name), **kwargs):
-            tols.append(args[5].grad_tol)  # the InnerConfig
+            tols.append(args[5])  # grad_tol
             return _solver(*args, **kwargs)
         monkeypatch.setattr(alm, name, recording)
     penalty = alm.update_penalty
@@ -1533,11 +1532,11 @@ class TestSubproblemTolerance:
         """BOX-QP has no constraints, so its measure is 0.  With a quartic
         objective and one SPG iteration per subproblem it takes every
         outer iteration it is given."""
+        monkeypatch.setattr(inner, "MAX_ITERATIONS", 1)
         p = replace(get_problem("BOX-QP"),
                     f=lambda x: float(np.sum((x - 0.5) ** 4)),
                     grad=lambda x: 4.0 * (x - 0.5) ** 3)
-        cfg = AlmConfig(inner_solver="spg", inner_tol=1e-9, max_outer=4,
-                        inner=InnerConfig(max_iterations=1))
+        cfg = AlmConfig(inner_solver="spg", inner_tol=1e-9, max_outer=4)
         rep, tols, measures = _subproblem_tolerances(monkeypatch, p, cfg)
         assert rep.outer_iterations == 4
         assert measures == [0.0] * 4
@@ -1545,6 +1544,5 @@ class TestSubproblemTolerance:
 
 
 def test_thresholds_default_values():
-    th = UpdateThresholds()
-    assert (th.delta_m, th.delta_v, th.eps_v, th.eps_c) \
-        == (0.1, 0.01, 1e-3, 1e-3)
+    assert (structured.DELTA_M, structured.DELTA_V, structured.EPS_V,
+            structured.EPS_C) == (0.1, 0.01, 1e-3, 1e-3)

@@ -1,8 +1,12 @@
 """Experiment harness and command line front end."""
 
+import typing
+
 import numpy as np
 import pytest
 
+from almprec import cli
+from almprec.alm import AlmConfig
 from almprec.bench import (ExperimentConfig, condition_estimate,
                            csv_to_table, materialize, random_spd_matrix,
                            rows_to_csv, run_alm_experiment,
@@ -207,6 +211,11 @@ class TestConfigParsing:
                                  % (key, message)):
             build_experiment_config("linsys", pairs)
 
+    def test_every_alm_field_has_a_parser(self):
+        hints = typing.get_type_hints(AlmConfig)
+        assert [name for name, hint in hints.items()
+                if hint not in cli._PARSERS] == []
+
     @pytest.mark.parametrize("key", ["kind", "alm"])
     def test_kind_and_alm_are_not_config_keys(self, key):
         with pytest.raises(ConfigError, match="unknown config key '%s'"
@@ -282,7 +291,7 @@ class TestCli:
         conf.write_text("problems = EQ-QP\n%s = 0.1\n" % key)
         rc = main(["solve", "--config", str(conf)])
         assert rc == 2
-        assert key in capsys.readouterr().err
+        assert "unknown config key %r" % key in capsys.readouterr().err
 
     def test_rejected_alm_value_names_key_and_line(self, tmp_path, capsys):
         conf = tmp_path / "bench.conf"

@@ -5,8 +5,8 @@ import pytest
 
 from almprec import inner
 from almprec.krylov import IndefiniteOperatorError, pcg
-from almprec.inner import (InnerConfig, active_bound_mask, project_box,
-                           projected_descent, spg_solve, truncated_newton_step)
+from almprec.inner import (active_bound_mask, project_box, projected_descent,
+                           spg_solve, truncated_newton_step)
 
 
 def quad(a, b):
@@ -38,13 +38,13 @@ class TestProjection:
 
 
 class TestTruncatedNewtonStep:
-    def test_spd_model_gives_newton_direction(self):
+    def test_spd_model_gives_newton_direction(self, monkeypatch):
+        monkeypatch.setattr(inner, "KRYLOV_TOL", 1e-12)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((6, 6))
         a = a @ a.T + 6 * np.eye(6)
         g = rng.standard_normal(6)
-        cfg = InnerConfig(krylov_tol=1e-12)
-        step = truncated_newton_step(lambda v: a @ v, g, None, cfg)
+        step = truncated_newton_step(lambda v: a @ v, g, None)
         np.testing.assert_allclose(step.direction,
                                    np.linalg.solve(a, -g), rtol=1e-8)
         assert step.converged and not step.negative_curvature
@@ -62,7 +62,7 @@ class TestTruncatedNewtonStep:
             return a @ v
         with pytest.raises(IndefiniteOperatorError) as raised:
             pcg(lambda v: a @ v, None, -g)
-        step = truncated_newton_step(model, g, None, InnerConfig())
+        step = truncated_newton_step(model, g, None)
         assert step.negative_curvature and not step.converged
         assert not step.fallback_gradient and float(step.direction @ g) < 0
         assert step.krylov_plain == len(calls) == raised.value.applies == 2
@@ -72,7 +72,7 @@ class TestTruncatedNewtonStep:
     def test_nan_direction_falls_back_to_gradient(self):
         g = np.array([1.0, -2.0, 0.5])
         step = truncated_newton_step(lambda v: np.full_like(v, np.nan), g,
-                                     None, InnerConfig())
+                                     None)
         assert step.fallback_gradient
         np.testing.assert_array_equal(step.direction, -g)
 
@@ -80,8 +80,7 @@ class TestTruncatedNewtonStep:
         a = np.diag([1.0, 100.0])
         g = np.array([1.0, 1.0])
         prec = lambda r: r / np.array([1.0, 100.0])
-        step = truncated_newton_step(lambda v: a @ v, g, prec,
-                                     InnerConfig())
+        step = truncated_newton_step(lambda v: a @ v, g, prec)
         assert step.preconditioned and step.krylov_iterations == 1
 
 
@@ -95,7 +94,7 @@ class TestTruncatedNewtonBreakdown:
     def test_breakdown_gives_an_unpreconditioned_step(self, a):
         # r'P^-1 r = 0 at r = e1, before any apply: pcg divided 0 by 0.
         step = truncated_newton_step(lambda v: a @ v, np.array([-1.0, 0.0]),
-                                     lambda r: self.SWAP @ r, InnerConfig())
+                                     lambda r: self.SWAP @ r)
         assert step.converged and not step.negative_curvature
         assert not step.preconditioned and not step.fallback_gradient
         np.testing.assert_array_equal(step.direction, [1.0, 0.0])
@@ -108,7 +107,7 @@ class TestTruncatedNewtonBreakdown:
         a = np.diag([1.0, -1.0])
         b = np.array([1.0, 0.1])
         step = truncated_newton_step(lambda v: a @ v, -b,
-                                     lambda r: next(sign) * r, InnerConfig())
+                                     lambda r: next(sign) * r)
         assert step.negative_curvature and not step.preconditioned
         assert (step.krylov_precond, step.krylov_plain) == (1, 2)
         np.testing.assert_array_equal(
@@ -118,7 +117,7 @@ class TestTruncatedNewtonBreakdown:
         a = np.diag([1.0, 2.0])
         step = truncated_newton_step(
             lambda v: a @ v, np.array([-1.0, -2.0]),
-            lambda r: np.full_like(r, np.nan), InnerConfig())
+            lambda r: np.full_like(r, np.nan))
         # Plain CG then takes two iterations, one per distinct eigenvalue.
         assert not step.negative_curvature and not step.preconditioned
         assert step.converged and step.krylov_iterations == 2
@@ -135,8 +134,7 @@ class TestTruncatedNewtonBreakdown:
                 raise ValueError("preconditioner failed")
             return r.copy()
         with pytest.raises(ValueError, match="preconditioner failed"):
-            truncated_newton_step(lambda v: a @ v, -np.ones(2), precond,
-                                  InnerConfig())
+            truncated_newton_step(lambda v: a @ v, -np.ones(2), precond)
         assert len(calls) == 2
 
 
@@ -157,7 +155,7 @@ class TestKrylovWorkBeforeAFallback:
             pcg(lambda v: self.A @ v, precond, -self.GRAD)
         assert raised.value.applies == 2
         step = truncated_newton_step(lambda v: self.A @ v, self.GRAD,
-                                     precond, InnerConfig())
+                                     precond)
         assert step.negative_curvature
         assert step.krylov_iterations == 2
         assert (step.krylov_precond if precond else step.krylov_plain) == 2
@@ -170,7 +168,7 @@ class TestKrylovWorkBeforeAFallback:
         sign = iter([1.0, -1.0])
         a = np.diag([1.0, 2.0])
         step = truncated_newton_step(lambda v: a @ v, -np.ones(2),
-                                     lambda r: next(sign) * r, InnerConfig())
+                                     lambda r: next(sign) * r)
         assert not step.negative_curvature and not step.preconditioned
         assert (step.krylov_precond, step.krylov_plain) == (1, 2)
 
@@ -184,7 +182,7 @@ class TestSpg:
         lower = np.full(3, -np.inf)
         upper = np.full(3, np.inf)
         res = spg_solve(f, g, lower, upper, np.zeros(3),
-                        InnerConfig(grad_tol=1e-8))
+                        1e-8)
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, np.linalg.solve(a, b),
                                    rtol=1e-6, atol=1e-7)
@@ -194,16 +192,16 @@ class TestSpg:
         b = np.array([2.0, 2.0])  # unconstrained minimizer (2, 2)
         f, g = quad(a, b)
         res = spg_solve(f, g, np.zeros(2), np.ones(2), np.zeros(2),
-                        InnerConfig(grad_tol=1e-9))
+                        1e-9)
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-8)
 
-    def test_max_iterations_status(self):
+    def test_max_iterations_status(self, monkeypatch):
+        monkeypatch.setattr(inner, "MAX_ITERATIONS", 2)
         a = np.diag([1.0, 1e6])
         f, g = quad(a, np.array([1.0, 1.0]))
         res = spg_solve(f, g, np.full(2, -np.inf), np.full(2, np.inf),
-                        np.zeros(2),
-                        InnerConfig(grad_tol=1e-14, max_iterations=2))
+                        np.zeros(2), 1e-14)
         assert res.status == "max-iterations"
         assert res.iterations == 2
 
@@ -214,12 +212,11 @@ class TestSpg:
         f, g = quad(a, b)
         lower = np.full(4, -np.inf)
         upper = np.full(4, np.inf)
-        cfg = InnerConfig(grad_tol=1e-8, max_iterations=500)
-        plain = spg_solve(f, g, lower, upper, np.zeros(4), cfg)
+        plain = spg_solve(f, g, lower, upper, np.zeros(4), 1e-8)
 
         def prov(z, g, s, y):
             return (lambda r: r / diag), slice(None)
-        prec = spg_solve(f, g, lower, upper, np.zeros(4), cfg,
+        prec = spg_solve(f, g, lower, upper, np.zeros(4), 1e-8,
                          precond=prov)
         assert prec.status == "converged"
         assert prec.iterations <= plain.iterations
@@ -238,7 +235,7 @@ class TestSpg:
             return (lambda r: r / diag[free]), free
         lower, upper = np.zeros(2), np.full(2, np.inf)
         res = spg_solve(f, g, lower, upper, np.array([3.0, 0.0]),
-                        InnerConfig(grad_tol=1e-9), precond=prov)
+                        1e-9, precond=prov)
         assert res.status == "converged" and res.iterations == 1
         assert seen == [[0]]
         np.testing.assert_array_equal(res.x, [1.0, 0.0])
@@ -248,15 +245,16 @@ class TestSpg:
         monkeypatch.setattr(inner, "active_bound_mask",
                             lambda *args, **kwargs: calls.append(args))
         f, g, lower, upper, x0, a = _pinning_problem(0)
-        res = spg_solve(f, g, lower, upper, x0, InnerConfig(grad_tol=1e-9),
+        res = spg_solve(f, g, lower, upper, x0, 1e-9,
                         precond=_ReducedInverse(a, lower, upper))
         assert res.iterations > 1
         assert calls == []
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_step_matches_the_masked_closure_bit_for_bit(self, seed):
+    def test_step_matches_the_masked_closure_bit_for_bit(self, seed,
+                                                         monkeypatch):
+        monkeypatch.setattr(inner, "MAX_ITERATIONS", 200)
         f, g, lower, upper, x0, a = _pinning_problem(seed)
-        cfg = InnerConfig(grad_tol=1e-10, max_iterations=200)
         new_trials, old_trials = [], []
 
         def recording(trials):
@@ -265,10 +263,10 @@ class TestSpg:
                 return f(x)
             return f_eval
         prov = _ReducedInverse(a, lower, upper)
-        new = spg_solve(recording(new_trials), g, lower, upper, x0, cfg,
+        new = spg_solve(recording(new_trials), g, lower, upper, x0, 1e-10,
                         precond=prov)
         old = _masked_closure_spg(
-            recording(old_trials), g, lower, upper, x0, cfg,
+            recording(old_trials), g, lower, upper, x0, 1e-10,
             _ReducedInverse(a, lower, upper))
         # The pinned set changes between steps that update alpha_p.
         changes = [i for i in range(1, len(prov.frees))
@@ -292,7 +290,7 @@ class TestSpg:
                                      % x.tolist())
             return f(x)
         res = spg_solve(f_inside, g, lower, upper, np.array([1.0]),
-                        InnerConfig(grad_tol=1e-9))
+                        1e-9)
         assert res.status == "converged"
         np.testing.assert_array_equal(res.x, lower)
 
@@ -300,7 +298,7 @@ class TestSpg:
         a = np.eye(1)
         f, g = quad(a, np.array([0.5]))
         res = spg_solve(f, g, np.zeros(1), np.ones(1), np.array([10.0]),
-                        InnerConfig(grad_tol=1e-9))
+                        1e-9)
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, [0.5], atol=1e-8)
 
@@ -308,7 +306,7 @@ class TestSpg:
         a = np.eye(2)
         f, g = quad(a, np.zeros(2))
         res = spg_solve(f, g, np.full(2, -np.inf), np.full(2, np.inf),
-                        np.ones(2), InnerConfig(grad_tol=1e-10))
+                        np.ones(2), 1e-10)
         assert res.f_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -345,7 +343,8 @@ class _ReducedInverse:
         return (lambda r: np.linalg.solve(m, r)), free
 
 
-def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, cfg, provider):
+def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, grad_tol,
+                        provider):
     """The PSPG step as spg_solve took it through a full-space apply: the
     provider's reduced apply scattered back with zeros on the pinned
     components, the active-bound mask recomputed, and the gradient masked
@@ -363,19 +362,19 @@ def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, cfg, provider):
     def direction(x, g, pg, s, y):
         nonlocal alpha_bb, alpha_p, apply_p
         if s is None:
-            alpha_bb = min(cfg.alpha_max,
-                           max(cfg.alpha_min, 1.0 / np.max(np.abs(pg))))
+            alpha_bb = min(inner.ALPHA_MAX,
+                           max(inner.ALPHA_MIN, 1.0 / np.max(np.abs(pg))))
         else:
             sy, ss = float(s @ y), float(s @ s)
             if sy > 1e-14 * max(ss, 1e-300):
-                alpha_bb = float(np.clip(ss / sy, cfg.alpha_min,
-                                         cfg.alpha_max))
+                alpha_bb = float(np.clip(ss / sy, inner.ALPHA_MIN,
+                                         inner.ALPHA_MAX))
                 if apply_p is not None:
                     ypy = float(y @ apply_p(y))
                     if ypy > 0.0:
                         alpha_p = float(np.clip(sy / ypy, 1e-2, 1e2))
             elif sy <= 0.0 and ss > 0.0:
-                alpha_bb = cfg.alpha_max
+                alpha_bb = inner.ALPHA_MAX
         apply, free = provider(x, g, s, y)
         apply_p = apply if isinstance(free, slice) \
             else scatter(apply, free, x.size)
@@ -387,7 +386,7 @@ def _masked_closure_spg(f_eval, grad_eval, lower, upper, x0, cfg, provider):
             d = project_box(x - alpha_bb * g, lower, upper) - x
         return d
 
-    return projected_descent(f_eval, grad_eval, lower, upper, x0, cfg,
+    return projected_descent(f_eval, grad_eval, lower, upper, x0, grad_tol,
                              direction)
 
 
@@ -405,7 +404,7 @@ class TestProjectedDescent:
             calls.append((x.copy(), grad.copy(), s, y))
             return pg
         res = projected_descent(f, g, np.full(3, -np.inf), np.full(3, np.inf),
-                                np.zeros(3), InnerConfig(grad_tol=1e-8),
+                                np.zeros(3), 1e-8,
                                 direction)
         assert res.status == "converged" and len(calls) == res.iterations
         assert len(calls) > 2
@@ -417,20 +416,20 @@ class TestProjectedDescent:
     def test_converged_status(self):
         f, g = quad(np.eye(2), np.array([0.5, 2.0]))
         res = projected_descent(f, g, np.zeros(2), np.ones(2), np.zeros(2),
-                                InnerConfig(grad_tol=1e-9), _steepest)
+                                1e-9, _steepest)
         assert res.status == "converged"
         np.testing.assert_allclose(res.x, [0.5, 1.0], atol=1e-9)
         assert res.f_value == f(res.x)
 
-    def test_max_iterations_status(self):
+    def test_max_iterations_status(self, monkeypatch):
+        monkeypatch.setattr(inner, "MAX_ITERATIONS", 2)
         f, g = quad(np.diag([1.0, 1e6]), np.ones(2))
         res = projected_descent(f, g, np.full(2, -np.inf), np.full(2, np.inf),
-                                np.zeros(2),
-                                InnerConfig(grad_tol=1e-14, max_iterations=2),
-                                _steepest)
+                                np.zeros(2), 1e-14, _steepest)
         assert res.status == "max-iterations" and res.iterations == 2
 
-    def test_line_search_failure_status(self):
+    def test_line_search_failure_status(self, monkeypatch):
+        monkeypatch.setattr(inner, "MAX_BACKTRACKS", 5)
         x0 = np.array([1.0, -1.0])
         g = lambda x: np.array([1.0, 2.0])
 
@@ -438,7 +437,7 @@ class TestProjectedDescent:
             # Lowest at the start point, higher everywhere else.
             return 0.0 if np.array_equal(x, x0) else 1.0
         res = projected_descent(f, g, np.full(2, -np.inf), np.full(2, np.inf),
-                                x0, InnerConfig(max_backtracks=5), _steepest)
+                                x0, 1e-7, _steepest)
         assert res.status == "line-search-failure"
         assert res.iterations == 1
         np.testing.assert_array_equal(res.x, x0)
@@ -450,7 +449,6 @@ class TestProjectedDescent:
         a = np.diag([1.0, 4.0])
         f, g = quad(a, np.array([1.0, -3.0]))
         lower, upper = np.array([0.0, -0.5]), np.full(2, np.inf)
-        cfg = InnerConfig(grad_tol=1e-9)
         runs = []
         for direction in (_steepest, lambda x, grad, pg, s, y: grad):
             evaluated = []
@@ -459,7 +457,7 @@ class TestProjectedDescent:
                 evaluated.append(x.copy())
                 return f(x)
             res = projected_descent(f_logged, g, lower, upper, np.ones(2),
-                                    cfg, direction)
+                                    1e-9, direction)
             runs.append((res, evaluated))
         (want, want_evals), (got, got_evals) = runs
         assert got.status == want.status == "converged"
@@ -470,36 +468,12 @@ class TestProjectedDescent:
             np.testing.assert_array_equal(u, v)
 
 
-class TestInnerConfig:
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            InnerConfig(alpha_min=1.0, alpha_max=0.5)
-
-    def test_memory_validated(self):
-        with pytest.raises(ValueError):
-            InnerConfig(memory=0)
-
-    ILLEGAL = {"krylov_tol": (0.0, -1.0, float("nan")),
-               "grad_tol": (0.0, -1.0, float("nan")),
-               "backtrack": (0.0, 1.0, float("nan")),
-               "sufficient_decrease": (0.0, 1.0, float("nan")),
-               "max_iterations": (0, -1),
-               "max_backtracks": (-1,)}
-
-    @pytest.mark.parametrize("name", ILLEGAL)
-    def test_field_validated(self, name):
-        for value in self.ILLEGAL[name]:
-            with pytest.raises(ValueError, match="^%s must" % name):
-                InnerConfig(**{name: value})
-
-    @pytest.mark.parametrize("name", ["max_iterations", "max_backtracks",
-                                      "memory"])
-    def test_count_must_be_an_integer(self, name):
-        with pytest.raises(ValueError, match="^%s must be an integer" % name):
-            InnerConfig(**{name: 2.5})
-        InnerConfig(**{name: np.int64(2)})
-
-    def test_field_bounds_are_legal(self):
-        InnerConfig(max_iterations=1, max_backtracks=0, backtrack=0.999,
-                    sufficient_decrease=1e-12, grad_tol=1e-300,
-                    krylov_tol=1e-300)
+class TestGradTol:
+    @pytest.mark.parametrize("solve", [
+        spg_solve, lambda *args: projected_descent(*args, _steepest)],
+        ids=["spg_solve", "projected_descent"])
+    def test_rejects_a_tolerance_not_positive(self, solve):
+        f, g = quad(np.eye(2), np.ones(2))
+        for value in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="^grad_tol must be positive"):
+                solve(f, g, np.zeros(2), np.ones(2), np.zeros(2), value)

@@ -215,32 +215,9 @@ class TestSparseSymmetricMatrix:
         with pytest.raises(ValueError, match="dimension"):
             a.matvec(np.ones(4))
 
-    def test_from_dense_tol_drops_entries_in_row_major_order(self):
-        dense = np.array([[4.0, 0.5, 1e-3, 0.0],
-                          [0.5, -2.0, 0.1, 3.0],
-                          [1e-3, 0.1, 0.0, -0.1],
-                          [0.0, 3.0, -0.1, -1e-4]])
-        a = SparseSymmetricMatrix.from_dense(dense, tol=0.1)
-        # Entries with |a_ij| <= tol are dropped, the upper triangle is
-        # ignored, and the kept ones come row by row, columns ascending.
-        np.testing.assert_array_equal(a.rows, [0, 1, 1, 3])
-        np.testing.assert_array_equal(a.cols, [0, 0, 1, 1])
-        np.testing.assert_array_equal(a.vals, [4.0, 0.5, -2.0, 3.0])
-        kept = SparseSymmetricMatrix.from_dense(dense, tol=0.0)
-        np.testing.assert_array_equal(kept.rows, [0, 1, 1, 2, 2, 3, 3, 3])
-        np.testing.assert_array_equal(kept.cols, [0, 0, 1, 0, 1, 1, 2, 3])
-
-    def test_from_dense_rejects_negative_or_nan_tol(self):
-        for tol in (-1.0, -1e-300, np.nan):
-            with pytest.raises(ValueError, match="tol"):
-                SparseSymmetricMatrix.from_dense(np.eye(3), tol=tol)
-
-
-    @pytest.mark.parametrize("tol", [0.0, 0.5])
-    def test_from_dense_rejects_nan(self, tol):
+    def test_from_dense_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            SparseSymmetricMatrix.from_dense([[2.0, np.nan], [np.nan, 2.0]],
-                                             tol=tol)
+            SparseSymmetricMatrix.from_dense([[2.0, np.nan], [np.nan, 2.0]])
 
     def test_from_dense_rejects_empty_input(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -265,9 +242,9 @@ class TestLowerNonzeros:
     """The block scan against a mask of the whole array."""
 
     @staticmethod
-    def check(dense, tol):
-        rows, cols = sparse._lower_nonzeros(dense, tol)
-        want = np.divmod(np.flatnonzero(np.tril(np.abs(dense) > tol)),
+    def check(dense):
+        rows, cols = sparse._lower_nonzeros(dense)
+        want = np.divmod(np.flatnonzero(np.tril(np.abs(dense) > 0.0)),
                          dense.shape[0])
         assert rows.dtype == cols.dtype == np.intp
         np.testing.assert_array_equal(rows, want[0])
@@ -279,10 +256,8 @@ class TestLowerNonzeros:
         monkeypatch.setattr(sparse, "_SCAN_ENTRIES", budget)
         rng = np.random.default_rng(16)
         for _ in range(20):
-            dense = random_symmetric(rng, int(rng.integers(1, 60)),
-                                     rng.random())
-            for tol in (0.0, 0.5):
-                self.check(dense, tol)
+            self.check(random_symmetric(rng, int(rng.integers(1, 60)),
+                                        rng.random()))
 
     @pytest.mark.parametrize("budget, n, heights", [
         (30, 7, [4, 3]),        # 7 rows in blocks of 30 // 7 = 4
@@ -296,32 +271,23 @@ class TestLowerNonzeros:
         assert blocks[0].start == 0 and blocks[-1].stop == n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         dense = random_symmetric(np.random.default_rng(n), n, 0.5)
-        self.check(dense, 0.0)
-        self.check(dense, 0.5)
+        self.check(dense)
 
     def test_one_by_one(self):
         for value, want in ((2.0, [0]), (-0.0, []), (0.0, [])):
-            rows, cols = sparse._lower_nonzeros(np.array([[value]]), 0.0)
+            rows, cols = sparse._lower_nonzeros(np.array([[value]]))
             np.testing.assert_array_equal(rows, want)
             np.testing.assert_array_equal(cols, want)
 
     def test_all_zero(self):
-        for tol in (0.0, 0.5):
-            rows, cols = sparse._lower_nonzeros(np.zeros((9, 9)), tol)
-            assert rows.size == cols.size == 0
-            assert rows.dtype == cols.dtype == np.intp
+        rows, cols = sparse._lower_nonzeros(np.zeros((9, 9)))
+        assert rows.size == cols.size == 0
+        assert rows.dtype == cols.dtype == np.intp
 
-    def test_tol_keeps_entries_strictly_above_it(self):
-        dense = np.array([[0.5, 0.5000001], [0.5000001, -0.6]])
-        rows, cols = sparse._lower_nonzeros(dense, 0.5)
-        np.testing.assert_array_equal(rows, [1, 1])
-        np.testing.assert_array_equal(cols, [0, 1])
-
-    @pytest.mark.parametrize("tol", [0.0, 0.5])
-    def test_nan_is_kept(self, tol):
+    def test_nan_is_kept(self):
         dense = np.array([[1.0, np.nan, 0.0], [np.nan, 0.0, 0.0],
                           [0.0, 0.0, np.nan]])
-        rows, cols = sparse._lower_nonzeros(dense, tol)
+        rows, cols = sparse._lower_nonzeros(dense)
         np.testing.assert_array_equal(rows, [0, 1, 2])
         np.testing.assert_array_equal(cols, [0, 0, 2])
 
@@ -670,6 +636,15 @@ class TestMatrixMarket:
                 "1 1 1\n1 1 abc\n")
         with pytest.raises(MatrixMarketError, match="non-real"):
             read_matrix_market(text)
+
+    @pytest.mark.parametrize("qualifier, value", [("symmetric", "nan"),
+                                                  ("general", "inf")])
+    def test_non_finite_value_names_line(self, qualifier, value):
+        text = ("%%%%MatrixMarket matrix coordinate real %s\n"
+                "1 1 1\n1 1 %s\n" % (qualifier, value))
+        with pytest.raises(MatrixMarketError, match="non-finite") as exc:
+            read_matrix_market(text)
+        assert exc.value.line_number == 3
 
     def test_full_precision_survives(self):
         val = 1.0 / 3.0

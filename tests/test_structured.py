@@ -14,8 +14,8 @@ from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, BStore,
                                 ColumnSet, DenominatorBreakdownError,
                                 StructuredPrecond, UpdateDecision,
-                                UpdateThresholds, apply_rank1, assemble_B,
-                                build_column_set, decide_update)
+                                apply_rank1, assemble_B, build_column_set,
+                                decide_update)
 
 
 def spd_matrix(rng, n):
@@ -425,7 +425,7 @@ class TestBuiltColumnOwnership:
         secant = (s, 2.0 * s, 3.0 * s) if with_secant else None
         cols = build_column_set(jac, np.ones(m, dtype=bool),
                                 rng.standard_normal(m), np.zeros(m), 10.0,
-                                UpdateThresholds(), secant=secant, free=free)
+                                secant=secant, free=free)
         assert cols.m == m + 2 * with_secant
         with pytest.raises(ValueError, match="read-only"):
             cols.columns[0, 0] = 1.0
@@ -439,8 +439,7 @@ class TestBuiltColumnOwnership:
         jac[0, 1] = 1.0
         jac[:, [0, 2]] = np.arange(10.0).reshape(5, 2)
         cols = build_column_set(jac, np.ones(3, dtype=bool), np.ones(3),
-                                np.zeros(3), 4.0, UpdateThresholds(),
-                                free=np.arange(1, 5))
+                                np.zeros(3), 4.0, free=np.arange(1, 5))
         assert sorted(cols.labels) == [0, 2]
         assert cols.columns.flags.f_contiguous
         assert cols.columns.strides == (8, 32)
@@ -480,11 +479,10 @@ class TestOneLayout:
         jac = rng.standard_normal((n, k))
         c_vals = np.arange(1.0, k + 1.0)
         equality = np.ones(k, dtype=bool)
-        dropped = build_column_set(jac, equality, c_vals, np.zeros(k), 10.0,
-                                   UpdateThresholds()).without_labels((drop,))
+        dropped = build_column_set(jac, equality, c_vals, np.zeros(k),
+                                   10.0).without_labels((drop,))
         equality[drop], c_vals[drop] = False, -1.0
-        built = build_column_set(jac, equality, c_vals, np.zeros(k), 10.0,
-                                 UpdateThresholds())
+        built = build_column_set(jac, equality, c_vals, np.zeros(k), 10.0)
         assert dropped.labels == built.labels and drop not in built.labels
         x, y = rng.standard_normal(n), rng.standard_normal(k - 1)
         xs, ys = rng.standard_normal((n, 4)), rng.standard_normal((k - 1, 4))
@@ -514,7 +512,7 @@ EQ = (True,)
 IN = (False,)
 
 
-def _loop_column_set(jacobian, equality, c_vals, multipliers, rho, th):
+def _loop_column_set(jacobian, equality, c_vals, multipliers, rho):
     """Labels and columns of the per-constraint loop that build_column_set
     replaced, kept as its reference."""
     kept = []
@@ -526,7 +524,7 @@ def _loop_column_set(jacobian, equality, c_vals, multipliers, rho, th):
                 continue
             infeas = max(0.0, float(c_vals[i]))
         norm = float(np.linalg.norm(jacobian[:, i]))
-        if norm <= th.eps_v and infeas <= th.eps_c:
+        if norm <= structured.EPS_V and infeas <= structured.EPS_C:
             continue
         kept.append((i, infeas, norm))
     kept.sort(key=lambda t: (-t[1], -t[2], t[0]))
@@ -537,24 +535,19 @@ def _loop_column_set(jacobian, equality, c_vals, multipliers, rho, th):
 
 
 class TestBuildColumnSet:
-    th = UpdateThresholds()
-
     def test_equality_always_kept(self):
-        cols = build_column_set([[1.0], [0.0]], EQ, [0.0], [0.0], 2.0,
-                                self.th)
+        cols = build_column_set([[1.0], [0.0]], EQ, [0.0], [0.0], 2.0)
         assert cols.m == 1
         np.testing.assert_allclose(cols.columns[:, 0],
                                    np.sqrt(2.0) * np.array([1.0, 0.0]))
 
     def test_inactive_inequality_dropped(self):
         # mu + rho c <= 0 -> inactive.
-        cols = build_column_set([[1.0], [0.0]], IN, [-1.0], [0.0], 2.0,
-                                self.th)
+        cols = build_column_set([[1.0], [0.0]], IN, [-1.0], [0.0], 2.0)
         assert cols.m == 0
 
     def test_active_inequality_kept(self):
-        cols = build_column_set([[1.0], [0.0]], IN, [0.5], [0.0], 2.0,
-                                self.th)
+        cols = build_column_set([[1.0], [0.0]], IN, [0.5], [0.0], 2.0)
         assert cols.m == 1
 
     @pytest.mark.parametrize("free", [None, np.array([0, 2])],
@@ -564,33 +557,33 @@ class TestBuildColumnSet:
         jac[2, 1] = np.nan
         with pytest.raises(ValueError, match="columns must be finite"):
             build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0,
-                             self.th, free=free)
+                             free=free)
 
     def test_a_relaxable_column_must_be_finite(self):
         # Column 1 is active (1 + rho * 0 > 0) and feasible, so the
         # relaxation test would drop it for its norm if NaN passed it.
         with pytest.raises(ValueError, match="columns must be finite"):
             build_column_set([[1.0, np.nan], [0.0, 1.0]], IN * 2,
-                             [0.5, 0.0], [1.0, 1.0], 2.0, self.th)
+                             [0.5, 0.0], [1.0, 1.0], 2.0)
 
     def test_only_the_rows_kept_are_checked(self):
         jac = np.ones((3, 2))
         jac[1, 1] = np.nan
         cols = build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0,
-                                self.th, free=np.array([0, 2]))
+                                free=np.array([0, 2]))
         assert np.isfinite(cols.columns).all()
 
     def test_scaled_columns_must_be_finite(self):
         with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="columns must be finite"):
             build_column_set([[1e300], [0.0]], EQ, [1.0], [0.0], 1e20,
-                             self.th, norms=np.array([1e300]))
+                             norms=np.array([1e300]))
 
     def test_secant_columns_must_be_finite(self):
         s = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="columns must be finite"):
             build_column_set([[1.0], [0.0]], EQ, [1.0], [0.0], 2.0,
-                             self.th, secant=(s, s, np.array([1.0, np.nan])))
+                             secant=(s, s, np.array([1.0, np.nan])))
 
     def test_finiteness_is_checked_once_per_build(self, monkeypatch):
         """One check of the gathered block; a set derived from a checked
@@ -603,7 +596,7 @@ class TestBuildColumnSet:
         jac[0, 1] = 1.0
         jac[:, [0, 2]] = 1.0
         cols = build_column_set(jac, EQ * 3, [1.0] * 3, [0.0] * 3, 2.0,
-                                self.th, free=np.arange(1, 4))
+                                free=np.arange(1, 4))
         assert sorted(cols.labels) == [0, 2]  # column 1 dropped
         assert checked == [(3, 3)]
         cols.permuted([1, 0])
@@ -613,16 +606,16 @@ class TestBuildColumnSet:
     def test_relaxation_needs_both_small(self):
         tiny_grad = [[1e-4], [0.0]]
         # Small gradient but large infeasibility: kept.
-        cols = build_column_set(tiny_grad, EQ, [1.0], [0.0], 1.0, self.th)
+        cols = build_column_set(tiny_grad, EQ, [1.0], [0.0], 1.0)
         assert cols.m == 1
         # Small gradient and small infeasibility: relaxed away.
-        cols = build_column_set(tiny_grad, EQ, [1e-4], [0.0], 1.0, self.th)
+        cols = build_column_set(tiny_grad, EQ, [1e-4], [0.0], 1.0)
         assert cols.m == 0
 
     def test_ordering_by_infeasibility_then_norm(self):
         jac = np.column_stack([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         cols = build_column_set(jac, EQ * 3, [0.5, 2.0, 0.5], [0.0] * 3,
-                                1.0, self.th)
+                                1.0)
         # Highest infeasibility first, then larger norm among ties.
         assert cols.labels == (1, 2, 0)
 
@@ -637,28 +630,26 @@ class TestBuildColumnSet:
             c_vals = rng.choice([-1.0, -1e-4, 0.0, 1e-4, 0.5, 1.0], m)
             multipliers = rng.choice([0.0, 0.2, 1.0], m)
             rho = float(rng.choice([0.5, 1.0, 10.0]))
-            cols = build_column_set(jac, equality, c_vals, multipliers, rho,
-                                    self.th)
+            cols = build_column_set(jac, equality, c_vals, multipliers, rho)
             labels, columns = _loop_column_set(jac, equality, c_vals,
-                                               multipliers, rho, self.th)
+                                               multipliers, rho)
             assert cols.labels == labels
             assert cols.columns.tobytes() == columns.tobytes()
 
     def test_dimension_from_jacobian_rows(self):
-        cols = build_column_set(np.zeros((3, 0)), (), [], [], 1.0, self.th)
+        cols = build_column_set(np.zeros((3, 0)), (), [], [], 1.0)
         assert cols.n == 3 and cols.columns.shape == (3, 0)
 
     def test_jacobian_must_be_n_by_m(self):
         with pytest.raises(ValueError, match="lengths disagree"):
-            build_column_set(np.ones((1, 2)), EQ, [0.0], [0.0], 1.0,
-                             self.th)
+            build_column_set(np.ones((1, 2)), EQ, [0.0], [0.0], 1.0)
 
     def test_secant_columns_appended_with_signs(self):
         s = np.array([1.0, 0.0])
         y = np.array([2.0, 0.0])
         w = 3.0 * s
         cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
-                                self.th, secant=(s, y, w))
+                                secant=(s, y, w))
         assert cols.labels[-2:] == (LABEL_BFGS_Y, LABEL_BFGS_W)
         assert cols.signs[-2] == 1.0 and cols.signs[-1] == -1.0
         # y column scaled by sqrt(1/s'y), w column by sqrt(1/s'w).
@@ -671,14 +662,14 @@ class TestBuildColumnSet:
         s = np.array([1.0, 0.0])
         y = -s
         cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
-                                self.th, secant=(s, y, s))
+                                secant=(s, y, s))
         assert cols.m == 1
 
     def test_secant_correction_skipped_note(self):
         s = np.array([1.0, 0.0])
         y = s.copy()
         cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
-                                self.th, secant=(s, y, -s))
+                                secant=(s, y, -s))
         assert "correction skipped" in cols.notes
         assert cols.m == 1
 
@@ -687,7 +678,7 @@ class TestBuildColumnSet:
         s = np.array([1.0, 0.5])
         y = np.array([2.0, 0.5])
         cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
-                                self.th, secant=(s, y, y.copy()))
+                                secant=(s, y, y.copy()))
         assert cols.labels == (0,)
         assert cols.notes == ("secant reproduced",)
 
@@ -695,7 +686,7 @@ class TestBuildColumnSet:
         s = np.array([1.0, 0.5])
         y = np.array([2.0, 0.5])
         cols = build_column_set(np.ones((2, 1)), EQ, [0.1], [0.0], 1.0,
-                                self.th, secant=(s, y, y * (1.0 + 1e-3)))
+                                secant=(s, y, y * (1.0 + 1e-3)))
         assert cols.labels == (0, LABEL_BFGS_Y, LABEL_BFGS_W)
         assert cols.signs.tolist() == [1.0, 1.0, -1.0]
         assert cols.notes == ()
@@ -712,7 +703,7 @@ class TestBuildColumnSet:
         if float(s @ y) <= 0:
             y = h_dense @ s
         w = h_dense @ s
-        cols = build_column_set(np.zeros((n, 0)), (), [], [], 1.0, self.th,
+        cols = build_column_set(np.zeros((n, 0)), (), [], [], 1.0,
                                 secant=(s, y, w))
         aux = build_aux(m, "exact")
         sp = StructuredPrecond(aux, cols)
@@ -751,8 +742,7 @@ class TestColumnMemory:
         s = rng.standard_normal(self.n)
         for secant in (None, (s, 2.0 * s, 3.0 * s)):
             peak = _peak_bytes(build_column_set, jac, equality, c_vals,
-                               np.zeros(self.m), 10.0, UpdateThresholds(),
-                               secant=secant)
+                               np.zeros(self.m), 10.0, secant=secant)
             assert peak <= 1.5 * self.nm_bytes
 
     def _assembly_inputs(self, kind):
@@ -801,8 +791,7 @@ class TestColumnMemory:
                                    np.arange(self.n), np.ones(self.n))
         m2 = SparseSymmetricMatrix(self.n, np.arange(self.n),
                                    np.arange(self.n), np.full(self.n, 2.0))
-        peak = _peak_bytes(decide_update, m1, m2, cols[0], cols[1],
-                           UpdateThresholds())
+        peak = _peak_bytes(decide_update, m1, m2, cols[0], cols[1])
         assert peak < self.nm_bytes
 
     @pytest.mark.parametrize("free", [None, np.arange(0, 576, 2)],
@@ -814,28 +803,16 @@ class TestColumnMemory:
         jac = rng.standard_normal((self.n, self.m))
         cols = [build_column_set(jac + shift, np.ones(self.m, dtype=bool),
                                  np.ones(self.m), np.zeros(self.m), 10.0,
-                                 UpdateThresholds(), free=free)
+                                 free=free)
                 for shift in (0.0, 1e-3)]
         assert cols[0].m == self.m and cols[0].columns.flags.f_contiguous
         m1 = SparseSymmetricMatrix(self.n, np.arange(self.n),
                                    np.arange(self.n), np.ones(self.n))
-        peak = _peak_bytes(decide_update, m1, m1, cols[0], cols[1],
-                           UpdateThresholds())
+        peak = _peak_bytes(decide_update, m1, m1, cols[0], cols[1])
         assert peak <= 3 * 8 * self.n
 
 
 class TestDecideUpdate:
-    th = UpdateThresholds(delta_m=0.1, delta_v=0.01)
-
-    @pytest.mark.parametrize("name", ["delta_m", "delta_v", "eps_v",
-                                      "eps_c"])
-    def test_thresholds_reject_nan_and_negatives(self, name):
-        for value in (float("nan"), -1.0):
-            with pytest.raises(ValueError,
-                               match="^%s must be nonnegative" % name):
-                UpdateThresholds(**{name: value})
-        assert getattr(UpdateThresholds(**{name: np.inf}), name) == np.inf
-
     def _cols(self, mat, labels):
         mat = np.asarray(mat, dtype=np.float64)
         return ColumnSet(mat.shape[0], mat, np.ones(mat.shape[1]), labels)
@@ -844,7 +821,7 @@ class TestDecideUpdate:
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         m2 = SparseSymmetricMatrix.from_dense(np.eye(3) * 1.01)
         c = self._cols(np.eye(3)[:, :2], [0, 1])
-        d = decide_update(m1, m2, c, c, self.th)
+        d = decide_update(m1, m2, c, c)
         assert not d.refresh_aux and not d.refresh_b
         assert d.reason == "none"
 
@@ -852,7 +829,7 @@ class TestDecideUpdate:
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         m2 = SparseSymmetricMatrix.from_dense(np.eye(3) * 2.0)
         c = self._cols(np.eye(3)[:, :1], [0])
-        d = decide_update(m1, m2, c, c, self.th)
+        d = decide_update(m1, m2, c, c)
         assert d.refresh_aux and d.refresh_b
         assert d.reason == "M-changed"
 
@@ -860,7 +837,7 @@ class TestDecideUpdate:
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c1 = self._cols(np.eye(3)[:, :1], [0])
         c2 = self._cols(np.eye(3)[:, :2], [0, 1])
-        d = decide_update(m1, m1, c1, c2, self.th)
+        d = decide_update(m1, m1, c1, c2)
         assert not d.refresh_aux and d.refresh_b
         assert d.reason == "V-changed"
 
@@ -869,7 +846,7 @@ class TestDecideUpdate:
         c1 = self._cols(np.eye(3)[:, :1], [0])
         moved = np.eye(3)[:, :1] + 0.5
         c2 = self._cols(moved, [0])
-        d = decide_update(m1, m1, c1, c2, self.th)
+        d = decide_update(m1, m1, c1, c2)
         assert not d.refresh_aux and d.refresh_b
         assert d.reason == "V-changed"
 
@@ -880,16 +857,16 @@ class TestDecideUpdate:
                                np.eye(3)[:, 2]])
         c2 = ColumnSet(3, mat, [1.0, 1.0, -1.0],
                        [0, LABEL_BFGS_Y, LABEL_BFGS_W])
-        d = decide_update(m1, m1, c1, c2, self.th)
+        d = decide_update(m1, m1, c1, c2)
         assert d.reason == "forced-bfgs" and d.refresh_b
 
     def test_shared_labels_pair_by_label_not_position(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c1 = self._cols(np.eye(3), ["a", "b", "c"])
         c2 = self._cols(np.eye(3)[:, [2, 0, 1]], ["c", "a", "b"])
-        assert decide_update(m1, m1, c1, c2, self.th).reason == "none"
+        assert decide_update(m1, m1, c1, c2).reason == "none"
         c3 = self._cols(np.eye(3), ["c", "a", "b"])
-        assert decide_update(m1, m1, c1, c3, self.th).reason == "V-changed"
+        assert decide_update(m1, m1, c1, c3).reason == "V-changed"
 
     def test_same_m_object_skips_the_norm(self, monkeypatch):
         def forbidden(*_args):
@@ -897,7 +874,7 @@ class TestDecideUpdate:
         monkeypatch.setattr(structured, "norm1_diff", forbidden)
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c = self._cols(np.eye(3)[:, :1], [0])
-        d = decide_update(m1, m1, c, c, self.th)
+        d = decide_update(m1, m1, c, c)
         assert not d.refresh_aux and d.reason == "none"
 
     def test_decision_invariant(self):
