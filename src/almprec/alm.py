@@ -8,7 +8,6 @@ residuals, preconditioner administration and the solver driver.
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -26,8 +25,18 @@ from .structured import assemble_B  # noqa: F401
 INNER_SOLVERS = ("truncated-newton", "spg", "pspg")
 HESSIAN_MODES = ("NW", "QN")
 PRECOND_POLICIES = ("auto", "every-outer", "once")
+
+# The PHR method's fixed parameters.  Each is read when alm_solve and its
+# updates run, so a test can patch it on this module.
+RHO1 = 10.0          # the first penalty parameter
+GAMMA = 10.0         # update_penalty's growth factor on poor progress
+TAU = 0.5            # the progress measure's required reduction
+LAM_MIN = -1e20      # safeguard's box for the equality multipliers
+LAM_MAX = 1e20
+MU_MAX = 1e20        # and its cap on the inequality multipliers
+SIGMA_MIN = 1e-8     # the QN model's smallest spectral shift
 # Each subproblem after the first is solved to the projected-gradient
-# tolerance max(effective_inner_tol, INNER_TOL_PER_MEASURE * measure),
+# tolerance max(AlmConfig.inner_tol, INNER_TOL_PER_MEASURE * measure),
 # measure being update_penalty's progress measure after the outer
 # iteration before it (LANCELOT, Conn, Gould & Toint 1991; ALGENCAN,
 # Birgin & Martinez 2014).
@@ -35,21 +44,15 @@ INNER_TOL_PER_MEASURE = 5e-4
 
 
 class SettingError(ValueError):
-    """A config check's rejection; `fields` names the fields it read."""
+    """A config check's rejection; `field` names the field it read."""
 
-    def __init__(self, message, *fields):
+    def __init__(self, message, field):
         super().__init__(message)
-        self.fields = fields
+        self.field = field
 
 
 @dataclass
 class AlmConfig:
-    rho1: float = 10.0
-    gamma: float = 10.0
-    tau: float = 0.5
-    lam_min: float = -1e20
-    lam_max: float = 1e20
-    mu_max: float = 1e20
     eps_opt: float = 1e-6
     eps_feas: float = 1e-6
     max_outer: int = 50
@@ -58,30 +61,8 @@ class AlmConfig:
     aux_kind: str = "incomplete-cholesky"
     drop_tol: float = 1e-2
     precond_policy: str = "auto"  # see PrecondManager
-    sigma_min: float = 1e-8
-    # The first subproblem's projected-gradient tolerance and the floor
-    # of every later one's (INNER_TOL_PER_MEASURE); None: eps_opt / 10.
-    inner_tol: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("rho1", "gamma", "lam_min", "lam_max", "mu_max",
-                     "sigma_min"):
-            value = getattr(self, name)
-            if value != value:
-                raise SettingError("%s must not be NaN" % name, name)
-        for name, ok in (("rho1", self.rho1 > 0), ("gamma", self.gamma > 1),
-                         ("tau", 0 < self.tau < 1)):
-            if not ok:
-                raise SettingError("require rho1 > 0, gamma > 1, 0 < tau < 1",
-                                   name)
-        if np.isinf(self.rho1):
-            raise SettingError("rho1 must be finite, got %r" % self.rho1,
-                               "rho1")
-        if self.lam_min >= self.lam_max:
-            raise SettingError("bad multiplier safeguard bounds", "lam_min",
-                               "lam_max")
-        if self.mu_max <= 0:
-            raise SettingError("bad multiplier safeguard bounds", "mu_max")
         for name, what, legal in (
                 ("inner_solver", "inner solver", INNER_SOLVERS),
                 ("hessian_mode", "hessian mode", HESSIAN_MODES),
@@ -99,19 +80,20 @@ class AlmConfig:
         if self.max_outer < 1:
             raise SettingError("max_outer must be at least 1, got %r"
                                % self.max_outer, "max_outer")
-        # The default inner_tol is read from eps_opt.
-        for fields, value in ((("eps_opt",), self.eps_opt),
-                              (("eps_feas",), self.eps_feas),
-                              (("inner_tol", "eps_opt"),
-                               self.effective_inner_tol)):
-            if not value > 0.0:  # NaN fails too
-                raise SettingError("%s must be positive, got %r"
-                                   % (fields[0], value), *fields)
+        for name in ("eps_opt", "eps_feas"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # NaN fails too
+                raise SettingError("%s must be positive and finite, got %r"
+                                   % (name, value), name)
+        if not self.inner_tol > 0.0:
+            raise SettingError("eps_opt / 10 underflows to 0, got eps_opt "
+                               "= %r" % self.eps_opt, "eps_opt")
 
     @property
-    def effective_inner_tol(self):
-        return self.inner_tol if self.inner_tol is not None \
-            else 0.1 * self.eps_opt
+    def inner_tol(self):
+        """The first subproblem's projected-gradient tolerance and the
+        floor of every later one's (INNER_TOL_PER_MEASURE)."""
+        return 0.1 * self.eps_opt
 
 
 @dataclass
@@ -258,21 +240,21 @@ class _SolveMemo:
         return values[_RESTRICTION][1]
 
 
-def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
-                  free=None, _memo=None):
+def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
+                  _memo=None):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
     skipped, and the others are added sparsely (`plus`).  QN:
-    M = hess f + sigma I with the secant-based spectral shift, columns
-    augmented with the two BFGS correction vectors when the curvature
-    test passes and the model does not already map s to y: the pair is
-    left out when ||y - w|| <= SECANT_NOOP_RTOL ||y|| = 1e-6 ||y||,
-    w = H+ s the model's own product (`build_column_set`).  On a QP with
-    linear constraints the model hess f + sigma I + rho J_A J_A' is
-    exact, so there the pair, which would force a new B each inner
-    iteration, goes: such pairs measured at most 5.5e-8, and every
-    informative pair at least 2.2e-4.
+    M = hess f + sigma I with the secant-based spectral shift, at least
+    SIGMA_MIN, columns augmented with the two BFGS correction vectors
+    when the curvature test passes and the model does not already map s
+    to y: the pair is left out when ||y - w|| <= SECANT_NOOP_RTOL ||y||
+    = 1e-6 ||y||, w = H+ s the model's own product (`build_column_set`).
+    On a QP with linear constraints the model hess f + sigma I
+    + rho J_A J_A' is exact, so there the pair, which would force a new
+    B each inner iteration, goes: such pairs measured at most 5.5e-8,
+    and every informative pair at least 2.2e-4.
 
     `free`, an increasing index array, builds the model on those
     variables only: the principal submatrix of M and the rows `free` of
@@ -332,7 +314,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
         return HessianModel(m_part, 0.0, cols)
 
     # QN mode
-    sigma = sigma_min
+    sigma = SIGMA_MIN
     gn_s = None
     if secant is not None:
         s, y = (np.asarray(v, dtype=np.float64) for v in secant)
@@ -344,7 +326,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
             gn_s = hess_f @ s
             for i in np.flatnonzero(p.equality | (lam_hat > 0.0)):
                 gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
-            sigma = max(float((y - gn_s) @ s) / ss, sigma_min)
+            sigma = max(float((y - gn_s) @ s) / ss, SIGMA_MIN)
 
     # The shift must leave M positive definite for the auxiliary factor;
     # when hess f is indefinite the floor scales with the negative
@@ -353,7 +335,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
                        lambda _: _positive_definite(sparse_f)):
         lam_min_f = _memo.value(hess_f, "min eigenvalue",
                                 lambda _: sparse_f.min_eigenvalue())
-        floor = (sigma_min if lam_min_f > 0.0
+        floor = (SIGMA_MIN if lam_min_f > 0.0
                  else 1e-1 * (1.0 + abs(lam_min_f)))
         sigma = max(sigma, floor - lam_min_f)
     m_part = _memo.restricted(hess_f, sparse_f, free).shifted(sigma)
@@ -369,23 +351,23 @@ def hessian_model(p, x, lam, rho, mode, secant=None, sigma_min=1e-8,
 # Outer-iteration updates
 # ---------------------------------------------------------------------------
 
-def update_penalty(rho, prev_measure, c, lam_bar, equality, tau, gamma):
-    """Step 4: keep rho on sufficient progress, else multiply by gamma.
-    The progress measure is the largest of |c| over the equalities and
-    |min(-c, lam_bar/rho)| over the inequalities.  Returns
-    (rho_new, measure)."""
+def update_penalty(rho, prev_measure, c, lam_bar, equality):
+    """Step 4: keep rho when the progress measure fell to at most TAU
+    times the previous one, else multiply it by GAMMA.  The measure is
+    the largest of |c| over the equalities and |min(-c, lam_bar/rho)|
+    over the inequalities.  Returns (rho_new, measure)."""
     measure = float(np.max(np.abs(
         np.where(equality, c, np.minimum(-c, lam_bar / rho))), initial=0.0))
-    if prev_measure is None or measure <= tau * prev_measure:
+    if prev_measure is None or measure <= TAU * prev_measure:
         return rho, measure
-    return rho * gamma, measure
+    return rho * GAMMA, measure
 
 
-def safeguard(lam_hat, equality, cfg):
-    """Step 5: clamp the shifted multipliers into [lam_min, lam_max] on
-    the equalities and into [0, mu_max] on the inequalities."""
-    return np.clip(lam_hat, np.where(equality, cfg.lam_min, 0.0),
-                   np.where(equality, cfg.lam_max, cfg.mu_max))
+def safeguard(lam_hat, equality):
+    """Step 5: clamp the shifted multipliers into [LAM_MIN, LAM_MAX] on
+    the equalities and into [0, MU_MAX] on the inequalities."""
+    return np.clip(lam_hat, np.where(equality, LAM_MIN, 0.0),
+                   np.where(equality, LAM_MAX, MU_MAX))
 
 
 def kkt_residuals(p, x, lam, c=None):
@@ -524,11 +506,14 @@ class _Subproblem:
         gradient g leaves free (hessian_model's `free`), and a
         preconditioner that inverts that reduced matrix.  `free` is an
         index array, or slice(None) when nothing is pinned; then the model
-        is the full one.  This is the one owner of the free set: a set
+        is the full one.  None when every variable is pinned: there is no
+        model to build.  This is the one owner of the free set: a set
         equal to the one the manager holds (`PrecondManager.free`) is
         passed on as that same array, so the memo and the manager tell
         sets apart by identity."""
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
+        if act.all():
+            return None
         free = np.flatnonzero(~act) if np.any(act) else None
         last = self.manager.free  # None: nothing pinned, or no set yet
         if free is not None and np.array_equal(free, last):
@@ -536,8 +521,7 @@ class _Subproblem:
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode,
                               secant=(s, y) if s is not None else None,
-                              sigma_min=self.cfg.sigma_min, free=free,
-                              _memo=self.memo)
+                              free=free, _memo=self.memo)
         return (model, self.manager.get(model, free),
                 slice(None) if free is None else free)
 
@@ -560,7 +544,10 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
     def tn_direction(z, g, pg, s, y):
         # Bound-pinned components take the raw gradient (clipped by the
         # projection); the model is solved on the free variables only.
-        model, precond, free = sub.free_system(z, g, s, y)
+        system = sub.free_system(z, g, s, y)
+        if system is None:
+            return -g
+        model, precond, free = system
         step = truncated_newton_step(model, g[free], precond)
         stats.krylov_precond += step.krylov_precond
         stats.krylov_plain += step.krylov_plain
@@ -569,8 +556,8 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
         return d
 
     def pspg_metric(z, g, s, y):
-        _, precond, free = sub.free_system(z, g, s, y)
-        return precond.apply, free
+        system = sub.free_system(z, g, s, y)
+        return None if system is None else (system[1].apply, system[2])
 
     if cfg.inner_solver == "truncated-newton":
         result = projected_descent(sub.merit, sub.grad, p.lower, p.upper, x,
@@ -596,9 +583,9 @@ def alm_solve(p, cfg=None):
     memo = _SolveMemo()
     x = project_box(p.x0.copy(), p.lower, p.upper)
     lam_bar = np.zeros(p.m)
-    rho = cfg.rho1
+    rho = RHO1
     prev_measure = None
-    grad_tol = cfg.effective_inner_tol  # the first subproblem's
+    grad_tol = cfg.inner_tol  # the first subproblem's
     history = []
     totals = _SubStats()
     status = "no convergence"
@@ -628,10 +615,9 @@ def alm_solve(p, cfg=None):
             break
 
         rho, prev_measure = update_penalty(rho, prev_measure, c, lam_bar,
-                                           p.equality, cfg.tau, cfg.gamma)
-        grad_tol = max(cfg.effective_inner_tol,
-                       INNER_TOL_PER_MEASURE * prev_measure)
-        lam_bar = safeguard(lam_hat, p.equality, cfg)
+                                           p.equality)
+        grad_tol = max(cfg.inner_tol, INNER_TOL_PER_MEASURE * prev_measure)
+        lam_bar = safeguard(lam_hat, p.equality)
 
     return AlmReport(
         problem=p.name, status=status, x=x, multipliers=lam_hat,

@@ -15,10 +15,11 @@ from typing import Tuple
 
 import numpy as np
 
-from .alm import AlmConfig, alm_solve
+from .alm import (HESSIAN_MODES, INNER_SOLVERS, PRECOND_POLICIES, AlmConfig,
+                  alm_solve)
 from .auxprecond import KINDS, build_aux
 from .krylov import pcg
-from .problems import get_problem
+from .problems import PROBLEM_BUILDERS, get_problem
 from .sparse import SparseSymmetricMatrix, read_matrix_market
 from .structured import ColumnSet, StructuredPrecond
 
@@ -57,8 +58,18 @@ class ExperimentConfig:
                      "hessian_modes", "policies"):
             if not getattr(self, name):
                 raise ValueError("%s must not be empty" % name)
-        if not all(rho > 0.0 for rho in self.rho_list):
-            raise ValueError("rho must be positive, got %r"
+        for name, legal in (("problems", PROBLEM_BUILDERS),
+                            ("solvers", INNER_SOLVERS),
+                            ("hessian_modes", HESSIAN_MODES),
+                            ("policies", PRECOND_POLICIES)):
+            for value in getattr(self, name):
+                if value not in legal:
+                    raise ValueError("unknown %s entry %r; available: %s"
+                                     % (name, value, ", ".join(legal)))
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative, got %r" % self.seed)
+        if not all(0.0 < rho < np.inf for rho in self.rho_list):
+            raise ValueError("rho must be positive and finite, got %r"
                              % (self.rho_list,))
         if not all(tol >= 0.0 for tol in self.drop_tol_list):
             raise ValueError("drop tolerance must be nonnegative, got %r"

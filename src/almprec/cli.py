@@ -18,7 +18,7 @@ import sys
 import typing
 from dataclasses import replace
 
-from .alm import AlmConfig, SettingError
+from .alm import AlmConfig
 from .auxprecond import FactorizationError
 from .bench import (ExperimentConfig, csv_to_table, rows_to_csv,
                     run_experiment)
@@ -37,7 +37,7 @@ _ALM_FIELDS = typing.get_type_hints(AlmConfig)
 _ALM_SET_BY = {"inner_solver": "solvers", "hessian_mode": "hessian_modes",
                "precond_policy": "policies", "aux_kind": "aux_kind"}
 # Field type -> parser for the fields a config line can set.
-_PARSERS = {int: int, float: float, typing.Optional[float]: float, str: str,
+_PARSERS = {int: int, float: float, str: str,
             typing.Tuple[float, ...]: _tuple_of(float),
             typing.Tuple[str, ...]: _tuple_of(str)}
 
@@ -76,10 +76,10 @@ def _convert(key, raw):
 
 
 def build_experiment_config(kind, pairs):
-    """ExperimentConfig from {key: raw value} pairs.  A ConfigError names
-    the key and, for `parse_config_text` pairs, its line.  The alm.* values
-    are applied together, so checks across fields see all of them; a
-    rejection blames the first field it names that the pairs set."""
+    """ExperimentConfig from {key: raw value} pairs, applied one at a
+    time.  A ConfigError names the key and, for `parse_config_text`
+    pairs, its line: every check reads one field, so a rejection is the
+    fault of the key just applied."""
     where = getattr(pairs, "where", {})
 
     def error_at(key, message):
@@ -87,7 +87,6 @@ def build_experiment_config(kind, pairs):
                            else message)
 
     cfg = ExperimentConfig(kind=kind)
-    alm_over = {}
     for key, raw in pairs.items():
         try:
             if key.startswith("alm."):
@@ -97,20 +96,15 @@ def build_experiment_config(kind, pairs):
                 if sub in _ALM_SET_BY:
                     raise ValueError("the experiment overrides it; set %r "
                                      "instead" % _ALM_SET_BY[sub])
-                alm_over[sub] = _PARSERS[_ALM_FIELDS[sub]](raw)
+                value = _PARSERS[_ALM_FIELDS[sub]](raw)
+                cfg = replace(cfg, alm=replace(cfg.alm, **{sub: value}))
             else:
                 cfg = replace(cfg, **{key: _convert(key, raw)})
         except ConfigError as exc:
             raise error_at(key, str(exc))
         except (TypeError, ValueError) as exc:
             raise error_at(key, "bad value for %r: %s" % (key, exc))
-    try:
-        return replace(cfg, alm=replace(cfg.alm, **alm_over))
-    except SettingError as exc:
-        # The defaults pass every check, so the pairs set a field it names.
-        key = next(name for name in exc.fields if name in alm_over)
-        raise error_at("alm." + key, "bad value for 'alm.%s': %s"
-                       % (key, exc)) from None
+    return cfg
 
 
 def _parser():

@@ -184,13 +184,14 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, grad_tol,
     `precond` is None or a callable precond(x, g, s, y), with g the
     gradient at x, that returns (apply, free): `free` indexes the
     variables left free (an index array, or slice(None) when nothing is
-    pinned) and `apply` acts on the gradient restricted to them.  The
-    step takes pgrad = g with pgrad[free] = apply(g[free]), the two-metric
-    safeguard: bound-pinned components keep their raw gradient, clipped
-    by the projection.  Each direction first updates the spectral
-    coefficients from the previous step (s, y): alpha_bb = s's / s'y,
-    and alpha_p = s'y / y'Dy with the previous step's D, zero on the
-    components it left pinned.
+    pinned) and `apply` acts on the gradient restricted to them.  It
+    returns None when no variable is free; then the step is the plain
+    spectral one.  The preconditioned step takes pgrad = g with
+    pgrad[free] = apply(g[free]), the two-metric safeguard: bound-pinned
+    components keep their raw gradient, clipped by the projection.  Each
+    direction first updates the spectral coefficients from the previous
+    step (s, y): alpha_bb = s's / s'y, and alpha_p = s'y / y'Dy with the
+    previous step's D, zero on the components it left pinned.
     """
     alpha_bb = None      # plain spectral coefficient
     alpha_p = 1.0        # coefficient in the preconditioned metric
@@ -223,8 +224,9 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, grad_tol,
             # On degenerate (near-zero) steps both coefficients are kept.
 
         d = None
-        if precond is not None:
-            prev = apply, free = precond(x, g, s, y)
+        prev = precond(x, g, s, y) if precond is not None else None
+        if prev is not None:
+            apply, free = prev
             pgrad = g.copy()
             pgrad[free] = apply(g[free])
             d = project_box(x - alpha_p * pgrad, lower, upper) - x

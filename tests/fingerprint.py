@@ -34,8 +34,9 @@ total over all of them:
   NW, QN and `QN-secant` models built through one per-solve memo
   (`_SolveMemo`) over the free sets A, A (the same array), B, A (a new
   array), none (B another set of A's size), so the memo's cached
-  restriction is built, reused and replaced; and, under its own label
-  and memo, the `QN-secant-kept` model over the same free sets;
+  restriction is built, reused and replaced; and, each under its own
+  label and memo, the `QN-secant-kept` model over the same free sets,
+  and on HS41 and HS63 the `QN-secant-curved` one;
 - `fallback`: each numerical fallback, forced on a small input:
   - `aux-shift KIND`: the preconditioner manager's auxiliary build of
     an indefinite block (a 5-point Laplacian minus 4 I, whose zero
@@ -298,10 +299,11 @@ def restricted_memo_runs(root):
         p = _frozen_at_x0(get_problem(name))
         free = np.arange(p.n) % 3 != 0
         first, other = np.flatnonzero(free), np.flatnonzero(np.roll(free, 1))
-        secant, kept = _secant_pairs(p)
-        for label, models in (
-                (name, [("NW", None), ("QN", None), secant[1:]]),
-                ("%s %s" % (name, kept[0]), [kept[1:]])):
+        secant, *alone = _secant_pairs(p) + _curved_pair(p)
+        runs = [(name, [("NW", None), ("QN", None), secant[1:]])]
+        runs += [("%s %s" % (name, label), [(mode, pair)])
+                 for label, mode, pair in alone]
+        for label, models in runs:
             memo, parts = alm._SolveMemo(), []
             for mode, pair in models:
                 for free in (first, first, other, first.copy(), None):

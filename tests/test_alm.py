@@ -2,6 +2,7 @@
 the solver driver."""
 
 import csv
+import dataclasses
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -621,14 +622,15 @@ class TestRestrictionMemo:
         return sum(alm._RESTRICTION in values
                    for _, values in memo._entries.values())
 
-    # (mode, secant, sigma_min): sigma_min = -3 with a curvature pair
+    # (mode, secant, SIGMA_MIN): SIGMA_MIN = -3 with a curvature pair
     # that asks for less makes sigma = -3, which cancels two diagonal
     # entries of hess f.
     @pytest.mark.parametrize("mode, secant_scale, sigma_min", [
         ("NW", None, 1e-8), ("QN", None, 1e-8), ("QN", 3.0, 1e-8),
         ("QN", None, -3.0), ("QN", -10.0, -3.0)])
-    def test_models_match_the_memo_less_ones(self, mode, secant_scale,
-                                             sigma_min):
+    def test_models_match_the_memo_less_ones(self, monkeypatch, mode,
+                                             secant_scale, sigma_min):
+        monkeypatch.setattr(alm, "SIGMA_MIN", sigma_min)
         hess, jac = _hess_with_threes(), _frozen(_memo_jac())
         zero = _frozen(np.zeros((6, 6)))
         p = _memo_problem(lambda x: hess, lambda i, x: zero, lambda x: jac)
@@ -639,7 +641,7 @@ class TestRestrictionMemo:
                   else (s, secant_scale * s + 0.01 * rng.standard_normal(6)))
         memo, models = alm._SolveMemo(), []
         for free in _free_sequence():
-            kwargs = dict(secant=secant, sigma_min=sigma_min, free=free)
+            kwargs = dict(secant=secant, free=free)
             got = hessian_model(p, x, lam, 10.0, mode, _memo=memo, **kwargs)
             want = hessian_model(p, x, lam, 10.0, mode, **kwargs)
             assert _same_bytes(got, want)
@@ -724,7 +726,7 @@ class TestFreeSetOwner:
                             counted_submatrix)
         cfg = AlmConfig(hessian_mode=mode, precond_policy="once")
         manager = PrecondManager(cfg)
-        sub = alm._Subproblem(p, np.zeros(p.m), cfg.rho1, cfg, manager,
+        sub = alm._Subproblem(p, np.zeros(p.m), alm.RHO1, cfg, manager,
                               alm._SolveMemo())
         z, g = np.zeros(6), np.ones(6)
         frees = []
@@ -1036,43 +1038,55 @@ def _stub_problem(equality):
     return SimpleNamespace(equality=np.asarray(equality, dtype=bool))
 
 
+def _patch_safeguard(monkeypatch, lam_min, lam_max, mu_max):
+    """Set safeguard's bounds, alm.LAM_MIN, LAM_MAX and MU_MAX."""
+    for name, value in (("LAM_MIN", lam_min), ("LAM_MAX", lam_max),
+                        ("MU_MAX", mu_max)):
+        monkeypatch.setattr(alm, name, value)
+
+
 class TestOuterUpdates:
     def test_multiplier_update(self):
         eq = np.array([True, False])
         lam_hat = shifted_multipliers(_stub_problem(eq), None,
                                       np.array([1.0, 2.0]), 10.0,
                                       np.array([0.5, -0.5]))
-        lam = safeguard(lam_hat, eq, AlmConfig())
+        lam = safeguard(lam_hat, eq)
         assert lam[0] == 6.0
         assert lam[1] == 0.0  # 2 - 5 clipped
 
     def test_progress_measure_combines_blocks(self):
         _, v = update_penalty(10.0, None, np.array([0.2, -0.05]),
-                              np.array([0.0, 10.0]), np.array([True, False]),
-                              0.5, 10.0)
+                              np.array([0.0, 10.0]), np.array([True, False]))
         # min(-g, mu/rho) = min(0.05, 1.0) = 0.05 -> equality part wins.
         assert v == pytest.approx(0.2)
 
     def test_penalty_kept_on_progress(self):
         rho, measure = update_penalty(10.0, 1.0, np.array([0.4]),
-                                      np.zeros(1), np.array([True]),
-                                      0.5, 10.0)
+                                      np.zeros(1), np.array([True]))
         assert rho == 10.0 and measure == pytest.approx(0.4)
 
     def test_penalty_increased_on_stall(self):
         rho, _ = update_penalty(10.0, 1.0, np.array([0.9]), np.zeros(1),
-                                np.array([True]), 0.5, 10.0)
+                                np.array([True]))
         assert rho == 100.0
+
+    def test_tau_and_gamma_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(alm, "TAU", 0.3)
+        monkeypatch.setattr(alm, "GAMMA", 3.0)
+        rho, _ = update_penalty(10.0, 1.0, np.array([0.4]), np.zeros(1),
+                                np.array([True]))
+        assert rho == 30.0  # 0.4 > TAU * 1.0
 
     def test_first_iteration_never_increases(self):
         rho, _ = update_penalty(10.0, None, np.array([100.0]), np.zeros(1),
-                                np.array([True]), 0.5, 10.0)
+                                np.array([True]))
         assert rho == 10.0
 
-    def test_safeguard_clamps(self):
-        cfg = AlmConfig(lam_min=-5.0, lam_max=5.0, mu_max=3.0)
+    def test_safeguard_clamps(self, monkeypatch):
+        _patch_safeguard(monkeypatch, -5.0, 5.0, 3.0)
         lam = safeguard(np.array([-10.0, 10.0, 7.0]),
-                        np.array([True, True, False]), cfg)
+                        np.array([True, True, False]))
         np.testing.assert_allclose(lam, [-5.0, 5.0, 3.0])
 
     def test_kkt_multipliers_piecewise(self):
@@ -1116,28 +1130,27 @@ def _split_update_penalty(rho, prev_measure, h_vals, g_vals, mu_bar, tau,
     return rho * gamma, measure
 
 
-def _split_safeguard(lam, mu, cfg):
-    lam_bar = np.clip(lam, cfg.lam_min, cfg.lam_max)
-    return lam_bar, np.clip(mu, 0.0, cfg.mu_max)
+def _split_safeguard(lam, mu):
+    lam_bar = np.clip(lam, alm.LAM_MIN, alm.LAM_MAX)
+    return lam_bar, np.clip(mu, 0.0, alm.MU_MAX)
 
 
-def _split_outer_step(c, lam_bar, rho, eq, prev_measure, cfg):
+def _split_outer_step(c, lam_bar, rho, eq, prev_measure):
     lam_eq, mu_in = _split_update_multipliers(lam_bar[eq], lam_bar[~eq], rho,
                                               c[eq], c[~eq])
     rho, measure = _split_update_penalty(rho, prev_measure, c[eq], c[~eq],
-                                         lam_bar[~eq], cfg.tau, cfg.gamma)
-    lam_eq, mu_in = _split_safeguard(lam_eq, mu_in, cfg)
+                                         lam_bar[~eq], alm.TAU, alm.GAMMA)
+    lam_eq, mu_in = _split_safeguard(lam_eq, mu_in)
     lam_bar = lam_bar.copy()
     lam_bar[eq] = lam_eq
     lam_bar[~eq] = mu_in
     return lam_bar, rho, measure
 
 
-def _mask_outer_step(c, lam_bar, rho, eq, prev_measure, cfg):
+def _mask_outer_step(c, lam_bar, rho, eq, prev_measure):
     lam_hat = shifted_multipliers(_stub_problem(eq), None, lam_bar, rho, c)
-    rho, measure = update_penalty(rho, prev_measure, c, lam_bar, eq,
-                                  cfg.tau, cfg.gamma)
-    return safeguard(lam_hat, eq, cfg), rho, measure
+    rho, measure = update_penalty(rho, prev_measure, c, lam_bar, eq)
+    return safeguard(lam_hat, eq), rho, measure
 
 
 def _outer_step_cases():
@@ -1166,19 +1179,20 @@ def _outer_step_cases():
                 yield c, lam_bar, rho, eq, prev
 
 
-def test_mask_outer_step_matches_the_split_form():
-    cfgs = (AlmConfig(), AlmConfig(lam_min=-5.0, lam_max=5.0, mu_max=3.0))
+def test_mask_outer_step_matches_the_split_form(monkeypatch):
+    # The default safeguard bounds, then tight ones.
+    cases = ((alm.LAM_MIN, alm.LAM_MAX, alm.MU_MAX), (-5.0, 5.0, 3.0))
     ties = 0
     for c, lam_bar, rho, eq, prev in _outer_step_cases():
-        for cfg in cfgs:
+        for bounds in cases:
+            _patch_safeguard(monkeypatch, *bounds)
             if prev == "tie":
-                # measure == tau * prev exactly: rho must stay.
-                _, _, measure = _split_outer_step(c, lam_bar, rho, eq, None,
-                                                  cfg)
-                prev = measure / cfg.tau
+                # measure == TAU * prev exactly: rho must stay.
+                _, _, measure = _split_outer_step(c, lam_bar, rho, eq, None)
+                prev = measure / alm.TAU
                 ties += measure > 0.0
-            want = _split_outer_step(c, lam_bar, rho, eq, prev, cfg)
-            got = _mask_outer_step(c, lam_bar, rho, eq, prev, cfg)
+            want = _split_outer_step(c, lam_bar, rho, eq, prev)
+            got = _mask_outer_step(c, lam_bar, rho, eq, prev)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1:] == want[1:]  # (rho, measure)
     assert ties > 0
@@ -1366,6 +1380,19 @@ class TestAlmSolve:
         assert provider_gets > 0
         assert grads_in_provider == 0
 
+    def test_no_system_when_every_variable_is_pinned(self):
+        """At the corner (1, 1) of BOX-QP the gradient pushes both
+        variables out of the box: free_system builds no model and no
+        preconditioner."""
+        p = get_problem("BOX-QP")  # f = |x - (2, 2)|^2 on [0, 1]^2
+        cfg = AlmConfig()
+        manager = PrecondManager(cfg)
+        sub = alm._Subproblem(p, np.zeros(0), alm.RHO1, cfg, manager,
+                              alm._SolveMemo())
+        z = np.ones(2)
+        assert sub.free_system(z, sub.grad(z), None, None) is None
+        assert manager.ac_m == manager.ac_v == 0
+
     def test_pspg_provider_gives_the_reduced_apply_and_its_index(self):
         """free_system(z, g, s, y) gives the preconditioner and the index
         `free` that both solvers scatter with: free indices when a bound
@@ -1373,7 +1400,7 @@ class TestAlmSolve:
         only."""
         p = get_problem("BOX-QP")  # f = |x - (2, 2)|^2 on [0, 1]^2
         cfg = AlmConfig(inner_solver="pspg")
-        sub = alm._Subproblem(p, np.zeros(0), cfg.rho1, cfg,
+        sub = alm._Subproblem(p, np.zeros(0), alm.RHO1, cfg,
                               PrecondManager(cfg), alm._SolveMemo())
         z = np.array([1.0, 0.5])
         _, precond, free = sub.free_system(z, sub.grad(z), None, None)
@@ -1424,10 +1451,26 @@ class TestAlmSolve:
         for x in results[1:]:
             np.testing.assert_allclose(x, results[0], atol=1e-5)
 
-    def test_penalty_grows_when_feasibility_stalls(self):
-        rep = alm_solve(get_problem("EQ-QP"), AlmConfig(rho1=1e-3,
-                                                        max_outer=30))
-        assert rep.rho_final > 1e-3
+    def test_penalty_grows_when_feasibility_stalls(self, monkeypatch):
+        """RHO1 and GAMMA are read when alm_solve runs: the first outer
+        iteration runs at RHO1, and rho then grows by factors of GAMMA."""
+        monkeypatch.setattr(alm, "RHO1", 1e-3)
+        monkeypatch.setattr(alm, "GAMMA", 4.0)
+        rep = alm_solve(get_problem("EQ-QP"), AlmConfig(max_outer=30))
+        rhos = [h["rho"] for h in rep.history]
+        assert rhos[0] == 1e-3 and rep.rho_final > 1e-3
+        assert {b / a for a, b in zip(rhos, rhos[1:])} <= {1.0, 4.0}
+
+    @pytest.mark.parametrize("solver", ["truncated-newton", "pspg"])
+    def test_every_variable_pinned_takes_the_plain_step(self, solver):
+        """Both variables within ACTIVE_TOL of their upper bound, with the
+        gradient pushing out, and the projected gradient 5e-11 above the
+        inner tolerance: nothing is free, so the solver builds no model
+        and no preconditioner and takes its unpreconditioned step."""
+        p = replace(get_problem("BOX-QP"), x0=np.full(2, 1.0 - 5e-11))
+        rep = alm_solve(p, AlmConfig(eps_opt=1e-12, inner_solver=solver))
+        assert rep.converged and rep.ac_m == 0
+        np.testing.assert_array_equal(rep.x, [1.0, 1.0])
 
     def test_config_rejects_max_outer_below_one(self):
         with pytest.raises(ValueError, match="max_outer must be at least 1"):
@@ -1435,11 +1478,11 @@ class TestAlmSolve:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AlmConfig(tau=1.5)
-        with pytest.raises(ValueError):
             AlmConfig(inner_solver="unknown")
         with pytest.raises(ValueError):
-            AlmConfig(gamma=1.0)
+            AlmConfig(hessian_mode="unknown")
+        with pytest.raises(ValueError):
+            AlmConfig(precond_policy="unknown")
 
     @pytest.mark.parametrize("drop_tol", [-1.0, float("nan")])
     def test_config_rejects_bad_drop_tol(self, drop_tol):
@@ -1453,40 +1496,35 @@ class TestAlmSolve:
 
     def test_inner_tol_defaults_to_tenth_of_eps_opt(self):
         cfg = AlmConfig(eps_opt=1e-4)
-        assert cfg.effective_inner_tol == pytest.approx(1e-5)
-        cfg = AlmConfig(inner_tol=1e-3)
-        assert cfg.effective_inner_tol == 1e-3
+        assert cfg.inner_tol == pytest.approx(1e-5)
+        with pytest.raises(TypeError):
+            AlmConfig(inner_tol=1e-3)  # derived, not a setting
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("name", ["eps_opt", "eps_feas", "inner_tol"])
+    # An infinite eps_opt would report HS48 converged at x0, where f = 84
+    # and f* = 0.
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    @pytest.mark.parametrize("name", ["eps_opt", "eps_feas"])
     def test_config_rejects_a_tolerance_not_positive(self, name, value):
-        with pytest.raises(ValueError, match="^%s must be positive" % name):
+        with pytest.raises(SettingError,
+                           match="^%s must be positive and finite, got %r$"
+                           % (name, value)) as caught:
             AlmConfig(**{name: value})
+        assert caught.value.field == name
 
-    @pytest.mark.parametrize("name", ["rho1", "gamma", "lam_min", "lam_max",
-                                      "mu_max", "sigma_min"])
-    def test_config_rejects_nan(self, name):
-        with pytest.raises(ValueError, match="^%s must not be NaN$" % name):
-            AlmConfig(**{name: float("nan")})
+    def test_config_has_only_the_callers_choices(self):
+        assert [f.name for f in dataclasses.fields(AlmConfig)] == [
+            "eps_opt", "eps_feas", "max_outer", "inner_solver",
+            "hessian_mode", "aux_kind", "drop_tol", "precond_policy"]
 
-    @pytest.mark.parametrize("changes, fields", [
-        ({"rho1": 0.0}, ("rho1",)),
-        ({"gamma": 1.0}, ("gamma",)),
-        ({"tau": 1.0}, ("tau",)),
-        ({"lam_max": -1e21}, ("lam_min", "lam_max")),
-        ({"mu_max": 0.0}, ("mu_max",)),
-        ({"aux_kind": "ilu"}, ("aux_kind",)),
-        ({"max_outer": 0}, ("max_outer",)),
-        ({"max_outer": 2.5}, ("max_outer",)),
-        ({"rho1": float("inf")}, ("rho1",)),
-        ({"inner_tol": -1.0}, ("inner_tol", "eps_opt")),
-        # The default inner_tol, eps_opt / 10, underflows to 0.
-        ({"eps_opt": 5e-324}, ("inner_tol", "eps_opt")),
-    ])
-    def test_config_rejection_names_its_fields(self, changes, fields):
+    @pytest.mark.parametrize("field, value", [
+        ("aux_kind", "ilu"), ("max_outer", 0), ("max_outer", 2.5),
+        # inner_tol, eps_opt / 10, underflows to 0.
+        ("eps_opt", 5e-324)])
+    def test_config_rejection_names_its_field(self, field, value):
         with pytest.raises(SettingError) as caught:
-            AlmConfig(**changes)
-        assert caught.value.fields == fields
+            AlmConfig(**{field: value})
+        assert caught.value.field == field
 
 
 def _subproblem_tolerances(monkeypatch, p, cfg):
@@ -1510,9 +1548,9 @@ def _subproblem_tolerances(monkeypatch, p, cfg):
 
 
 class TestSubproblemTolerance:
-    """The first subproblem is solved to effective_inner_tol, each later
-    one to max(effective_inner_tol, INNER_TOL_PER_MEASURE * measure) with
-    the measure of the outer iteration before it."""
+    """The first subproblem is solved to AlmConfig.inner_tol, each later
+    one to max(inner_tol, INNER_TOL_PER_MEASURE * measure) with the
+    measure of the outer iteration before it."""
 
     @pytest.mark.parametrize("solver", alm.INNER_SOLVERS)
     @pytest.mark.parametrize("name", ["HS41", "C4-SYN"])
@@ -1522,7 +1560,7 @@ class TestSubproblemTolerance:
         rep, tols, measures = _subproblem_tolerances(
             monkeypatch, get_problem(name), cfg)
         assert rep.converged
-        floor = cfg.effective_inner_tol
+        floor = cfg.inner_tol
         assert len(tols) == rep.outer_iterations == len(measures) + 1
         assert tols == [floor] + [
             max(floor, alm.INNER_TOL_PER_MEASURE * v) for v in measures]
@@ -1536,11 +1574,11 @@ class TestSubproblemTolerance:
         p = replace(get_problem("BOX-QP"),
                     f=lambda x: float(np.sum((x - 0.5) ** 4)),
                     grad=lambda x: 4.0 * (x - 0.5) ** 3)
-        cfg = AlmConfig(inner_solver="spg", inner_tol=1e-9, max_outer=4)
+        cfg = AlmConfig(inner_solver="spg", eps_opt=1e-8, max_outer=4)
         rep, tols, measures = _subproblem_tolerances(monkeypatch, p, cfg)
         assert rep.outer_iterations == 4
         assert measures == [0.0] * 4
-        assert tols == [1e-9] * 4
+        assert tols == [0.1 * 1e-8] * 4
 
 
 def test_thresholds_default_values():

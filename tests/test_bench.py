@@ -157,34 +157,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^f:2: bad value for 'n'"):
             build_experiment_config("linsys", pairs)
 
-    def test_alm_overrides_checked_together(self):
-        # lam_min = 1e21 alone fails against the default lam_max = 1e20.
-        pairs = parse_config_text("alm.lam_min = 1e21\nalm.lam_max = 1e22\n")
-        cfg = build_experiment_config("solve", pairs)
-        assert (cfg.alm.lam_min, cfg.alm.lam_max) == (1e21, 1e22)
-
     def test_rejected_alm_set_blames_the_key_at_fault(self):
-        pairs = parse_config_text("alm.lam_min = 1e21\nalm.lam_max = 1e22\n"
+        pairs = parse_config_text("alm.eps_opt = 1e-8\nalm.eps_feas = 1e-8\n"
                                   "alm.drop_tol = -1\n", source="f")
         with pytest.raises(ConfigError,
                            match="^f:3: bad value for 'alm.drop_tol': "
                                  "drop tolerance"):
             build_experiment_config("solve", pairs)
 
-    def test_infinite_rho1_blames_its_line(self):
-        pairs = parse_config_text("alm.max_outer = 3\nalm.rho1 = inf\n",
-                                  source="f")
-        with pytest.raises(ConfigError,
-                           match="^f:2: bad value for 'alm.rho1': "
-                                 "rho1 must be finite, got inf$"):
-            build_experiment_config("solve", pairs)
-
     def test_rejected_alm_pair_blames_the_key_that_was_set(self):
-        pairs = parse_config_text("alm.max_outer = 3\nalm.lam_max = -1e21\n",
+        pairs = parse_config_text("alm.max_outer = 3\nalm.eps_opt = inf\n",
                                   source="f")
         with pytest.raises(ConfigError,
-                           match="^f:2: bad value for 'alm.lam_max': "
-                                 "bad multiplier safeguard bounds$"):
+                           match="^f:2: bad value for 'alm.eps_opt': "
+                                 "eps_opt must be positive and finite, "
+                                 "got inf$"):
             build_experiment_config("solve", pairs)
 
     @pytest.mark.parametrize("line, message", [
@@ -202,6 +189,12 @@ class TestConfigParsing:
         ("rho_list = 1.0, 0.0", "rho must be positive"),
         ("drop_tol_list = 0.1, -1e-3", "drop tolerance must be nonnegative"),
         ("aux_kind = cholesky", "unknown auxiliary preconditioner kind"),
+        ("solvers = spg, foo", "unknown solvers entry 'foo'"),
+        ("hessian_modes = XX", "unknown hessian_modes entry 'XX'"),
+        ("policies = never", "unknown policies entry 'never'"),
+        ("problems = NOPE", "unknown problems entry 'NOPE'"),
+        ("seed = -1", "seed must be nonnegative"),
+        ("rho_list = 1.0, inf", "rho must be positive and finite"),
     ])
     def test_experiment_value_rejected_at_its_line(self, line, message):
         key = line.split("=")[0].strip()
@@ -215,6 +208,15 @@ class TestConfigParsing:
         hints = typing.get_type_hints(AlmConfig)
         assert [name for name, hint in hints.items()
                 if hint not in cli._PARSERS] == []
+
+    @pytest.mark.parametrize("name", ["rho1", "gamma", "tau", "lam_min",
+                                      "lam_max", "mu_max", "sigma_min",
+                                      "inner_tol"])
+    def test_outer_loop_constants_are_not_config_keys(self, name):
+        pairs = parse_config_text("alm.%s = 0.1\n" % name, source="f")
+        with pytest.raises(ConfigError, match="^f:1: unknown config key "
+                                              "'alm.%s'$" % name):
+            build_experiment_config("solve", pairs)
 
     @pytest.mark.parametrize("key", ["kind", "alm"])
     def test_kind_and_alm_are_not_config_keys(self, key):
@@ -275,16 +277,6 @@ class TestCli:
         rc = main(["spectral", "--config", str(conf)])
         assert rc == 2
 
-    def test_alm_inner_tol_parsed_as_float(self, tmp_path):
-        out = tmp_path / "out.csv"
-        conf = tmp_path / "bench.conf"
-        conf.write_text("problems = EQ-QP\nsolvers = truncated-newton\n"
-                        "alm.inner_tol = 1e-7\n")
-        rc = main(["solve", "--config", str(conf), "--out", str(out)])
-        assert rc == 0
-        text = out.read_text()
-        assert "converged" in text and "error" not in text
-
     @pytest.mark.parametrize("key", ["alm.thresholds", "alm.inner"])
     def test_non_scalar_alm_key_exits_nonzero(self, tmp_path, capsys, key):
         conf = tmp_path / "bench.conf"
@@ -311,7 +303,7 @@ class TestCli:
                 "least 1" % conf) in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("eps_opt", "nan"), ("eps_feas", "-1"), ("inner_tol", "0")])
+        ("eps_opt", "nan"), ("eps_feas", "-1"), ("eps_feas", "inf")])
     def test_bad_tolerance_names_key_and_line(self, tmp_path, capsys, key,
                                               value):
         conf = tmp_path / "bench.conf"
@@ -323,11 +315,11 @@ class TestCli:
 
     def test_nan_setting_names_key_and_line(self, tmp_path, capsys):
         conf = tmp_path / "bench.conf"
-        conf.write_text("problems = HS48\nalm.rho1 = nan\n")
+        conf.write_text("problems = HS48\nalm.drop_tol = nan\n")
         rc = main(["solve", "--config", str(conf)])
         assert rc == 2
-        assert ("%s:2: bad value for 'alm.rho1': rho1 must not be NaN"
-                % conf) in capsys.readouterr().err
+        assert ("%s:2: bad value for 'alm.drop_tol': drop tolerance must be "
+                "nonnegative, got nan" % conf) in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, line", [
         ("linsys", "m = -1"), ("solve", "rho_list ="),

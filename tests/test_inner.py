@@ -240,6 +240,24 @@ class TestSpg:
         assert seen == [[0]]
         np.testing.assert_array_equal(res.x, [1.0, 0.0])
 
+    def test_provider_without_free_variables_takes_the_spectral_step(self):
+        """A provider that returns None, for no variable free, leaves
+        every step to the plain spectral one: the trial points are those
+        of spg_solve without a provider, bit for bit."""
+        f, g, lower, upper, x0, _ = _pinning_problem(0)
+        trials = {True: [], False: []}
+
+        def recording(key):
+            def f_eval(x):
+                trials[key].append(x.tobytes())
+                return f(x)
+            return f_eval
+        with_none = spg_solve(recording(True), g, lower, upper, x0, 1e-9,
+                              precond=lambda z, g, s, y: None)
+        plain = spg_solve(recording(False), g, lower, upper, x0, 1e-9)
+        assert with_none.iterations == plain.iterations > 1
+        assert trials[True] == trials[False]
+
     def test_no_mask_recomputed_with_a_provider(self, monkeypatch):
         calls = []
         monkeypatch.setattr(inner, "active_bound_mask",
