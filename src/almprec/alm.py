@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxprecond import KINDS, FactorizationError, build_aux, ldlt
+from .auxprecond import KINDS, FactorizationError, build_aux
 from .inner import (active_bound_mask, project_box, projected_descent,
                     spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
@@ -171,17 +171,6 @@ class HessianModel:
         return y
 
 
-def _positive_definite(a):
-    """Whether the SparseSymmetricMatrix a - tau I is positive definite,
-    with the margin tau = 10 n eps ||a||_1, by the pivot signs of its
-    sparse LDL' (`ldlt`)."""
-    full = a.to_csr()
-    # Column sums of |a| in row order, the order of a dense axis-0 sum.
-    tau = (10.0 * a.n * np.finfo(np.float64).eps
-           * np.bincount(full.indices, np.abs(full.data), minlength=a.n).max())
-    return ldlt(full, -tau) is not None
-
-
 _RESTRICTION = "restriction"  # where a _SolveMemo keeps its restriction
 
 
@@ -265,27 +254,21 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
     and each constraint Hessian NW adds are cut before `plus` sums them
     in the term order, and QN adds sigma to the cut hess f (`shifted`).
 
-    QN keeps M positive definite by raising sigma to a floor set by the
-    smallest eigenvalue of hess f (`min_eigenvalue`).  When hess f is
-    positive definite the floor never raises sigma, so the eigenvalue is
-    only computed when a probe of hess f - tau I fails,
-    tau = 10 n eps ||hess f||_1: the pivots of its unpivoted sparse LDL'
-    must all be positive (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 10-11).  The margin tau keeps the probe failing on a
-    singular positive semidefinite hess f, whose computed smallest
-    eigenvalue may be exactly zero and then sets the floor.
+    QN's M may be indefinite, as hess f may be: truncated Newton stops
+    CG at negative curvature, and PrecondManager shifts an auxiliary it
+    cannot factor.
 
     The dense hess f and constraint Hessians are read a block of rows at
     a time (`from_dense`), so besides them the model needs O(nnz)
-    memory, except for the eigenvalues of QN when the probe fails.
+    memory.
 
     `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
     the model derives from arrays the problem declares constant (see
     NlpProblem): sparse hess f, whether each constraint Hessian is zero
     and the sparse form of the others, the 2-norms of the Jacobian's
-    columns, QN's probe verdict and smallest eigenvalue, and those sparse
-    matrices cut down to `free` (`restricted`).  Without one the call
-    takes a fresh memo of its own, and the model is bit for bit the same.
+    columns, and those sparse matrices cut down to `free`
+    (`restricted`).  Without one the call takes a fresh memo of its own,
+    and the model is bit for bit the same.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -328,19 +311,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
                 gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
             sigma = max(float((y - gn_s) @ s) / ss, SIGMA_MIN)
 
-    # The shift must leave M positive definite for the auxiliary factor;
-    # when hess f is indefinite the floor scales with the negative
-    # curvature so the factored block stays well conditioned.
-    if not _memo.value(hess_f, "positive definite",
-                       lambda _: _positive_definite(sparse_f)):
-        lam_min_f = _memo.value(hess_f, "min eigenvalue",
-                                lambda _: sparse_f.min_eigenvalue())
-        floor = (SIGMA_MIN if lam_min_f > 0.0
-                 else 1e-1 * (1.0 + abs(lam_min_f)))
-        sigma = max(sigma, floor - lam_min_f)
     m_part = _memo.restricted(hess_f, sparse_f, free).shifted(sigma)
-
-    # w = H+ s takes the final sigma, after the floor above.
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac, p.equality, c, lam, rho,
                             secant=secant_arg, free=free, norms=norms)

@@ -28,7 +28,7 @@ DENSE_LIMIT = 2000
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "spectral"  # spectral | linsys | solve
+    kind: str = "spectral"  # a key of EXPERIMENTS
     matrix: str = ""        # Matrix Market path; empty -> random instance
     n: int = 100
     density: float = 0.05
@@ -45,6 +45,9 @@ class ExperimentConfig:
     alm: AlmConfig = field(default_factory=AlmConfig)
 
     def __post_init__(self):
+        if self.kind not in EXPERIMENTS:
+            raise ValueError("unknown experiment kind %r; available: %s"
+                             % (self.kind, ", ".join(EXPERIMENTS)))
         if self.n < 1:
             raise ValueError("n must be at least 1, got %r" % self.n)
         if self.m < 0:
@@ -52,8 +55,9 @@ class ExperimentConfig:
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must lie in [0, 1], got %r"
                              % self.density)
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive, got %r" % self.tol)
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite, got %r"
+                             % self.tol)
         for name in ("rho_list", "drop_tol_list", "problems", "solvers",
                      "hessian_modes", "policies"):
             if not getattr(self, name):
@@ -272,14 +276,13 @@ def run_alm_experiment(cfg):
     return rows
 
 
+EXPERIMENTS = {"spectral": run_spectral_experiment,
+               "linsys": run_linsys_experiment,
+               "solve": run_alm_experiment}
+
+
 def run_experiment(cfg):
-    if cfg.kind == "spectral":
-        return run_spectral_experiment(cfg)
-    if cfg.kind == "linsys":
-        return run_linsys_experiment(cfg)
-    if cfg.kind == "solve":
-        return run_alm_experiment(cfg)
-    raise ValueError("unknown experiment kind %r" % cfg.kind)
+    return EXPERIMENTS[cfg.kind](cfg)
 
 
 # ---------------------------------------------------------------------------

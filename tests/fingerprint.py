@@ -14,10 +14,6 @@ total over all of them:
   (every problem x inner solver x Hessian mode x refresh policy);
 - `solve-csv`: the `solve` experiment's CSV of that grid, with time
   zeroed, so its row builder is checked too;
-- `probe`: the verdict of the QN Hessian model's positive-definiteness
-  probe on each grid problem's `hess f` at `x0`, on a singular positive
-  semidefinite (Neumann) Laplacian and on a shifted indefinite one, so a
-  changed verdict shows even where no run depends on it;
 - `restricted`: the Hessian model that `hessian_model(..., free=idx)`
   builds at `x0` on a fixed free set (every third variable, from the
   first, pinned) for each grid problem: NW, QN, QN with the fixed
@@ -44,9 +40,6 @@ total over all of them:
     retry, for each auxiliary kind but `identity`;
   - `force-spd`: the `bench` shift that makes those two blocks, and an
     SPD one, positive definite;
-  - `qn-floor`: the QN model of those two blocks as `hess f`, whose
-    probe fails, so the eigenvalue floor sets sigma, on all variables
-    and on every other one;
   - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
     preconditioner breaks down: P^-1 = [[0, 1], [1, 0]] with the
     identity operator and b = (1, -1), where the plain CG rerun converges
@@ -187,46 +180,10 @@ def solve_csv_run(root):
     yield "solve-csv", _digest([csv.encode()])
 
 
-def _laplacian(k, neumann):
-    """Dense 5-point Laplacian on a k x k grid; with `neumann`, its rows
-    sum to zero, so it is singular positive semidefinite."""
+def _laplacian(k):
+    """Dense 5-point Laplacian on a k x k grid."""
     t = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
-    if neumann:
-        t[0, 0] = t[-1, -1] = 1.0
     return np.kron(t, np.eye(k)) + np.kron(np.eye(k), t)
-
-
-def probe_runs(root):
-    """(label, digest) of each probe verdict, as hessian_model receives
-    it: the probe is wrapped only to record what it returns, so this runs
-    on any checkout whatever the probe's signature."""
-    from almprec import alm
-    from almprec.problems import NlpProblem, get_problem
-
-    problems = [get_problem(name) for name in _grid_config(root).problems]
-    matrices = [(p.name, p.hess(p.x0)) for p in problems]
-    matrices += [("laplacian-neumann-8", _laplacian(8, True)),
-                 ("laplacian-minus-3-8", _laplacian(8, False)
-                  - 3.0 * np.eye(64))]
-    probe, verdicts = alm._positive_definite, []
-
-    def recorded(a):
-        verdicts.append(probe(a))
-        return verdicts[-1]
-    alm._positive_definite = recorded
-    try:
-        for name, hess in matrices:
-            n = hess.shape[0]
-            p = NlpProblem(name=name, n=n, x0=np.zeros(n), kinds=(),
-                           f=None, grad=None, hess=lambda x, h=hess: h,
-                           cons=lambda x: np.zeros(0),
-                           jac_cols=lambda x, n=n: np.zeros((n, 0)),
-                           cons_hess=None)
-            alm.hessian_model(p, p.x0, np.zeros(0), 10.0, "QN")
-    finally:
-        alm._positive_definite = probe
-    for (name, _), verdict in zip(matrices, verdicts, strict=True):
-        yield "probe %s" % name, _digest([repr(verdict).encode()])
 
 
 def _model_bytes(model):
@@ -316,28 +273,21 @@ def restricted_memo_runs(root):
             yield "restricted-memo %s" % label, _digest(parts)
 
 
-def _shifted_laplacians():
-    """(label, dense) of the indefinite 8 x 8 grid blocks the fallback
-    lines force."""
-    return [("laplacian-minus-%d" % shift,
-             _laplacian(8, False) - shift * np.eye(64)) for shift in (4, 5)]
-
-
 def fallback_runs():
     """(label, digest) of each forced numerical fallback."""
     from almprec import alm, bench, inner
     from almprec.auxprecond import KINDS
-    from almprec.problems import NlpProblem
     from almprec.sparse import SparseSymmetricMatrix
 
-    blocks = [(label, SparseSymmetricMatrix.from_dense(dense))
-              for label, dense in _shifted_laplacians()]
+    blocks = [SparseSymmetricMatrix.from_dense(_laplacian(8)
+                                               - shift * np.eye(64))
+              for shift in (4, 5)]
     r = np.linspace(1.0, 2.0, 64)
     for kind in KINDS:
         if kind == "identity":
             continue
         parts = []
-        for _, m in blocks:
+        for m in blocks:
             manager = alm.PrecondManager(alm.AlmConfig(aux_kind=kind))
             aux = manager._build_aux(m)
             parts += [repr((aux.kind, aux.shift, aux.nnz,
@@ -346,23 +296,11 @@ def fallback_runs():
         yield "fallback aux-shift %s" % kind, _digest(parts)
 
     parts = []
-    for m in [m for _, m in blocks] + [
-            SparseSymmetricMatrix.from_dense(_laplacian(8, False))]:
+    for m in blocks + [SparseSymmetricMatrix.from_dense(_laplacian(8))]:
         spd, shift = bench._force_spd(m)
         parts += [repr(shift).encode(), spd.rows.tobytes(),
                   spd.cols.tobytes(), spd.vals.tobytes()]
     yield "fallback force-spd", _digest(parts)
-
-    parts = []
-    for _, hess in _shifted_laplacians():
-        p = NlpProblem(name="QN-FLOOR", n=64, x0=np.zeros(64), kinds=(),
-                       f=None, grad=None, hess=lambda x, h=hess: h,
-                       cons=lambda x: np.zeros(0),
-                       jac_cols=lambda x: np.zeros((64, 0)), cons_hess=None)
-        for free in (None, np.arange(0, 64, 2)):
-            parts += _model_bytes(alm.hessian_model(
-                p, p.x0, np.zeros(0), 10.0, "QN", free=free))
-    yield "fallback qn-floor", _digest(parts)
 
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = (("pcg-repro", np.eye(2), swap, np.array([1.0, -1.0])),
@@ -396,7 +334,7 @@ def structured_runs():
     from almprec.structured import ColumnSet, StructuredPrecond
 
     n = 36
-    m = SparseSymmetricMatrix.from_dense(_laplacian(6, False))
+    m = SparseSymmetricMatrix.from_dense(_laplacian(6))
     rng = np.random.default_rng(0)
     sets = []
     for signs in ([1.0] * 5, [1.0] * 6 + [-1.0], [1.0, -1.0, 1.0]):
@@ -464,7 +402,7 @@ def fingerprint(root):
         return 2
     total = hashlib.sha256()
     for label, digest in (*grid_runs(root), *solve_csv_run(root),
-                          *probe_runs(root), *restricted_runs(root),
+                          *restricted_runs(root),
                           *restricted_memo_runs(root), *fallback_runs(),
                           *structured_runs(), *workload_runs(),
                           *experiment_runs()):

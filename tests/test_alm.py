@@ -17,6 +17,7 @@ from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          SettingError, alm_solve, eval_al, eval_al_grad,
                          hessian_model, kkt_residuals, safeguard,
                          shifted_multipliers, update_penalty)
+from almprec.auxprecond import FactorizationError, ldlt
 from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
@@ -173,15 +174,6 @@ class TestHessianModel:
             # activation across the stencil; these points are generic.
             np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-4)
 
-    def test_qn_m_block_is_spd(self):
-        rng = np.random.default_rng(2)
-        for name in ("HS41", "HS63"):
-            p = get_problem(name)
-            x = rng.standard_normal(p.n)
-            model = hessian_model(p, x, np.zeros(p.m), 10.0, "QN")
-            eigs = np.linalg.eigvalsh(model.m_part.to_dense())
-            assert eigs.min() > 0.0
-
     def test_qn_secant_shift_uses_curvature_gap(self):
         p = get_problem("EQ-QP")
         x = np.zeros(2)
@@ -211,55 +203,42 @@ def _same_matrix(a, b):
 
 
 class TestQnShift:
-    """The Cholesky probe must leave sigma exactly where the eigenvalue
-    floor puts it: EQ-QP has a positive definite hess f, HS63 an
-    indefinite one and HS48 a singular positive semidefinite one."""
+    """QN's sigma is the secant shift floored at SIGMA_MIN, whatever the
+    curvature of hess f: EQ-QP's is positive definite, HS63's and
+    HS41's indefinite and HS48's singular positive semidefinite."""
 
-    CASES = (("EQ-QP", True), ("C4-SYN", True), ("HS63", False),
-             ("HS41", False), ("HS48", False))
-
-    @pytest.mark.parametrize("name,pd", CASES)
-    def test_probe_accepts_only_positive_definite(self, name, pd):
-        p = get_problem(name)
-        assert alm._positive_definite(
-            SparseSymmetricMatrix.from_dense(p.hess(p.x0))) is pd
-
-    def test_probe_rejects_exactly_singular_hs48(self):
-        hess = get_problem("HS48").hess(np.zeros(5))
-        assert np.linalg.eigvalsh(hess).min() == 0.0
-        assert not alm._positive_definite(
-            SparseSymmetricMatrix.from_dense(hess))
-
-    @pytest.mark.parametrize("name", [c[0] for c in CASES])
-    def test_sigma_equals_eigenvalue_formula(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["EQ-QP", "C4-SYN", "HS63", "HS41",
+                                      "HS48"])
+    def test_sigma_equals_secant_formula(self, name):
+        """sigma = max((y - G s)'s / s's, SIGMA_MIN), G = hess f
+        + rho J_A J_A' over the equalities and active inequalities, and
+        SIGMA_MIN without a pair; M is hess f + sigma I."""
         rng = np.random.default_rng(8)
         p = get_problem(name)
-        args = []
+        rho = 10.0
         for _ in range(5):
             x = rng.standard_normal(p.n)
             lam = rng.standard_normal(p.m)
             s = rng.standard_normal(p.n)
-            secant = (s, rng.standard_normal(p.n) * 3.0)
-            for sec in (None, secant):
-                args.append((x, lam, sec))
-        models = [hessian_model(p, x, lam, 10.0, "QN", secant=sec)
-                  for x, lam, sec in args]
-        # Without the probe every call takes the eigenvalue floor.
-        monkeypatch.setattr(alm, "_positive_definite", lambda a: False)
-        for (x, lam, sec), got in zip(args, models):
-            want = hessian_model(p, x, lam, 10.0, "QN", secant=sec)
-            assert got.sigma == want.sigma
-            assert _same_matrix(got.m_part, want.m_part)
+            y = rng.standard_normal(p.n) * 3.0
+            active = p.equality | (shifted_multipliers(p, x, lam, rho) > 0.0)
+            jac = p.jac_cols(x)[:, active]
+            gauss_newton = p.hess(x) + rho * jac @ jac.T
+            shift = float((y - gauss_newton @ s) @ s) / float(s @ s)
+            for secant, want in ((None, alm.SIGMA_MIN),
+                                 ((s, y), max(shift, alm.SIGMA_MIN))):
+                model = hessian_model(p, x, lam, rho, "QN", secant=secant)
+                assert model.sigma == pytest.approx(want, rel=1e-12)
+                assert _same_matrix(model.m_part,
+                                    SparseSymmetricMatrix.from_dense(
+                                        p.hess(x)
+                                        + model.sigma * np.eye(p.n)))
 
-    def test_hs48_sigma_is_raised_by_the_floor(self):
-        p = get_problem("HS48")
-        model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "QN")
-        # lam_min(hess f) = 0, so the floor is 0.1 (1 + 0) - 0.
-        assert model.sigma == 0.1
-
-    @pytest.mark.parametrize("name", ["EQ-QP", "BOX-QP", "C4-SYN"])
+    @pytest.mark.parametrize("name", problem_names())
     def test_positive_definite_hess_f_needs_no_eigenvalues(self, name,
                                                            monkeypatch):
+        """Nor does any other hess f: QN's model takes no eigenvalues,
+        and without a secant pair its sigma is SIGMA_MIN."""
         def forbidden(*_args, **_kwargs):
             raise AssertionError("eigvalsh called")
         monkeypatch.setattr(alm.np.linalg, "eigvalsh", forbidden)
@@ -268,7 +247,9 @@ class TestQnShift:
         for secant in (None, (s, 4.0 * s)):
             model = hessian_model(p, p.x0, np.zeros(p.m), 10.0, "QN",
                                   secant=secant)
-            assert model.sigma >= 1e-8
+            assert model.sigma >= alm.SIGMA_MIN
+            if secant is None:
+                assert model.sigma == alm.SIGMA_MIN
 
 
 class TestNwZeroConstraintHessians:
@@ -412,9 +393,8 @@ def _memo_problem(hess, cons_hess, jac_cols=None):
 
 
 def _memo_hessians():
-    """A frozen hess f with a zero and a nonzero diagonal entry (so the
-    QN probe fails and the eigenvalue floor applies), and constraint
-    Hessians of which two are zero and two are not."""
+    """A frozen indefinite hess f with zero diagonal entries, and
+    constraint Hessians of which two are zero and two are not."""
     hess = np.diag([2.0, 0.0, 3.0, 1.0, 0.0, 4.0])
     hess[3, 0] = hess[0, 3] = 0.5
     hess[5, 1] = hess[1, 5] = -1.0
@@ -566,13 +546,14 @@ class TestSolveMemo:
             cons=lambda v: quads.T @ v - caps, jac_cols=lambda v: quads,
             cons_hess=lambda i, v: None,  # QN reads no constraint Hessian
             lower=lower, upper=upper)
-        calls = {"probes": 0, "models": 0, "restrictions": 0}
-        probe, model = alm._positive_definite, alm.hessian_model
+        calls = {"from_dense": 0, "models": 0, "restrictions": 0}
+        from_dense = SparseSymmetricMatrix.from_dense.__func__
+        model = alm.hessian_model
         submatrix = SparseSymmetricMatrix.submatrix
 
-        def counted_probe(a):
-            calls["probes"] += 1
-            return probe(a)
+        def counted_from_dense(cls, dense):
+            calls["from_dense"] += 1
+            return from_dense(cls, dense)
 
         def counted_model(*args, **kwargs):
             calls["models"] += 1
@@ -581,7 +562,8 @@ class TestSolveMemo:
         def counted_submatrix(self, idx):
             calls["restrictions"] += 1
             return submatrix(self, idx)
-        monkeypatch.setattr(alm, "_positive_definite", counted_probe)
+        monkeypatch.setattr(SparseSymmetricMatrix, "from_dense",
+                            classmethod(counted_from_dense))
         monkeypatch.setattr(alm, "hessian_model", counted_model)
         monkeypatch.setattr(SparseSymmetricMatrix, "submatrix",
                             counted_submatrix)
@@ -589,7 +571,7 @@ class TestSolveMemo:
                                      hessian_mode="QN"))
         assert rep.converged
         assert calls["models"] > 1
-        assert calls["probes"] == 1
+        assert calls["from_dense"] == 1
         # One restriction per new free set, each of which also rebuilt
         # the auxiliary.
         assert 0 < calls["restrictions"] <= rep.ac_m < calls["models"]
@@ -754,13 +736,17 @@ def _dense_problem(hess):
                       jac_cols=lambda x: np.zeros((n, 0)), cons_hess=None)
 
 
-def _dpotrf_probe(dense):
-    """The dense probe that the sparse one replaced: whether LAPACK's
-    Cholesky factorization of a - tau I succeeds, tau = 10 n eps ||a||_1."""
+def _probe_margin(dense):
+    """tau = 10 n eps ||a||_1: a - tau I is not positive definite when a
+    is singular, however rounding leaves its pivots."""
     n = dense.shape[0]
+    return 10.0 * n * np.finfo(np.float64).eps * np.linalg.norm(dense, 1)
+
+
+def _dpotrf_probe(dense):
+    """Whether LAPACK's Cholesky factorization of a - tau I succeeds."""
     shifted = np.array(dense, dtype=np.float64)
-    shifted[np.diag_indices(n)] -= (10.0 * n * np.finfo(np.float64).eps
-                                    * np.linalg.norm(shifted, 1))
+    shifted[np.diag_indices(dense.shape[0])] -= _probe_margin(dense)
     return dpotrf(shifted, lower=1, clean=0)[1] == 0
 
 
@@ -804,12 +790,15 @@ class TestSparseProbe:
         pytest.param(dense, pd, id=label)
         for label, dense, pd in _probe_cases()])
     def test_verdict_matches_dense_cholesky(self, dense, pd):
+        """`ldlt`, the `exact` auxiliary's factor, gives a factor of
+        a - tau I exactly when dpotrf does."""
         assert _dpotrf_probe(dense) is pd
         # With the whole diagonal stored, zeros included, or with zeros
-        # dropped, as hessian_model passes it.
-        assert alm._positive_definite(_with_whole_diagonal(dense)) is pd
-        assert alm._positive_definite(
-            SparseSymmetricMatrix.from_dense(dense)) is pd
+        # dropped, as from_dense stores it.
+        for a in (_with_whole_diagonal(dense),
+                  SparseSymmetricMatrix.from_dense(dense)):
+            assert (ldlt(a.to_csr(), -_probe_margin(dense))
+                    is not None) is pd
 
     @pytest.mark.parametrize("mode", ["NW", "QN"])
     def test_nan_in_hess_f_raises(self, mode):
@@ -818,7 +807,7 @@ class TestSparseProbe:
             hessian_model(p, p.x0, np.zeros(0), 10.0, mode)
 
     def test_qn_model_needs_no_dense_temporary(self):
-        # The first model scans and probes the frozen hess f; one n x n
+        # The first model scans the frozen hess f; one n x n
         # float array is 8 MB.
         n = 1000
         p = _dense_problem(_frozen(4.0 * np.eye(n) - np.eye(n, k=1)
@@ -1267,6 +1256,28 @@ class TestPrecondManager:
         mgr.get(self._model(rho=400.0))  # columns rescale, M unchanged
         assert mgr.ac_m == 1 and mgr.ac_v == 1
 
+    def test_unfactorable_block_falls_back_to_identity(self, monkeypatch):
+        """When neither the block nor its shifted copy factors, the last
+        rung builds the identity auxiliary, and the solve converges."""
+        build = alm.build_aux
+
+        def failing(m, kind, drop_tol=None):
+            if kind != "identity":
+                raise FactorizationError("forced")
+            return build(m, kind, drop_tol)
+        managers = []
+
+        def tracked(cfg):
+            managers.append(PrecondManager(cfg))
+            return managers[-1]
+        monkeypatch.setattr(alm, "build_aux", failing)
+        monkeypatch.setattr(alm, "PrecondManager", tracked)
+        rep = alm_solve(get_problem("EQ-QP"), AlmConfig())
+        assert rep.converged and rep.ac_m == 1
+        [mgr] = managers
+        assert mgr._aux.kind == "identity"
+        assert mgr.aux_fallbacks == 1
+
     def test_apply_matches_dense_inverse(self):
         mgr = PrecondManager(AlmConfig(aux_kind="exact"))
         model = self._model()
@@ -1325,8 +1336,8 @@ class TestAlmSolve:
     @pytest.mark.parametrize("policy", alm.PRECOND_POLICIES)
     def test_truncated_newton_never_reaches_minres(self, monkeypatch, name,
                                                    mode, policy):
-        # HS41's and HS63's NW models meet negative curvature, the only
-        # ones on the grid; truncated Newton stops CG there.
+        # HS41's and HS63's models meet negative curvature, the only ones
+        # on the grid; truncated Newton stops CG there.
         def no_minres(*args, **kwargs):
             raise AssertionError("truncated Newton reached MINRES")
         steps = []
@@ -1340,7 +1351,7 @@ class TestAlmSolve:
         rep = alm_solve(get_problem(name),
                         AlmConfig(hessian_mode=mode, precond_policy=policy))
         assert rep.converged
-        assert any(s.negative_curvature for s in steps) == (mode == "NW")
+        assert any(s.negative_curvature for s in steps)
 
     def test_history_records_outer_iterations(self):
         rep = alm_solve(get_problem("EQ-QP"), AlmConfig())
@@ -1351,6 +1362,18 @@ class TestAlmSolve:
         rep = alm_solve(get_problem("EQ-QP"), AlmConfig(max_outer=1))
         assert rep.status == "no convergence"
         assert rep.outer_iterations == 1
+
+    def test_line_search_failure_stops_the_outer_loop(self, monkeypatch):
+        """An inner solve that ends in a line-search failure, short of the
+        KKT tolerances, ends the solve with that status."""
+        descent = alm.projected_descent
+
+        def failing(*args):
+            return replace(descent(*args), status="line-search-failure")
+        monkeypatch.setattr(alm, "projected_descent", failing)
+        rep = alm_solve(get_problem("EQ-QP"), AlmConfig())
+        assert rep.status == "inner solver failure: line search"
+        assert rep.outer_iterations == len(rep.history) == 1
 
     def test_pspg_provider_reuses_the_solver_gradient(self, monkeypatch):
         """The PSPG provider restricts with the gradient spg_solve holds
@@ -1416,7 +1439,20 @@ class TestAlmSolve:
             self, monkeypatch):
         """With an exact auxiliary, the preconditioner TN gets on a step
         with a pinned bound inverts the model on the free variables, so
-        PCG needs one iteration.  A masked full-space inverse needs more."""
+        PCG needs one iteration.  A masked full-space inverse needs more.
+        The QP is convex, so its QN model is positive definite: no SPD
+        auxiliary inverts an indefinite one."""
+        n = 5
+        q = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        c = np.array([3.0, -1.0, 2.0, -2.0, 1.0])
+        a, zero = np.ones((n, 1)), np.zeros((n, n))
+        p = NlpProblem(  # min x'Qx/2 - c'x, sum(x) = 2, 0 <= x <= 1
+            name="BOUNDED-QP", n=n, x0=np.zeros(n), kinds=("equality",),
+            f=lambda x: float(0.5 * x @ (q @ x) - c @ x),
+            grad=lambda x: q @ x - c, hess=lambda x: q,
+            cons=lambda x: a.T @ x - 2.0, jac_cols=lambda x: a,
+            cons_hess=lambda i, x: zero, lower=np.zeros(n),
+            upper=np.ones(n))
         masks = []
         steps = []
         mask = alm.active_bound_mask
@@ -1432,9 +1468,8 @@ class TestAlmSolve:
             return step
         monkeypatch.setattr(alm, "active_bound_mask", tracked_mask)
         monkeypatch.setattr(alm, "truncated_newton_step", tracked_step)
-        rep = alm_solve(get_problem("HS63"),
-                        AlmConfig(hessian_mode="QN", aux_kind="exact",
-                                  precond_policy="auto"))
+        rep = alm_solve(p, AlmConfig(hessian_mode="QN", aux_kind="exact",
+                                     precond_policy="auto"))
         assert rep.converged
         pinned = [step for active, step in steps if active]
         assert pinned

@@ -180,6 +180,7 @@ class TestConfigParsing:
         ("density = 1.5", "density must lie in \\[0, 1\\]"),
         ("density = -0.1", "density must lie in \\[0, 1\\]"),
         ("tol = 0", "tol must be positive"),
+        ("tol = inf", "tol must be positive and finite"),
         ("rho_list =", "rho_list must not be empty"),
         ("drop_tol_list = ,", "drop_tol_list must not be empty"),
         ("problems =", "problems must not be empty"),
@@ -203,6 +204,11 @@ class TestConfigParsing:
                            match="^f:2: bad value for '%s': %s"
                                  % (key, message)):
             build_experiment_config("linsys", pairs)
+
+    def test_unknown_experiment_kind_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unknown experiment kind 'nope'"):
+            ExperimentConfig(kind="nope")
 
     def test_every_alm_field_has_a_parser(self):
         hints = typing.get_type_hints(AlmConfig)
