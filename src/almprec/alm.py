@@ -397,17 +397,14 @@ class PrecondManager:
         self._outer_boundary = True
 
     def _build_aux(self, m_part):
+        """`build_aux` of `m_part`, or `identity` when even that raises."""
         try:
-            return build_aux(m_part, self.cfg.aux_kind, self.cfg.drop_tol)
+            aux = build_aux(m_part, self.cfg.aux_kind, self.cfg.drop_tol)
         except FactorizationError:
+            aux = build_aux(m_part, "identity")
             self.aux_fallbacks += 1
-        # The block is indefinite beyond the factorizer's built-in retry:
-        # factor a spectrally shifted SPD copy, or fail over to identity.
-        shifted = m_part.shifted(abs(m_part.min_eigenvalue()) + 1e-1)
-        try:
-            return build_aux(shifted, self.cfg.aux_kind, self.cfg.drop_tol)
-        except FactorizationError:
-            return build_aux(m_part, "identity")
+        self.aux_fallbacks += bool(aux.shift)
+        return aux
 
     def _assemble_with_recovery(self, cols):
         """The preconditioner for `cols`, dropping any column with a

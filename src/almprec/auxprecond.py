@@ -23,16 +23,16 @@ KINDS = ("identity", "jacobi", "incomplete-cholesky", "exact")
 
 
 class FactorizationError(RuntimeError):
-    """The M block could not be factored, even after a diagonal shift."""
+    """The M block could not be factored, even at build_aux's last shift."""
 
 
 class AuxPrecond:
     """
     Built factors for approximating M^-1 r.  Immutable, so a structured
     preconditioner assembled on it stays valid.  `inverts` is the matrix
-    M that was factored when the apply is its exact inverse (unshifted
-    `exact`, unshifted `incomplete-cholesky` with drop_tol 0, `jacobi` on
-    a diagonal M), and None otherwise.
+    M that was factored when the apply is its exact inverse (`exact`,
+    `incomplete-cholesky` with drop_tol 0 and `jacobi` on a diagonal M,
+    each unshifted), and None otherwise.
 
     The factored kinds hold a SuperLU handle built once: IC's sparse L
     (`nnz` entries), applied as L^-T (L^-1 r) by two compiled triangular
@@ -48,13 +48,11 @@ class AuxPrecond:
     apply.  The other kinds have no halves.
     """
 
-    def __init__(self, kind, n, nnz, inv_diag=None, lu=None, shift=0.0,
-                 inverts=None):
+    def __init__(self, kind, n, nnz, factor=None, shift=0.0, inverts=None):
         self.kind = kind
         self.n = n
         self.nnz = nnz
-        self._inv_diag = inv_diag
-        self._lu = lu
+        self._factor = factor
         self.shift = shift
         self.inverts = inverts
 
@@ -74,16 +72,16 @@ class AuxPrecond:
             return r.copy(order="K")
         if self.kind == "jacobi":
             if r.ndim == 1:
-                return self._inv_diag * r
+                return self._factor * r
             # einsum scales the rows of a block without the buffer that a
             # broadcast product allocates.
-            return np.einsum("i,ij->ij", self._inv_diag, r)
+            return np.einsum("i,ij->ij", self._factor, r)
         if self.kind == "exact":
-            return self._lu.solve(r)
+            return self._factor.solve(r)
         if half == "backward":
-            return self._lu.solve(r, trans="T")
-        x = self._lu.solve(r)
-        return x if half == "forward" else self._lu.solve(x, trans="T")
+            return self._factor.solve(r, trans="T")
+        x = self._factor.solve(r)
+        return x if half == "forward" else self._factor.solve(x, trans="T")
 
 
 def build_aux(m, kind, drop_tol=None):
@@ -91,75 +89,78 @@ def build_aux(m, kind, drop_tol=None):
     Build an auxiliary preconditioner of the given kind for a
     SparseSymmetricMatrix m.
 
-    A nonpositive pivot in the factored kinds triggers one retry with the
-    diagonal shift 1e-3 * ||diag(M)||_inf; a second failure raises
-    FactorizationError("not factorizable").  A build whose apply is the
-    exact inverse of m keeps a reference to m as `inverts`.
-
-    `incomplete-cholesky` reads m's stored entries directly and keeps
-    O(n + nnz(L)) memory, with time proportional to the multiply-adds
-    its columns take; `exact` factors m with `ldlt`, in O(fill) memory.
+    The one owner of an m that cannot be factored: every kind but
+    `identity` builds on m, else on m.shifted(beta) with beta =
+    1e-3 ||diag m||_inf (unless 0), else with |lambda_min(m)| + 0.1.  A
+    rung fails on a nonpositive pivot (`jacobi`: diagonal entry), and
+    only a failed last rung raises FactorizationError("not
+    factorizable").  `shift` records the beta built with.  An unshifted
+    build whose apply is the exact inverse of m keeps m as `inverts`.
     """
     if kind not in KINDS:
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
     if kind == "identity":
         return AuxPrecond(kind, m.n, 0)
-    if kind == "jacobi":
-        diag = m.diagonal()
-        if np.any(diag <= 0.0):
-            raise FactorizationError("nonpositive diagonal entry")
-        diagonal_m = not np.any(m.vals[m.rows != m.cols])
-        return AuxPrecond(kind, m.n, m.n, inv_diag=1.0 / diag,
-                          inverts=m if diagonal_m else None)
-
-    shift = 1e-3 * np.max(np.abs(m.diagonal()))
-    if kind == "exact":
-        for beta in (0.0, shift):
-            lu = ldlt(m.to_csr(), beta)
-            if lu is not None:
-                return AuxPrecond(kind, m.n, lu.L.nnz, lu=lu, shift=beta,
-                                  inverts=m if beta == 0.0 else None)
-        raise FactorizationError("not factorizable")
-
-    if drop_tol is None:
-        raise ValueError("incomplete-cholesky requires a drop tolerance")
-    if not drop_tol >= 0.0:
-        raise ValueError("drop tolerance must be nonnegative")
-    for beta in (0.0, shift):
-        factor = _incomplete_cholesky(m, beta, drop_tol)
-        if factor is not None:
-            data, indices, indptr = factor
-            # Arrays, not lists: scipy converts a list item by item.  The
-            # values are read in place from their array('d').
-            lower = scipy.sparse.csc_matrix(
-                (np.frombuffer(data), np.array(indices, dtype=np.int32),
-                 np.array(indptr, dtype=np.int32)), shape=(m.n, m.n))
-            # SuperLU with the natural ordering and no pivoting factors
-            # the triangular L as (L D^-1) D with D = diag(L): no fill, and
-            # its solves are the triangular solves with L.
-            lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
-                                          diag_pivot_thresh=0.0)
-            exact = beta == 0.0 and drop_tol == 0.0
-            return AuxPrecond(kind, m.n, lower.nnz, lu=lu, shift=beta,
-                              inverts=m if exact else None)
+    if kind == "incomplete-cholesky" and not (drop_tol is not None
+                                              and drop_tol >= 0.0):
+        raise ValueError("incomplete-cholesky requires a nonnegative drop "
+                         "tolerance, got %r" % (drop_tol,))
+    for shift in _shifts(m):
+        aux = _build(m.shifted(shift) if shift else m, kind, drop_tol)
+        if aux is not None:
+            if shift:  # it inverts m + shift I at best, never m
+                aux.shift, aux.inverts = shift, None
+            return aux
     raise FactorizationError("not factorizable")
 
 
-def ldlt(full, shift):
-    """SuperLU's LDL' factor of full + shift*I, or None unless that
-    matrix is positive definite.  `full`, a new CSR array of a whole
-    symmetric matrix (`SparseSymmetricMatrix.to_csr`), takes the shift in
-    place on its whole diagonal, stored or not.  Symmetric mode, the MMD
-    order of A' + A and diagonal pivots only make U's diagonal the pivots
-    D, all positive exactly when the matrix is positive definite
-    (Sylvester's law of inertia).  An off-diagonal pivot, which SuperLU
-    takes where a diagonal one is zero, or a singular factor gives None."""
-    n = full.shape[0]
-    on_diag = full.indices == np.repeat(np.arange(n), np.diff(full.indptr))
-    if shift != 0.0 and np.count_nonzero(on_diag) < n:
-        full = full + shift * scipy.sparse.eye_array(n, format="csr")
-    else:
-        full.data[on_diag] += shift
+def _shifts(m):
+    """`build_aux`'s shifts, each computed only after the last one failed."""
+    yield 0.0
+    small = 1e-3 * np.max(np.abs(m.diagonal()))
+    if small > 0.0:  # 0 would factor m again
+        yield small
+    yield abs(m.min_eigenvalue()) + 0.1
+
+
+def _build(a, kind, drop_tol):
+    """The auxiliary of `kind` for a, or None when a fails its test."""
+    if kind == "jacobi":
+        diag = a.diagonal()
+        if np.any(diag <= 0.0):
+            return None
+        return AuxPrecond(kind, a.n, a.n, 1.0 / diag, inverts=(
+            None if np.any(a.vals[a.rows != a.cols]) else a))
+    if kind == "exact":
+        lu = ldlt(a.to_csr())
+        return None if lu is None else AuxPrecond(kind, a.n, lu.L.nnz, lu,
+                                                  inverts=a)
+    factor = _incomplete_cholesky(a, drop_tol)
+    if factor is None:
+        return None
+    data, indices, indptr = factor
+    # Arrays, not lists: scipy converts a list item by item.  The values
+    # are read in place from their array('d').
+    lower = scipy.sparse.csc_matrix(
+        (np.frombuffer(data), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)), shape=(a.n, a.n))
+    # SuperLU with the natural ordering and no pivoting factors the
+    # triangular L as (L D^-1) D with D = diag(L): no fill, and its solves
+    # are the triangular solves with L.
+    lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
+                                  diag_pivot_thresh=0.0)
+    return AuxPrecond(kind, a.n, lower.nnz, lu,
+                      inverts=a if drop_tol == 0.0 else None)
+
+
+def ldlt(full):
+    """SuperLU's LDL' factor of `full`, a CSR array of a whole symmetric
+    matrix (`SparseSymmetricMatrix.to_csr`), or None unless it is
+    positive definite.  Symmetric mode, the MMD order of A' + A and
+    diagonal pivots only make U's diagonal the pivots D, all positive
+    exactly when the matrix is positive definite (Sylvester's law of
+    inertia).  An off-diagonal pivot, which SuperLU takes where a
+    diagonal one is zero, or a singular factor gives None."""
     try:  # full is symmetric, so its CSC transpose is itself
         lu = scipy.sparse.linalg.splu(
             full.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -185,11 +186,11 @@ def _column_norms(m, diag, by_col):
         minlength=m.n))
 
 
-def _incomplete_cholesky(m, shift, drop_tol):
+def _incomplete_cholesky(m, drop_tol):
     """
-    Left-looking, column-oriented incomplete Cholesky of A = m + shift*I
-    (as in ICFS, Lin & More, SIAM J. Sci. Comput. 21, 1999).  Column j
-    of the factor is l_j = (a_j - sum_k l_jk l_k) / l_jj over the earlier
+    Left-looking, column-oriented incomplete Cholesky of A = m (as in
+    ICFS, Lin & More, SIAM J. Sci. Comput. 21, 1999).  Column j of the
+    factor is l_j = (a_j - sum_k l_jk l_k) / l_jj over the earlier
     columns k with l_jk != 0.  A sub-diagonal entry is dropped as its
     column is formed when |l_ij| < drop_tol * ||A[:, j]||_2, and exact
     zeros are never stored.  Each earlier column waits in a linked list
@@ -200,7 +201,7 @@ def _incomplete_cholesky(m, shift, drop_tol):
     nonpositive pivot: the values in an array('d'), the indices in lists.
     """
     n = m.n
-    diag = m.diagonal() + shift
+    diag = m.diagonal()
     # The strict lower triangle of A in column order: m is row-major, so a
     # stable sort by column keeps each column's rows ascending.
     off = np.flatnonzero(m.rows != m.cols)

@@ -203,7 +203,8 @@ def _rho_sweep(cfg):
         aux = build_aux(m, cfg.aux_kind, drop_tol)
         for rho in cfg.rho_list:
             head = {"name": name, "n": m.n, "m": cfg.m, "seed": cfg.seed,
-                    "drop_tol": drop_tol, "rho": rho, "spd_shift": shift}
+                    "drop_tol": drop_tol, "rho": rho, "spd_shift": shift,
+                    "aux_shift": aux.shift}
             yield (head, m, v_cols, aux, _h_apply(m, v_cols, rho),
                    _structured(aux, v_cols, rho))
 

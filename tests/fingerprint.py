@@ -34,10 +34,11 @@ total over all of them:
   label and memo, the `QN-secant-kept` model over the same free sets,
   and on HS41 and HS63 the `QN-secant-curved` one;
 - `fallback`: each numerical fallback, forced on a small input:
-  - `aux-shift KIND`: the preconditioner manager's auxiliary build of
-    an indefinite block (a 5-point Laplacian minus 4 I, whose zero
-    diagonal is not stored, and minus 5 I), past the factorizer's own
-    retry, for each auxiliary kind but `identity`;
+  - `aux-shift KIND`: `build_aux`'s shifted build of an indefinite
+    block (a 5-point Laplacian minus 4 I, whose zero diagonal is not
+    stored, and minus 5 I), which both reach at the `|lambda_min| + 0.1`
+    rung, for each auxiliary kind but `identity`; a build that raises
+    hashes its exception;
   - `force-spd`: the `bench` shift that makes those two blocks, and an
     SPD one, positive definite;
   - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
@@ -64,7 +65,9 @@ total over all of them:
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
   incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
   `M`, IC(0) and `exact` invert `M` exactly, so their structured
-  applies take the refinement step and its product with `M`.
+  applies take the refinement step and its product with `M`.  One more
+  `linsys` run (n = 40, m = 3, IC(0.1), seed 0) builds its auxiliary
+  at the `|lambda_min| + 0.1` rung of `build_aux`.
 
 An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh
@@ -275,8 +278,8 @@ def restricted_memo_runs(root):
 
 def fallback_runs():
     """(label, digest) of each forced numerical fallback."""
-    from almprec import alm, bench, inner
-    from almprec.auxprecond import KINDS
+    from almprec import bench, inner
+    from almprec.auxprecond import KINDS, build_aux
     from almprec.sparse import SparseSymmetricMatrix
 
     blocks = [SparseSymmetricMatrix.from_dense(_laplacian(8)
@@ -288,11 +291,13 @@ def fallback_runs():
             continue
         parts = []
         for m in blocks:
-            manager = alm.PrecondManager(alm.AlmConfig(aux_kind=kind))
-            aux = manager._build_aux(m)
-            parts += [repr((aux.kind, aux.shift, aux.nnz,
-                            manager.aux_fallbacks)).encode(),
-                      aux.apply(r).tobytes()]
+            try:
+                aux = build_aux(m, kind, 1e-2)
+                parts += [repr((aux.kind, float(aux.shift),
+                                aux.nnz)).encode(),
+                          aux.apply(r).tobytes()]
+            except Exception as exc:
+                parts.append(repr(exc).encode())
         yield "fallback aux-shift %s" % kind, _digest(parts)
 
     parts = []
@@ -372,9 +377,22 @@ def workload_runs():
         yield "counts workload %s" % name, _digest(counts)
 
 
+def _experiment_digest(cfg):
+    """The digest of an experiment's CSV rows, time zeroed, or of the
+    exception it raises."""
+    from almprec.bench import rows_to_csv, run_experiment
+
+    try:
+        parts = [rows_to_csv(run_experiment(cfg),
+                             time_column_stable=True).encode()]
+    except Exception as exc:
+        parts = [repr(exc).encode()]
+    return _digest(parts)
+
+
 def experiment_runs():
     """(label, digest) for every seeded spectral and linsys experiment."""
-    from almprec.bench import ExperimentConfig, rows_to_csv, run_experiment
+    from almprec.bench import ExperimentConfig
 
     for kind in ("spectral", "linsys"):
         for aux_kind, density, drop_tols in EXPERIMENTS:
@@ -383,13 +401,12 @@ def experiment_runs():
                                        m=3, seed=seed,
                                        drop_tol_list=drop_tols,
                                        aux_kind=aux_kind)
-                try:
-                    parts = [rows_to_csv(run_experiment(cfg),
-                                         time_column_stable=True).encode()]
-                except Exception as exc:
-                    parts = [repr(exc).encode()]
                 yield ("experiment %s %s %g %d"
-                       % (kind, aux_kind, density, seed), _digest(parts))
+                       % (kind, aux_kind, density, seed),
+                       _experiment_digest(cfg))
+    yield "experiment linsys shifted-ic n40", _experiment_digest(
+        ExperimentConfig(kind="linsys", n=40, m=3, seed=0,
+                         drop_tol_list=(0.1,)))
 
 
 def fingerprint(root):

@@ -797,7 +797,7 @@ class TestSparseProbe:
         # dropped, as from_dense stores it.
         for a in (_with_whole_diagonal(dense),
                   SparseSymmetricMatrix.from_dense(dense)):
-            assert (ldlt(a.to_csr(), -_probe_margin(dense))
+            assert (ldlt(a.shifted(-_probe_margin(dense)).to_csr())
                     is not None) is pd
 
     @pytest.mark.parametrize("mode", ["NW", "QN"])
@@ -1256,15 +1256,21 @@ class TestPrecondManager:
         mgr.get(self._model(rho=400.0))  # columns rescale, M unchanged
         assert mgr.ac_m == 1 and mgr.ac_v == 1
 
-    def test_unfactorable_block_falls_back_to_identity(self, monkeypatch):
-        """When neither the block nor its shifted copy factors, the last
-        rung builds the identity auxiliary, and the solve converges."""
+    @staticmethod
+    def _identity_only():
+        """A `build_aux` that builds only `identity`."""
         build = alm.build_aux
 
         def failing(m, kind, drop_tol=None):
             if kind != "identity":
                 raise FactorizationError("forced")
             return build(m, kind, drop_tol)
+        return failing
+
+    def test_unfactorable_block_falls_back_to_identity(self, monkeypatch):
+        """When even the last shift of `build_aux` fails, the manager
+        builds the identity auxiliary, and the solve converges."""
+        failing = self._identity_only()
         managers = []
 
         def tracked(cfg):
@@ -1277,6 +1283,20 @@ class TestPrecondManager:
         [mgr] = managers
         assert mgr._aux.kind == "identity"
         assert mgr.aux_fallbacks == 1
+
+    def test_aux_fallbacks_count_shifted_and_identity_builds(self,
+                                                              monkeypatch):
+        indefinite = SparseSymmetricMatrix.from_dense(np.diag([1.0, -2.0]))
+        definite = SparseSymmetricMatrix.from_dense(np.diag([1.0, 2.0]))
+        mgr = PrecondManager(AlmConfig())
+        assert mgr._build_aux(definite).shift == 0.0
+        assert mgr.aux_fallbacks == 0
+        aux = mgr._build_aux(indefinite)
+        assert aux.kind == "incomplete-cholesky" and aux.shift == 2.1
+        assert mgr.aux_fallbacks == 1
+        monkeypatch.setattr(alm, "build_aux", self._identity_only())
+        assert mgr._build_aux(definite).kind == "identity"
+        assert mgr.aux_fallbacks == 2
 
     def test_apply_matches_dense_inverse(self):
         mgr = PrecondManager(AlmConfig(aux_kind="exact"))

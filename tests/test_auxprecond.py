@@ -1,4 +1,5 @@
-"""Auxiliary preconditioner kinds and the factorization retry."""
+"""Auxiliary preconditioner kinds and the shift ladder of an
+unfactorable block."""
 
 import hashlib
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from almprec import auxprecond
 from almprec.auxprecond import (KINDS, FactorizationError,
                                 _incomplete_cholesky, build_aux)
 from almprec.sparse import SparseSymmetricMatrix
@@ -53,9 +55,9 @@ def dense_incomplete_cholesky(a, drop_tol):
     return lower
 
 
-def ic_factor(m, shift, drop_tol):
-    """The factor `_incomplete_cholesky` forms, as a CSC matrix."""
-    factor = _incomplete_cholesky(m, shift, drop_tol)
+def ic_factor(m, drop_tol):
+    """The factor `_incomplete_cholesky` forms of m, as a CSC matrix."""
+    factor = _incomplete_cholesky(m, drop_tol)
     return (None if factor is None
             else scipy.sparse.csc_matrix(factor, shape=(m.n, m.n)))
 
@@ -74,10 +76,14 @@ class TestKinds:
         np.testing.assert_allclose(aux.apply(np.ones(3)),
                                    [0.5, 0.25, 0.125])
 
-    def test_jacobi_rejects_nonpositive_diagonal(self):
+    def test_jacobi_shifts_a_nonpositive_diagonal(self):
+        # 1e-3 ||diag||_inf leaves -2 negative; |lambda_min| + 0.1 = 2.1
+        # makes the diagonal (3.1, 0.1).
         m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -2.0]))
-        with pytest.raises(FactorizationError, match="diagonal"):
-            build_aux(m, "jacobi")
+        aux = build_aux(m, "jacobi")
+        assert aux.shift == 2.1 and aux.inverts is None
+        assert aux.apply(np.ones(2)).tobytes() == (
+            1.0 / (m.diagonal() + aux.shift)).tobytes()
 
     def test_exact_dense_is_exact(self):
         rng = np.random.default_rng(1)
@@ -164,13 +170,97 @@ class TestRetryAndFailure:
             aux.apply(np.ones(2)),
             [1.0 / (1.0 + aux.shift), 1.0 / aux.shift], rtol=1e-15)
 
-    def test_indefinite_raises_after_retry(self):
-        dense = np.diag([1.0, -100.0])
-        m = SparseSymmetricMatrix.from_dense(dense)
-        with pytest.raises(FactorizationError, match="not factorizable"):
-            build_aux(m, "exact")
+    def test_indefinite_takes_the_eigenvalue_rung(self):
+        # 1e-3 ||diag||_inf = 0.1 leaves -100 negative; |lambda_min| + 0.1
+        # makes the diagonal (101.1, 0.1).
+        m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -100.0]))
+        for kind in ("exact", "incomplete-cholesky"):
+            aux = build_aux(m, kind, 0.1)
+            assert aux.shift == 100.1 and aux.inverts is None
+            np.testing.assert_allclose(aux.apply(np.ones(2)),
+                                       1.0 / (m.diagonal() + aux.shift),
+                                       rtol=1e-15)
+
+    def test_raises_only_when_the_last_rung_fails(self, monkeypatch):
+        m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -100.0]))
+        monkeypatch.setattr(auxprecond, "_incomplete_cholesky",
+                            lambda a, drop_tol: None)
         with pytest.raises(FactorizationError, match="not factorizable"):
             build_aux(m, "incomplete-cholesky", drop_tol=0.1)
+
+
+FACTORED = [kind for kind in KINDS if kind != "identity"]
+
+
+class TestShiftLadder:
+    """`build_aux` is the one owner of an unfactorable block: every kind
+    but `identity` tries M, then M + 1e-3 ||diag M||_inf I, then
+    M + (|lambda_min(M)| + 0.1) I, each through `shifted`."""
+
+    @staticmethod
+    def tried(monkeypatch):
+        """The matrices that `build_aux` factors, in order."""
+        given, build = [], auxprecond._build
+
+        def recording(a, kind, drop_tol):
+            given.append(a)
+            return build(a, kind, drop_tol)
+        monkeypatch.setattr(auxprecond, "_build", recording)
+        return given
+
+    @staticmethod
+    def assert_same(a, b):
+        for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("kind", FACTORED)
+    def test_an_indefinite_block_climbs_every_rung(self, kind, monkeypatch):
+        # The diagonal is -1: 1e-3 ||diag||_inf = 1e-3 leaves it negative.
+        m = SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
+                                             - 5.0 * np.eye(16))
+        given = self.tried(monkeypatch)
+        aux = build_aux(m, kind, 1e-2)
+        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert aux.inverts is None
+        assert given[0] is m and len(given) == 3
+        self.assert_same(given[1], m.shifted(1e-3))
+        self.assert_same(given[2], m.shifted(aux.shift))
+
+    @pytest.mark.parametrize("kind", FACTORED)
+    def test_a_zero_diagonal_skips_the_second_rung(self, kind, monkeypatch):
+        # 1e-3 ||diag||_inf = 0 would try the same matrix again.
+        m = SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
+                                             - 4.0 * np.eye(16))
+        assert not np.any(m.diagonal())
+        given = self.tried(monkeypatch)
+        aux = build_aux(m, kind, 1e-2)
+        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert given[0] is m and len(given) == 2
+        self.assert_same(given[1], m.shifted(aux.shift))
+
+    @pytest.mark.parametrize("kind", FACTORED)
+    def test_a_shifted_build_is_a_build_of_the_shifted_block(self, kind):
+        r = np.linspace(1.0, 2.0, 16)
+        for sigma in (4.0, 5.0):
+            m = SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
+                                                 - sigma * np.eye(16))
+            aux = build_aux(m, kind, 1e-2)
+            plain = build_aux(m.shifted(aux.shift), kind, 1e-2)
+            assert aux.shift > 0.0 and plain.shift == 0.0
+            assert aux.nnz == plain.nnz
+            assert aux.apply(r).tobytes() == plain.apply(r).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_definite_blocks_never_reach_the_eigenvalue(self, kind,
+                                                        monkeypatch):
+        def refused(self):
+            raise AssertionError("min_eigenvalue called")
+        blocks = [laplacian_5pt(8), seeded_laplacian(16, 7),
+                  spd_matrix(np.random.default_rng(0), 30)]
+        monkeypatch.setattr(SparseSymmetricMatrix, "min_eigenvalue", refused)
+        for m in blocks:
+            for drop_tol in (0.0, 1e-2, 0.1):
+                assert build_aux(m, kind, drop_tol).shift == 0.0
 
 
 # Two summation orders of the same sums: a few units of roundoff in the
@@ -240,7 +330,7 @@ class TestFactorBytes:
                              PINNED_FACTORS,
                              ids=[c[0] for c in PINNED_FACTORS])
     def test_unshifted(self, name, m, drop_tol, nnz, digest):
-        factor = _incomplete_cholesky(m, 0.0, drop_tol)
+        factor = _incomplete_cholesky(m, drop_tol)
         assert len(factor[0]) == nnz
         assert factor_digest(factor) == digest
 
@@ -248,10 +338,10 @@ class TestFactorBytes:
         # The singular Neumann Laplacian has no complete Cholesky factor;
         # the retry factors it with the shift 1e-3 * max diag.
         m = seeded_laplacian(12, 8, neumann=True)
-        assert _incomplete_cholesky(m, 0.0, 0.0) is None
+        assert _incomplete_cholesky(m, 0.0) is None
         aux = build_aux(m, "incomplete-cholesky", 0.0)
         assert aux.shift == 1e-3 * np.max(m.diagonal()) == 0.02945196344087693
-        factor = _incomplete_cholesky(m, aux.shift, 0.0)
+        factor = _incomplete_cholesky(m.shifted(aux.shift), 0.0)
         assert len(factor[0]) == aux.nnz == 1739
         assert factor_digest(factor) == "ce51e697c4b9da2c"
 
@@ -264,7 +354,7 @@ class TestIncompleteCholeskyFactor:
     def assert_matches_oracle(m, shift, drop_tol):
         want = dense_incomplete_cholesky(m.to_dense() + shift * np.eye(m.n),
                                          drop_tol)
-        lower = ic_factor(m, shift, drop_tol)
+        lower = ic_factor(m.shifted(shift) if shift else m, drop_tol)
         assert want is not None and lower is not None
         assert lower.has_canonical_format
         got = lower.toarray()
@@ -308,16 +398,17 @@ class TestIncompleteCholeskyFactor:
         assert lower.nnz < m.nnz
         assert build_aux(m, "incomplete-cholesky", 0.0).nnz == lower.nnz
 
-    def test_missing_diagonal_entry_raises(self):
+    def test_missing_diagonal_entry_takes_the_eigenvalue_rung(self):
         # (1, 1) is not stored: A = [[1, 1], [1, 0]] is indefinite, and
-        # so is A + 1e-3 I.
+        # so is A + 1e-3 I; A + (|lambda_min| + 0.1) I is definite.
         m = SparseSymmetricMatrix(2, [0, 1], [0, 0], [1.0, 1.0])
         for shift in (0.0, 1e-3):
             assert dense_incomplete_cholesky(
                 m.to_dense() + shift * np.eye(2), 0.0) is None
-            assert _incomplete_cholesky(m, shift, 0.0) is None
-        with pytest.raises(FactorizationError, match="not factorizable"):
-            build_aux(m, "incomplete-cholesky", drop_tol=0.0)
+            assert _incomplete_cholesky(m.shifted(shift), 0.0) is None
+        aux = build_aux(m, "incomplete-cholesky", drop_tol=0.0)
+        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        self.assert_matches_oracle(m, aux.shift, 0.0)
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_builds_in_memory_linear_in_n(self, k):
@@ -375,7 +466,7 @@ class TestSparseIncompleteCholesky:
         m = self.matrix(n, shifted)
         aux = build_aux(m, "incomplete-cholesky", drop_tol=drop_tol)
         assert (aux.shift > 0.0) == shifted
-        lower = ic_factor(m, aux.shift, drop_tol)
+        lower = ic_factor(m.shifted(aux.shift), drop_tol)
         assert aux.nnz == lower.nnz
         lower = lower.toarray()
         rhs = np.random.default_rng(0).standard_normal((n, 3))
@@ -395,7 +486,7 @@ class TestSparseIncompleteCholesky:
         m = self.matrix(n, shifted)
         aux = build_aux(m, "incomplete-cholesky", drop_tol=1e-2)
         assert aux.split
-        lower = ic_factor(m, aux.shift, 1e-2).toarray()
+        lower = ic_factor(m.shifted(aux.shift), 1e-2).toarray()
         rng = np.random.default_rng(1)
         for r in [rng.standard_normal(n), rng.standard_normal((n, 20))]:
             before = r.copy()

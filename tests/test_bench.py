@@ -5,7 +5,7 @@ import typing
 import numpy as np
 import pytest
 
-from almprec import cli
+from almprec import auxprecond, cli
 from almprec.alm import AlmConfig
 from almprec.bench import (ExperimentConfig, condition_estimate,
                            csv_to_table, materialize, random_spd_matrix,
@@ -13,6 +13,13 @@ from almprec.bench import (ExperimentConfig, condition_estimate,
                            run_linsys_experiment, run_spectral_experiment)
 from almprec.cli import ConfigError, build_experiment_config, main, \
     parse_config_text
+
+
+def _csv_rows(text):
+    """The rows of CSV text, as dicts from its header."""
+    lines = text.splitlines()
+    return [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
 
 
 class TestConditionEstimate:
@@ -267,15 +274,41 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["spectral", "linsys"])
-    def test_failed_factorization_exits_2(self, kind, tmp_path, capsys):
-        """An incomplete-Cholesky build that fails even after its shift
-        ends in an error line and exit 2, not a traceback."""
+    def test_failed_factorization_exits_2(self, kind, tmp_path, capsys,
+                                          monkeypatch):
+        """An incomplete-Cholesky build that fails at every shift ends in
+        an error line and exit 2, not a traceback."""
+        monkeypatch.setattr(auxprecond, "_incomplete_cholesky",
+                            lambda m, drop_tol: None)
         conf = tmp_path / "bench.conf"
-        conf.write_text("n = 40\nm = 3\ndrop_tol_list = 0.1\n")
+        conf.write_text("n = 12\nm = 2\nrho_list = 10.0\n")
         rc = main([kind, "--config", str(conf), "--seed", "0"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "error: not factorizable")
+
+    @pytest.mark.parametrize("kind", ["spectral", "linsys"])
+    def test_shifted_auxiliary_is_reported(self, kind, tmp_path, capsys):
+        """IC(0.1) of this SPD M has a nonpositive pivot, and so has IC
+        of M + 1e-3 ||diag M||_inf I: the rows come from the auxiliary
+        of M + (|lambda_min| + 0.1) I and say so in `aux_shift`."""
+        conf = tmp_path / "bench.conf"
+        conf.write_text("n = 40\nm = 3\ndrop_tol_list = 0.1\n")
+        rc = main([kind, "--config", str(conf), "--seed", "0"])
+        assert rc == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 5
+        assert all(float(row["aux_shift"]) > 0.0 for row in rows)
+
+    @pytest.mark.parametrize("kind", ["spectral", "linsys"])
+    def test_unshifted_rows_report_aux_shift_0(self, kind, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("n = 12\nm = 2\nrho_list = 1.0, 100.0\n")
+        rc = main([kind, "--config", str(conf), "--seed", "0"])
+        assert rc == 0
+        rows = _csv_rows(capsys.readouterr().out)
+        assert list(rows[0])[6:8] == ["spd_shift", "aux_shift"]
+        assert [row["aux_shift"] for row in rows] == ["0", "0"]
 
     def test_bad_config_key_exits_nonzero(self, tmp_path, capsys):
         conf = tmp_path / "bench.conf"

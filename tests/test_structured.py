@@ -1133,6 +1133,6 @@ def test_split_assembly_makes_one_forward_block_solve():
     aux = build_aux(spd_matrix(rng, 30), "incomplete-cholesky", 0.1)
     cols = ColumnSet(30, rng.standard_normal((30, 5)), [1.0] * 4 + [-1.0],
                      range(5))
-    aux._lu = spy = _SolveSpy(aux._lu)
+    aux._factor = spy = _SolveSpy(aux._factor)
     assemble_B(aux, cols)
     assert spy.calls == [("N", 5)]
