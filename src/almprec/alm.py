@@ -255,7 +255,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
     in the term order, and QN adds sigma to the cut hess f (`shifted`).
 
     QN's M may be indefinite, as hess f may be: truncated Newton stops
-    CG at negative curvature, and PrecondManager shifts an auxiliary it
+    CG at negative curvature, and build_aux shifts an auxiliary it
     cannot factor.
 
     The dense hess f and constraint Hessians are read a block of rows at

@@ -90,12 +90,12 @@ def build_aux(m, kind, drop_tol=None):
     SparseSymmetricMatrix m.
 
     The one owner of an m that cannot be factored: every kind but
-    `identity` builds on m, else on m.shifted(beta) with beta =
-    1e-3 ||diag m||_inf (unless 0), else with |lambda_min(m)| + 0.1.  A
-    rung fails on a nonpositive pivot (`jacobi`: diagonal entry), and
-    only a failed last rung raises FactorizationError("not
-    factorizable").  `shift` records the beta built with.  An unshifted
-    build whose apply is the exact inverse of m keeps m as `inverts`.
+    `identity` builds on m + beta I for beta = 0, 1e-3 ||diag m||_inf,
+    then |lambda_min(m)| + 0.1 (computed only when reached), skipping a
+    beta with min(diag m) + beta <= 0, where every kind meets a
+    nonpositive pivot (Jacobi's diagonal, IC's a_jj - sum_k l_jk^2, the
+    LDL' pivot).  Only a failed last rung raises FactorizationError("not
+    factorizable").  `shift` records the beta built with.
     """
     if kind not in KINDS:
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
@@ -105,36 +105,31 @@ def build_aux(m, kind, drop_tol=None):
                                               and drop_tol >= 0.0):
         raise ValueError("incomplete-cholesky requires a nonnegative drop "
                          "tolerance, got %r" % (drop_tol,))
-    for shift in _shifts(m):
-        aux = _build(m.shifted(shift) if shift else m, kind, drop_tol)
-        if aux is not None:
-            if shift:  # it inverts m + shift I at best, never m
-                aux.shift, aux.inverts = shift, None
-            return aux
+    diag = m.diagonal()
+    lowest, small = diag.min(), 1e-3 * np.max(np.abs(diag))
+    del diag  # two scalars, not n, stay alive while m is factored
+    for shift in (0.0, small, None):
+        if shift is None:
+            shift = abs(m.min_eigenvalue()) + 0.1
+        if lowest + shift > 0.0:  # else no kind can factor m + shift I
+            aux = _build(m, kind, drop_tol, shift)
+            if aux is not None:
+                return aux
     raise FactorizationError("not factorizable")
 
 
-def _shifts(m):
-    """`build_aux`'s shifts, each computed only after the last one failed."""
-    yield 0.0
-    small = 1e-3 * np.max(np.abs(m.diagonal()))
-    if small > 0.0:  # 0 would factor m again
-        yield small
-    yield abs(m.min_eigenvalue()) + 0.1
-
-
-def _build(a, kind, drop_tol):
-    """The auxiliary of `kind` for a, or None when a fails its test."""
+def _build(m, kind, drop_tol, shift):
+    """The auxiliary of `kind` for m + shift I, or None when its
+    factorization fails; only an unshifted one may keep m as `inverts`."""
+    a = m.shifted(shift) if shift else m
+    inverts = None if shift else m  # shifted, it inverts m + shift I at best
     if kind == "jacobi":
-        diag = a.diagonal()
-        if np.any(diag <= 0.0):
-            return None
-        return AuxPrecond(kind, a.n, a.n, 1.0 / diag, inverts=(
-            None if np.any(a.vals[a.rows != a.cols]) else a))
+        return AuxPrecond(kind, a.n, a.n, 1.0 / a.diagonal(), shift, (
+            None if np.any(a.vals[a.rows != a.cols]) else inverts))
     if kind == "exact":
         lu = ldlt(a.to_csr())
         return None if lu is None else AuxPrecond(kind, a.n, lu.L.nnz, lu,
-                                                  inverts=a)
+                                                  shift, inverts)
     factor = _incomplete_cholesky(a, drop_tol)
     if factor is None:
         return None
@@ -149,8 +144,8 @@ def _build(a, kind, drop_tol):
     # are the triangular solves with L.
     lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0)
-    return AuxPrecond(kind, a.n, lower.nnz, lu,
-                      inverts=a if drop_tol == 0.0 else None)
+    return AuxPrecond(kind, a.n, lower.nnz, lu, shift,
+                      inverts if drop_tol == 0.0 else None)
 
 
 def ldlt(full):

@@ -7,6 +7,7 @@ over the built-in problem library.  Emits CSV (17 significant digits) or
 an aligned text table derived from the CSV.
 """
 
+import csv
 import io
 import itertools
 import time
@@ -301,30 +302,27 @@ def _pack(values):
 
 
 def rows_to_csv(rows, time_column_stable=False):
-    """CSV text with a header row.  With time_column_stable, wall-clock
-    columns are zeroed so repeated runs are byte-identical."""
+    """CSV text with a header row; a field holding a comma, a quote or a
+    line break is quoted.  With time_column_stable, wall-clock columns
+    are zeroed so repeated runs are byte-identical."""
     if not rows:
         return "\n"
     columns = list(rows[0].keys())
     out = io.StringIO()
-    out.write(",".join(columns) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
-        vals = []
-        for col in columns:
-            v = row.get(col, "")
-            if time_column_stable and col == "time_s":
-                v = 0.0
-            vals.append(_fmt(v))
-        out.write(",".join(vals) + "\n")
+        writer.writerow(
+            _fmt(0.0 if time_column_stable and col == "time_s"
+                 else row.get(col, "")) for col in columns)
     return out.getvalue()
 
 
 def csv_to_table(csv_text):
     """Aligned text rendering derived from the CSV, never recomputed."""
-    lines = [l for l in csv_text.splitlines() if l]
-    if not lines:
+    cells = [row for row in csv.reader(io.StringIO(csv_text)) if row]
+    if not cells:
         return ""
-    cells = [line.split(",") for line in lines]
     ncol = len(cells[0])
     widths = [max(len(row[i]) if i < len(row) else 0 for row in cells)
               for i in range(ncol)]

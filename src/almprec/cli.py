@@ -10,7 +10,8 @@ Command line front end for the experiment harness:
 
 Config files hold ``key = value`` lines (``#`` comments allowed); list
 values are comma separated.  Harness runs that complete exit 0 even when
-individual rows report "n/c"; bad input and failed factorizations exit 2.
+individual rows report "n/c"; bad input, failed factorizations and an
+unwritable --out exit 2.
 """
 
 import argparse
@@ -149,8 +150,13 @@ def main(argv=None):
     csv_text = rows_to_csv(rows)
     output = csv_text if args.format == "csv" else csv_to_table(csv_text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print("error: cannot write %s: %s" % (args.out, exc),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return 0

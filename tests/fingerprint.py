@@ -39,6 +39,11 @@ total over all of them:
     stored, and minus 5 I), which both reach at the `|lambda_min| + 0.1`
     rung, for each auxiliary kind but `identity`; a build that raises
     hashes its exception;
+  - `aux-shift-positive-diagonal KIND`: the same on an indefinite block
+    whose diagonal is positive (the 4 x 4-grid Laplacian minus 3.9 I,
+    diagonal 0.1), so no rung may be skipped: `jacobi` builds on it
+    unshifted, and `incomplete-cholesky` and `exact` try all three
+    rungs;
   - `force-spd`: the `bench` shift that makes those two blocks, and an
     SPD one, positive definite;
   - `krylov ...`: `truncated_newton_step` on 2 x 2 models whose
@@ -285,20 +290,23 @@ def fallback_runs():
     blocks = [SparseSymmetricMatrix.from_dense(_laplacian(8)
                                                - shift * np.eye(64))
               for shift in (4, 5)]
-    r = np.linspace(1.0, 2.0, 64)
-    for kind in KINDS:
-        if kind == "identity":
-            continue
-        parts = []
-        for m in blocks:
-            try:
-                aux = build_aux(m, kind, 1e-2)
-                parts += [repr((aux.kind, float(aux.shift),
-                                aux.nnz)).encode(),
-                          aux.apply(r).tobytes()]
-            except Exception as exc:
-                parts.append(repr(exc).encode())
-        yield "fallback aux-shift %s" % kind, _digest(parts)
+    positive = SparseSymmetricMatrix.from_dense(_laplacian(4)
+                                                - 3.9 * np.eye(16))
+    for label, ms in (("aux-shift", blocks),
+                      ("aux-shift-positive-diagonal", [positive])):
+        for kind in KINDS:
+            if kind == "identity":
+                continue
+            parts = []
+            for m in ms:
+                try:
+                    aux = build_aux(m, kind, 1e-2)
+                    parts += [repr((aux.kind, float(aux.shift),
+                                    aux.nnz)).encode(),
+                              aux.apply(np.linspace(1.0, 2.0, m.n)).tobytes()]
+                except Exception as exc:
+                    parts.append(repr(exc).encode())
+            yield "fallback %s %s" % (label, kind), _digest(parts)
 
     parts = []
     for m in blocks + [SparseSymmetricMatrix.from_dense(_laplacian(8))]:

@@ -192,51 +192,123 @@ class TestRetryAndFailure:
 FACTORED = [kind for kind in KINDS if kind != "identity"]
 
 
+def laplacian_minus(sigma):
+    """The 4 x 4-grid 5-point Laplacian minus sigma I, indefinite for
+    sigma > 0.76, with diagonal 4 - sigma (not stored when 0)."""
+    return SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
+                                            - sigma * np.eye(16))
+
+
+def with_a_nonpositive_diagonal(rng):
+    """A seeded symmetric matrix, n in [1, 29], off-diagonal density
+    about 0.3, whose diagonal is positive but for one entry: zero or
+    negative."""
+    n = int(rng.integers(1, 30))
+    a = np.tril(rng.standard_normal((n, n))
+                * (rng.random((n, n)) < 0.3), -1)
+    a = a + a.T + np.diag(rng.uniform(0.1, 10.0, n))
+    j = int(rng.integers(n))
+    a[j, j] = 0.0 if rng.random() < 0.5 else -rng.uniform(1e-3, 10.0)
+    return SparseSymmetricMatrix.from_dense(a)
+
+
 class TestShiftLadder:
     """`build_aux` is the one owner of an unfactorable block: every kind
     but `identity` tries M, then M + 1e-3 ||diag M||_inf I, then
-    M + (|lambda_min(M)| + 0.1) I, each through `shifted`."""
+    M + (|lambda_min(M)| + 0.1) I, each through `shifted`, and skips a
+    rung whose shift leaves a diagonal entry nonpositive."""
 
     @staticmethod
     def tried(monkeypatch):
-        """The matrices that `build_aux` factors, in order."""
+        """The (block, shift) pairs that `build_aux` factors, in order."""
         given, build = [], auxprecond._build
 
-        def recording(a, kind, drop_tol):
-            given.append(a)
-            return build(a, kind, drop_tol)
+        def recording(m, kind, drop_tol, shift):
+            given.append((m, shift))
+            return build(m, kind, drop_tol, shift)
         monkeypatch.setattr(auxprecond, "_build", recording)
         return given
 
-    @staticmethod
-    def assert_same(a, b):
-        for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
-            assert x.tobytes() == y.tobytes()
-
     @pytest.mark.parametrize("kind", FACTORED)
-    def test_an_indefinite_block_climbs_every_rung(self, kind, monkeypatch):
-        # The diagonal is -1: 1e-3 ||diag||_inf = 1e-3 leaves it negative.
-        m = SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
-                                             - 5.0 * np.eye(16))
+    def test_negative_diagonal_skips_two_rungs(self, kind, monkeypatch):
+        # The diagonal is -1: neither 0 nor 1e-3 ||diag||_inf = 1e-3 can
+        # make it positive, so only |lambda_min| + 0.1 is factored.
+        m = laplacian_minus(5.0)
         given = self.tried(monkeypatch)
         aux = build_aux(m, kind, 1e-2)
         assert aux.shift == abs(m.min_eigenvalue()) + 0.1
         assert aux.inverts is None
-        assert given[0] is m and len(given) == 3
-        self.assert_same(given[1], m.shifted(1e-3))
-        self.assert_same(given[2], m.shifted(aux.shift))
+        assert given == [(m, aux.shift)]
 
     @pytest.mark.parametrize("kind", FACTORED)
     def test_a_zero_diagonal_skips_the_second_rung(self, kind, monkeypatch):
-        # 1e-3 ||diag||_inf = 0 would try the same matrix again.
-        m = SparseSymmetricMatrix.from_dense(laplacian_5pt(4).to_dense()
-                                             - 4.0 * np.eye(16))
+        # 1e-3 ||diag||_inf = 0 leaves the diagonal 0, as m itself has it.
+        m = laplacian_minus(4.0)
         assert not np.any(m.diagonal())
         given = self.tried(monkeypatch)
         aux = build_aux(m, kind, 1e-2)
         assert aux.shift == abs(m.min_eigenvalue()) + 0.1
-        assert given[0] is m and len(given) == 2
-        self.assert_same(given[1], m.shifted(aux.shift))
+        assert given == [(m, aux.shift)]
+
+    @pytest.mark.parametrize("kind", FACTORED)
+    def test_a_positive_diagonal_tries_every_rung(self, kind, monkeypatch):
+        # The diagonal is 0.1 and lambda_min -3.1: Jacobi builds on m,
+        # and each factorization fails until the eigenvalue rung.
+        m = laplacian_minus(3.9)
+        assert np.all(m.diagonal() > 0.0) and m.min_eigenvalue() < 0.0
+        given = self.tried(monkeypatch)
+        aux = build_aux(m, kind, 1e-2)
+        if kind == "jacobi":
+            assert aux.shift == 0.0 and given == [(m, 0.0)]
+            return
+        small = 1e-3 * np.max(np.abs(m.diagonal()))
+        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert given == [(m, 0.0), (m, small), (m, aux.shift)]
+
+    @pytest.mark.parametrize("kind", FACTORED)
+    def test_an_excluded_rung_is_neither_shifted_nor_factored(
+            self, kind, monkeypatch):
+        # Every block `shifted` is asked for, and every matrix handed to a
+        # factorizer, has a positive diagonal.
+        seen = []
+        shifted, ldlt = SparseSymmetricMatrix.shifted, auxprecond.ldlt
+        ic = auxprecond._incomplete_cholesky
+
+        def recording_shifted(self, sigma):
+            out = shifted(self, sigma)
+            seen.append(("shifted", out.diagonal().min()))
+            return out
+
+        def recording_ldlt(full):
+            seen.append(("ldlt", full.diagonal().min()))
+            return ldlt(full)
+
+        def recording_ic(a, drop_tol):
+            seen.append(("ic", a.diagonal().min()))
+            return ic(a, drop_tol)
+        monkeypatch.setattr(SparseSymmetricMatrix, "shifted",
+                            recording_shifted)
+        monkeypatch.setattr(auxprecond, "ldlt", recording_ldlt)
+        monkeypatch.setattr(auxprecond, "_incomplete_cholesky", recording_ic)
+        rng = np.random.default_rng(11)
+        blocks = [laplacian_minus(sigma) for sigma in (3.9, 4.0, 5.0)]
+        blocks += [with_a_nonpositive_diagonal(rng) for _ in range(20)]
+        for m in blocks:
+            build_aux(m, kind, 1e-2)
+        assert seen and all(lowest > 0.0 for _, lowest in seen)
+        factorizer = {"exact": "ldlt", "incomplete-cholesky": "ic"}
+        assert {name for name, _ in seen} <= {"shifted",
+                                              factorizer.get(kind)}
+
+    def test_a_nonpositive_diagonal_entry_factors_nowhere(self):
+        # The rule's premise: a zero or negative a_jj is a nonpositive
+        # pivot in IC (a_jj - sum_k l_jk^2) and in the LDL' factor.
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            m = with_a_nonpositive_diagonal(rng)
+            assert auxprecond.ldlt(m.to_csr()) is None
+            for drop_tol in (0.0, 1e-2, 0.3):
+                assert _incomplete_cholesky(m, drop_tol) is None
 
     @pytest.mark.parametrize("kind", FACTORED)
     def test_a_shifted_build_is_a_build_of_the_shifted_block(self, kind):

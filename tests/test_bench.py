@@ -1,5 +1,7 @@
 """Experiment harness and command line front end."""
 
+import csv
+import io
 import typing
 
 import numpy as np
@@ -13,13 +15,12 @@ from almprec.bench import (ExperimentConfig, condition_estimate,
                            run_linsys_experiment, run_spectral_experiment)
 from almprec.cli import ConfigError, build_experiment_config, main, \
     parse_config_text
+from almprec.sparse import write_matrix_market
 
 
 def _csv_rows(text):
     """The rows of CSV text, as dicts from its header."""
-    lines = text.splitlines()
-    return [dict(zip(lines[0].split(","), line.split(",")))
-            for line in lines[1:]]
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 class TestConditionEstimate:
@@ -267,6 +268,31 @@ class TestCli:
         main(["linsys", "--config", str(conf), "--seed", "4",
               "--out", str(out2)])
         assert out1.read_text() != out2.read_text()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "bench.conf"
+        conf.write_text("n = 10\nm = 2\nrho_list = 10.0\n")
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["linsys", "--config", str(conf), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write %s: " % out)
+
+    def test_a_comma_in_a_matrix_path_is_quoted(self, tmp_path, capsys):
+        # The row's `name` is the path: one field, however many commas.
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        path = folder / "m.mtx"
+        write_matrix_market(random_spd_matrix(8, 0.3, 0), path)
+        conf = tmp_path / "bench.conf"
+        conf.write_text("matrix = %s\nm = 2\nrho_list = 10.0\n" % path)
+        assert main(["linsys", "--config", str(conf)]) == 0
+        text = capsys.readouterr().out
+        header, *rows = csv.reader(io.StringIO(text))
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row["name"] for row in _csv_rows(text)} == {str(path)}
+        table = csv_to_table(text).splitlines()
+        assert all(line.startswith(str(path) + " ") for line in table[1:])
 
     def test_missing_config_exits_nonzero(self, capsys):
         rc = main(["linsys", "--config", "/does/not/exist"])
