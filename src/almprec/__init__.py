@@ -4,7 +4,7 @@ preconditioner for Hessians of the form M + rho V V'.
 """
 
 from .alm import AlmConfig, AlmReport, SettingError, alm_solve
-from .auxprecond import KINDS, AuxPrecond, FactorizationError, build_aux
+from .auxprecond import KINDS, AuxPrecond, build_aux
 from .inner import SpgResult, spg_solve, truncated_newton_step
 from .krylov import IndefiniteOperatorError, KrylovReport, pcg, pminres
 from .problems import NlpProblem, get_problem, problem_names
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlmConfig", "AlmReport", "SettingError", "alm_solve",
-    "KINDS", "AuxPrecond", "FactorizationError", "build_aux",
+    "KINDS", "AuxPrecond", "build_aux",
     "SpgResult", "spg_solve", "truncated_newton_step",
     "IndefiniteOperatorError", "KrylovReport", "pcg", "pminres",
     "NlpProblem", "get_problem", "problem_names",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxprecond import KINDS, FactorizationError, build_aux
+from .auxprecond import KINDS, build_aux
 from .inner import (active_bound_mask, project_box, projected_descent,
                     spg_solve, truncated_newton_step)
 from .sparse import SparseSymmetricMatrix
@@ -396,16 +396,6 @@ class PrecondManager:
     def notify_outer(self):
         self._outer_boundary = True
 
-    def _build_aux(self, m_part):
-        """`build_aux` of `m_part`, or `identity` when even that raises."""
-        try:
-            aux = build_aux(m_part, self.cfg.aux_kind, self.cfg.drop_tol)
-        except FactorizationError:
-            aux = build_aux(m_part, "identity")
-            self.aux_fallbacks += 1
-        self.aux_fallbacks += bool(aux.shift)
-        return aux
-
     def _assemble_with_recovery(self, cols):
         """The preconditioner for `cols`, dropping any column with a
         near-singular pivot (`without_labels`) and retrying."""
@@ -436,7 +426,9 @@ class PrecondManager:
         self.free = free
 
         if refresh_aux:
-            self._aux = self._build_aux(m_part)
+            self._aux = build_aux(m_part, self.cfg.aux_kind,
+                                  self.cfg.drop_tol)
+            self.aux_fallbacks += bool(self._aux.shift)
             self._m = m_part
             self.ac_m += 1
         if refresh_b:

@@ -10,8 +10,7 @@ Command line front end for the experiment harness:
 
 Config files hold ``key = value`` lines (``#`` comments allowed); list
 values are comma separated.  Harness runs that complete exit 0 even when
-individual rows report "n/c"; bad input, failed factorizations and an
-unwritable --out exit 2.
+individual rows report "n/c"; bad input and an unwritable --out exit 2.
 """
 
 import argparse
@@ -20,7 +19,6 @@ import typing
 from dataclasses import replace
 
 from .alm import AlmConfig
-from .auxprecond import FactorizationError
 from .bench import (ExperimentConfig, csv_to_table, rows_to_csv,
                     run_experiment)
 
@@ -142,8 +140,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         rows = run_experiment(cfg)
-    except (ConfigError, OSError, KeyError, ValueError,
-            FactorizationError) as exc:
+    except (ConfigError, OSError, KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -140,7 +140,7 @@ class SparseSymmetricMatrix:
 
     def min_eigenvalue(self):
         """The smallest eigenvalue, by LAPACK on a dense copy: O(n^2)
-        memory, so only build_aux's last shift and bench call it."""
+        memory, so only bench calls it."""
         return float(np.linalg.eigvalsh(self.to_dense()).min())
 
     def shifted(self, sigma):

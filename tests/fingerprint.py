@@ -36,9 +36,10 @@ total over all of them:
 - `fallback`: each numerical fallback, forced on a small input:
   - `aux-shift KIND`: `build_aux`'s shifted build of an indefinite
     block (a 5-point Laplacian minus 4 I, whose zero diagonal is not
-    stored, and minus 5 I), which both reach at the `|lambda_min| + 0.1`
-    rung, for each auxiliary kind but `identity`; a build that raises
-    hashes its exception;
+    stored, and minus 5 I), which both reach at the last rung, the
+    Gershgorin-bound shift max(beta_G, 0) + 0.1 max(||diag M||_inf,
+    max_i r_i), for each auxiliary kind but `identity`; a build that
+    raises hashes its exception;
   - `aux-shift-positive-diagonal KIND`: the same on an indefinite block
     whose diagonal is positive (the 4 x 4-grid Laplacian minus 3.9 I,
     diagonal 0.1), so no rung may be skipped: `jacobi` builds on it
@@ -72,7 +73,7 @@ total over all of them:
   `M`, IC(0) and `exact` invert `M` exactly, so their structured
   applies take the refinement step and its product with `M`.  One more
   `linsys` run (n = 40, m = 3, IC(0.1), seed 0) builds its auxiliary
-  at the `|lambda_min| + 0.1` rung of `build_aux`.
+  at the last, Gershgorin-bound rung of `build_aux`.
 
 An ALM run hashes the raw bytes of `x` and of the multipliers, `f`,
 `rho_final`, the three KKT values, the history, the iteration and refresh

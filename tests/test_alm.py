@@ -17,7 +17,7 @@ from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          SettingError, alm_solve, eval_al, eval_al_grad,
                          hessian_model, kkt_residuals, safeguard,
                          shifted_multipliers, update_penalty)
-from almprec.auxprecond import FactorizationError, ldlt
+from almprec.auxprecond import ldlt
 from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
@@ -1256,47 +1256,19 @@ class TestPrecondManager:
         mgr.get(self._model(rho=400.0))  # columns rescale, M unchanged
         assert mgr.ac_m == 1 and mgr.ac_v == 1
 
-    @staticmethod
-    def _identity_only():
-        """A `build_aux` that builds only `identity`."""
-        build = alm.build_aux
-
-        def failing(m, kind, drop_tol=None):
-            if kind != "identity":
-                raise FactorizationError("forced")
-            return build(m, kind, drop_tol)
-        return failing
-
-    def test_unfactorable_block_falls_back_to_identity(self, monkeypatch):
-        """When even the last shift of `build_aux` fails, the manager
-        builds the identity auxiliary, and the solve converges."""
-        failing = self._identity_only()
-        managers = []
-
-        def tracked(cfg):
-            managers.append(PrecondManager(cfg))
-            return managers[-1]
-        monkeypatch.setattr(alm, "build_aux", failing)
-        monkeypatch.setattr(alm, "PrecondManager", tracked)
-        rep = alm_solve(get_problem("EQ-QP"), AlmConfig())
-        assert rep.converged and rep.ac_m == 1
-        [mgr] = managers
-        assert mgr._aux.kind == "identity"
-        assert mgr.aux_fallbacks == 1
-
-    def test_aux_fallbacks_count_shifted_and_identity_builds(self,
-                                                              monkeypatch):
-        indefinite = SparseSymmetricMatrix.from_dense(np.diag([1.0, -2.0]))
-        definite = SparseSymmetricMatrix.from_dense(np.diag([1.0, 2.0]))
-        mgr = PrecondManager(AlmConfig())
-        assert mgr._build_aux(definite).shift == 0.0
-        assert mgr.aux_fallbacks == 0
-        aux = mgr._build_aux(indefinite)
-        assert aux.kind == "incomplete-cholesky" and aux.shift == 2.1
-        assert mgr.aux_fallbacks == 1
-        monkeypatch.setattr(alm, "build_aux", self._identity_only())
-        assert mgr._build_aux(definite).kind == "identity"
-        assert mgr.aux_fallbacks == 2
+    def test_aux_fallbacks_count_shifted_and_identity_builds(self):
+        """`aux_fallbacks` counts the shifted builds; no build falls back
+        to `identity`, since `build_aux`'s last rung cannot fail."""
+        model = self._model()
+        indefinite = replace(model, m_part=SparseSymmetricMatrix.from_dense(
+            np.diag([1.0, -2.0])))
+        mgr = PrecondManager(AlmConfig(precond_policy="every-outer"))
+        mgr.get(model)
+        assert mgr._aux.shift == 0.0 and mgr.aux_fallbacks == 0
+        mgr.notify_outer()
+        mgr.get(indefinite)
+        assert mgr._aux.kind == "incomplete-cholesky"
+        assert mgr._aux.shift == 2.2 and mgr.aux_fallbacks == 1
 
     def test_apply_matches_dense_inverse(self):
         mgr = PrecondManager(AlmConfig(aux_kind="exact"))

@@ -10,8 +10,8 @@ import scipy.linalg
 import scipy.sparse
 
 from almprec import auxprecond
-from almprec.auxprecond import (KINDS, FactorizationError,
-                                _incomplete_cholesky, build_aux)
+from almprec.auxprecond import (KINDS, AuxPrecond, _incomplete_cholesky,
+                                build_aux)
 from almprec.sparse import SparseSymmetricMatrix
 
 
@@ -77,11 +77,11 @@ class TestKinds:
                                    [0.5, 0.25, 0.125])
 
     def test_jacobi_shifts_a_nonpositive_diagonal(self):
-        # 1e-3 ||diag||_inf leaves -2 negative; |lambda_min| + 0.1 = 2.1
-        # makes the diagonal (3.1, 0.1).
+        # 1e-3 ||diag||_inf leaves -2 negative; the Gershgorin rung,
+        # 2 + 0.1 * 2 = 2.2, makes the diagonal (3.2, 0.2).
         m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -2.0]))
         aux = build_aux(m, "jacobi")
-        assert aux.shift == 2.1 and aux.inverts is None
+        assert aux.shift == 2.2 and aux.inverts is None
         assert aux.apply(np.ones(2)).tobytes() == (
             1.0 / (m.diagonal() + aux.shift)).tobytes()
 
@@ -171,22 +171,15 @@ class TestRetryAndFailure:
             [1.0 / (1.0 + aux.shift), 1.0 / aux.shift], rtol=1e-15)
 
     def test_indefinite_takes_the_eigenvalue_rung(self):
-        # 1e-3 ||diag||_inf = 0.1 leaves -100 negative; |lambda_min| + 0.1
-        # makes the diagonal (101.1, 0.1).
+        # 1e-3 ||diag||_inf = 0.1 leaves -100 negative; the Gershgorin
+        # rung, 100 + 0.1 * 100 = 110, makes the diagonal (111, 10).
         m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -100.0]))
         for kind in ("exact", "incomplete-cholesky"):
             aux = build_aux(m, kind, 0.1)
-            assert aux.shift == 100.1 and aux.inverts is None
+            assert aux.shift == 110.0 and aux.inverts is None
             np.testing.assert_allclose(aux.apply(np.ones(2)),
                                        1.0 / (m.diagonal() + aux.shift),
                                        rtol=1e-15)
-
-    def test_raises_only_when_the_last_rung_fails(self, monkeypatch):
-        m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -100.0]))
-        monkeypatch.setattr(auxprecond, "_incomplete_cholesky",
-                            lambda a, drop_tol: None)
-        with pytest.raises(FactorizationError, match="not factorizable"):
-            build_aux(m, "incomplete-cholesky", drop_tol=0.1)
 
 
 FACTORED = [kind for kind in KINDS if kind != "identity"]
@@ -212,11 +205,41 @@ def with_a_nonpositive_diagonal(rng):
     return SparseSymmetricMatrix.from_dense(a)
 
 
+def gershgorin_shift(m):
+    """The last rung of `build_aux`, from the dense array of m:
+    max(beta_G, 0) + 0.1 max(||diag m||_inf, max_i r_i), with r_i the
+    off-diagonal absolute row sums and beta_G = max_i (r_i - m_ii)."""
+    a = m.to_dense()
+    diag = np.diag(a)
+    radius = np.abs(a).sum(axis=1) - np.abs(diag)
+    scale = max(np.abs(diag).max(), radius.max())
+    return max((radius - diag).max(), 0.0) + 0.1 * scale
+
+
+def arbitrary_symmetric(rng):
+    """A seeded symmetric matrix of any inertia: n in [1, 39], a random
+    off-diagonal density, each diagonal entry positive, negative, a
+    stored zero or not stored, and every entry scaled by 10^k for a
+    uniform k in [-8, 8]."""
+    n = int(rng.integers(1, 40))
+    rows, cols = np.tril_indices(n)
+    on = rows == cols
+    keep = on | (rng.random(rows.size) < rng.random())
+    vals = rng.standard_normal(rows.size)
+    sign = rng.integers(4, size=n)
+    size = np.abs(vals[on])
+    vals[on] = np.select([sign == 0, sign == 1], [size, -size], 0.0)
+    keep[on] = sign != 3
+    return SparseSymmetricMatrix(n, rows[keep], cols[keep],
+                                 vals[keep] * 10.0 ** rng.uniform(-8, 8))
+
+
 class TestShiftLadder:
     """`build_aux` is the one owner of an unfactorable block: every kind
-    but `identity` tries M, then M + 1e-3 ||diag M||_inf I, then
-    M + (|lambda_min(M)| + 0.1) I, each through `shifted`, and skips a
-    rung whose shift leaves a diagonal entry nonpositive."""
+    but `identity` tries M, then M + 1e-3 ||diag M||_inf I, each through
+    `shifted`, skipping a rung whose shift leaves a diagonal entry
+    nonpositive, and last M + beta_3 I for the Gershgorin-bound shift
+    beta_3, which cannot fail."""
 
     @staticmethod
     def tried(monkeypatch):
@@ -232,11 +255,11 @@ class TestShiftLadder:
     @pytest.mark.parametrize("kind", FACTORED)
     def test_negative_diagonal_skips_two_rungs(self, kind, monkeypatch):
         # The diagonal is -1: neither 0 nor 1e-3 ||diag||_inf = 1e-3 can
-        # make it positive, so only |lambda_min| + 0.1 is factored.
+        # make it positive, so only beta_3 = (4 + 1) + 0.1 * 4 is factored.
         m = laplacian_minus(5.0)
         given = self.tried(monkeypatch)
         aux = build_aux(m, kind, 1e-2)
-        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert aux.shift == gershgorin_shift(m) == 5.4
         assert aux.inverts is None
         assert given == [(m, aux.shift)]
 
@@ -247,13 +270,13 @@ class TestShiftLadder:
         assert not np.any(m.diagonal())
         given = self.tried(monkeypatch)
         aux = build_aux(m, kind, 1e-2)
-        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert aux.shift == gershgorin_shift(m) == 4.4
         assert given == [(m, aux.shift)]
 
     @pytest.mark.parametrize("kind", FACTORED)
     def test_a_positive_diagonal_tries_every_rung(self, kind, monkeypatch):
         # The diagonal is 0.1 and lambda_min -3.1: Jacobi builds on m,
-        # and each factorization fails until the eigenvalue rung.
+        # and each factorization fails until the Gershgorin rung.
         m = laplacian_minus(3.9)
         assert np.all(m.diagonal() > 0.0) and m.min_eigenvalue() < 0.0
         given = self.tried(monkeypatch)
@@ -262,7 +285,7 @@ class TestShiftLadder:
             assert aux.shift == 0.0 and given == [(m, 0.0)]
             return
         small = 1e-3 * np.max(np.abs(m.diagonal()))
-        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert aux.shift == gershgorin_shift(m)
         assert given == [(m, 0.0), (m, small), (m, aux.shift)]
 
     @pytest.mark.parametrize("kind", FACTORED)
@@ -325,14 +348,38 @@ class TestShiftLadder:
     @pytest.mark.parametrize("kind", KINDS)
     def test_definite_blocks_never_reach_the_eigenvalue(self, kind,
                                                         monkeypatch):
+        # No block takes a dense step: the definite ones build unshifted,
+        # and the indefinite ones reach the Gershgorin rung without an
+        # eigenvalue or a dense copy.
         def refused(self):
-            raise AssertionError("min_eigenvalue called")
-        blocks = [laplacian_5pt(8), seeded_laplacian(16, 7),
-                  spd_matrix(np.random.default_rng(0), 30)]
-        monkeypatch.setattr(SparseSymmetricMatrix, "min_eigenvalue", refused)
-        for m in blocks:
-            for drop_tol in (0.0, 1e-2, 0.1):
+            raise AssertionError("dense step called")
+        definite = [laplacian_5pt(8), seeded_laplacian(16, 7),
+                    spd_matrix(np.random.default_rng(0), 30)]
+        indefinite = [laplacian_minus(sigma) for sigma in (3.9, 4.0, 5.0)]
+        for name in ("min_eigenvalue", "to_dense"):
+            monkeypatch.setattr(SparseSymmetricMatrix, name, refused)
+        for drop_tol in (0.0, 1e-2, 0.1):
+            for m in definite:
                 assert build_aux(m, kind, drop_tol).shift == 0.0
+            for m in indefinite:
+                build_aux(m, kind, drop_tol)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_last_rung_never_fails(self, seed):
+        """Every factored kind builds on every symmetric matrix, whatever
+        its inertia, scale or unstored diagonal, and M = 0 gets the
+        shift 0.1."""
+        rng = np.random.default_rng(seed)
+        zero = SparseSymmetricMatrix(int(rng.integers(1, 40)), [], [], [])
+        for m in [arbitrary_symmetric(rng) for _ in range(50)] + [zero]:
+            for kind, drop_tol in [("jacobi", None), ("exact", None),
+                                   ("incomplete-cholesky", 0.0),
+                                   ("incomplete-cholesky", 1e-2),
+                                   ("incomplete-cholesky", 0.3)]:
+                aux = build_aux(m, kind, drop_tol)
+                assert isinstance(aux, AuxPrecond) and aux.shift >= 0.0
+                assert np.all(np.isfinite(aux.apply(np.ones(m.n))))
+                assert m is not zero or aux.shift == 0.1
 
 
 # Two summation orders of the same sums: a few units of roundoff in the
@@ -472,14 +519,14 @@ class TestIncompleteCholeskyFactor:
 
     def test_missing_diagonal_entry_takes_the_eigenvalue_rung(self):
         # (1, 1) is not stored: A = [[1, 1], [1, 0]] is indefinite, and
-        # so is A + 1e-3 I; A + (|lambda_min| + 0.1) I is definite.
+        # so is A + 1e-3 I; A + beta_3 I, beta_3 = 1 + 0.1, is definite.
         m = SparseSymmetricMatrix(2, [0, 1], [0, 0], [1.0, 1.0])
         for shift in (0.0, 1e-3):
             assert dense_incomplete_cholesky(
                 m.to_dense() + shift * np.eye(2), 0.0) is None
             assert _incomplete_cholesky(m.shifted(shift), 0.0) is None
         aux = build_aux(m, "incomplete-cholesky", drop_tol=0.0)
-        assert aux.shift == abs(m.min_eigenvalue()) + 0.1
+        assert aux.shift == gershgorin_shift(m) == 1.1
         self.assert_matches_oracle(m, aux.shift, 0.0)
 
     @pytest.mark.parametrize("k", [50, 100])

@@ -7,7 +7,7 @@ import typing
 import numpy as np
 import pytest
 
-from almprec import auxprecond, cli
+from almprec import cli
 from almprec.alm import AlmConfig
 from almprec.bench import (ExperimentConfig, condition_estimate,
                            csv_to_table, materialize, random_spd_matrix,
@@ -300,24 +300,24 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["spectral", "linsys"])
-    def test_failed_factorization_exits_2(self, kind, tmp_path, capsys,
-                                          monkeypatch):
-        """An incomplete-Cholesky build that fails at every shift ends in
-        an error line and exit 2, not a traceback."""
-        monkeypatch.setattr(auxprecond, "_incomplete_cholesky",
-                            lambda m, drop_tol: None)
+    def test_unfactorable_spd_block_builds_on_the_last_rung(
+            self, kind, tmp_path, capsys):
+        """This SPD M (diagonal 2.9-3.8, lambda_min 1e-3) fails IC(0.1)
+        on the first two rungs and at |lambda_min| + 0.1; the Gershgorin
+        rung builds, so the run exits 0 and its row reports the shift."""
         conf = tmp_path / "bench.conf"
-        conf.write_text("n = 12\nm = 2\nrho_list = 10.0\n")
-        rc = main([kind, "--config", str(conf), "--seed", "0"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith(
-            "error: not factorizable")
+        conf.write_text("n = 20\ndensity = 0.1\nm = 2\nrho_list = 10.0\n")
+        rc = main([kind, "--config", str(conf), "--seed", "32"])
+        assert rc == 0
+        [row] = _csv_rows(capsys.readouterr().out)
+        assert float(row["aux_shift"]) > 0.0
 
     @pytest.mark.parametrize("kind", ["spectral", "linsys"])
     def test_shifted_auxiliary_is_reported(self, kind, tmp_path, capsys):
         """IC(0.1) of this SPD M has a nonpositive pivot, and so has IC
         of M + 1e-3 ||diag M||_inf I: the rows come from the auxiliary
-        of M + (|lambda_min| + 0.1) I and say so in `aux_shift`."""
+        of M + beta_3 I, beta_3 the Gershgorin-bound shift of
+        `build_aux`'s last rung, and say so in `aux_shift`."""
         conf = tmp_path / "bench.conf"
         conf.write_text("n = 40\nm = 3\ndrop_tol_list = 0.1\n")
         rc = main([kind, "--config", str(conf), "--seed", "0"])
