@@ -1022,6 +1022,35 @@ def test_solve_grid_counts_unchanged():
     assert not missed, "converged away from f_star:\n" + "\n".join(missed)
 
 
+SCALE_FIXTURE = Path(__file__).parent / "data" / "scale_grid.csv"
+
+
+def test_scale_grid_counts_unchanged(monkeypatch):
+    """The 20 solves at n = 1024 of tests/scale_grid.py keep their
+    status, iteration and refresh counts, and each passes its
+    generator's own check (`eq_qp_error` or `kkt_error`) at 1e-5, the
+    perfbench bound.  The fixture tests/data/scale_grid.csv is the
+    output of
+
+        python tests/scale_grid.py > tests/data/scale_grid.csv
+
+    which runs BLAS on one thread; the counts here come from the
+    default thread count, and must agree with it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent))
+    import scale_grid
+
+    with open(SCALE_FIXTURE, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    got, errors = zip(*scale_grid.runs())
+    assert len(got) == len(want) == 20
+    moved = [",".join(ref.values()) + "  ->  " + ",".join(now.values())
+             for ref, now in zip(want, got) if now != ref]
+    assert not moved, "rows moved (fixture -> now):\n" + "\n".join(moved)
+    failed = [",".join(row[k] for k in scale_grid.KEYS) + ": %.3g" % err
+              for row, err in zip(got, errors) if not err <= 1e-5]
+    assert not failed, "check above 1e-5:\n" + "\n".join(failed)
+
+
 def _stub_problem(equality):
     """A stand-in problem: the mask is all the outer updates read."""
     return SimpleNamespace(equality=np.asarray(equality, dtype=bool))
