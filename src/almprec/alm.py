@@ -247,12 +247,12 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
 
     `free`, an increasing index array, builds the model on those
     variables only: the principal submatrix of M and the rows `free` of
-    the columns, without a column whose restricted 2-norm is at most
-    1e-12.  Everything else (lam_hat, sigma, which columns are kept and
-    their order, the secant test) is computed on the whole space, so the
-    model is bit for bit the full one cut down afterwards: sparse hess f
-    and each constraint Hessian NW adds are cut before `plus` sums them
-    in the term order, and QN adds sigma to the cut hess f (`shifted`).
+    the columns, a column that vanishes there included.  Everything else
+    (lam_hat, sigma, which columns are kept and their order, the secant
+    test) is computed on the whole space, so the model is bit for bit
+    the full one cut down afterwards: sparse hess f and each constraint
+    Hessian NW adds are cut before `plus` sums them in the term order,
+    and QN adds sigma to the cut hess f (`shifted`).
 
     QN's M may be indefinite, as hess f may be: truncated Newton stops
     CG at negative curvature, and build_aux shifts an auxiliary it
@@ -419,9 +419,8 @@ class PrecondManager:
         elif self.cfg.precond_policy == "every-outer":
             refresh_aux = refresh_b = self._outer_boundary
         else:
-            decision = decide_update(self._m, m_part, self._precond.cols,
-                                     cols)
-            refresh_aux, refresh_b = decision.refresh_aux, decision.refresh_b
+            reason = decide_update(self._m, m_part, self._precond.cols, cols)
+            refresh_aux, refresh_b = reason == "M-changed", reason != "none"
         self._outer_boundary = False
         self.free = free
 

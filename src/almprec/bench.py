@@ -140,9 +140,12 @@ def _kappa1(dense):
 
 
 def _load_matrix(cfg):
+    """(M, its name, the shift that made it SPD).  A Matrix Market M is
+    shifted by `_force_spd`; a random one is SPD as generated, its
+    smallest eigenvalue at 1e-3, so its shift is 0.0."""
     if cfg.matrix:
-        return read_matrix_market(cfg.matrix), cfg.matrix
-    return random_spd_matrix(cfg.n, cfg.density, cfg.seed), "random"
+        return (*_force_spd(read_matrix_market(cfg.matrix)), cfg.matrix)
+    return random_spd_matrix(cfg.n, cfg.density, cfg.seed), 0.0, "random"
 
 
 def _force_spd(m):
@@ -197,8 +200,7 @@ def _rho_sweep(cfg):
     """(row head, M, V, aux, H apply, structured preconditioner) for
     every drop tolerance and rho of cfg, one auxiliary per drop
     tolerance."""
-    m, name = _load_matrix(cfg)
-    m, shift = _force_spd(m)
+    m, shift, name = _load_matrix(cfg)
     v_cols = random_constraints(m.n, cfg.m, cfg.seed)
     for drop_tol in cfg.drop_tol_list:
         aux = build_aux(m, cfg.aux_kind, drop_tol)

@@ -53,10 +53,11 @@ _SECANT_PAIR = frozenset((LABEL_BFGS_Y, LABEL_BFGS_W))
 SECANT_NOOP_RTOL = 1e-6
 
 # The updating strategy's thresholds, read when a decision is made, so a
-# test can patch them on this module.  decide_update refreshes the
-# auxiliary Q ~ M^-1 only past DELTA_M, and B only on that refresh, on a
-# change of the column count, or past DELTA_V; build_column_set relaxes
-# small constraint columns away.
+# test can patch them on this module.  decide_update names a refresh of
+# the auxiliary Q ~ M^-1 only past DELTA_M, and of B alone on a change
+# of the column count or past DELTA_V; build_column_set relaxes small
+# constraint columns away, judged on the whole column even when the set
+# holds only the free rows.
 DELTA_M = 0.1   # bound on ||M - M_prev||_1 that keeps the auxiliary
 DELTA_V = 0.01  # bound on a shared column's 1-norm change that keeps B
 EPS_V = 1e-3    # a column of 2-norm at most EPS_V is relaxed away ...
@@ -101,8 +102,8 @@ class ColumnSet:
     def _owning(cls, n, columns, signs, labels, notes=()):
         """A set on `columns`, a new column-major float64 array that
         nothing else holds: it is frozen, not copied.  Its entries are
-        not checked: the caller has checked them, or taken them from a
-        set that was checked."""
+        not checked: `build_column_set` has checked its gathered array,
+        and `permuted` gathers from a set that was checked."""
         cols = cls.__new__(cls)
         cols._hold(n, columns, signs, labels, notes)
         return cols
@@ -148,17 +149,6 @@ class ColumnSet:
             labels |= _SECANT_PAIR
         keep = [i for i, lab in enumerate(self.labels) if lab not in labels]
         return self.permuted(keep)
-
-
-@dataclass
-class UpdateDecision:
-    refresh_aux: bool
-    refresh_b: bool
-    reason: str  # M-changed | V-changed | forced-bfgs | none
-
-    def __post_init__(self):
-        if self.refresh_aux and not self.refresh_b:
-            raise ValueError("refreshing the auxiliary forces a B refresh")
 
 
 @dataclass
@@ -377,9 +367,12 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     informative ones at least 2.2e-4 (see SECANT_NOOP_RTOL).
 
     With `free`, an index array of variables, the set holds only the rows
-    `free` of those columns, and a column whose restricted 2-norm is at
-    most 1e-12 is dropped.  Which columns are kept, their order and the
-    secant test still go by the whole columns and vectors.
+    `free` of those columns: which columns are kept, their order and the
+    secant test go by the whole columns and vectors, so the set is the
+    full one cut down.  A column that vanishes on those rows is kept and
+    does no harm: its row and column of the capacitance matrix are zero
+    off the diagonal, so its pivot is its sign, far above its floor, and
+    its column of b is zero.
 
     `norms` are `column_norms(jacobian)`, computed here when the caller
     does not have them.
@@ -387,8 +380,7 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     Every set is column-major.  The kept constraint columns and the
     secant pair are gathered and scaled one column at a time, straight
     into one preallocated column-major block that the ColumnSet keeps, so
-    beside the input the build holds one n x m array and one column, and
-    a second n x m array only while a restricted column is dropped.
+    beside the input the build holds one n x m array and one column.
     """
     jacobian = np.asarray(jacobian, dtype=np.float64)
     equality = np.asarray(equality, dtype=bool)
@@ -442,43 +434,33 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     for j, (u, scale) in enumerate(sources + pair):
         np.multiply(u[rows], scale, out=columns[:, j])
     _check_finite(columns)
-    cols = ColumnSet._owning(columns.shape[0], columns, signs, labels, notes)
-    if free is not None:
-        kept = np.flatnonzero(column_norms(columns) > 1e-12)
-        if kept.size < cols.m:
-            cols = cols.permuted(kept)
-    return cols
+    return ColumnSet._owning(size, columns, signs, labels, notes)
 
 
 def decide_update(prev_m, new_m, prev_v, new_v):
     """
-    Refresh the auxiliary when ||M - M_prev||_1 exceeds DELTA_M; refresh B
-    on any auxiliary refresh, on a column-count change, or when the
-    largest per-column 1-norm change over shared labels exceeds DELTA_V.
+    Why the bundle built on M_prev and the set prev_v is refreshed for
+    M and new_v: "M-changed" when ||M - M_prev||_1 exceeds DELTA_M, and
+    then the auxiliary and B are rebuilt; otherwise B alone, on
+    "forced-bfgs" when the column count changed as the secant pair came
+    or went, on "V-changed" when it changed otherwise or when a column
+    that both sets hold (by label) changed by more than DELTA_V in the
+    1-norm; "none" keeps both.  It returns as soon as the reason is
+    known, so the columns are compared only when neither M nor the
+    count changed, and only up to the first that moved.
     """
-    m_change = 0.0 if prev_m is new_m else norm1_diff(prev_m, new_m)
-    refresh_aux = m_change > DELTA_M
-
-    count_changed = prev_v.m != new_v.m
-    bfgs_changed = (_SECANT_PAIR.intersection(prev_v.labels)
-                    != _SECANT_PAIR.intersection(new_v.labels))
+    if prev_m is not new_m and norm1_diff(prev_m, new_m) > DELTA_M:
+        return "M-changed"
+    if prev_v.m != new_v.m:
+        if (_SECANT_PAIR.intersection(prev_v.labels)
+                != _SECANT_PAIR.intersection(new_v.labels)):
+            return "forced-bfgs"
+        return "V-changed"
     prev_position = {label: i for i, label in enumerate(prev_v.labels)}
-    v_change = 0.0
     for j, label in enumerate(new_v.labels):
         i = prev_position.get(label)
-        if i is not None:
-            a, b = prev_v.columns[:, i], new_v.columns[:, j]
-            v_change = max(v_change, float(np.abs(a - b).sum()))
-    v_moved = v_change > DELTA_V
-
-    refresh_b = refresh_aux or count_changed or v_moved
-    if refresh_aux:
-        reason = "M-changed"
-    elif count_changed:
-        reason = "forced-bfgs" if bfgs_changed else "V-changed"
-    elif v_moved:
-        reason = "V-changed"
-    else:
-        reason = "none"
-    return UpdateDecision(refresh_aux, refresh_b, reason)
+        if (i is not None and np.abs(prev_v.columns[:, i]
+                                     - new_v.columns[:, j]).sum() > DELTA_V):
+            return "V-changed"
+    return "none"
 

@@ -17,13 +17,13 @@ from almprec.alm import (AlmConfig, HessianModel, PrecondManager,
                          SettingError, alm_solve, eval_al, eval_al_grad,
                          hessian_model, kkt_residuals, safeguard,
                          shifted_multipliers, update_penalty)
-from almprec.auxprecond import ldlt
+from almprec.auxprecond import KINDS, build_aux, ldlt
 from almprec.bench import ExperimentConfig, run_alm_experiment
 from almprec.problems import (PROBLEM_BUILDERS, NlpProblem, get_problem,
                               problem_names)
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, ColumnSet,
-                                DenominatorBreakdownError)
+                                DenominatorBreakdownError, StructuredPrecond)
 
 
 def dense_model(model):
@@ -826,15 +826,12 @@ class TestSparseProbe:
 
 def _restrict_model(model, free):
     """Principal-submatrix restriction of a full Hessian model to the
-    variables the boolean mask `free` keeps, near-null restricted columns
-    dropped: the restrict-after-build path that hessian_model's `free`
+    variables the boolean mask `free` keeps, and the free rows of every
+    column: the restrict-after-build path that hessian_model's `free`
     replaced, kept as its oracle."""
     idx = np.flatnonzero(free)
-    cols_mat = model.cols.columns[idx, :]
-    keep = np.flatnonzero(np.linalg.norm(cols_mat, axis=0) > 1e-12)
-    cols_red = ColumnSet(idx.size, cols_mat[:, keep],
-                         model.cols.signs[keep],
-                         [model.cols.labels[j] for j in keep],
+    cols_red = ColumnSet(idx.size, model.cols.columns[idx, :],
+                         model.cols.signs, model.cols.labels,
                          model.cols.notes)
     return HessianModel(model.m_part.submatrix(idx), model.sigma,
                         cols_red)
@@ -900,9 +897,11 @@ class TestFreeModel:
                 self._check(p, x, lam, mode, secant, mask, memo)
 
     @pytest.mark.parametrize("mode", ["NW", "QN"])
-    def test_column_near_null_on_the_free_rows_is_dropped(self, mode):
+    def test_columns_near_null_on_the_free_rows_are_kept(self, mode):
         # Columns 0 and 1 live on the pinned variable 0 (column 1 up to
-        # 1e-13 on a free row); only column 2 reaches the free rows.
+        # 1e-13 on a free row); only column 2 reaches the free rows.  The
+        # other two stay, and change no preconditioner: their pivots are
+        # their signs and their columns of b (nearly) zero.
         jac = np.zeros((4, 3))
         jac[0, :2] = 1.0
         jac[2, 1] = 1e-13
@@ -916,8 +915,16 @@ class TestFreeModel:
         full = hessian_model(p, p.x0, np.zeros(3), 10.0, mode)
         assert sorted(full.cols.labels) == [0, 1, 2]
         model = self._check(p, p.x0, np.zeros(3), mode, None, mask)
-        assert model.cols.labels == (2,)
+        assert model.cols.labels == (2, 0, 1)
         assert model.cols.n == model.m_part.n == 3
+        r = np.array([1.0, -2.0, 0.5])
+        for kind in KINDS:
+            aux = build_aux(model.m_part, kind, 0.0)
+            want = StructuredPrecond(
+                aux, model.cols.without_labels((0, 1))).apply(r)
+            got = StructuredPrecond(aux, model.cols).apply(r)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-14 * np.linalg.norm(want)), kind
 
     def test_hs63_nw_sum_cut_first_equals_the_full_sum_cut_down(self):
         # HS63's second constraint Hessian, 2 I, enters the Newton sum.
@@ -1285,7 +1292,7 @@ class TestPrecondManager:
         mgr.get(self._model(rho=400.0))  # columns rescale, M unchanged
         assert mgr.ac_m == 1 and mgr.ac_v == 1
 
-    def test_aux_fallbacks_count_shifted_and_identity_builds(self):
+    def test_aux_fallbacks_count_shifted_builds(self):
         """`aux_fallbacks` counts the shifted builds; no build falls back
         to `identity`, since `build_aux`'s last rung cannot fail."""
         model = self._model()

@@ -170,7 +170,7 @@ class TestRetryAndFailure:
             aux.apply(np.ones(2)),
             [1.0 / (1.0 + aux.shift), 1.0 / aux.shift], rtol=1e-15)
 
-    def test_indefinite_takes_the_eigenvalue_rung(self):
+    def test_indefinite_takes_the_gershgorin_rung(self):
         # 1e-3 ||diag||_inf = 0.1 leaves -100 negative; the Gershgorin
         # rung, 100 + 0.1 * 100 = 110, makes the diagonal (111, 10).
         m = SparseSymmetricMatrix.from_dense(np.diag([1.0, -100.0]))
@@ -346,8 +346,7 @@ class TestShiftLadder:
             assert aux.apply(r).tobytes() == plain.apply(r).tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_definite_blocks_never_reach_the_eigenvalue(self, kind,
-                                                        monkeypatch):
+    def test_no_block_takes_a_dense_step(self, kind, monkeypatch):
         # No block takes a dense step: the definite ones build unshifted,
         # and the indefinite ones reach the Gershgorin rung without an
         # eigenvalue or a dense copy.
@@ -517,7 +516,7 @@ class TestIncompleteCholeskyFactor:
         assert lower.nnz < m.nnz
         assert build_aux(m, "incomplete-cholesky", 0.0).nnz == lower.nnz
 
-    def test_missing_diagonal_entry_takes_the_eigenvalue_rung(self):
+    def test_missing_diagonal_entry_takes_the_gershgorin_rung(self):
         # (1, 1) is not stored: A = [[1, 1], [1, 0]] is indefinite, and
         # so is A + 1e-3 I; A + beta_3 I, beta_3 = 1 + 0.1, is definite.
         m = SparseSymmetricMatrix(2, [0, 1], [0, 0], [1.0, 1.0])

@@ -11,11 +11,11 @@ from almprec import cli
 from almprec.alm import AlmConfig
 from almprec.bench import (ExperimentConfig, condition_estimate,
                            csv_to_table, materialize, random_spd_matrix,
-                           rows_to_csv, run_alm_experiment,
+                           rows_to_csv, run_alm_experiment, run_experiment,
                            run_linsys_experiment, run_spectral_experiment)
 from almprec.cli import ConfigError, build_experiment_config, main, \
     parse_config_text
-from almprec.sparse import write_matrix_market
+from almprec.sparse import SparseSymmetricMatrix, write_matrix_market
 
 
 def _csv_rows(text):
@@ -59,6 +59,27 @@ class TestRandomInstance:
         a = random_spd_matrix(10, 0.2, 0)
         b = random_spd_matrix(10, 0.2, 1)
         assert not np.array_equal(a.to_dense(), b.to_dense())
+
+    @pytest.mark.parametrize("kind", ["spectral", "linsys"])
+    def test_a_random_run_takes_one_eigenvalue(self, kind, monkeypatch):
+        # random_spd_matrix places lambda_min at 1e-3; the run does not
+        # compute it again, and reports spd_shift 0.
+        calls = []
+        eigenvalue = SparseSymmetricMatrix.min_eigenvalue
+        monkeypatch.setattr(SparseSymmetricMatrix, "min_eigenvalue",
+                            lambda m: calls.append(m.n) or eigenvalue(m))
+        rows = run_experiment(ExperimentConfig(kind=kind, n=20, m=2, seed=5,
+                                               rho_list=(1.0, 100.0)))
+        assert calls == [20]
+        assert [row["spd_shift"] for row in rows] == [0.0, 0.0]
+
+    def test_a_loaded_indefinite_matrix_is_shifted(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(SparseSymmetricMatrix.from_dense(
+            np.diag([2.0, -1.0, 3.0])), path)
+        rows = run_linsys_experiment(ExperimentConfig(
+            kind="linsys", matrix=str(path), m=1, rho_list=(10.0,)))
+        assert rows[0]["spd_shift"] == 1.0 + 1e-6
 
 
 class TestSpectralExperiment:

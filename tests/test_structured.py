@@ -13,9 +13,8 @@ from almprec.auxprecond import KINDS, build_aux
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, BStore,
                                 ColumnSet, DenominatorBreakdownError,
-                                StructuredPrecond, UpdateDecision,
-                                apply_rank1, assemble_B, build_column_set,
-                                decide_update)
+                                StructuredPrecond, apply_rank1, assemble_B,
+                                build_column_set, decide_update)
 
 
 def spd_matrix(rng, n):
@@ -440,7 +439,11 @@ class TestBuiltColumnOwnership:
         jac[:, [0, 2]] = np.arange(10.0).reshape(5, 2)
         cols = build_column_set(jac, np.ones(3, dtype=bool), np.ones(3),
                                 np.zeros(3), 4.0, free=np.arange(1, 5))
-        assert sorted(cols.labels) == [0, 2]
+        # Column 1 is zero on the free rows, and kept: the set is the full
+        # one cut down.  Dropped by label, it leaves a column-major set.
+        assert cols.labels == (2, 0, 1)
+        cols = cols.without_labels((1,))
+        assert cols.labels == (2, 0)
         assert cols.columns.flags.f_contiguous
         assert cols.columns.strides == (8, 32)
         assert not cols.columns.flags.writeable
@@ -587,7 +590,8 @@ class TestBuildColumnSet:
 
     def test_finiteness_is_checked_once_per_build(self, monkeypatch):
         """One check of the gathered block; a set derived from a checked
-        set (the restricted drop, `permuted`) is not checked again."""
+        set (`permuted`, and `without_labels` through it) is not checked
+        again."""
         checked = []
         check = structured._check_finite
         monkeypatch.setattr(structured, "_check_finite",
@@ -597,7 +601,7 @@ class TestBuildColumnSet:
         jac[:, [0, 2]] = 1.0
         cols = build_column_set(jac, EQ * 3, [1.0] * 3, [0.0] * 3, 2.0,
                                 free=np.arange(1, 4))
-        assert sorted(cols.labels) == [0, 2]  # column 1 dropped
+        assert cols.labels == (0, 2, 1)  # column 1 zero on the free rows
         assert checked == [(3, 3)]
         cols.permuted([1, 0])
         cols.without_labels((0,))
@@ -821,34 +825,26 @@ class TestDecideUpdate:
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         m2 = SparseSymmetricMatrix.from_dense(np.eye(3) * 1.01)
         c = self._cols(np.eye(3)[:, :2], [0, 1])
-        d = decide_update(m1, m2, c, c)
-        assert not d.refresh_aux and not d.refresh_b
-        assert d.reason == "none"
+        assert decide_update(m1, m2, c, c) == "none"
 
     def test_m_change_forces_both(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         m2 = SparseSymmetricMatrix.from_dense(np.eye(3) * 2.0)
         c = self._cols(np.eye(3)[:, :1], [0])
-        d = decide_update(m1, m2, c, c)
-        assert d.refresh_aux and d.refresh_b
-        assert d.reason == "M-changed"
+        assert decide_update(m1, m2, c, c) == "M-changed"
 
     def test_column_count_change_refreshes_b_only(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c1 = self._cols(np.eye(3)[:, :1], [0])
         c2 = self._cols(np.eye(3)[:, :2], [0, 1])
-        d = decide_update(m1, m1, c1, c2)
-        assert not d.refresh_aux and d.refresh_b
-        assert d.reason == "V-changed"
+        assert decide_update(m1, m1, c1, c2) == "V-changed"
 
     def test_column_drift_refreshes_b(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c1 = self._cols(np.eye(3)[:, :1], [0])
         moved = np.eye(3)[:, :1] + 0.5
         c2 = self._cols(moved, [0])
-        d = decide_update(m1, m1, c1, c2)
-        assert not d.refresh_aux and d.refresh_b
-        assert d.reason == "V-changed"
+        assert decide_update(m1, m1, c1, c2) == "V-changed"
 
     def test_bfgs_label_change_reports_forced(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
@@ -857,16 +853,15 @@ class TestDecideUpdate:
                                np.eye(3)[:, 2]])
         c2 = ColumnSet(3, mat, [1.0, 1.0, -1.0],
                        [0, LABEL_BFGS_Y, LABEL_BFGS_W])
-        d = decide_update(m1, m1, c1, c2)
-        assert d.reason == "forced-bfgs" and d.refresh_b
+        assert decide_update(m1, m1, c1, c2) == "forced-bfgs"
 
     def test_shared_labels_pair_by_label_not_position(self):
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c1 = self._cols(np.eye(3), ["a", "b", "c"])
         c2 = self._cols(np.eye(3)[:, [2, 0, 1]], ["c", "a", "b"])
-        assert decide_update(m1, m1, c1, c2).reason == "none"
+        assert decide_update(m1, m1, c1, c2) == "none"
         c3 = self._cols(np.eye(3), ["c", "a", "b"])
-        assert decide_update(m1, m1, c1, c3).reason == "V-changed"
+        assert decide_update(m1, m1, c1, c3) == "V-changed"
 
     def test_same_m_object_skips_the_norm(self, monkeypatch):
         def forbidden(*_args):
@@ -874,12 +869,23 @@ class TestDecideUpdate:
         monkeypatch.setattr(structured, "norm1_diff", forbidden)
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         c = self._cols(np.eye(3)[:, :1], [0])
-        d = decide_update(m1, m1, c, c)
-        assert not d.refresh_aux and d.reason == "none"
+        assert decide_update(m1, m1, c, c) == "none"
 
-    def test_decision_invariant(self):
-        with pytest.raises(ValueError):
-            UpdateDecision(refresh_aux=True, refresh_b=False, reason="x")
+    @pytest.mark.parametrize("new_m, width, want", [
+        (2.0, 1, "M-changed"), (1.0, 2, "V-changed")])
+    def test_columns_are_not_compared_once_the_reason_is_known(
+            self, new_m, width, want):
+        # After an M change or a count change, no column is read.
+        class Unread:
+            def __init__(self, width):
+                self.m, self.labels = width, tuple(range(width))
+
+            @property
+            def columns(self):
+                raise AssertionError("columns read")
+        m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
+        m2 = SparseSymmetricMatrix.from_dense(new_m * np.eye(3))
+        assert decide_update(m1, m2, Unread(1), Unread(width)) == want
 
 
 def test_bstore_fields():
