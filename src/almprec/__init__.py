@@ -11,8 +11,8 @@ from .problems import NlpProblem, get_problem, problem_names
 from .sparse import (MatrixMarketError, SparseSymmetricMatrix,
                      read_matrix_market, write_matrix_market)
 from .structured import (ColumnSet, DenominatorBreakdownError,
-                         StructuredPrecond, apply_rank1, assemble_B,
-                         build_column_set, decide_update)
+                         StructuredPrecond, assemble_B, build_column_set,
+                         decide_update)
 
 __version__ = "0.1.0"
 
@@ -25,5 +25,5 @@ __all__ = [
     "MatrixMarketError", "SparseSymmetricMatrix",
     "read_matrix_market", "write_matrix_market",
     "ColumnSet", "DenominatorBreakdownError", "StructuredPrecond",
-    "apply_rank1", "assemble_B", "build_column_set", "decide_update",
+    "assemble_B", "build_column_set", "decide_update",
 ]

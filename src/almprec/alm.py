@@ -74,7 +74,8 @@ class AlmConfig:
         if not self.drop_tol >= 0.0:
             raise SettingError("drop tolerance must be nonnegative, got %r"
                                % self.drop_tol, "drop_tol")
-        if not isinstance(self.max_outer, (int, np.integer)):
+        if (isinstance(self.max_outer, bool)
+                or not isinstance(self.max_outer, (int, np.integer))):
             raise SettingError("max_outer must be an integer, got %r"
                                % self.max_outer, "max_outer")
         if self.max_outer < 1:
@@ -385,7 +386,6 @@ class PrecondManager:
         self.cfg = cfg
         self.ac_m = 0
         self.ac_v = 0
-        self._aux = None
         self._m = None
         self._precond = None
         self.free = None
@@ -396,12 +396,12 @@ class PrecondManager:
     def notify_outer(self):
         self._outer_boundary = True
 
-    def _assemble_with_recovery(self, cols):
-        """The preconditioner for `cols`, dropping any column with a
-        near-singular pivot (`without_labels`) and retrying."""
+    def _assemble_with_recovery(self, aux, cols):
+        """The preconditioner on `aux` for `cols`, dropping any column
+        with a near-singular pivot (`without_labels`) and retrying."""
         while True:
             try:
-                return StructuredPrecond(self._aux, cols)
+                return StructuredPrecond(aux, cols)
             except DenominatorBreakdownError as exc:
                 self.column_drops += 1
                 cols = cols.without_labels((exc.label,))
@@ -412,7 +412,7 @@ class PrecondManager:
         cache holds for one free set, the object last passed
         (`self.free`); any other object rebuilds from scratch."""
         m_part, cols = model.m_part, model.cols
-        if self._aux is None or free is not self.free:
+        if self._precond is None or free is not self.free:
             refresh_aux = refresh_b = True
         elif self.cfg.precond_policy == "once":
             refresh_aux = refresh_b = False
@@ -425,13 +425,14 @@ class PrecondManager:
         self.free = free
 
         if refresh_aux:
-            self._aux = build_aux(m_part, self.cfg.aux_kind,
-                                  self.cfg.drop_tol)
-            self.aux_fallbacks += bool(self._aux.shift)
+            aux = build_aux(m_part, self.cfg.aux_kind, self.cfg.drop_tol)
+            self.aux_fallbacks += bool(aux.shift)
             self._m = m_part
             self.ac_m += 1
+        else:
+            aux = self._precond.aux
         if refresh_b:
-            self._precond = self._assemble_with_recovery(cols)
+            self._precond = self._assemble_with_recovery(aux, cols)
             if not refresh_aux:
                 self.ac_v += 1
         return self._precond

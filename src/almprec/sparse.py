@@ -106,7 +106,6 @@ class SparseSymmetricMatrix:
         self.cols = cols
         self.vals = vals
         self._csr = None
-        self._padded = None
 
     @property
     def nnz(self):
@@ -146,17 +145,15 @@ class SparseSymmetricMatrix:
     def shifted(self, sigma):
         """A + sigma I, exactly as from_dense(to_dense() + sigma I) gives
         it: the pattern and the whole diagonal, exact zeros dropped.  A
-        matrix without its whole diagonal pads its pattern with zeros on
-        the first shift and keeps it, so each shift re-values a pattern
-        in O(nnz); when none is dropped, it shares the index arrays."""
+        matrix without its whole diagonal is padded with zeros there on
+        each call; one with it re-values its pattern in O(nnz) and, when
+        no entry is dropped, shares the index arrays."""
         on_diag = self.rows == self.cols
         if np.count_nonzero(on_diag) < self.n:
-            if self._padded is None:
-                pad = np.setdiff1d(np.arange(self.n), self.rows[on_diag])
-                self._padded = SparseSymmetricMatrix(
-                    self.n, np.r_[self.rows, pad], np.r_[self.cols, pad],
-                    np.r_[self.vals, np.zeros(pad.size)])
-            return self._padded.shifted(sigma)
+            pad = np.setdiff1d(np.arange(self.n), self.rows[on_diag])
+            return SparseSymmetricMatrix(
+                self.n, np.r_[self.rows, pad], np.r_[self.cols, pad],
+                np.r_[self.vals, np.zeros(pad.size)]).shifted(sigma)
         vals = self.vals + sigma * on_diag
         keep = vals != 0.0
         if keep.all():
@@ -211,12 +208,14 @@ class SparseSymmetricMatrix:
         return csr_array((data, indices, indptr), shape=(self.n, self.n))
 
     def submatrix(self, idx):
-        """Principal submatrix A[idx, idx] for distinct indices `idx`, in
-        their order, built by remapping the stored entries."""
-        idx = np.asarray(idx, dtype=np.intp)
-        if idx.ndim != 1 or (idx.size and (idx.min() < 0
-                                           or idx.max() >= self.n)):
-            raise ValueError("indices must be a 1-D array within range")
+        """Principal submatrix A[idx, idx] for distinct integer indices
+        `idx`, in their order, built by remapping the stored entries.  A
+        float or boolean array is refused, not truncated or read as 0/1."""
+        idx = np.asarray(idx)
+        if idx.dtype.kind not in "iu" or idx.ndim != 1 or (
+                idx.size and (idx.min() < 0 or idx.max() >= self.n)):
+            raise ValueError("indices must be a 1-D integer array within "
+                             "range")
         pos = np.full(self.n, -1, dtype=np.intp)
         pos[idx] = np.arange(idx.size)
         if np.count_nonzero(pos >= 0) != idx.size:
@@ -241,23 +240,21 @@ class SparseSymmetricMatrix:
         vals.flags.writeable = False
         out = object.__new__(SparseSymmetricMatrix)
         out.n, out.rows, out.cols = self.n, self.rows, self.cols
-        out.vals, out._csr, out._padded = vals, None, None
+        out.vals, out._csr = vals, None
         return out
 
 
 def norm1_diff(a, b):
     """Induced 1-norm (max absolute column sum) of A - B.  The stored
     entries of both are merged by position (`plus`), or subtracted entry
-    by entry when both store the same positions; column j of the full
+    by entry when both share their index arrays; column j of the full
     matrix is column j of the lower triangle plus, mirrored, row j
     without its diagonal entry."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
-    if ((a.rows is b.rows and a.cols is b.cols)
-            or (np.array_equal(a.rows, b.rows)
-                and np.array_equal(a.cols, b.cols))):
-        # Equal patterns: the merge would pair entry k with entry k.
+    if a.rows is b.rows and a.cols is b.cols:
+        # Shared pattern: the merge would pair entry k with entry k.
         diff = np.abs(a.vals - b.vals)
         rows, cols = a.rows, a.cols
     else:

@@ -172,24 +172,6 @@ def _denom_floor(v):
     return 1e-12 * (1.0 + np.vecdot(v, v, axis=0))
 
 
-def apply_rank1(aux, v, rho, r):
-    """
-    h = a - [rho (v'a) / (1 + rho v'b)] b with a = aux(r), b = aux(v);
-    exact (M + rho v v')^-1 r when the auxiliary is exact.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if not np.any(v):
-        raise ValueError("rank-1 column must be non-null")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    a = aux.apply(r)
-    b = aux.apply(v)
-    denom = 1.0 + rho * float(v @ b)
-    if abs(denom) < _denom_floor(np.sqrt(rho) * v):
-        raise DenominatorBreakdownError("denominator breakdown")
-    return a - (rho * float(v @ a) / denom) * b
-
-
 def _breakdown(label):
     return DenominatorBreakdownError(
         "near-singular correction at column %r" % (label,), label=label)
@@ -338,10 +320,10 @@ class StructuredPrecond:
 
 
 def column_norms(jacobian):
-    """The 2-norm of each column of `jacobian`, one column at a time."""
+    """The 2-norm of each column of `jacobian`, without an n x m
+    temporary."""
     jacobian = np.asarray(jacobian, dtype=np.float64)
-    return np.array([np.linalg.norm(jacobian[:, i])
-                     for i in range(jacobian.shape[1])])
+    return np.sqrt(np.einsum("ij,ij->j", jacobian, jacobian))
 
 
 def build_column_set(jacobian, equality, c_vals, multipliers, rho,

@@ -60,7 +60,9 @@ total over all of them:
   `assemble_B`'s whole BStore and one structured apply on three seeded
   column sets with the sign patterns [+...+], [+...+, +, -] and
   [+, -, +], so a change to the capacitance factor or to either form of
-  the correction shows bitwise;
+  the correction shows bitwise; and (`structured single-column KIND`)
+  one apply of the rank-1 case, the set of the one column sqrt(rho) v,
+  with v and r seeded and rho = 7.5;
 - `workload`: the three perfbench workloads at seeds 0-3;
 - `counts`: one line for the whole grid and one for each workload,
   hashing only the status and the iteration and refresh counts of the
@@ -342,7 +344,8 @@ def fallback_runs():
 
 def structured_runs():
     """(label, digest) of the structured preconditioner per auxiliary
-    kind: its BStore and one apply on each seeded column set."""
+    kind: its BStore and one apply on each seeded column set, and then
+    one apply on a seeded single column."""
     from almprec.auxprecond import KINDS, build_aux
     from almprec.sparse import SparseSymmetricMatrix
     from almprec.structured import ColumnSet, StructuredPrecond
@@ -365,6 +368,13 @@ def structured_runs():
             parts += [bs.b.tobytes(), bs.denoms.tobytes(),
                       bs.weights.tobytes(), sp.apply(r).tobytes()]
         yield "structured %s" % kind, _digest(parts)
+    rng = np.random.default_rng(1)
+    v, r = rng.standard_normal(n), rng.standard_normal(n)
+    single = ColumnSet(n, np.sqrt(7.5) * v[:, None], [1.0], [0])
+    for kind in KINDS:
+        sp = StructuredPrecond(build_aux(m, kind, 1e-2), single)
+        yield ("structured single-column %s" % kind,
+               _digest([sp.apply(r).tobytes()]))
 
 
 def workload_runs():

@@ -23,7 +23,7 @@ from almprec.bench import ExperimentConfig, rows_to_csv, \
 from almprec.krylov import pcg
 from almprec.problems import get_problem, problem_names
 from almprec.sparse import SparseSymmetricMatrix
-from almprec.structured import ColumnSet, StructuredPrecond, apply_rank1
+from almprec.structured import ColumnSet, StructuredPrecond
 
 
 def _report(number, ok, detail):
@@ -50,10 +50,11 @@ def test_criterion_01_oracle_equivalence():
         aux = build_aux(m, "exact")
         r = rng.standard_normal(n)
 
-        # Rank-1 path.
+        # Rank-1 case: one column sqrt(rho) v.
         v = rng.standard_normal(n)
         rho = float(10.0 ** rng.uniform(-2, 4))
-        got = apply_rank1(aux, v, rho, r)
+        got = StructuredPrecond(
+            aux, ColumnSet(n, np.sqrt(rho) * v[:, None], [1.0], [0])).apply(r)
         want = np.linalg.solve(m.to_dense() + rho * np.outer(v, v), r)
         worst = max(worst, np.linalg.norm(got - want)
                     / max(np.linalg.norm(want), 1e-300))

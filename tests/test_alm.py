@@ -1300,11 +1300,11 @@ class TestPrecondManager:
             np.diag([1.0, -2.0])))
         mgr = PrecondManager(AlmConfig(precond_policy="every-outer"))
         mgr.get(model)
-        assert mgr._aux.shift == 0.0 and mgr.aux_fallbacks == 0
+        assert mgr._precond.aux.shift == 0.0 and mgr.aux_fallbacks == 0
         mgr.notify_outer()
         mgr.get(indefinite)
-        assert mgr._aux.kind == "incomplete-cholesky"
-        assert mgr._aux.shift == 2.2 and mgr.aux_fallbacks == 1
+        assert mgr._precond.aux.kind == "incomplete-cholesky"
+        assert mgr._precond.aux.shift == 2.2 and mgr.aux_fallbacks == 1
 
     def test_apply_matches_dense_inverse(self):
         mgr = PrecondManager(AlmConfig(aux_kind="exact"))
@@ -1582,6 +1582,7 @@ class TestAlmSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("aux_kind", "ilu"), ("max_outer", 0), ("max_outer", 2.5),
+        ("max_outer", True),
         # inner_tol, eps_opt / 10, underflows to 0.
         ("eps_opt", 5e-324)])
     def test_config_rejection_names_its_field(self, field, value):

@@ -337,11 +337,23 @@ class TestSubmatrix:
         with pytest.raises(ValueError):
             a.submatrix(empty)
 
-    @pytest.mark.parametrize("idx", [[0, 0], [3], [-1], [[0, 1]]])
+    # A float array is not truncated, nor a boolean mask read as 0/1.
+    @pytest.mark.parametrize("idx", [
+        [0, 0], [3], [-1], [[0, 1]], np.array([0.0, 2.7]),
+        np.array([0.0, 2.0]), np.array([True, False])])
     def test_bad_indices_rejected(self, idx):
         a = SparseSymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             a.submatrix(idx)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint64])
+    def test_any_integer_dtype_is_accepted(self, dtype):
+        dense = np.arange(9.0).reshape(3, 3)
+        dense += dense.T
+        a = SparseSymmetricMatrix.from_dense(dense)
+        sub = a.submatrix(np.array([2, 0], dtype=dtype))
+        np.testing.assert_array_equal(sub.to_dense(),
+                                      dense[np.ix_([2, 0], [2, 0])])
 
 
 class TestRevalued:
@@ -433,12 +445,10 @@ class TestShifted:
         full = SparseSymmetricMatrix.from_dense(dense + np.eye(3))
         b = full.shifted(0.5)
         assert b.rows is full.rows and b.cols is full.cols
-        # A missing diagonal entry: the padded pattern is built once and
-        # kept, so every shift shares its index arrays.
+        # A missing diagonal entry: each shift pads the pattern with it.
         a = SparseSymmetricMatrix.from_dense(dense)
         b, c = a.shifted(0.5), a.shifted(2.0)
         assert b.nnz == c.nnz == a.nnz + 1
-        assert b.rows is c.rows and b.cols is c.cols
         assert norm1_diff(b, c) == 1.5
         # A dropped entry gives arrays of its own.
         d = a.shifted(-2.0)

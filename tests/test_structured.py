@@ -10,10 +10,11 @@ from scipy.linalg import solve_triangular
 
 from almprec import structured
 from almprec.auxprecond import KINDS, build_aux
+from almprec.bench import materialize
 from almprec.sparse import SparseSymmetricMatrix
 from almprec.structured import (LABEL_BFGS_W, LABEL_BFGS_Y, BStore,
                                 ColumnSet, DenominatorBreakdownError,
-                                StructuredPrecond, apply_rank1, assemble_B,
+                                StructuredPrecond, assemble_B,
                                 build_column_set, decide_update)
 
 
@@ -32,6 +33,8 @@ def dense_target(m, cols):
 
 
 class TestRank1:
+    """The rank-1 case, (M + rho v v')^-1: a one-column set."""
+
     def test_matches_dense_inverse_with_exact_aux(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -41,21 +44,10 @@ class TestRank1:
             v = rng.standard_normal(n)
             rho = float(10.0 ** rng.uniform(-2, 4))
             r = rng.standard_normal(n)
-            got = apply_rank1(aux, v, rho, r)
+            cols = ColumnSet(n, np.sqrt(rho) * v[:, None], [1.0], [0])
+            got = StructuredPrecond(aux, cols).apply(r)
             want = np.linalg.solve(m.to_dense() + rho * np.outer(v, v), r)
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
-
-    def test_rejects_null_column(self):
-        m = spd_matrix(np.random.default_rng(1), 3)
-        aux = build_aux(m, "exact")
-        with pytest.raises(ValueError, match="non-null"):
-            apply_rank1(aux, np.zeros(3), 1.0, np.ones(3))
-
-    def test_rejects_nonpositive_rho(self):
-        m = spd_matrix(np.random.default_rng(2), 3)
-        aux = build_aux(m, "exact")
-        with pytest.raises(ValueError, match="rho"):
-            apply_rank1(aux, np.ones(3), 0.0, np.ones(3))
 
 
 class TestStorageRecursion:
@@ -90,6 +82,8 @@ class TestStorageRecursion:
                                        want, rtol=1e-8, atol=1e-10)
 
     def test_single_column_agrees_with_rank1(self):
+        """With an inexact auxiliary Q, one column gives the inverse of
+        the rank-1 update Q^-1 + rho v v'."""
         rng = np.random.default_rng(5)
         n = 12
         m = spd_matrix(rng, n)
@@ -98,9 +92,11 @@ class TestStorageRecursion:
         rho = 7.5
         r = rng.standard_normal(n)
         cols = ColumnSet(n, (np.sqrt(rho) * v).reshape(n, 1), [1.0], [0])
+        want = np.linalg.solve(
+            np.linalg.inv(materialize(aux.apply, n)) + rho * np.outer(v, v),
+            r)
         np.testing.assert_allclose(StructuredPrecond(aux, cols).apply(r),
-                                   apply_rank1(aux, v, rho, r),
-                                   rtol=1e-12)
+                                   want, rtol=1e-12)
 
     def test_column_order_invariance_of_result(self):
         rng = np.random.default_rng(6)
