@@ -71,6 +71,11 @@ class AlmConfig:
             value = getattr(self, name)
             if value not in legal:
                 raise SettingError("unknown %s %r" % (what, value), name)
+        for name in ("drop_tol", "eps_opt", "eps_feas"):
+            value = getattr(self, name)
+            if isinstance(value, bool):  # an int, so read as 0 or 1
+                raise SettingError("%s must be a number, got %r"
+                                   % (name, value), name)
         if not self.drop_tol >= 0.0:
             raise SettingError("drop tolerance must be nonnegative, got %r"
                                % self.drop_tol, "drop_tol")
@@ -496,8 +501,8 @@ class _SubStats:
 
 def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
     """Minimise the merit over the box from x with the configured inner
-    solver, to the projected-gradient tolerance `grad_tol`.  Returns
-    (x, stats)."""
+    solver, to the projected-gradient tolerance `grad_tol`, which also
+    sets where truncated Newton's CG stops.  Returns (x, stats)."""
     sub = _Subproblem(p, lam_bar, rho, cfg, manager, memo)
     stats = _SubStats()
 
@@ -508,7 +513,7 @@ def _solve_subproblem(p, x, lam_bar, rho, cfg, manager, memo, grad_tol):
         if system is None:
             return -g
         model, precond, free = system
-        step = truncated_newton_step(model, g[free], precond)
+        step = truncated_newton_step(model, g[free], precond, grad_tol)
         stats.krylov_precond += step.krylov_precond
         stats.krylov_plain += step.krylov_plain
         d = -g

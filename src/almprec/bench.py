@@ -49,6 +49,12 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENTS:
             raise ValueError("unknown experiment kind %r; available: %s"
                              % (self.kind, ", ".join(EXPERIMENTS)))
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
         if self.n < 1:
             raise ValueError("n must be at least 1, got %r" % self.n)
         if self.m < 0:

@@ -94,9 +94,9 @@ def pcg(op, precond, b, tol=1e-8, maxit=None):
     apply_op, apply_prec, b, maxit = _arguments(op, precond, b, tol, maxit)
     x = np.zeros(b.size)
     r = b.copy()
-    normb = np.linalg.norm(b)
-    history = [float(np.linalg.norm(r))]
-    if normb == 0.0 or history[0] <= tol * normb:
+    normb = float(np.linalg.norm(b))
+    history = [normb]
+    if normb == 0.0 or normb <= tol * normb:
         return KrylovReport(x, 0, history, True)
 
     z, gamma = _precondition(apply_prec, r, 0)

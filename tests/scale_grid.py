@@ -2,6 +2,7 @@
 The 20 solves at n = 1024 that tests/data/scale_grid.csv pins.
 
     python tests/scale_grid.py [CHECKOUT] > tests/data/scale_grid.csv
+    python tests/scale_grid.py --against PARENT [CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is a source tree
 with `src/almprec` and `perfbench`; both are imported from it, and
@@ -13,11 +14,21 @@ default.  Unlike the grid of tests/data/solve_grid.csv (n <= 10, where
 CG ends in at most n iterations), these Krylov and inner counts tell the
 auxiliaries apart.  BLAS runs on one thread, as in perfbench.
 
+With `--against PARENT`, runs the grid of PARENT and of CHECKOUT, each in
+its own Python process, and prints each row that moved and the total of
+each count column as `parent -> checkout`; exits 1 when a row moved.  To
+compare a change with its parent:
+
+    git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
+    python tests/scale_grid.py --against /tmp/parent
+
 pytest does not collect this file; tests/test_alm.py imports it.
 """
 
+import argparse
 import csv
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,11 +75,49 @@ def runs():
                            check(rep))
 
 
+def _rows(root):
+    """The grid of `root` as CSV rows, from a fresh interpreter."""
+    run = subprocess.run([sys.executable, __file__, str(root)],
+                         capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr)
+        raise SystemExit(2)
+    return list(csv.DictReader(run.stdout.splitlines()))
+
+
+def against(parent, root):
+    """Print the rows that differ between `parent` and `root` and both
+    trees' column totals; 1 if a row moved."""
+    old, new = _rows(parent), _rows(root)
+    moved = 0
+    for was, now in zip(old, new):
+        if was != now:
+            moved += 1
+            print("%s: %s -> %s" % (",".join(was[k] for k in KEYS),
+                                    ",".join(was[k] for k in COUNTS),
+                                    ",".join(now[k] for k in COUNTS)))
+    print("%d of %d rows moved" % (moved, len(new)))
+    print("totals (parent -> checkout):")
+    for col in COUNTS[1:]:
+        print("  %-4s %d -> %d" % (col, sum(int(row[col]) for row in old),
+                                   sum(int(row[col]) for row in new)))
+    return 1 if moved else 0
+
+
 def main(argv):
+    parser = argparse.ArgumentParser(
+        description="The 20 solves of tests/data/scale_grid.csv.")
+    parser.add_argument("checkout", nargs="?",
+                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--against", metavar="PARENT",
+                        help="print the rows that moved from PARENT's")
+    args = parser.parse_args(argv)
+    root = Path(args.checkout).resolve()
+    if args.against is not None:
+        return against(Path(args.against).resolve(), root)
     # Before numpy is first imported, by runs().
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    root = Path(argv[0] if argv else Path(__file__).parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     out = csv.DictWriter(sys.stdout, KEYS + COUNTS, lineterminator="\n")
     out.writeheader()

@@ -1582,7 +1582,8 @@ class TestAlmSolve:
 
     @pytest.mark.parametrize("field, value", [
         ("aux_kind", "ilu"), ("max_outer", 0), ("max_outer", 2.5),
-        ("max_outer", True),
+        ("max_outer", True), ("drop_tol", True), ("eps_opt", True),
+        ("eps_feas", True),
         # inner_tol, eps_opt / 10, underflows to 0.
         ("eps_opt", 5e-324)])
     def test_config_rejection_names_its_field(self, field, value):

@@ -234,6 +234,14 @@ class TestConfigParsing:
                                  % (key, message)):
             build_experiment_config("linsys", pairs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", True), ("m", True), ("seed", True), ("n", 2.5), ("m", 1.0),
+        ("seed", "1")])
+    def test_count_that_is_not_an_integer_rejected(self, name, value):
+        with pytest.raises(ValueError, match="^%s must be an integer, got %r$"
+                                             % (name, value)):
+            ExperimentConfig(**{name: value})
+
     def test_unknown_experiment_kind_rejected(self):
         with pytest.raises(ValueError,
                            match="unknown experiment kind 'nope'"):

@@ -52,22 +52,27 @@ class TestTruncatedNewtonStep:
     def test_indefinite_model_stops_at_negative_curvature(self):
         # CG's second direction on diag(1, -2, 3) from b = -g meets
         # p'Ap < 0: the step is the CG iterate, a descent direction, and
-        # its work is CG's applies alone.
+        # its work is CG's applies alone.  grad_tol 0.1 loosens CG's stop
+        # to eta = theta * 0.1 / ||g||, far above KRYLOV_TOL and below the
+        # relative residual 3.1 of CG's first iterate.
         a = np.diag([1.0, -2.0, 3.0])
         g = np.array([1.0, 1.0, 1.0])
-        calls = []
-
-        def model(v):
-            calls.append(v)
-            return a @ v
         with pytest.raises(IndefiniteOperatorError) as raised:
             pcg(lambda v: a @ v, None, -g)
-        step = truncated_newton_step(model, g, None)
-        assert step.negative_curvature and not step.converged
-        assert not step.fallback_gradient and float(step.direction @ g) < 0
-        assert step.krylov_plain == len(calls) == raised.value.applies == 2
-        np.testing.assert_array_equal(step.direction,
-                                      raised.value.direction)
+        for grad_tol in (0.0, 0.1):
+            calls = []
+
+            def model(v):
+                calls.append(v)
+                return a @ v
+            step = truncated_newton_step(model, g, None, grad_tol)
+            assert step.negative_curvature and not step.converged
+            assert (not step.fallback_gradient
+                    and float(step.direction @ g) < 0)
+            assert (step.krylov_plain == len(calls)
+                    == raised.value.applies == 2)
+            np.testing.assert_array_equal(step.direction,
+                                          raised.value.direction)
 
     def test_nan_direction_falls_back_to_gradient(self):
         g = np.array([1.0, -2.0, 0.5])
@@ -82,6 +87,65 @@ class TestTruncatedNewtonStep:
         prec = lambda r: r / np.array([1.0, 100.0])
         step = truncated_newton_step(lambda v: a @ v, g, prec)
         assert step.preconditioned and step.krylov_iterations == 1
+
+
+class TestForcingTerm:
+    """CG's relative residual eta = max(KRYLOV_TOL, theta * min(1,
+    grad_tol / ||g||)), theta = KRYLOV_TOL_PER_GRAD_TOL."""
+
+    @staticmethod
+    def spd_model(n=60, seed=4):
+        """A seeded SPD matrix with eigenvalues spread over [1, 1e3], on
+        which CG needs many iterations, and a gradient."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.geomspace(1.0, 1e3, n)) @ q.T
+        return a, rng.standard_normal(n)
+
+    def test_step_stops_at_theta_grad_tol(self):
+        a, g = self.spd_model()
+        grad_tol = 1e-3 * np.linalg.norm(g)
+        tight = truncated_newton_step(lambda v: a @ v, g, None)
+        loose = truncated_newton_step(lambda v: a @ v, g, None, grad_tol)
+        assert tight.converged and loose.converged
+        residual = np.linalg.norm(g + a @ loose.direction)
+        assert residual <= inner.KRYLOV_TOL_PER_GRAD_TOL * grad_tol
+        assert loose.krylov_plain < tight.krylov_plain
+
+    @staticmethod
+    def recorded_eta(monkeypatch, g, grad_tol):
+        """The relative residual truncated_newton_step gives pcg."""
+        tols = []
+
+        def recording(*args, tol):
+            tols.append(tol)
+            return pcg(*args, tol=tol)
+        monkeypatch.setattr(inner, "pcg", recording)
+        truncated_newton_step(lambda v: 2.0 * v, g, None, grad_tol)
+        return tols[0]
+
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_eta_never_below_the_floor(self, monkeypatch, scale):
+        g = scale * np.ones(4)
+        assert self.recorded_eta(monkeypatch, g, 1e-3) == inner.KRYLOV_TOL
+
+    @pytest.mark.parametrize("grad_tol", [2.0, 1e3, np.inf])
+    def test_eta_never_above_theta(self, monkeypatch, grad_tol):
+        g = np.ones(4)  # ||g||_2 = 2 <= grad_tol
+        assert (self.recorded_eta(monkeypatch, g, grad_tol)
+                == inner.KRYLOV_TOL_PER_GRAD_TOL)
+
+    def test_eta_between_is_theta_grad_tol_over_the_norm(self,
+                                                          monkeypatch):
+        g = np.ones(4)
+        assert (self.recorded_eta(monkeypatch, g, 1e-2)
+                == inner.KRYLOV_TOL_PER_GRAD_TOL * (1e-2 / 2.0))
+
+    @pytest.mark.parametrize("g, grad_tol", [
+        (np.zeros(4), 1e-2), (np.ones(4), 0.0)],
+        ids=["zero-gradient", "default"])
+    def test_floor_without_a_ratio(self, monkeypatch, g, grad_tol):
+        assert self.recorded_eta(monkeypatch, g, grad_tol) == inner.KRYLOV_TOL
 
 
 class TestTruncatedNewtonBreakdown:
@@ -102,16 +166,20 @@ class TestTruncatedNewtonBreakdown:
     def test_breakdown_then_negative_curvature(self):
         # The preconditioner turns indefinite on its second call, after
         # one preconditioned CG iteration; plain CG then meets p'Ap < 0
-        # at its second apply and stops at its first iterate.
-        sign = iter([1.0, -1.0])
+        # at its second apply and stops at its first iterate.  Each
+        # first iterate leaves the relative residual 0.2, above the
+        # eta = theta * 0.1 / ||b|| of grad_tol 0.1.
         a = np.diag([1.0, -1.0])
         b = np.array([1.0, 0.1])
-        step = truncated_newton_step(lambda v: a @ v, -b,
-                                     lambda r: next(sign) * r)
-        assert step.negative_curvature and not step.preconditioned
-        assert (step.krylov_precond, step.krylov_plain) == (1, 2)
-        np.testing.assert_array_equal(
-            step.direction, pcg(lambda v: a @ v, None, b, maxit=1).solution)
+        for grad_tol in (0.0, 0.1):
+            sign = iter([1.0, -1.0])
+            step = truncated_newton_step(lambda v: a @ v, -b,
+                                         lambda r: next(sign) * r, grad_tol)
+            assert step.negative_curvature and not step.preconditioned
+            assert (step.krylov_precond, step.krylov_plain) == (1, 2)
+            np.testing.assert_array_equal(
+                step.direction,
+                pcg(lambda v: a @ v, None, b, maxit=1).solution)
 
     def test_nan_preconditioner_is_dropped_at_once(self):
         a = np.diag([1.0, 2.0])
