@@ -14,6 +14,7 @@ import numpy as np
 from .auxprecond import KINDS, build_aux
 from .inner import (active_bound_mask, project_box, projected_descent,
                     spg_solve, truncated_newton_step)
+from .problems import is_constant
 from .sparse import SparseSymmetricMatrix
 from .structured import (ColumnSet, DenominatorBreakdownError,
                          StructuredPrecond, build_column_set, column_norms,
@@ -173,22 +174,29 @@ class HessianModel:
         y = self.m_part.matvec(x)
         if self.cols.m:
             coeffs = self.cols.signs * (self.cols.columns.T @ x)
-            y = y + self.cols.columns @ coeffs
+            y += self.cols.columns @ coeffs
         return y
 
 
-_RESTRICTION = "restriction"  # where a _SolveMemo keeps its restriction
+# Where a _SolveMemo keeps its restriction and the shift of it.
+_RESTRICTION, _SHIFTED = "restriction", "shifted"
 
 
 class _SolveMemo:
     """
     Values derived from problem arrays, computed once per solve.  Only an
     array the problem declares constant is memoised: a read-only ndarray
-    that owns its data (`not a.flags.writeable and a.base is None`),
-    returned again as the same object.  Writeable arrays and views are
-    derived afresh on every call.  Entries hold a weak reference to their
-    array and are dropped when it dies, so a fresh read-only array per
-    call is not kept alive and a reused id never finds stale values.
+    that owns its data (`problems.is_constant`), returned again as the
+    same object.  Writeable arrays and views are derived afresh on every
+    call.  Entries hold a weak reference to their array and are dropped
+    when it dies, so a fresh read-only array per call is not kept alive
+    and a reused id never finds stale values.
+
+    The same rule decides when an inner iteration cannot have changed
+    the model: `restricted` and `shifted` then return the objects they
+    returned before, and `build_column_set` hands back the held column
+    set of a constant Jacobian, so `decide_update` sees the held M and
+    set themselves and compares neither.
     """
 
     def __init__(self):
@@ -197,8 +205,7 @@ class _SolveMemo:
     def _values(self, a):
         """The dict of values memoised for `a`; None unless `a` is a
         memoised constant."""
-        if (not isinstance(a, np.ndarray) or a.flags.writeable
-                or a.base is not None):
+        if not is_constant(a):
             return None
         entries, ident = self._entries, id(a)
         ref, values = entries.get(ident, (None, None))
@@ -230,13 +237,29 @@ class _SolveMemo:
         if values is None:
             return whole.submatrix(free)
         if values.get(_RESTRICTION, (None,))[0] is not free:
-            values.pop(_RESTRICTION, None)  # released before the next
+            # Both released before the next, as the shift is of this cut.
+            values.pop(_RESTRICTION, None)
+            values.pop(_SHIFTED, None)
             values[_RESTRICTION] = free, whole.submatrix(free)
         return values[_RESTRICTION][1]
 
+    def shifted(self, a, whole, free, sigma):
+        """restricted(a, whole, free).shifted(sigma).  While `a` is a
+        memoised constant the memo keeps its latest shift, reused for the
+        same restriction object and an equal sigma."""
+        base = self.restricted(a, whole, free)
+        values = self._values(a)
+        if values is None:
+            return base.shifted(sigma)
+        last = values.get(_SHIFTED)
+        if last is None or last[0] is not base or last[1] != sigma:
+            values.pop(_SHIFTED, None)  # released before the next
+            values[_SHIFTED] = base, sigma, base.shifted(sigma)
+        return values[_SHIFTED][2]
+
 
 def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
-                  _memo=None):
+                  held=None, _memo=None):
     """
     NW: M = hess f + sum of active lam_hat_i hess c_i, columns are the
     active constraint gradients; constraint Hessians that are zero are
@@ -273,8 +296,16 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
     NlpProblem): sparse hess f, whether each constraint Hessian is zero
     and the sparse form of the others, the 2-norms of the Jacobian's
     columns, and those sparse matrices cut down to `free`
-    (`restricted`).  Without one the call takes a fresh memo of its own,
-    and the model is bit for bit the same.
+    (`restricted`), and QN's shift of that cut (`shifted`).  Without one
+    the call takes a fresh memo of its own, and the model is bit for bit
+    the same.
+
+    `held`, the column set of the preconditioner held for this same
+    `free` object, is passed to `build_column_set`, which returns it
+    unchanged when the Jacobian is a constant and nothing the set is
+    built from moved (see there).  Its columns are then the new ones in
+    the held order, so only the rounding of the model's low-rank sum can
+    differ.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
@@ -299,7 +330,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
         m_part = _memo.restricted(hess_f, sparse_f, free)
         m_part = m_part.plus(terms) if terms else m_part
         cols = build_column_set(jac, p.equality, c, lam, rho, free=free,
-                                norms=norms)
+                                norms=norms, held=held)
         return HessianModel(m_part, 0.0, cols)
 
     # QN mode
@@ -317,10 +348,10 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
                 gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
             sigma = max(float((y - gn_s) @ s) / ss, SIGMA_MIN)
 
-    m_part = _memo.restricted(hess_f, sparse_f, free).shifted(sigma)
+    m_part = _memo.shifted(hess_f, sparse_f, free, sigma)
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
-    cols = build_column_set(jac, p.equality, c, lam, rho,
-                            secant=secant_arg, free=free, norms=norms)
+    cols = build_column_set(jac, p.equality, c, lam, rho, secant=secant_arg,
+                            free=free, norms=norms, held=held)
     return HessianModel(m_part, sigma, cols)
 
 
@@ -385,6 +416,10 @@ class PrecondManager:
     set, not once per solve, and `every-outer` also rebuilds within an
     outer iteration.  AcM counts refreshes that rebuilt the auxiliary
     block, AcV those that rebuilt only the storage matrix.
+
+    `held_cols` hands the held column set back to the next model built
+    for the same free set; a model that returns it, and the held M,
+    unchanged is known unchanged without a comparison (`decide_update`).
     """
 
     def __init__(self, cfg):
@@ -410,6 +445,13 @@ class PrecondManager:
             except DenominatorBreakdownError as exc:
                 self.column_drops += 1
                 cols = cols.without_labels((exc.label,))
+
+    def held_cols(self, free):
+        """The column set of the preconditioner held for the free set
+        `free`, the same object; None when there is none."""
+        if self._precond is None or free is not self.free:
+            return None
+        return self._precond.cols
 
     def get(self, model, free=None):
         """The preconditioner for `model`.  `free` is the index array of
@@ -475,7 +517,8 @@ class _Subproblem:
         model to build.  This is the one owner of the free set: a set
         equal to the one the manager holds (`PrecondManager.free`) is
         passed on as that same array, so the memo and the manager tell
-        sets apart by identity."""
+        sets apart by identity, and with it the manager's held column
+        set (`held_cols`), which the model returns when it is unchanged."""
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         if act.all():
             return None
@@ -486,7 +529,8 @@ class _Subproblem:
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode,
                               secant=(s, y) if s is not None else None,
-                              free=free, _memo=self.memo)
+                              free=free, held=self.manager.held_cols(free),
+                              _memo=self.memo)
         return (model, self.manager.get(model, free),
                 slice(None) if free is None else free)
 

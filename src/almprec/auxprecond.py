@@ -96,8 +96,9 @@ def build_aux(m, kind, drop_tol=None):
         raise ValueError("unknown auxiliary preconditioner kind %r" % kind)
     if kind == "identity":
         return AuxPrecond(kind, m.n, 0)
-    if kind == "incomplete-cholesky" and not (drop_tol is not None
-                                              and drop_tol >= 0.0):
+    if kind == "incomplete-cholesky" and (isinstance(drop_tol, bool)
+                                          or not (drop_tol is not None
+                                                  and drop_tol >= 0.0)):
         raise ValueError("incomplete-cholesky requires a nonnegative drop "
                          "tolerance, got %r" % (drop_tol,))
     diag = m.diagonal()

@@ -55,10 +55,13 @@ def _arguments(op, precond, b, tol, maxit):
     """(apply_op, apply_prec or None, b as a float array, maxit), checked;
     maxit is 10 n by default, and an operator a callable or its `apply`."""
     b = np.asarray(b, dtype=np.float64)
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
+    # A bool is an int, so would read as 0 or 1.
+    if isinstance(tol, bool) or not tol > 0:  # NaN fails too
+        raise ValueError("tol must be positive, got %r" % (tol,))
     if maxit is None:
         maxit = 10 * b.size
+    if isinstance(maxit, bool) or not isinstance(maxit, (int, np.integer)):
+        raise ValueError("maxit must be an integer, got %r" % (maxit,))
     if maxit < 1:
         raise ValueError("maxit must be >= 1")
     op, precond = (a if a is None or callable(a) else a.apply

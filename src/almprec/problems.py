@@ -67,6 +67,13 @@ class NlpProblem:
         return len(self.kinds)
 
 
+def is_constant(a):
+    """True when `a` is an array that NlpProblem's contract declares
+    constant: a read-only ndarray that owns its data."""
+    return (isinstance(a, np.ndarray) and not a.flags.writeable
+            and a.base is None)
+
+
 def equality_mask(kinds):
     """Read-only boolean mask, True where kinds[i] is "equality".  Any kind
     other than "equality" or "inequality" raises ValueError naming it."""

@@ -73,7 +73,8 @@ class SparseSymmetricMatrix:
     """
 
     def __init__(self, n, rows, cols, vals):
-        if not float(n).is_integer():  # NaN and infinity fail too
+        # NaN and infinity fail too; a bool is an int, read as 0 or 1.
+        if isinstance(n, bool) or not float(n).is_integer():
             raise ValueError("dimension must be an integer, got %r" % (n,))
         n = int(n)
         if n < 1:
@@ -195,17 +196,24 @@ class SparseSymmetricMatrix:
         """A new scipy CSR array of the full symmetric matrix.  Row i
         holds its stored entries, then the mirrored entries (j, i) with
         j > i, both in ascending column order, so its columns ascend and
-        the product sums each row in that order."""
-        off = np.flatnonzero(self.rows != self.cols)
+        the product sums each row in that order.  Indices are int32
+        while they fit, and each temporary is freed before the next one
+        is made, so beside the result the build holds at most the sort
+        order, the unsorted values and the mirrored entries' positions."""
+        n, rows, cols, vals = self.n, self.rows, self.cols, self.vals
+        off = np.flatnonzero(rows != cols)
         # A stable sort by column keeps the rows of each column ascending.
-        upper = off[np.argsort(self.cols[off], kind="stable")]
-        rows = np.concatenate((self.rows, self.cols[upper]))
-        order = np.argsort(rows, kind="stable")
-        indices = np.concatenate((self.cols, self.rows[upper]))[order]
-        data = np.concatenate((self.vals, self.vals[upper]))[order]
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=self.n))))
-        return csr_array((data, indices, indptr), shape=(self.n, self.n))
+        upper = off[np.argsort(cols[off], kind="stable")]
+        del off
+        full = np.concatenate((rows, cols[upper]))
+        order = np.argsort(full, kind="stable")
+        index = np.int32 if max(n, full.size) < 2 ** 31 else np.intp
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(full, minlength=n), out=indptr[1:])
+        del full
+        indices = np.concatenate((cols, rows[upper]), dtype=index)[order]
+        data = np.concatenate((vals, vals[upper]))[order]
+        return csr_array((data, indices, indptr), shape=(n, n))
 
     def submatrix(self, idx):
         """Principal submatrix A[idx, idx] for distinct integer indices

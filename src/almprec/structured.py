@@ -15,12 +15,14 @@ Also hosts the column administration (activity, relaxation, ordering,
 secant augmentation) and the update-decision policy.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
+from .problems import is_constant
 from .sparse import norm1_diff
 
 
@@ -91,7 +93,14 @@ class ColumnSet:
     gathered, which is frozen instead of copied.  Labels must be
     distinct: dropping a column by label and pairing the columns of two
     sets go by label.
+
+    A set that `build_column_set` made from a constant Jacobian records
+    what it was gathered from (`_source`: a weak reference to the
+    Jacobian, rho and the free set), so that a later build can hand it
+    back instead of gathering it again.
     """
+
+    _source = None
 
     def __init__(self, n, columns, signs, labels, notes=()):
         self._hold(n, np.array(columns, dtype=np.float64, order="F"),
@@ -109,6 +118,8 @@ class ColumnSet:
         return cols
 
     def _hold(self, n, columns, signs, labels, notes):
+        if isinstance(n, bool):  # an int, so read as 0 or 1
+            raise ValueError("n must be an integer, got %r" % (n,))
         if columns.ndim != 2 or columns.shape[0] != n:
             raise ValueError("columns must be an (n, k) array with n = %d, "
                              "got shape %s" % (n, columns.shape))
@@ -327,7 +338,7 @@ def column_norms(jacobian):
 
 
 def build_column_set(jacobian, equality, c_vals, multipliers, rho,
-                     secant=None, free=None, norms=None):
+                     secant=None, free=None, norms=None, held=None):
     """
     Assemble the preconditioner columns from constraint data: `jacobian`
     is n x m with column i the gradient of c_i, and `equality` is the
@@ -358,6 +369,14 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
 
     `norms` are `column_norms(jacobian)`, computed here when the caller
     does not have them.
+
+    `held`, a set this function built before (the one a preconditioner
+    holds), is returned unchanged, with no gather and no finiteness scan,
+    when it cannot differ from the set this call would build: the
+    Jacobian is a constant (`problems.is_constant`) and the same object,
+    rho is equal, `free` is the same object, the kept labels form the
+    same set, the notes are equal, and neither set carries the secant
+    pair.  Its columns are then those of the new set, in the held order.
 
     Every set is column-major.  The kept constraint columns and the
     secant pair are gathered and scaled one column at a time, straight
@@ -407,6 +426,14 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
                 signs += [1.0, -1.0]
                 labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
 
+    source = held._source if held is not None else None
+    if (source is not None and source[0]() is jacobian
+            and is_constant(jacobian) and source[1] == rho
+            and source[2] is free and not pair
+            and held.notes == tuple(notes)
+            and set(held.labels) == set(labels)):
+        return held
+
     rows, size = ((slice(None), jacobian.shape[0]) if free is None
                   else (free, len(free)))
     # One scaled column at a time, straight into a block allocated
@@ -416,7 +443,10 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     for j, (u, scale) in enumerate(sources + pair):
         np.multiply(u[rows], scale, out=columns[:, j])
     _check_finite(columns)
-    return ColumnSet._owning(size, columns, signs, labels, notes)
+    cols = ColumnSet._owning(size, columns, signs, labels, notes)
+    if is_constant(jacobian):
+        cols._source = weakref.ref(jacobian), rho, free
+    return cols
 
 
 def decide_update(prev_m, new_m, prev_v, new_v):
@@ -429,10 +459,15 @@ def decide_update(prev_m, new_m, prev_v, new_v):
     that both sets hold (by label) changed by more than DELTA_V in the
     1-norm; "none" keeps both.  It returns as soon as the reason is
     known, so the columns are compared only when neither M nor the
-    count changed, and only up to the first that moved.
+    count changed, and only up to the first that moved.  An M or a set
+    that is the held object itself is not compared: `hessian_model`
+    hands back the held ones when an inner iteration cannot have changed
+    them (`build_column_set`'s `held`, `_SolveMemo.shifted`).
     """
     if prev_m is not new_m and norm1_diff(prev_m, new_m) > DELTA_M:
         return "M-changed"
+    if new_v is prev_v:
+        return "none"
     if prev_v.m != new_v.m:
         if (_SECANT_PAIR.intersection(prev_v.labels)
                 != _SECANT_PAIR.intersection(new_v.labels)):

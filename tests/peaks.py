@@ -15,16 +15,19 @@ the solve started, in MB of 2**20 bytes.
 
 Inside that solve each refresh layer is wrapped where its callers look it
 up: `hessian_model`, `build_column_set` (inside `hessian_model`),
-`build_aux`, `assemble_B` and the Krylov solve (`pcg`, `pminres`).  A call
-resets tracemalloc's peak on entry and reads it on exit, so a layer's
-figure is the highest point reached while any of its calls ran, above the
-same base.  `peak in` names the innermost layer running when the solve's
-own peak was reached, or `solve` outside every layer.  A layer that a
-workload never calls prints `-`.
+`build_aux`, `assemble_B`, the Krylov solve (`pcg`, `pminres`) and the
+CSR build of a sparse matrix (`to_csr`, a method, which its first
+product calls).  A call resets tracemalloc's peak on entry and reads it
+on exit, so a layer's figure is the highest point reached while any of
+its calls ran, above the same base.  `peak in` names the innermost layer
+running when the solve's own peak was reached, or `solve` outside every
+layer.  A layer that a workload never calls prints `-`.
 
 With `--against PARENT`, measures PARENT and CHECKOUT, each in its own
-Python process, and prints each figure as `parent -> checkout`.  To
-compare a change with its parent:
+Python process, and prints each figure as `parent -> checkout` with the
+change in KB of 2**10 bytes.  A rise of more than NOISE_KB = 2 KB is
+marked `RISE`: two runs of one tree at one seed differ by up to about
+that much.  To compare a change with its parent:
 
     git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
     python tests/peaks.py --against /tmp/parent
@@ -47,7 +50,10 @@ import subprocess  # noqa: E402
 import tracemalloc  # noqa: E402
 
 MB = 2.0 ** 20
-# (layer, "module:attribute" where callers look it up).
+KB = 2.0 ** 10
+NOISE_KB = 2.0  # run-to-run spread of one tree's peaks
+# (layer, "module:attribute" where callers look it up; the attribute may
+# be a dotted path, such as a method of a class).
 LAYERS = (
     ("hessian_model", "almprec.alm:hessian_model"),
     ("build_column_set", "almprec.alm:build_column_set"),
@@ -57,6 +63,7 @@ LAYERS = (
     ("krylov", "almprec.inner:pcg"),
     ("krylov", "almprec.inner:pminres"),
     ("krylov", "almprec.krylov:pcg"),
+    ("to_csr", "almprec.sparse:SparseSymmetricMatrix.to_csr"),
 )
 NAMES = tuple(dict.fromkeys(name for name, _ in LAYERS))
 
@@ -100,12 +107,15 @@ def _install(peaks):
     """Wrap every layer that this checkout has; returns the undo list."""
     undo = []
     for name, path in LAYERS:
-        module_name, _, attr = path.partition(":")
-        module = importlib.import_module(module_name)
-        if hasattr(module, attr):
-            func = getattr(module, attr)
-            undo.append((module, attr, func))
-            setattr(module, attr, peaks.wrap(name, func))
+        module_name, _, dotted = path.partition(":")
+        owner = importlib.import_module(module_name)
+        *outer, attr = dotted.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if hasattr(owner, attr):
+            func = getattr(owner, attr)
+            undo.append((owner, attr, func))
+            setattr(owner, attr, peaks.wrap(name, func))
     return undo
 
 
@@ -131,8 +141,8 @@ def measure(root, seed):
             peaks.fold()
         finally:
             tracemalloc.stop()
-            for module, attr, func in reversed(undo):
-                setattr(module, attr, func)
+            for owner, attr, func in reversed(undo):
+                setattr(owner, attr, func)
         row = {"solve": (peaks.top - base) / MB}
         for layer in NAMES:
             got = peaks.layer.get(layer)
@@ -146,16 +156,28 @@ def _mb(value):
     return "-" if value is None else "%.4f MB" % value
 
 
+def _delta(old, new):
+    """The change from `old` to `new` MB in KB, marked when it rises past
+    the noise; empty when either is missing."""
+    if old is None or new is None:
+        return ""
+    kb = (new - old) * MB / KB
+    return "  (%+.1f KB)%s" % (kb, " RISE" if kb > NOISE_KB else "")
+
+
 def print_table(rows, against=None):
     """One block per workload, one line per figure; with `against`, each
-    line reads `parent -> checkout`."""
+    line reads `parent -> checkout (change)`."""
     for name, row in rows.items():
         print(name)
         for col in ("solve", *NAMES, "peak in"):
             fmt = str if col == "peak in" else _mb
             cell = fmt(row[col])
             if against is not None:
-                cell = "%s -> %s" % (fmt(against[name][col]), cell)
+                old = against[name].get(col)
+                cell = "%s -> %s" % (fmt(old), cell)
+                if col != "peak in":
+                    cell += _delta(old, row[col])
             print("  %-17s %s" % (col, cell))
 
 

@@ -374,6 +374,46 @@ def _quadrant_means(k):
     return cols
 
 
+def _eq_tn_problem():
+    """An equality QP on a 5 x 5 grid whose Hessians and Jacobian are
+    constants: four quadrant-mean equalities on a Laplacian."""
+    k = 5
+    n = k * k
+    rng = np.random.default_rng(14)
+    q, a = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
+    c, d = _frozen(rng.uniform(0.5, 1.5, n) / 36.0), 0.1 * np.ones(4)
+    zero = _frozen(np.zeros((n, n)))
+    return NlpProblem(
+        name="EQ-TN", n=n, x0=np.zeros(n), kinds=("equality",) * 4,
+        f=lambda x: float(0.5 * x @ (q @ x) - c @ x),
+        grad=lambda x: q @ x - c, hess=lambda x: q,
+        cons=lambda x: a.T @ x - d, jac_cols=lambda x: a,
+        cons_hess=lambda i, x: zero)
+
+
+def _obstacle_problem():
+    """An obstacle problem on an 8 x 8 grid with four quadrant caps,
+    whose Hessian and Jacobian are constants."""
+    k = 8
+    n = k * k
+    h = 1.0 / (k + 1)
+    grid = h * np.arange(1, k + 1)
+    xx, yy = np.meshgrid(grid, grid, indexing="ij")
+    s = np.sin(9.2 * xx) * np.sin(9.3 * yy)
+    lower, upper = (s ** 3).ravel(), (s ** 2 + 0.02).ravel()
+    lap, quads = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
+    f_src = _frozen(np.full(n, 6.0 * h * h))
+    caps = 0.8 * (0.02 + quads.T @ np.maximum(lower, 0.0))
+    return NlpProblem(
+        name="OBSTACLE", n=n, x0=np.clip(np.zeros(n), lower, upper),
+        kinds=("inequality",) * 4,
+        f=lambda v: float(0.5 * v @ (lap @ v) - f_src @ v),
+        grad=lambda v: lap @ v - f_src, hess=lambda v: lap,
+        cons=lambda v: quads.T @ v - caps, jac_cols=lambda v: quads,
+        cons_hess=lambda i, v: None,  # QN reads no constraint Hessian
+        lower=lower, upper=upper)
+
+
 def _memo_jac():
     return np.random.default_rng(12).standard_normal((6, 4))
 
@@ -487,18 +527,7 @@ class TestSolveMemo:
                 assert not memo._entries
 
     def test_eq_tn_solve_builds_the_sparse_block_once(self, monkeypatch):
-        k = 5
-        n = k * k
-        rng = np.random.default_rng(14)
-        q, a = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
-        c, d = _frozen(rng.uniform(0.5, 1.5, n) / 36.0), 0.1 * np.ones(4)
-        zero = _frozen(np.zeros((n, n)))
-        p = NlpProblem(
-            name="EQ-TN", n=n, x0=np.zeros(n), kinds=("equality",) * 4,
-            f=lambda x: float(0.5 * x @ (q @ x) - c @ x),
-            grad=lambda x: q @ x - c, hess=lambda x: q,
-            cons=lambda x: a.T @ x - d, jac_cols=lambda x: a,
-            cons_hess=lambda i, x: zero)
+        p = _eq_tn_problem()
         calls = {"from_dense": 0, "models": 0, "norms": 0}
         from_dense = SparseSymmetricMatrix.from_dense.__func__
         model, norms = alm.hessian_model, alm.column_norms
@@ -528,24 +557,7 @@ class TestSolveMemo:
         assert rep.f_value == p.f(rep.x)
 
     def test_obstacle_pspg_solve_probes_hess_f_once(self, monkeypatch):
-        k = 8
-        n = k * k
-        h = 1.0 / (k + 1)
-        grid = h * np.arange(1, k + 1)
-        xx, yy = np.meshgrid(grid, grid, indexing="ij")
-        s = np.sin(9.2 * xx) * np.sin(9.3 * yy)
-        lower, upper = (s ** 3).ravel(), (s ** 2 + 0.02).ravel()
-        lap, quads = _frozen(_laplacian(k)), _frozen(_quadrant_means(k))
-        f_src = _frozen(np.full(n, 6.0 * h * h))
-        caps = 0.8 * (0.02 + quads.T @ np.maximum(lower, 0.0))
-        p = NlpProblem(
-            name="OBSTACLE", n=n, x0=np.clip(np.zeros(n), lower, upper),
-            kinds=("inequality",) * 4,
-            f=lambda v: float(0.5 * v @ (lap @ v) - f_src @ v),
-            grad=lambda v: lap @ v - f_src, hess=lambda v: lap,
-            cons=lambda v: quads.T @ v - caps, jac_cols=lambda v: quads,
-            cons_hess=lambda i, v: None,  # QN reads no constraint Hessian
-            lower=lower, upper=upper)
+        p = _obstacle_problem()
         calls = {"from_dense": 0, "models": 0, "restrictions": 0}
         from_dense = SparseSymmetricMatrix.from_dense.__func__
         model = alm.hessian_model
@@ -672,6 +684,109 @@ class TestRestrictionMemo:
                 assert _same_bytes(got, want)
                 labels.add(got.cols.labels)
         assert len(labels) > 1
+
+
+class TestShiftMemo:
+    """QN's shifted M through one _SolveMemo: the same object for the same
+    restriction and sigma, so decide_update skips the norm."""
+
+    def test_same_sigma_and_restriction_give_the_same_object(self):
+        hess = _hess_with_threes()
+        whole = SparseSymmetricMatrix.from_dense(hess)
+        free = np.array([0, 1, 3, 4])
+        memo = alm._SolveMemo()
+        first = memo.shifted(hess, whole, free, 0.5)
+        assert memo.shifted(hess, whole, free, 0.5) is first
+        assert _same_matrix(first, whole.submatrix(free).shifted(0.5))
+        other = memo.shifted(hess, whole, free, 0.25)
+        assert other is not first
+        assert _same_matrix(other, whole.submatrix(free).shifted(0.25))
+        # An equal free set that is another object is another restriction.
+        assert memo.shifted(hess, whole, free.copy(), 0.25) is not other
+        assert memo.shifted(hess, whole, None, 0.25) is not other
+
+    def test_a_writeable_array_is_shifted_afresh(self):
+        hess = np.array(_hess_with_threes())
+        whole = SparseSymmetricMatrix.from_dense(hess)
+        memo = alm._SolveMemo()
+        assert (memo.shifted(hess, whole, None, 0.5)
+                is not memo.shifted(hess, whole, None, 0.5))
+        assert not memo._entries
+
+    def test_qn_models_share_m_and_skip_the_norm(self, monkeypatch):
+        hess, jac = _hess_with_threes(), _frozen(_memo_jac())
+        p = _memo_problem(lambda x: hess, lambda i, x: None, lambda x: jac)
+        memo, free = alm._SolveMemo(), np.array([0, 1, 3, 4])
+        x, lam = np.zeros(6), np.full(4, 100.0)
+        models = [hessian_model(p, x, lam, 10.0, "QN", free=free,
+                                _memo=memo) for _ in range(2)]
+        assert models[1].m_part is models[0].m_part
+
+        def forbidden(*_args):
+            raise AssertionError("norm1_diff called")
+        monkeypatch.setattr(structured, "norm1_diff", forbidden)
+        (a, b) = models
+        assert structured.decide_update(a.m_part, b.m_part, a.cols,
+                                        b.cols) == "none"
+
+
+class TestHeldColumnReuse:
+    """The manager's column set handed back to the next model: reused on
+    the constant-Jacobian workloads, with the counts of a solve without
+    reuse."""
+
+    @staticmethod
+    def _solve(monkeypatch, p, cfg, reuse):
+        reused = []
+        build = alm.build_column_set
+
+        def counted(*args, held=None, **kwargs):
+            cols = build(*args, held=held, **kwargs)
+            reused.append(held is not None and cols is held)
+            return cols
+        monkeypatch.setattr(alm, "build_column_set", counted)
+        if not reuse:
+            monkeypatch.setattr(PrecondManager, "held_cols",
+                                lambda self, free: None)
+        rep = alm_solve(p, cfg)
+        monkeypatch.undo()
+        return rep, reused
+
+    @pytest.mark.parametrize("problem, cfg", [
+        (_eq_tn_problem, AlmConfig()),
+        (_obstacle_problem, AlmConfig(inner_solver="pspg",
+                                      hessian_mode="QN"))],
+        ids=["eq-tn", "obstacle-pspg"])
+    def test_counts_match_a_solve_without_reuse(self, monkeypatch, problem,
+                                                cfg):
+        p = problem()
+        rep, reused = self._solve(monkeypatch, p, cfg, reuse=True)
+        off, never = self._solve(monkeypatch, p, cfg, reuse=False)
+        assert rep.converged and any(reused) and not any(never)
+        fields = ("status", "outer_iterations", "inner_iterations",
+                  "krylov_precond", "krylov_plain", "ac_m", "ac_v")
+        assert ([getattr(rep, f) for f in fields]
+                == [getattr(off, f) for f in fields])
+        if cfg.inner_solver == "pspg":
+            # PSPG applies no model: the solve is bit for bit the same.
+            assert rep.x.tobytes() == off.x.tobytes()
+        else:
+            # Only the model's low-rank sum rounds in another order.
+            np.testing.assert_allclose(rep.x, off.x, rtol=0.0, atol=1e-12)
+
+    def test_held_set_goes_only_to_its_own_free_set(self):
+        cfg = AlmConfig(hessian_mode="QN")
+        manager = PrecondManager(cfg)
+        free = np.array([0, 1, 3, 4])
+        assert manager.held_cols(free) is None
+        p = _memo_problem(lambda x: _hess_with_threes(), lambda i, x: None,
+                          lambda x: _frozen(_memo_jac()))
+        model = hessian_model(p, np.zeros(6), np.full(4, 100.0), 10.0, "QN",
+                              free=free)
+        precond = manager.get(model, free)
+        assert manager.held_cols(free) is precond.cols
+        assert manager.held_cols(free.copy()) is None
+        assert manager.held_cols(None) is None
 
 
 class TestFreeSetOwner:

@@ -115,6 +115,13 @@ class TestKinds:
         with pytest.raises(ValueError, match="drop tolerance"):
             build_aux(m, "incomplete-cholesky")
 
+    @pytest.mark.parametrize("drop_tol", [True, False])
+    def test_incomplete_cholesky_rejects_a_bool_drop_tol(self, drop_tol):
+        # A bool is an int: True would build IC(1.0).
+        m = spd_matrix(np.random.default_rng(4), 4)
+        with pytest.raises(ValueError, match="drop tolerance"):
+            build_aux(m, "incomplete-cholesky", drop_tol)
+
     def test_incomplete_cholesky_rejects_negative_drop_tol(self):
         m = spd_matrix(np.random.default_rng(4), 4)
         with pytest.raises(ValueError, match="nonnegative"):

@@ -114,6 +114,23 @@ def test_nan_tol_is_rejected(solver):
         solver(lambda v: a @ v, None, np.ones(3), tol=float("nan"))
 
 
+@pytest.mark.parametrize("solver", [pcg, pminres])
+@pytest.mark.parametrize("name, value", [
+    ("tol", True), ("tol", False), ("maxit", True), ("maxit", False),
+    ("maxit", 2.5), ("maxit", 2.0)])
+def test_a_bool_or_fractional_argument_is_rejected(solver, name, value):
+    # A bool is an int: tol=True would stop at once, maxit=True after
+    # one iteration; a float maxit would fail inside range().
+    a = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        solver(lambda v: a @ v, None, np.ones(3), **{name: value})
+
+
+def test_a_numpy_integer_maxit_is_accepted():
+    rep = pcg(lambda v: 2.0 * v, None, np.ones(3), maxit=np.int64(5))
+    assert rep.converged
+
+
 class TestPminres:
     def test_solves_spd_system(self):
         rng = np.random.default_rng(4)

@@ -63,7 +63,50 @@ def oracle_matrices():
             random_symmetric(rng, int(rng.integers(1, 30)), rng.random()))
 
 
+def concatenated_csr_arrays(a):
+    """(data, indices, indptr) of the full matrix built by concatenating
+    the stored and the mirrored entries and sorting them by row."""
+    off = np.flatnonzero(a.rows != a.cols)
+    upper = off[np.argsort(a.cols[off], kind="stable")]
+    rows = np.concatenate((a.rows, a.cols[upper]))
+    order = np.argsort(rows, kind="stable")
+    return (np.concatenate((a.vals, a.vals[upper]))[order],
+            np.concatenate((a.cols, a.rows[upper]))[order],
+            np.concatenate(([0], np.cumsum(np.bincount(rows,
+                                                       minlength=a.n)))))
+
+
 class TestCsrMatvec:
+    def test_csr_arrays_equal_the_concatenated_construction(self):
+        # The oracle matrices include n = 1 and a diagonal-only matrix.
+        for a in oracle_matrices():
+            csr = a.to_csr()
+            data, indices, indptr = concatenated_csr_arrays(a)
+            assert csr.data.tobytes() == data.tobytes()
+            np.testing.assert_array_equal(csr.indices, indices)
+            np.testing.assert_array_equal(csr.indptr, indptr)
+            assert csr.indices.dtype == csr.indptr.dtype == np.int32
+            assert csr.has_sorted_indices
+
+    def test_csr_build_frees_its_temporaries(self):
+        # The 5-point Laplacian of a 24 x 24 grid: 2784 entries in the
+        # full pattern, and 12 bytes each in the result.  Its build holds
+        # the sort order and the gathered values beside the result, about
+        # 31 bytes per entry; int64 indices and kept temporaries took 46.
+        k = 24
+        t = 2.0 * np.eye(k) - np.eye(k, k=1) - np.eye(k, k=-1)
+        a = SparseSymmetricMatrix.from_dense(
+            np.kron(t, np.eye(k)) + np.kron(np.eye(k), t))
+        size = 2 * a.nnz - a.n
+        tracemalloc.start()
+        try:
+            csr = a.to_csr()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csr.nnz == size == 2784
+        assert peak <= 34 * size
+
     def test_bitwise_equal_to_two_pass_oracle(self):
         rng = np.random.default_rng(9)
         for a in oracle_matrices():
@@ -178,7 +221,9 @@ class TestSparseSymmetricMatrix:
             np.testing.assert_allclose(a.matvec(x), dense @ x,
                                        rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf")])
+    # A bool is an int, and would read as order 1 or 0.
+    @pytest.mark.parametrize("n", [2.5, float("nan"), float("inf"), True,
+                                   False])
     def test_non_integral_order_rejected(self, n):
         with pytest.raises(ValueError, match="dimension must be an integer"):
             SparseSymmetricMatrix(n, [0, 1], [0, 1], [1.0, 1.0])

@@ -325,6 +325,12 @@ class TestColumnSet:
         given = np.full((3, 2), 1e308)
         assert ColumnSet(3, given, [1.0, 1.0], [0, 1]).m == 2
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_a_bool_order_is_rejected(self, n):
+        # A bool is an int: True would read as n = 1.
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ColumnSet(n, np.ones((1, 1)), [1.0], [0])
+
     def test_without_labels(self):
         cols = ColumnSet(2, np.eye(2), [1.0, 1.0], ["a", "b"])
         kept = cols.without_labels(("a",))
@@ -882,6 +888,115 @@ class TestDecideUpdate:
         m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
         m2 = SparseSymmetricMatrix.from_dense(new_m * np.eye(3))
         assert decide_update(m1, m2, Unread(1), Unread(width)) == want
+
+
+    def test_the_held_set_itself_is_not_compared(self):
+        # The same set as held and as new is "none" without a column
+        # read, but only after the M test.
+        class Unread:
+            m, labels = 1, (0,)
+
+            @property
+            def columns(self):
+                raise AssertionError("columns read")
+        v = Unread()
+        m1 = SparseSymmetricMatrix.from_dense(np.eye(3))
+        m2 = SparseSymmetricMatrix.from_dense(2.0 * np.eye(3))
+        assert decide_update(m1, m1, v, v) == "none"
+        assert decide_update(m1, m2, v, v) == "M-changed"
+
+
+def _held_case():
+    """(build, held): build(**changes) runs build_column_set on a frozen
+    6 x 4 Jacobian, two equalities and two active inequalities, restricted
+    to a free set, with `changes` replacing any argument; held is the set
+    it builds unchanged."""
+    jac = np.random.default_rng(31).standard_normal((6, 4))
+    jac.flags.writeable = False
+    args = dict(jacobian=jac, equality=np.array([True, True, False, False]),
+                c_vals=np.array([0.5, -0.2, 0.3, 0.4]),
+                multipliers=np.zeros(4), rho=10.0,
+                free=np.array([0, 2, 3, 5]))
+
+    def build(**changes):
+        return build_column_set(**{**args, **changes})
+    return build, build()
+
+
+def _same_set(a, b):
+    return (a.labels == b.labels and a.notes == b.notes
+            and a.columns.tobytes() == b.columns.tobytes()
+            and a.signs.tobytes() == b.signs.tobytes())
+
+
+def _secant(w_scale):
+    """(s, y, w) that pass the curvature test; w = w_scale * y."""
+    s = np.linspace(1.0, 2.0, 6)
+    y = s + np.cos(np.arange(6.0))
+    return s, y, w_scale * y
+
+
+class TestHeldSet:
+    """build_column_set hands back the held set when nothing it is built
+    from can have moved, and builds anew on any single change."""
+
+    def test_held_set_is_returned_when_nothing_moved(self):
+        build, held = _held_case()
+        # Other infeasibilities reorder the columns but keep the labels;
+        # the held order stays.
+        reordered = np.array([0.1, -0.9, 0.8, 0.2])
+        assert build(c_vals=reordered).labels != held.labels
+        assert build(c_vals=reordered, held=held) is held
+        assert build(held=held) is held
+        # A note both builds make is equal.
+        noted = build(secant=_secant(-1.0))
+        assert noted.notes == ("correction skipped",)
+        assert build(secant=_secant(-1.0), held=noted) is noted
+
+    def test_the_held_set_keeps_no_jacobian_alive(self):
+        # A problem may return a fresh read-only Jacobian per call: a set
+        # kept in a preconditioner must not pin the old one.
+        jac = np.ones((3, 2))
+        jac.flags.writeable = False
+        cols = build_column_set(jac, EQ * 2, [1.0, 1.0], [0.0, 0.0], 2.0)
+        ref = cols._source[0]
+        assert ref() is jac
+        del jac
+        assert ref() is None
+        assert build_column_set(np.ones((3, 2)), EQ * 2, [1.0, 1.0],
+                                [0.0, 0.0], 2.0)._source is None
+
+    def test_a_set_not_made_by_a_build_is_not_returned(self):
+        build, held = _held_case()
+        copy = held.permuted(range(held.m))
+        assert build(held=copy) is not copy
+
+    @pytest.mark.parametrize("change", [
+        "rho", "free", "labels", "notes", "secant", "writeable", "jacobian"])
+    def test_any_single_change_builds_a_new_set(self, change):
+        build, held = _held_case()
+        jac = held._source[0]()
+        changes = {
+            "rho": dict(rho=20.0),
+            "free": dict(free=np.array([0, 2, 3, 5])),   # equal, not same
+            "labels": dict(c_vals=np.array([0.5, -0.2, 0.3, -1.0])),
+            "notes": dict(secant=_secant(-1.0)),
+            "secant": dict(secant=_secant(0.5)),
+            "writeable": {},
+            "jacobian": dict(jacobian=np.array(jac)),
+        }[change]
+        if change == "jacobian":
+            changes["jacobian"].flags.writeable = False
+        want = build(**changes)
+        if change == "writeable":
+            jac.flags.writeable = True   # the same array, now not constant
+        got = build(held=held, **changes)
+        assert got is not held
+        assert _same_set(got, want)
+        if change == "secant":
+            # A set that carries the pair is not reused either.
+            assert LABEL_BFGS_Y in got.labels
+            assert build(held=got, **changes) is not got
 
 
 def test_bstore_fields():
