@@ -23,6 +23,12 @@ class MatrixMarketError(ValueError):
         self.line_number = line_number
 
 
+def _index_dtype(bound):
+    """The dtype of indices below `bound` and of counts up to it: int32
+    while they fit, else intp."""
+    return np.int32 if bound < 2 ** 31 else np.intp
+
+
 def _strictly_row_major(rows, cols):
     """True when the (row, col) pairs strictly increase in row-major
     order: sorted, and no pair repeats."""
@@ -66,6 +72,11 @@ class SparseSymmetricMatrix:
     (row >= col), once per symmetric pair, in row-major order; the upper
     triangle is implied.
 
+    `rows` and `cols` are int32 while n < 2**31 (intp beyond), so a stored
+    entry costs 16 bytes with its float64 value.  Index arithmetic that
+    can exceed n, such as the position keys rows * n + cols of `plus`, is
+    done in int64.
+
     Immutable: `rows`, `cols` and `vals` are read-only copies of what the
     caller passed, sorted only when they were out of order.  So the CSR
     copy of the full matrix that `matvec` builds on its first call and
@@ -79,8 +90,8 @@ class SparseSymmetricMatrix:
         n = int(n)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        rows = np.array(rows, dtype=np.intp)
-        cols = np.array(cols, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
         vals = np.array(vals, dtype=np.float64)
         if not (rows.shape == cols.shape == vals.shape):
             raise ValueError("rows, cols and vals must have equal length")
@@ -93,6 +104,9 @@ class SparseSymmetricMatrix:
                 raise ValueError("entries must satisfy row >= col")
             if not np.all(np.isfinite(vals)):
                 raise ValueError("matrix entries must be finite")
+        # Range-checked at full width, so the narrowing copy cannot wrap.
+        index = _index_dtype(n)
+        rows, cols = rows.astype(index), cols.astype(index)
         # Sort into row-major order only when needed; sorted input that
         # still fails the strict check repeats a position.
         if not _strictly_row_major(rows, cols):
@@ -100,6 +114,19 @@ class SparseSymmetricMatrix:
             rows, cols, vals = rows[order], cols[order], vals[order]
             if not _strictly_row_major(rows, cols):
                 raise ValueError("duplicate (row, col) entry")
+        self._hold(n, rows, cols, vals)
+
+    @classmethod
+    def _trusted(cls, n, rows, cols, vals):
+        """The matrix of arrays that already meet every condition the
+        constructor checks and gives: indices of `_index_dtype(n)` in
+        range with row >= col, strictly row-major, and finite float64
+        values.  Nothing is checked or copied; the arrays are frozen."""
+        out = object.__new__(cls)
+        out._hold(n, rows, cols, vals)
+        return out
+
+    def _hold(self, n, rows, cols, vals):
         for a in (rows, cols, vals):
             a.flags.writeable = False
         self.n = n
@@ -170,8 +197,10 @@ class SparseSymmetricMatrix:
         n, terms = self.n, [(1.0, self), *terms]
         if any(a.n != n for _, a in terms):
             raise ValueError("dimension mismatch")
+        # int64 keys: with int32 indices, rows * n wraps past n = 46341.
         keys, slot = np.unique(np.concatenate(
-            [a.rows * n + a.cols for _, a in terms]), return_inverse=True)
+            [a.rows.astype(np.int64) * n + a.cols for _, a in terms]),
+            return_inverse=True)
         vals, start = np.zeros(keys.size), 0
         for coef, a in terms:
             # Positions are distinct within one matrix: one add each.
@@ -207,7 +236,7 @@ class SparseSymmetricMatrix:
         del off
         full = np.concatenate((rows, cols[upper]))
         order = np.argsort(full, kind="stable")
-        index = np.int32 if max(n, full.size) < 2 ** 31 else np.intp
+        index = _index_dtype(max(n, full.size))
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(np.bincount(full, minlength=n), out=indptr[1:])
         del full
@@ -216,23 +245,30 @@ class SparseSymmetricMatrix:
         return csr_array((data, indices, indptr), shape=(n, n))
 
     def submatrix(self, idx):
-        """Principal submatrix A[idx, idx] for distinct integer indices
-        `idx`, in their order, built by remapping the stored entries.  A
-        float or boolean array is refused, not truncated or read as 0/1."""
+        """Principal submatrix A[idx, idx] for a non-empty set of distinct
+        integer indices `idx`, in their order, built by remapping the
+        stored entries.  A float or boolean array is refused, not
+        truncated or read as 0/1.  The remap of distinct positions keeps
+        what the constructor checked of this matrix, so nothing else is
+        checked again; the entries are sorted only when `idx` is not
+        increasing, the one case that can reorder them."""
         idx = np.asarray(idx)
-        if idx.dtype.kind not in "iu" or idx.ndim != 1 or (
-                idx.size and (idx.min() < 0 or idx.max() >= self.n)):
-            raise ValueError("indices must be a 1-D integer array within "
-                             "range")
-        pos = np.full(self.n, -1, dtype=np.intp)
+        if idx.dtype.kind not in "iu" or idx.ndim != 1 or not idx.size or (
+                idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError("indices must be a non-empty 1-D integer "
+                             "array within range")
+        pos = np.full(self.n, -1, dtype=_index_dtype(idx.size))
         pos[idx] = np.arange(idx.size)
         if np.count_nonzero(pos >= 0) != idx.size:
             raise ValueError("indices must be distinct")
         rows, cols = pos[self.rows], pos[self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[keep], cols[keep]
-        return SparseSymmetricMatrix(idx.size, np.maximum(rows, cols),
-                                     np.minimum(rows, cols), self.vals[keep])
+        rows, cols, vals = rows[keep], cols[keep], self.vals[keep]
+        if not np.all(idx[1:] > idx[:-1]):
+            rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
+        return self._trusted(idx.size, rows, cols, vals)
 
     def _revalued(self, vals):
         """This matrix's pattern with the values `vals`, one per stored
@@ -245,11 +281,7 @@ class SparseSymmetricMatrix:
                              % (self.nnz, vals.shape))
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite")
-        vals.flags.writeable = False
-        out = object.__new__(SparseSymmetricMatrix)
-        out.n, out.rows, out.cols = self.n, self.rows, self.cols
-        out.vals, out._csr = vals, None
-        return out
+        return self._trusted(self.n, self.rows, self.cols, vals)
 
 
 def norm1_diff(a, b):

@@ -197,12 +197,19 @@ def _laplacian(k):
     return np.kron(t, np.eye(k)) + np.kron(np.eye(k), t)
 
 
+def _matrix_bytes(m):
+    """The bytes of a sparse matrix's entries.  Indices are hashed as
+    int64 whatever their stored width, so the same entries give the same
+    bytes in a tree that stores them narrower."""
+    return [m.rows.astype(np.int64).tobytes(),
+            m.cols.astype(np.int64).tobytes(), m.vals.tobytes()]
+
+
 def _model_bytes(model):
     """The bytes of everything a HessianModel holds."""
     m, cols = model.m_part, model.cols
     return [repr((m.n, model.sigma, cols.n, cols.labels,
-                  cols.notes)).encode(),
-            m.rows.tobytes(), m.cols.tobytes(), m.vals.tobytes(),
+                  cols.notes)).encode(), *_matrix_bytes(m),
             cols.columns.tobytes(), cols.signs.tobytes()]
 
 
@@ -314,8 +321,7 @@ def fallback_runs():
     parts = []
     for m in blocks + [SparseSymmetricMatrix.from_dense(_laplacian(8))]:
         spd, shift = bench._force_spd(m)
-        parts += [repr(shift).encode(), spd.rows.tobytes(),
-                  spd.cols.tobytes(), spd.vals.tobytes()]
+        parts += [repr(shift).encode(), *_matrix_bytes(spd)]
     yield "fallback force-spd", _digest(parts)
 
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])

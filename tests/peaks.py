@@ -2,8 +2,9 @@
 Peak memory of one solve of each perfbench workload, and where in the
 refresh it is reached.
 
-    python tests/peaks.py [--seed SEED] [CHECKOUT]
-    python tests/peaks.py --against PARENT [--seed SEED] [CHECKOUT]
+    python tests/peaks.py [--seed SEED] [--repeat K] [CHECKOUT]
+    python tests/peaks.py --against PARENT [--seed SEED] [--repeat K]
+                          [CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is a source tree
 with `src/almprec` and `perfbench`; both are imported from it, and
@@ -11,7 +12,11 @@ nothing in perfbench is changed.  Each workload is set up at SEED
 (default 3) and solved once untimed, so the caches a repeated solve
 finds are built.  Then one more solve runs under tracemalloc, as
 perfbench measures `peak_mem_mb`: the peak above what was allocated when
-the solve started, in MB of 2**20 bytes.
+the solve started, in MB of 2**20 bytes.  With `--repeat K` (default 1)
+this is done K times per workload, each from a fresh setup, and every
+figure is its minimum over the K solves, `peak in` that of the solve
+with the lowest peak: one tree's peaks wander by up to about 2 KB from
+solve to solve, and the minimum steadies them.
 
 Inside that solve each refresh layer is wrapped where its callers look it
 up: `hessian_model`, `build_column_set` (inside `hessian_model`),
@@ -27,10 +32,11 @@ With `--against PARENT`, measures PARENT and CHECKOUT, each in its own
 Python process, and prints each figure as `parent -> checkout` with the
 change in KB of 2**10 bytes.  A rise of more than NOISE_KB = 2 KB is
 marked `RISE`: two runs of one tree at one seed differ by up to about
-that much.  To compare a change with its parent:
+that much.  Exits 1 when a figure is marked `RISE`.  To compare a change
+with its parent:
 
     git archive HEAD~1 | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
-    python tests/peaks.py --against /tmp/parent
+    python tests/peaks.py --against /tmp/parent --repeat 5
 
 pytest does not collect this file.
 """
@@ -119,8 +125,34 @@ def _install(peaks):
     return undo
 
 
-def measure(root, seed):
-    """{workload: {"solve": MB, layer: MB or None, "peak in": layer}}."""
+def _traced_solve(workload, seed):
+    """{"solve": MB, layer: MB or None, "peak in": layer} of one
+    traced solve after a fresh setup and one untraced solve, above the
+    traced memory at its start."""
+    inputs = workload.setup(seed)
+    workload.solve(inputs)
+    peaks = Peaks()
+    undo = _install(peaks)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        workload.solve(inputs)
+        peaks.fold()
+    finally:
+        tracemalloc.stop()
+        for owner, attr, func in reversed(undo):
+            setattr(owner, attr, func)
+    row = {"solve": (peaks.top - base) / MB}
+    for layer in NAMES:
+        got = peaks.layer.get(layer)
+        row[layer] = None if got is None else (got - base) / MB
+    row["peak in"] = peaks.where
+    return row
+
+
+def measure(root, seed, repeat=1):
+    """{workload: {"solve": MB, layer: MB or None, "peak in": layer}},
+    each figure the minimum over `repeat` traced solves."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import almprec
     if not Path(almprec.__file__).resolve().is_relative_to(root / "src"):
@@ -130,24 +162,11 @@ def measure(root, seed):
 
     out = {}
     for name, workload in WORKLOADS.items():
-        inputs = workload.setup(seed)
-        workload.solve(inputs)
-        peaks = Peaks()
-        undo = _install(peaks)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            workload.solve(inputs)
-            peaks.fold()
-        finally:
-            tracemalloc.stop()
-            for owner, attr, func in reversed(undo):
-                setattr(owner, attr, func)
-        row = {"solve": (peaks.top - base) / MB}
+        runs = [_traced_solve(workload, seed) for _ in range(repeat)]
+        row = min(runs, key=lambda run: run["solve"])
         for layer in NAMES:
-            got = peaks.layer.get(layer)
-            row[layer] = None if got is None else (got - base) / MB
-        row["peak in"] = peaks.where
+            got = [run[layer] for run in runs if run[layer] is not None]
+            row[layer] = min(got) if got else None
         out[name] = row
     return out
 
@@ -167,7 +186,9 @@ def _delta(old, new):
 
 def print_table(rows, against=None):
     """One block per workload, one line per figure; with `against`, each
-    line reads `parent -> checkout (change)`."""
+    line reads `parent -> checkout (change)`.  Returns the number of
+    figures marked `RISE`."""
+    rises = 0
     for name, row in rows.items():
         print(name)
         for col in ("solve", *NAMES, "peak in"):
@@ -178,13 +199,15 @@ def print_table(rows, against=None):
                 cell = "%s -> %s" % (fmt(old), cell)
                 if col != "peak in":
                     cell += _delta(old, row[col])
+                    rises += cell.endswith("RISE")
             print("  %-17s %s" % (col, cell))
+    return rises
 
 
-def _child(root, seed):
+def _child(root, seed, repeat):
     """measure() of `root` in a fresh interpreter."""
     run = subprocess.run([sys.executable, __file__, "--json", "--seed",
-                          str(seed), str(root)],
+                          str(seed), "--repeat", str(repeat), str(root)],
                          capture_output=True, text=True)
     if run.returncode != 0:
         sys.stderr.write(run.stderr)
@@ -198,19 +221,24 @@ def main(argv):
     parser.add_argument("checkout", nargs="?",
                         default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=1, metavar="K",
+                        help="report each figure's minimum over K solves")
     parser.add_argument("--against", metavar="PARENT",
                         help="print PARENT's figures beside CHECKOUT's")
     parser.add_argument("--json", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv[1:])
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     root = Path(args.checkout).resolve()
     if args.json:
-        print(json.dumps(measure(root, args.seed)))
+        print(json.dumps(measure(root, args.seed, args.repeat)))
     elif args.against is not None:
-        old = _child(Path(args.against).resolve(), args.seed)
-        print_table(_child(root, args.seed), against=old)
+        old = _child(Path(args.against).resolve(), args.seed, args.repeat)
+        new = _child(root, args.seed, args.repeat)
+        return 1 if print_table(new, against=old) else 0
     else:
-        print_table(measure(root, args.seed))
+        print_table(measure(root, args.seed, args.repeat))
     return 0
 
 

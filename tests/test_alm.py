@@ -1085,13 +1085,22 @@ class TestFreeModel:
             hess=lambda x, h=_frozen(_laplacian(k)): h,
             cons=lambda x: jac.T @ x - 1.0, jac_cols=lambda x: jac,
             cons_hess=None)
+        # Both constructors: the public one and the unchecked one that
+        # submatrix and _revalued build through.
         orders = []
-        init = SparseSymmetricMatrix.__init__
+        init, trusted = (SparseSymmetricMatrix.__init__,
+                         SparseSymmetricMatrix._trusted)
 
         def counted(self, order, *args):
             orders.append(int(order))
             init(self, order, *args)
+
+        def counted_trusted(cls, order, *args):
+            orders.append(int(order))
+            return trusted(order, *args)
         monkeypatch.setattr(SparseSymmetricMatrix, "__init__", counted)
+        monkeypatch.setattr(SparseSymmetricMatrix, "_trusted",
+                            classmethod(counted_trusted))
         memo = alm._SolveMemo()
         sizes = []
         for _ in range(5):

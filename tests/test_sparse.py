@@ -8,6 +8,7 @@ import pytest
 
 from almprec import sparse
 from almprec.auxprecond import KINDS, build_aux
+from almprec.bench import random_spd_matrix
 from almprec.sparse import (MatrixMarketError, SparseSymmetricMatrix,
                             norm1_diff, read_matrix_market,
                             write_matrix_market)
@@ -35,9 +36,9 @@ def two_pass_matvec(a, x):
 def merge_norm1_diff(a, b):
     """Reference 1-norm of A - B that merges the entries by position."""
     n = a.n
-    keys, slot = np.unique(np.concatenate((a.rows * n + a.cols,
-                                           b.rows * n + b.cols)),
-                           return_inverse=True)
+    keys, slot = np.unique(np.concatenate(
+        [m.rows.astype(np.int64) * n + m.cols for m in (a, b)]),
+        return_inverse=True)
     diff = np.abs(np.bincount(slot, np.concatenate((a.vals, -b.vals)),
                               minlength=keys.size))
     rows, cols = np.divmod(keys, n)
@@ -283,6 +284,78 @@ class TestSparseSymmetricMatrix:
         assert peak < 8 * n * n
 
 
+def _width_cases():
+    """(path, matrix) for every way a matrix is made."""
+    rng = np.random.default_rng(41)
+    dense = random_symmetric(rng, 12, 0.4)
+    a = SparseSymmetricMatrix.from_dense(dense)
+    yield "constructor", SparseSymmetricMatrix(3, [0, 2, 1], [0, 1, 1],
+                                               [1.0, 2.0, 3.0])
+    yield "from_dense", a
+    yield "submatrix", a.submatrix(np.array([1, 4, 5, 9]))
+    yield "submatrix unsorted", a.submatrix(np.array([9, 1, 5, 4, 0]))
+    full_diagonal = a.shifted(0.5)
+    yield "shifted", full_diagonal
+    yield "shifted drop", full_diagonal.shifted(-full_diagonal.vals[0])
+    yield "shifted pad", SparseSymmetricMatrix(
+        3, [1, 2], [0, 2], [1.0, 2.0]).shifted(1.0)
+    yield "_revalued", a._revalued(2.0 * a.vals)
+    yield "plus", a.plus([(-1.0, full_diagonal)])
+    yield "read_matrix_market", read_matrix_market(write_matrix_market(a))
+    yield "random_spd_matrix", random_spd_matrix(20, 0.2, 3)
+
+
+class TestIndexWidth:
+    """Indices are stored as int32 below order 2**31: 16 bytes an entry
+    with the value."""
+
+    @pytest.mark.parametrize("a", [pytest.param(a, id=path)
+                                   for path, a in _width_cases()])
+    def test_every_path_stores_int32_indices(self, a):
+        assert a.nnz > 0
+        assert a.rows.dtype == a.cols.dtype == np.int32
+        assert not (a.rows.flags.writeable or a.cols.flags.writeable)
+        assert a.rows.nbytes + a.cols.nbytes + a.vals.nbytes == 16 * a.nnz
+        assert sparse._strictly_row_major(a.rows, a.cols)
+        assert np.all(a.rows >= a.cols)
+
+    def test_dtype_is_intp_from_two_to_the_31(self):
+        assert sparse._index_dtype(1) is np.int32
+        assert sparse._index_dtype(2 ** 31 - 1) is np.int32
+        assert sparse._index_dtype(2 ** 31) is np.intp
+        assert sparse._index_dtype(2 ** 40) is np.intp
+
+    def test_wide_input_is_range_checked_before_narrowing(self):
+        # 2**32 + 1 would read as 1 in int32.
+        with pytest.raises(ValueError, match="out of range"):
+            SparseSymmetricMatrix(3, np.array([2 ** 32 + 1]), [0], [1.0])
+
+    # n = 50 000 puts the key rows * n + cols of row 49 999 near 2.5e9,
+    # past int32: keys formed in int32 wrap and misplace the entries.
+    N = 50_000
+
+    def _pair(self):
+        n = self.N
+        a = SparseSymmetricMatrix(n, [0, n - 1, n - 1], [0, 0, n - 2],
+                                  [1.0, 2.0, 3.0])
+        b = SparseSymmetricMatrix(n, [n - 1, n - 1, 30_000],
+                                  [n - 2, n - 1, 20_000], [1.0, 4.0, 5.0])
+        return a, b
+
+    def test_plus_keys_past_int32(self):
+        a, b = self._pair()
+        n = self.N
+        got = a.plus([(2.0, b)])
+        assert got.rows.tolist() == [0, 30_000, n - 1, n - 1, n - 1]
+        assert got.cols.tolist() == [0, 20_000, 0, n - 2, n - 1]
+        assert got.vals.tolist() == [1.0, 10.0, 2.0, 5.0, 8.0]
+
+    def test_norm1_diff_keys_past_int32(self):
+        # |A - B| has column n - 1 = |2| (row 0) + |2| (row n - 2) + |-4|.
+        a, b = self._pair()
+        assert norm1_diff(a, b) == norm1_diff(b, a) == 8.0
+
+
 class TestLowerNonzeros:
     """The block scan against a mask of the whole array."""
 
@@ -351,7 +424,10 @@ class TestSubmatrix:
                 assert sub.n == idx.size
                 np.testing.assert_array_equal(
                     sub.to_dense(), a.to_dense()[np.ix_(idx, idx)])
-                assert np.all(sub.rows >= sub.cols)
+                # Unsorted indices reorder and reflect entries: the
+                # result is still the checked constructor's, row-major.
+                assert _same_matrix(sub, SparseSymmetricMatrix.from_dense(
+                    dense[np.ix_(idx, idx)]))
 
     def test_sorted_indices_match_dense_round_trip_exactly(self):
         rng = np.random.default_rng(5)
