@@ -178,8 +178,9 @@ class HessianModel:
         return y
 
 
-# Where a _SolveMemo keeps its restriction and the shift of it.
-_RESTRICTION, _SHIFTED = "restriction", "shifted"
+# Where a _SolveMemo keeps its cut of an array's matrix and that cut's
+# shift.
+_CUT = "cut"
 
 
 class _SolveMemo:
@@ -190,13 +191,15 @@ class _SolveMemo:
     same object.  Writeable arrays and views are derived afresh on every
     call.  Entries hold a weak reference to their array and are dropped
     when it dies, so a fresh read-only array per call is not kept alive
-    and a reused id never finds stale values.
+    and a reused id never finds stale values.  The reference's callback
+    holds the memo weakly, so a memo is freed, with all it holds, as
+    soon as its solve drops it, with no cycle left to collect.
 
     The same rule decides when an inner iteration cannot have changed
-    the model: `restricted` and `shifted` then return the objects they
-    returned before, and `build_column_set` hands back the held column
-    set of a constant Jacobian, so `decide_update` sees the held M and
-    set themselves and compares neither.
+    the model: `restricted` then returns the object it returned before,
+    and `build_column_set` hands back the held column set of a constant
+    Jacobian, so `decide_update` sees the held M and set themselves and
+    compares neither.
     """
 
     def __init__(self):
@@ -210,7 +213,9 @@ class _SolveMemo:
         entries, ident = self._entries, id(a)
         ref, values = entries.get(ident, (None, None))
         if ref is None or ref() is not a:
-            def forget(dead):
+            # The memo is held weakly, so the callback closes no cycle.
+            def forget(dead, memo=weakref.ref(self)):
+                entries = getattr(memo(), "_entries", {})
                 if entries.get(ident, (None,))[0] is dead:
                     del entries[ident]
             ref, values = weakref.ref(a, forget), {}
@@ -226,36 +231,30 @@ class _SolveMemo:
             values[key] = compute(a)
         return values[key]
 
-    def restricted(self, a, whole, free):
-        """whole.submatrix(free), or whole when `free` is None; `whole` is
-        derived from `a` alone.  While `a` is a memoised constant the memo
-        keeps its latest restriction, reused while the caller passes the
-        same `free` object: sets are told apart by identity."""
-        if free is None:
-            return whole
+    def restricted(self, a, whole, free, sigma=None):
+        """whole.submatrix(free), or whole when `free` is None, shifted by
+        `sigma` (`shifted`) unless that is None; `whole` is derived from
+        `a` alone.  While `a` is a memoised constant the memo keeps its
+        latest cut, reused while the caller passes the same `free` object
+        (sets are told apart by identity), and that cut's latest shift,
+        reused for an equal sigma.  Each is released before its successor
+        is built."""
         values = self._values(a)
         if values is None:
-            return whole.submatrix(free)
-        if values.get(_RESTRICTION, (None,))[0] is not free:
-            # Both released before the next, as the shift is of this cut.
-            values.pop(_RESTRICTION, None)
-            values.pop(_SHIFTED, None)
-            values[_RESTRICTION] = free, whole.submatrix(free)
-        return values[_RESTRICTION][1]
-
-    def shifted(self, a, whole, free, sigma):
-        """restricted(a, whole, free).shifted(sigma).  While `a` is a
-        memoised constant the memo keeps its latest shift, reused for the
-        same restriction object and an equal sigma."""
-        base = self.restricted(a, whole, free)
-        values = self._values(a)
-        if values is None:
-            return base.shifted(sigma)
-        last = values.get(_SHIFTED)
-        if last is None or last[0] is not base or last[1] != sigma:
-            values.pop(_SHIFTED, None)  # released before the next
-            values[_SHIFTED] = base, sigma, base.shifted(sigma)
-        return values[_SHIFTED][2]
+            values = {}  # not kept: derived afresh on every call
+        slot = values.get(_CUT)
+        if slot is None or slot[0] is not free:
+            slot = values[_CUT] = None  # released before the next
+            # [free, the cut, sigma, the cut shifted by sigma]
+            slot = values[_CUT] = [
+                free, whole if free is None else whole.submatrix(free),
+                None, None]
+        if sigma is None:
+            return slot[1]
+        if slot[2] != sigma:
+            slot[2:] = None, None  # released before the next
+            slot[2:] = sigma, slot[1].shifted(sigma)
+        return slot[3]
 
 
 def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
@@ -295,10 +294,9 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
     the model derives from arrays the problem declares constant (see
     NlpProblem): sparse hess f, whether each constraint Hessian is zero
     and the sparse form of the others, the 2-norms of the Jacobian's
-    columns, and those sparse matrices cut down to `free`
-    (`restricted`), and QN's shift of that cut (`shifted`).  Without one
-    the call takes a fresh memo of its own, and the model is bit for bit
-    the same.
+    columns, and those sparse matrices cut down to `free` and, for QN,
+    shifted by sigma (`restricted`).  Without one the call takes a fresh
+    memo of its own, and the model is bit for bit the same.
 
     `held`, the column set of the preconditioner held for this same
     `free` object, is passed to `build_column_set`, which returns it
@@ -348,7 +346,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
                 gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
             sigma = max(float((y - gn_s) @ s) / ss, SIGMA_MIN)
 
-    m_part = _memo.shifted(hess_f, sparse_f, free, sigma)
+    m_part = _memo.restricted(hess_f, sparse_f, free, sigma)
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac, p.equality, c, lam, rho, secant=secant_arg,
                             free=free, norms=norms, held=held)

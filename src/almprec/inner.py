@@ -9,6 +9,7 @@ direction, and the ALM's truncated Newton direction comes from
 `truncated_newton_step`, built on CG.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +163,7 @@ def projected_descent(f_eval, grad_eval, lower, upper, x0, grad_tol,
     x = project_box(np.asarray(x0, dtype=np.float64), lower, upper)
     fx = f_eval(x)
     g = grad_eval(x)
-    f_memory = [fx]
+    f_memory = deque([fx], maxlen=MEMORY)
     s = y = None
     status = "max-iterations"
     iterations = 0
@@ -188,8 +189,6 @@ def projected_descent(f_eval, grad_eval, lower, upper, x0, grad_tol,
         y = g_trial - g
         x, g = trial, g_trial
         f_memory.append(fx)
-        if len(f_memory) > MEMORY:
-            f_memory.pop(0)
 
     return SpgResult(x, iterations, status, fx)
 

@@ -173,21 +173,22 @@ class SparseSymmetricMatrix:
     def shifted(self, sigma):
         """A + sigma I, exactly as from_dense(to_dense() + sigma I) gives
         it: the pattern and the whole diagonal, exact zeros dropped.  A
-        matrix without its whole diagonal is padded with zeros there on
-        each call; one with it re-values its pattern in O(nnz) and, when
-        no entry is dropped, shares the index arrays."""
-        on_diag = self.rows == self.cols
-        if np.count_nonzero(on_diag) < self.n:
-            pad = np.setdiff1d(np.arange(self.n), self.rows[on_diag])
-            return SparseSymmetricMatrix(
-                self.n, np.r_[self.rows, pad], np.r_[self.cols, pad],
-                np.r_[self.vals, np.zeros(pad.size)]).shifted(sigma)
+        matrix without its whole diagonal is summed with sigma I by
+        `plus`; one with it re-values its pattern in O(nnz), checking
+        only that the new values are finite, and, when no entry is
+        dropped, shares the index arrays."""
+        n, on_diag = self.n, self.rows == self.cols
+        if np.count_nonzero(on_diag) < n:
+            eye = np.arange(n, dtype=self.rows.dtype)
+            return self.plus([(sigma, self._trusted(n, eye, eye,
+                                                    np.ones(n)))])
         vals = self.vals + sigma * on_diag
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite")
         keep = vals != 0.0
         if keep.all():
-            return self._revalued(vals)
-        return SparseSymmetricMatrix(self.n, self.rows[keep], self.cols[keep],
-                                     vals[keep])
+            return self._trusted(n, self.rows, self.cols, vals)
+        return self._trusted(n, self.rows[keep], self.cols[keep], vals[keep])
 
     def plus(self, terms):
         """A + c_1 A_1 + c_2 A_2 + ... for the pairs (c_k, A_k) of
@@ -269,19 +270,6 @@ class SparseSymmetricMatrix:
             order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
         return self._trusted(idx.size, rows, cols, vals)
-
-    def _revalued(self, vals):
-        """This matrix's pattern with the values `vals`, one per stored
-        entry.  The new matrix shares `rows` and `cols`, which the
-        constructor checked already, so only the values are checked; a
-        zero value stays stored."""
-        vals = np.array(vals, dtype=np.float64)
-        if vals.shape != self.vals.shape:
-            raise ValueError("expected %d values, got shape %s"
-                             % (self.nnz, vals.shape))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix entries must be finite")
-        return self._trusted(self.n, self.rows, self.cols, vals)
 
 
 def norm1_diff(a, b):

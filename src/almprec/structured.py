@@ -413,13 +413,12 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     pair = []
     if secant is not None:
         s, y, w = (np.asarray(a, dtype=np.float64) for a in secant)
-        sy = float(s @ y)
-        if sy >= 1e-8 * np.linalg.norm(s) * np.linalg.norm(y) and sy > 0.0:
+        sy, y_norm = float(s @ y), np.linalg.norm(y)
+        if sy >= 1e-8 * np.linalg.norm(s) * y_norm and sy > 0.0:
             sw = float(s @ w)
             if sw <= 0.0:
                 notes.append("correction skipped")
-            elif (np.linalg.norm(y - w)
-                  <= SECANT_NOOP_RTOL * np.linalg.norm(y)):
+            elif np.linalg.norm(y - w) <= SECANT_NOOP_RTOL * y_norm:
                 notes.append("secant reproduced")
             else:
                 pair = [(y, np.sqrt(1.0 / sy)), (w, np.sqrt(1.0 / sw))]
@@ -462,7 +461,7 @@ def decide_update(prev_m, new_m, prev_v, new_v):
     count changed, and only up to the first that moved.  An M or a set
     that is the held object itself is not compared: `hessian_model`
     hands back the held ones when an inner iteration cannot have changed
-    them (`build_column_set`'s `held`, `_SolveMemo.shifted`).
+    them (`build_column_set`'s `held`, `_SolveMemo.restricted`).
     """
     if prev_m is not new_m and norm1_diff(prev_m, new_m) > DELTA_M:
         return "M-changed"

@@ -20,7 +20,8 @@ solve to solve, and the minimum steadies them.
 
 Inside that solve each refresh layer is wrapped where its callers look it
 up: `hessian_model`, `build_column_set` (inside `hessian_model`),
-`build_aux`, `assemble_B`, the Krylov solve (`pcg`, `pminres`) and the
+`build_aux`, the IC factorization's loop (`incomplete_cholesky`, inside
+`build_aux`), `assemble_B`, the Krylov solve (`pcg`, `pminres`) and the
 CSR build of a sparse matrix (`to_csr`, a method, which its first
 product calls).  A call resets tracemalloc's peak on entry and reads it
 on exit, so a layer's figure is the highest point reached while any of
@@ -65,6 +66,7 @@ LAYERS = (
     ("build_column_set", "almprec.alm:build_column_set"),
     ("build_aux", "almprec.alm:build_aux"),
     ("build_aux", "almprec.auxprecond:build_aux"),
+    ("incomplete_cholesky", "almprec.auxprecond:_incomplete_cholesky"),
     ("assemble_B", "almprec.structured:assemble_B"),
     ("krylov", "almprec.inner:pcg"),
     ("krylov", "almprec.inner:pminres"),
@@ -200,7 +202,7 @@ def print_table(rows, against=None):
                 if col != "peak in":
                     cell += _delta(old, row[col])
                     rises += cell.endswith("RISE")
-            print("  %-17s %s" % (col, cell))
+            print("  %-19s %s" % (col, cell))
     return rises
 
 

@@ -3,6 +3,7 @@ the solver driver."""
 
 import csv
 import dataclasses
+import gc
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -526,6 +527,25 @@ class TestSolveMemo:
                               _memo=memo)
                 assert not memo._entries
 
+    @pytest.mark.parametrize("problem, cfg", [
+        (_eq_tn_problem, AlmConfig()),
+        (_obstacle_problem, AlmConfig(inner_solver="pspg",
+                                      hessian_mode="QN"))],
+        ids=["eq-tn", "obstacle-pspg"])
+    def test_a_solve_leaves_no_cyclic_garbage(self, problem, cfg):
+        # The memo's weak-reference callbacks hold it weakly, so all it
+        # derived is freed by reference counting when the solve returns.
+        p = problem()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert alm_solve(p, cfg).converged
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_eq_tn_solve_builds_the_sparse_block_once(self, monkeypatch):
         p = _eq_tn_problem()
         calls = {"from_dense": 0, "models": 0, "norms": 0}
@@ -613,7 +633,7 @@ class TestRestrictionMemo:
 
     @staticmethod
     def _restrictions(memo):
-        return sum(alm._RESTRICTION in values
+        return sum(alm._CUT in values
                    for _, values in memo._entries.values())
 
     # (mode, secant, SIGMA_MIN): SIGMA_MIN = -3 with a curvature pair
@@ -695,22 +715,22 @@ class TestShiftMemo:
         whole = SparseSymmetricMatrix.from_dense(hess)
         free = np.array([0, 1, 3, 4])
         memo = alm._SolveMemo()
-        first = memo.shifted(hess, whole, free, 0.5)
-        assert memo.shifted(hess, whole, free, 0.5) is first
+        first = memo.restricted(hess, whole, free, 0.5)
+        assert memo.restricted(hess, whole, free, 0.5) is first
         assert _same_matrix(first, whole.submatrix(free).shifted(0.5))
-        other = memo.shifted(hess, whole, free, 0.25)
+        other = memo.restricted(hess, whole, free, 0.25)
         assert other is not first
         assert _same_matrix(other, whole.submatrix(free).shifted(0.25))
         # An equal free set that is another object is another restriction.
-        assert memo.shifted(hess, whole, free.copy(), 0.25) is not other
-        assert memo.shifted(hess, whole, None, 0.25) is not other
+        assert memo.restricted(hess, whole, free.copy(), 0.25) is not other
+        assert memo.restricted(hess, whole, None, 0.25) is not other
 
     def test_a_writeable_array_is_shifted_afresh(self):
         hess = np.array(_hess_with_threes())
         whole = SparseSymmetricMatrix.from_dense(hess)
         memo = alm._SolveMemo()
-        assert (memo.shifted(hess, whole, None, 0.5)
-                is not memo.shifted(hess, whole, None, 0.5))
+        assert (memo.restricted(hess, whole, None, 0.5)
+                is not memo.restricted(hess, whole, None, 0.5))
         assert not memo._entries
 
     def test_qn_models_share_m_and_skip_the_norm(self, monkeypatch):
@@ -1086,7 +1106,7 @@ class TestFreeModel:
             cons=lambda x: jac.T @ x - 1.0, jac_cols=lambda x: jac,
             cons_hess=None)
         # Both constructors: the public one and the unchecked one that
-        # submatrix and _revalued build through.
+        # submatrix and shifted build through.
         orders = []
         init, trusted = (SparseSymmetricMatrix.__init__,
                          SparseSymmetricMatrix._trusted)

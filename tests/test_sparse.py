@@ -299,7 +299,7 @@ def _width_cases():
     yield "shifted drop", full_diagonal.shifted(-full_diagonal.vals[0])
     yield "shifted pad", SparseSymmetricMatrix(
         3, [1, 2], [0, 2], [1.0, 2.0]).shifted(1.0)
-    yield "_revalued", a._revalued(2.0 * a.vals)
+    yield "shifted shared", full_diagonal.shifted(2.0)
     yield "plus", a.plus([(-1.0, full_diagonal)])
     yield "read_matrix_market", read_matrix_market(write_matrix_market(a))
     yield "random_spd_matrix", random_spd_matrix(20, 0.2, 3)
@@ -477,41 +477,6 @@ class TestSubmatrix:
                                       dense[np.ix_([2, 0], [2, 0])])
 
 
-class TestRevalued:
-    """`_revalued`, the private value swap: the same pattern with other
-    values, checked for length and finiteness only."""
-
-    @staticmethod
-    def _matrix():
-        return SparseSymmetricMatrix(3, [0, 1, 2, 2], [0, 0, 1, 2],
-                                     [1.0, 2.0, 3.0, 4.0])
-
-    def test_shares_the_pattern_and_freezes_a_copy_of_the_values(self):
-        a = self._matrix()
-        a.matvec(np.ones(3))
-        vals = np.array([5.0, -6.0, 0.0, 8.0])
-        b = a._revalued(vals)
-        assert b.n == a.n and b.rows is a.rows and b.cols is a.cols
-        assert b.vals.tobytes() == vals.tobytes()
-        assert not b.vals.flags.writeable and b.vals is not vals
-        vals[0] = 7.0
-        assert b.vals[0] == 5.0
-        want = SparseSymmetricMatrix(3, a.rows, a.cols, b.vals)
-        np.testing.assert_array_equal(b.to_dense(), want.to_dense())
-        x = np.arange(3.0)
-        assert b.matvec(x).tobytes() == want.matvec(x).tobytes()
-        # The original keeps its values and its product.
-        assert a.vals.tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert a.matvec(x).tobytes() == self._matrix().matvec(x).tobytes()
-
-    @pytest.mark.parametrize("vals", [
-        np.ones(3), np.ones(5), np.ones((2, 2)), [1.0, np.nan, 1.0, 1.0],
-        [1.0, 1.0, np.inf, 1.0], [-np.inf, 1.0, 1.0, 1.0]])
-    def test_rejects_a_wrong_length_and_nonfinite_values(self, vals):
-        with pytest.raises(ValueError):
-            self._matrix()._revalued(vals)
-
-
 def _same_matrix(a, b):
     return (a.n == b.n and a.rows.tobytes() == b.rows.tobytes()
             and a.cols.tobytes() == b.cols.tobytes()
@@ -566,7 +531,7 @@ class TestShifted:
         full = SparseSymmetricMatrix.from_dense(dense + np.eye(3))
         b = full.shifted(0.5)
         assert b.rows is full.rows and b.cols is full.cols
-        # A missing diagonal entry: each shift pads the pattern with it.
+        # A missing diagonal entry: each shift adds it, as sigma I.
         a = SparseSymmetricMatrix.from_dense(dense)
         b, c = a.shifted(0.5), a.shifted(2.0)
         assert b.nnz == c.nnz == a.nnz + 1
@@ -574,6 +539,36 @@ class TestShifted:
         # A dropped entry gives arrays of its own.
         d = a.shifted(-2.0)
         assert d.nnz == a.nnz and d.rows is not b.rows
+
+    def test_shares_the_pattern_and_freezes_new_values(self):
+        a = SparseSymmetricMatrix(3, [0, 1, 1, 2, 2], [0, 0, 1, 1, 2],
+                                  [1.0, 2.0, 5.0, 3.0, 4.0])
+        x = np.arange(3.0)
+        before = a.matvec(x)
+        b = a.shifted(-0.5)
+        assert b.n == a.n and b.rows is a.rows and b.cols is a.cols
+        assert b.vals.tolist() == [0.5, 2.0, 4.5, 3.0, 3.5]
+        assert not b.vals.flags.writeable
+        assert not np.shares_memory(b.vals, a.vals)
+        want = SparseSymmetricMatrix(3, a.rows, a.cols, b.vals)
+        np.testing.assert_array_equal(b.to_dense(), want.to_dense())
+        assert b.matvec(x).tobytes() == want.matvec(x).tobytes()
+        # The original keeps its values and its product.
+        assert a.vals.tolist() == [1.0, 2.0, 5.0, 3.0, 4.0]
+        assert a.matvec(x).tobytes() == before.tobytes()
+
+    # 1e308 overflows the diagonal entry 1e308 to infinity.
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 1e308])
+    @pytest.mark.parametrize("whole_diagonal", [True, False],
+                             ids=["whole diagonal", "missing diagonal"])
+    def test_refuses_nonfinite_values(self, sigma, whole_diagonal):
+        rows, cols = [0, 1, 1], [0, 0, 1]
+        k = 3 if whole_diagonal else 2
+        a = SparseSymmetricMatrix(2, rows[:k], cols[:k],
+                                  [1e308, 1.0, 2.0][:k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                a.shifted(sigma)
 
     def test_min_eigenvalue_is_the_dense_one_bitwise(self):
         rng = np.random.default_rng(22)
@@ -671,10 +666,12 @@ class TestNorm1Diff:
                 assert norm1_diff(x, y) == merge_norm1_diff(x, y)
 
     def test_shared_patterns_match_the_merge_bitwise(self):
-        # A re-valued matrix shares its pattern's index arrays.
+        # A shift of a matrix with its whole diagonal, which the first
+        # shift gives it, shares its pattern's index arrays.
         rng = np.random.default_rng(14)
         for a in oracle_matrices():
-            b = a._revalued(rng.standard_normal(a.nnz))
+            a = a.shifted(rng.standard_normal())
+            b = a.shifted(rng.standard_normal())
             assert b.rows is a.rows and b.cols is a.cols
             for x, y in ((a, b), (b, a)):
                 assert norm1_diff(x, y) == merge_norm1_diff(x, y)
