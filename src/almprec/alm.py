@@ -444,6 +444,12 @@ class PrecondManager:
                 self.column_drops += 1
                 cols = cols.without_labels((exc.label,))
 
+    def forget(self):
+        """Drop the held bundle and its M, so that they are freed before
+        the model and the blocks for a new free set are built: the next
+        get rebuilds both blocks, as it would for that set anyway."""
+        self._precond = self._m = None
+
     def held_cols(self, free):
         """The column set of the preconditioner held for the free set
         `free`, the same object; None when there is none."""
@@ -516,7 +522,8 @@ class _Subproblem:
         equal to the one the manager holds (`PrecondManager.free`) is
         passed on as that same array, so the memo and the manager tell
         sets apart by identity, and with it the manager's held column
-        set (`held_cols`), which the model returns when it is unchanged."""
+        set (`held_cols`), which the model returns when it is unchanged.
+        On a new set the manager first drops what it holds (`forget`)."""
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         if act.all():
             return None
@@ -524,6 +531,8 @@ class _Subproblem:
         last = self.manager.free  # None: nothing pinned, or no set yet
         if free is not None and np.array_equal(free, last):
             free = last
+        if free is not last:
+            self.manager.forget()
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode,
                               secant=(s, y) if s is not None else None,

@@ -241,6 +241,8 @@ def spg_solve(f_eval, grad_eval, lower, upper, x0, grad_tol,
             # On degenerate (near-zero) steps both coefficients are kept.
 
         d = None
+        # The spent metric goes before precond builds its successor.
+        prev = apply = None
         prev = precond(x, g, s, y) if precond is not None else None
         if prev is not None:
             apply, free = prev

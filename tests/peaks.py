@@ -2,9 +2,10 @@
 Peak memory of one solve of each perfbench workload, and where in the
 refresh it is reached.
 
-    python tests/peaks.py [--seed SEED] [--repeat K] [CHECKOUT]
-    python tests/peaks.py --against PARENT [--seed SEED] [--repeat K]
+    python tests/peaks.py [--seed SEED] [--repeat K] [--workload NAME]
                           [CHECKOUT]
+    python tests/peaks.py --against PARENT [--seed SEED] [--repeat K]
+                          [--workload NAME] [CHECKOUT]
 
 CHECKOUT (default: the checkout holding this script) is a source tree
 with `src/almprec` and `perfbench`; both are imported from it, and
@@ -16,7 +17,9 @@ the solve started, in MB of 2**20 bytes.  With `--repeat K` (default 1)
 this is done K times per workload, each from a fresh setup, and every
 figure is its minimum over the K solves, `peak in` that of the solve
 with the lowest peak: one tree's peaks wander by up to about 2 KB from
-solve to solve, and the minimum steadies them.
+solve to solve, and the minimum steadies them.  `--workload NAME`,
+which may be repeated, measures only the workloads named, in the order
+given; by default every workload is measured.
 
 Inside that solve each refresh layer is wrapped where its callers look it
 up: `hessian_model`, `build_column_set` (inside `hessian_model`),
@@ -152,9 +155,10 @@ def _traced_solve(workload, seed):
     return row
 
 
-def measure(root, seed, repeat=1):
+def measure(root, seed, repeat=1, names=None):
     """{workload: {"solve": MB, layer: MB or None, "peak in": layer}},
-    each figure the minimum over `repeat` traced solves."""
+    each figure the minimum over `repeat` traced solves, for the
+    workloads `names` (default: all of them)."""
     sys.path[:0] = [str(root / "src"), str(root)]
     import almprec
     if not Path(almprec.__file__).resolve().is_relative_to(root / "src"):
@@ -162,9 +166,13 @@ def measure(root, seed, repeat=1):
                          % (almprec.__file__, root / "src"))
     from perfbench.workloads import WORKLOADS
 
+    unknown = sorted(set(names or ()) - set(WORKLOADS))
+    if unknown:
+        raise SystemExit("unknown workload %s; known: %s"
+                         % (", ".join(unknown), ", ".join(WORKLOADS)))
     out = {}
-    for name, workload in WORKLOADS.items():
-        runs = [_traced_solve(workload, seed) for _ in range(repeat)]
+    for name in names or WORKLOADS:
+        runs = [_traced_solve(WORKLOADS[name], seed) for _ in range(repeat)]
         row = min(runs, key=lambda run: run["solve"])
         for layer in NAMES:
             got = [run[layer] for run in runs if run[layer] is not None]
@@ -206,10 +214,12 @@ def print_table(rows, against=None):
     return rises
 
 
-def _child(root, seed, repeat):
+def _child(root, seed, repeat, names):
     """measure() of `root` in a fresh interpreter."""
+    only = [arg for name in names or () for arg in ("--workload", name)]
     run = subprocess.run([sys.executable, __file__, "--json", "--seed",
-                          str(seed), "--repeat", str(repeat), str(root)],
+                          str(seed), "--repeat", str(repeat), *only,
+                          str(root)],
                          capture_output=True, text=True)
     if run.returncode != 0:
         sys.stderr.write(run.stderr)
@@ -225,6 +235,8 @@ def main(argv):
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--repeat", type=int, default=1, metavar="K",
                         help="report each figure's minimum over K solves")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="measure only this workload (repeatable)")
     parser.add_argument("--against", metavar="PARENT",
                         help="print PARENT's figures beside CHECKOUT's")
     parser.add_argument("--json", action="store_true",
@@ -234,13 +246,15 @@ def main(argv):
         parser.error("--repeat must be at least 1")
     root = Path(args.checkout).resolve()
     if args.json:
-        print(json.dumps(measure(root, args.seed, args.repeat)))
+        print(json.dumps(measure(root, args.seed, args.repeat,
+                                 args.workload)))
     elif args.against is not None:
-        old = _child(Path(args.against).resolve(), args.seed, args.repeat)
-        new = _child(root, args.seed, args.repeat)
+        old = _child(Path(args.against).resolve(), args.seed, args.repeat,
+                     args.workload)
+        new = _child(root, args.seed, args.repeat, args.workload)
         return 1 if print_table(new, against=old) else 0
     else:
-        print_table(measure(root, args.seed, args.repeat))
+        print_table(measure(root, args.seed, args.repeat, args.workload))
     return 0
 
 

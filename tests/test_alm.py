@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -545,6 +546,40 @@ class TestSolveMemo:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("inner_solver", ["pspg", "truncated-newton"])
+    def test_a_new_free_set_frees_the_replaced_preconditioner(
+            self, monkeypatch, inner_solver):
+        # The manager forgets its bundle, and PSPG its spent metric, so
+        # reference counting alone has freed every earlier preconditioner
+        # when the auxiliary for a new free set is built.
+        get, build = PrecondManager.get, alm.build_aux
+        built, new_set, alive = [], [False], []
+
+        def tracked_get(self, model, free=None):
+            new_set[0] = free is not self.free
+            precond = get(self, model, free)
+            if not built or built[-1]() is not precond:
+                built.append(weakref.ref(precond))
+            return precond
+
+        def tracked_build(*args, **kwargs):
+            if new_set[0] and built:
+                alive.append(sum(ref() is not None for ref in built))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(PrecondManager, "get", tracked_get)
+        monkeypatch.setattr(alm, "build_aux", tracked_build)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert alm_solve(_obstacle_problem(), AlmConfig(
+                inner_solver=inner_solver, hessian_mode="QN")).converged
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(alive) >= 5 and not any(alive)
 
     def test_eq_tn_solve_builds_the_sparse_block_once(self, monkeypatch):
         p = _eq_tn_problem()

@@ -538,11 +538,13 @@ class TestIncompleteCholeskyFactor:
     @pytest.mark.parametrize("k", [50, 100])
     def test_builds_in_memory_linear_in_n(self, k):
         # The traced peak of a whole IC build on a 5-point Laplacian is
-        # 400 B per variable at n = 2500 and 412 B at n = 10^4 (544 and
-        # 558 B while the factor's values were Python floats in a list);
-        # one dense n x n array is 48 MiB and 763 MiB.
+        # 350 B per variable at n = 2500 and 361 B at n = 10^4 (400 and
+        # 412 B while the loop kept the column order and the column
+        # starts as Python ints, 544 and 558 B while the factor's values
+        # were Python floats in a list); one dense n x n array is 48 MiB
+        # and 763 MiB.
         m = laplacian_5pt(k)
-        bound = 512 * m.n
+        bound = 364 * m.n
         assert 4 * bound <= 8 * m.n * m.n
         tracemalloc.start()
         try:
