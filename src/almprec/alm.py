@@ -6,7 +6,6 @@ evaluations, Hessian models, multiplier/penalty/safeguard updates, KKT
 residuals, preconditioner administration and the solver driver.
 """
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,89 +171,76 @@ class HessianModel:
 
     def apply(self, x):
         y = self.m_part.matvec(x)
-        if self.cols.m:
-            coeffs = self.cols.signs * (self.cols.columns.T @ x)
-            y += self.cols.columns @ coeffs
+        if self.cols.m:  # else y keeps its -0.0 entries
+            y += self.cols.product(x)
         return y
-
-
-# Where a _SolveMemo keeps its cut of an array's matrix and that cut's
-# shift.
-_CUT = "cut"
 
 
 class _SolveMemo:
     """
-    Values derived from problem arrays, computed once per solve.  Only an
-    array the problem declares constant is memoised: a read-only ndarray
-    that owns its data (`problems.is_constant`), returned again as the
-    same object.  Writeable arrays and views are derived afresh on every
-    call.  Entries hold a weak reference to their array and are dropped
-    when it dies, so a fresh read-only array per call is not kept alive
-    and a reused id never finds stale values.  The reference's callback
-    holds the memo weakly, so a memo is freed, with all it holds, as
-    soon as its solve drops it, with no cycle left to collect.
+    What the Hessian models of one solve take as constant, decided at
+    the first model (`arrays`), where `hess` and `jac_cols` are each
+    called twice.  A callable that returns the same read-only array that
+    owns its data both times (`problems.is_constant`, NlpProblem's
+    contract) is constant: the memo holds the array (`hess`, `jac`) and
+    never calls it again.  In NW mode, a held Jacobian whose `cons_hess`
+    arrays are all constant and zero makes the constraints linear
+    (`linear`), and no later model calls `cons_hess`.  All else is read
+    afresh by every model.
 
-    The same rule decides when an inner iteration cannot have changed
-    the model: `restricted` then returns the object it returned before,
-    and `build_column_set` hands back the held column set of a constant
-    Jacobian, so `decide_update` sees the held M and set themselves and
-    compares neither.
+    Of a held hess f the memo keeps the sparse form and its latest cut
+    to a free set, reused for the same `free` object, with that cut's
+    latest sigma shift, reused for an equal sigma (`cut`); of a held
+    Jacobian, its column norms (`norms`).
     """
 
     def __init__(self):
-        self._entries = {}
+        self.hess = self.jac = self.norms = self._sparse = self._cut = None
+        self.linear = self._probed = False
 
-    def _values(self, a):
-        """The dict of values memoised for `a`; None unless `a` is a
-        memoised constant."""
-        if not is_constant(a):
-            return None
-        entries, ident = self._entries, id(a)
-        ref, values = entries.get(ident, (None, None))
-        if ref is None or ref() is not a:
-            # The memo is held weakly, so the callback closes no cycle.
-            def forget(dead, memo=weakref.ref(self)):
-                entries = getattr(memo(), "_entries", {})
-                if entries.get(ident, (None,))[0] is dead:
-                    del entries[ident]
-            ref, values = weakref.ref(a, forget), {}
-            entries[ident] = ref, values
-        return values
+    def arrays(self, p, x, mode):
+        """(hess f, the Jacobian) at x: the held constants, and fresh
+        values of the others.  The first call decides what is held."""
+        if self._probed:
+            return (p.hess(x) if self.hess is None else self.hess,
+                    p.jac_cols(x) if self.jac is None else self.jac)
+        self._probed = True
+        hess, jac = p.hess(x), p.jac_cols(x)
+        if hess is p.hess(x) and is_constant(hess):
+            self.hess = hess
+            self._sparse = SparseSymmetricMatrix.from_dense(hess)
+        if jac is p.jac_cols(x) and is_constant(jac):
+            self.jac, self.norms = jac, column_norms(jac)
+        self.linear, zero = mode == "NW" and self.jac is not None, None
+        for i in range(p.m if self.linear else 0):
+            h = p.cons_hess(i, x)
+            if not (h is p.cons_hess(i, x) and is_constant(h)
+                    and (h is zero or not np.any(h))):
+                self.linear = False
+                break
+            zero = h  # a zero that the rows share is scanned once
+        return hess, jac
 
-    def value(self, a, key, compute):
-        """compute(a), from the memo when `a` is a memoised constant."""
-        values = self._values(a)
-        if values is None:
-            return compute(a)
-        if key not in values:
-            values[key] = compute(a)
-        return values[key]
-
-    def restricted(self, a, whole, free, sigma=None):
-        """whole.submatrix(free), or whole when `free` is None, shifted by
-        `sigma` (`shifted`) unless that is None; `whole` is derived from
-        `a` alone.  While `a` is a memoised constant the memo keeps its
-        latest cut, reused while the caller passes the same `free` object
-        (sets are told apart by identity), and that cut's latest shift,
-        reused for an equal sigma.  Each is released before its successor
-        is built."""
-        values = self._values(a)
-        if values is None:
-            values = {}  # not kept: derived afresh on every call
-        slot = values.get(_CUT)
-        if slot is None or slot[0] is not free:
-            slot = values[_CUT] = None  # released before the next
+    def cut(self, hess, free, sigma=None):
+        """Sparse `hess` cut to `free` (whole when None) and shifted by
+        `sigma` (`shifted`) unless that is None: from the memo when
+        `hess` is the held hess f, each cut and shift released before
+        its successor is built."""
+        if hess is not self.hess:
+            m = SparseSymmetricMatrix.from_dense(hess)
+            m = m if free is None else m.submatrix(free)
+            return m if sigma is None else m.shifted(sigma)
+        if self._cut is None or self._cut[0] is not free:
+            self._cut = None
             # [free, the cut, sigma, the cut shifted by sigma]
-            slot = values[_CUT] = [
-                free, whole if free is None else whole.submatrix(free),
-                None, None]
+            self._cut = [free, self._sparse if free is None
+                         else self._sparse.submatrix(free), None, None]
         if sigma is None:
-            return slot[1]
-        if slot[2] != sigma:
-            slot[2:] = None, None  # released before the next
-            slot[2:] = sigma, slot[1].shifted(sigma)
-        return slot[3]
+            return self._cut[1]
+        if self._cut[2] != sigma:
+            self._cut[2:] = None, None
+            self._cut[2:] = sigma, self._cut[1].shifted(sigma)
+        return self._cut[3]
 
 
 def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
@@ -290,42 +276,38 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
     a time (`from_dense`), so besides them the model needs O(nnz)
     memory.
 
-    `_memo` (a _SolveMemo; alm_solve passes one per solve) caches what
-    the model derives from arrays the problem declares constant (see
-    NlpProblem): sparse hess f, whether each constraint Hessian is zero
-    and the sparse form of the others, the 2-norms of the Jacobian's
-    columns, and those sparse matrices cut down to `free` and, for QN,
-    shifted by sigma (`restricted`).  Without one the call takes a fresh
-    memo of its own, and the model is bit for bit the same.
+    `_memo` (a _SolveMemo; alm_solve passes one per solve) holds what
+    the solve's first model found constant and what derives from it;
+    for linear constraints NW reads no constraint Hessian.  A call
+    without one takes a fresh memo, and the model is bit for bit the
+    same.
 
     `held`, the column set of the preconditioner held for this same
-    `free` object, is passed to `build_column_set`, which returns it
-    unchanged when the Jacobian is a constant and nothing the set is
-    built from moved (see there).  Its columns are then the new ones in
-    the held order, so only the rounding of the model's low-rank sum can
-    differ.
+    `free` object and rho (`PrecondManager.held_cols`), goes on to
+    `build_column_set` only when the memo holds the Jacobian, so that
+    nothing the set was gathered from can have moved.  It is returned
+    unchanged when its labels and notes are the new set's, with its
+    columns in the held order, so only the rounding of the model's
+    low-rank sum can differ; an unchanged model then shares its M and
+    set with the one before, and `decide_update` compares neither.
     """
     if mode not in HESSIAN_MODES:
         raise ValueError("unknown hessian mode %r" % mode)
     if _memo is None:
         _memo = _SolveMemo()
+    hess_f, jac = _memo.arrays(p, x, mode)
     c = p.cons(x)
     lam_hat = shifted_multipliers(p, x, lam, rho, c)
-    jac = p.jac_cols(x)
-    norms = _memo.value(jac, "column norms", column_norms)
-    hess_f = p.hess(x)
-    sparse_f = _memo.value(hess_f, "sparse",
-                           SparseSymmetricMatrix.from_dense)
+    norms, held = (_memo.norms, held) if jac is _memo.jac else (None, None)
 
     if mode == "NW":
         terms = []
-        for i in np.flatnonzero(lam_hat).tolist():
-            h = p.cons_hess(i, x)
-            if _memo.value(h, "nonzero", np.any):
-                term = _memo.value(h, "sparse",
-                                   SparseSymmetricMatrix.from_dense)
-                terms.append((lam_hat[i], _memo.restricted(h, term, free)))
-        m_part = _memo.restricted(hess_f, sparse_f, free)
+        if not _memo.linear:
+            for i in np.flatnonzero(lam_hat).tolist():
+                h = p.cons_hess(i, x)
+                if np.any(h):
+                    terms.append((lam_hat[i], _memo.cut(h, free)))
+        m_part = _memo.cut(hess_f, free)
         m_part = m_part.plus(terms) if terms else m_part
         cols = build_column_set(jac, p.equality, c, lam, rho, free=free,
                                 norms=norms, held=held)
@@ -346,7 +328,7 @@ def hessian_model(p, x, lam, rho, mode, secant=None, free=None,
                 gn_s = gn_s + rho * jac[:, i] * float(jac[:, i] @ s)
             sigma = max(float((y - gn_s) @ s) / ss, SIGMA_MIN)
 
-    m_part = _memo.restricted(hess_f, sparse_f, free, sigma)
+    m_part = _memo.cut(hess_f, free, sigma)
     secant_arg = (s, y, gn_s + sigma * s) if gn_s is not None else None
     cols = build_column_set(jac, p.equality, c, lam, rho, secant=secant_arg,
                             free=free, norms=norms, held=held)
@@ -416,8 +398,9 @@ class PrecondManager:
     block, AcV those that rebuilt only the storage matrix.
 
     `held_cols` hands the held column set back to the next model built
-    for the same free set; a model that returns it, and the held M,
-    unchanged is known unchanged without a comparison (`decide_update`).
+    for the same free set at the same rho; a model that returns it, and
+    the held M, unchanged is known unchanged without a comparison
+    (`decide_update`).
     """
 
     def __init__(self, cfg):
@@ -426,6 +409,7 @@ class PrecondManager:
         self.ac_v = 0
         self._m = None
         self._precond = None
+        self._rho = None  # the rho of the held set's columns
         self.free = None
         self._outer_boundary = True
         self.aux_fallbacks = 0
@@ -450,18 +434,22 @@ class PrecondManager:
         get rebuilds both blocks, as it would for that set anyway."""
         self._precond = self._m = None
 
-    def held_cols(self, free):
+    def held_cols(self, free, rho):
         """The column set of the preconditioner held for the free set
-        `free`, the same object; None when there is none."""
-        if self._precond is None or free is not self.free:
+        `free`, the same object, and for `rho`, the penalty its columns
+        are scaled by; None when there is none."""
+        if (self._precond is None or free is not self.free
+                or rho != self._rho):
             return None
         return self._precond.cols
 
-    def get(self, model, free=None):
+    def get(self, model, free=None, rho=None):
         """The preconditioner for `model`.  `free` is the index array of
-        the variables a restricted model keeps (None: all of them).  The
-        cache holds for one free set, the object last passed
-        (`self.free`); any other object rebuilds from scratch."""
+        the variables a restricted model keeps (None: all of them), and
+        `rho` the penalty the model's columns are scaled by, recorded
+        for `held_cols` whenever B is rebuilt.  The cache holds for one
+        free set, the object last passed (`self.free`); any other object
+        rebuilds from scratch."""
         m_part, cols = model.m_part, model.cols
         if self._precond is None or free is not self.free:
             refresh_aux = refresh_b = True
@@ -484,6 +472,7 @@ class PrecondManager:
             aux = self._precond.aux
         if refresh_b:
             self._precond = self._assemble_with_recovery(aux, cols)
+            self._rho = rho
             if not refresh_aux:
                 self.ac_v += 1
         return self._precond
@@ -521,9 +510,11 @@ class _Subproblem:
         model to build.  This is the one owner of the free set: a set
         equal to the one the manager holds (`PrecondManager.free`) is
         passed on as that same array, so the memo and the manager tell
-        sets apart by identity, and with it the manager's held column
-        set (`held_cols`), which the model returns when it is unchanged.
-        On a new set the manager first drops what it holds (`forget`)."""
+        sets apart by identity.  With it and the subproblem's rho goes
+        the manager's held column set (`held_cols`), which the model
+        returns when it is unchanged, and rho goes on to `get`, which
+        records it with each new B.  On a new set the manager first
+        drops what it holds (`forget`)."""
         act = active_bound_mask(z, g, self.p.lower, self.p.upper)
         if act.all():
             return None
@@ -536,9 +527,10 @@ class _Subproblem:
         model = hessian_model(self.p, z, self.lam_bar, self.rho,
                               self.cfg.hessian_mode,
                               secant=(s, y) if s is not None else None,
-                              free=free, held=self.manager.held_cols(free),
+                              free=free,
+                              held=self.manager.held_cols(free, self.rho),
                               _memo=self.memo)
-        return (model, self.manager.get(model, free),
+        return (model, self.manager.get(model, free, self.rho),
                 slice(None) if free is None else free)
 
 

@@ -21,13 +21,16 @@ class NlpProblem:
     the mask.  `x0`, `lower` and `upper` must be of shape (n,) and hold
     no NaN; a bound may be infinite.
 
-    A callable that returns the same read-only array on every call (one
-    that owns its data: `not a.flags.writeable and a.base is None`)
-    declares it constant for the solve, and the solver may reuse what it
-    derived from it; `hess` and `cons_hess` of a quadratic program with
-    linear constraints can do so.  An array must not be changed while a
-    solve can still see it.  Writeable arrays and views are read afresh
-    on every call.
+    A solve decides once, at its first Hessian model, which arrays are
+    constant: it calls `hess` and `jac_cols` twice at that point, and a
+    callable that returns the same read-only array that owns its data
+    both times (`is_constant`) is not called again in that solve.  With
+    such a Jacobian, a Newton (NW) solve also calls each `cons_hess(i,
+    x)` twice there; when all are such arrays and zero, the constraints
+    are linear and no later model calls `cons_hess`.  A quadratic
+    program with linear constraints can so be read once per solve.  An
+    array must not be changed while a solve can still see it.  Anything
+    else is read afresh by every model.
     """
     name: str
     n: int

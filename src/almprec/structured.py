@@ -15,14 +15,12 @@ Also hosts the column administration (activity, relaxation, ordering,
 secant augmentation) and the update-decision policy.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
-from .problems import is_constant
 from .sparse import norm1_diff
 
 
@@ -93,14 +91,7 @@ class ColumnSet:
     gathered, which is frozen instead of copied.  Labels must be
     distinct: dropping a column by label and pairing the columns of two
     sets go by label.
-
-    A set that `build_column_set` made from a constant Jacobian records
-    what it was gathered from (`_source`: a weak reference to the
-    Jacobian, rho and the free set), so that a later build can hand it
-    back instead of gathering it again.
     """
-
-    _source = None
 
     def __init__(self, n, columns, signs, labels, notes=()):
         self._hold(n, np.array(columns, dtype=np.float64, order="F"),
@@ -144,6 +135,13 @@ class ColumnSet:
     @property
     def m(self):
         return self.signs.size
+
+    def product(self, x):
+        """V S V' x, the set's low-rank term, for a vector x of length n
+        or an (n, j) block."""
+        coeffs = self.columns.T @ x
+        coeffs *= self.signs if coeffs.ndim == 1 else self.signs[:, None]
+        return self.columns @ coeffs
 
     def permuted(self, order):
         order = list(order)
@@ -324,9 +322,7 @@ class StructuredPrecond:
         m = self.aux.inverts
         if m is None:
             return h
-        v = self.cols.columns
-        signs = self.cols.signs if h.ndim == 1 else self.cols.signs[:, None]
-        resid = r - m.matvec(h) - v @ (signs * (v.T @ h))
+        resid = r - m.matvec(h) - self.cols.product(h)
         return h + _apply(self.bs, self.aux, resid)
 
 
@@ -370,13 +366,13 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     `norms` are `column_norms(jacobian)`, computed here when the caller
     does not have them.
 
-    `held`, a set this function built before (the one a preconditioner
-    holds), is returned unchanged, with no gather and no finiteness scan,
-    when it cannot differ from the set this call would build: the
-    Jacobian is a constant (`problems.is_constant`) and the same object,
-    rho is equal, `free` is the same object, the kept labels form the
-    same set, the notes are equal, and neither set carries the secant
-    pair.  Its columns are then those of the new set, in the held order.
+    `held`, a set built before (the one a preconditioner holds), is
+    returned unchanged, with no gather and no finiteness scan, when the
+    kept labels form the same set, the notes are equal, and neither set
+    carries the secant pair.  The caller vouches for the rest: that
+    `held` was gathered from this same Jacobian, unchanged since, at
+    this rho and on this `free`.  Its columns are then those of the new
+    set, in the held order.
 
     Every set is column-major.  The kept constraint columns and the
     secant pair are gathered and scaled one column at a time, straight
@@ -425,11 +421,7 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
                 signs += [1.0, -1.0]
                 labels += [LABEL_BFGS_Y, LABEL_BFGS_W]
 
-    source = held._source if held is not None else None
-    if (source is not None and source[0]() is jacobian
-            and is_constant(jacobian) and source[1] == rho
-            and source[2] is free and not pair
-            and held.notes == tuple(notes)
+    if (held is not None and not pair and held.notes == tuple(notes)
             and set(held.labels) == set(labels)):
         return held
 
@@ -442,10 +434,7 @@ def build_column_set(jacobian, equality, c_vals, multipliers, rho,
     for j, (u, scale) in enumerate(sources + pair):
         np.multiply(u[rows], scale, out=columns[:, j])
     _check_finite(columns)
-    cols = ColumnSet._owning(size, columns, signs, labels, notes)
-    if is_constant(jacobian):
-        cols._source = weakref.ref(jacobian), rho, free
-    return cols
+    return ColumnSet._owning(size, columns, signs, labels, notes)
 
 
 def decide_update(prev_m, new_m, prev_v, new_v):
@@ -461,7 +450,8 @@ def decide_update(prev_m, new_m, prev_v, new_v):
     count changed, and only up to the first that moved.  An M or a set
     that is the held object itself is not compared: `hessian_model`
     hands back the held ones when an inner iteration cannot have changed
-    them (`build_column_set`'s `held`, `_SolveMemo.restricted`).
+    them, which the solve's memo knows for a constant hess f and
+    Jacobian (`build_column_set`'s `held`, `_SolveMemo.cut`).
     """
     if prev_m is not new_m and norm1_diff(prev_m, new_m) > DELTA_M:
         return "M-changed"

@@ -28,11 +28,14 @@ total over all of them:
 - `restricted-memo`: per grid problem, with `hess f`, the Jacobian and
   the constraint Hessians frozen at `x0` as read-only constants, the
   NW, QN and `QN-secant` models built through one per-solve memo
-  (`_SolveMemo`) over the free sets A, A (the same array), B, A (a new
-  array), none (B another set of A's size), so the memo's cached
-  restriction is built, reused and replaced; and, each under its own
-  label and memo, the `QN-secant-kept` model over the same free sets,
-  and on HS41 and HS63 the `QN-secant-curved` one;
+  (`_SolveMemo`, which takes the frozen arrays as constant at the first
+  model) over the free sets A, A (the same array), B, A (a new array),
+  none (B another set of A's size), so the memo's cut of `hess f` is
+  built, reused and replaced; and, each under its own label and memo,
+  the `QN-secant-kept` model over the same free sets, and on HS41 and
+  HS63 the `QN-secant-curved` one.  HS63's nonzero constraint Hessian
+  enters every NW model afresh, the others' zero ones make the memo
+  read the constraints as linear;
 - `fallback`: each numerical fallback, forced on a small input:
   - `aux-shift KIND`: `build_aux`'s shifted build of an indefinite
     block (a 5-point Laplacian minus 4 I, whose zero diagonal is not
@@ -69,6 +72,10 @@ total over all of them:
   runs above, so that `--against` tells a change that moves results at
   rounding level (its `grid` or `workload` lines differ, its `counts`
   lines do not) from one that moves a count;
+- `reuse`: one line for each workload, hashing per seed which of the
+  `build_column_set` calls of its runs, counted where `alm` looks the
+  name up, returned the `held` set they were passed, so that a change
+  to the held-set reuse shows even where no count moves;
 - `experiment`: the seeded `spectral` and `linsys` experiments at seeds
   0-2 with every auxiliary kind, Jacobi also on a diagonal `M` and
   incomplete Cholesky also with drop tolerance 0.  Jacobi on a diagonal
@@ -385,21 +392,38 @@ def structured_runs():
 
 def workload_runs():
     """(label, digest) for every perfbench workload and seed, and after
-    each workload's seeds its `counts` line."""
+    each workload's seeds its `counts` and `reuse` lines."""
+    from almprec import alm
     from perfbench.workloads import WORKLOADS
 
-    for name, workload in WORKLOADS.items():
-        counts = []
-        for seed in SEEDS:
-            outcome = workload.solve(workload.setup(seed))
-            parts = [repr((outcome.status, outcome.counts)).encode()]
-            counts.append(parts[0])
-            if isinstance(outcome.payload, list):
-                parts += [np.asarray(v).tobytes() for v in outcome.payload]
-            else:
-                parts += _report_bytes(outcome.payload)
-            yield "workload %s %d" % (name, seed), _digest(parts)
-        yield "counts workload %s" % name, _digest(counts)
+    build = alm.build_column_set
+    reused = []
+
+    def recorded(*args, held=None, **kwargs):
+        cols = build(*args, held=held, **kwargs)
+        reused.append(held is not None and cols is held)
+        return cols
+
+    alm.build_column_set = recorded
+    try:
+        for name, workload in WORKLOADS.items():
+            counts, reuse = [], []
+            for seed in SEEDS:
+                reused.clear()
+                outcome = workload.solve(workload.setup(seed))
+                reuse.append(repr(reused).encode())
+                parts = [repr((outcome.status, outcome.counts)).encode()]
+                counts.append(parts[0])
+                if isinstance(outcome.payload, list):
+                    parts += [np.asarray(v).tobytes()
+                              for v in outcome.payload]
+                else:
+                    parts += _report_bytes(outcome.payload)
+                yield "workload %s %d" % (name, seed), _digest(parts)
+            yield "counts workload %s" % name, _digest(counts)
+            yield "reuse %s" % name, _digest(reuse)
+    finally:
+        alm.build_column_set = build
 
 
 def _experiment_digest(cfg):

@@ -514,19 +514,51 @@ class TestSolveMemo:
             assert _same_model(got, want)
 
     def test_fresh_read_only_arrays_are_not_kept(self):
-        # Nor is a restriction to a free set built from them.
+        # Nor is anything derived from them: each array is freed with the
+        # model that read it, while the memo lives on.
         hess, cons = _memo_hessians()
         jac = _memo_jac()
-        p = _memo_problem(lambda x: _frozen(hess),
-                          lambda i, x: _frozen(cons[i]),
-                          lambda x: _frozen(jac))
+        returned = []
+
+        def fresh(a):
+            a = _frozen(a)
+            returned.append(weakref.ref(a))
+            return a
+        p = _memo_problem(lambda x: fresh(hess), lambda i, x: fresh(cons[i]),
+                          lambda x: fresh(jac))
         memo = alm._SolveMemo()
         free = np.array([0, 2, 3, 5])
         for x, lam, mode, secant in _model_args(p.n, p.m):
             for f in (None, free, free.copy(), np.array([1, 2, 4, 5])):
                 hessian_model(p, x, lam, 10.0, mode, secant=secant, free=f,
                               _memo=memo)
-                assert not memo._entries
+                assert all(ref() is None for ref in returned)
+        assert memo.hess is None and memo.jac is None
+        assert len(returned) >= 2 * 4 * 18
+
+    @pytest.mark.parametrize("mode", ["NW", "QN"])
+    def test_linear_constraints_read_cons_hess_only_in_the_probe(
+            self, monkeypatch, mode):
+        # The Jacobian and every constraint Hessian are constants, the
+        # latter zero: the first NW model calls each cons_hess twice and
+        # no model calls it again; QN never reads one.
+        p = _eq_tn_problem()
+        cons_hess, model = p.cons_hess, alm.hessian_model
+        models, calls = [0], []
+
+        def counted_cons_hess(i, x):
+            calls.append((models[0], i))
+            return cons_hess(i, x)
+
+        def counted_model(*args, **kwargs):
+            models[0] += 1
+            return model(*args, **kwargs)
+        p.cons_hess = counted_cons_hess
+        monkeypatch.setattr(alm, "hessian_model", counted_model)
+        assert alm_solve(p, AlmConfig(hessian_mode=mode)).converged
+        assert models[0] > 1
+        assert calls == ([(1, i) for i in range(p.m) for _ in range(2)]
+                         if mode == "NW" else [])
 
     @pytest.mark.parametrize("problem, cfg", [
         (_eq_tn_problem, AlmConfig()),
@@ -534,8 +566,8 @@ class TestSolveMemo:
                                       hessian_mode="QN"))],
         ids=["eq-tn", "obstacle-pspg"])
     def test_a_solve_leaves_no_cyclic_garbage(self, problem, cfg):
-        # The memo's weak-reference callbacks hold it weakly, so all it
-        # derived is freed by reference counting when the solve returns.
+        # The memo holds its constants in plain fields, so all it derived
+        # is freed by reference counting when the solve returns.
         p = problem()
         enabled = gc.isenabled()
         gc.collect()
@@ -556,9 +588,9 @@ class TestSolveMemo:
         get, build = PrecondManager.get, alm.build_aux
         built, new_set, alive = [], [False], []
 
-        def tracked_get(self, model, free=None):
+        def tracked_get(self, model, free=None, rho=None):
             new_set[0] = free is not self.free
-            precond = get(self, model, free)
+            precond = get(self, model, free, rho)
             if not built or built[-1]() is not precond:
                 built.append(weakref.ref(precond))
             return precond
@@ -666,11 +698,6 @@ class TestRestrictionMemo:
     the restriction it keeps is built, reused and replaced, and every
     model equals the one built without a memo, byte for byte."""
 
-    @staticmethod
-    def _restrictions(memo):
-        return sum(alm._CUT in values
-                   for _, values in memo._entries.values())
-
     # (mode, secant, SIGMA_MIN): SIGMA_MIN = -3 with a curvature pair
     # that asks for less makes sigma = -3, which cancels two diagonal
     # entries of hess f.
@@ -694,7 +721,7 @@ class TestRestrictionMemo:
             got = hessian_model(p, x, lam, 10.0, mode, _memo=memo, **kwargs)
             want = hessian_model(p, x, lam, 10.0, mode, **kwargs)
             assert _same_bytes(got, want)
-            assert self._restrictions(memo) == 1
+            assert memo.hess is hess and memo._cut[0] is free
             models.append(got.m_part)
         cancels = sigma_min == -3.0
         if cancels:
@@ -741,6 +768,14 @@ class TestRestrictionMemo:
         assert len(labels) > 1
 
 
+def _probed_memo(hess):
+    """A _SolveMemo that has probed a problem whose hess f is `hess`."""
+    memo = alm._SolveMemo()
+    p = _memo_problem(lambda x: hess, lambda i, x: None)
+    memo.arrays(p, p.x0, "QN")
+    return memo
+
+
 class TestShiftMemo:
     """QN's shifted M through one _SolveMemo: the same object for the same
     restriction and sigma, so decide_update skips the norm."""
@@ -749,24 +784,25 @@ class TestShiftMemo:
         hess = _hess_with_threes()
         whole = SparseSymmetricMatrix.from_dense(hess)
         free = np.array([0, 1, 3, 4])
-        memo = alm._SolveMemo()
-        first = memo.restricted(hess, whole, free, 0.5)
-        assert memo.restricted(hess, whole, free, 0.5) is first
+        memo = _probed_memo(hess)
+        assert memo.hess is hess
+        first = memo.cut(hess, free, 0.5)
+        assert memo.cut(hess, free, 0.5) is first
         assert _same_matrix(first, whole.submatrix(free).shifted(0.5))
-        other = memo.restricted(hess, whole, free, 0.25)
+        other = memo.cut(hess, free, 0.25)
         assert other is not first
         assert _same_matrix(other, whole.submatrix(free).shifted(0.25))
         # An equal free set that is another object is another restriction.
-        assert memo.restricted(hess, whole, free.copy(), 0.25) is not other
-        assert memo.restricted(hess, whole, None, 0.25) is not other
+        assert memo.cut(hess, free.copy(), 0.25) is not other
+        assert memo.cut(hess, None, 0.25) is not other
 
     def test_a_writeable_array_is_shifted_afresh(self):
         hess = np.array(_hess_with_threes())
-        whole = SparseSymmetricMatrix.from_dense(hess)
-        memo = alm._SolveMemo()
-        assert (memo.restricted(hess, whole, None, 0.5)
-                is not memo.restricted(hess, whole, None, 0.5))
-        assert not memo._entries
+        memo = _probed_memo(hess)
+        assert memo.hess is None
+        assert (memo.cut(hess, None, 0.5)
+                is not memo.cut(hess, None, 0.5))
+        assert memo._cut is None
 
     def test_qn_models_share_m_and_skip_the_norm(self, monkeypatch):
         hess, jac = _hess_with_threes(), _frozen(_memo_jac())
@@ -788,7 +824,8 @@ class TestShiftMemo:
 class TestHeldColumnReuse:
     """The manager's column set handed back to the next model: reused on
     the constant-Jacobian workloads, with the counts of a solve without
-    reuse."""
+    reuse, and only for the same free set object, the same rho and a
+    Jacobian the solve's memo holds."""
 
     @staticmethod
     def _solve(monkeypatch, p, cfg, reuse):
@@ -802,22 +839,25 @@ class TestHeldColumnReuse:
         monkeypatch.setattr(alm, "build_column_set", counted)
         if not reuse:
             monkeypatch.setattr(PrecondManager, "held_cols",
-                                lambda self, free: None)
+                                lambda self, free, rho: None)
         rep = alm_solve(p, cfg)
         monkeypatch.undo()
         return rep, reused
 
-    @pytest.mark.parametrize("problem, cfg", [
-        (_eq_tn_problem, AlmConfig()),
+    # (problem, config, builds of a column set, builds that returned the
+    # held one)
+    @pytest.mark.parametrize("problem, cfg, builds, reuses", [
+        (_eq_tn_problem, AlmConfig(), 11, 9),
         (_obstacle_problem, AlmConfig(inner_solver="pspg",
-                                      hessian_mode="QN"))],
+                                      hessian_mode="QN"), 22, 6)],
         ids=["eq-tn", "obstacle-pspg"])
     def test_counts_match_a_solve_without_reuse(self, monkeypatch, problem,
-                                                cfg):
+                                                cfg, builds, reuses):
         p = problem()
         rep, reused = self._solve(monkeypatch, p, cfg, reuse=True)
         off, never = self._solve(monkeypatch, p, cfg, reuse=False)
-        assert rep.converged and any(reused) and not any(never)
+        assert rep.converged and not any(never)
+        assert (len(reused), sum(reused)) == (builds, reuses)
         fields = ("status", "outer_iterations", "inner_iterations",
                   "krylov_precond", "krylov_plain", "ac_m", "ac_v")
         assert ([getattr(rep, f) for f in fields]
@@ -833,15 +873,47 @@ class TestHeldColumnReuse:
         cfg = AlmConfig(hessian_mode="QN")
         manager = PrecondManager(cfg)
         free = np.array([0, 1, 3, 4])
-        assert manager.held_cols(free) is None
+        assert manager.held_cols(free, 10.0) is None
         p = _memo_problem(lambda x: _hess_with_threes(), lambda i, x: None,
                           lambda x: _frozen(_memo_jac()))
         model = hessian_model(p, np.zeros(6), np.full(4, 100.0), 10.0, "QN",
                               free=free)
-        precond = manager.get(model, free)
-        assert manager.held_cols(free) is precond.cols
-        assert manager.held_cols(free.copy()) is None
-        assert manager.held_cols(None) is None
+        precond = manager.get(model, free, 10.0)
+        assert manager.held_cols(free, 10.0) is precond.cols
+        assert manager.held_cols(free.copy(), 10.0) is None
+        assert manager.held_cols(None, 10.0) is None
+        assert manager.held_cols(free, 20.0) is None
+
+    @pytest.mark.parametrize("change", ["nothing", "rho", "free",
+                                        "writeable", "jacobian"])
+    def test_any_single_change_builds_a_new_set(self, change):
+        # The manager offers its set only to the same free set object at
+        # the same rho; the model takes it only from a Jacobian its memo
+        # holds, which a writeable array, or a fresh read-only one per
+        # call, is not.  With nothing changed the held set comes back.
+        jac = _frozen(_memo_jac())
+        jac_cols = {"writeable": lambda x: np.array(jac),
+                    "jacobian": lambda x: _frozen(jac)}.get(
+                        change, lambda x: jac)
+        p = _memo_problem(lambda x: _hess_with_threes(), lambda i, x: None,
+                          jac_cols)
+        manager = PrecondManager(AlmConfig(hessian_mode="QN"))
+        memo = alm._SolveMemo()
+        free, rho = np.array([0, 1, 3, 4]), 10.0
+        x, lam = np.zeros(6), np.full(4, 100.0)
+        model = hessian_model(p, x, lam, rho, "QN", free=free, _memo=memo)
+        held = manager.get(model, free, rho).cols
+        if change == "rho":
+            rho = 20.0
+        elif change == "free":
+            free = free.copy()  # equal, not the same
+        offered = manager.held_cols(free, rho)
+        assert (offered is None) is (change in ("rho", "free"))
+        got = hessian_model(p, x, lam, rho, "QN", free=free, held=offered,
+                            _memo=memo)
+        assert (got.cols is held) is (change == "nothing")
+        assert _same_bytes(got, hessian_model(p, x, lam, rho, "QN",
+                                              free=free))
 
 
 class TestFreeSetOwner:
